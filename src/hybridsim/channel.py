@@ -8,7 +8,7 @@ state, so these are safe to call from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0
 BOLTZMANN = 1.380649e-23
@@ -188,12 +188,3 @@ def packet_success(ber: float, bits: int) -> float:
     if bits < 0:
         raise ValueError("bit count cannot be negative")
     return (1.0 - ber) ** bits
-
-
-def moved_pose(pose: Pose, velocity_mps: tuple[float, float, float],
-               dt_s: float) -> Pose:
-    """Pose after moving at a constant velocity for dt_s seconds (orientation
-    unchanged). Lets scenarios perturb link SNR along a linear waypoint."""
-    return Pose(position=tuple(p + v * dt_s
-                               for p, v in zip(pose.position, velocity_mps)),
-                facing=pose.facing)

@@ -3,19 +3,23 @@
 The consumption side is calibrated from bench measurements of the target node
 (see data/calibration.csv): every device state or operation phase maps to a
 measured average current, and energy is integrated piecewise-constant between
-phase transitions. A linear model is also provided for states whose draw
-scales with transmit power, baud rate, or packet size.
+phase transitions.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .actions import Action, Mode, Modality
-from .kernel import EventKind
+from .kernel import NS_PER_MS, EventKind, millis
+
+if TYPE_CHECKING:
+    from .node import LinkPlan
+    from .scenario import Scenario
 
 DEFAULT_SUPPLY_VOLTAGE = 3.3
 
@@ -108,6 +112,8 @@ class HarvestProfile:
     tick_period_s: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(s) and math.isfinite(p) for s, p in self.segments):
+            raise ValueError("profile segments must be finite")
         starts = [s for s, _ in self.segments]
         if starts != sorted(starts):
             raise ValueError("profile segments must be sorted by start time")
@@ -129,14 +135,6 @@ class HarvestProfile:
             return 0.0
         edges = [t0_s] + [s for s, _ in self.segments if t0_s < s < t1_s] + [t1_s]
         return sum(self.power_at(a) * (b - a) for a, b in zip(edges, edges[1:]))
-
-
-def harvest_tick(buffer: EnergyBuffer, profile: HarvestProfile,
-                 dt_s: float, now_s: float = 0.0) -> tuple[float, EventKind | None]:
-    """Deposit one tick of harvested energy; returns (joules added, edge event)."""
-    if dt_s <= 0:
-        raise ValueError("tick duration must be positive")
-    return buffer.harvest(profile.energy_between(now_s, now_s + dt_s))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +169,11 @@ class StateCurrentTable:
             raise UnknownStateError(f"no calibration entry for {key}")
         return self._entries[key]
 
-    def current_ma(self, device: str, state: str, profile: str = "normal", **_) -> float:
+    def current_ma(self, device: str, state: str, profile: str = "normal") -> float:
         return self.lookup(device, state, profile).current_ma
 
     def has(self, device: str, state: str, profile: str = "normal") -> bool:
         return (_norm(device), _norm(state), _norm(profile)) in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def rows(self):
         return sorted(self._entries.items())
@@ -234,66 +229,6 @@ def default_calibration_path() -> Path:
     return Path(__file__).parent / "data" / "calibration.csv"
 
 
-# ---------------------------------------------------------------------------
-# Linear model
-
-@dataclass(frozen=True)
-class LinearCurrentModel:
-    """Current draw linear in TX power, baud rate, and packet size."""
-
-    base_current_ma: float
-    slope_ma_per_dbm: float = 0.0
-    slope_ma_per_kbps: float = 0.0
-    slope_ma_per_byte: float = 0.0
-
-    def current_ma(self, tx_power_dbm: float = 0.0, baud_kbps: float = 0.0,
-                   packet_bytes: float = 0.0, **_) -> float:
-        value = (self.base_current_ma
-                 + self.slope_ma_per_dbm * tx_power_dbm
-                 + self.slope_ma_per_kbps * baud_kbps
-                 + self.slope_ma_per_byte * packet_bytes)
-        return max(0.0, value)
-
-    @classmethod
-    def fit_tx_power(cls, samples: list[tuple[float, float]]) -> "LinearCurrentModel":
-        """Least-squares fit of current vs TX power from (dBm, mA) samples."""
-        if len(samples) < 2:
-            raise ValueError("need at least two samples to fit a slope")
-        n = len(samples)
-        sx = sum(x for x, _ in samples)
-        sy = sum(y for _, y in samples)
-        sxx = sum(x * x for x, _ in samples)
-        sxy = sum(x * y for x, y in samples)
-        denom = n * sxx - sx * sx
-        if denom == 0:
-            raise ValueError("degenerate tx power samples")
-        slope = (n * sxy - sx * sy) / denom
-        base = (sy - slope * sx) / n
-        return cls(base_current_ma=base, slope_ma_per_dbm=slope)
-
-
-def fit_conn_event_model(table: StateCurrentTable,
-                         profile: str = "normal") -> LinearCurrentModel:
-    """Default linear TX-power model: least-squares over the measured
-    connection-event currents at 0/4/8 dBm from the shipped table."""
-    samples = [(float(dbm),
-                table.lookup("ble", f"conn_event_{dbm}dbm", profile).current_ma)
-               for dbm in (0, 4, 8)]
-    return LinearCurrentModel.fit_tx_power(samples)
-
-
-def device_current(model, state: str, *, device: str = "node",
-                   tx_power_dbm: float = 0.0, baud_kbps: float = 0.0,
-                   packet_bytes: float = 0.0, profile: str = "normal") -> float:
-    """Instantaneous current for a device state under either model."""
-    if isinstance(model, StateCurrentTable):
-        return model.current_ma(device, state, profile)
-    if isinstance(model, LinearCurrentModel):
-        return model.current_ma(tx_power_dbm=tx_power_dbm, baud_kbps=baud_kbps,
-                                packet_bytes=packet_bytes)
-    raise TypeError(f"unsupported current model: {model!r}")
-
-
 def vlc_uplink_energy(table: StateCurrentTable, profile: str = "normal",
                       chunks: int = VLC_CHUNKS_PER_FRAME,
                       voltage: float = DEFAULT_SUPPLY_VOLTAGE) -> float:
@@ -316,52 +251,36 @@ def vlc_uplink_energy(table: StateCurrentTable, profile: str = "normal",
 # ---------------------------------------------------------------------------
 # Peripherals and per-action energy prediction
 
-class PeripheralKind(Enum):
-    SENSOR_INIT = "sensor_init"
-    SENSE = "sense"
-    EINK_REFRESH = "eink_refresh"
-    LOCALIZE = "localize"
-
-
 @dataclass(frozen=True)
-class PeripheralOp:
-    kind: PeripheralKind
-    duration_ms: float
+class PhaseStep:
+    """One constant-current phase of a node's operation sequence."""
+
+    name: str
     current_ma: float
-
-    def energy_j(self, voltage: float) -> float:
-        return phase_energy(self.current_ma, self.duration_ms, voltage)
+    duration_ns: int
 
 
-@dataclass(frozen=True)
-class ModalityPowerModel:
-    """Streaming shape of one modality: burst current plus packet pacing."""
-
-    tx_current_ma: float
-    packet_airtime_s: float
-    packet_interval_s: dict[Mode, float]  # mean spacing between packet starts
-
-    def duty(self, mode: Mode) -> float:
-        interval = self.packet_interval_s[mode]
-        if interval <= 0:
-            return 0.0
-        return min(1.0, self.packet_airtime_s / interval)
+def peripheral_steps(scenario: Scenario) -> tuple[PhaseStep, ...]:
+    """Sensing, display refresh, and localization: one peripheral cycle."""
+    return (
+        PhaseStep("sense", scenario.sense_current_ma, millis(scenario.sense_duration_ms)),
+        PhaseStep("eink", scenario.eink_current_ma, millis(scenario.eink_duration_ms)),
+        PhaseStep("localize", scenario.localize_current_ma, millis(scenario.localize_duration_ms)),
+    )
 
 
-@dataclass(frozen=True)
-class NodeEnergyConfig:
-    """Everything needed to predict what an action costs over a horizon."""
-
-    supply_voltage: float
-    idle_current_ma: float
-    sleep_current_ma: float
-    modality_power: dict[Modality, ModalityPowerModel]
-    peripheral_ops: tuple[PeripheralOp, ...] = ()
-    peripheral_period_s: float = 10.0
+def peripheral_cycle_j(scenario: Scenario) -> float:
+    """Energy one peripheral cycle draws above idle, floored at zero."""
+    v = scenario.supply_voltage
+    per_cycle = sum(
+        phase_energy(step.current_ma, step.duration_ns / NS_PER_MS, v)
+        - phase_energy(scenario.idle_current_ma, step.duration_ns / NS_PER_MS, v)
+        for step in peripheral_steps(scenario))
+    return max(0.0, per_cycle)
 
 
-def predict_action_energy(cfg: NodeEnergyConfig, action: Action,
-                          horizon_s: float) -> float:
+def predict_action_energy(scenario: Scenario, links: dict[Modality, LinkPlan],
+                          action: Action, horizon_s: float) -> float:
     """Predicted energy in joules of executing `action` for `horizon_s`.
 
     The estimate assumes the node streams for the whole horizon at the
@@ -372,15 +291,13 @@ def predict_action_energy(cfg: NodeEnergyConfig, action: Action,
     """
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
-    v = cfg.supply_voltage
+    v = scenario.supply_voltage
     if action.mode is Mode.SLEEP:
-        return phase_energy(cfg.sleep_current_ma, horizon_s * 1e3, v)
-    power = cfg.modality_power[action.modality]
-    duty = power.duty(action.mode)
-    stream_ma = duty * power.tx_current_ma + (1.0 - duty) * cfg.idle_current_ma
+        return phase_energy(scenario.sleep_current_ma, horizon_s * 1e3, v)
+    plan = links[action.modality]
+    duty = min(1.0, plan.airtime_ns / plan.interval_ns[action.mode])
+    stream_ma = duty * plan.tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
     energy = phase_energy(stream_ma, horizon_s * 1e3, v)
-    if action.mode is Mode.PERFORMANCE and cfg.peripheral_ops:
-        per_cycle = sum(op.energy_j(v) - phase_energy(cfg.idle_current_ma, op.duration_ms, v)
-                        for op in cfg.peripheral_ops)
-        energy += max(0.0, per_cycle) * (horizon_s / cfg.peripheral_period_s)
+    if action.mode is Mode.PERFORMANCE:
+        energy += scenario.peripheral_cycle_j * (horizon_s / scenario.peripheral_period_s)
     return energy

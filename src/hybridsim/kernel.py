@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_SEC = 1_000_000_000
 
@@ -30,10 +29,6 @@ def millis(t: float) -> SimTime:
     return round(t * NS_PER_MS)
 
 
-def to_seconds(t: SimTime) -> float:
-    return t / NS_PER_SEC
-
-
 class EventKind(Enum):
     TRANSMIT_START = "TransmitStart"
     TRANSMIT_END = "TransmitEnd"
@@ -48,7 +43,6 @@ class EventKind(Enum):
     HARVEST_TICK = "HarvestTick"
     APP_PACKET_READY = "AppPacketReady"
     PERIPHERAL_TICK = "PeripheralTick"
-    SAMPLE_TICK = "SampleTick"
 
 
 @dataclass(frozen=True)

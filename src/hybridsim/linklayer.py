@@ -1,9 +1,8 @@
-"""Interface state machines, BLE event timing, and the polling MAC.
+"""Interface state machines and BLE event timing.
 
 Both interfaces are modeled as explicit transition tables. Pairs that are not
-listed are deliberate no-ops (recorded through the optional warn hook) rather
-than faults: the table in this module is the normative behaviour of the
-artifact.
+listed are deliberate no-ops rather than faults: the table in this module is
+the normative behaviour of the artifact.
 """
 
 from __future__ import annotations
@@ -67,24 +66,15 @@ for _s in BleState:
     BLE_TRANSITIONS[(_s, _E.BATTERY_LOW)] = BleState.OFF
 
 
-def fsm_dispatch(current, event_kind: EventKind, warn=None):
-    """Return the successor state for (state, event); undefined pairs no-op.
-
-    `warn`, when given, is called with a message for undefined pairs so runs
-    can surface unexpected dispatches without treating them as faults.
-    """
+def fsm_dispatch(current, event_kind: EventKind):
+    """Return the successor state for (state, event); undefined pairs no-op."""
     if isinstance(current, OwcState):
         table = OWC_TRANSITIONS
     elif isinstance(current, BleState):
         table = BLE_TRANSITIONS
     else:
         raise TypeError(f"not an interface state: {current!r}")
-    key = (current, event_kind)
-    if key not in table:
-        if warn is not None:
-            warn(f"no transition for ({current.value}, {event_kind.value}); staying put")
-        return current
-    return table[key]
+    return table.get((current, event_kind), current)
 
 
 @dataclass(frozen=True)
@@ -136,41 +126,3 @@ def ble_airtime(cfg: BleTimingConfig, payload_bytes: int, phy_rate: str = "2M") 
     overhead = cfg.event_overhead_ms(phy_rate)
     events = max(1, math.ceil(payload_bytes / cfg.mtu_bytes))
     return events * overhead + payload_bytes * 8 / _phy_bits_per_ms(phy_rate)
-
-
-class EmptyScheduleError(ValueError):
-    pass
-
-
-@dataclass
-class PollSchedule:
-    """Round-robin transmit token: one node owns the medium per slot."""
-
-    order: list[str]
-    slot_length_s: float = 25.0
-    current_index: int = -1
-
-    def __post_init__(self):
-        if not self.order:
-            raise EmptyScheduleError("poll schedule needs at least one node")
-
-    @property
-    def current_holder(self) -> str | None:
-        if self.current_index < 0:
-            return None
-        return self.order[self.current_index % len(self.order)]
-
-    def poll_tick(self, inter_transmission_sleep: bool = True):
-        """Advance the round-robin; returns (polled id, wake/sleep signals).
-
-        Signals are (node id, EventKind) pairs: the polled node is woken and,
-        when inter-transmission sleep is enabled, the previous holder is sent
-        to sleep for the remainder of the cycle.
-        """
-        previous = self.current_holder
-        self.current_index += 1
-        polled = self.order[self.current_index % len(self.order)]
-        signals = [(polled, EventKind.WAKE_SIGNAL)]
-        if inter_transmission_sleep and previous is not None and previous != polled:
-            signals.append((previous, EventKind.SLEEP_SIGNAL))
-        return polled, signals

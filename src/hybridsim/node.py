@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
-from .energy import EnergyBuffer
-from .kernel import Engine, EventKind, SimTime, NS_PER_SEC
+from .energy import EnergyBuffer, PhaseStep, peripheral_steps
+from .kernel import Engine, EventKind, SimTime, NS_PER_SEC, millis
 from .linklayer import BleState, OwcState, fsm_dispatch
 from .metrics import NodeMetrics
+from .scenario import Scenario
 
 
 class ProtocolViolation(RuntimeError):
@@ -34,40 +35,24 @@ class LinkPlan:
     rate_kbps: dict[Mode, float]
 
 
-@dataclass(frozen=True)
-class PhaseStep:
-    name: str
-    current_ma: float
-    duration_ns: int
-
-
-@dataclass(frozen=True)
-class NodeRuntimeConfig:
-    supply_voltage: float
-    idle_current_ma: float
-    sleep_current_ma: float
-    wake_current_ma: float
-    wake_duration_ns: int
-    advertising_current_ma: float
-    packet_bytes: int
-    links: dict[Modality, LinkPlan]
-    peripheral_steps: tuple[PhaseStep, ...]
-    peripheral_period_ns: int
-    inter_transmission_sleep: bool
-    critical_fraction: float
-    poll_command_energy_j: float = 0.0  # downlink command reception per poll
-
-
 class SimNode:
-    def __init__(self, name: str, cfg: NodeRuntimeConfig, buffer: EnergyBuffer,
-                 engine: Engine, metrics: NodeMetrics, rng_stream,
-                 initial_modality: Modality):
+    def __init__(self, name: str, scenario: Scenario, links: dict[Modality, LinkPlan],
+                 buffer: EnergyBuffer, engine: Engine, metrics: NodeMetrics,
+                 rng_stream, initial_modality: Modality):
         self.name = name
-        self.cfg = cfg
+        self.scenario = scenario
+        self.links = links
         self.buffer = buffer
         self.engine = engine
         self.metrics = metrics
         self.rng = rng_stream
+        self._wake_step = PhaseStep("wake", scenario.wake_current_ma,
+                                    millis(scenario.wake_duration_ms))
+        self._peripheral_steps = peripheral_steps(scenario)
+        # Receiving the poll command costs one downlink reception burst.
+        self._poll_command_j = (scenario.poll_command_current_ma * 1e-3
+                                * scenario.supply_voltage
+                                * scenario.poll_command_duration_ms * 1e-3)
         self.mode = Mode.PERFORMANCE
         self.modality = initial_modality
         self.owc_state = OwcState.IDLE
@@ -78,7 +63,7 @@ class SimNode:
         self.tx_in_flight = False
         self._restream_after_tx = False
         self._tx_started_ns: SimTime = 0
-        self._phase_ma = cfg.idle_current_ma
+        self._phase_ma = scenario.idle_current_ma
         self._phase_since: SimTime = 0
         self._eligible_since: SimTime | None = None
         self._stream_id = 0
@@ -97,7 +82,7 @@ class SimNode:
         if elapsed <= 0:
             return
         self._phase_since = now
-        joules = self._phase_ma * 1e-3 * self.cfg.supply_voltage * elapsed / NS_PER_SEC
+        joules = self._phase_ma * 1e-3 * self.scenario.supply_voltage * elapsed / NS_PER_SEC
         edge = self.buffer.consume(joules)
         if edge is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
@@ -123,7 +108,7 @@ class SimNode:
         self._stream_id += 1
         self._chain_id += 1
         self._close_eligible(now)
-        self._phase_ma = self.cfg.sleep_current_ma
+        self._phase_ma = self.scenario.sleep_current_ma
         if self.evaluate_cb is not None:
             self.evaluate_cb(self, now)
 
@@ -151,7 +136,7 @@ class SimNode:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.SLEEP_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.SLEEP_SIGNAL)
             self.awake = False
-        self.set_phase(self.cfg.sleep_current_ma, now)
+        self.set_phase(self.scenario.sleep_current_ma, now)
 
     def mac_wake(self, now: SimTime) -> None:
         if not self.awake:
@@ -168,8 +153,7 @@ class SimNode:
         self._chain_id += 1
         if self.mode is Mode.SLEEP:
             return  # stays parked; battery-charged may still revive it mid-slot
-        # Receiving the poll command costs one downlink reception burst.
-        edge = self.buffer.consume(self.cfg.poll_command_energy_j)
+        edge = self.buffer.consume(self._poll_command_j)
         if edge is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
             return
@@ -192,18 +176,18 @@ class SimNode:
         if self.tx_in_flight:
             return  # let the burst finish; the end handler settles the phase
         if self.mode is Mode.SLEEP:
-            self.set_phase(self.cfg.sleep_current_ma, now)
-        elif self.cfg.inter_transmission_sleep:
+            self.set_phase(self.scenario.sleep_current_ma, now)
+        elif self.scenario.inter_transmission_sleep:
             self.mac_sleep(now)
         else:
-            self.set_phase(self.cfg.idle_current_ma, now)
+            self.set_phase(self.scenario.idle_current_ma, now)
 
     def _start_slot_chain(self, now: SimTime) -> None:
         """Wake-up burst, then the peripheral cycle (performance mode only),
         then streaming: the operation sequence of one duty cycle."""
-        steps = [PhaseStep("wake", self.cfg.wake_current_ma, self.cfg.wake_duration_ns)]
+        steps = [self._wake_step]
         if self.mode is Mode.PERFORMANCE:
-            steps.extend(self.cfg.peripheral_steps)
+            steps.extend(self._peripheral_steps)
         self._run_chain(now, steps, terminal="stream")
 
     def _run_chain(self, now: SimTime, steps: list[PhaseStep], terminal: str) -> None:
@@ -226,7 +210,7 @@ class SimNode:
         if terminal == "stream" and self.in_slot and self.mode is not Mode.SLEEP:
             self._start_streaming(now)
         else:
-            self.set_phase(self.cfg.idle_current_ma, now)
+            self.set_phase(self.scenario.idle_current_ma, now)
 
     def on_chain_step(self, now: SimTime, payload) -> None:
         steps, terminal, chain_id = payload
@@ -245,7 +229,7 @@ class SimNode:
         if (not self.awake or self.in_slot or self.tx_in_flight
                 or self.mode is not Mode.PERFORMANCE):
             return
-        self._run_chain(now, list(self.cfg.peripheral_steps), terminal="idle")
+        self._run_chain(now, list(self._peripheral_steps), terminal="idle")
 
     # -- traffic ----------------------------------------------------------------
 
@@ -254,12 +238,12 @@ class SimNode:
         if self.tx_in_flight:
             self._restream_after_tx = True
             return
-        self.set_phase(self.cfg.idle_current_ma, now)
+        self.set_phase(self.scenario.idle_current_ma, now)
         if self.mode is Mode.SLEEP:
             return
         # The first packet is ready once a full generation period has
         # accumulated; sending at the stream start would overshoot the rate.
-        ready_at = now + self.cfg.links[self.modality].interval_ns[self.mode]
+        ready_at = now + self.links[self.modality].interval_ns[self.mode]
         self._pending_packet = self.engine.schedule_at(
             ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._stream_id)
 
@@ -269,7 +253,7 @@ class SimNode:
             return
         if not (self.in_slot and self.awake and self.mode is not Mode.SLEEP):
             return
-        link = self.cfg.links[self.modality]
+        link = self.links[self.modality]
         if now + link.airtime_ns > self.slot_end_ns:
             return  # not enough slot left for a whole burst
         self.transmit_packet(now)
@@ -290,7 +274,7 @@ class SimNode:
                 raise ProtocolViolation(
                     f"{self.name}: radio TX from {self.ble_state.value}")
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_START)
-        link = self.cfg.links[self.modality]
+        link = self.links[self.modality]
         self.tx_in_flight = True
         self._tx_started_ns = now
         self.set_phase(link.tx_current_ma, now)
@@ -309,9 +293,9 @@ class SimNode:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)
         else:
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_END)
-        link = self.cfg.links[modality]
+        link = self.links[modality]
         if self.rng.uniform() < link.success_prob:
-            self.metrics.bytes_delivered += self.cfg.packet_bytes
+            self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1
         # Settle into whatever the node should be doing now.
@@ -323,13 +307,13 @@ class SimNode:
             self._start_streaming(now)
         elif self.in_slot:
             self._restream_after_tx = False
-            self.set_phase(self.cfg.idle_current_ma, now)
-        elif self.cfg.inter_transmission_sleep:
+            self.set_phase(self.scenario.idle_current_ma, now)
+        elif self.scenario.inter_transmission_sleep:
             self._restream_after_tx = False
             self.mac_sleep(now)
         else:
             self._restream_after_tx = False
-            self.set_phase(self.cfg.idle_current_ma, now)
+            self.set_phase(self.scenario.idle_current_ma, now)
 
     # -- reconfiguration -----------------------------------------------------
 
@@ -363,12 +347,12 @@ class SimNode:
                 self._start_slot_chain(now)
             else:
                 self._start_streaming(now)
-        elif self.cfg.inter_transmission_sleep:
+        elif self.scenario.inter_transmission_sleep:
             self.mac_sleep(now)
         else:
             self.mac_wake(now)
             if not self.tx_in_flight:
-                self.set_phase(self.cfg.idle_current_ma, now)
+                self.set_phase(self.scenario.idle_current_ma, now)
 
     # -- event dispatch ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ pinned to the optical link in the OWC-only variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .actions import Action, Mode, Modality, enumerate_actions
 
@@ -41,16 +41,19 @@ class UtilityWeights:
     period_s: float = 10.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if abs(self.p_m + self.p_s + self.p_l - 1.0) > 1e-9:
             raise ValueError(
                 f"static weights must sum to 1: p_M+p_S+p_L = "
                 f"{self.p_m + self.p_s + self.p_l}")
         if not 0.0 < self.ewma_lambda <= 1.0:
-            raise ValueError("smoothing constant must be in (0, 1]")
+            raise ValueError("ewma_lambda must be in (0, 1]")
         if not 0.0 <= self.f_c < 1.0:
-            raise ValueError("critical fraction must be in [0, 1)")
-        if self.sigmoid_k <= 0:
-            raise ValueError("sigmoid slope must be positive")
+            raise ValueError("f_c must be in [0, 1)")
+        if self.sigmoid_k <= 0 or self.period_s <= 0:
+            raise ValueError("sigmoid_k and period_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,6 @@ class NodeObservation:
     p_int: float = 0.0
     snr_sample_db: float = 0.0
     ewma_baseline_db: float = 0.0
-    plr: float = 0.0
-    tx_power_dbm: float = 0.0
-    active_interfaces: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.f_r <= 1.0:
@@ -240,56 +240,3 @@ def etno_select(f_r: float, sleep_threshold: float, conservation_threshold: floa
         return Action(Mode.CONSERVATION, modality)
     modality = Modality.OWC if owc_only else best_snr_modality
     return Action(Mode.PERFORMANCE, modality)
-
-
-# ---------------------------------------------------------------------------
-# Interaction-probability sources
-
-class ConstantInteraction:
-    def __init__(self, probability: float):
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        self.probability_value = probability
-
-    def probability(self, t_s: float) -> float:
-        return self.probability_value
-
-
-class ScheduleInteraction:
-    """Piecewise-constant interaction probability over time windows."""
-
-    def __init__(self, windows: list[tuple[float, float]]):
-        if not windows:
-            raise ValueError("schedule needs at least one window")
-        starts = [s for s, _ in windows]
-        if starts != sorted(starts):
-            raise ValueError("windows must be sorted by start time")
-        self.windows = windows
-
-    def probability(self, t_s: float) -> float:
-        value = self.windows[0][1]
-        for start, p in self.windows:
-            if t_s >= start:
-                value = p
-        return value
-
-
-class EwmaInteraction:
-    """Smoothed rate of downlink-command arrivals per observation window."""
-
-    def __init__(self, lam: float = 0.2, initial: float = 0.0):
-        if not 0.0 < lam <= 1.0:
-            raise ValueError("smoothing constant must be in (0, 1]")
-        self.lam = lam
-        self.value = initial
-
-    def observe(self, command_seen: bool) -> float:
-        self.value = ewma_update(self.value, 1.0 if command_seen else 0.0, self.lam)
-        return self.value
-
-    def probability(self, t_s: float) -> float:
-        return self.value
-
-
-def interaction_probability(model, t_s: float) -> float:
-    return model.probability(t_s)

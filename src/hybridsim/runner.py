@@ -12,13 +12,11 @@ from dataclasses import dataclass, replace
 
 from . import channel
 from .actions import Mode, Modality, enumerate_actions
-from .energy import (EnergyBuffer, HarvestProfile, ModalityPowerModel,
-                     NodeEnergyConfig, PeripheralKind, PeripheralOp,
-                     predict_action_energy)
+from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, millis, seconds
-from .linklayer import BleTimingConfig, PollSchedule, ble_airtime
+from .linklayer import BleTimingConfig, ble_airtime
 from .metrics import MetricsRecord, NodeMetrics, TraceRow
-from .node import LinkPlan, NodeRuntimeConfig, PhaseStep, SimNode
+from .node import LinkPlan, SimNode
 from .optimizer import (NodeObservation, etno_select, euno_select, ewma_update)
 from .scenario import Scenario
 
@@ -123,42 +121,6 @@ def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
     }
 
 
-def _peripheral_steps(scenario: Scenario) -> tuple[PhaseStep, ...]:
-    return (
-        PhaseStep("sense", scenario.sense_current_ma, millis(scenario.sense_duration_ms)),
-        PhaseStep("eink", scenario.eink_current_ma, millis(scenario.eink_duration_ms)),
-        PhaseStep("localize", scenario.localize_current_ma, millis(scenario.localize_duration_ms)),
-    )
-
-
-def build_energy_config(scenario: Scenario,
-                        links: dict[Modality, LinkPlan]) -> NodeEnergyConfig:
-    ops = (
-        PeripheralOp(PeripheralKind.SENSE, scenario.sense_duration_ms,
-                     scenario.sense_current_ma),
-        PeripheralOp(PeripheralKind.EINK_REFRESH, scenario.eink_duration_ms,
-                     scenario.eink_current_ma),
-        PeripheralOp(PeripheralKind.LOCALIZE, scenario.localize_duration_ms,
-                     scenario.localize_current_ma),
-    )
-    power = {}
-    for modality, plan in links.items():
-        power[modality] = ModalityPowerModel(
-            tx_current_ma=plan.tx_current_ma,
-            packet_airtime_s=plan.airtime_ns / NS_PER_SEC,
-            packet_interval_s={mode: ns / NS_PER_SEC
-                               for mode, ns in plan.interval_ns.items()},
-        )
-    return NodeEnergyConfig(
-        supply_voltage=scenario.supply_voltage,
-        idle_current_ma=scenario.idle_current_ma,
-        sleep_current_ma=scenario.sleep_current_ma,
-        modality_power=power,
-        peripheral_ops=ops,
-        peripheral_period_s=scenario.peripheral_period_s,
-    )
-
-
 class _Controller:
     """Owns the polling gateway, the policy evaluations, harvesting, and the
     1 Hz sampling loop for one run."""
@@ -167,7 +129,6 @@ class _Controller:
         self.scenario = scenario
         self.engine = engine
         self.links = build_link_plans(scenario)
-        self.energy_cfg = build_energy_config(scenario, self.links)
         self.weights = scenario.weights
         self.capacity = scenario.battery_capacity_j
         best = max(self.links, key=lambda m: (self.links[m].snr_db,
@@ -175,22 +136,6 @@ class _Controller:
         self.initial_modality = best
         self.harvest = HarvestProfile(segments=scenario.harvest_segments())
         self.total_ns = seconds(scenario.total_duration_s)
-        runtime = NodeRuntimeConfig(
-            supply_voltage=scenario.supply_voltage,
-            idle_current_ma=scenario.idle_current_ma,
-            sleep_current_ma=scenario.sleep_current_ma,
-            wake_current_ma=scenario.wake_current_ma,
-            wake_duration_ns=millis(scenario.wake_duration_ms),
-            advertising_current_ma=scenario.advertising_current_ma,
-            packet_bytes=scenario.packet_bytes,
-            links=self.links,
-            peripheral_steps=_peripheral_steps(scenario),
-            peripheral_period_ns=seconds(scenario.peripheral_period_s),
-            inter_transmission_sleep=scenario.inter_transmission_sleep,
-            critical_fraction=self.weights.f_c,
-            poll_command_energy_j=scenario.poll_command_current_ma * 1e-3
-            * scenario.supply_voltage * scenario.poll_command_duration_ms * 1e-3,
-        )
         self.nodes: list[SimNode] = []
         for i in range(scenario.node_count):
             name = f"node{i + 1}"
@@ -200,16 +145,16 @@ class _Controller:
                 critical_fraction=self.weights.f_c,
                 supply_voltage=scenario.supply_voltage,
             )
-            node = SimNode(name, runtime, buffer, engine, NodeMetrics(name=name),
-                           engine.rng_stream(i + 1), self.initial_modality)
+            node = SimNode(name, scenario, self.links, buffer, engine,
+                           NodeMetrics(name=name), engine.rng_stream(i + 1),
+                           self.initial_modality)
             node.evaluate_cb = self.evaluate
             if scenario.init_advertising and scenario.init_delay_s > 0:
                 node.set_phase(scenario.advertising_current_ma, 0)
             engine.register(name, node.handle)
             self.nodes.append(node)
-        self.schedule = PollSchedule(order=[n.name for n in self.nodes],
-                                     slot_length_s=scenario.poll_slot_s)
-        self._started = False
+        # Round-robin polling: slot k belongs to node k % node_count.
+        self.slot = -1
         engine.register("gateway", self._on_gateway_event)
         engine.register("world", self._on_world_event)
 
@@ -233,7 +178,7 @@ class _Controller:
                                                 self.weights.ewma_lambda)
         if scenario.optimizer == "euno":
             actions = enumerate_actions(node.modality)
-            predicted = {a: predict_action_energy(self.energy_cfg, a,
+            predicted = {a: predict_action_energy(scenario, self.links, a,
                                                   self.weights.period_s)
                          for a in actions}
             rates = {a: 0.0 if a.mode is Mode.SLEEP
@@ -265,11 +210,8 @@ class _Controller:
     # -- event handlers ---------------------------------------------------------
 
     def _on_gateway_event(self, engine: Engine, event) -> None:
-        if event.kind is not EventKind.POLL_TICK:
-            return
         now = engine.now
-        if not self._started:
-            self._started = True
+        if self.slot < 0:
             if self.scenario.inter_transmission_sleep:
                 for node in self.nodes:
                     node.sync(now)
@@ -277,14 +219,12 @@ class _Controller:
             else:
                 for node in self.nodes:
                     node.set_phase(self.scenario.idle_current_ma, now)
-        previous = self.schedule.current_holder
-        polled, _signals = self.schedule.poll_tick(
-            inter_transmission_sleep=self.scenario.inter_transmission_sleep)
-        if previous is not None:
-            self._node_by_name(previous).exit_slot(now)
+        else:
+            self.nodes[self.slot % len(self.nodes)].exit_slot(now)
+        self.slot += 1
         slot_ns = seconds(self.scenario.poll_slot_s)
         slot_end = min(now + slot_ns, self.total_ns)
-        self._node_by_name(polled).enter_slot(now, slot_end)
+        self.nodes[self.slot % len(self.nodes)].enter_slot(now, slot_end)
         if now + slot_ns < self.total_ns:
             engine.schedule_at(now + slot_ns, "gateway", EventKind.POLL_TICK)
 
@@ -315,9 +255,6 @@ class _Controller:
             nxt = now + seconds(self.scenario.peripheral_period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
-
-    def _node_by_name(self, name: str) -> SimNode:
-        return self.nodes[int(name.removeprefix("node")) - 1]
 
     def _sample(self, now: int) -> None:
         t_s = now / NS_PER_SEC

@@ -7,12 +7,28 @@ keys are rejected so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
+from .channel import PHY_RATE_SNR_SHIFT_DB
+from .energy import HarvestProfile, peripheral_cycle_j
+from .linklayer import BleTimingConfig
 from .optimizer import UtilityWeights
 
 OPTIMIZERS = ("euno", "etno", "etno-owc")
+
+# Fields that must be above zero; the ones named *_current_ma or
+# *_duration_ms, and those in _NON_NEGATIVE, must not be below it.
+_POSITIVE = {
+    "duration_s", "node_count", "distance_m", "packet_bytes", "target_rate_kbps",
+    "conservation_rate_kbps", "poll_slot_s", "battery_capacity_j", "supply_voltage",
+    "peripheral_period_s", "mtu_bytes", "bandwidth_hz",
+    "owc_phy_rate_kbps", "tx_optical_power_w", "pd_area_m2", "responsivity_a_w",
+    "concentrator_gain",
+}
+_NON_NEGATIVE = {"init_delay_s", "harvest_mw", "snr_jitter_db"}
 
 
 class ScenarioError(ValueError):
@@ -92,21 +108,42 @@ class Scenario:
     # [weights]
     weights: UtilityWeights = field(default_factory=UtilityWeights)
 
+    # Every energy prediction reads it, so it is computed once per scenario.
+    peripheral_cycle_j = cached_property(peripheral_cycle_j)
+
     def __post_init__(self):
-        if self.duration_s <= 0 or self.init_delay_s < 0 or self.poll_slot_s <= 0:
-            raise ScenarioError("durations must be positive")
-        if self.node_count < 1:
-            raise ScenarioError("need at least one node")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "int") and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
+            if f.name in _POSITIVE and value <= 0:
+                raise ScenarioError(f"{f.name} must be positive, got {value}")
+            if (f.name in _NON_NEGATIVE
+                    or f.name.endswith(("_current_ma", "_duration_ms"))) and value < 0:
+                raise ScenarioError(f"{f.name} must not be negative, got {value}")
+        try:
+            HarvestProfile(segments=self.harvest_profile)
+        except ValueError as exc:
+            raise ScenarioError(f"harvest_profile: {exc}") from exc
+        if not 0 < self.initial_fraction <= 1:
+            raise ScenarioError("initial_fraction must be in (0, 1]")
+        if not 0 <= self.interaction_probability <= 1:
+            raise ScenarioError("interaction_probability must be in [0, 1]")
+        if not 0 < self.led_semi_angle_deg < 90 or not 0 < self.pd_fov_deg <= 90:
+            raise ScenarioError("led_semi_angle_deg must be in (0, 90) and "
+                                "pd_fov_deg in (0, 90]")
+        if self.conn_interval_ms <= BleTimingConfig.conn_event_len_ms:
+            raise ScenarioError("conn_interval_ms must exceed the "
+                                f"{BleTimingConfig.conn_event_len_ms} ms connection event")
+        if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
+            raise ScenarioError(f"ble_phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
         if self.conservation_rate_kbps > self.target_rate_kbps:
-            raise ScenarioError("conservation rate must not exceed the target rate")
+            raise ScenarioError("conservation_rate_kbps must not exceed target_rate_kbps")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.battery_capacity_j <= 0 or not 0 < self.initial_fraction <= 1:
-            raise ScenarioError("battery capacity and initial fraction must be positive")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:
-            raise ScenarioError("ETNO sleep threshold must be below the conservation threshold")
-        if self.packet_bytes <= 0:
-            raise ScenarioError("packet size must be positive")
+            raise ScenarioError("etno_sleep_threshold must be below "
+                                "etno_conservation_threshold")
 
     @property
     def total_duration_s(self) -> float:
@@ -118,16 +155,7 @@ class Scenario:
         return ((0.0, self.harvest_mw * 1e-3),)
 
     def to_dict(self) -> dict:
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "weights":
-                data["weights"] = asdict(value)
-            elif f.name == "harvest_profile":
-                data[f.name] = [list(seg) for seg in value]
-            else:
-                data[f.name] = value
-        return data
+        return asdict(self)
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -152,85 +180,40 @@ def _parse_profile(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(segments)
 
 
-# section -> key -> (scenario field, converter)
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "scenario": {
-        "duration_s": ("duration_s", float),
-        "init_delay_s": ("init_delay_s", float),
-        "node_count": ("node_count", int),
-        "seed": ("seed", int),
-        "optimizer": ("optimizer", str),
-        "inter_transmission_sleep": ("inter_transmission_sleep", _parse_bool),
-    },
-    "topology": {
-        "distance_m": ("distance_m", float),
-        "incidence_angle_deg": ("incidence_angle_deg", float),
-        "gateway_height_m": ("gateway_height_m", float),
-    },
-    "traffic": {
-        "packet_bytes": ("packet_bytes", int),
-        "target_rate_kbps": ("target_rate_kbps", float),
-        "conservation_rate_kbps": ("conservation_rate_kbps", float),
-        "poll_slot_s": ("poll_slot_s", float),
-    },
-    "energy": {
-        "battery_capacity_j": ("battery_capacity_j", float),
-        "initial_fraction": ("initial_fraction", float),
-        "harvest_mw": ("harvest_mw", float),
-        "harvest_profile": ("harvest_profile", _parse_profile),
-        "supply_voltage": ("supply_voltage", float),
-        "idle_current_ma": ("idle_current_ma", float),
-        "sleep_current_ma": ("sleep_current_ma", float),
-        "owc_tx_current_ma": ("owc_tx_current_ma", float),
-        "ble_tx_current_ma": ("ble_tx_current_ma", float),
-        "wake_current_ma": ("wake_current_ma", float),
-        "wake_duration_ms": ("wake_duration_ms", float),
-        "advertising_current_ma": ("advertising_current_ma", float),
-        "init_advertising": ("init_advertising", _parse_bool),
-        "poll_command_current_ma": ("poll_command_current_ma", float),
-        "poll_command_duration_ms": ("poll_command_duration_ms", float),
-    },
-    "peripherals": {
-        "sense_current_ma": ("sense_current_ma", float),
-        "sense_duration_ms": ("sense_duration_ms", float),
-        "eink_current_ma": ("eink_current_ma", float),
-        "eink_duration_ms": ("eink_duration_ms", float),
-        "localize_current_ma": ("localize_current_ma", float),
-        "localize_duration_ms": ("localize_duration_ms", float),
-        "period_s": ("peripheral_period_s", float),
-    },
-    "radio": {
-        "phy_rate": ("ble_phy_rate", str),
-        "tx_power_dbm": ("ble_tx_power_dbm", float),
-        "conn_interval_ms": ("conn_interval_ms", float),
-        "mtu_bytes": ("mtu_bytes", int),
-        "noise_figure_db": ("noise_figure_db", float),
-        "bandwidth_hz": ("bandwidth_hz", float),
-    },
-    "optical": {
-        "phy_rate_kbps": ("owc_phy_rate_kbps", float),
-        "tx_optical_power_w": ("tx_optical_power_w", float),
-        "led_semi_angle_deg": ("led_semi_angle_deg", float),
-        "pd_fov_deg": ("pd_fov_deg", float),
-        "pd_area_m2": ("pd_area_m2", float),
-        "responsivity_a_w": ("responsivity_a_w", float),
-        "concentrator_gain": ("concentrator_gain", float),
-    },
-    "optimizer": {
-        "etno_sleep_threshold": ("etno_sleep_threshold", float),
-        "etno_conservation_threshold": ("etno_conservation_threshold", float),
-        "interaction_probability": ("interaction_probability", float),
-        "snr_jitter_db": ("snr_jitter_db", float),
-    },
+# The .cfg schema follows the Scenario field order: each entry below opens a
+# section, and the fields after it belong there until the next one.
+_SECTION_STARTS = {
+    "duration_s": "scenario", "distance_m": "topology", "packet_bytes": "traffic",
+    "battery_capacity_j": "energy", "sense_current_ma": "peripherals",
+    "ble_phy_rate": "radio", "owc_phy_rate_kbps": "optical",
+    "etno_sleep_threshold": "optimizer",
+}
+# Fields whose file key drops the prefix that the section already implies.
+_KEY_ALIASES = {
+    "peripheral_period_s": "period_s", "ble_phy_rate": "phy_rate",
+    "ble_tx_power_dbm": "tx_power_dbm", "owc_phy_rate_kbps": "phy_rate_kbps",
+}
+_CONVERTERS = {
+    "float": float, "int": int, "str": str, "bool": _parse_bool,
+    "tuple[tuple[float, float], ...]": _parse_profile,
 }
 
-_WEIGHT_KEYS = {
-    "p_m": "p_m", "p_s": "p_s", "p_l": "p_l", "p_p": "p_p", "p_t": "p_t",
-    "p_c": "p_c", "p_e": "p_e", "p_ch": "p_ch", "alpha": "alpha",
-    "beta": "beta", "theta_s": "theta_s", "theta_l": "theta_l", "f_c": "f_c",
-    "ewma_lambda": "ewma_lambda", "sigmoid_k": "sigmoid_k",
-    "sigmoid_c_db": "sigmoid_c_db", "period_s": "period_s",
-}
+
+def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """section -> key -> (scenario field, converter); [weights] is separate."""
+    schema: dict[str, dict[str, tuple[str, object]]] = {}
+    section = None
+    for f in fields(Scenario):
+        if f.name == "weights":
+            continue
+        section = _SECTION_STARTS.get(f.name, section)
+        key = _KEY_ALIASES.get(f.name, f.name)
+        schema.setdefault(section, {})[key] = (f.name, _CONVERTERS[f.type])
+    return schema
+
+
+_SCHEMA = _build_schema()
+_WEIGHT_KEYS = {f.name for f in fields(UtilityWeights)}
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -252,7 +235,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 if key not in _WEIGHT_KEYS:
                     raise ScenarioError(f"{path}: unknown key [weights] {key}")
                 try:
-                    weight_values[_WEIGHT_KEYS[key]] = float(raw)
+                    weight_values[key] = float(raw)
                 except ValueError as exc:
                     raise ScenarioError(f"{path}: [weights] {key}: {exc}") from exc
             continue

@@ -24,8 +24,6 @@ from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
 
-from test_optimizer import _observation
-
 W = UtilityWeights()
 
 REFERENCE_MB = {
@@ -149,14 +147,14 @@ def test_criterion_5_energy_ledger(fig_runs, oscillation_runs):
             f"worst relative imbalance {worst_rel:.2e} over {len(records)} runs")
 
 
-def test_criterion_6_optimizer_properties():
+def test_criterion_6_optimizer_properties(observation):
     rng = random.Random(20240601)
     # Sleep-guard dominance over 10^4 random observations below the threshold.
     guard_ok = True
     for _ in range(10_000):
         current = rng.choice([Modality.OWC, Modality.BLE])
         actions = enumerate_actions(current)
-        obs = _observation(
+        obs = observation(
             f_r=rng.uniform(0.0, W.f_c - 1e-9), current=current,
             energies={a: rng.uniform(0.0, 8.0) for a in actions},
             rates={a: rng.uniform(0.0, 400.0) for a in actions},

@@ -187,7 +187,6 @@ def test_pose_requires_unit_facing():
 
 
 def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
-    from hybridsim.channel import moved_pose
     from hybridsim.optimizer import ewma_update, mobility_probability
 
     cfg = RadioLinkConfig()
@@ -197,7 +196,8 @@ def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
     for step in range(30):
         # node stands still for 15 samples, then walks away at 1 m/s
         if step >= 15:
-            rx = moved_pose(rx, (0.0, 1.0, 0.0), 1.0)
+            x, y, z = rx.position
+            rx = Pose(position=(x, y + 1.0, z), facing=rx.facing)
         sample = snr_db(friis_rx_power(cfg, ORIGIN, rx), 7.0, 1e6)
         baseline = sample if baseline is None else ewma_update(baseline, sample, 0.2)
         p = mobility_probability(baseline, sample, 1.5, 3.0)

@@ -53,10 +53,25 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_VALIDATION
 
-    def test_bad_key_is_validation_failure(self, tmp_path):
+    @pytest.mark.parametrize("section,line", [
+        ("traffic", "warp_speed = 9"),
+        ("topology", "distance_m = 0"),
+        ("energy", "harvest_mw = -5"),
+        ("scenario", "duration_s = nan"),
+        ("energy", "harvest_profile = 10:5, 0:3"),
+        ("energy", "idle_current_ma = -1"),
+        ("radio", "phy_rate = 3M"),
+        ("energy", "supply_voltage = 0"),
+        ("optical", "led_semi_angle_deg = 95"),
+        ("radio", "conn_interval_ms = 2"),
+        ("optimizer", "interaction_probability = 2"),
+        ("weights", "period_s = 0"),
+    ], ids=lambda value: value.split()[0])
+    def test_bad_key_is_validation_failure(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(SHORT_CFG + "\n[traffic]\nwarp_speed = 9\n")
+        bad.write_text(f"[{section}]\n{line}\n")
         assert main(["run", "--config", str(bad)]) == EXIT_VALIDATION
+        assert line.split()[0] in capsys.readouterr().err
 
 
 class TestSweep:

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import (CalibrationError, EnergyBuffer, HarvestProfile,
-                              LinearCurrentModel, ModalityPowerModel,
-                              NodeEnergyConfig, PeripheralKind, PeripheralOp,
                               StateCurrentTable, UnknownStateError,
-                              default_calibration_path, device_current,
-                              harvest_tick, load_calibration, phase_energy,
-                              predict_action_energy, vlc_uplink_energy)
+                              default_calibration_path, load_calibration,
+                              phase_energy, predict_action_energy,
+                              vlc_uplink_energy)
 from hybridsim.kernel import EventKind
+from hybridsim.runner import build_link_plans
+from hybridsim.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +82,13 @@ class TestHarvest:
     def test_constant_profile_integral(self):
         buf = EnergyBuffer(capacity_j=8.0, initial_j=0.0)
         profile = HarvestProfile(segments=((0.0, 0.010),))
-        added, _ = harvest_tick(buf, profile, dt_s=100.0, now_s=0.0)
+        added, _ = buf.harvest(profile.energy_between(0.0, 100.0))
         assert added == pytest.approx(1.0)
 
     def test_full_buffer_adds_nothing(self):
         buf = EnergyBuffer(capacity_j=8.0)
         profile = HarvestProfile(segments=((0.0, 0.010),))
-        added, _ = harvest_tick(buf, profile, dt_s=10.0)
+        added, _ = buf.harvest(profile.energy_between(0.0, 10.0))
         assert added == 0.0
 
     def test_piecewise_segments(self):
@@ -101,9 +101,9 @@ class TestHarvest:
         with pytest.raises(ValueError):
             HarvestProfile(segments=((10.0, 0.01), (0.0, 0.02)))
 
-    def test_zero_dt_rejected(self):
+    def test_non_finite_segments_rejected(self):
         with pytest.raises(ValueError):
-            harvest_tick(EnergyBuffer(8.0), HarvestProfile(), dt_s=0.0)
+            HarvestProfile(segments=((0.0, float("nan")),))
 
 
 class TestPhaseEnergy:
@@ -168,45 +168,12 @@ class TestCalibrationTable:
 
 class TestDeviceCurrent:
     def test_table_lookup(self, table):
-        assert device_current(table, "conn_event_0dbm", device="ble") == 7.31
-        assert device_current(table, "conn_event_8dbm", device="ble",
-                              profile="normal") == 8.58
+        assert table.current_ma("ble", "conn_event_0dbm") == 7.31
+        assert table.current_ma("ble", "conn_event_8dbm", "normal") == 8.58
 
     def test_unknown_state_errors(self, table):
         with pytest.raises(UnknownStateError):
-            device_current(table, "bogus", device="ble")
-
-    def test_linear_zero_slopes_is_base(self):
-        model = LinearCurrentModel(base_current_ma=5.0)
-        assert device_current(model, "tx", tx_power_dbm=8, baud_kbps=2000,
-                              packet_bytes=512) == 5.0
-
-    def test_linear_floor_at_zero(self):
-        model = LinearCurrentModel(base_current_ma=1.0, slope_ma_per_dbm=0.5)
-        assert model.current_ma(tx_power_dbm=-10) == 0.0
-
-    def test_fit_tx_power_slope_matches_polyfit(self, table):
-        numpy = pytest.importorskip("numpy")
-        samples = [(dbm, table.lookup("ble", f"conn_event_{dbm}dbm").current_ma)
-                   for dbm in (0, 4, 8)]
-        fitted = LinearCurrentModel.fit_tx_power(samples)
-        slope, base = numpy.polyfit([s[0] for s in samples],
-                                    [s[1] for s in samples], 1)
-        assert fitted.slope_ma_per_dbm == pytest.approx(slope, rel=1e-9)
-        assert fitted.base_current_ma == pytest.approx(base, rel=1e-9)
-        assert fitted.slope_ma_per_dbm == pytest.approx(0.159, abs=0.01)
-
-    def test_fit_needs_two_points(self):
-        with pytest.raises(ValueError):
-            LinearCurrentModel.fit_tx_power([(0, 5.0)])
-
-    def test_default_conn_event_fit_from_shipped_table(self, table):
-        from hybridsim.energy import fit_conn_event_model
-        model = fit_conn_event_model(table)
-        # interpolates between the measured 0/4/8 dBm points
-        assert model.current_ma(tx_power_dbm=0) == pytest.approx(7.31, abs=0.15)
-        assert model.current_ma(tx_power_dbm=8) == pytest.approx(8.58, abs=0.15)
-        assert model.slope_ma_per_dbm > 0
+            table.current_ma("ble", "bogus")
 
 
 class TestVlcUplinkEnergy:
@@ -223,38 +190,23 @@ class TestVlcUplinkEnergy:
 class TestActionEnergyPrediction:
     @pytest.fixture()
     def cfg(self):
-        return NodeEnergyConfig(
-            supply_voltage=3.3,
-            idle_current_ma=3.3,
-            sleep_current_ma=0.344,
-            modality_power={
-                Modality.OWC: ModalityPowerModel(
-                    tx_current_ma=36.0, packet_airtime_s=0.004096,
-                    packet_interval_s={Mode.PERFORMANCE: 0.0136533,
-                                       Mode.CONSERVATION: 0.0682667}),
-                Modality.BLE: ModalityPowerModel(
-                    tx_current_ma=9.10, packet_airtime_s=0.004714,
-                    packet_interval_s={Mode.PERFORMANCE: 0.045,
-                                       Mode.CONSERVATION: 0.0682667}),
-            },
-            peripheral_ops=(PeripheralOp(PeripheralKind.SENSE, 516, 12.26),),
-            peripheral_period_s=10.0,
-        )
+        scenario = Scenario()
+        return scenario, build_link_plans(scenario)
 
     def test_sleep_is_single_phase(self, cfg):
-        energy = predict_action_energy(cfg, Action(Mode.SLEEP, Modality.OWC), 10.0)
+        energy = predict_action_energy(*cfg, Action(Mode.SLEEP, Modality.OWC), 10.0)
         assert energy == pytest.approx(0.344e-3 * 3.3 * 10.0, rel=1e-12)
 
     def test_performance_costs_more_than_conservation(self, cfg):
-        perf = predict_action_energy(cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
-        cons = predict_action_energy(cfg, Action(Mode.CONSERVATION, Modality.BLE), 10.0)
+        perf = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
+        cons = predict_action_energy(*cfg, Action(Mode.CONSERVATION, Modality.BLE), 10.0)
         assert perf > cons
 
     def test_optical_uplink_costs_more_than_radio(self, cfg):
-        owc = predict_action_energy(cfg, Action(Mode.PERFORMANCE, Modality.OWC), 10.0)
-        ble = predict_action_energy(cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
+        owc = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.OWC), 10.0)
+        ble = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
         assert owc > ble
 
     def test_horizon_must_be_positive(self, cfg):
         with pytest.raises(ValueError):
-            predict_action_energy(cfg, Action(Mode.SLEEP, Modality.OWC), 0.0)
+            predict_action_energy(*cfg, Action(Mode.SLEEP, Modality.OWC), 0.0)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from hybridsim.kernel import EventKind
-from hybridsim.linklayer import (BleState, BleTimingConfig, EmptyScheduleError,
-                                 OwcState, PollSchedule, ble_airtime,
-                                 fsm_dispatch)
+from hybridsim.kernel import Engine, EventKind, seconds
+from hybridsim.linklayer import (BleState, BleTimingConfig, OwcState,
+                                 ble_airtime, fsm_dispatch)
+from hybridsim.runner import _Controller
+from hybridsim.scenario import Scenario, ScenarioError
 
 E = EventKind
 
@@ -34,11 +35,8 @@ class TestOwcFsm:
         assert fsm_dispatch(OwcState.IDLE, E.TRANSMIT_END) is OwcState.IDLE  # no-op
         assert fsm_dispatch(OwcState.SLEEP, E.TRANSMIT_START) is OwcState.SLEEP
 
-    def test_undefined_pair_is_noop_with_warning(self):
-        warnings = []
-        out = fsm_dispatch(OwcState.OFF, E.TRANSMIT_START, warn=warnings.append)
-        assert out is OwcState.OFF
-        assert len(warnings) == 1 and "no transition" in warnings[0]
+    def test_undefined_pair_is_noop(self):
+        assert fsm_dispatch(OwcState.OFF, E.TRANSMIT_START) is OwcState.OFF
 
 
 class TestBleFsm:
@@ -110,34 +108,39 @@ class TestBleTiming:
             ble_airtime(BleTimingConfig(), -1)
 
 
+def _poll_slots(node_count, sleep, count):
+    """(in_slot, awake) of every node, sampled 1 s into each 2 s poll slot."""
+    scenario = Scenario(duration_s=2.0 * count, init_delay_s=1.0,
+                        node_count=node_count, poll_slot_s=2.0,
+                        inter_transmission_sleep=sleep, optimizer="etno")
+    engine = Engine(seed=1)
+    controller = _Controller(scenario, engine)
+    controller.start()
+    samples = []
+    for k in range(count):
+        engine.run_until(seconds(2.0 + 2.0 * k))
+        samples.append([(n.in_slot, n.awake) for n in controller.nodes])
+    return samples
+
+
 class TestPollSchedule:
     def test_round_robin_order(self):
-        sched = PollSchedule(order=["node1", "node2", "node3"])
-        polled = [sched.poll_tick()[0] for _ in range(7)]
-        assert polled == ["node1", "node2", "node3", "node1", "node2", "node3",
-                          "node1"]
+        samples = _poll_slots(3, True, 7)
+        holders = [[i for i, (in_slot, _) in enumerate(s) if in_slot] for s in samples]
+        assert holders == [[0], [1], [2], [0], [1], [2], [0]]
 
     def test_wake_and_sleep_signals(self):
-        sched = PollSchedule(order=["node1", "node2"])
-        _, first = sched.poll_tick()
-        assert first == [("node1", E.WAKE_SIGNAL)]
-        _, second = sched.poll_tick()
-        assert ("node2", E.WAKE_SIGNAL) in second
-        assert ("node1", E.SLEEP_SIGNAL) in second
+        first, second = _poll_slots(2, True, 2)
+        assert first == [(True, True), (False, False)]
+        assert second == [(False, False), (True, True)]
 
     def test_no_sleep_signal_when_disabled(self):
-        sched = PollSchedule(order=["node1", "node2"])
-        sched.poll_tick(inter_transmission_sleep=False)
-        _, signals = sched.poll_tick(inter_transmission_sleep=False)
-        assert signals == [("node2", E.WAKE_SIGNAL)]
+        _, second = _poll_slots(2, False, 2)
+        assert second == [(False, True), (True, True)]
 
     def test_single_node_polled_every_slot(self):
-        sched = PollSchedule(order=["only"])
-        for _ in range(3):
-            polled, signals = sched.poll_tick()
-            assert polled == "only"
-            assert signals == [("only", E.WAKE_SIGNAL)]
+        assert _poll_slots(1, True, 3) == [[(True, True)]] * 3
 
     def test_empty_schedule_rejected(self):
-        with pytest.raises(EmptyScheduleError):
-            PollSchedule(order=[])
+        with pytest.raises(ScenarioError):
+            Scenario(node_count=0)

@@ -8,14 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
-from hybridsim.optimizer import (ConstantInteraction, EwmaInteraction,
-                                 ModalityScores, NodeObservation,
-                                 ScheduleInteraction, UtilityBreakdown,
+from hybridsim.optimizer import (ModalityScores, UtilityBreakdown,
                                  UtilityWeights, energy_utility, energy_weight,
                                  etno_select, euno_select, ewma_update,
-                                 interaction_probability, localization_utility,
-                                 mobility_probability, modality_utility,
-                                 screen_utility, total_utility)
+                                 localization_utility, mobility_probability,
+                                 modality_utility, screen_utility, total_utility)
 
 W = UtilityWeights()
 P_OWC = Action(Mode.PERFORMANCE, Modality.OWC)
@@ -23,24 +20,6 @@ P_BLE = Action(Mode.PERFORMANCE, Modality.BLE)
 C_OWC = Action(Mode.CONSERVATION, Modality.OWC)
 C_BLE = Action(Mode.CONSERVATION, Modality.BLE)
 SLEEP = Action(Mode.SLEEP, Modality.OWC)
-
-
-def _observation(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
-                 p_int=0.7, snr=None, sample=None, baseline=None):
-    actions = enumerate_actions(current)
-    if energies is None:
-        energies = {a: {Mode.PERFORMANCE: 0.45, Mode.CONSERVATION: 0.15,
-                        Mode.SLEEP: 0.01}[a.mode] for a in actions}
-    if rates is None:
-        rates = {a: {Mode.PERFORMANCE: 300.0, Mode.CONSERVATION: 60.0,
-                     Mode.SLEEP: 0.0}[a.mode] for a in actions}
-    snr = snr or {Modality.OWC: 70.0, Modality.BLE: 67.0}
-    sample = snr[current] if sample is None else sample
-    return NodeObservation(
-        f_r=f_r, current_modality=current, snr_db=snr,
-        predicted_energy_j=energies, deliverable_rate_kbps=rates,
-        p_int=p_int, snr_sample_db=sample,
-        ewma_baseline_db=sample if baseline is None else baseline)
 
 
 class TestEnergyWeight:
@@ -162,17 +141,17 @@ class TestTotalUtility:
 
 
 class TestEunoSelect:
-    def test_sleep_guard_dominates(self):
-        obs = _observation(f_r=0.1)
+    def test_sleep_guard_dominates(self, observation):
+        obs = observation(f_r=0.1)
         assert euno_select(obs, W, 8.0).mode is Mode.SLEEP
 
-    def test_sleep_guard_property_over_random_observations(self):
+    def test_sleep_guard_property_over_random_observations(self, observation):
         rng = random.Random(1234)
         for _ in range(10_000):
             f_r = rng.uniform(0.0, 0.199999)
             current = rng.choice([Modality.OWC, Modality.BLE])
             actions = enumerate_actions(current)
-            obs = _observation(
+            obs = observation(
                 f_r=f_r, current=current,
                 energies={a: rng.uniform(0.0, 8.0) for a in actions},
                 rates={a: rng.uniform(0.0, 400.0) for a in actions},
@@ -180,20 +159,20 @@ class TestEunoSelect:
                 sample=rng.uniform(0, 80), baseline=rng.uniform(0, 80))
             assert euno_select(obs, W, 8.0).mode is Mode.SLEEP
 
-    def test_abundant_energy_picks_performance_on_best_link(self):
+    def test_abundant_energy_picks_performance_on_best_link(self, observation):
         # strong optical SNR, screen demanded, mobility detected
-        obs = _observation(f_r=1.0, p_int=0.9,
+        obs = observation(f_r=1.0, p_int=0.9,
                            snr={Modality.OWC: 80.0, Modality.BLE: 30.0},
                            sample=80.0, baseline=50.0)
         assert euno_select(obs, W, 8.0) == P_OWC
 
-    def test_exact_tie_prefers_current_modality(self):
+    def test_exact_tie_prefers_current_modality(self, observation):
         actions = enumerate_actions(Modality.BLE)
         energies = {a: 0.2 for a in actions}
         rates = {a: 300.0 if a.mode is Mode.PERFORMANCE else 60.0 for a in actions}
         rates[Action(Mode.SLEEP, Modality.BLE)] = 0.0
         weights = UtilityWeights(p_ch=0.0)  # remove the switch penalty
-        obs = _observation(f_r=0.9, current=Modality.BLE, energies=energies,
+        obs = observation(f_r=0.9, current=Modality.BLE, energies=energies,
                            rates=rates)
         # (P, OWC) and (P, BLE) now score identically; the tie keeps BLE.
         assert euno_select(obs, weights, 8.0) == P_BLE
@@ -217,9 +196,9 @@ class TestEunoSelect:
                                                   a.modality.value))
             assert pick(1.0) == pick(scale)
 
-    def test_empty_action_set_rejected(self):
+    def test_empty_action_set_rejected(self, observation):
         with pytest.raises(ValueError):
-            euno_select(_observation(), W, 8.0, action_set=[])
+            euno_select(observation(), W, 8.0, action_set=[])
 
 
 class TestEtnoSelect:
@@ -244,30 +223,6 @@ class TestEtnoSelect:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             etno_select(0.5, 0.4, 0.2, Modality.OWC, Modality.OWC)
-
-
-class TestInteractionModels:
-    def test_constant(self):
-        model = ConstantInteraction(0.7)
-        assert interaction_probability(model, 0.0) == 0.7
-        assert interaction_probability(model, 1e6) == 0.7
-
-    def test_schedule(self):
-        model = ScheduleInteraction([(0.0, 0.9), (100.0, 0.1)])
-        assert interaction_probability(model, 50.0) == 0.9
-        assert interaction_probability(model, 150.0) == 0.1
-
-    def test_ewma_decays_toward_zero(self):
-        model = EwmaInteraction(lam=0.5, initial=1.0)
-        for _ in range(30):
-            model.observe(False)
-        assert interaction_probability(model, 0.0) < 1e-6
-
-    def test_ewma_rises_with_commands(self):
-        model = EwmaInteraction(lam=0.5)
-        for _ in range(10):
-            model.observe(True)
-        assert interaction_probability(model, 0.0) > 0.99
 
 
 class TestWeightValidation:

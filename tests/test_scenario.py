@@ -1,11 +1,13 @@
 """Scenario file parsing, strict key validation, and shipped presets."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from hybridsim.scenario import (Scenario, ScenarioError, load_scenario,
-                                preset_path, scenario_dir)
+from hybridsim.optimizer import UtilityWeights
+from hybridsim.scenario import (_SCHEMA, _WEIGHT_KEYS, Scenario, ScenarioError,
+                                load_scenario, preset_path, scenario_dir)
 
 MINIMAL = """
 [scenario]
@@ -92,6 +94,29 @@ class TestParsing:
         path = _write(tmp_path, MINIMAL + "\n[energy]\nharvest_profile = 0:10, 500:2\n")
         s = load_scenario(path)
         assert s.harvest_segments() == ((0.0, 0.010), (500.0, 0.002))
+
+
+class TestDerivedSchema:
+    def test_every_field_maps_to_exactly_one_key(self):
+        mapped = [name for keys in _SCHEMA.values() for name, _ in keys.values()]
+        assert sorted(mapped) == sorted(f.name for f in fields(Scenario)
+                                        if f.name != "weights")
+        assert len(mapped) == 52
+
+    def test_weights_accept_exactly_the_utility_weights(self):
+        assert _WEIGHT_KEYS == {f.name for f in fields(UtilityWeights)}
+        assert len(_WEIGHT_KEYS) == 17
+
+    def test_default_valued_key_loads_the_default_scenario(self, tmp_path):
+        default = Scenario()
+        entries = [(section, key, getattr(default, name))
+                   for section, keys in _SCHEMA.items()
+                   for key, (name, _) in keys.items()]
+        entries += [("weights", f.name, f.default) for f in fields(UtilityWeights)]
+        for section, key, value in entries:
+            text = "" if value == () else str(value)
+            path = _write(tmp_path, f"[{section}]\n{key} = {text}\n")
+            assert load_scenario(path) == default, (section, key)
 
 
 class TestValidation:
