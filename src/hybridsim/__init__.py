@@ -10,13 +10,13 @@ reconfiguration policies: a utility optimizer (EUNO) and a threshold baseline
 from .actions import Action, Modality, Mode
 from .kernel import Engine, EventKind, RngStream, SimEvent
 from .metrics import MetricsRecord, write_traces
-from .runner import link_budget, run, sweep
+from .runner import run, sweep
 from .scenario import Scenario, load_scenario, preset_path
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action", "Modality", "Mode", "Engine", "EventKind", "RngStream",
-    "SimEvent", "MetricsRecord", "write_traces", "link_budget", "run",
-    "sweep", "Scenario", "load_scenario", "preset_path", "__version__",
+    "SimEvent", "MetricsRecord", "write_traces", "run", "sweep",
+    "Scenario", "load_scenario", "preset_path", "__version__",
 ]

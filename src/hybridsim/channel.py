@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 SPEED_OF_LIGHT = 299792458.0
 BOLTZMANN = 1.380649e-23
@@ -24,6 +28,15 @@ GFSK_EFFECTIVE_DISTANCE = 0.68
 PHY_RATE_SNR_SHIFT_DB = {"1M": 0.0, "2M": 3.0}
 
 SNR_FLOOR_DB = -math.inf
+
+# Carrier and receiver values that no scenario sets; the tunable link
+# parameters are Scenario's [radio] and [optical] keys.
+CARRIER_HZ = 2.4e9
+OPTICAL_FILTER_GAIN = 1.0
+BACKGROUND_CURRENT_A = 100e-6  # ambient-light photocurrent
+LOAD_RESISTANCE_OHM = 10e3
+RECEIVER_TEMPERATURE_K = 298.0
+OPTICAL_BANDWIDTH_HZ = 1e6
 
 
 @dataclass(frozen=True)
@@ -53,60 +66,19 @@ def _angle_from_normal(origin: Pose, other: Pose) -> float:
     return math.acos(max(-1.0, min(1.0, dot)))
 
 
-@dataclass(frozen=True)
-class RadioLinkConfig:
-    tx_power_dbm: float = 0.0
-    frequency_hz: float = 2.4e9
-    tx_gain_dbi: float = 0.0
-    rx_gain_dbi: float = 0.0
-    noise_figure_db: float = 7.0
-    bandwidth_hz: float = 1e6
-    phy_rate: str = "2M"  # one of {"1M", "2M"}
-
-    def __post_init__(self):
-        if self.phy_rate not in ("1M", "2M"):
-            raise ValueError(f"phy_rate must be 1M or 2M, got {self.phy_rate}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    @property
-    def bit_rate(self) -> float:
-        return 1e6 if self.phy_rate == "1M" else 2e6
+def lambertian_order(semi_angle_deg: float) -> float:
+    """Lambertian emission order m of an LED with the given half-power semi-angle."""
+    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
-@dataclass(frozen=True)
-class OpticalLinkConfig:
-    tx_optical_power_w: float = 0.5
-    led_semi_angle_deg: float = 60.0
-    pd_area_m2: float = 1e-4
-    pd_fov_deg: float = 60.0
-    responsivity_a_w: float = 0.54
-    optical_filter_gain: float = 1.0
-    concentrator_gain: float = 3.0
-    background_current_a: float = 100e-6
-    load_resistance_ohm: float = 10e3
-    temperature_k: float = 298.0
-    bandwidth_hz: float = 1e6
-    bit_rate: float = 1e6
-
-    def __post_init__(self):
-        if not 0.0 < self.led_semi_angle_deg < 90.0:
-            raise ValueError("LED semi-angle must be in (0, 90) degrees")
-        if not 0.0 < self.pd_fov_deg <= 90.0:
-            raise ValueError("photodetector FOV must be in (0, 90] degrees")
-
-    @property
-    def lambertian_order(self) -> float:
-        return -math.log(2.0) / math.log(math.cos(math.radians(self.led_semi_angle_deg)))
-
-
-def friis_rx_power(cfg: RadioLinkConfig, tx: Pose, rx: Pose) -> float:
-    """Received power in dBm under free-space (Friis) propagation."""
+def friis_rx_power(scenario: Scenario, tx: Pose, rx: Pose) -> float:
+    """Received power in dBm under free-space (Friis) propagation between
+    isotropic (0 dBi) antennas."""
     d = distance(tx, rx)
     if d <= 0.0:
         raise ValueError("Friis model is singular at zero distance")
-    fspl_db = 20.0 * math.log10(4.0 * math.pi * d * cfg.frequency_hz / SPEED_OF_LIGHT)
-    return cfg.tx_power_dbm + cfg.tx_gain_dbi + cfg.rx_gain_dbi - fspl_db
+    fspl_db = 20.0 * math.log10(4.0 * math.pi * d * CARRIER_HZ / SPEED_OF_LIGHT)
+    return scenario.ble_tx_power_dbm - fspl_db
 
 
 def snr_db(rx_dbm: float, noise_figure_db: float, bandwidth_hz: float) -> float:
@@ -135,7 +107,7 @@ def gfsk_ber(snr_value_db: float, phy_rate: str = "1M") -> float:
     return _q_function(math.sqrt(2.0 * gamma_b * GFSK_EFFECTIVE_DISTANCE))
 
 
-def owc_channel_gain(cfg: OpticalLinkConfig, tx: Pose, rx: Pose) -> float:
+def owc_channel_gain(scenario: Scenario, tx: Pose, rx: Pose) -> float:
     """Line-of-sight Lambertian channel gain (dimensionless).
 
     H = (m+1) A / (2 pi d^2) * cos^m(phi) * T_f * g * cos(psi) for incidence
@@ -146,18 +118,18 @@ def owc_channel_gain(cfg: OpticalLinkConfig, tx: Pose, rx: Pose) -> float:
         raise ValueError("optical channel is singular at zero distance")
     phi = _angle_from_normal(tx, rx)  # emission angle at the LED
     psi = _angle_from_normal(rx, tx)  # incidence angle at the photodetector
-    if psi > math.radians(cfg.pd_fov_deg):
+    if psi > math.radians(scenario.pd_fov_deg):
         return 0.0
     if phi >= math.pi / 2.0:
         return 0.0
-    m = cfg.lambertian_order
-    return ((m + 1.0) * cfg.pd_area_m2 / (2.0 * math.pi * d * d)
+    m = lambertian_order(scenario.led_semi_angle_deg)
+    return ((m + 1.0) * scenario.pd_area_m2 / (2.0 * math.pi * d * d)
             * math.cos(phi) ** m
-            * cfg.optical_filter_gain * cfg.concentrator_gain
+            * OPTICAL_FILTER_GAIN * scenario.concentrator_gain
             * math.cos(psi))
 
 
-def owc_snr_db(cfg: OpticalLinkConfig, gain: float) -> float:
+def owc_snr_db(scenario: Scenario, gain: float) -> float:
     """Electrical SNR of the optical link, -inf sentinel for zero gain.
 
     Signal power is the squared photocurrent; noise is shot (signal plus
@@ -167,9 +139,9 @@ def owc_snr_db(cfg: OpticalLinkConfig, gain: float) -> float:
         raise ValueError("channel gain cannot be negative")
     if gain == 0.0:
         return SNR_FLOOR_DB
-    photocurrent = cfg.responsivity_a_w * cfg.tx_optical_power_w * gain
-    shot = 2.0 * ELECTRON_CHARGE * (photocurrent + cfg.background_current_a) * cfg.bandwidth_hz
-    thermal = 4.0 * BOLTZMANN * cfg.temperature_k * cfg.bandwidth_hz / cfg.load_resistance_ohm
+    photocurrent = scenario.responsivity_a_w * scenario.tx_optical_power_w * gain
+    shot = 2.0 * ELECTRON_CHARGE * (photocurrent + BACKGROUND_CURRENT_A) * OPTICAL_BANDWIDTH_HZ
+    thermal = 4.0 * BOLTZMANN * RECEIVER_TEMPERATURE_K * OPTICAL_BANDWIDTH_HZ / LOAD_RESISTANCE_OHM
     snr = photocurrent ** 2 / (shot + thermal)
     return 10.0 * math.log10(snr)
 

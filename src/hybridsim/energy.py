@@ -16,16 +16,13 @@ from typing import TYPE_CHECKING
 
 from .actions import Action, Mode, Modality
 from .kernel import NS_PER_MS, EventKind, millis
+from .vlcframe import CHUNK_AIRTIME_MS, CHUNKS_PER_FRAME, INTER_CHUNK_DELAY_MS
 
 if TYPE_CHECKING:
     from .node import LinkPlan
     from .scenario import Scenario
 
 DEFAULT_SUPPLY_VOLTAGE = 3.3
-
-VLC_CHUNKS_PER_FRAME = 6
-VLC_CHUNK_AIRTIME_MS = 68.0
-VLC_INTER_CHUNK_MS = 100.0
 
 
 class CalibrationError(ValueError):
@@ -57,8 +54,7 @@ class EnergyBuffer:
     """
 
     def __init__(self, capacity_j: float, initial_j: float | None = None,
-                 critical_fraction: float = 0.2,
-                 supply_voltage: float = DEFAULT_SUPPLY_VOLTAGE):
+                 critical_fraction: float = 0.2):
         if capacity_j <= 0:
             raise ValueError("capacity must be positive")
         if not 0.0 <= critical_fraction < 1.0:
@@ -67,7 +63,6 @@ class EnergyBuffer:
         self.remaining_j = capacity_j if initial_j is None else min(initial_j, capacity_j)
         self.initial_j = self.remaining_j
         self.critical_fraction = critical_fraction
-        self.supply_voltage = supply_voltage
         self.consumed_j = 0.0
         self.harvested_j = 0.0
 
@@ -109,7 +104,6 @@ class HarvestProfile:
     """Piecewise-constant input power: segments of (start time s, watts)."""
 
     segments: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-    tick_period_s: float = 1.0
 
     def __post_init__(self):
         if not all(math.isfinite(s) and math.isfinite(p) for s, p in self.segments):
@@ -230,7 +224,7 @@ def default_calibration_path() -> Path:
 
 
 def vlc_uplink_energy(table: StateCurrentTable, profile: str = "normal",
-                      chunks: int = VLC_CHUNKS_PER_FRAME,
+                      chunks: int = CHUNKS_PER_FRAME,
                       voltage: float = DEFAULT_SUPPLY_VOLTAGE) -> float:
     """Energy in joules to push one optical frame up the link.
 
@@ -242,8 +236,8 @@ def vlc_uplink_energy(table: StateCurrentTable, profile: str = "normal",
         return 0.0
     chunk = table.lookup("node", "vlc_tx_chunk", profile)
     gap = table.lookup("node", "vlc_chunk_gap", profile)
-    chunk_ms = chunk.duration_ms if chunk.duration_ms else VLC_CHUNK_AIRTIME_MS
-    gap_ms = gap.duration_ms if gap.duration_ms else VLC_INTER_CHUNK_MS
+    chunk_ms = chunk.duration_ms if chunk.duration_ms else CHUNK_AIRTIME_MS
+    gap_ms = gap.duration_ms if gap.duration_ms else INTER_CHUNK_DELAY_MS
     return (chunks * phase_energy(chunk.current_ma, chunk_ms, voltage)
             + (chunks - 1) * phase_energy(gap.current_ma, gap_ms, voltage))
 

@@ -1,8 +1,8 @@
 """Deterministic discrete-event engine with an integer-nanosecond clock.
 
 All timing in the simulator is kept in integer nanoseconds so that the
-durations used throughout (45 ms connection intervals, 152.5 ms advertising
-intervals, 68 ms optical chunks, 25 s poll slots) are exactly representable
+durations used throughout (45 ms connection intervals, 2.14 ms connection
+events, 68 ms optical chunks, 25 s poll slots) are exactly representable
 and long runs accumulate no floating-point drift.
 """
 
@@ -32,8 +32,6 @@ def millis(t: float) -> SimTime:
 class EventKind(Enum):
     TRANSMIT_START = "TransmitStart"
     TRANSMIT_END = "TransmitEnd"
-    RECEIVE_START = "ReceiveStart"
-    RECEIVE_END = "ReceiveEnd"
     SLEEP_SIGNAL = "SleepSignal"
     WAKE_SIGNAL = "WakeSignal"
     BATTERY_LOW = "BatteryLow"

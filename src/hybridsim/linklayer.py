@@ -8,7 +8,6 @@ the normative behaviour of the artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .kernel import EventKind
@@ -19,33 +18,26 @@ class OwcState(Enum):
     SLEEP = "SLEEP"
     IDLE = "IDLE"
     TX = "TX"
-    RX = "RX"
-    TX_RX = "TX_RX"
 
 
 class BleState(Enum):
     OFF = "OFF"
     IDLE = "IDLE"
     TX_BUSY = "TX_BUSY"
-    RX_BUSY = "RX_BUSY"
 
 
 _E = EventKind
 
-# Optical interface: duplex-capable, with a dedicated sleep state. Battery
+# Optical interface: uplink transmitter with a dedicated sleep state. Battery
 # events dominate every state; sleep is entered only from quiescent states
-# (the MAC never sleeps an interface mid-transfer).
+# (the MAC never sleeps an interface mid-transfer), and a wake signal also
+# restores an interface that a battery-low edge powered off.
 OWC_TRANSITIONS: dict[tuple[OwcState, EventKind], OwcState] = {
     (OwcState.IDLE, _E.TRANSMIT_START): OwcState.TX,
-    (OwcState.IDLE, _E.RECEIVE_START): OwcState.RX,
     (OwcState.TX, _E.TRANSMIT_END): OwcState.IDLE,
-    (OwcState.TX, _E.RECEIVE_START): OwcState.TX_RX,
-    (OwcState.RX, _E.RECEIVE_END): OwcState.IDLE,
-    (OwcState.RX, _E.TRANSMIT_START): OwcState.TX_RX,
-    (OwcState.TX_RX, _E.TRANSMIT_END): OwcState.RX,
-    (OwcState.TX_RX, _E.RECEIVE_END): OwcState.TX,
     (OwcState.IDLE, _E.SLEEP_SIGNAL): OwcState.SLEEP,
     (OwcState.SLEEP, _E.WAKE_SIGNAL): OwcState.IDLE,
+    (OwcState.OFF, _E.WAKE_SIGNAL): OwcState.IDLE,
     (OwcState.OFF, _E.BATTERY_CHARGED): OwcState.IDLE,
 }
 for _s in OwcState:
@@ -55,9 +47,7 @@ for _s in OwcState:
 # and a wake signal restores the idle (connected) state.
 BLE_TRANSITIONS: dict[tuple[BleState, EventKind], BleState] = {
     (BleState.IDLE, _E.TRANSMIT_START): BleState.TX_BUSY,
-    (BleState.IDLE, _E.RECEIVE_START): BleState.RX_BUSY,
     (BleState.TX_BUSY, _E.TRANSMIT_END): BleState.IDLE,
-    (BleState.RX_BUSY, _E.RECEIVE_END): BleState.IDLE,
     (BleState.IDLE, _E.SLEEP_SIGNAL): BleState.OFF,
     (BleState.OFF, _E.WAKE_SIGNAL): BleState.IDLE,
     (BleState.OFF, _E.BATTERY_CHARGED): BleState.IDLE,
@@ -77,36 +67,16 @@ def fsm_dispatch(current, event_kind: EventKind):
     return table.get((current, event_kind), current)
 
 
-@dataclass(frozen=True)
-class BleTimingConfig:
-    """Connection/advertising event structure of the radio link."""
-
-    conn_interval_ms: float = 45.0
-    adv_interval_ms: float = 152.5
-    adv_event_len_ms: float = 4.18
-    conn_event_len_ms: float = 2.14
-    uplink_tx_len_ms: float = 3.13
-    downlink_rx_len_ms: float = 2.33
-    mtu_bytes: int = 247
-    # Reference payload whose measured airtime anchors the linear model.
-    reference_payload_bytes: int = 116
-    reference_phy_rate: str = "2M"
-
-    def __post_init__(self):
-        if self.conn_event_len_ms >= self.conn_interval_ms:
-            raise ValueError("connection event must be shorter than the interval")
-        if self.adv_event_len_ms >= self.adv_interval_ms:
-            raise ValueError("advertising event must be shorter than the interval")
-
-    def event_overhead_ms(self, phy_rate: str) -> float:
-        """Per-connection-event overhead implied by the reference payload."""
-        rate = _phy_bits_per_ms(self.reference_phy_rate)
-        overhead = self.uplink_tx_len_ms - self.reference_payload_bytes * 8 / rate
-        # Overhead is a radio-time constant, independent of the payload PHY.
-        return overhead
+# Radio timing that no scenario sets: the connection event length bounds the
+# connection interval, and one measured uplink (3.13 ms for a 116-byte payload
+# on the 2M PHY) anchors the per-event overhead of the airtime model.
+CONN_EVENT_LEN_MS = 2.14
+REFERENCE_UPLINK_MS = 3.13
+REFERENCE_PAYLOAD_BYTES = 116
+REFERENCE_PHY_RATE = "2M"
 
 
-def _phy_bits_per_ms(phy_rate: str) -> float:
+def phy_bits_per_ms(phy_rate: str) -> float:
     if phy_rate == "1M":
         return 1e3
     if phy_rate == "2M":
@@ -114,7 +84,7 @@ def _phy_bits_per_ms(phy_rate: str) -> float:
     raise ValueError(f"unknown phy rate {phy_rate}")
 
 
-def ble_airtime(cfg: BleTimingConfig, payload_bytes: int, phy_rate: str = "2M") -> float:
+def ble_airtime(payload_bytes: int, phy_rate: str, mtu_bytes: int) -> float:
     """Radio-active time in ms to move `payload_bytes` up the link.
 
     Linear in the serialized bits at the given PHY rate plus a fixed
@@ -123,6 +93,8 @@ def ble_airtime(cfg: BleTimingConfig, payload_bytes: int, phy_rate: str = "2M") 
     """
     if payload_bytes < 0:
         raise ValueError("payload size cannot be negative")
-    overhead = cfg.event_overhead_ms(phy_rate)
-    events = max(1, math.ceil(payload_bytes / cfg.mtu_bytes))
-    return events * overhead + payload_bytes * 8 / _phy_bits_per_ms(phy_rate)
+    # Overhead is a radio-time constant, independent of the payload PHY.
+    overhead = (REFERENCE_UPLINK_MS
+                - REFERENCE_PAYLOAD_BYTES * 8 / phy_bits_per_ms(REFERENCE_PHY_RATE))
+    events = max(1, math.ceil(payload_bytes / mtu_bytes))
+    return events * overhead + payload_bytes * 8 / phy_bits_per_ms(phy_rate)

@@ -60,19 +60,24 @@ class SimNode:
         self.awake = True
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
-        self.tx_in_flight = False
         self._restream_after_tx = False
         self._tx_started_ns: SimTime = 0
         self._phase_ma = scenario.idle_current_ma
         self._phase_since: SimTime = 0
         self._eligible_since: SimTime | None = None
-        self._stream_id = 0
-        self._chain_id = 0
+        # Every reconfiguration bumps the epoch; a packet or chain step that
+        # was scheduled under an older epoch is stale and does nothing.
+        self._epoch = 0
+        self._chain: list[PhaseStep] = []  # phase steps still to run in this chain
         self._pending_packet = None
         self.evaluate_cb = None  # set by the runner; called on battery edges
         self.ewma_baseline_db: float | None = None
         metrics.initial_j = buffer.initial_j
         metrics.remaining_j = buffer.remaining_j
+
+    @property
+    def tx_in_flight(self) -> bool:
+        return self.owc_state is OwcState.TX or self.ble_state is BleState.TX_BUSY
 
     # -- energy phase integration ------------------------------------------
 
@@ -94,19 +99,17 @@ class SimNode:
     # -- battery edges ------------------------------------------------------
 
     def _on_battery_low(self, now: SimTime) -> None:
-        self.owc_state = fsm_dispatch(self.owc_state, EventKind.BATTERY_LOW)
-        self.ble_state = fsm_dispatch(self.ble_state, EventKind.BATTERY_LOW)
         if self.tx_in_flight:
-            self.tx_in_flight = False
             self._restream_after_tx = False
             self.metrics.packets_lost += 1
             self.metrics.tx_intervals.append((self._tx_started_ns, now))
+        self.owc_state = fsm_dispatch(self.owc_state, EventKind.BATTERY_LOW)
+        self.ble_state = fsm_dispatch(self.ble_state, EventKind.BATTERY_LOW)
         if self.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
         self.mode = Mode.SLEEP
         self.awake = False
-        self._stream_id += 1
-        self._chain_id += 1
+        self._epoch += 1
         self._close_eligible(now)
         self._phase_ma = self.scenario.sleep_current_ma
         if self.evaluate_cb is not None:
@@ -144,43 +147,49 @@ class SimNode:
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.WAKE_SIGNAL)
             self.awake = True
 
+    def _park(self, now: SimTime) -> None:
+        """Settle outside a slot or a burst: sleep if the mode or the
+        scenario asks for it, else wake and idle."""
+        if self.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
+            self.mac_sleep(now)
+        else:
+            self.mac_wake(now)
+            self.set_phase(self.scenario.idle_current_ma, now)
+
     # -- polling slots ---------------------------------------------------------
 
     def enter_slot(self, now: SimTime, slot_end: SimTime) -> None:
         self.sync(now)
         self.in_slot = True
         self.slot_end_ns = slot_end
-        self._chain_id += 1
+        self._epoch += 1
         if self.mode is Mode.SLEEP:
             return  # stays parked; battery-charged may still revive it mid-slot
         edge = self.buffer.consume(self._poll_command_j)
         if edge is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
             return
+        self._resume_slot(now)
+
+    def _resume_slot(self, now: SimTime) -> None:
+        """Stream in the slot, waking through the duty cycle if asleep."""
         self._open_eligible(now)
-        if not self.awake:
+        if self.awake:
+            self._start_streaming(now)
+        else:
             self.mac_wake(now)
             self._start_slot_chain(now)
-        else:
-            self._start_streaming(now)
 
     def exit_slot(self, now: SimTime) -> None:
         self.sync(now)
         self.in_slot = False
         self._close_eligible(now)
-        self._stream_id += 1
-        self._chain_id += 1
+        self._epoch += 1
         if self._pending_packet is not None:
             self.engine.cancel(self._pending_packet)
             self._pending_packet = None
-        if self.tx_in_flight:
-            return  # let the burst finish; the end handler settles the phase
-        if self.mode is Mode.SLEEP:
-            self.set_phase(self.scenario.sleep_current_ma, now)
-        elif self.scenario.inter_transmission_sleep:
-            self.mac_sleep(now)
-        else:
-            self.set_phase(self.scenario.idle_current_ma, now)
+        if not self.tx_in_flight:  # else the burst's end handler parks the node
+            self._park(now)
 
     def _start_slot_chain(self, now: SimTime) -> None:
         """Wake-up burst, then the peripheral cycle (performance mode only),
@@ -188,39 +197,36 @@ class SimNode:
         steps = [self._wake_step]
         if self.mode is Mode.PERFORMANCE:
             steps.extend(self._peripheral_steps)
-        self._run_chain(now, steps, terminal="stream")
+        self._run_chain(now, steps)
 
-    def _run_chain(self, now: SimTime, steps: list[PhaseStep], terminal: str) -> None:
-        self._chain_id += 1
-        self._advance_chain(now, list(steps), terminal, self._chain_id)
+    def _run_chain(self, now: SimTime, steps: list[PhaseStep]) -> None:
+        self._epoch += 1
+        self._chain = steps
+        self._advance_chain(now)
 
-    def _advance_chain(self, now: SimTime, steps: list[PhaseStep], terminal: str,
-                       chain_id: int) -> None:
-        if chain_id != self._chain_id:
-            return  # superseded by a reconfiguration
-        if steps:
-            step = steps[0]
+    def _advance_chain(self, now: SimTime) -> None:
+        """Start the next step of the chain; at its end, stream if the node
+        holds the slot and is not asleep, else idle."""
+        if self._chain:
+            step = self._chain.pop(0)
             self.set_phase(step.current_ma, now)
             if self.mode is Mode.SLEEP:  # battery died settling the phase
                 return
-            self.engine.schedule_at(
-                now + step.duration_ns, self.name, EventKind.PERIPHERAL_TICK,
-                payload=(steps[1:], terminal, chain_id))
-            return
-        if terminal == "stream" and self.in_slot and self.mode is not Mode.SLEEP:
+            self.engine.schedule_at(now + step.duration_ns, self.name,
+                                    EventKind.PERIPHERAL_TICK, payload=self._epoch)
+        elif self.in_slot and self.mode is not Mode.SLEEP:
             self._start_streaming(now)
         else:
             self.set_phase(self.scenario.idle_current_ma, now)
 
-    def on_chain_step(self, now: SimTime, payload) -> None:
-        steps, terminal, chain_id = payload
+    def on_chain_step(self, now: SimTime, epoch: int) -> None:
         self.sync(now)
-        if chain_id != self._chain_id:
-            return
+        if epoch != self._epoch:
+            return  # superseded by a reconfiguration
         # A mode change mid-chain skips the remaining peripheral operations.
         if self.mode is not Mode.PERFORMANCE:
-            steps = [s for s in steps if s.name == "wake"]
-        self._advance_chain(now, steps, terminal, chain_id)
+            self._chain.clear()
+        self._advance_chain(now)
 
     def on_peripheral_cycle(self, now: SimTime) -> None:
         """Periodic sensing/display/localization while idling between slots
@@ -229,12 +235,12 @@ class SimNode:
         if (not self.awake or self.in_slot or self.tx_in_flight
                 or self.mode is not Mode.PERFORMANCE):
             return
-        self._run_chain(now, list(self._peripheral_steps), terminal="idle")
+        self._run_chain(now, list(self._peripheral_steps))
 
     # -- traffic ----------------------------------------------------------------
 
     def _start_streaming(self, now: SimTime) -> None:
-        self._stream_id += 1
+        self._epoch += 1
         if self.tx_in_flight:
             self._restream_after_tx = True
             return
@@ -245,11 +251,11 @@ class SimNode:
         # accumulated; sending at the stream start would overshoot the rate.
         ready_at = now + self.links[self.modality].interval_ns[self.mode]
         self._pending_packet = self.engine.schedule_at(
-            ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._stream_id)
+            ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._epoch)
 
-    def on_packet_ready(self, now: SimTime, stream_id: int) -> None:
+    def on_packet_ready(self, now: SimTime, epoch: int) -> None:
         self.sync(now)
-        if stream_id != self._stream_id:
+        if epoch != self._epoch:
             return
         if not (self.in_slot and self.awake and self.mode is not Mode.SLEEP):
             return
@@ -259,7 +265,7 @@ class SimNode:
         self.transmit_packet(now)
         self._pending_packet = self.engine.schedule_at(
             now + link.interval_ns[self.mode], self.name,
-            EventKind.APP_PACKET_READY, payload=self._stream_id)
+            EventKind.APP_PACKET_READY, payload=self._epoch)
 
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM; success is drawn against
@@ -275,7 +281,6 @@ class SimNode:
                     f"{self.name}: radio TX from {self.ble_state.value}")
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_START)
         link = self.links[self.modality]
-        self.tx_in_flight = True
         self._tx_started_ns = now
         self.set_phase(link.tx_current_ma, now)
         if not self.tx_in_flight:
@@ -287,7 +292,6 @@ class SimNode:
         self.sync(now)
         if not self.tx_in_flight:
             return
-        self.tx_in_flight = False
         self.metrics.tx_intervals.append((self._tx_started_ns, now))
         if modality is Modality.OWC:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)
@@ -299,20 +303,12 @@ class SimNode:
         else:
             self.metrics.packets_lost += 1
         # Settle into whatever the node should be doing now.
-        if self.mode is Mode.SLEEP:
-            self._restream_after_tx = False
-            self.mac_sleep(now)
-        elif self._restream_after_tx and self.in_slot:
-            self._restream_after_tx = False
+        restream, self._restream_after_tx = self._restream_after_tx, False
+        if not self.in_slot or self.mode is Mode.SLEEP:
+            self._park(now)
+        elif restream:
             self._start_streaming(now)
-        elif self.in_slot:
-            self._restream_after_tx = False
-            self.set_phase(self.scenario.idle_current_ma, now)
-        elif self.scenario.inter_transmission_sleep:
-            self._restream_after_tx = False
-            self.mac_sleep(now)
         else:
-            self._restream_after_tx = False
             self.set_phase(self.scenario.idle_current_ma, now)
 
     # -- reconfiguration -----------------------------------------------------
@@ -333,26 +329,13 @@ class SimNode:
         self._reconcile(now)
 
     def _reconcile(self, now: SimTime) -> None:
-        self._stream_id += 1
-        self._chain_id += 1
-        if self.mode is Mode.SLEEP:
-            self._close_eligible(now)
-            if not self.tx_in_flight:
-                self.mac_sleep(now)
+        self._epoch += 1
+        if self.in_slot and self.mode is not Mode.SLEEP:
+            self._resume_slot(now)
             return
-        if self.in_slot:
-            self._open_eligible(now)
-            if not self.awake:
-                self.mac_wake(now)
-                self._start_slot_chain(now)
-            else:
-                self._start_streaming(now)
-        elif self.scenario.inter_transmission_sleep:
-            self.mac_sleep(now)
-        else:
-            self.mac_wake(now)
-            if not self.tx_in_flight:
-                self.set_phase(self.scenario.idle_current_ma, now)
+        self._close_eligible(now)
+        if not self.tx_in_flight:  # else the burst's end handler parks the node
+            self._park(now)
 
     # -- event dispatch ---------------------------------------------------------
 

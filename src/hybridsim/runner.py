@@ -14,110 +14,68 @@ from . import channel
 from .actions import Mode, Modality, enumerate_actions
 from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, millis, seconds
-from .linklayer import BleTimingConfig, ble_airtime
+from .linklayer import ble_airtime, phy_bits_per_ms
 from .metrics import MetricsRecord, NodeMetrics, TraceRow
 from .node import LinkPlan, SimNode
 from .optimizer import (NodeObservation, etno_select, euno_select, ewma_update)
 from .scenario import Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
+HARVEST_TICK_S = 1.0  # harvest settlement and trace sampling period
 
 
-def _poses(scenario: Scenario) -> tuple[channel.Pose, list[channel.Pose]]:
-    """Star geometry: gateway on the ceiling facing down, nodes facing up at
-    the configured distance and incidence angle, spread in azimuth."""
+def _poses(scenario: Scenario) -> tuple[channel.Pose, channel.Pose]:
+    """Star geometry: gateway on the ceiling facing down, node facing up at
+    the configured distance and incidence angle. Every node sits at that
+    distance and angle, only its azimuth differs, so one pose serves all."""
     h = scenario.gateway_height_m
     gateway = channel.Pose(position=(0.0, 0.0, h), facing=(0.0, 0.0, -1.0))
     theta = math.radians(scenario.incidence_angle_deg)
     d = scenario.distance_m
-    nodes = []
-    for i in range(scenario.node_count):
-        phi = 2.0 * math.pi * i / max(1, scenario.node_count)
-        x = d * math.sin(theta) * math.cos(phi)
-        y = d * math.sin(theta) * math.sin(phi)
-        nodes.append(channel.Pose(position=(x, y, h - d * math.cos(theta)),
-                                  facing=(0.0, 0.0, 1.0)))
-    return gateway, nodes
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    snr_db: dict[Modality, float]
-    ber: dict[Modality, float]
-
-
-def link_budget(scenario: Scenario) -> LinkBudget:
-    """Static per-modality SNR and BER for the scenario geometry."""
-    gateway, nodes = _poses(scenario)
-    node = nodes[0]
-    radio = channel.RadioLinkConfig(
-        tx_power_dbm=scenario.ble_tx_power_dbm,
-        noise_figure_db=scenario.noise_figure_db,
-        bandwidth_hz=scenario.bandwidth_hz,
-        phy_rate=scenario.ble_phy_rate,
-    )
-    rx_dbm = channel.friis_rx_power(radio, gateway, node)
-    ble_snr = channel.snr_db(rx_dbm, radio.noise_figure_db, radio.bandwidth_hz)
-    # Per-bit SNR at the PHY rate drives the modem error rate.
-    ble_eb = ble_snr + 10.0 * math.log10(radio.bandwidth_hz / radio.bit_rate)
-    optical = channel.OpticalLinkConfig(
-        tx_optical_power_w=scenario.tx_optical_power_w,
-        led_semi_angle_deg=scenario.led_semi_angle_deg,
-        pd_fov_deg=scenario.pd_fov_deg,
-        pd_area_m2=scenario.pd_area_m2,
-        responsivity_a_w=scenario.responsivity_a_w,
-        concentrator_gain=scenario.concentrator_gain,
-        bit_rate=scenario.owc_phy_rate_kbps * 1e3,
-    )
-    gain = channel.owc_channel_gain(optical, gateway, node)
-    owc_snr = channel.owc_snr_db(optical, gain)
-    return LinkBudget(
-        snr_db={Modality.OWC: owc_snr, Modality.BLE: ble_snr},
-        ber={Modality.OWC: channel.ook_ber(owc_snr),
-             Modality.BLE: channel.gfsk_ber(ble_eb, radio.phy_rate)},
-    )
+    node = channel.Pose(position=(d * math.sin(theta), 0.0, h - d * math.cos(theta)),
+                        facing=(0.0, 0.0, 1.0))
+    return gateway, node
 
 
 def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
-    budget = link_budget(scenario)
+    """Static per-modality link budget and transmission shape for the
+    scenario geometry."""
+    gateway, node = _poses(scenario)
     bits = scenario.packet_bytes * 8
-    ble_cfg = BleTimingConfig(conn_interval_ms=scenario.conn_interval_ms,
-                              mtu_bytes=scenario.mtu_bytes)
-    ble_airtime_ms = ble_airtime(ble_cfg, scenario.packet_bytes, scenario.ble_phy_rate)
+    rx_dbm = channel.friis_rx_power(scenario, gateway, node)
+    ble_snr = channel.snr_db(rx_dbm, scenario.noise_figure_db, scenario.bandwidth_hz)
+    # Per-bit SNR at the PHY rate drives the modem error rate.
+    bit_rate = phy_bits_per_ms(scenario.ble_phy_rate) * 1e3
+    ble_eb = ble_snr + 10.0 * math.log10(scenario.bandwidth_hz / bit_rate)
+    owc_snr = channel.owc_snr_db(scenario, channel.owc_channel_gain(scenario, gateway, node))
+    ble_airtime_ms = ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
+                                 scenario.mtu_bytes)
     owc_airtime_ms = bits / scenario.owc_phy_rate_kbps
 
-    def intervals(min_spacing_ms: float) -> dict[Mode, int]:
-        out = {}
+    def plan(airtime_ms: float, min_spacing_ms: float, tx_current_ma: float,
+             snr: float, ber: float) -> LinkPlan:
+        interval_ns = {}
         for mode, rate in ((Mode.PERFORMANCE, scenario.target_rate_kbps),
                            (Mode.CONSERVATION, scenario.conservation_rate_kbps)):
             gen_ms = bits / rate
-            out[mode] = millis(max(gen_ms, min_spacing_ms))
-        return out
+            interval_ns[mode] = millis(max(gen_ms, min_spacing_ms))
+        return LinkPlan(
+            airtime_ns=millis(airtime_ms),
+            interval_ns=interval_ns,
+            tx_current_ma=tx_current_ma,
+            success_prob=channel.packet_success(min(0.5, ber), bits),
+            snr_db=snr,
+            rate_kbps={mode: bits / (ns / 1e6) for mode, ns in interval_ns.items()},
+        )
 
-    def rates(interval_ns: dict[Mode, int]) -> dict[Mode, float]:
-        return {mode: bits / (ns / 1e6) for mode, ns in interval_ns.items()}
-
-    owc_intervals = intervals(owc_airtime_ms)
-    # The radio moves one application packet per connection event, so packet
-    # spacing can never drop below the connection interval.
-    ble_intervals = intervals(max(scenario.conn_interval_ms, ble_airtime_ms))
     return {
-        Modality.OWC: LinkPlan(
-            airtime_ns=millis(owc_airtime_ms),
-            interval_ns=owc_intervals,
-            tx_current_ma=scenario.owc_tx_current_ma,
-            success_prob=channel.packet_success(min(0.5, budget.ber[Modality.OWC]), bits),
-            snr_db=budget.snr_db[Modality.OWC],
-            rate_kbps=rates(owc_intervals),
-        ),
-        Modality.BLE: LinkPlan(
-            airtime_ns=millis(ble_airtime_ms),
-            interval_ns=ble_intervals,
-            tx_current_ma=scenario.ble_tx_current_ma,
-            success_prob=channel.packet_success(min(0.5, budget.ber[Modality.BLE]), bits),
-            snr_db=budget.snr_db[Modality.BLE],
-            rate_kbps=rates(ble_intervals),
-        ),
+        Modality.OWC: plan(owc_airtime_ms, owc_airtime_ms, scenario.owc_tx_current_ma,
+                           owc_snr, channel.ook_ber(owc_snr)),
+        # The radio moves one application packet per connection event, so
+        # packet spacing can never drop below the connection interval.
+        Modality.BLE: plan(ble_airtime_ms, max(scenario.conn_interval_ms, ble_airtime_ms),
+                           scenario.ble_tx_current_ma, ble_snr,
+                           channel.gfsk_ber(ble_eb, scenario.ble_phy_rate)),
     }
 
 
@@ -143,7 +101,6 @@ class _Controller:
                 capacity_j=scenario.battery_capacity_j,
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
                 critical_fraction=self.weights.f_c,
-                supply_voltage=scenario.supply_voltage,
             )
             node = SimNode(name, scenario, self.links, buffer, engine,
                            NodeMetrics(name=name), engine.rng_stream(i + 1),
@@ -237,12 +194,12 @@ class _Controller:
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
-            dt = seconds(self.harvest.tick_period_s)
+            dt = seconds(HARVEST_TICK_S)
             t_s = now / NS_PER_SEC
             for node in self.nodes:
                 node.sync(now)
                 _, edge = node.buffer.harvest(
-                    self.harvest.energy_between(t_s - self.harvest.tick_period_s, t_s))
+                    self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s))
                 if edge is EventKind.BATTERY_CHARGED:
                     node.on_battery_charged(now)
             self._sample(now)
@@ -277,7 +234,7 @@ class _Controller:
         self._sample(0)
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
-        tick = seconds(self.harvest.tick_period_s)
+        tick = seconds(HARVEST_TICK_S)
         self.engine.schedule_at(tick, "world", EventKind.HARVEST_TICK)
         if not self.scenario.inter_transmission_sleep:
             self.engine.schedule_at(init + seconds(self.scenario.peripheral_period_s),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .channel import PHY_RATE_SNR_SHIFT_DB
 from .energy import HarvestProfile, peripheral_cycle_j
-from .linklayer import BleTimingConfig
+from .linklayer import CONN_EVENT_LEN_MS
 from .optimizer import UtilityWeights
 
 OPTIMIZERS = ("euno", "etno", "etno-owc")
@@ -132,9 +132,9 @@ class Scenario:
         if not 0 < self.led_semi_angle_deg < 90 or not 0 < self.pd_fov_deg <= 90:
             raise ScenarioError("led_semi_angle_deg must be in (0, 90) and "
                                 "pd_fov_deg in (0, 90]")
-        if self.conn_interval_ms <= BleTimingConfig.conn_event_len_ms:
+        if self.conn_interval_ms <= CONN_EVENT_LEN_MS:
             raise ScenarioError("conn_interval_ms must exceed the "
-                                f"{BleTimingConfig.conn_event_len_ms} ms connection event")
+                                f"{CONN_EVENT_LEN_MS} ms connection event")
         if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
             raise ScenarioError(f"ble_phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
         if self.conservation_rate_kbps > self.target_rate_kbps:

@@ -14,6 +14,7 @@ from pathlib import Path
 from .channel import gfsk_ber
 from .energy import (StateCurrentTable, load_calibration, phase_energy,
                      vlc_uplink_energy, default_calibration_path)
+from .vlcframe import CHUNKS_PER_FRAME
 
 BER_FIXTURE_NAME = "gfsk_ber_reference.csv"
 CALIBRATION_TOLERANCE = 0.05
@@ -158,5 +159,6 @@ def check_calibration(table: StateCurrentTable | None = None,
     )
     chunk = table.lookup("node", "vlc_tx_chunk", "normal")
     gap = table.lookup("node", "vlc_chunk_gap", "normal")
-    airtime_s = (6 * (chunk.duration_ms or 0) + 5 * (gap.duration_ms or 0)) / 1e3
+    airtime_s = (CHUNKS_PER_FRAME * (chunk.duration_ms or 0)
+                 + (CHUNKS_PER_FRAME - 1) * (gap.duration_ms or 0)) / 1e3
     return CalibrationReport(checks=checks, frame_airtime_s=airtime_s)

@@ -34,6 +34,21 @@ REFERENCE_MB = {
 }
 SWEEP_RATES = [150.0, 200.0, 250.0, 300.0, 350.0]
 
+# Integer outcome of every preset: events executed, then per node (bytes
+# delivered, packets lost, sleep entries, modality switches). A refactor must
+# leave these unchanged; only a deliberate model change may move them.
+PRESET_COUNTERS = {
+    "paper_fig11": (74837, ((6371328, 0, 0, 1), (6371328, 0, 0, 1), (6033920, 0, 0, 1))),
+    "paper_fig11b": (131468, ((11341824, 0, 0, 5), (11191808, 0, 0, 5),
+                              (10778112, 0, 0, 4))),
+    "paper_fig12": (71593, ((6055936, 1, 270, 0), (5971456, 0, 248, 0),
+                            (5882368, 0, 241, 0))),
+    "paper_fig12b": (139087, ((12092416, 0, 0, 0), (11942400, 0, 0, 0),
+                              (11228672, 0, 0, 0))),
+    "paper_fig13": (91296, ((7585792, 0, 0, 0), (7962624, 0, 0, 0), (7475200, 0, 0, 0))),
+    "paper_fig13b": (96311, ((8039424, 0, 0, 24), (8189440, 0, 0, 21), (8076288, 0, 0, 20))),
+}
+
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -248,3 +263,18 @@ def test_criterion_9_determinism(tmp_path):
                     for n in names)
     _report("criterion 9 (byte-identical reruns)", identical,
             f"{len(names)} files compared: {names}")
+
+
+def test_preset_counters_pinned(fig_runs, oscillation_runs):
+    runs = {name: metrics for name, (metrics, _) in fig_runs.items()}
+    runs["paper_fig13"], runs["paper_fig13b"] = oscillation_runs
+    counters = {
+        name: (m.events_executed,
+               tuple((nm.bytes_delivered, nm.packets_lost, nm.sleep_entries,
+                      nm.modality_switches) for _, nm in sorted(m.nodes.items())))
+        for name, m in runs.items()}
+    changed = sorted(name for name in PRESET_COUNTERS
+                     if counters[name] != PRESET_COUNTERS[name])
+    _report("criterion 9 (preset counters unchanged)", not changed,
+            f"{len(PRESET_COUNTERS) - len(changed)}/{len(PRESET_COUNTERS)} presets match"
+            + (f"; changed: {changed}" if changed else ""))

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim import channel
-from hybridsim.channel import (OpticalLinkConfig, Pose, RadioLinkConfig,
-                               friis_rx_power, gfsk_ber, ook_ber,
-                               owc_channel_gain, owc_snr_db, packet_success,
-                               snr_db)
+from hybridsim.channel import (Pose, friis_rx_power, gfsk_ber, lambertian_order,
+                               ook_ber, owc_channel_gain, owc_snr_db,
+                               packet_success, snr_db)
+from hybridsim.scenario import Scenario
 from hybridsim.validation import default_ber_fixture_path
 
 ORIGIN = Pose(position=(0.0, 0.0, 0.0), facing=(0.0, 0.0, 1.0))
@@ -24,28 +24,29 @@ def _rx_at(d):
 class TestFriis:
     def test_one_meter_reference(self):
         # 20*log10(4*pi*1*2.4e9/c) = 40.05 dB free-space loss
-        cfg = RadioLinkConfig(tx_power_dbm=0.0, frequency_hz=2.4e9)
+        # at the 2.4 GHz carrier
+        cfg = Scenario(ble_tx_power_dbm=0.0)
         assert friis_rx_power(cfg, ORIGIN, _rx_at(1.0)) == pytest.approx(-40.05, abs=0.01)
 
     def test_doubling_distance_costs_six_db(self):
-        cfg = RadioLinkConfig()
+        cfg = Scenario()
         near = friis_rx_power(cfg, ORIGIN, _rx_at(1.0))
         far = friis_rx_power(cfg, ORIGIN, _rx_at(2.0))
         assert near - far == pytest.approx(20 * math.log10(2), abs=1e-9)
 
     def test_linear_in_tx_power(self):
-        lo = friis_rx_power(RadioLinkConfig(tx_power_dbm=0.0), ORIGIN, _rx_at(1.0))
-        hi = friis_rx_power(RadioLinkConfig(tx_power_dbm=8.0), ORIGIN, _rx_at(1.0))
+        lo = friis_rx_power(Scenario(ble_tx_power_dbm=0.0), ORIGIN, _rx_at(1.0))
+        hi = friis_rx_power(Scenario(ble_tx_power_dbm=8.0), ORIGIN, _rx_at(1.0))
         assert hi - lo == pytest.approx(8.0, abs=1e-12)
 
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
-            friis_rx_power(RadioLinkConfig(), ORIGIN, ORIGIN)
+            friis_rx_power(Scenario(), ORIGIN, ORIGIN)
 
     @given(st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=0.01, max_value=10.0))
     def test_strictly_decreasing_with_distance(self, d, step):
-        cfg = RadioLinkConfig()
+        cfg = Scenario()
         assert (friis_rx_power(cfg, ORIGIN, _rx_at(d))
                 > friis_rx_power(cfg, ORIGIN, _rx_at(d + step)))
 
@@ -102,9 +103,9 @@ class TestGfsk:
 class TestOpticalChannel:
     def _cfg(self, **kw):
         defaults = dict(led_semi_angle_deg=60.0, pd_area_m2=1e-4, pd_fov_deg=60.0,
-                        optical_filter_gain=1.0, concentrator_gain=1.0)
+                        concentrator_gain=1.0)
         defaults.update(kw)
-        return OpticalLinkConfig(**defaults)
+        return Scenario(**defaults)
 
     def test_boresight_reference_value(self):
         # m=1 at 60 deg semi-angle: H = 2*A/(2*pi*d^2)
@@ -112,7 +113,7 @@ class TestOpticalChannel:
         assert gain == pytest.approx(2e-4 / (2 * math.pi), rel=1e-9)
 
     def test_lambertian_order_at_sixty_degrees_is_one(self):
-        assert self._cfg().lambertian_order == pytest.approx(1.0, rel=1e-12)
+        assert lambertian_order(60.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_outside_fov_is_exactly_zero(self):
         cfg = self._cfg(pd_fov_deg=20.0)
@@ -132,25 +133,25 @@ class TestOpticalChannel:
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
-            OpticalLinkConfig(led_semi_angle_deg=95.0)
+            Scenario(led_semi_angle_deg=95.0)
         with pytest.raises(ValueError):
-            OpticalLinkConfig(pd_fov_deg=0.0)
+            Scenario(pd_fov_deg=0.0)
 
 
 class TestOpticalSnr:
     def test_zero_gain_sentinel(self):
-        assert owc_snr_db(OpticalLinkConfig(), 0.0) == -math.inf
+        assert owc_snr_db(Scenario(), 0.0) == -math.inf
 
     def test_doubling_power_adds_six_db(self):
         # tiny gain keeps the shot term background-dominated, so the noise is
         # effectively constant and the squared signal term doubles cleanly
-        lo = owc_snr_db(OpticalLinkConfig(tx_optical_power_w=0.1), 1e-8)
-        hi = owc_snr_db(OpticalLinkConfig(tx_optical_power_w=0.2), 1e-8)
+        lo = owc_snr_db(Scenario(tx_optical_power_w=0.1), 1e-8)
+        hi = owc_snr_db(Scenario(tx_optical_power_w=0.2), 1e-8)
         assert hi - lo == pytest.approx(20 * math.log10(2), abs=1e-3)
 
     def test_reference_geometry_finite_positive(self):
         # 1 m range, 30 deg emission and incidence, documented constants
-        cfg = OpticalLinkConfig()
+        cfg = Scenario()
         tx = Pose(position=(0.0, 0.0, 2.0), facing=(0.0, 0.0, -1.0))
         theta = math.radians(30.0)
         rx = Pose(position=(math.sin(theta), 0.0, 2.0 - math.cos(theta)),
@@ -189,7 +190,7 @@ def test_pose_requires_unit_facing():
 def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
     from hybridsim.optimizer import ewma_update, mobility_probability
 
-    cfg = RadioLinkConfig()
+    cfg = Scenario()
     rx = _rx_at(1.0)
     baseline = None
     p_still = p_moving = 0.0

@@ -53,6 +53,16 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == EXIT_VALIDATION
 
+    def test_etno_resumes_after_battery_low(self, tmp_path):
+        # f_c lies above ETNO's sleep threshold, so the policy resumes at the
+        # battery-low edge that powered both interfaces off; waking must bring
+        # the optical interface back before it transmits.
+        cfg = tmp_path / "etno.cfg"
+        cfg.write_text("[scenario]\nduration_s = 60\noptimizer = etno-owc\n\n"
+                       "[energy]\nbattery_capacity_j = 0.5\n\n[weights]\nf_c = 0.35\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
     @pytest.mark.parametrize("section,line", [
         ("traffic", "warp_speed = 9"),
         ("topology", "distance_m = 0"),

@@ -1,0 +1,78 @@
+"""Run invariants over random valid short scenarios.
+
+Every run must finish without a ProtocolViolation, balance its energy ledger,
+keep the buffer inside [0, capacity] on every trace row, achieve no more than
+the target rate, and count no more transmit-eligible time than the poll slots
+the node owned.
+"""
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from hybridsim.optimizer import UtilityWeights
+from hybridsim.runner import run
+from hybridsim.scenario import Scenario
+
+TOL = 1e-9
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    """Short (<= 60 s), small (<= 5 nodes) scenarios over both policies, both
+    sleep modes and small batteries, with f_c on either side of the ETNO
+    thresholds and optional SNR jitter and harvest profiles."""
+    target = draw(st.floats(20.0, 400.0))
+    sleep_threshold = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    profile = draw(st.one_of(
+        st.just(()),
+        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4).map(
+            lambda mws: tuple((10.0 * i, mw * 1e-3) for i, mw in enumerate(mws)))))
+    return Scenario(
+        duration_s=draw(st.floats(5.0, 60.0)),
+        init_delay_s=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        node_count=draw(st.integers(1, 5)),
+        seed=draw(st.integers(1, 1000)),
+        optimizer=draw(st.sampled_from(["euno", "etno", "etno-owc"])),
+        inter_transmission_sleep=draw(st.booleans()),
+        target_rate_kbps=target,
+        conservation_rate_kbps=target * draw(st.floats(0.05, 1.0)),
+        poll_slot_s=draw(st.floats(1.0, 25.0)),
+        battery_capacity_j=draw(st.floats(0.05, 4.0)),
+        initial_fraction=draw(st.floats(0.1, 1.0)),
+        harvest_mw=draw(st.floats(0.0, 30.0)),
+        harvest_profile=profile,
+        snr_jitter_db=draw(st.sampled_from([0.0, 2.0])),
+        etno_sleep_threshold=sleep_threshold,
+        etno_conservation_threshold=sleep_threshold + 0.2,
+        weights=UtilityWeights(f_c=draw(st.sampled_from([0.05, 0.2, 0.35, 0.6]))),
+    )
+
+
+def owned_slot_s(scenario: Scenario, index: int) -> float:
+    """Seconds of poll slots that node `index` (0-based) held in the run."""
+    owned, k = 0.0, 0
+    while scenario.init_delay_s + k * scenario.poll_slot_s < scenario.total_duration_s:
+        start = scenario.init_delay_s + k * scenario.poll_slot_s
+        if k % scenario.node_count == index:
+            owned += min(scenario.poll_slot_s, scenario.total_duration_s - start)
+        k += 1
+    return owned
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# ETNO resumes at once after a battery-low edge when f_c is above its sleep
+# threshold; the optical interface must come back from OFF on the wake signal.
+@example(Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
+                  weights=UtilityWeights(f_c=0.35)))
+@given(scenarios())
+def test_invariants_hold(scenario):
+    record = run(scenario)
+    capacity = scenario.battery_capacity_j
+    for index in range(scenario.node_count):
+        nm = record.node(index + 1)
+        ledger = nm.initial_j + nm.harvested_j - nm.consumed_j
+        assert nm.remaining_j == pytest.approx(ledger, rel=TOL, abs=TOL * capacity)
+        assert all(0.0 <= row.remaining_j <= capacity + 1e-12 for row in nm.rows)
+        assert nm.achieved_rate_kbps <= scenario.target_rate_kbps * (1 + TOL)
+        assert nm.eligible_s <= owned_slot_s(scenario, index) * (1 + TOL) + TOL

@@ -3,7 +3,7 @@
 import pytest
 
 from hybridsim.kernel import Engine, EventKind, seconds
-from hybridsim.linklayer import (BleState, BleTimingConfig, OwcState,
+from hybridsim.linklayer import (CONN_EVENT_LEN_MS, BleState, OwcState,
                                  ble_airtime, fsm_dispatch)
 from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, ScenarioError
@@ -14,14 +14,10 @@ E = EventKind
 class TestOwcFsm:
     @pytest.mark.parametrize("state,event,expected", [
         (OwcState.IDLE, E.TRANSMIT_START, OwcState.TX),
-        (OwcState.IDLE, E.RECEIVE_START, OwcState.RX),
-        (OwcState.TX, E.RECEIVE_START, OwcState.TX_RX),
-        (OwcState.RX, E.TRANSMIT_START, OwcState.TX_RX),
-        (OwcState.TX_RX, E.TRANSMIT_END, OwcState.RX),
-        (OwcState.TX_RX, E.RECEIVE_END, OwcState.TX),
         (OwcState.TX, E.TRANSMIT_END, OwcState.IDLE),
         (OwcState.IDLE, E.SLEEP_SIGNAL, OwcState.SLEEP),
         (OwcState.SLEEP, E.WAKE_SIGNAL, OwcState.IDLE),
+        (OwcState.OFF, E.WAKE_SIGNAL, OwcState.IDLE),
         (OwcState.OFF, E.BATTERY_CHARGED, OwcState.IDLE),
     ])
     def test_transitions(self, state, event, expected):
@@ -32,8 +28,10 @@ class TestOwcFsm:
         assert fsm_dispatch(state, E.BATTERY_LOW) is OwcState.OFF
 
     def test_duplex_only_reachable_from_tx_or_rx(self):
-        assert fsm_dispatch(OwcState.IDLE, E.TRANSMIT_END) is OwcState.IDLE  # no-op
+        # No receive half: transmit events outside IDLE/TX are no-ops.
+        assert fsm_dispatch(OwcState.IDLE, E.TRANSMIT_END) is OwcState.IDLE
         assert fsm_dispatch(OwcState.SLEEP, E.TRANSMIT_START) is OwcState.SLEEP
+        assert fsm_dispatch(OwcState.TX, E.TRANSMIT_START) is OwcState.TX
 
     def test_undefined_pair_is_noop(self):
         assert fsm_dispatch(OwcState.OFF, E.TRANSMIT_START) is OwcState.OFF
@@ -42,11 +40,10 @@ class TestOwcFsm:
 class TestBleFsm:
     @pytest.mark.parametrize("state,event,expected", [
         (BleState.IDLE, E.TRANSMIT_START, BleState.TX_BUSY),
-        (BleState.IDLE, E.RECEIVE_START, BleState.RX_BUSY),
         (BleState.TX_BUSY, E.TRANSMIT_END, BleState.IDLE),
-        (BleState.RX_BUSY, E.RECEIVE_END, BleState.IDLE),
         (BleState.IDLE, E.SLEEP_SIGNAL, BleState.OFF),
         (BleState.OFF, E.WAKE_SIGNAL, BleState.IDLE),
+        (BleState.OFF, E.BATTERY_CHARGED, BleState.IDLE),
     ])
     def test_transitions(self, state, event, expected):
         assert fsm_dispatch(state, event) is expected
@@ -57,7 +54,7 @@ class TestBleFsm:
 
     def test_busy_states_entered_only_from_idle(self):
         assert fsm_dispatch(BleState.OFF, E.TRANSMIT_START) is BleState.OFF
-        assert fsm_dispatch(BleState.RX_BUSY, E.TRANSMIT_START) is BleState.RX_BUSY
+        assert fsm_dispatch(BleState.TX_BUSY, E.TRANSMIT_START) is BleState.TX_BUSY
 
     def test_rejects_foreign_state_type(self):
         with pytest.raises(TypeError):
@@ -66,46 +63,38 @@ class TestBleFsm:
 
 class TestBleTiming:
     def test_reference_payload_airtime(self):
-        cfg = BleTimingConfig()
-        assert ble_airtime(cfg, 116, "2M") == pytest.approx(3.13, abs=1e-9)
+        assert ble_airtime(116, "2M", 247) == pytest.approx(3.13, abs=1e-9)
 
     def test_empty_payload_keeps_event_overhead(self):
-        cfg = BleTimingConfig()
-        overhead = ble_airtime(cfg, 0, "2M")
+        overhead = ble_airtime(0, "2M", 247)
         assert 0.0 < overhead < 3.13
         assert overhead == pytest.approx(3.13 - 116 * 8 / 2e3, abs=1e-9)
 
     def test_double_payload_scales_linearly(self):
-        cfg = BleTimingConfig()
         payload_portion = 116 * 8 / 2e3
-        expected = 2 * payload_portion + ble_airtime(cfg, 0, "2M")
-        assert ble_airtime(cfg, 232, "2M") == pytest.approx(expected, abs=1e-9)
+        expected = 2 * payload_portion + ble_airtime(0, "2M", 247)
+        assert ble_airtime(232, "2M", 247) == pytest.approx(expected, abs=1e-9)
 
     def test_beyond_mtu_segments_into_events(self):
-        cfg = BleTimingConfig(mtu_bytes=247)
-        one_event_overhead = ble_airtime(cfg, 0, "2M")
-        total = ble_airtime(cfg, 512, "2M")
+        one_event_overhead = ble_airtime(0, "2M", 247)
+        total = ble_airtime(512, "2M", 247)
         assert total == pytest.approx(3 * one_event_overhead + 512 * 8 / 2e3, abs=1e-9)
 
     def test_one_mbit_phy_doubles_payload_time(self):
-        cfg = BleTimingConfig()
-        slow = ble_airtime(cfg, 116, "1M")
-        assert slow > ble_airtime(cfg, 116, "2M")
+        slow = ble_airtime(116, "1M", 247)
+        assert slow > ble_airtime(116, "2M", 247)
 
     def test_interval_invariants(self):
-        with pytest.raises(ValueError):
-            BleTimingConfig(conn_event_len_ms=50.0, conn_interval_ms=45.0)
-        with pytest.raises(ValueError):
-            BleTimingConfig(adv_event_len_ms=200.0, adv_interval_ms=152.5)
+        with pytest.raises(ScenarioError, match="conn_interval_ms"):
+            Scenario(conn_interval_ms=CONN_EVENT_LEN_MS)
 
     def test_connection_duty_cycle_at_defaults(self):
-        cfg = BleTimingConfig()
-        duty = cfg.conn_event_len_ms / cfg.conn_interval_ms
+        duty = CONN_EVENT_LEN_MS / Scenario().conn_interval_ms
         assert duty == pytest.approx(0.0476, abs=5e-4)
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
-            ble_airtime(BleTimingConfig(), -1)
+            ble_airtime(-1, "2M", 247)
 
 
 def _poll_slots(node_count, sleep, count):

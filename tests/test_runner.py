@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from hybridsim.actions import Modality
+from hybridsim.actions import Action, Mode, Modality
+from hybridsim.kernel import Engine, seconds
+from hybridsim.linklayer import OwcState
 from hybridsim.metrics import TRACE_HEADER, write_traces
-from hybridsim.runner import link_budget, run, sweep
+from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
@@ -115,8 +117,8 @@ class TestTraces:
 
 class TestBehaviour:
     def test_node_starts_on_best_snr_modality(self, metrics):
-        budget = link_budget(SHORT)
-        best = max(budget.snr_db, key=lambda m: budget.snr_db[m])
+        links = build_link_plans(SHORT)
+        best = max(links, key=lambda m: links[m].snr_db)
         assert best is Modality.OWC
         assert metrics.node(1).rows[0].modality == "owc"
 
@@ -166,3 +168,53 @@ class TestBehaviour:
         node.mac_sleep(0)
         with pytest.raises(ProtocolViolation):
             node.transmit_packet(0)
+
+
+def _lone_node(**overrides):
+    """The one node of a fresh single-node run, before its first event."""
+    scenario = replace(SHORT, node_count=1, init_delay_s=0.0, **overrides)
+    node = _Controller(scenario, Engine(seed=1)).nodes[0]
+    node.evaluate_cb = None  # drive the node by hand, without the policy
+    return node
+
+
+class TestNodeLifecycle:
+    def test_tx_in_flight_reads_the_interface_fsms(self):
+        node = _lone_node()
+        assert not node.tx_in_flight
+        node.enter_slot(0, seconds(10))
+        node.transmit_packet(0)
+        assert node.tx_in_flight and node.owc_state is OwcState.TX
+        node.on_transmit_end(node.links[Modality.OWC].airtime_ns, Modality.OWC)
+        assert not node.tx_in_flight and node.owc_state is OwcState.IDLE
+
+    def test_reconfiguration_makes_a_scheduled_packet_stale(self):
+        node = _lone_node()
+        node.enter_slot(0, seconds(10))
+        stale = node._pending_packet.event
+        node.apply_action(Action(Mode.PERFORMANCE, Modality.BLE), 0)
+        node.on_packet_ready(stale.fire_at, stale.payload)
+        assert not node.tx_in_flight
+
+    def test_battery_low_mid_burst_loses_the_packet(self):
+        node = _lone_node()
+        node.enter_slot(0, seconds(10))
+        node.transmit_packet(0)
+        buffer = node.buffer
+        buffer.remaining_j = buffer.critical_fraction * buffer.capacity_j
+        airtime = node.links[Modality.OWC].airtime_ns
+        node.sync(airtime // 2)
+        assert node.fsm_label() == "OFF|OFF" and node.mode is Mode.SLEEP
+        node.on_transmit_end(airtime, Modality.OWC)  # the burst already ended
+        assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
+
+    def test_burst_ending_at_slot_end_parks_after_it_ends(self):
+        node = _lone_node(inter_transmission_sleep=True)
+        airtime = node.links[Modality.OWC].airtime_ns
+        node.enter_slot(0, airtime)
+        node.transmit_packet(0)
+        node.exit_slot(airtime)
+        node.apply_action(Action(Mode.CONSERVATION, Modality.OWC), airtime)
+        assert node.fsm_label() == "TX|IDLE"  # no interface sleeps mid-burst
+        node.on_transmit_end(airtime, Modality.OWC)
+        assert node.fsm_label() == "SLEEP|OFF" and not node.awake

@@ -7,6 +7,7 @@ import pytest
 from hybridsim.energy import StateCurrentTable, default_calibration_path, load_calibration
 from hybridsim.validation import (BER_TOLERANCE_DB, check_calibration,
                                   validate_ber)
+from hybridsim.vlcframe import CHUNK_AIRTIME_MS, CHUNKS_PER_FRAME, INTER_CHUNK_DELAY_MS
 
 
 class TestValidateBer:
@@ -78,6 +79,11 @@ class TestCheckCalibration:
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["ble_uplink_normal"]
         assert not report.passed
+
+    def test_frame_airtime_matches_the_codec_pacing(self):
+        frame_ms = (CHUNKS_PER_FRAME * CHUNK_AIRTIME_MS
+                    + (CHUNKS_PER_FRAME - 1) * INTER_CHUNK_DELAY_MS)
+        assert check_calibration().frame_airtime_s == pytest.approx(frame_ms / 1e3)
 
     def test_runs_under_a_second(self):
         t0 = time.perf_counter()
