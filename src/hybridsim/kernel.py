@@ -4,6 +4,10 @@ All timing in the simulator is kept in integer nanoseconds so that the
 durations used throughout (45 ms connection intervals, 2.14 ms connection
 events, 68 ms optical chunks, 25 s poll slots) are exactly representable
 and long runs accumulate no floating-point drift.
+
+`events_executed` counts model events: those the queue dispatches and those
+a handler runs inline before the queue's horizon (see `Engine.horizon`),
+so the count does not depend on which of the two ran an event.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ class Engine:
         self.seed = seed
         self._heap: list[tuple[SimTime, int, EventHandle]] = []
         self._seq = 0
+        self._end: SimTime = -1  # end of the current run_until; -1 outside one
         self._handlers: dict[str, object] = {}
         self._streams: dict[int, RngStream] = {}
         self.events_executed = 0
@@ -115,19 +120,56 @@ class Engine:
         self._handlers[target] = handler
 
     def schedule(self, event: SimEvent) -> EventHandle:
+        handle = self._push(event, self._seq)
+        self._seq += 1
+        return handle
+
+    def _push(self, event: SimEvent, sequence: int) -> EventHandle:
         if event.fire_at < self.now:
             raise ScheduleInPastError(
                 f"event {event.kind.value} at t={event.fire_at} ns scheduled "
                 f"while clock is {self.now} ns"
             )
-        handle = EventHandle(event=event, sequence=self._seq)
-        self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, handle.sequence, handle))
+        handle = EventHandle(event=event, sequence=sequence)
+        heapq.heappush(self._heap, (event.fire_at, sequence, handle))
         return handle
 
     def schedule_at(self, fire_at: SimTime, target: str, kind: EventKind,
                     payload: object = None) -> EventHandle:
         return self.schedule(SimEvent(fire_at, target, kind, payload))
+
+    # -- inline events -------------------------------------------------------
+    #
+    # A handler whose next events would all fall before the horizon may run
+    # them itself. It reserves the sequence numbers those events would have
+    # taken when scheduled, counts each with `run_inline`, and queues any it
+    # cannot finish with `schedule_reserved`, so the queue orders it exactly
+    # as if it had been scheduled at the time its number was taken.
+
+    def horizon(self) -> SimTime:
+        """Earliest time at which anything but the running handler's own
+        events can happen: the head of the queue, or `end + 1` of the
+        current `run_until`. Outside a run it is 0, so nothing runs inline."""
+        stop = self._end + 1
+        if self._heap and self._heap[0][0] < stop:
+            return self._heap[0][0]
+        return stop
+
+    def reserve(self, count: int) -> int:
+        """Take `count` sequence numbers and return the first."""
+        first = self._seq
+        self._seq += count
+        return first
+
+    def schedule_reserved(self, sequence: int, fire_at: SimTime, target: str,
+                          kind: EventKind, payload: object = None) -> EventHandle:
+        """Queue an event under a sequence number taken with `reserve`."""
+        return self._push(SimEvent(fire_at, target, kind, payload), sequence)
+
+    def run_inline(self, at: SimTime) -> None:
+        """Advance the clock to an event a handler runs itself, and count it."""
+        self.now = at
+        self.events_executed += 1
 
     def cancel(self, handle: EventHandle) -> bool:
         if handle.cancelled or handle.fired:
@@ -136,6 +178,7 @@ class Engine:
         return True
 
     def run_until(self, end: SimTime) -> RunSummary:
+        self._end = end
         while self._heap and self._heap[0][0] <= end:
             fire_at, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
@@ -146,6 +189,7 @@ class Engine:
             handler = self._handlers.get(handle.event.target)
             if handler is not None:
                 handler(self, handle.event)
+        self._end = -1
         self.now = max(self.now, end)
         return RunSummary(events_executed=self.events_executed,
                           final_clock=self.now)

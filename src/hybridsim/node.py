@@ -81,15 +81,18 @@ class SimNode:
 
     # -- energy phase integration ------------------------------------------
 
+    def _joules(self, current_ma: float, elapsed: SimTime) -> float:
+        """Energy of `elapsed` ns at `current_ma`: the one expression that
+        every settled phase, queued or inline, draws through."""
+        return current_ma * 1e-3 * self.scenario.supply_voltage * elapsed / NS_PER_SEC
+
     def sync(self, now: SimTime) -> None:
         """Settle consumption of the current phase up to `now`."""
         elapsed = now - self._phase_since
         if elapsed <= 0:
             return
         self._phase_since = now
-        joules = self._phase_ma * 1e-3 * self.scenario.supply_voltage * elapsed / NS_PER_SEC
-        edge = self.buffer.consume(joules)
-        if edge is EventKind.BATTERY_LOW:
+        if self.buffer.consume(self._joules(self._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
 
     def set_phase(self, current_ma: float, now: SimTime) -> None:
@@ -209,9 +212,7 @@ class SimNode:
         holds the slot and is not asleep, else idle."""
         if self._chain:
             step = self._chain.pop(0)
-            self.set_phase(step.current_ma, now)
-            if self.mode is Mode.SLEEP:  # battery died settling the phase
-                return
+            self.set_phase(step.current_ma, now)  # the caller settled `now`
             self.engine.schedule_at(now + step.duration_ns, self.name,
                                     EventKind.PERIPHERAL_TICK, payload=self._epoch)
         elif self.in_slot and self.mode is not Mode.SLEEP:
@@ -254,22 +255,65 @@ class SimNode:
             ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._epoch)
 
     def on_packet_ready(self, now: SimTime, epoch: int) -> None:
+        """Send the ready packet, then keep streaming inline.
+
+        Before the engine's horizon nothing but this node's own bursts can
+        happen, so each burst end and packet-ready that falls before it runs
+        here, at the clock, sequence number and draw the queue would have
+        given it. The first one at or past the horizon is queued, and a
+        battery-low edge hands over to the queued-event code at that instant.
+        """
         self.sync(now)
         if epoch != self._epoch:
             return
         if not (self.in_slot and self.awake and self.mode is not Mode.SLEEP):
             return
-        link = self.links[self.modality]
-        if now + link.airtime_ns > self.slot_end_ns:
-            return  # not enough slot left for a whole burst
-        self.transmit_packet(now)
-        self._pending_packet = self.engine.schedule_at(
-            now + link.interval_ns[self.mode], self.name,
-            EventKind.APP_PACKET_READY, payload=self._epoch)
+        engine = self.engine
+        horizon = engine.horizon()
+        # Only a battery-low edge, which ends the loop, can reconfigure the
+        # node before the horizon, so the link and the spacing hold throughout.
+        modality = self.modality
+        link = self.links[modality]
+        airtime, interval = link.airtime_ns, link.interval_ns[self.mode]
+        # Every inline burst and idle gap settles the same joules.
+        burst_j = self._joules(link.tx_current_ma, airtime)
+        gap = interval - airtime
+        gap_j = self._joules(self.scenario.idle_current_ma, gap)
+        buffer = self.buffer
+        while now + airtime <= self.slot_end_ns:  # else too little slot is left
+            self.transmit_packet(now)
+            end, ready = now + airtime, now + interval
+            if end >= horizon:
+                engine.schedule_at(end, self.name, EventKind.TRANSMIT_END, payload=modality)
+                self._pending_packet = engine.schedule_at(
+                    ready, self.name, EventKind.APP_PACKET_READY, payload=epoch)
+                return
+            # The burst's end and the next packet-ready, in that order.
+            sequence = engine.reserve(2)
+            engine.run_inline(end)
+            self._phase_since = end
+            low = buffer.consume(burst_j) is EventKind.BATTERY_LOW
+            if low or ready >= horizon:
+                self._pending_packet = engine.schedule_reserved(
+                    sequence + 1, ready, self.name, EventKind.APP_PACKET_READY, epoch)
+            if low:
+                self._on_battery_low(end)  # the burst is lost
+                return
+            self._end_burst(end, modality)
+            if ready >= horizon:
+                return
+            engine.run_inline(ready)
+            now = ready
+            if gap > 0:  # as in `sync`, an empty phase draws nothing
+                self._phase_since = now
+                if buffer.consume(gap_j) is EventKind.BATTERY_LOW:
+                    self._on_battery_low(now)
+                    return
 
     def transmit_packet(self, now: SimTime) -> None:
-        """Drive one burst through the interface FSM; success is drawn against
-        the link's packet success probability at TRANSMIT_END."""
+        """Drive one burst through the interface FSM and start its draw;
+        success is drawn against the link's packet success probability when
+        the burst ends."""
         if self.modality is Modality.OWC:
             if self.owc_state in (OwcState.OFF, OwcState.SLEEP):
                 raise ProtocolViolation(
@@ -280,18 +324,15 @@ class SimNode:
                 raise ProtocolViolation(
                     f"{self.name}: radio TX from {self.ble_state.value}")
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_START)
-        link = self.links[self.modality]
         self._tx_started_ns = now
-        self.set_phase(link.tx_current_ma, now)
-        if not self.tx_in_flight:
-            return  # battery collapsed as the burst started
-        self.engine.schedule_at(now + link.airtime_ns, self.name,
-                                EventKind.TRANSMIT_END, payload=self.modality)
+        self._phase_ma = self.links[self.modality].tx_current_ma  # `now` is settled
 
     def on_transmit_end(self, now: SimTime, modality: Modality) -> None:
         self.sync(now)
-        if not self.tx_in_flight:
-            return
+        if self.tx_in_flight:  # else a battery-low edge already lost the burst
+            self._end_burst(now, modality)
+
+    def _end_burst(self, now: SimTime, modality: Modality) -> None:
         self.metrics.tx_intervals.append((self._tx_started_ns, now))
         if modality is Modality.OWC:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)
@@ -309,7 +350,7 @@ class SimNode:
         elif restream:
             self._start_streaming(now)
         else:
-            self.set_phase(self.scenario.idle_current_ma, now)
+            self._phase_ma = self.scenario.idle_current_ma  # `now` is settled
 
     # -- reconfiguration -----------------------------------------------------
 

@@ -115,3 +115,46 @@ def test_engine_streams_are_cached_per_id():
     engine = Engine(seed=7)
     assert engine.rng_stream(1) is engine.rng_stream(1)
     assert engine.rng_stream(1) is not engine.rng_stream(2)
+
+
+def test_horizon_is_the_queue_head_or_one_past_the_end():
+    engine = Engine()
+    seen = []
+    engine.register("probe", lambda eng, ev: seen.append(eng.horizon()))
+    assert engine.horizon() == 0  # outside a run nothing runs inline
+    engine.schedule_at(3, "probe", EventKind.POLL_TICK)
+    engine.schedule_at(8, "probe", EventKind.POLL_TICK)
+    engine.run_until(10)
+    assert seen == [8, 11]  # the head of the queue, then end + 1 once it is empty
+    assert engine.horizon() == 0
+
+
+def test_reserved_sequence_runs_before_later_scheduled_event():
+    engine = Engine()
+    log = _collect(engine)
+
+    def step(eng, ev):
+        sequence = eng.reserve(1)
+        eng.schedule_at(10, "sink", EventKind.POLL_TICK, payload="scheduled")
+        eng.schedule_reserved(sequence, 10, "sink", EventKind.POLL_TICK, payload="reserved")
+
+    engine.register("step", step)
+    engine.schedule_at(1, "step", EventKind.POLL_TICK)
+    engine.run_until(10)
+    assert log == [(10, "reserved"), (10, "scheduled")]
+
+
+def test_inline_events_are_counted():
+    engine = Engine()
+    clock = []
+
+    def burst(eng, ev):
+        for at in (eng.now + 1, eng.now + 2):
+            eng.run_inline(at)
+            clock.append(eng.now)
+
+    engine.register("node", burst)
+    engine.schedule_at(4, "node", EventKind.APP_PACKET_READY)
+    summary = engine.run_until(10)
+    assert clock == [5, 6]
+    assert summary.events_executed == 3

@@ -7,11 +7,11 @@ from dataclasses import replace
 import pytest
 
 from hybridsim.actions import Action, Mode, Modality
-from hybridsim.kernel import Engine, seconds
+from hybridsim.kernel import Engine, EventKind, seconds
 from hybridsim.linklayer import OwcState
 from hybridsim.metrics import TRACE_HEADER, write_traces
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
-from hybridsim.scenario import Scenario
+from hybridsim.scenario import Scenario, load_scenario, preset_path
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
@@ -218,3 +218,77 @@ class TestNodeLifecycle:
         assert node.fsm_label() == "TX|IDLE"  # no interface sleeps mid-burst
         node.on_transmit_end(airtime, Modality.OWC)
         assert node.fsm_label() == "SLEEP|OFF" and not node.awake
+
+
+def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
+    """Run the scenario; with `barrier_ns`, a no-op target also fires every
+    `barrier_ns`. Returns the record, the barrier's event count and the
+    number of events the nodes ran inline."""
+    engine = Engine(seed=scenario.seed)
+    controller = _Controller(scenario, engine)
+    barriers = inline = 0
+
+    def barrier(eng, event):
+        nonlocal barriers
+        barriers += 1
+        if eng.now + barrier_ns <= controller.total_ns:
+            eng.schedule_at(eng.now + barrier_ns, "barrier", EventKind.POLL_TICK)
+
+    run_inline = engine.run_inline
+
+    def counted_run_inline(at):
+        nonlocal inline
+        inline += 1
+        run_inline(at)
+
+    engine.run_inline = counted_run_inline
+    if barrier_ns is not None:
+        engine.register("barrier", barrier)
+        engine.schedule_at(0, "barrier", EventKind.POLL_TICK)
+    controller.start()
+    engine.run_until(controller.total_ns)
+    return controller.finalize(), barriers, inline
+
+
+class TestInlinePackets:
+    """A node runs its packets inline up to the next queued event. A barrier
+    that fires more often than the shortest airtime leaves no packet inline,
+    so every burst end and packet-ready goes through the queue; the two runs
+    must agree exactly."""
+
+    @pytest.mark.parametrize("scenario, edge", [
+        pytest.param(replace(load_scenario(preset_path("paper_fig11")), duration_s=60.0), None,
+                     id="fig11-awake"),
+        pytest.param(replace(load_scenario(preset_path("paper_fig12b")), duration_s=60.0), None,
+                     id="fig12b-inter-transmission-sleep"),
+        # Battery-low edges at a burst's end (losing the burst), and in the
+        # idle gap between bursts.
+        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              battery_capacity_j=0.2, harvest_mw=20.0), "burst",
+                     id="small-battery-mid-burst"),
+        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              battery_capacity_j=0.1, harvest_mw=20.0), "gap",
+                     id="small-battery-gap"),
+        # A 10 ms packet spacing puts a packet-ready on every 1 s tick; a
+        # 10 ms airtime as well leaves no idle gap and puts burst ends there.
+        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              target_rate_kbps=409.6), None,
+                     id="packet-ready-on-ticks"),
+        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              target_rate_kbps=409.6, owc_phy_rate_kbps=409.6), None,
+                     id="back-to-back-bursts-on-ticks"),
+    ])
+    def test_inline_path_equals_queued_path(self, scenario, edge):
+        plain, _, inline = _run_counting_inline(scenario)
+        shortest = min(link.airtime_ns for link in build_link_plans(scenario).values())
+        queued, barriers, none_inline = _run_counting_inline(scenario, shortest - 1)
+        assert inline > 0 and none_inline == 0
+        assert plain.nodes == queued.nodes  # counters, energies, rows, tx_intervals
+        assert plain.events_executed == queued.events_executed - barriers
+        nodes = plain.nodes.values()
+        assert any(nm.sleep_entries for nm in nodes) == (edge is not None)
+        assert any(nm.packets_lost for nm in nodes) == (edge == "burst")
