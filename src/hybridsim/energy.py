@@ -293,5 +293,5 @@ def predict_action_energy(scenario: Scenario, links: dict[Modality, LinkPlan],
     stream_ma = duty * plan.tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
     energy = phase_energy(stream_ma, horizon_s * 1e3, v)
     if action.mode is Mode.PERFORMANCE:
-        energy += scenario.peripheral_cycle_j * (horizon_s / scenario.peripheral_period_s)
+        energy += peripheral_cycle_j(scenario) * (horizon_s / scenario.peripheral_period_s)
     return energy

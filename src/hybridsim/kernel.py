@@ -120,18 +120,14 @@ class Engine:
         self._handlers[target] = handler
 
     def schedule(self, event: SimEvent) -> EventHandle:
-        handle = self._push(event, self._seq)
-        self._seq += 1
-        return handle
-
-    def _push(self, event: SimEvent, sequence: int) -> EventHandle:
         if event.fire_at < self.now:
             raise ScheduleInPastError(
                 f"event {event.kind.value} at t={event.fire_at} ns scheduled "
                 f"while clock is {self.now} ns"
             )
-        handle = EventHandle(event=event, sequence=sequence)
-        heapq.heappush(self._heap, (event.fire_at, sequence, handle))
+        handle = EventHandle(event=event, sequence=self._seq)
+        self._seq += 1
+        heapq.heappush(self._heap, (event.fire_at, handle.sequence, handle))
         return handle
 
     def schedule_at(self, fire_at: SimTime, target: str, kind: EventKind,
@@ -140,11 +136,11 @@ class Engine:
 
     # -- inline events -------------------------------------------------------
     #
-    # A handler whose next events would all fall before the horizon may run
-    # them itself. It reserves the sequence numbers those events would have
-    # taken when scheduled, counts each with `run_inline`, and queues any it
-    # cannot finish with `schedule_reserved`, so the queue orders it exactly
-    # as if it had been scheduled at the time its number was taken.
+    # A handler may run its own next events itself while they fall before the
+    # horizon, counting each with `run_inline`. It queues the first one that
+    # does not with `schedule_at`; since nothing else was scheduled meanwhile,
+    # the queue ranks that event as if it had been scheduled when the handler
+    # first knew of it.
 
     def horizon(self) -> SimTime:
         """Earliest time at which anything but the running handler's own
@@ -154,17 +150,6 @@ class Engine:
         if self._heap and self._heap[0][0] < stop:
             return self._heap[0][0]
         return stop
-
-    def reserve(self, count: int) -> int:
-        """Take `count` sequence numbers and return the first."""
-        first = self._seq
-        self._seq += count
-        return first
-
-    def schedule_reserved(self, sequence: int, fire_at: SimTime, target: str,
-                          kind: EventKind, payload: object = None) -> EventHandle:
-        """Queue an event under a sequence number taken with `reserve`."""
-        return self._push(SimEvent(fire_at, target, kind, payload), sequence)
 
     def run_inline(self, at: SimTime) -> None:
         """Advance the clock to an event a handler runs itself, and count it."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
-from .energy import EnergyBuffer, PhaseStep, peripheral_steps
+from .energy import EnergyBuffer, PhaseStep, peripheral_steps, phase_energy
 from .kernel import Engine, EventKind, SimTime, NS_PER_SEC, millis
 from .linklayer import BleState, OwcState, fsm_dispatch
 from .metrics import NodeMetrics
@@ -50,9 +50,9 @@ class SimNode:
                                     millis(scenario.wake_duration_ms))
         self._peripheral_steps = peripheral_steps(scenario)
         # Receiving the poll command costs one downlink reception burst.
-        self._poll_command_j = (scenario.poll_command_current_ma * 1e-3
-                                * scenario.supply_voltage
-                                * scenario.poll_command_duration_ms * 1e-3)
+        self._poll_command_j = phase_energy(scenario.poll_command_current_ma,
+                                            scenario.poll_command_duration_ms,
+                                            scenario.supply_voltage)
         self.mode = Mode.PERFORMANCE
         self.modality = initial_modality
         self.owc_state = OwcState.IDLE
@@ -259,8 +259,8 @@ class SimNode:
 
         Before the engine's horizon nothing but this node's own bursts can
         happen, so each burst end and packet-ready that falls before it runs
-        here, at the clock, sequence number and draw the queue would have
-        given it. The first one at or past the horizon is queued, and a
+        here, at the clock, queue order and draw the queue would have given
+        it. The first one at or past the horizon is queued, and a
         battery-low edge hands over to the queued-event code at that instant.
         """
         self.sync(now)
@@ -288,14 +288,12 @@ class SimNode:
                 self._pending_packet = engine.schedule_at(
                     ready, self.name, EventKind.APP_PACKET_READY, payload=epoch)
                 return
-            # The burst's end and the next packet-ready, in that order.
-            sequence = engine.reserve(2)
             engine.run_inline(end)
             self._phase_since = end
             low = buffer.consume(burst_j) is EventKind.BATTERY_LOW
             if low or ready >= horizon:
-                self._pending_packet = engine.schedule_reserved(
-                    sequence + 1, ready, self.name, EventKind.APP_PACKET_READY, epoch)
+                self._pending_packet = engine.schedule_at(
+                    ready, self.name, EventKind.APP_PACKET_READY, payload=epoch)
             if low:
                 self._on_battery_low(end)  # the burst is lost
                 return

@@ -60,14 +60,14 @@ class UtilityWeights:
 class NodeObservation:
     """Snapshot the policy decides on.
 
-    `predicted_energy_j` and `deliverable_rate_kbps` are keyed by candidate
-    action; `snr_db` by modality. The EWMA baseline and the instantaneous SNR
-    sample feed the mobility predictor.
+    `predicted_energy_j` and `deliverable_rate_kbps` are keyed by action and
+    must hold every action of the action set; they may hold more (the runner
+    passes one pair of dicts over all six distinct actions). The EWMA
+    baseline and the instantaneous SNR sample feed the mobility predictor.
     """
 
     f_r: float
     current_modality: Modality
-    snr_db: dict[Modality, float]
     predicted_energy_j: dict[Action, float]
     deliverable_rate_kbps: dict[Action, float]
     p_int: float = 0.0
@@ -88,23 +88,6 @@ class ModalityScores:
     x_t: float
     x_e: float
     x_ch: float
-
-
-def build_scores(obs: NodeObservation, action: Action,
-                 action_set: list[Action]) -> ModalityScores:
-    """Normalize an action's throughput and energy-efficiency scores over the
-    enumerated action set; mode-match and switch terms are indicators."""
-    max_rate = max(obs.deliverable_rate_kbps[a] for a in action_set)
-    max_energy = max(obs.predicted_energy_j[a] for a in action_set)
-    x_t = obs.deliverable_rate_kbps[action] / max_rate if max_rate > 0 else 0.0
-    x_e = 1.0 - obs.predicted_energy_j[action] / max_energy if max_energy > 0 else 0.0
-    return ModalityScores(
-        x_p=1.0 if action.mode is Mode.PERFORMANCE else 0.0,
-        x_c=1.0 if action.mode is Mode.CONSERVATION else 0.0,
-        x_t=x_t,
-        x_e=x_e,
-        x_ch=1.0 if action.modality is not obs.current_modality else 0.0,
-    )
 
 
 def energy_weight(f_r: float, f_c: float) -> float:
@@ -187,19 +170,6 @@ def total_utility(components: UtilityBreakdown, weights: UtilityWeights,
             + p_e * components.energy)
 
 
-def action_utility(obs: NodeObservation, action: Action,
-                   action_set: list[Action], weights: UtilityWeights,
-                   e_max_j: float, p_m: float) -> float:
-    scores = build_scores(obs, action, action_set)
-    comps = UtilityBreakdown(
-        modality=modality_utility(obs.f_r, scores, weights),
-        screen=screen_utility(action, obs.p_int, weights.theta_s, weights.alpha),
-        localization=localization_utility(action, p_m, weights.theta_l, weights.beta),
-        energy=energy_utility(obs.predicted_energy_j[action], e_max_j),
-    )
-    return total_utility(comps, weights, obs.f_r)
-
-
 def euno_select(obs: NodeObservation, weights: UtilityWeights,
                 e_max_j: float, action_set: list[Action] | None = None) -> Action:
     """Pick the highest-utility action, with the hard sleep guard first.
@@ -215,9 +185,26 @@ def euno_select(obs: NodeObservation, weights: UtilityWeights,
         return Action(Mode.SLEEP, obs.current_modality)
     p_m = mobility_probability(obs.ewma_baseline_db, obs.snr_sample_db,
                                weights.sigmoid_k, weights.sigmoid_c_db)
+    rates, energies = obs.deliverable_rate_kbps, obs.predicted_energy_j
+    # Throughput and energy efficiency are normalized over the action set.
+    max_rate = max(rates[a] for a in action_set)
+    max_energy = max(energies[a] for a in action_set)
 
     def rank(action: Action):
-        u = action_utility(obs, action, action_set, weights, e_max_j, p_m)
+        energy = energies[action]
+        scores = ModalityScores(
+            x_p=1.0 if action.mode is Mode.PERFORMANCE else 0.0,
+            x_c=1.0 if action.mode is Mode.CONSERVATION else 0.0,
+            x_t=rates[action] / max_rate if max_rate > 0 else 0.0,
+            x_e=1.0 - energy / max_energy if max_energy > 0 else 0.0,
+            x_ch=1.0 if action.modality is not obs.current_modality else 0.0,
+        )
+        u = total_utility(UtilityBreakdown(
+            modality=modality_utility(obs.f_r, scores, weights),
+            screen=screen_utility(action, obs.p_int, weights.theta_s, weights.alpha),
+            localization=localization_utility(action, p_m, weights.theta_l, weights.beta),
+            energy=energy_utility(energy, e_max_j),
+        ), weights, obs.f_r)
         keeps = 1 if action.modality is obs.current_modality else 0
         optical = 1 if action.modality is Modality.OWC else 0
         return (u, keeps, _MODE_RANK[action.mode], optical)

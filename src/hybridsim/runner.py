@@ -87,8 +87,17 @@ class _Controller:
         self.scenario = scenario
         self.engine = engine
         self.links = build_link_plans(scenario)
-        self.weights = scenario.weights
-        self.capacity = scenario.battery_capacity_j
+        # EUNO's inputs depend only on the scenario: the action set of each
+        # current modality, and one energy prediction and deliverable rate
+        # for each of the six distinct actions.
+        self.actions = {m: enumerate_actions(m) for m in Modality}
+        distinct = dict.fromkeys(a for m in Modality for a in self.actions[m])
+        self.predicted_j = {a: predict_action_energy(scenario, self.links, a,
+                                                     scenario.weights.period_s)
+                            for a in distinct}
+        self.rates_kbps = {a: 0.0 if a.mode is Mode.SLEEP
+                           else self.links[a.modality].rate_kbps[a.mode]
+                           for a in distinct}
         best = max(self.links, key=lambda m: (self.links[m].snr_db,
                                               m is Modality.OWC))
         self.initial_modality = best
@@ -100,7 +109,7 @@ class _Controller:
             buffer = EnergyBuffer(
                 capacity_j=scenario.battery_capacity_j,
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
-                critical_fraction=self.weights.f_c,
+                critical_fraction=scenario.weights.f_c,
             )
             node = SimNode(name, scenario, self.links, buffer, engine,
                            NodeMetrics(name=name), engine.rng_stream(i + 1),
@@ -119,6 +128,7 @@ class _Controller:
 
     def evaluate(self, node: SimNode, now: int) -> None:
         scenario = self.scenario
+        weights = scenario.weights
         node.sync(now)
         jitter = scenario.snr_jitter_db
         snr = {}
@@ -132,26 +142,19 @@ class _Controller:
             node.ewma_baseline_db = sample
         else:
             node.ewma_baseline_db = ewma_update(node.ewma_baseline_db, sample,
-                                                self.weights.ewma_lambda)
+                                                weights.ewma_lambda)
         if scenario.optimizer == "euno":
-            actions = enumerate_actions(node.modality)
-            predicted = {a: predict_action_energy(scenario, self.links, a,
-                                                  self.weights.period_s)
-                         for a in actions}
-            rates = {a: 0.0 if a.mode is Mode.SLEEP
-                     else self.links[a.modality].rate_kbps[a.mode]
-                     for a in actions}
             obs = NodeObservation(
                 f_r=node.buffer.fraction,
                 current_modality=node.modality,
-                snr_db=snr,
-                predicted_energy_j=predicted,
-                deliverable_rate_kbps=rates,
+                predicted_energy_j=self.predicted_j,
+                deliverable_rate_kbps=self.rates_kbps,
                 p_int=scenario.interaction_probability,
                 snr_sample_db=sample,
                 ewma_baseline_db=node.ewma_baseline_db,
             )
-            action = euno_select(obs, self.weights, self.capacity, actions)
+            action = euno_select(obs, weights, scenario.battery_capacity_j,
+                                 self.actions[node.modality])
         else:
             best_snr = max(snr, key=lambda m: (snr[m], m is Modality.OWC))
             action = etno_select(
@@ -190,16 +193,17 @@ class _Controller:
         if event.kind is EventKind.OPTIMIZER_TICK:
             for node in self.nodes:
                 self.evaluate(node, now)
-            nxt = now + seconds(self.weights.period_s)
+            nxt = now + seconds(self.scenario.weights.period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
             dt = seconds(HARVEST_TICK_S)
             t_s = now / NS_PER_SEC
+            # One profile feeds every node.
+            joules = self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s)
             for node in self.nodes:
                 node.sync(now)
-                _, edge = node.buffer.harvest(
-                    self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s))
+                _, edge = node.buffer.harvest(joules)
                 if edge is EventKind.BATTERY_CHARGED:
                     node.on_battery_charged(now)
             self._sample(now)

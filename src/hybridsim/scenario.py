@@ -9,11 +9,11 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 
 from .channel import PHY_RATE_SNR_SHIFT_DB
-from .energy import HarvestProfile, peripheral_cycle_j
+from .energy import HarvestProfile
+from .kernel import millis
 from .linklayer import CONN_EVENT_LEN_MS
 from .optimizer import UtilityWeights
 
@@ -108,9 +108,6 @@ class Scenario:
     # [weights]
     weights: UtilityWeights = field(default_factory=UtilityWeights)
 
-    # Every energy prediction reads it, so it is computed once per scenario.
-    peripheral_cycle_j = cached_property(peripheral_cycle_j)
-
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
@@ -139,6 +136,13 @@ class Scenario:
             raise ScenarioError(f"ble_phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
         if self.conservation_rate_kbps > self.target_rate_kbps:
             raise ScenarioError("conservation_rate_kbps must not exceed target_rate_kbps")
+        # The optical link at the target rate has the shortest packet spacing
+        # of any link plan (`runner.build_link_plans`); the radio's is at
+        # least one connection interval.
+        bits = self.packet_bytes * 8
+        if millis(max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps)) == 0:
+            raise ScenarioError("target_rate_kbps and owc_phy_rate_kbps are too high: "
+                                "the optical packet spacing rounds to 0 ns")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:

@@ -18,7 +18,7 @@ def _observation(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
     snr = snr or {Modality.OWC: 70.0, Modality.BLE: 67.0}
     sample = snr[current] if sample is None else sample
     return NodeObservation(
-        f_r=f_r, current_modality=current, snr_db=snr,
+        f_r=f_r, current_modality=current,
         predicted_energy_j=energies, deliverable_rate_kbps=rates,
         p_int=p_int, snr_sample_db=sample,
         ewma_baseline_db=sample if baseline is None else baseline)

@@ -76,6 +76,9 @@ class TestRun:
         ("radio", "conn_interval_ms = 2"),
         ("optimizer", "interaction_probability = 2"),
         ("weights", "period_s = 0"),
+        # The optical packet spacing rounds to 0 ns.
+        ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
+                    "[optical]\nphy_rate_kbps = 1e12"),
     ], ids=lambda value: value.split()[0])
     def test_bad_key_is_validation_failure(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.cfg"

@@ -129,21 +129,6 @@ def test_horizon_is_the_queue_head_or_one_past_the_end():
     assert engine.horizon() == 0
 
 
-def test_reserved_sequence_runs_before_later_scheduled_event():
-    engine = Engine()
-    log = _collect(engine)
-
-    def step(eng, ev):
-        sequence = eng.reserve(1)
-        eng.schedule_at(10, "sink", EventKind.POLL_TICK, payload="scheduled")
-        eng.schedule_reserved(sequence, 10, "sink", EventKind.POLL_TICK, payload="reserved")
-
-    engine.register("step", step)
-    engine.schedule_at(1, "step", EventKind.POLL_TICK)
-    engine.run_until(10)
-    assert log == [(10, "reserved"), (10, "scheduled")]
-
-
 def test_inline_events_are_counted():
     engine = Engine()
     clock = []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
-from hybridsim.optimizer import (ModalityScores, UtilityBreakdown,
+from hybridsim.optimizer import (ModalityScores, NodeObservation, UtilityBreakdown,
                                  UtilityWeights, energy_utility, energy_weight,
                                  etno_select, euno_select, ewma_update,
                                  localization_utility, mobility_probability,
@@ -195,6 +195,45 @@ class TestEunoSelect:
                 return max(scored, key=lambda a: (scored[a], a.mode.value,
                                                   a.modality.value))
             assert pick(1.0) == pick(scale)
+
+    @given(f_r=st.floats(W.f_c, 1.0), current=st.sampled_from(list(Modality)),
+           energies=st.lists(st.floats(0.0, 8.0), min_size=5, max_size=5),
+           rates=st.lists(st.floats(0.0, 400.0), min_size=5, max_size=5),
+           p_int=st.floats(0.0, 1.0), sample=st.floats(0.0, 80.0),
+           baseline=st.floats(0.0, 80.0))
+    def test_picks_the_argmax_of_total_utility(self, f_r, current, energies, rates,
+                                               p_int, sample, baseline):
+        actions = enumerate_actions(current)
+        other = Modality.BLE if current is Modality.OWC else Modality.OWC
+        outside = Action(Mode.SLEEP, other)
+        # The dicts also hold the other modality's sleep action, as the
+        # runner's do; its values exceed every in-set value, so normalizing
+        # over it would change the scores.
+        obs = NodeObservation(
+            f_r=f_r, current_modality=current,
+            predicted_energy_j={**dict(zip(actions, energies)), outside: 9.0},
+            deliverable_rate_kbps={**dict(zip(actions, rates)), outside: 500.0},
+            p_int=p_int, snr_sample_db=sample, ewma_baseline_db=baseline)
+        p_m = mobility_probability(baseline, sample, W.sigmoid_k, W.sigmoid_c_db)
+        max_rate, max_energy = max(rates), max(energies)
+
+        def utility(a):
+            energy, rate = obs.predicted_energy_j[a], obs.deliverable_rate_kbps[a]
+            scores = ModalityScores(
+                x_p=float(a.mode is Mode.PERFORMANCE),
+                x_c=float(a.mode is Mode.CONSERVATION),
+                x_t=rate / max_rate if max_rate > 0 else 0.0,
+                x_e=1.0 - energy / max_energy if max_energy > 0 else 0.0,
+                x_ch=float(a.modality is not current))
+            return total_utility(UtilityBreakdown(
+                modality_utility(f_r, scores, W),
+                screen_utility(a, p_int, W.theta_s, W.alpha),
+                localization_utility(a, p_m, W.theta_l, W.beta),
+                energy_utility(energy, 8.0)), W, f_r)
+
+        chosen = euno_select(obs, W, 8.0, actions)
+        assert chosen in actions
+        assert utility(chosen) == max(utility(a) for a in actions)
 
     def test_empty_action_set_rejected(self, observation):
         with pytest.raises(ValueError):
