@@ -71,7 +71,7 @@ class EnergyBuffer:
         return self.remaining_j / self.capacity_j
 
     @property
-    def _threshold_j(self) -> float:
+    def threshold_j(self) -> float:
         return self.critical_fraction * self.capacity_j
 
     def consume(self, joules: float) -> EventKind | None:
@@ -81,7 +81,7 @@ class EnergyBuffer:
         drawn = min(joules, before)
         self.remaining_j = before - drawn
         self.consumed_j += drawn
-        if before >= self._threshold_j > self.remaining_j:
+        if before >= self.threshold_j > self.remaining_j:
             return EventKind.BATTERY_LOW
         if drawn < joules and before > 0.0:  # ran dry mid-draw
             return EventKind.BATTERY_LOW
@@ -94,7 +94,7 @@ class EnergyBuffer:
         added = min(joules, self.capacity_j - before)
         self.remaining_j = before + added
         self.harvested_j += added
-        if before < self._threshold_j <= self.remaining_j:
+        if before < self.threshold_j <= self.remaining_j:
             return added, EventKind.BATTERY_CHARGED
         return added, None
 

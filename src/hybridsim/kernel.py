@@ -84,9 +84,9 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-
-    def uniform(self) -> float:
-        return self._rng.random()
+        # A draw in [0, 1). The packet path makes one per burst, so this is
+        # the generator's own bound method rather than a wrapper around it.
+        self.uniform = self._rng.random
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         return self._rng.gauss(mu, sigma)
@@ -137,10 +137,11 @@ class Engine:
     # -- inline events -------------------------------------------------------
     #
     # A handler may run its own next events itself while they fall before the
-    # horizon, counting each with `run_inline`. It queues the first one that
-    # does not with `schedule_at`; since nothing else was scheduled meanwhile,
-    # the queue ranks that event as if it had been scheduled when the handler
-    # first knew of it.
+    # horizon, and count them with `run_inline`: one call may count many, as a
+    # streaming node's stretch of bursts counts two per burst. It queues the
+    # first one that does not fall before the horizon with `schedule_at`;
+    # since nothing else was scheduled meanwhile, the queue ranks that event
+    # as if it had been scheduled when the handler first knew of it.
 
     def horizon(self) -> SimTime:
         """Earliest time at which anything but the running handler's own
@@ -151,10 +152,11 @@ class Engine:
             return self._heap[0][0]
         return stop
 
-    def run_inline(self, at: SimTime) -> None:
-        """Advance the clock to an event a handler runs itself, and count it."""
+    def run_inline(self, at: SimTime, events: int = 1) -> None:
+        """Advance the clock to `at`, the time of the last of the `events`
+        events a handler ran itself, and count them."""
         self.now = at
-        self.events_executed += 1
+        self.events_executed += events
 
     def cancel(self, handle: EventHandle) -> bool:
         if handle.cancelled or handle.fired:

@@ -260,8 +260,10 @@ class SimNode:
         Before the engine's horizon nothing but this node's own bursts can
         happen, so each burst end and packet-ready that falls before it runs
         here, at the clock, queue order and draw the queue would have given
-        it. The first one at or past the horizon is queued, and a
-        battery-low edge hands over to the queued-event code at that instant.
+        it. The bursts that raise no battery edge run first as one stretch
+        (`_run_stretch`); the loop below takes the burst that stops it. The
+        first event at or past the horizon is queued, and a battery-low edge
+        hands over to the queued-event code at that instant.
         """
         self.sync(now)
         if epoch != self._epoch:
@@ -280,6 +282,7 @@ class SimNode:
         gap = interval - airtime
         gap_j = self._joules(self.scenario.idle_current_ma, gap)
         buffer = self.buffer
+        now = self._run_stretch(now, horizon, airtime, interval, burst_j, gap_j)
         while now + airtime <= self.slot_end_ns:  # else too little slot is left
             self.transmit_packet(now)
             end, ready = now + airtime, now + interval
@@ -307,6 +310,54 @@ class SimNode:
                 if buffer.consume(gap_j) is EventKind.BATTERY_LOW:
                     self._on_battery_low(now)
                     return
+
+    def _run_stretch(self, now: SimTime, horizon: SimTime, airtime: SimTime,
+                     interval: SimTime, burst_j: float, gap_j: float) -> SimTime:
+        """Run the bursts from `now` on that fit in the slot, whose end and
+        next packet-ready fall before the horizon, and whose burst and idle
+        gap draw no battery edge. Return the start of the first burst left.
+
+        Each burst settles what the per-burst loop would: `consume`'s float
+        operations in the same order (a gap of 0 ns subtracts 0.0 J, which
+        changes nothing), one `tx_intervals` entry and one success draw. The
+        node idles before and after each one, and its interface starts and
+        ends it at IDLE, so neither the phase nor the FSMs change.
+        """
+        if self.modality is Modality.OWC:
+            idle = self.owc_state is OwcState.IDLE
+        else:
+            idle = self.ble_state is BleState.IDLE
+        last = min(self.slot_end_ns - airtime, horizon - 1 - interval)
+        if not idle or last < now:  # a powered-down interface raises in the loop
+            return now
+        buffer = self.buffer
+        remaining, consumed = buffer.remaining_j, buffer.consumed_j
+        # Above the threshold a draw must not cross it; below it, only running
+        # dry is an edge. A stretch stays on its side, so the floor holds.
+        threshold = buffer.threshold_j
+        floor = threshold if remaining >= threshold else 0.0
+        success = self.links[self.modality].success_prob
+        draw = self.rng.uniform
+        intervals = self.metrics.tx_intervals
+        append, first = intervals.append, len(intervals)
+        delivered = 0
+        for start in range(now, last + 1, interval):
+            after = remaining - burst_j - gap_j
+            if after < floor:
+                break
+            remaining = after
+            consumed = consumed + burst_j + gap_j
+            append((start, start + airtime))
+            delivered += draw() < success
+        bursts = len(intervals) - first
+        if bursts:
+            buffer.remaining_j, buffer.consumed_j = remaining, consumed
+            self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
+            self.metrics.packets_lost += bursts - delivered
+            now += bursts * interval
+            self._phase_since = now
+            self.engine.run_inline(now, 2 * bursts)  # each burst's end and next ready
+        return now
 
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM and start its draw;

@@ -145,6 +145,9 @@ class Scenario:
                                 "the optical packet spacing rounds to 0 ns")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
+        for key in ("etno_sleep_threshold", "etno_conservation_threshold"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ScenarioError(f"{key} must be in [0, 1]")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:
             raise ScenarioError("etno_sleep_threshold must be below "
                                 "etno_conservation_threshold")

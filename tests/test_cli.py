@@ -75,6 +75,8 @@ class TestRun:
         ("optical", "led_semi_angle_deg = 95"),
         ("radio", "conn_interval_ms = 2"),
         ("optimizer", "interaction_probability = 2"),
+        ("optimizer", "etno_sleep_threshold = -0.5"),
+        ("optimizer", "etno_conservation_threshold = 2.0"),
         ("weights", "period_s = 0"),
         # The optical packet spacing rounds to 0 ns.
         ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"

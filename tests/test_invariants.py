@@ -20,7 +20,8 @@ TOL = 1e-9
 def scenarios(draw) -> Scenario:
     """Short (<= 60 s), small (<= 5 nodes) scenarios over both policies, both
     sleep modes and small batteries, with f_c on either side of the ETNO
-    thresholds and optional SNR jitter and harvest profiles."""
+    thresholds, optional SNR jitter and harvest profiles, and lossless or
+    lossy links."""
     target = draw(st.floats(20.0, 400.0))
     sleep_threshold = draw(st.sampled_from([0.1, 0.2, 0.3]))
     profile = draw(st.one_of(
@@ -31,6 +32,7 @@ def scenarios(draw) -> Scenario:
         duration_s=draw(st.floats(5.0, 60.0)),
         init_delay_s=draw(st.sampled_from([0.0, 1.0, 5.0])),
         node_count=draw(st.integers(1, 5)),
+        distance_m=draw(st.sampled_from([1.0, 30.0])),
         seed=draw(st.integers(1, 1000)),
         optimizer=draw(st.sampled_from(["euno", "etno", "etno-owc"])),
         inter_transmission_sleep=draw(st.booleans()),

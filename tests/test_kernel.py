@@ -143,3 +143,10 @@ def test_inline_events_are_counted():
     summary = engine.run_until(10)
     assert clock == [5, 6]
     assert summary.events_executed == 3
+
+
+def test_run_inline_counts_every_event_it_runs():
+    engine = Engine()
+    engine.run_inline(3)
+    engine.run_inline(7, 4)
+    assert engine.now == 7 and engine.events_executed == 5

@@ -5,13 +5,16 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.kernel import Engine, EventKind, seconds
 from hybridsim.linklayer import OwcState
 from hybridsim.metrics import TRACE_HEADER, write_traces
+from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
+from test_invariants import scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
@@ -236,10 +239,10 @@ def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
 
     run_inline = engine.run_inline
 
-    def counted_run_inline(at):
+    def counted_run_inline(at, events=1):
         nonlocal inline
-        inline += 1
-        run_inline(at)
+        inline += events
+        run_inline(at, events)
 
     engine.run_inline = counted_run_inline
     if barrier_ns is not None:
@@ -250,45 +253,95 @@ def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
     return controller.finalize(), barriers, inline
 
 
-class TestInlinePackets:
-    """A node runs its packets inline up to the next queued event. A barrier
-    that fires more often than the shortest airtime leaves no packet inline,
-    so every burst end and packet-ready goes through the queue; the two runs
-    must agree exactly."""
+def _queued_run(scenario: Scenario):
+    """The run with a barrier that fires more often than the shortest
+    airtime, so every burst end and packet-ready goes through the queue."""
+    shortest = min(link.airtime_ns for link in build_link_plans(scenario).values())
+    return _run_counting_inline(scenario, shortest - 1)
 
-    @pytest.mark.parametrize("scenario, edge", [
-        pytest.param(replace(load_scenario(preset_path("paper_fig11")), duration_s=60.0), None,
-                     id="fig11-awake"),
-        pytest.param(replace(load_scenario(preset_path("paper_fig12b")), duration_s=60.0), None,
-                     id="fig12b-inter-transmission-sleep"),
-        # Battery-low edges at a burst's end (losing the burst), and in the
-        # idle gap between bursts.
+
+class TestInlinePackets:
+    """A node runs its packets inline up to the next queued event, the bursts
+    that raise no battery edge as one stretch. The all-queued run must agree
+    with it exactly."""
+
+    @pytest.mark.parametrize("scenario, sleeps, losses", [
+        # Harvest ticks inside the 25 s slots stop stretches at the horizon.
+        pytest.param(replace(load_scenario(preset_path("paper_fig11")), duration_s=60.0),
+                     False, False, id="fig11-awake"),
+        pytest.param(replace(load_scenario(preset_path("paper_fig12b")), duration_s=60.0),
+                     False, False, id="fig12b-inter-transmission-sleep"),
+        # A stretch stops before a draw that would cross the threshold: the
+        # battery-low edge falls at a burst's end (losing the burst), or in
+        # the idle gap between bursts.
         pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
                               optimizer="etno", inter_transmission_sleep=False,
-                              battery_capacity_j=0.2, harvest_mw=20.0), "burst",
+                              battery_capacity_j=0.2, harvest_mw=20.0), True, True,
                      id="small-battery-mid-burst"),
         pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
                               optimizer="etno", inter_transmission_sleep=False,
-                              battery_capacity_j=0.1, harvest_mw=20.0), "gap",
+                              battery_capacity_j=0.1, harvest_mw=20.0), True, False,
                      id="small-battery-gap"),
+        # ETNO resumes below f_c = 0.35, so the node streams until a draw
+        # would run the buffer dry.
+        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              battery_capacity_j=0.2, harvest_mw=5.0,
+                              weights=UtilityWeights(f_c=0.35)), True, True,
+                     id="runs-dry"),
+        # 1 s slots end inside a burst, which then does not start; the
+        # gateway's tick at the slot's end is also the horizon.
+        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2,
+                              optimizer="etno", inter_transmission_sleep=False,
+                              poll_slot_s=1.0), False, False,
+                     id="slot-end"),
+        # Optical success is about 0.645 at 30 m, and the radio's is 0.
+        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
+                              optimizer="euno", inter_transmission_sleep=False,
+                              distance_m=30.0, ble_tx_power_dbm=-60.0), False, True,
+                     id="lossy-links"),
         # A 10 ms packet spacing puts a packet-ready on every 1 s tick; a
         # 10 ms airtime as well leaves no idle gap and puts burst ends there.
         pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
                               optimizer="etno", inter_transmission_sleep=False,
-                              target_rate_kbps=409.6), None,
+                              target_rate_kbps=409.6), False, False,
                      id="packet-ready-on-ticks"),
         pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
                               optimizer="etno", inter_transmission_sleep=False,
-                              target_rate_kbps=409.6, owc_phy_rate_kbps=409.6), None,
+                              target_rate_kbps=409.6, owc_phy_rate_kbps=409.6), False, False,
                      id="back-to-back-bursts-on-ticks"),
     ])
-    def test_inline_path_equals_queued_path(self, scenario, edge):
+    def test_inline_path_equals_queued_path(self, scenario, sleeps, losses):
         plain, _, inline = _run_counting_inline(scenario)
-        shortest = min(link.airtime_ns for link in build_link_plans(scenario).values())
-        queued, barriers, none_inline = _run_counting_inline(scenario, shortest - 1)
+        queued, barriers, none_inline = _queued_run(scenario)
         assert inline > 0 and none_inline == 0
         assert plain.nodes == queued.nodes  # counters, energies, rows, tx_intervals
         assert plain.events_executed == queued.events_executed - barriers
         nodes = plain.nodes.values()
-        assert any(nm.sleep_entries for nm in nodes) == (edge is not None)
-        assert any(nm.packets_lost for nm in nodes) == (edge == "burst")
+        assert any(nm.sleep_entries for nm in nodes) == sleeps
+        assert any(nm.packets_lost for nm in nodes) == losses
+
+    def test_stretch_stops_at_the_slot_end(self):
+        # In a run the gateway's tick at a slot's end is queued, so it is also
+        # the horizon; here nothing else is queued and only the slot bounds it.
+        node = _lone_node()
+        engine = node.engine
+        slot_end = seconds(1)
+        engine.register("gateway", lambda eng, event: node.enter_slot(eng.now, slot_end))
+        engine.schedule_at(0, "gateway", EventKind.POLL_TICK)
+        engine.run_until(seconds(2))
+        link = node.links[Modality.OWC]
+        interval = link.interval_ns[Mode.PERFORMANCE]
+        starts = range(interval, slot_end - link.airtime_ns + 1, interval)
+        assert node.metrics.tx_intervals == [(t, t + link.airtime_ns) for t in starts]
+        # The poll tick, the first packet-ready, then each burst's end and
+        # next packet-ready.
+        assert engine.events_executed == 2 + 2 * len(starts)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def test_random_scenarios_match_the_queued_path(self, scenario):
+        plain, _, _ = _run_counting_inline(scenario)
+        queued, _, _ = _queued_run(scenario)
+        assert plain.nodes == queued.nodes
