@@ -9,6 +9,7 @@ the node owned.
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from hybridsim.kernel import NS_PER_SEC, seconds
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
 from hybridsim.scenario import Scenario
@@ -51,14 +52,20 @@ def scenarios(draw) -> Scenario:
 
 
 def owned_slot_s(scenario: Scenario, index: int) -> float:
-    """Seconds of poll slots that node `index` (0-based) held in the run."""
-    owned, k = 0.0, 0
-    while scenario.init_delay_s + k * scenario.poll_slot_s < scenario.total_duration_s:
-        start = scenario.init_delay_s + k * scenario.poll_slot_s
+    """Seconds of poll slots that node `index` (0-based) held in the run.
+
+    Counted on the simulator's integer-nanosecond clock: every slot lasts the
+    poll slot rounded to whole nanoseconds, so slot k starts up to k / 2 ns
+    away from init_delay_s + k * poll_slot_s."""
+    slot_ns = seconds(scenario.poll_slot_s)
+    total_ns = seconds(scenario.total_duration_s)
+    owned, k, start = 0, 0, seconds(scenario.init_delay_s)
+    while start < total_ns:
         if k % scenario.node_count == index:
-            owned += min(scenario.poll_slot_s, scenario.total_duration_s - start)
+            owned += min(slot_ns, total_ns - start)
         k += 1
-    return owned
+        start += slot_ns
+    return owned / NS_PER_SEC
 
 
 @settings(max_examples=100, deadline=None,
@@ -67,6 +74,9 @@ def owned_slot_s(scenario: Scenario, index: int) -> float:
 # threshold; the optical interface must come back from OFF on the wake signal.
 @example(Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
                   weights=UtilityWeights(f_c=0.35)))
+# A poll slot that is not a whole number of nanoseconds: the last node's cut-off
+# slot starts 2 ns early on the simulator's clock and so lasts 2 ns longer.
+@example(Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346))
 @given(scenarios())
 def test_invariants_hold(scenario):
     record = run(scenario)
