@@ -81,8 +81,6 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int):
-        self.seed = seed
-        self.stream_id = stream_id
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
         # A draw in [0, 1). The packet path makes one per burst, so this is
         # the generator's own bound method rather than a wrapper around it.
@@ -138,10 +136,10 @@ class Engine:
     #
     # A handler may run its own next events itself while they fall before the
     # horizon, and count them with `run_inline`: one call may count many, as a
-    # streaming node's stretch of bursts counts two per burst. It queues the
-    # first one that does not fall before the horizon with `schedule_at`;
-    # since nothing else was scheduled meanwhile, the queue ranks that event
-    # as if it had been scheduled when the handler first knew of it.
+    # streaming node's stretch of bursts counts two per burst. Where it stops,
+    # it queues its next events with `schedule_at`; since nothing else was
+    # scheduled meanwhile, the queue ranks them as if they had been scheduled
+    # when the handler first knew of them.
 
     def horizon(self) -> SimTime:
         """Earliest time at which anything but the running handler's own

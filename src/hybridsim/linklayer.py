@@ -1,8 +1,8 @@
 """Interface state machines and BLE event timing.
 
-Both interfaces are modeled as explicit transition tables. Pairs that are not
-listed are deliberate no-ops rather than faults: the table in this module is
-the normative behaviour of the artifact.
+Both interfaces are modeled in one explicit transition table. Pairs that are
+not listed are deliberate no-ops rather than faults: the table in this module
+is the normative behaviour of the artifact.
 """
 
 from __future__ import annotations
@@ -28,43 +28,32 @@ class BleState(Enum):
 
 _E = EventKind
 
-# Optical interface: uplink transmitter with a dedicated sleep state. Battery
-# events dominate every state; sleep is entered only from quiescent states
-# (the MAC never sleeps an interface mid-transfer), and a wake signal also
-# restores an interface that a battery-low edge powered off.
-OWC_TRANSITIONS: dict[tuple[OwcState, EventKind], OwcState] = {
+# One table serves both interfaces: their states are distinct enum members, so
+# a (state, event) key names its interface. Battery-low dominates every state,
+# and only a wake signal brings an interface back from OFF.
+TRANSITIONS: dict[tuple[Enum, EventKind], Enum] = {
+    # Optical interface: uplink transmitter with a dedicated sleep state.
+    # Sleep is entered only from quiescent states (the MAC never sleeps an
+    # interface mid-transfer).
     (OwcState.IDLE, _E.TRANSMIT_START): OwcState.TX,
     (OwcState.TX, _E.TRANSMIT_END): OwcState.IDLE,
     (OwcState.IDLE, _E.SLEEP_SIGNAL): OwcState.SLEEP,
     (OwcState.SLEEP, _E.WAKE_SIGNAL): OwcState.IDLE,
     (OwcState.OFF, _E.WAKE_SIGNAL): OwcState.IDLE,
-    (OwcState.OFF, _E.BATTERY_CHARGED): OwcState.IDLE,
-}
-for _s in OwcState:
-    OWC_TRANSITIONS[(_s, _E.BATTERY_LOW)] = OwcState.OFF
-
-# Radio interface: no sleep state of its own; a sleep signal powers it off
-# and a wake signal restores the idle (connected) state.
-BLE_TRANSITIONS: dict[tuple[BleState, EventKind], BleState] = {
+    # Radio interface: no sleep state of its own; a sleep signal powers it
+    # off and a wake signal restores the idle (connected) state.
     (BleState.IDLE, _E.TRANSMIT_START): BleState.TX_BUSY,
     (BleState.TX_BUSY, _E.TRANSMIT_END): BleState.IDLE,
     (BleState.IDLE, _E.SLEEP_SIGNAL): BleState.OFF,
     (BleState.OFF, _E.WAKE_SIGNAL): BleState.IDLE,
-    (BleState.OFF, _E.BATTERY_CHARGED): BleState.IDLE,
 }
-for _s in BleState:
-    BLE_TRANSITIONS[(_s, _E.BATTERY_LOW)] = BleState.OFF
+for _s in (*OwcState, *BleState):
+    TRANSITIONS[(_s, _E.BATTERY_LOW)] = type(_s).OFF
 
 
 def fsm_dispatch(current, event_kind: EventKind):
     """Return the successor state for (state, event); undefined pairs no-op."""
-    if isinstance(current, OwcState):
-        table = OWC_TRANSITIONS
-    elif isinstance(current, BleState):
-        table = BLE_TRANSITIONS
-    else:
-        raise TypeError(f"not an interface state: {current!r}")
-    return table.get((current, event_kind), current)
+    return TRANSITIONS.get((current, event_kind), current)
 
 
 # Radio timing that no scenario sets: the connection event length bounds the

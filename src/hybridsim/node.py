@@ -57,7 +57,6 @@ class SimNode:
         self.modality = initial_modality
         self.owc_state = OwcState.IDLE
         self.ble_state = BleState.IDLE
-        self.awake = True
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
         self._restream_after_tx = False
@@ -70,10 +69,16 @@ class SimNode:
         self._epoch = 0
         self._chain: list[PhaseStep] = []  # phase steps still to run in this chain
         self._pending_packet = None
-        self.evaluate_cb = None  # set by the runner; called on battery edges
+        self.evaluate_cb = None  # set by the runner; called on battery-low edges
         self.ewma_baseline_db: float | None = None
         metrics.initial_j = buffer.initial_j
         metrics.remaining_j = buffer.remaining_j
+
+    @property
+    def awake(self) -> bool:
+        # Only a sleep signal or a battery-low edge powers the radio off, and
+        # only a wake signal powers it on again.
+        return self.ble_state is not BleState.OFF
 
     @property
     def tx_in_flight(self) -> bool:
@@ -111,16 +116,9 @@ class SimNode:
         if self.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
         self.mode = Mode.SLEEP
-        self.awake = False
         self._epoch += 1
         self._close_eligible(now)
         self._phase_ma = self.scenario.sleep_current_ma
-        if self.evaluate_cb is not None:
-            self.evaluate_cb(self, now)
-
-    def on_battery_charged(self, now: SimTime) -> None:
-        self.owc_state = fsm_dispatch(self.owc_state, EventKind.BATTERY_CHARGED)
-        self.ble_state = fsm_dispatch(self.ble_state, EventKind.BATTERY_CHARGED)
         if self.evaluate_cb is not None:
             self.evaluate_cb(self, now)
 
@@ -141,14 +139,12 @@ class SimNode:
         if self.awake:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.SLEEP_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.SLEEP_SIGNAL)
-            self.awake = False
         self.set_phase(self.scenario.sleep_current_ma, now)
 
     def mac_wake(self, now: SimTime) -> None:
         if not self.awake:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.WAKE_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.WAKE_SIGNAL)
-            self.awake = True
 
     def _park(self, now: SimTime) -> None:
         """Settle outside a slot or a burst: sleep if the mode or the
@@ -255,69 +251,37 @@ class SimNode:
             ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._epoch)
 
     def on_packet_ready(self, now: SimTime, epoch: int) -> None:
-        """Send the ready packet, then keep streaming inline.
+        """Send the ready packet and keep streaming.
 
         Before the engine's horizon nothing but this node's own bursts can
-        happen, so each burst end and packet-ready that falls before it runs
-        here, at the clock, queue order and draw the queue would have given
-        it. The bursts that raise no battery edge run first as one stretch
-        (`_run_stretch`); the loop below takes the burst that stops it. The
-        first event at or past the horizon is queued, and a battery-low edge
-        hands over to the queued-event code at that instant.
+        happen, so the bursts whose end and next packet-ready fall before it
+        and that raise no battery edge run here as one stretch
+        (`_run_stretch`). The burst that stops the stretch is sent, and its
+        end and the next packet-ready are queued; a battery edge is then
+        settled by the queued handlers.
         """
         self.sync(now)
         if epoch != self._epoch:
             return
         if not (self.in_slot and self.awake and self.mode is not Mode.SLEEP):
             return
-        engine = self.engine
-        horizon = engine.horizon()
-        # Only a battery-low edge, which ends the loop, can reconfigure the
-        # node before the horizon, so the link and the spacing hold throughout.
-        modality = self.modality
-        link = self.links[modality]
+        link = self.links[self.modality]
         airtime, interval = link.airtime_ns, link.interval_ns[self.mode]
-        # Every inline burst and idle gap settles the same joules.
-        burst_j = self._joules(link.tx_current_ma, airtime)
-        gap = interval - airtime
-        gap_j = self._joules(self.scenario.idle_current_ma, gap)
-        buffer = self.buffer
-        now = self._run_stretch(now, horizon, airtime, interval, burst_j, gap_j)
-        while now + airtime <= self.slot_end_ns:  # else too little slot is left
-            self.transmit_packet(now)
-            end, ready = now + airtime, now + interval
-            if end >= horizon:
-                engine.schedule_at(end, self.name, EventKind.TRANSMIT_END, payload=modality)
-                self._pending_packet = engine.schedule_at(
-                    ready, self.name, EventKind.APP_PACKET_READY, payload=epoch)
-                return
-            engine.run_inline(end)
-            self._phase_since = end
-            low = buffer.consume(burst_j) is EventKind.BATTERY_LOW
-            if low or ready >= horizon:
-                self._pending_packet = engine.schedule_at(
-                    ready, self.name, EventKind.APP_PACKET_READY, payload=epoch)
-            if low:
-                self._on_battery_low(end)  # the burst is lost
-                return
-            self._end_burst(end, modality)
-            if ready >= horizon:
-                return
-            engine.run_inline(ready)
-            now = ready
-            if gap > 0:  # as in `sync`, an empty phase draws nothing
-                self._phase_since = now
-                if buffer.consume(gap_j) is EventKind.BATTERY_LOW:
-                    self._on_battery_low(now)
-                    return
+        now = self._run_stretch(now, link, interval)
+        if now + airtime > self.slot_end_ns:
+            return  # too little slot is left
+        self.transmit_packet(now)
+        self.engine.schedule_at(now + airtime, self.name, EventKind.TRANSMIT_END,
+                                payload=self.modality)
+        self._pending_packet = self.engine.schedule_at(
+            now + interval, self.name, EventKind.APP_PACKET_READY, payload=epoch)
 
-    def _run_stretch(self, now: SimTime, horizon: SimTime, airtime: SimTime,
-                     interval: SimTime, burst_j: float, gap_j: float) -> SimTime:
+    def _run_stretch(self, now: SimTime, link: LinkPlan, interval: SimTime) -> SimTime:
         """Run the bursts from `now` on that fit in the slot, whose end and
         next packet-ready fall before the horizon, and whose burst and idle
         gap draw no battery edge. Return the start of the first burst left.
 
-        Each burst settles what the per-burst loop would: `consume`'s float
+        Each burst settles what the queued handlers would: `consume`'s float
         operations in the same order (a gap of 0 ns subtracts 0.0 J, which
         changes nothing), one `tx_intervals` entry and one success draw. The
         node idles before and after each one, and its interface starts and
@@ -327,16 +291,19 @@ class SimNode:
             idle = self.owc_state is OwcState.IDLE
         else:
             idle = self.ble_state is BleState.IDLE
-        last = min(self.slot_end_ns - airtime, horizon - 1 - interval)
-        if not idle or last < now:  # a powered-down interface raises in the loop
+        airtime = link.airtime_ns
+        last = min(self.slot_end_ns - airtime, self.engine.horizon() - 1 - interval)
+        if not idle or last < now:  # a powered-down interface raises in `transmit_packet`
             return now
+        burst_j = self._joules(link.tx_current_ma, airtime)
+        gap_j = self._joules(self.scenario.idle_current_ma, interval - airtime)
         buffer = self.buffer
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         # Above the threshold a draw must not cross it; below it, only running
         # dry is an edge. A stretch stays on its side, so the floor holds.
         threshold = buffer.threshold_j
         floor = threshold if remaining >= threshold else 0.0
-        success = self.links[self.modality].success_prob
+        success = link.success_prob
         draw = self.rng.uniform
         intervals = self.metrics.tx_intervals
         append, first = intervals.append, len(intervals)
@@ -378,10 +345,8 @@ class SimNode:
 
     def on_transmit_end(self, now: SimTime, modality: Modality) -> None:
         self.sync(now)
-        if self.tx_in_flight:  # else a battery-low edge already lost the burst
-            self._end_burst(now, modality)
-
-    def _end_burst(self, now: SimTime, modality: Modality) -> None:
+        if not self.tx_in_flight:
+            return  # a battery-low edge already lost the burst
         self.metrics.tx_intervals.append((self._tx_started_ns, now))
         if modality is Modality.OWC:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)

@@ -46,7 +46,7 @@ class UtilityWeights:
                 raise ValueError(f"{f.name} must be finite")
         if abs(self.p_m + self.p_s + self.p_l - 1.0) > 1e-9:
             raise ValueError(
-                f"static weights must sum to 1: p_M+p_S+p_L = "
+                f"static weights p_m, p_s and p_l must sum to 1: p_M+p_S+p_L = "
                 f"{self.p_m + self.p_s + self.p_l}")
         if not 0.0 < self.ewma_lambda <= 1.0:
             raise ValueError("ewma_lambda must be in (0, 1]")

@@ -100,7 +100,6 @@ class _Controller:
                            for a in distinct}
         best = max(self.links, key=lambda m: (self.links[m].snr_db,
                                               m is Modality.OWC))
-        self.initial_modality = best
         self.harvest = HarvestProfile(segments=scenario.harvest_segments())
         self.total_ns = seconds(scenario.total_duration_s)
         self.nodes: list[SimNode] = []
@@ -112,8 +111,7 @@ class _Controller:
                 critical_fraction=scenario.weights.f_c,
             )
             node = SimNode(name, scenario, self.links, buffer, engine,
-                           NodeMetrics(name=name), engine.rng_stream(i + 1),
-                           self.initial_modality)
+                           NodeMetrics(name=name), engine.rng_stream(i + 1), best)
             node.evaluate_cb = self.evaluate
             if scenario.init_advertising and scenario.init_delay_s > 0:
                 node.set_phase(scenario.advertising_current_ma, 0)
@@ -205,7 +203,7 @@ class _Controller:
                 node.sync(now)
                 _, edge = node.buffer.harvest(joules)
                 if edge is EventKind.BATTERY_CHARGED:
-                    node.on_battery_charged(now)
+                    self.evaluate(node, now)
             self._sample(now)
             if now + dt <= self.total_ns:
                 engine.schedule_at(now + dt, "world", EventKind.HARVEST_TICK)

@@ -2,8 +2,8 @@
 
 Every run must finish without a ProtocolViolation, balance its energy ledger,
 keep the buffer inside [0, capacity] on every trace row, achieve no more than
-the target rate, and count no more transmit-eligible time than the poll slots
-the node owned.
+the target rate, count no more transmit-eligible time than the poll slots the
+node owned, and keep both interfaces powered down while it sleeps.
 """
 
 import pytest
@@ -77,6 +77,11 @@ def owned_slot_s(scenario: Scenario, index: int) -> float:
 # A poll slot that is not a whole number of nanoseconds: the last node's cut-off
 # slot starts 2 ns early on the simulator's clock and so lasts 2 ns longer.
 @example(Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346))
+# A battery-charged edge while the node sleeps: it stays powered down until the
+# policy wakes it.
+@example(Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0,
+                  battery_capacity_j=0.1, initial_fraction=0.5, harvest_mw=25.0,
+                  target_rate_kbps=36.0, conservation_rate_kbps=36.0))
 @given(scenarios())
 def test_invariants_hold(scenario):
     record = run(scenario)
@@ -88,3 +93,6 @@ def test_invariants_hold(scenario):
         assert all(0.0 <= row.remaining_j <= capacity + 1e-12 for row in nm.rows)
         assert nm.achieved_rate_kbps <= scenario.target_rate_kbps * (1 + TOL)
         assert nm.eligible_s <= owned_slot_s(scenario, index) * (1 + TOL) + TOL
+        # A burst caught in flight ends before its interface sleeps.
+        assert all(row.fsm_state in ("SLEEP|OFF", "OFF|OFF") for row in nm.rows
+                   if row.mode == "sleep" and "TX" not in row.fsm_state), nm.name

@@ -18,7 +18,6 @@ class TestOwcFsm:
         (OwcState.IDLE, E.SLEEP_SIGNAL, OwcState.SLEEP),
         (OwcState.SLEEP, E.WAKE_SIGNAL, OwcState.IDLE),
         (OwcState.OFF, E.WAKE_SIGNAL, OwcState.IDLE),
-        (OwcState.OFF, E.BATTERY_CHARGED, OwcState.IDLE),
     ])
     def test_transitions(self, state, event, expected):
         assert fsm_dispatch(state, event) is expected
@@ -43,7 +42,6 @@ class TestBleFsm:
         (BleState.TX_BUSY, E.TRANSMIT_END, BleState.IDLE),
         (BleState.IDLE, E.SLEEP_SIGNAL, BleState.OFF),
         (BleState.OFF, E.WAKE_SIGNAL, BleState.IDLE),
-        (BleState.OFF, E.BATTERY_CHARGED, BleState.IDLE),
     ])
     def test_transitions(self, state, event, expected):
         assert fsm_dispatch(state, event) is expected
@@ -56,9 +54,11 @@ class TestBleFsm:
         assert fsm_dispatch(BleState.OFF, E.TRANSMIT_START) is BleState.OFF
         assert fsm_dispatch(BleState.TX_BUSY, E.TRANSMIT_START) is BleState.TX_BUSY
 
-    def test_rejects_foreign_state_type(self):
-        with pytest.raises(TypeError):
-            fsm_dispatch("IDLE", E.TRANSMIT_START)
+
+@pytest.mark.parametrize("state", [OwcState.OFF, BleState.OFF])
+def test_battery_charged_does_not_power_on(state):
+    # Only a wake signal brings an interface back from OFF.
+    assert fsm_dispatch(state, E.BATTERY_CHARGED) is state
 
 
 class TestBleTiming:

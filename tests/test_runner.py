@@ -261,9 +261,9 @@ def _queued_run(scenario: Scenario):
 
 
 class TestInlinePackets:
-    """A node runs its packets inline up to the next queued event, the bursts
-    that raise no battery edge as one stretch. The all-queued run must agree
-    with it exactly."""
+    """A node runs the bursts that raise no battery edge inline, up to the
+    next queued event, as one stretch. The all-queued run must agree with it
+    exactly."""
 
     @pytest.mark.parametrize("scenario, sleeps, losses", [
         # Harvest ticks inside the 25 s slots stop stretches at the horizon.

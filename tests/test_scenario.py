@@ -1,10 +1,14 @@
 """Scenario file parsing, strict key validation, and shipped presets."""
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hybridsim.cli import EXIT_VALIDATION, main
+from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.scenario import (_SCHEMA, _WEIGHT_KEYS, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
@@ -141,3 +145,83 @@ class TestValidation:
         echo = json.dumps(s.to_dict(), sort_keys=True)
         assert "battery_capacity_j" in echo
         assert "p_ch" in echo
+
+
+def _below(x: float):
+    return st.floats(max_value=math.nextafter(x, -math.inf))
+
+
+def _above(x: float):
+    return st.floats(min_value=math.nextafter(x, math.inf))
+
+
+def _not_positive(name: str):
+    kind = next(f.type for f in fields(Scenario) if f.name == name)
+    return st.integers(max_value=0) if kind == "int" else st.floats(max_value=0.0)
+
+
+def _unbalanced(default: float):
+    """A static weight that breaks p_m + p_s + p_l = 1 on its own."""
+    return st.floats(allow_nan=False).filter(lambda v: abs(v - default) > 1e-6)
+
+
+_DEFAULT = Scenario()
+_WEIGHTS = UtilityWeights()
+# Out-of-range values per field, each invalid with every other key at its
+# default; every key is also invalid as nan or +-inf.
+_OUT_OF_RANGE = {
+    **{name: _not_positive(name) for name in (
+        "duration_s", "node_count", "distance_m", "packet_bytes", "poll_slot_s",
+        "battery_capacity_j", "supply_voltage", "peripheral_period_s", "mtu_bytes",
+        "bandwidth_hz", "owc_phy_rate_kbps", "tx_optical_power_w", "pd_area_m2",
+        "responsivity_a_w", "concentrator_gain")},
+    **{f.name: _below(0.0) for f in fields(Scenario)
+       if f.name in ("init_delay_s", "harvest_mw", "snr_jitter_db")
+       or f.name.endswith(("_current_ma", "_duration_ms"))},
+    "target_rate_kbps": _below(_DEFAULT.conservation_rate_kbps),
+    "conservation_rate_kbps": st.floats(max_value=0.0) | _above(_DEFAULT.target_rate_kbps),
+    "initial_fraction": st.floats(max_value=0.0) | _above(1.0),
+    "interaction_probability": _below(0.0) | _above(1.0),
+    "etno_sleep_threshold": _below(0.0) | _above(1.0),
+    "etno_conservation_threshold": _below(0.0) | _above(1.0),
+    "led_semi_angle_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0),
+    "pd_fov_deg": st.floats(max_value=0.0) | _above(90.0),
+    "conn_interval_ms": st.floats(max_value=CONN_EVENT_LEN_MS),
+}
+_WEIGHTS_OUT_OF_RANGE = {
+    **{name: _unbalanced(getattr(_WEIGHTS, name)) for name in ("p_m", "p_s", "p_l")},
+    "f_c": _below(0.0) | st.floats(min_value=1.0),
+    "ewma_lambda": st.floats(max_value=0.0) | _above(1.0),
+    "sigmoid_k": st.floats(max_value=0.0),
+    "period_s": st.floats(max_value=0.0),
+}
+
+
+@st.composite
+def invalid_configs(draw) -> tuple[str, str]:
+    """A one-key .cfg that sets one schema key out of range or non-finite,
+    and that key."""
+    keys = [(section, key, name) for section, entries in _SCHEMA.items()
+            for key, (name, _) in entries.items()]
+    keys += [("weights", key, key) for key in sorted(_WEIGHT_KEYS)]
+    section, key, name = draw(st.sampled_from(keys))
+    ranges = _WEIGHTS_OUT_OF_RANGE if section == "weights" else _OUT_OF_RANGE
+    values = st.sampled_from(["nan", "inf", "-inf"])
+    if name in ranges:
+        values |= ranges[name].map(repr)
+    return f"[{section}]\n{key} = {draw(values)}\n", key
+
+
+class TestInvalidConfigs:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invalid_configs())
+    def test_one_bad_key_fails_at_load_naming_it(self, tmp_path, capsys, config):
+        text, key = config
+        path = _write(tmp_path, text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert key in str(err.value)
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
