@@ -13,10 +13,8 @@ from pathlib import Path
 
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
+# `%.9g` renders a float or an int exactly as `format(value, ".9g")` does.
+_ROW_FORMAT = "%.9g,%.9g,%.9g,%.9g,%s,%s,%s"
 
 
 @dataclass
@@ -30,10 +28,9 @@ class TraceRow:
     fsm_state: str
 
     def to_csv(self) -> str:
-        return ",".join([
-            _fmt(self.t_s), _fmt(self.remaining_j), _fmt(self.consumed_j),
-            _fmt(self.harvested_j), self.mode, self.modality, self.fsm_state,
-        ])
+        return _ROW_FORMAT % (self.t_s, self.remaining_j, self.consumed_j,
+                              self.harvested_j, self.mode, self.modality,
+                              self.fsm_state)
 
 
 @dataclass

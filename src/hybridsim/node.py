@@ -411,4 +411,5 @@ class SimNode:
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
 
     def fsm_label(self) -> str:
-        return f"{self.owc_state.value}|{self.ble_state.value}"
+        # `_value_` is the plain attribute behind `.value`'s descriptor.
+        return f"{self.owc_state._value_}|{self.ble_state._value_}"

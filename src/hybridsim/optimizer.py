@@ -3,9 +3,10 @@
 EUNO (energy-aware utility-based node optimization) scores every candidate
 (mode, modality) action with a weighted sum of modality, screen, localization,
 and predicted-energy utilities, guarded by a hard sleep rule below the
-critical energy fraction. ETNO is the threshold baseline: two energy
-thresholds drive mode changes, with modality following the best SNR (or
-pinned to the optical link in the OWC-only variant).
+critical energy fraction or at an empty buffer. The terms that do not change
+within a run are scored once into an `EunoTable`. ETNO is the threshold
+baseline: two energy thresholds drive mode changes, with modality following
+the best SNR (or pinned to the optical link in the OWC-only variant).
 """
 
 from __future__ import annotations
@@ -57,31 +58,6 @@ class UtilityWeights:
 
 
 @dataclass(frozen=True)
-class NodeObservation:
-    """Snapshot the policy decides on.
-
-    `predicted_energy_j` and `deliverable_rate_kbps` are keyed by action and
-    must hold every action of the action set; they may hold more (the runner
-    passes one pair of dicts over all six distinct actions). The EWMA
-    baseline and the instantaneous SNR sample feed the mobility predictor.
-    """
-
-    f_r: float
-    current_modality: Modality
-    predicted_energy_j: dict[Action, float]
-    deliverable_rate_kbps: dict[Action, float]
-    p_int: float = 0.0
-    snr_sample_db: float = 0.0
-    ewma_baseline_db: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.f_r <= 1.0:
-            raise ValueError(f"energy fraction out of range: {self.f_r}")
-        if not 0.0 <= self.p_int <= 1.0:
-            raise ValueError(f"interaction probability out of range: {self.p_int}")
-
-
-@dataclass(frozen=True)
 class ModalityScores:
     x_p: float
     x_c: float
@@ -106,30 +82,26 @@ def modality_utility(f_r: float, scores: ModalityScores,
             - weights.p_ch * scores.x_ch)
 
 
-def _requirement(probability: float, threshold: float) -> bool:
-    return probability > threshold
+def _matched_reward(action: Action, demanded: bool, reward: float) -> float:
+    """Reward performance when the forecast demands the feature and
+    conservation when it does not; sleep earns nothing."""
+    if action.mode is Mode.PERFORMANCE and demanded:
+        return reward
+    if action.mode is Mode.CONSERVATION and not demanded:
+        return reward
+    return 0.0
 
 
 def screen_utility(action: Action, p_int: float, theta_s: float,
                    alpha: float) -> float:
     """Reward actions whose display policy matches the interaction forecast."""
-    demanded = _requirement(p_int, theta_s)
-    if action.mode is Mode.PERFORMANCE and demanded:
-        return alpha
-    if action.mode is Mode.CONSERVATION and not demanded:
-        return alpha
-    return 0.0
+    return _matched_reward(action, p_int > theta_s, alpha)
 
 
 def localization_utility(action: Action, p_m: float, theta_l: float,
                          beta: float) -> float:
     """Reward actions whose localization policy matches the mobility forecast."""
-    demanded = _requirement(p_m, theta_l)
-    if action.mode is Mode.PERFORMANCE and demanded:
-        return beta
-    if action.mode is Mode.CONSERVATION and not demanded:
-        return beta
-    return 0.0
+    return _matched_reward(action, p_m > theta_l, beta)
 
 
 def ewma_update(baseline_prev: float, sample: float, lam: float) -> float:
@@ -170,57 +142,91 @@ def total_utility(components: UtilityBreakdown, weights: UtilityWeights,
             + p_e * components.energy)
 
 
-def euno_select(obs: NodeObservation, weights: UtilityWeights,
-                e_max_j: float, action_set: list[Action] | None = None) -> Action:
-    """Pick the highest-utility action, with the hard sleep guard first.
+@dataclass(frozen=True)
+class EunoTable:
+    """EUNO's per-run terms, built once from inputs that a run never changes.
 
+    `rows[current._value_]` holds one tuple per action of
+    `enumerate_actions(current)`, in that order: `p_p·x_p + p_t·x_t`,
+    `p_c·x_c + p_e·x_e`, `p_ch·x_ch`, `p_s·screen`, `p_l·localization` when
+    mobility is not and is forecast, the energy utility, the tie key and the
+    action. Only `f_r` and the mobility forecast vary between calls. The key
+    is a str so that a lookup does not hash the enum member in Python.
+    """
+
+    weights: UtilityWeights
+    rows: dict[str, tuple[tuple, ...]]
+
+    @classmethod
+    def build(cls, weights: UtilityWeights, e_max_j: float, p_int: float,
+              predicted_j: dict[Action, float],
+              rates_kbps: dict[Action, float]) -> EunoTable:
+        """`predicted_j` and `rates_kbps` must hold all six distinct actions."""
+        if not 0.0 <= p_int <= 1.0:
+            raise ValueError(f"interaction probability out of range: {p_int}")
+        w = weights
+        rows = {}
+        for current in Modality:
+            actions = enumerate_actions(current)
+            # Throughput and energy efficiency are normalized over the action set.
+            max_rate = max(rates_kbps[a] for a in actions)
+            max_energy = max(predicted_j[a] for a in actions)
+            scored = []
+            for a in actions:
+                energy = predicted_j[a]
+                x_t = rates_kbps[a] / max_rate if max_rate > 0 else 0.0
+                x_e = 1.0 - energy / max_energy if max_energy > 0 else 0.0
+                keeps = a.modality is current
+                scored.append((
+                    w.p_p * float(a.mode is Mode.PERFORMANCE) + w.p_t * x_t,
+                    w.p_c * float(a.mode is Mode.CONSERVATION) + w.p_e * x_e,
+                    w.p_ch * (0.0 if keeps else 1.0),
+                    w.p_s * screen_utility(a, p_int, w.theta_s, w.alpha),
+                    (w.p_l * _matched_reward(a, False, w.beta),
+                     w.p_l * _matched_reward(a, True, w.beta)),
+                    energy_utility(energy, e_max_j),
+                    (int(keeps), _MODE_RANK[a.mode], int(a.modality is Modality.OWC)),
+                    a))
+            rows[current._value_] = tuple(scored)
+        return cls(weights, rows)
+
+
+def euno_select(table: EunoTable, f_r: float, current: Modality,
+                baseline_db: float, sample_db: float) -> Action:
+    """Pick the highest-utility action, with the hard sleep guard first: below
+    the critical fraction, or with an empty buffer, the node sleeps.
+
+    Each action scores `p_M·(f_r·A + (1−f_r)·B − C) + S + L + p_E·E` from its
+    table row, the same doubles as `total_utility` over the reference terms.
     Ties break deterministically: prefer keeping the current modality, then
     the higher mode, then the optical link.
     """
-    if action_set is None:
-        action_set = enumerate_actions(obs.current_modality)
-    if not action_set:
-        raise ValueError("action set is empty")
-    if obs.f_r < weights.f_c:
-        return Action(Mode.SLEEP, obs.current_modality)
-    p_m = mobility_probability(obs.ewma_baseline_db, obs.snr_sample_db,
-                               weights.sigmoid_k, weights.sigmoid_c_db)
-    rates, energies = obs.deliverable_rate_kbps, obs.predicted_energy_j
-    # Throughput and energy efficiency are normalized over the action set.
-    max_rate = max(rates[a] for a in action_set)
-    max_energy = max(energies[a] for a in action_set)
-
-    def rank(action: Action):
-        energy = energies[action]
-        scores = ModalityScores(
-            x_p=1.0 if action.mode is Mode.PERFORMANCE else 0.0,
-            x_c=1.0 if action.mode is Mode.CONSERVATION else 0.0,
-            x_t=rates[action] / max_rate if max_rate > 0 else 0.0,
-            x_e=1.0 - energy / max_energy if max_energy > 0 else 0.0,
-            x_ch=1.0 if action.modality is not obs.current_modality else 0.0,
-        )
-        u = total_utility(UtilityBreakdown(
-            modality=modality_utility(obs.f_r, scores, weights),
-            screen=screen_utility(action, obs.p_int, weights.theta_s, weights.alpha),
-            localization=localization_utility(action, p_m, weights.theta_l, weights.beta),
-            energy=energy_utility(energy, e_max_j),
-        ), weights, obs.f_r)
-        keeps = 1 if action.modality is obs.current_modality else 0
-        optical = 1 if action.modality is Modality.OWC else 0
-        return (u, keeps, _MODE_RANK[action.mode], optical)
-
-    return max(action_set, key=rank)
+    if not 0.0 <= f_r <= 1.0:
+        raise ValueError(f"energy fraction out of range: {f_r}")
+    w = table.weights
+    if f_r < w.f_c or f_r == 0.0:
+        return Action(Mode.SLEEP, current)
+    moving = mobility_probability(baseline_db, sample_db, w.sigmoid_k,
+                                  w.sigmoid_c_db) > w.theta_l
+    p_m, p_e, rest = w.p_m, energy_weight(f_r, w.f_c), 1.0 - f_r
+    best_key = best = None
+    for a, b, c, screen, loc, energy, tie, action in table.rows[current._value_]:
+        key = (p_m * (f_r * a + rest * b - c) + screen + loc[moving] + p_e * energy, tie)
+        if best_key is None or key > best_key:
+            best_key, best = key, action
+    return best
 
 
 def etno_select(f_r: float, sleep_threshold: float, conservation_threshold: float,
                 current_modality: Modality, best_snr_modality: Modality,
                 owc_only: bool = False) -> Action:
-    """Threshold baseline: sleep below the sleep threshold, conservation on
-    the radio link between the thresholds, full performance on the best-SNR
-    modality above. The OWC-only variant never leaves the optical link."""
+    """Threshold baseline: sleep below the sleep threshold or with an empty
+    buffer, conservation on the radio link between the thresholds, full
+    performance on the best-SNR modality above. The OWC-only variant never
+    leaves the optical link."""
     if sleep_threshold >= conservation_threshold:
         raise ValueError("sleep threshold must be below the conservation threshold")
-    if f_r < sleep_threshold:
+    if f_r < sleep_threshold or f_r == 0.0:
         return Action(Mode.SLEEP, current_modality)
     if f_r < conservation_threshold:
         modality = Modality.OWC if owc_only else Modality.BLE

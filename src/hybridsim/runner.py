@@ -17,7 +17,7 @@ from .kernel import Engine, EventKind, NS_PER_SEC, millis, seconds
 from .linklayer import ble_airtime, phy_bits_per_ms
 from .metrics import MetricsRecord, NodeMetrics, TraceRow
 from .node import LinkPlan, SimNode
-from .optimizer import (NodeObservation, etno_select, euno_select, ewma_update)
+from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
@@ -87,17 +87,19 @@ class _Controller:
         self.scenario = scenario
         self.engine = engine
         self.links = build_link_plans(scenario)
-        # EUNO's inputs depend only on the scenario: the action set of each
-        # current modality, and one energy prediction and deliverable rate
-        # for each of the six distinct actions.
-        self.actions = {m: enumerate_actions(m) for m in Modality}
-        distinct = dict.fromkeys(a for m in Modality for a in self.actions[m])
-        self.predicted_j = {a: predict_action_energy(scenario, self.links, a,
-                                                     scenario.weights.period_s)
-                            for a in distinct}
-        self.rates_kbps = {a: 0.0 if a.mode is Mode.SLEEP
-                           else self.links[a.modality].rate_kbps[a.mode]
-                           for a in distinct}
+        # EUNO's inputs depend only on the scenario: one energy prediction and
+        # deliverable rate for each of the six distinct actions, scored once
+        # into the per-run table.
+        distinct = dict.fromkeys(a for m in Modality for a in enumerate_actions(m))
+        predicted_j = {a: predict_action_energy(scenario, self.links, a,
+                                                scenario.weights.period_s)
+                       for a in distinct}
+        rates_kbps = {a: 0.0 if a.mode is Mode.SLEEP
+                      else self.links[a.modality].rate_kbps[a.mode]
+                      for a in distinct}
+        self.euno = EunoTable.build(scenario.weights, scenario.battery_capacity_j,
+                                    scenario.interaction_probability,
+                                    predicted_j, rates_kbps)
         best = max(self.links, key=lambda m: (self.links[m].snr_db,
                                               m is Modality.OWC))
         self.harvest = HarvestProfile(segments=scenario.harvest_segments())
@@ -142,17 +144,8 @@ class _Controller:
             node.ewma_baseline_db = ewma_update(node.ewma_baseline_db, sample,
                                                 weights.ewma_lambda)
         if scenario.optimizer == "euno":
-            obs = NodeObservation(
-                f_r=node.buffer.fraction,
-                current_modality=node.modality,
-                predicted_energy_j=self.predicted_j,
-                deliverable_rate_kbps=self.rates_kbps,
-                p_int=scenario.interaction_probability,
-                snr_sample_db=sample,
-                ewma_baseline_db=node.ewma_baseline_db,
-            )
-            action = euno_select(obs, weights, scenario.battery_capacity_j,
-                                 self.actions[node.modality])
+            action = euno_select(self.euno, node.buffer.fraction, node.modality,
+                                 node.ewma_baseline_db, sample)
         else:
             best_snr = max(snr, key=lambda m: (snr[m], m is Modality.OWC))
             action = etno_select(
@@ -219,15 +212,10 @@ class _Controller:
         t_s = now / NS_PER_SEC
         for node in self.nodes:
             node.sync(now)
+            buffer = node.buffer
             node.metrics.rows.append(TraceRow(
-                t_s=t_s,
-                remaining_j=node.buffer.remaining_j,
-                consumed_j=node.buffer.consumed_j,
-                harvested_j=node.buffer.harvested_j,
-                mode=node.mode.value,
-                modality=node.modality.value,
-                fsm_state=node.fsm_label(),
-            ))
+                t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j,
+                node.mode._value_, node.modality._value_, node.fsm_label()))
 
     # -- run -----------------------------------------------------------------
 

@@ -2,29 +2,32 @@
 
 import pytest
 
-from hybridsim.actions import Mode, Modality, enumerate_actions
-from hybridsim.optimizer import NodeObservation
+from hybridsim.actions import Action, Mode, Modality, enumerate_actions
+from hybridsim.optimizer import EunoTable, UtilityWeights
 
 
-def _observation(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
-                 p_int=0.7, snr=None, sample=None, baseline=None):
-    actions = enumerate_actions(current)
-    if energies is None:
-        energies = {a: {Mode.PERFORMANCE: 0.45, Mode.CONSERVATION: 0.15,
-                        Mode.SLEEP: 0.01}[a.mode] for a in actions}
-    if rates is None:
-        rates = {a: {Mode.PERFORMANCE: 300.0, Mode.CONSERVATION: 60.0,
-                     Mode.SLEEP: 0.0}[a.mode] for a in actions}
+def _euno_call(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
+               p_int=0.7, snr=None, sample=None, baseline=None,
+               weights=UtilityWeights(), e_max_j=8.0):
+    """Positional arguments of one `euno_select` call, the per-run table
+    first. `energies` and `rates` may cover only `current`'s action set; the
+    other modality's sleep action then takes the per-mode default."""
+    other = Modality.BLE if current is Modality.OWC else Modality.OWC
+    actions = [*enumerate_actions(current), Action(Mode.SLEEP, other)]
+    energies = {**{a: {Mode.PERFORMANCE: 0.45, Mode.CONSERVATION: 0.15,
+                       Mode.SLEEP: 0.01}[a.mode] for a in actions},
+                **(energies or {})}
+    rates = {**{a: {Mode.PERFORMANCE: 300.0, Mode.CONSERVATION: 60.0,
+                    Mode.SLEEP: 0.0}[a.mode] for a in actions},
+             **(rates or {})}
     snr = snr or {Modality.OWC: 70.0, Modality.BLE: 67.0}
     sample = snr[current] if sample is None else sample
-    return NodeObservation(
-        f_r=f_r, current_modality=current,
-        predicted_energy_j=energies, deliverable_rate_kbps=rates,
-        p_int=p_int, snr_sample_db=sample,
-        ewma_baseline_db=sample if baseline is None else baseline)
+    table = EunoTable.build(weights, e_max_j, p_int, energies, rates)
+    return table, f_r, current, sample if baseline is None else baseline, sample
 
 
 @pytest.fixture()
-def observation():
-    """Builds a NodeObservation with defaults for every unspecified input."""
-    return _observation
+def euno_call():
+    """Builds `euno_select`'s arguments with defaults for every unspecified
+    input."""
+    return _euno_call

@@ -162,20 +162,20 @@ def test_criterion_5_energy_ledger(fig_runs, oscillation_runs):
             f"worst relative imbalance {worst_rel:.2e} over {len(records)} runs")
 
 
-def test_criterion_6_optimizer_properties(observation):
+def test_criterion_6_optimizer_properties(euno_call):
     rng = random.Random(20240601)
     # Sleep-guard dominance over 10^4 random observations below the threshold.
     guard_ok = True
     for _ in range(10_000):
         current = rng.choice([Modality.OWC, Modality.BLE])
         actions = enumerate_actions(current)
-        obs = observation(
+        call = euno_call(
             f_r=rng.uniform(0.0, W.f_c - 1e-9), current=current,
             energies={a: rng.uniform(0.0, 8.0) for a in actions},
             rates={a: rng.uniform(0.0, 400.0) for a in actions},
             p_int=rng.random(), sample=rng.uniform(0, 80),
             baseline=rng.uniform(0, 80))
-        guard_ok = guard_ok and euno_select(obs, W, 8.0).mode is Mode.SLEEP
+        guard_ok = guard_ok and euno_select(*call).mode is Mode.SLEEP
 
     # Argmax invariance under common positive scaling of the sub-utilities.
     scale_ok = True

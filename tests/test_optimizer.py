@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
-from hybridsim.optimizer import (ModalityScores, NodeObservation, UtilityBreakdown,
+from hybridsim.optimizer import (EunoTable, ModalityScores, UtilityBreakdown,
                                  UtilityWeights, energy_utility, energy_weight,
                                  etno_select, euno_select, ewma_update,
                                  localization_utility, mobility_probability,
@@ -141,41 +141,45 @@ class TestTotalUtility:
 
 
 class TestEunoSelect:
-    def test_sleep_guard_dominates(self, observation):
-        obs = observation(f_r=0.1)
-        assert euno_select(obs, W, 8.0).mode is Mode.SLEEP
+    def test_sleep_guard_dominates(self, euno_call):
+        assert euno_select(*euno_call(f_r=0.1)).mode is Mode.SLEEP
 
-    def test_sleep_guard_property_over_random_observations(self, observation):
+    def test_sleep_guard_property_over_random_observations(self, euno_call):
         rng = random.Random(1234)
         for _ in range(10_000):
             f_r = rng.uniform(0.0, 0.199999)
             current = rng.choice([Modality.OWC, Modality.BLE])
             actions = enumerate_actions(current)
-            obs = observation(
+            call = euno_call(
                 f_r=f_r, current=current,
                 energies={a: rng.uniform(0.0, 8.0) for a in actions},
                 rates={a: rng.uniform(0.0, 400.0) for a in actions},
                 p_int=rng.random(),
                 sample=rng.uniform(0, 80), baseline=rng.uniform(0, 80))
-            assert euno_select(obs, W, 8.0).mode is Mode.SLEEP
+            assert euno_select(*call).mode is Mode.SLEEP
 
-    def test_abundant_energy_picks_performance_on_best_link(self, observation):
+    def test_empty_buffer_sleeps_without_a_critical_level(self, euno_call):
+        weights = UtilityWeights(f_c=0.0)
+        assert euno_select(*euno_call(f_r=0.0, weights=weights)).mode is Mode.SLEEP
+        assert euno_select(*euno_call(f_r=1e-9, weights=weights)).mode is not Mode.SLEEP
+
+    def test_abundant_energy_picks_performance_on_best_link(self, euno_call):
         # strong optical SNR, screen demanded, mobility detected
-        obs = observation(f_r=1.0, p_int=0.9,
-                           snr={Modality.OWC: 80.0, Modality.BLE: 30.0},
-                           sample=80.0, baseline=50.0)
-        assert euno_select(obs, W, 8.0) == P_OWC
+        call = euno_call(f_r=1.0, p_int=0.9,
+                         snr={Modality.OWC: 80.0, Modality.BLE: 30.0},
+                         sample=80.0, baseline=50.0)
+        assert euno_select(*call) == P_OWC
 
-    def test_exact_tie_prefers_current_modality(self, observation):
+    def test_exact_tie_prefers_current_modality(self, euno_call):
         actions = enumerate_actions(Modality.BLE)
         energies = {a: 0.2 for a in actions}
         rates = {a: 300.0 if a.mode is Mode.PERFORMANCE else 60.0 for a in actions}
         rates[Action(Mode.SLEEP, Modality.BLE)] = 0.0
         weights = UtilityWeights(p_ch=0.0)  # remove the switch penalty
-        obs = observation(f_r=0.9, current=Modality.BLE, energies=energies,
-                           rates=rates)
+        call = euno_call(f_r=0.9, current=Modality.BLE, energies=energies,
+                         rates=rates, weights=weights)
         # (P, OWC) and (P, BLE) now score identically; the tie keeps BLE.
-        assert euno_select(obs, weights, 8.0) == P_BLE
+        assert euno_select(*call) == P_BLE
 
     def test_scaling_subutilities_preserves_argmax(self):
         rng = random.Random(7)
@@ -209,16 +213,14 @@ class TestEunoSelect:
         # The dicts also hold the other modality's sleep action, as the
         # runner's do; its values exceed every in-set value, so normalizing
         # over it would change the scores.
-        obs = NodeObservation(
-            f_r=f_r, current_modality=current,
-            predicted_energy_j={**dict(zip(actions, energies)), outside: 9.0},
-            deliverable_rate_kbps={**dict(zip(actions, rates)), outside: 500.0},
-            p_int=p_int, snr_sample_db=sample, ewma_baseline_db=baseline)
+        predicted_j = {**dict(zip(actions, energies)), outside: 9.0}
+        rates_kbps = {**dict(zip(actions, rates)), outside: 500.0}
+        table = EunoTable.build(W, 8.0, p_int, predicted_j, rates_kbps)
         p_m = mobility_probability(baseline, sample, W.sigmoid_k, W.sigmoid_c_db)
         max_rate, max_energy = max(rates), max(energies)
 
         def utility(a):
-            energy, rate = obs.predicted_energy_j[a], obs.deliverable_rate_kbps[a]
+            energy, rate = predicted_j[a], rates_kbps[a]
             scores = ModalityScores(
                 x_p=float(a.mode is Mode.PERFORMANCE),
                 x_c=float(a.mode is Mode.CONSERVATION),
@@ -231,13 +233,31 @@ class TestEunoSelect:
                 localization_utility(a, p_m, W.theta_l, W.beta),
                 energy_utility(energy, 8.0)), W, f_r)
 
-        chosen = euno_select(obs, W, 8.0, actions)
+        rank = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
+        chosen = euno_select(table, f_r, current, baseline, sample)
         assert chosen in actions
         assert utility(chosen) == max(utility(a) for a in actions)
+        # The same action as the reference composition, ties broken by
+        # keeping the modality, then the higher mode, then the optical link.
+        assert chosen == max(actions, key=lambda a: (
+            utility(a), a.modality is current, rank[a.mode],
+            a.modality is Modality.OWC))
 
-    def test_empty_action_set_rejected(self, observation):
-        with pytest.raises(ValueError):
-            euno_select(observation(), W, 8.0, action_set=[])
+    def test_table_rejects_a_missing_action(self):
+        predicted_j = {a: 0.1 for a in enumerate_actions(Modality.OWC)}
+        rates_kbps = dict.fromkeys(predicted_j, 60.0)
+        with pytest.raises(KeyError):  # lacks (sleep, ble)
+            EunoTable.build(W, 8.0, 0.5, predicted_j, rates_kbps)
+
+    def test_fraction_out_of_range_rejected(self, euno_call):
+        for f_r in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="energy fraction"):
+                euno_select(*euno_call(f_r=f_r))
+
+    def test_interaction_probability_out_of_range_rejected(self, euno_call):
+        for p_int in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="interaction probability"):
+                euno_call(p_int=p_int)
 
 
 class TestEtnoSelect:
@@ -252,6 +272,10 @@ class TestEtnoSelect:
     def test_below_sleep_threshold(self):
         action = etno_select(0.15, 0.2, 0.4, Modality.OWC, Modality.OWC)
         assert action.mode is Mode.SLEEP
+
+    def test_empty_buffer_sleeps_at_zero_threshold(self):
+        assert etno_select(0.0, 0.0, 0.4, Modality.OWC, Modality.OWC).mode is Mode.SLEEP
+        assert etno_select(1e-9, 0.0, 0.4, Modality.OWC, Modality.OWC) == C_BLE
 
     def test_owc_only_variant_pins_modality(self):
         assert etno_select(0.5, 0.2, 0.4, Modality.BLE, Modality.BLE,

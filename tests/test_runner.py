@@ -1,6 +1,7 @@
 """End-to-end runs on a shortened scenario: trace integrity, the energy
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.kernel import Engine, EventKind, seconds
-from hybridsim.linklayer import OwcState
-from hybridsim.metrics import TRACE_HEADER, write_traces
+from hybridsim.linklayer import BleState, OwcState
+from hybridsim.metrics import TRACE_HEADER, TraceRow, write_traces
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -118,6 +119,34 @@ class TestTraces:
         assert (m1.node(1).bytes_delivered == m2.node(1).bytes_delivered)
 
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-12, 123456789.5, 1e20,
+                                       7, 10**12 + 1])
+    def test_row_format_matches_per_field_format(self, value):
+        row = TraceRow(value, value, value, value, "sleep", "ble", "OFF|OFF")
+        expected = ",".join([format(value, ".9g")] * 4 + ["sleep", "ble", "OFF|OFF"])
+        assert row.to_csv() == expected
+
+    @pytest.mark.parametrize("owc,ble", itertools.product(OwcState, BleState))
+    def test_sampled_fsm_label(self, owc, ble):
+        row = _sampled_row(owc_state=owc, ble_state=ble)
+        assert row.fsm_state == f"{owc.value}|{ble.value}"
+
+    @pytest.mark.parametrize("mode,modality", itertools.product(Mode, Modality))
+    def test_sampled_mode_and_modality_labels(self, mode, modality):
+        row = _sampled_row(mode=mode, modality=modality)
+        assert (row.mode, row.modality) == (mode.value, modality.value)
+
+
+def _sampled_row(**node_state):
+    """The trace row `_sample` writes for a lone node set to `node_state`."""
+    controller = _Controller(replace(SHORT, node_count=1), Engine(seed=1))
+    node = controller.nodes[0]
+    for name, value in node_state.items():
+        setattr(node, name, value)
+    controller._sample(0)
+    return node.metrics.rows[-1]
+
+
 class TestBehaviour:
     def test_node_starts_on_best_snr_modality(self, metrics):
         links = build_link_plans(SHORT)
@@ -143,6 +172,21 @@ class TestBehaviour:
         assert n1.rows[-1].remaining_j == pytest.approx(0.0, abs=1e-12)
         assert n1.sleep_entries >= 1
         assert any(row.mode == "sleep" for row in n1.rows)
+
+    @pytest.mark.parametrize("policy", [
+        dict(optimizer="euno", weights=UtilityWeights(f_c=0.0)),
+        dict(optimizer="etno", etno_sleep_threshold=0.0),
+    ], ids=["euno-f_c-0", "etno-sleep-threshold-0"])
+    def test_empty_buffer_never_streams(self, policy):
+        # With no critical level the sleep rule must still fire at 0 J.
+        m = run(Scenario(duration_s=120, node_count=1, inter_transmission_sleep=False,
+                         battery_capacity_j=0.5, harvest_mw=0, **policy))
+        n1 = m.node(1)
+        empty_s = [row.t_s for row in n1.rows if row.remaining_j == 0.0]
+        assert empty_s and empty_s[0] < 60
+        assert n1.tx_intervals
+        assert [t for t, _ in n1.tx_intervals if t >= seconds(empty_s[0])] == []
+        assert n1.rows[-1].mode == "sleep"
 
     def test_gateway_power_reported(self, metrics):
         assert metrics.gateway_consumed_j == pytest.approx(
