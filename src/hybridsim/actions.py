@@ -11,11 +11,13 @@ class Mode(Enum):
     PERFORMANCE = "performance"
     CONSERVATION = "conservation"
     SLEEP = "sleep"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 class Modality(Enum):
     OWC = "owc"
     BLE = "ble"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ class EventKind(Enum):
     HARVEST_TICK = "HarvestTick"
     APP_PACKET_READY = "AppPacketReady"
     PERIPHERAL_TICK = "PeripheralTick"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 @dataclass(frozen=True)

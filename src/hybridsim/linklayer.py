@@ -18,12 +18,14 @@ class OwcState(Enum):
     SLEEP = "SLEEP"
     IDLE = "IDLE"
     TX = "TX"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 class BleState(Enum):
     OFF = "OFF"
     IDLE = "IDLE"
     TX_BUSY = "TX_BUSY"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
 _E = EventKind

@@ -42,7 +42,8 @@ class NodeMetrics:
     modality_switches: int = 0
     sleep_entries: int = 0
     eligible_s: float = 0.0
-    tx_intervals: list[tuple[int, int]] = field(default_factory=list)
+    # Run-length burst log: (start_ns, period_ns, length_ns, count) records.
+    tx_intervals: list[tuple[int, int, int, int]] = field(default_factory=list)
     consumed_j: float = 0.0
     harvested_j: float = 0.0
     remaining_j: float = 0.0

@@ -110,7 +110,8 @@ class SimNode:
         if self.tx_in_flight:
             self._restream_after_tx = False
             self.metrics.packets_lost += 1
-            self.metrics.tx_intervals.append((self._tx_started_ns, now))
+            started = self._tx_started_ns
+            self.metrics.tx_intervals.append((started, 0, now - started, 1))
         self.owc_state = fsm_dispatch(self.owc_state, EventKind.BATTERY_LOW)
         self.ble_state = fsm_dispatch(self.ble_state, EventKind.BATTERY_LOW)
         if self.mode is not Mode.SLEEP:
@@ -283,9 +284,9 @@ class SimNode:
 
         Each burst settles what the queued handlers would: `consume`'s float
         operations in the same order (a gap of 0 ns subtracts 0.0 J, which
-        changes nothing), one `tx_intervals` entry and one success draw. The
-        node idles before and after each one, and its interface starts and
-        ends it at IDLE, so neither the phase nor the FSMs change.
+        changes nothing) and one success draw, and the stretch logs one
+        `tx_intervals` record. The node idles around each burst, and its
+        interface starts and ends it at IDLE, so the phase and FSMs stay.
         """
         if self.modality is Modality.OWC:
             idle = self.owc_state is OwcState.IDLE
@@ -305,20 +306,18 @@ class SimNode:
         floor = threshold if remaining >= threshold else 0.0
         success = link.success_prob
         draw = self.rng.uniform
-        intervals = self.metrics.tx_intervals
-        append, first = intervals.append, len(intervals)
-        delivered = 0
-        for start in range(now, last + 1, interval):
+        bursts = delivered = 0
+        for _ in range(now, last + 1, interval):
             after = remaining - burst_j - gap_j
             if after < floor:
                 break
             remaining = after
             consumed = consumed + burst_j + gap_j
-            append((start, start + airtime))
+            bursts += 1
             delivered += draw() < success
-        bursts = len(intervals) - first
         if bursts:
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
+            self.metrics.tx_intervals.append((now, interval, airtime, bursts))
             self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
             self.metrics.packets_lost += bursts - delivered
             now += bursts * interval
@@ -347,13 +346,13 @@ class SimNode:
         self.sync(now)
         if not self.tx_in_flight:
             return  # a battery-low edge already lost the burst
-        self.metrics.tx_intervals.append((self._tx_started_ns, now))
+        started = self._tx_started_ns
+        self.metrics.tx_intervals.append((started, 0, now - started, 1))
         if modality is Modality.OWC:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)
         else:
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_END)
-        link = self.links[modality]
-        if self.rng.uniform() < link.success_prob:
+        if self.rng.uniform() < self.links[modality].success_prob:
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1

@@ -209,9 +209,9 @@ class _Controller:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
 
     def _sample(self, now: int) -> None:
+        """One trace row per node; both callers (start, harvest tick) settled it at `now`."""
         t_s = now / NS_PER_SEC
         for node in self.nodes:
-            node.sync(now)
             buffer = node.buffer
             node.metrics.rows.append(TraceRow(
                 t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j,

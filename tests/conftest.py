@@ -31,3 +31,11 @@ def euno_call():
     """Builds `euno_select`'s arguments with defaults for every unspecified
     input."""
     return _euno_call
+
+
+def tx_bursts(nm):
+    """A node's `(start, end)` ns per burst, expanded from its run-length
+    `tx_intervals` log of `(start, period, length, count)` records."""
+    return [(start + i * period, start + i * period + length)
+            for start, period, length, count in nm.tx_intervals
+            for i in range(count)]

@@ -1,9 +1,14 @@
 """Command-line surface: verbs, flags, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hybridsim
 from hybridsim.cli import EXIT_OK, EXIT_VALIDATION, main
 from hybridsim.scenario import preset_path
 
@@ -62,6 +67,32 @@ class TestRun:
                        "[energy]\nbattery_capacity_j = 0.5\n\n[weights]\nf_c = 0.35\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+    def test_output_is_identical_across_processes(self, tmp_path):
+        # The model's enums hash by object identity, and object addresses
+        # differ between processes as string hashes differ between hash
+        # seeds; no output may depend on either. The run covers battery
+        # edges, sleep, a modality switch, SNR jitter and a lost packet.
+        cfg = tmp_path / "cross.cfg"
+        cfg.write_text("[scenario]\nduration_s = 90\ninit_delay_s = 1\nnode_count = 3\n"
+                       "seed = 5\noptimizer = euno\ninter_transmission_sleep = false\n\n"
+                       "[traffic]\npoll_slot_s = 5\n\n"
+                       "[energy]\nbattery_capacity_j = 0.5\nharvest_mw = 5\n\n"
+                       "[optimizer]\nsnr_jitter_db = 2\n")
+        src = str(Path(hybridsim.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"out{hash_seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "hybridsim.cli", "run", "--config", str(cfg),
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(outputs[0]) == ["summary.json", "trace_node1.csv",
+                                      "trace_node2.csv", "trace_node3.csv"]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("section,line", [
         ("traffic", "warp_speed = 9"),

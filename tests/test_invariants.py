@@ -3,7 +3,9 @@
 Every run must finish without a ProtocolViolation, balance its energy ledger,
 keep the buffer inside [0, capacity] on every trace row, achieve no more than
 the target rate, count no more transmit-eligible time than the poll slots the
-node owned, and keep both interfaces powered down while it sleeps.
+node owned, and keep both interfaces powered down while it sleeps. Its burst
+log must account for every packet sent, place each burst inside one of the
+node's own slots, and no two bursts of the run may overlap.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hybridsim.kernel import NS_PER_SEC, seconds
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
 from hybridsim.scenario import Scenario
+from conftest import tx_bursts
 
 TOL = 1e-9
 
@@ -51,21 +54,27 @@ def scenarios(draw) -> Scenario:
     )
 
 
-def owned_slot_s(scenario: Scenario, index: int) -> float:
-    """Seconds of poll slots that node `index` (0-based) held in the run.
+def slots_ns(scenario: Scenario, index: int) -> list[tuple[int, int]]:
+    """The `(start, end)` ns of every poll slot that node `index` (0-based)
+    held in the run.
 
-    Counted on the simulator's integer-nanosecond clock: every slot lasts the
-    poll slot rounded to whole nanoseconds, so slot k starts up to k / 2 ns
-    away from init_delay_s + k * poll_slot_s."""
+    On the simulator's integer-nanosecond clock every slot lasts the poll
+    slot rounded to whole nanoseconds, so slot k starts up to k / 2 ns away
+    from init_delay_s + k * poll_slot_s."""
     slot_ns = seconds(scenario.poll_slot_s)
     total_ns = seconds(scenario.total_duration_s)
-    owned, k, start = 0, 0, seconds(scenario.init_delay_s)
+    owned, k, start = [], 0, seconds(scenario.init_delay_s)
     while start < total_ns:
         if k % scenario.node_count == index:
-            owned += min(slot_ns, total_ns - start)
+            owned.append((start, min(start + slot_ns, total_ns)))
         k += 1
         start += slot_ns
-    return owned / NS_PER_SEC
+    return owned
+
+
+def owned_slot_s(scenario: Scenario, index: int) -> float:
+    """Seconds of poll slots that node `index` (0-based) held in the run."""
+    return sum(end - start for start, end in slots_ns(scenario, index)) / NS_PER_SEC
 
 
 @settings(max_examples=100, deadline=None,
@@ -86,6 +95,7 @@ def owned_slot_s(scenario: Scenario, index: int) -> float:
 def test_invariants_hold(scenario):
     record = run(scenario)
     capacity = scenario.battery_capacity_j
+    everyone = []
     for index in range(scenario.node_count):
         nm = record.node(index + 1)
         ledger = nm.initial_j + nm.harvested_j - nm.consumed_j
@@ -96,3 +106,13 @@ def test_invariants_hold(scenario):
         # A burst caught in flight ends before its interface sleeps.
         assert all(row.fsm_state in ("SLEEP|OFF", "OFF|OFF") for row in nm.rows
                    if row.mode == "sleep" and "TX" not in row.fsm_state), nm.name
+        # Every burst sent is logged once: delivered, lost on the link, or
+        # lost to a battery-low edge.
+        bursts = tx_bursts(nm)
+        assert len(bursts) == nm.bytes_delivered // scenario.packet_bytes + nm.packets_lost
+        slots = slots_ns(scenario, index)
+        assert all(any(s <= start <= end <= e for s, e in slots)
+                   for start, end in bursts), nm.name
+        everyone += bursts
+    everyone.sort()
+    assert all(e1 <= s2 for (_, e1), (s2, _) in zip(everyone, everyone[1:]))

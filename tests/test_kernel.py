@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hybridsim.actions import Mode, Modality
 from hybridsim.kernel import (Engine, EventKind, RngStream, ScheduleInPastError,
                               seconds)
+from hybridsim.linklayer import BleState, OwcState
 
 
 def _collect(engine):
@@ -20,6 +22,15 @@ def test_schedule_at_current_time_fires_first():
     engine.schedule_at(5, "sink", EventKind.POLL_TICK, payload="b")
     engine.run_until(10)
     assert log == [(0, "a"), (5, "b")]
+
+
+@pytest.mark.parametrize("enum", [Mode, Modality, EventKind, OwcState, BleState],
+                         ids=lambda enum: enum.__name__)
+def test_model_enums_hash_by_identity(enum):
+    # The packet path keys dicts by these members; an identity hash is
+    # computed in C where Enum's own hashes the member name in Python.
+    assert "__hash__" not in enum.__members__
+    assert all(hash(member) == object.__hash__(member) for member in enum)
 
 
 def test_equal_times_execute_in_insertion_order():

@@ -15,6 +15,7 @@ from hybridsim.metrics import TRACE_HEADER, TraceRow, write_traces
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
+from conftest import tx_bursts
 from test_invariants import scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
@@ -53,7 +54,7 @@ class TestMacInvariants:
     def test_transmissions_mutually_exclusive(self, metrics):
         intervals = []
         for nm in metrics.nodes.values():
-            intervals.extend(nm.tx_intervals)
+            intervals.extend(tx_bursts(nm))
         intervals.sort()
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert e1 <= s2, "overlapping transmissions"
@@ -63,7 +64,7 @@ class TestMacInvariants:
         slot_ns = int(25e9)
         init_ns = int(5e9)
         for idx, name in enumerate(sorted(metrics.nodes)):
-            for start, end in metrics.nodes[name].tx_intervals:
+            for start, end in tx_bursts(metrics.nodes[name]):
                 k = (start - init_ns) // slot_ns
                 assert k % SHORT.node_count == idx
                 assert end <= init_ns + (k + 1) * slot_ns
@@ -185,7 +186,7 @@ class TestBehaviour:
         empty_s = [row.t_s for row in n1.rows if row.remaining_j == 0.0]
         assert empty_s and empty_s[0] < 60
         assert n1.tx_intervals
-        assert [t for t, _ in n1.tx_intervals if t >= seconds(empty_s[0])] == []
+        assert [t for t, _ in tx_bursts(n1) if t >= seconds(empty_s[0])] == []
         assert n1.rows[-1].mode == "sleep"
 
     def test_gateway_power_reported(self, metrics):
@@ -304,6 +305,14 @@ def _queued_run(scenario: Scenario):
     return _run_counting_inline(scenario, shortest - 1)
 
 
+def _expanded(record):
+    """The record's node metrics with each burst log expanded to
+    `(start, end)` pairs: a stretch logs one record where the queued path
+    logs one per burst, so only the expanded logs compare."""
+    return {name: replace(nm, tx_intervals=tx_bursts(nm))
+            for name, nm in record.nodes.items()}
+
+
 class TestInlinePackets:
     """A node runs the bursts that raise no battery edge inline, up to the
     next queued event, as one stretch. The all-queued run must agree with it
@@ -359,7 +368,7 @@ class TestInlinePackets:
         plain, _, inline = _run_counting_inline(scenario)
         queued, barriers, none_inline = _queued_run(scenario)
         assert inline > 0 and none_inline == 0
-        assert plain.nodes == queued.nodes  # counters, energies, rows, tx_intervals
+        assert _expanded(plain) == _expanded(queued)  # every NodeMetrics field
         assert plain.events_executed == queued.events_executed - barriers
         nodes = plain.nodes.values()
         assert any(nm.sleep_entries for nm in nodes) == sleeps
@@ -377,7 +386,10 @@ class TestInlinePackets:
         link = node.links[Modality.OWC]
         interval = link.interval_ns[Mode.PERFORMANCE]
         starts = range(interval, slot_end - link.airtime_ns + 1, interval)
-        assert node.metrics.tx_intervals == [(t, t + link.airtime_ns) for t in starts]
+        # One record for the whole stretch, which expands to every burst.
+        assert node.metrics.tx_intervals == [
+            (interval, interval, link.airtime_ns, len(starts))]
+        assert tx_bursts(node.metrics) == [(t, t + link.airtime_ns) for t in starts]
         # The poll tick, the first packet-ready, then each burst's end and
         # next packet-ready.
         assert engine.events_executed == 2 + 2 * len(starts)
@@ -388,4 +400,4 @@ class TestInlinePackets:
     def test_random_scenarios_match_the_queued_path(self, scenario):
         plain, _, _ = _run_counting_inline(scenario)
         queued, _, _ = _queued_run(scenario)
-        assert plain.nodes == queued.nodes
+        assert _expanded(plain) == _expanded(queued)
