@@ -25,9 +25,6 @@ class Action:
     mode: Mode
     modality: Modality
 
-    def __str__(self) -> str:
-        return f"({self.mode.value}, {self.modality.value})"
-
 
 def enumerate_actions(current_modality: Modality) -> list[Action]:
     """The fixed action set: both modalities for the two active modes, plus a

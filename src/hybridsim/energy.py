@@ -62,7 +62,7 @@ class EnergyBuffer:
         self.capacity_j = capacity_j
         self.remaining_j = capacity_j if initial_j is None else min(initial_j, capacity_j)
         self.initial_j = self.remaining_j
-        self.critical_fraction = critical_fraction
+        self.threshold_j = critical_fraction * capacity_j
         self.consumed_j = 0.0
         self.harvested_j = 0.0
 
@@ -70,9 +70,11 @@ class EnergyBuffer:
     def fraction(self) -> float:
         return self.remaining_j / self.capacity_j
 
-    @property
-    def threshold_j(self) -> float:
-        return self.critical_fraction * self.capacity_j
+    def edge_free_range(self, level: float) -> tuple[float, float]:
+        """The levels `[low, high)` reachable from `level` without an edge: at
+        or above the threshold, down to it; below it, from 0 J up to below it."""
+        threshold = self.threshold_j
+        return (threshold, math.inf) if level >= threshold else (0.0, threshold)
 
     def consume(self, joules: float) -> EventKind | None:
         if joules < 0:
@@ -162,9 +164,6 @@ class StateCurrentTable:
         if key not in self._entries:
             raise UnknownStateError(f"no calibration entry for {key}")
         return self._entries[key]
-
-    def current_ma(self, device: str, state: str, profile: str = "normal") -> float:
-        return self.lookup(device, state, profile).current_ma
 
     def has(self, device: str, state: str, profile: str = "normal") -> bool:
         return (_norm(device), _norm(state), _norm(profile)) in self._entries

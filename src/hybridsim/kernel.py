@@ -63,15 +63,8 @@ class ScheduleInPastError(RuntimeError):
 @dataclass
 class EventHandle:
     event: SimEvent
-    sequence: int
     cancelled: bool = False
     fired: bool = False
-
-
-@dataclass
-class RunSummary:
-    events_executed: int
-    final_clock: SimTime
 
 
 class RngStream:
@@ -124,9 +117,9 @@ class Engine:
                 f"event {event.kind.value} at t={event.fire_at} ns scheduled "
                 f"while clock is {self.now} ns"
             )
-        handle = EventHandle(event=event, sequence=self._seq)
+        handle = EventHandle(event)
+        heapq.heappush(self._heap, (event.fire_at, self._seq, handle))
         self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, handle.sequence, handle))
         return handle
 
     def schedule_at(self, fire_at: SimTime, target: str, kind: EventKind,
@@ -163,7 +156,7 @@ class Engine:
         handle.cancelled = True
         return True
 
-    def run_until(self, end: SimTime) -> RunSummary:
+    def run_until(self, end: SimTime) -> None:
         self._end = end
         while self._heap and self._heap[0][0] <= end:
             fire_at, _, handle = heapq.heappop(self._heap)
@@ -177,5 +170,3 @@ class Engine:
                 handler(self, handle.event)
         self._end = -1
         self.now = max(self.now, end)
-        return RunSummary(events_executed=self.events_executed,
-                          final_clock=self.now)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
@@ -17,8 +18,7 @@ SCHEMA_VERSION = 1
 _ROW_FORMAT = "%.9g,%.9g,%.9g,%.9g,%s,%s,%s"
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     t_s: float
     remaining_j: float
     consumed_j: float
@@ -27,16 +27,13 @@ class TraceRow:
     modality: str
     fsm_state: str
 
-    def to_csv(self) -> str:
-        return _ROW_FORMAT % (self.t_s, self.remaining_j, self.consumed_j,
-                              self.harvested_j, self.mode, self.modality,
-                              self.fsm_state)
-
 
 @dataclass
 class NodeMetrics:
     name: str
-    rows: list[TraceRow] = field(default_factory=list)
+    # One exact tuple per 1 Hz sample, in TraceRow's field order. The cyclic
+    # GC stops tracking a tuple of floats and strs; a TraceRow it keeps walking.
+    samples: list[tuple] = field(default_factory=list)
     bytes_delivered: int = 0
     packets_lost: int = 0
     modality_switches: int = 0
@@ -48,6 +45,11 @@ class NodeMetrics:
     harvested_j: float = 0.0
     remaining_j: float = 0.0
     initial_j: float = 0.0
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        """The samples as TraceRows, built afresh on each read."""
+        return list(map(TraceRow._make, self.samples))
 
     @property
     def achieved_rate_kbps(self) -> float:
@@ -105,7 +107,7 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
         paths = []
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
-            lines = [TRACE_HEADER] + [row.to_csv() for row in nm.rows]
+            lines = [TRACE_HEADER] + [_ROW_FORMAT % sample for sample in nm.samples]
             path.write_text("\n".join(lines) + "\n")
             paths.append(path)
         summary_path = out / "summary.json"

@@ -69,7 +69,7 @@ class SimNode:
         self._epoch = 0
         self._chain: list[PhaseStep] = []  # phase steps still to run in this chain
         self._pending_packet = None
-        self.evaluate_cb = None  # set by the runner; called on battery-low edges
+        self.evaluate_cb = None  # set by the runner; called on battery edges
         self.ewma_baseline_db: float | None = None
         metrics.initial_j = buffer.initial_j
         metrics.remaining_j = buffer.remaining_j
@@ -99,6 +99,36 @@ class SimNode:
         self._phase_since = now
         if self.buffer.consume(self._joules(self._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
+
+    def tick(self, now: SimTime, harvest_j: float, t_s: float) -> None:
+        """The 1 Hz world tick: settle to `now`, store the tick's harvest,
+        evaluate on a battery-charged edge, and sample. A draw and harvest
+        that keep the buffer in its edge-free range and do not clamp run here
+        in `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw
+        is 0.0 J, a no-op); any other goes through `sync` and `harvest`."""
+        buffer = self.buffer
+        drawn = self._joules(self._phase_ma, now - self._phase_since)
+        low, high = buffer.edge_free_range(buffer.remaining_j)
+        after = buffer.remaining_j - drawn
+        if low <= after and after + harvest_j < high and harvest_j <= buffer.capacity_j - after:
+            self._phase_since = now
+            buffer.consumed_j += drawn
+            buffer.remaining_j = after + harvest_j
+            buffer.harvested_j += harvest_j
+        else:
+            self.sync(now)
+            if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and self.evaluate_cb:
+                self.evaluate_cb(self, now)
+        self.sample(t_s)
+
+    def sample(self, t_s: float) -> None:
+        """Append the trace sample at `t_s`; the caller settled the node."""
+        buffer = self.buffer
+        self.metrics.samples.append((
+            t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j,
+            # `_value_` is the plain attribute behind `.value`'s descriptor.
+            self.mode._value_, self.modality._value_,
+            f"{self.owc_state._value_}|{self.ble_state._value_}"))
 
     def set_phase(self, current_ma: float, now: SimTime) -> None:
         self.sync(now)
@@ -300,10 +330,7 @@ class SimNode:
         gap_j = self._joules(self.scenario.idle_current_ma, interval - airtime)
         buffer = self.buffer
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
-        # Above the threshold a draw must not cross it; below it, only running
-        # dry is an edge. A stretch stays on its side, so the floor holds.
-        threshold = buffer.threshold_j
-        floor = threshold if remaining >= threshold else 0.0
+        floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
         success = link.success_prob
         draw = self.rng.uniform
         bursts = delivered = 0
@@ -408,7 +435,3 @@ class SimNode:
             self.on_chain_step(engine.now, event.payload)
         else:  # pragma: no cover - no other kinds are addressed to nodes
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
-
-    def fsm_label(self) -> str:
-        # `_value_` is the plain attribute behind `.value`'s descriptor.
-        return f"{self.owc_state._value_}|{self.ble_state._value_}"

@@ -15,7 +15,7 @@ from .actions import Mode, Modality, enumerate_actions
 from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, millis, seconds
 from .linklayer import ble_airtime, phy_bits_per_ms
-from .metrics import MetricsRecord, NodeMetrics, TraceRow
+from .metrics import MetricsRecord, NodeMetrics
 from .node import LinkPlan, SimNode
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import Scenario
@@ -193,11 +193,7 @@ class _Controller:
             # One profile feeds every node.
             joules = self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s)
             for node in self.nodes:
-                node.sync(now)
-                _, edge = node.buffer.harvest(joules)
-                if edge is EventKind.BATTERY_CHARGED:
-                    self.evaluate(node, now)
-            self._sample(now)
+                node.tick(now, joules, t_s)
             if now + dt <= self.total_ns:
                 engine.schedule_at(now + dt, "world", EventKind.HARVEST_TICK)
         elif event.kind is EventKind.PERIPHERAL_TICK:
@@ -208,20 +204,12 @@ class _Controller:
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
 
-    def _sample(self, now: int) -> None:
-        """One trace row per node; both callers (start, harvest tick) settled it at `now`."""
-        t_s = now / NS_PER_SEC
-        for node in self.nodes:
-            buffer = node.buffer
-            node.metrics.rows.append(TraceRow(
-                t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j,
-                node.mode._value_, node.modality._value_, node.fsm_label()))
-
     # -- run -----------------------------------------------------------------
 
     def start(self) -> None:
         init = seconds(self.scenario.init_delay_s)
-        self._sample(0)
+        for node in self.nodes:
+            node.sample(0.0)
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
         tick = seconds(HARVEST_TICK_S)

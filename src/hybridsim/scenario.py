@@ -21,14 +21,14 @@ OPTIMIZERS = ("euno", "etno", "etno-owc")
 
 # Fields that must be above zero; the ones named *_current_ma or
 # *_duration_ms, and those in _NON_NEGATIVE, must not be below it.
-_POSITIVE = {
+_POSITIVE = (
     "duration_s", "node_count", "distance_m", "packet_bytes", "target_rate_kbps",
     "conservation_rate_kbps", "poll_slot_s", "battery_capacity_j", "supply_voltage",
     "peripheral_period_s", "mtu_bytes", "bandwidth_hz",
     "owc_phy_rate_kbps", "tx_optical_power_w", "pd_area_m2", "responsivity_a_w",
     "concentrator_gain",
-}
-_NON_NEGATIVE = {"init_delay_s", "harvest_mw", "snr_jitter_db"}
+)
+_NON_NEGATIVE = ("init_delay_s", "harvest_mw", "snr_jitter_db")
 
 
 class ScenarioError(ValueError):
@@ -220,7 +220,7 @@ def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
 
 
 _SCHEMA = _build_schema()
-_WEIGHT_KEYS = {f.name for f in fields(UtilityWeights)}
+_WEIGHT_KEYS = tuple(f.name for f in fields(UtilityWeights))
 
 
 def load_scenario(path: str | Path) -> Scenario:

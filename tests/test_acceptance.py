@@ -6,6 +6,7 @@ quantitative window on absolute totals is +/-20 % with tight ordering and
 ratio gates on matched-seed comparisons.
 """
 
+import hashlib
 import random
 import time
 
@@ -47,6 +48,18 @@ PRESET_COUNTERS = {
                               (11228672, 0, 0, 0))),
     "paper_fig13": (91296, ((7585792, 0, 0, 0), (7962624, 0, 0, 0), (7475200, 0, 0, 0))),
     "paper_fig13b": (96311, ((8039424, 0, 0, 24), (8189440, 0, 0, 21), (8076288, 0, 0, 20))),
+}
+
+# sha256 of each preset's summary.json followed by its trace_node*.csv files
+# in name order, as `write_traces` writes them. CI checks them under its
+# oldest and newest Python; only a deliberate model change may move them.
+PRESET_TRACE_SHA256 = {
+    "paper_fig11": "9aebf6942d491be2369686fde5e0c3bd534e73ebf7ac3b82a8fd4149b704ef14",
+    "paper_fig11b": "8e92f8de023298abc292357e487a14341eddcfe76c37284c44351e1c45dc3005",
+    "paper_fig12": "230b1788663d266ed024fe4a0ea72d4fda5ed27403ebd1c36180b03e7d69a9e8",
+    "paper_fig12b": "95f3efc73fac9e8cb62d7c51e58fb4703a17d468c3909f006449e459e486d875",
+    "paper_fig13": "215ad56f91f02ef158c598fb170a9071ce33161dae4597c164ecc604740720a4",
+    "paper_fig13b": "796fcba442771948466b296391e0647c4c207e61e6376cb5458416b964b6b040",
 }
 
 
@@ -277,4 +290,20 @@ def test_preset_counters_pinned(fig_runs, oscillation_runs):
                      if counters[name] != PRESET_COUNTERS[name])
     _report("criterion 9 (preset counters unchanged)", not changed,
             f"{len(PRESET_COUNTERS) - len(changed)}/{len(PRESET_COUNTERS)} presets match"
+            + (f"; changed: {changed}" if changed else ""))
+
+
+def test_preset_trace_bytes_pinned(fig_runs, oscillation_runs, tmp_path):
+    runs = {name: metrics for name, (metrics, _) in fig_runs.items()}
+    runs["paper_fig13"], runs["paper_fig13b"] = oscillation_runs
+    changed = []
+    for name, metrics in sorted(runs.items()):
+        out = tmp_path / name
+        write_traces(metrics, out)
+        files = [out / "summary.json", *sorted(out.glob("trace_node*.csv"))]
+        digest = hashlib.sha256(b"".join(path.read_bytes() for path in files))
+        if digest.hexdigest() != PRESET_TRACE_SHA256[name]:
+            changed.append(name)
+    _report("criterion 9 (preset trace bytes unchanged)", not changed,
+            f"{len(runs) - len(changed)}/{len(runs)} presets match"
             + (f"; changed: {changed}" if changed else ""))

@@ -168,12 +168,12 @@ class TestCalibrationTable:
 
 class TestDeviceCurrent:
     def test_table_lookup(self, table):
-        assert table.current_ma("ble", "conn_event_0dbm") == 7.31
-        assert table.current_ma("ble", "conn_event_8dbm", "normal") == 8.58
+        assert table.lookup("ble", "conn_event_0dbm").current_ma == 7.31
+        assert table.lookup("ble", "conn_event_8dbm", "normal").current_ma == 8.58
 
     def test_unknown_state_errors(self, table):
         with pytest.raises(UnknownStateError):
-            table.current_ma("ble", "bogus")
+            table.lookup("ble", "bogus")
 
 
 class TestVlcUplinkEnergy:

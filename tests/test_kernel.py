@@ -53,17 +53,17 @@ def test_schedule_in_past_is_an_error():
 
 def test_empty_queue_advances_clock():
     engine = Engine()
-    summary = engine.run_until(seconds(10))
-    assert summary.events_executed == 0
-    assert summary.final_clock == seconds(10)
+    engine.run_until(seconds(10))
+    assert engine.events_executed == 0
+    assert engine.now == seconds(10)
 
 
 def test_single_event_executes():
     engine = Engine()
     log = _collect(engine)
     engine.schedule_at(seconds(5), "sink", EventKind.POLL_TICK)
-    summary = engine.run_until(seconds(10))
-    assert summary.events_executed == 1
+    engine.run_until(seconds(10))
+    assert engine.events_executed == 1
     assert log[0][0] == seconds(5)
 
 
@@ -98,9 +98,9 @@ def test_self_rescheduling_stops_at_end():
 
     engine.register("tick", periodic)
     engine.schedule_at(0, "tick", EventKind.HARVEST_TICK)
-    summary = engine.run_until(seconds(5))
+    engine.run_until(seconds(5))
     assert ticks == [seconds(i) for i in range(6)]
-    assert summary.final_clock == seconds(5)
+    assert engine.now == seconds(5)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
@@ -151,9 +151,9 @@ def test_inline_events_are_counted():
 
     engine.register("node", burst)
     engine.schedule_at(4, "node", EventKind.APP_PACKET_READY)
-    summary = engine.run_until(10)
+    engine.run_until(10)
     assert clock == [5, 6]
-    assert summary.events_executed == 3
+    assert engine.events_executed == 3
 
 
 def test_run_inline_counts_every_event_it_runs():

@@ -1,6 +1,7 @@
 """End-to-end runs on a shortened scenario: trace integrity, the energy
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
+import gc
 import itertools
 import json
 from dataclasses import replace
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from hybridsim.actions import Action, Mode, Modality
-from hybridsim.kernel import Engine, EventKind, seconds
+from hybridsim.energy import EnergyBuffer
+from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
 from hybridsim.linklayer import BleState, OwcState
-from hybridsim.metrics import TRACE_HEADER, TraceRow, write_traces
+from hybridsim.metrics import _ROW_FORMAT, TRACE_HEADER, TraceRow, write_traces
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -125,7 +127,17 @@ class TestTraces:
     def test_row_format_matches_per_field_format(self, value):
         row = TraceRow(value, value, value, value, "sleep", "ble", "OFF|OFF")
         expected = ",".join([format(value, ".9g")] * 4 + ["sleep", "ble", "OFF|OFF"])
-        assert row.to_csv() == expected
+        assert _ROW_FORMAT % row == expected
+
+    def test_samples_are_untracked_tuples_read_as_rows(self, metrics):
+        nm = metrics.node(1)
+        gc.collect()
+        # The cyclic GC walks a TraceRow on every full collection; it stops
+        # tracking an exact tuple of floats and strs.
+        assert all(type(s) is tuple and not gc.is_tracked(s) for s in nm.samples)
+        rows = nm.rows
+        assert rows == [TraceRow(*s) for s in nm.samples]
+        assert all(type(row) is TraceRow for row in rows)
 
     @pytest.mark.parametrize("owc,ble", itertools.product(OwcState, BleState))
     def test_sampled_fsm_label(self, owc, ble):
@@ -139,12 +151,12 @@ class TestTraces:
 
 
 def _sampled_row(**node_state):
-    """The trace row `_sample` writes for a lone node set to `node_state`."""
+    """The trace row `SimNode.sample` writes for a lone node set to `node_state`."""
     controller = _Controller(replace(SHORT, node_count=1), Engine(seed=1))
     node = controller.nodes[0]
     for name, value in node_state.items():
         setattr(node, name, value)
-    controller._sample(0)
+    node.sample(0.0)
     return node.metrics.rows[-1]
 
 
@@ -249,10 +261,11 @@ class TestNodeLifecycle:
         node.enter_slot(0, seconds(10))
         node.transmit_packet(0)
         buffer = node.buffer
-        buffer.remaining_j = buffer.critical_fraction * buffer.capacity_j
+        buffer.remaining_j = buffer.threshold_j
         airtime = node.links[Modality.OWC].airtime_ns
         node.sync(airtime // 2)
-        assert node.fsm_label() == "OFF|OFF" and node.mode is Mode.SLEEP
+        assert (node.owc_state, node.ble_state) == (OwcState.OFF, BleState.OFF)
+        assert node.mode is Mode.SLEEP
         node.on_transmit_end(airtime, Modality.OWC)  # the burst already ended
         assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
 
@@ -263,9 +276,73 @@ class TestNodeLifecycle:
         node.transmit_packet(0)
         node.exit_slot(airtime)
         node.apply_action(Action(Mode.CONSERVATION, Modality.OWC), airtime)
-        assert node.fsm_label() == "TX|IDLE"  # no interface sleeps mid-burst
+        # no interface sleeps mid-burst
+        assert (node.owc_state, node.ble_state) == (OwcState.TX, BleState.IDLE)
         node.on_transmit_end(airtime, Modality.OWC)
-        assert node.fsm_label() == "SLEEP|OFF" and not node.awake
+        assert (node.owc_state, node.ble_state) == (OwcState.SLEEP, BleState.OFF)
+        assert not node.awake
+
+
+def _ticking_node(f_c: float, level_j: float):
+    """The one node of a fresh single-node EUNO run with SNR jitter, its
+    2 J buffer set to `level_j`: an evaluation draws from its stream."""
+    scenario = replace(SHORT, node_count=1, init_delay_s=0.0, optimizer="euno",
+                       snr_jitter_db=2.0, weights=UtilityWeights(f_c=f_c))
+    node = _Controller(scenario, Engine(seed=1)).nodes[0]
+    node.buffer.remaining_j = level_j
+    return node
+
+
+class TestHarvestTick:
+    """`SimNode.tick` must leave a node exactly as the separate steps do:
+    settle, harvest, evaluate on a battery-charged edge, sample. Idling at
+    3.3 mA from 3.3 V draws 0.01089 J a second; f_c = 0.2 puts the threshold
+    at 0.4 J."""
+
+    @pytest.mark.parametrize("f_c, level_j, harvest_j, now, slow", [
+        pytest.param(0.2, 1.0, 0.005, seconds(1), False, id="above"),
+        pytest.param(0.2, 0.411, 0.0, seconds(1), False, id="just-above-stays"),
+        pytest.param(0.2, 0.405, 0.001, seconds(1), True, id="low-edge"),
+        pytest.param(0.2, 0.405, 0.02, seconds(1), True, id="low-and-charged-edges"),
+        pytest.param(0.2, 0.39, 0.005, seconds(1), False, id="just-below-stays"),
+        pytest.param(0.2, 0.399, 0.02, seconds(1), True, id="charged-edge"),
+        pytest.param(0.2, 2.0, 0.02, seconds(1), True, id="capacity-clamps"),
+        pytest.param(0.2, 2.0, 0.0, seconds(1), False, id="capacity"),
+        pytest.param(0.2, 0.005, 0.0, seconds(1), True, id="runs-dry"),
+        pytest.param(0.2, 0.0, 0.0, seconds(1), True, id="empty"),
+        pytest.param(0.2, 0.0, 0.005, seconds(1), True, id="empty-harvest"),
+        pytest.param(0.2, 1.0, 0.005, 0, False, id="no-time-elapsed"),
+        pytest.param(0.0, 1.0, 0.005, seconds(1), False, id="f_c-0"),
+        pytest.param(0.0, 0.005, 0.001, seconds(1), True, id="f_c-0-runs-dry"),
+        pytest.param(0.0, 0.0, 0.005, seconds(1), True, id="f_c-0-empty-harvest"),
+    ])
+    def test_tick_equals_the_separate_steps(self, monkeypatch, f_c, level_j,
+                                            harvest_j, now, slow):
+        ticked, stepped = _ticking_node(f_c, level_j), _ticking_node(f_c, level_j)
+        harvests = []
+        harvest = EnergyBuffer.harvest
+        monkeypatch.setattr(EnergyBuffer, "harvest",
+                            lambda buffer, joules: harvests.append(joules)
+                            or harvest(buffer, joules))
+        t_s = now / NS_PER_SEC
+        ticked.tick(now, harvest_j, t_s)
+        assert len(harvests) == slow  # an edge or a clamp takes `harvest`
+        stepped.sync(now)
+        if stepped.buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED:
+            stepped.evaluate_cb(stepped, now)
+        stepped.sample(t_s)
+        assert vars(ticked.buffer) == vars(stepped.buffer)
+        assert ticked.metrics == stepped.metrics  # samples, sleep entries, ...
+        assert ticked.rng._rng.getstate() == stepped.rng._rng.getstate()
+        assert ((ticked.mode, ticked.modality, ticked._phase_ma, ticked._phase_since)
+                == (stepped.mode, stepped.modality, stepped._phase_ma, stepped._phase_since))
+
+    def test_node_without_policy_ticks_across_a_charged_edge(self):
+        node = _lone_node()
+        node.buffer.remaining_j = node.buffer.threshold_j - 0.001
+        node.tick(seconds(1), 0.02, 1.0)
+        assert node.buffer.remaining_j > node.buffer.threshold_j
+        assert node.metrics.samples[-1][1] == node.buffer.remaining_j
 
 
 def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):

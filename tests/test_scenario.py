@@ -108,7 +108,7 @@ class TestDerivedSchema:
         assert len(mapped) == 52
 
     def test_weights_accept_exactly_the_utility_weights(self):
-        assert _WEIGHT_KEYS == {f.name for f in fields(UtilityWeights)}
+        assert _WEIGHT_KEYS == tuple(f.name for f in fields(UtilityWeights))
         assert len(_WEIGHT_KEYS) == 17
 
     def test_default_valued_key_loads_the_default_scenario(self, tmp_path):
