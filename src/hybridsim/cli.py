@@ -88,7 +88,7 @@ def _cmd_sweep(args) -> int:
     rates = [float(r) for r in args.rates.split(",") if r.strip()]
     if not rates:
         raise ScenarioError("--rates must list at least one rate")
-    optimizers = (args.optimizer,) if args.optimizer else ("euno", "etno", "etno-owc")
+    optimizers = (args.optimizer,) if args.optimizer else OPTIMIZERS
     result = sweep(scenario, rates, optimizers=optimizers)
     csv_text = result.to_csv()
     if args.out:

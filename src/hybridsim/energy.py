@@ -168,9 +168,6 @@ class StateCurrentTable:
     def has(self, device: str, state: str, profile: str = "normal") -> bool:
         return (_norm(device), _norm(state), _norm(profile)) in self._entries
 
-    def rows(self):
-        return sorted(self._entries.items())
-
 
 # States the energy operations and the calibration checker depend on.
 REQUIRED_STATES = (

@@ -48,23 +48,20 @@ class EventKind(Enum):
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class SimEvent:
+    """A scheduled event, and the handle `schedule` returns to cancel it."""
+
     fire_at: SimTime
     target: str
     kind: EventKind
     payload: object = None
+    cancelled: bool = False
+    fired: bool = False
 
 
 class ScheduleInPastError(RuntimeError):
     """An event was scheduled before the current clock; always a logic bug."""
-
-
-@dataclass
-class EventHandle:
-    event: SimEvent
-    cancelled: bool = False
-    fired: bool = False
 
 
 class RngStream:
@@ -92,38 +89,30 @@ class Engine:
     parameter sweeps) can execute concurrently without sharing anything.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.now: SimTime = 0
-        self.seed = seed
-        self._heap: list[tuple[SimTime, int, EventHandle]] = []
+        self._heap: list[tuple[SimTime, int, SimEvent]] = []
         self._seq = 0
         self._end: SimTime = -1  # end of the current run_until; -1 outside one
         self._handlers: dict[str, object] = {}
-        self._streams: dict[int, RngStream] = {}
         self.events_executed = 0
-
-    def rng_stream(self, stream_id: int) -> RngStream:
-        if stream_id not in self._streams:
-            self._streams[stream_id] = RngStream(self.seed, stream_id)
-        return self._streams[stream_id]
 
     def register(self, target: str, handler) -> None:
         """handler is a callable (engine, event) -> None."""
         self._handlers[target] = handler
 
-    def schedule(self, event: SimEvent) -> EventHandle:
+    def schedule(self, event: SimEvent) -> SimEvent:
         if event.fire_at < self.now:
             raise ScheduleInPastError(
                 f"event {event.kind.value} at t={event.fire_at} ns scheduled "
                 f"while clock is {self.now} ns"
             )
-        handle = EventHandle(event)
-        heapq.heappush(self._heap, (event.fire_at, self._seq, handle))
+        heapq.heappush(self._heap, (event.fire_at, self._seq, event))
         self._seq += 1
-        return handle
+        return event
 
     def schedule_at(self, fire_at: SimTime, target: str, kind: EventKind,
-                    payload: object = None) -> EventHandle:
+                    payload: object = None) -> SimEvent:
         return self.schedule(SimEvent(fire_at, target, kind, payload))
 
     # -- inline events -------------------------------------------------------
@@ -150,23 +139,24 @@ class Engine:
         self.now = at
         self.events_executed += events
 
-    def cancel(self, handle: EventHandle) -> bool:
-        if handle.cancelled or handle.fired:
+    def cancel(self, event: SimEvent) -> bool:
+        """Cancel a pending event; False if it was already cancelled or fired."""
+        if event.cancelled or event.fired:
             return False
-        handle.cancelled = True
+        event.cancelled = True
         return True
 
     def run_until(self, end: SimTime) -> None:
         self._end = end
         while self._heap and self._heap[0][0] <= end:
-            fire_at, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
+            fire_at, _, event = heapq.heappop(self._heap)
+            if event.cancelled:
                 continue
-            handle.fired = True
+            event.fired = True
             self.now = fire_at
             self.events_executed += 1
-            handler = self._handlers.get(handle.event.target)
+            handler = self._handlers.get(event.target)
             if handler is not None:
-                handler(self, handle.event)
+                handler(self, event)
         self._end = -1
         self.now = max(self.now, end)

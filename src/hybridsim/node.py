@@ -71,8 +71,6 @@ class SimNode:
         self._pending_packet = None
         self.evaluate_cb = None  # set by the runner; called on battery edges
         self.ewma_baseline_db: float | None = None
-        metrics.initial_j = buffer.initial_j
-        metrics.remaining_j = buffer.remaining_j
 
     @property
     def awake(self) -> bool:
@@ -177,7 +175,7 @@ class SimNode:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.WAKE_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.WAKE_SIGNAL)
 
-    def _park(self, now: SimTime) -> None:
+    def park(self, now: SimTime) -> None:
         """Settle outside a slot or a burst: sleep if the mode or the
         scenario asks for it, else wake and idle."""
         if self.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
@@ -219,7 +217,7 @@ class SimNode:
             self.engine.cancel(self._pending_packet)
             self._pending_packet = None
         if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self._park(now)
+            self.park(now)
 
     def _start_slot_chain(self, now: SimTime) -> None:
         """Wake-up burst, then the peripheral cycle (performance mode only),
@@ -386,7 +384,7 @@ class SimNode:
         # Settle into whatever the node should be doing now.
         restream, self._restream_after_tx = self._restream_after_tx, False
         if not self.in_slot or self.mode is Mode.SLEEP:
-            self._park(now)
+            self.park(now)
         elif restream:
             self._start_streaming(now)
         else:
@@ -416,7 +414,7 @@ class SimNode:
             return
         self._close_eligible(now)
         if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self._park(now)
+            self.park(now)
 
     # -- event dispatch ---------------------------------------------------------
 

@@ -57,15 +57,6 @@ class UtilityWeights:
             raise ValueError("sigmoid_k and period_s must be positive")
 
 
-@dataclass(frozen=True)
-class ModalityScores:
-    x_p: float
-    x_c: float
-    x_t: float
-    x_e: float
-    x_ch: float
-
-
 def energy_weight(f_r: float, f_c: float) -> float:
     """Dynamic weight of the energy utility: 1 at the critical level, 0 when
     full, clamped to [0, 1] outside that span."""
@@ -73,13 +64,6 @@ def energy_weight(f_r: float, f_c: float) -> float:
         raise ValueError("critical fraction must be below 1")
     value = 1.0 - (f_r - f_c) / (1.0 - f_c)
     return min(1.0, max(0.0, value))
-
-
-def modality_utility(f_r: float, scores: ModalityScores,
-                     weights: UtilityWeights) -> float:
-    return (f_r * (weights.p_p * scores.x_p + weights.p_t * scores.x_t)
-            + (1.0 - f_r) * (weights.p_c * scores.x_c + weights.p_e * scores.x_e)
-            - weights.p_ch * scores.x_ch)
 
 
 def _matched_reward(action: Action, demanded: bool, reward: float) -> float:
@@ -96,12 +80,6 @@ def screen_utility(action: Action, p_int: float, theta_s: float,
                    alpha: float) -> float:
     """Reward actions whose display policy matches the interaction forecast."""
     return _matched_reward(action, p_int > theta_s, alpha)
-
-
-def localization_utility(action: Action, p_m: float, theta_l: float,
-                         beta: float) -> float:
-    """Reward actions whose localization policy matches the mobility forecast."""
-    return _matched_reward(action, p_m > theta_l, beta)
 
 
 def ewma_update(baseline_prev: float, sample: float, lam: float) -> float:
@@ -123,23 +101,6 @@ def energy_utility(predicted_j: float, e_max_j: float) -> float:
     if e_max_j <= 0:
         raise ValueError("maximum energy must be positive")
     return 1.0 - min(predicted_j, e_max_j) / e_max_j
-
-
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    modality: float
-    screen: float
-    localization: float
-    energy: float
-
-
-def total_utility(components: UtilityBreakdown, weights: UtilityWeights,
-                  f_r: float) -> float:
-    p_e = energy_weight(f_r, weights.f_c)
-    return (weights.p_m * components.modality
-            + weights.p_s * components.screen
-            + weights.p_l * components.localization
-            + p_e * components.energy)
 
 
 @dataclass(frozen=True)
@@ -197,7 +158,7 @@ def euno_select(table: EunoTable, f_r: float, current: Modality,
     the critical fraction, or with an empty buffer, the node sleeps.
 
     Each action scores `p_M·(f_r·A + (1−f_r)·B − C) + S + L + p_E·E` from its
-    table row, the same doubles as `total_utility` over the reference terms.
+    table row, the same doubles as the tests' reference `total_utility`.
     Ties break deterministically: prefer keeping the current modality, then
     the higher mode, then the optical link.
     """

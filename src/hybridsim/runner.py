@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 from . import channel
 from .actions import Mode, Modality, enumerate_actions
 from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
-from .kernel import Engine, EventKind, NS_PER_SEC, millis, seconds
+from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
 from .linklayer import ble_airtime, phy_bits_per_ms
 from .metrics import MetricsRecord, NodeMetrics
 from .node import LinkPlan, SimNode
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
-from .scenario import Scenario
+from .scenario import OPTIMIZERS, Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
 HARVEST_TICK_S = 1.0  # harvest settlement and trace sampling period
@@ -112,8 +112,8 @@ class _Controller:
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
                 critical_fraction=scenario.weights.f_c,
             )
-            node = SimNode(name, scenario, self.links, buffer, engine,
-                           NodeMetrics(name=name), engine.rng_stream(i + 1), best)
+            node = SimNode(name, scenario, self.links, buffer, engine, NodeMetrics(name=name),
+                           RngStream(scenario.seed, i + 1), best)
             node.evaluate_cb = self.evaluate
             if scenario.init_advertising and scenario.init_delay_s > 0:
                 node.set_phase(scenario.advertising_current_ma, 0)
@@ -163,13 +163,9 @@ class _Controller:
     def _on_gateway_event(self, engine: Engine, event) -> None:
         now = engine.now
         if self.slot < 0:
-            if self.scenario.inter_transmission_sleep:
-                for node in self.nodes:
-                    node.sync(now)
-                    node.mac_sleep(now)
-            else:
-                for node in self.nodes:
-                    node.set_phase(self.scenario.idle_current_ma, now)
+            for node in self.nodes:
+                node.sync(now)
+                node.park(now)
         else:
             self.nodes[self.slot % len(self.nodes)].exit_slot(now)
         self.slot += 1
@@ -196,10 +192,9 @@ class _Controller:
                 node.tick(now, joules, t_s)
             if now + dt <= self.total_ns:
                 engine.schedule_at(now + dt, "world", EventKind.HARVEST_TICK)
-        elif event.kind is EventKind.PERIPHERAL_TICK:
-            if not self.scenario.inter_transmission_sleep:
-                for node in self.nodes:
-                    node.on_peripheral_cycle(now)
+        elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
+            for node in self.nodes:
+                node.on_peripheral_cycle(now)
             nxt = now + seconds(self.scenario.peripheral_period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
@@ -223,10 +218,10 @@ class _Controller:
         nodes = {}
         for node in self.nodes:
             node.finalize_accounting(end)
-            node.metrics.consumed_j = node.buffer.consumed_j
-            node.metrics.harvested_j = node.buffer.harvested_j
-            node.metrics.remaining_j = node.buffer.remaining_j
-            nodes[node.name] = node.metrics
+            m, b = node.metrics, node.buffer
+            m.initial_j, m.consumed_j, m.harvested_j, m.remaining_j = (
+                b.initial_j, b.consumed_j, b.harvested_j, b.remaining_j)
+            nodes[node.name] = m
         return MetricsRecord(
             config=self.scenario.to_dict(),
             seed=self.scenario.seed,
@@ -238,7 +233,7 @@ class _Controller:
 
 def run(scenario: Scenario) -> MetricsRecord:
     """Execute one deterministic run of the scenario."""
-    engine = Engine(seed=scenario.seed)
+    engine = Engine()
     controller = _Controller(scenario, engine)
     controller.start()
     engine.run_until(controller.total_ns)
@@ -270,7 +265,7 @@ class SweepResult:
 
 
 def sweep(base: Scenario, rates: list[float],
-          optimizers: tuple[str, ...] = ("euno", "etno", "etno-owc")) -> SweepResult:
+          optimizers: tuple[str, ...] = OPTIMIZERS) -> SweepResult:
     """One run per (target rate, optimizer) with the base scenario's seed;
     reports the achieved rate averaged over all nodes."""
     if not rates:

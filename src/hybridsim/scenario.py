@@ -226,11 +226,13 @@ _WEIGHT_KEYS = tuple(f.name for f in fields(UtilityWeights))
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file; unknown keys are errors."""
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path} as UTF-8 text: {exc}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

@@ -14,16 +14,16 @@ import pytest
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
 from hybridsim.metrics import write_traces
-from hybridsim.optimizer import (ModalityScores, UtilityBreakdown,
-                                 UtilityWeights, energy_utility, energy_weight,
-                                 euno_select, ewma_update, localization_utility,
-                                 mobility_probability, modality_utility,
-                                 screen_utility, total_utility)
+from hybridsim.optimizer import (UtilityWeights, energy_utility, energy_weight,
+                                 euno_select, ewma_update, mobility_probability,
+                                 screen_utility)
 from hybridsim.runner import run, sweep
 from hybridsim.scenario import load_scenario, preset_path
 from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
+from test_optimizer import (ModalityScores, UtilityBreakdown, localization_utility,
+                            modality_utility, total_utility)
 
 W = UtilityWeights()
 

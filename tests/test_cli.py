@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,8 +57,10 @@ class TestRun:
         assert summary["config"]["optimizer"] == "euno"
 
     def test_missing_config_is_validation_failure(self, tmp_path):
-        code = main(["run", "--config", str(tmp_path / "nope.cfg")])
-        assert code == EXIT_VALIDATION
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"[scenario]\n# caf\xe9\nduration_s = 60\n")
+        for config in (tmp_path / "nope.cfg", tmp_path, latin1):
+            assert main(["run", "--config", str(config)]) == EXIT_VALIDATION
 
     def test_etno_resumes_after_battery_low(self, tmp_path):
         # f_c lies above ETNO's sleep threshold, so the policy resumes at the
@@ -108,6 +111,31 @@ class TestRun:
                         and node.func.id in ("set", "frozenset")):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+    def test_source_defines_nothing_it_does_not_use(self):
+        # Every public module-level function and class is referenced
+        # somewhere in `src/` outside its own definition, an import counting.
+        # The optical-frame codec is the one documented API that the
+        # simulator itself never calls.
+        def names(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    yield node.id
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr
+                elif isinstance(node, ast.alias):
+                    yield node.name
+
+        codec = ("encode_vlc_frame", "decode_vlc_chunks")
+        paths = sorted(Path(hybridsim.__file__).parent.glob("*.py"))
+        trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+        used = Counter(name for tree in trees.values() for name in names(tree))
+        unused = [f"{module}:{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in codec
+                  and used[node.name] == list(names(node)).count(node.name)]
+        assert unused == []
 
     @pytest.mark.parametrize("section,line", [
         ("traffic", "warp_speed = 9"),

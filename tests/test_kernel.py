@@ -122,12 +122,6 @@ def test_rng_stream_reproducible():
     assert a.uniform() != c.uniform()
 
 
-def test_engine_streams_are_cached_per_id():
-    engine = Engine(seed=7)
-    assert engine.rng_stream(1) is engine.rng_stream(1)
-    assert engine.rng_stream(1) is not engine.rng_stream(2)
-
-
 def test_horizon_is_the_queue_head_or_one_past_the_end():
     engine = Engine()
     seen = []

@@ -102,7 +102,7 @@ def _poll_slots(node_count, sleep, count):
     scenario = Scenario(duration_s=2.0 * count, init_delay_s=1.0,
                         node_count=node_count, poll_slot_s=2.0,
                         inter_transmission_sleep=sleep, optimizer="etno")
-    engine = Engine(seed=1)
+    engine = Engine()
     controller = _Controller(scenario, engine)
     controller.start()
     samples = []

@@ -3,16 +3,16 @@ policies, and the mobility predictor."""
 
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
-from hybridsim.optimizer import (EunoTable, ModalityScores, UtilityBreakdown,
-                                 UtilityWeights, energy_utility, energy_weight,
-                                 etno_select, euno_select, ewma_update,
-                                 localization_utility, mobility_probability,
-                                 modality_utility, screen_utility, total_utility)
+from hybridsim.optimizer import (EunoTable, UtilityWeights, _matched_reward,
+                                 energy_utility, energy_weight, etno_select,
+                                 euno_select, ewma_update, mobility_probability,
+                                 screen_utility)
 
 W = UtilityWeights()
 P_OWC = Action(Mode.PERFORMANCE, Modality.OWC)
@@ -20,6 +20,48 @@ P_BLE = Action(Mode.PERFORMANCE, Modality.BLE)
 C_OWC = Action(Mode.CONSERVATION, Modality.OWC)
 C_BLE = Action(Mode.CONSERVATION, Modality.BLE)
 SLEEP = Action(Mode.SLEEP, Modality.OWC)
+
+
+# The paper's utility terms composed one by one: the reference oracle that
+# `euno_select`'s per-run table is checked against here and in criterion 6.
+
+@dataclass(frozen=True)
+class ModalityScores:
+    x_p: float
+    x_c: float
+    x_t: float
+    x_e: float
+    x_ch: float
+
+
+def modality_utility(f_r: float, scores: ModalityScores,
+                     weights: UtilityWeights) -> float:
+    return (f_r * (weights.p_p * scores.x_p + weights.p_t * scores.x_t)
+            + (1.0 - f_r) * (weights.p_c * scores.x_c + weights.p_e * scores.x_e)
+            - weights.p_ch * scores.x_ch)
+
+
+def localization_utility(action: Action, p_m: float, theta_l: float,
+                         beta: float) -> float:
+    """Reward actions whose localization policy matches the mobility forecast."""
+    return _matched_reward(action, p_m > theta_l, beta)
+
+
+@dataclass(frozen=True)
+class UtilityBreakdown:
+    modality: float
+    screen: float
+    localization: float
+    energy: float
+
+
+def total_utility(components: UtilityBreakdown, weights: UtilityWeights,
+                  f_r: float) -> float:
+    p_e = energy_weight(f_r, weights.f_c)
+    return (weights.p_m * components.modality
+            + weights.p_s * components.screen
+            + weights.p_l * components.localization
+            + p_e * components.energy)
 
 
 class TestEnergyWeight:

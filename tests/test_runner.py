@@ -152,7 +152,7 @@ class TestTraces:
 
 def _sampled_row(**node_state):
     """The trace row `SimNode.sample` writes for a lone node set to `node_state`."""
-    controller = _Controller(replace(SHORT, node_count=1), Engine(seed=1))
+    controller = _Controller(replace(SHORT, node_count=1), Engine())
     node = controller.nodes[0]
     for name, value in node_state.items():
         setattr(node, name, value)
@@ -185,6 +185,20 @@ class TestBehaviour:
         assert n1.rows[-1].remaining_j == pytest.approx(0.0, abs=1e-12)
         assert n1.sleep_entries >= 1
         assert any(row.mode == "sleep" for row in n1.rows)
+
+    def test_node_asleep_at_the_first_poll_tick_keeps_sleeping(self):
+        # The battery-low edge puts every node to sleep during the init
+        # delay. Without inter-transmission sleep the first poll tick parks
+        # a sleeping node in sleep too: it must not draw idle current until
+        # its first slot ends (node 3's would end at 80 s).
+        scenario = replace(SHORT, optimizer="euno", battery_capacity_j=8.0,
+                           initial_fraction=0.2, harvest_mw=1.0)
+        sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage
+        for nm in run(scenario).nodes.values():
+            assert nm.sleep_entries == 1 and nm.bytes_delivered == 0
+            rows = nm.rows[int(scenario.init_delay_s) + 1:]
+            for before, after in zip(rows, rows[1:]):
+                assert after.consumed_j - before.consumed_j == pytest.approx(sleep_j)
 
     @pytest.mark.parametrize("policy", [
         dict(optimizer="euno", weights=UtilityWeights(f_c=0.0)),
@@ -222,7 +236,7 @@ class TestBehaviour:
         from hybridsim.node import ProtocolViolation
         from hybridsim.runner import _Controller
 
-        engine = Engine(seed=1)
+        engine = Engine()
         controller = _Controller(SHORT, engine)
         node = controller.nodes[0]
         node.mac_sleep(0)
@@ -233,7 +247,7 @@ class TestBehaviour:
 def _lone_node(**overrides):
     """The one node of a fresh single-node run, before its first event."""
     scenario = replace(SHORT, node_count=1, init_delay_s=0.0, **overrides)
-    node = _Controller(scenario, Engine(seed=1)).nodes[0]
+    node = _Controller(scenario, Engine()).nodes[0]
     node.evaluate_cb = None  # drive the node by hand, without the policy
     return node
 
@@ -251,7 +265,7 @@ class TestNodeLifecycle:
     def test_reconfiguration_makes_a_scheduled_packet_stale(self):
         node = _lone_node()
         node.enter_slot(0, seconds(10))
-        stale = node._pending_packet.event
+        stale = node._pending_packet
         node.apply_action(Action(Mode.PERFORMANCE, Modality.BLE), 0)
         node.on_packet_ready(stale.fire_at, stale.payload)
         assert not node.tx_in_flight
@@ -288,7 +302,7 @@ def _ticking_node(f_c: float, level_j: float):
     2 J buffer set to `level_j`: an evaluation draws from its stream."""
     scenario = replace(SHORT, node_count=1, init_delay_s=0.0, optimizer="euno",
                        snr_jitter_db=2.0, weights=UtilityWeights(f_c=f_c))
-    node = _Controller(scenario, Engine(seed=1)).nodes[0]
+    node = _Controller(scenario, Engine()).nodes[0]
     node.buffer.remaining_j = level_j
     return node
 
@@ -349,7 +363,7 @@ def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
     """Run the scenario; with `barrier_ns`, a no-op target also fires every
     `barrier_ns`. Returns the record, the barrier's event count and the
     number of events the nodes ran inline."""
-    engine = Engine(seed=scenario.seed)
+    engine = Engine()
     controller = _Controller(scenario, engine)
     barriers = inline = 0
 

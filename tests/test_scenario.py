@@ -85,8 +85,13 @@ class TestParsing:
         assert "packet_bytes" in str(err.value)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError):
-            load_scenario(tmp_path / "nope.cfg")
+        # Also a directory and a file that is not UTF-8: neither may fall
+        # back to the defaults or escape as another error.
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"[scenario]\n# caf\xe9\nduration_s = 60\n")
+        for path in (tmp_path / "nope.cfg", tmp_path, latin1):
+            with pytest.raises(ScenarioError, match="cannot read scenario"):
+                load_scenario(path)
 
     def test_weight_sum_violation_names_the_invariant(self, tmp_path):
         path = _write(tmp_path, MINIMAL + "\n[weights]\np_m = 0.5\n")

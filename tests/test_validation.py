@@ -1,10 +1,11 @@
 """Self-check commands: GFSK reference comparison and calibration replay."""
 
+import csv
 import time
 
 import pytest
 
-from hybridsim.energy import StateCurrentTable, default_calibration_path, load_calibration
+from hybridsim.energy import StateCurrentTable, default_calibration_path
 from hybridsim.validation import (BER_TOLERANCE_DB, check_calibration,
                                   validate_ber)
 from hybridsim.vlcframe import CHUNK_AIRTIME_MS, CHUNKS_PER_FRAME, INTER_CHUNK_DELAY_MS
@@ -42,13 +43,17 @@ class TestValidateBer:
 
 
 def _copy_table(mutate=None):
-    table = load_calibration(default_calibration_path())
+    """The shipped table, rebuilt from its CSV with `mutate` applied to each
+    row's current."""
     out = StateCurrentTable()
-    for (device, state, profile), entry in table.rows():
-        current = entry.current_ma
-        if mutate is not None:
-            current = mutate(device, state, profile, current)
-        out.add(device, state, profile, current, entry.duration_ms)
+    with default_calibration_path().open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = row["device"], row["state"], row["profile"]
+            current = float(row["current_mA"])
+            if mutate is not None:
+                current = mutate(*key, current)
+            duration = row["duration_ms"].strip()
+            out.add(*key, current, float(duration) if duration else None)
     return out
 
 
