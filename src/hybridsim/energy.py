@@ -1,36 +1,23 @@
-"""Energy storage, harvesting, and consumption models.
+"""Energy storage, harvesting, and consumption models of the simulator.
 
-The consumption side is calibrated from bench measurements of the target node
-(see data/calibration.csv): every device state or operation phase maps to a
-measured average current, and energy is integrated piecewise-constant between
-phase transitions.
+Every current and duration comes from the `Scenario`, whose defaults are bench
+measurements of the target node; energy is integrated piecewise-constant
+between phase transitions. The measured-current table itself is replayed only
+by `validation.check_calibration`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .actions import Action, Mode, Modality
 from .kernel import NS_PER_MS, EventKind, millis
-from .vlcframe import CHUNK_AIRTIME_MS, CHUNKS_PER_FRAME, INTER_CHUNK_DELAY_MS
 
 if TYPE_CHECKING:
     from .node import LinkPlan
     from .scenario import Scenario
-
-DEFAULT_SUPPLY_VOLTAGE = 3.3
-
-
-class CalibrationError(ValueError):
-    pass
-
-
-class UnknownStateError(KeyError):
-    pass
 
 
 def phase_energy(current_ma: float, duration_ms: float, voltage: float) -> float:
@@ -131,111 +118,6 @@ class HarvestProfile:
             return 0.0
         edges = [t0_s] + [s for s, _ in self.segments if t0_s < s < t1_s] + [t1_s]
         return sum(self.power_at(a) * (b - a) for a, b in zip(edges, edges[1:]))
-
-
-# ---------------------------------------------------------------------------
-# Calibration table (constant-current model)
-
-def _norm(token: str) -> str:
-    return token.strip().lower().replace("-", "_")
-
-
-@dataclass(frozen=True)
-class CurrentEntry:
-    current_ma: float
-    duration_ms: float | None  # None for residency states
-
-
-class StateCurrentTable:
-    """(device, state, profile) -> measured current, optionally phase-shaped."""
-
-    def __init__(self):
-        self._entries: dict[tuple[str, str, str], CurrentEntry] = {}
-
-    def add(self, device: str, state: str, profile: str,
-            current_ma: float, duration_ms: float | None) -> None:
-        if current_ma < 0:
-            raise CalibrationError(f"negative current for {device}/{state}/{profile}")
-        self._entries[(_norm(device), _norm(state), _norm(profile))] = \
-            CurrentEntry(current_ma, duration_ms)
-
-    def lookup(self, device: str, state: str, profile: str = "normal") -> CurrentEntry:
-        key = (_norm(device), _norm(state), _norm(profile))
-        if key not in self._entries:
-            raise UnknownStateError(f"no calibration entry for {key}")
-        return self._entries[key]
-
-    def has(self, device: str, state: str, profile: str = "normal") -> bool:
-        return (_norm(device), _norm(state), _norm(profile)) in self._entries
-
-
-# States the energy operations and the calibration checker depend on.
-REQUIRED_STATES = (
-    ("ble", "uplink_tx", "normal"),
-    ("ble", "uplink_tx", "low_power"),
-    ("ble", "conn_idle_0dbm", "normal"),
-    ("ble", "conn_idle_0dbm", "low_power"),
-    ("node", "vlc_tx_chunk", "normal"),
-    ("node", "vlc_tx_chunk", "low_power"),
-    ("node", "vlc_chunk_gap", "normal"),
-    ("node", "vlc_chunk_gap", "low_power"),
-    ("eink", "refresh_original", "normal"),
-    ("eink", "refresh_optimized", "normal"),
-    ("node", "deep_sleep", "very_low_power"),
-    ("node", "deep_sleep_no_vlc_rx", "very_low_power"),
-)
-
-
-def load_calibration(path: str | Path) -> StateCurrentTable:
-    """Parse a calibration CSV (device,state,profile,current_mA,duration_ms).
-
-    Durations are blank for residency states. Raises CalibrationError with a
-    line number on malformed rows and lists every missing required state."""
-    table = StateCurrentTable()
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["device", "state", "profile", "current_mA", "duration_ms"]
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
-            raise CalibrationError(
-                f"{path}: header must be {','.join(expected)}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                current = float(row["current_mA"])
-                dur_raw = (row["duration_ms"] or "").strip()
-                duration = float(dur_raw) if dur_raw else None
-                table.add(row["device"], row["state"], row["profile"], current, duration)
-            except (TypeError, ValueError, CalibrationError) as exc:
-                raise CalibrationError(f"{path}:{lineno}: bad row {row}: {exc}") from exc
-    missing = [key for key in REQUIRED_STATES if not table.has(*key)]
-    if missing:
-        raise CalibrationError(
-            f"{path}: missing required calibration states: "
-            + ", ".join("/".join(k) for k in missing))
-    return table
-
-
-def default_calibration_path() -> Path:
-    return Path(__file__).parent / "data" / "calibration.csv"
-
-
-def vlc_uplink_energy(table: StateCurrentTable, profile: str = "normal",
-                      chunks: int = CHUNKS_PER_FRAME,
-                      voltage: float = DEFAULT_SUPPLY_VOLTAGE) -> float:
-    """Energy in joules to push one optical frame up the link.
-
-    Integrates the measured chunk bursts plus the inter-chunk decode gaps; in
-    the low-power profile the optical module is gated off between chunks and
-    the gap current falls to the low-power idle level.
-    """
-    if chunks == 0:
-        return 0.0
-    chunk = table.lookup("node", "vlc_tx_chunk", profile)
-    gap = table.lookup("node", "vlc_chunk_gap", profile)
-    chunk_ms = chunk.duration_ms if chunk.duration_ms else CHUNK_AIRTIME_MS
-    gap_ms = gap.duration_ms if gap.duration_ms else INTER_CHUNK_DELAY_MS
-    return (chunks * phase_energy(chunk.current_ma, chunk_ms, voltage)
-            + (chunks - 1) * phase_energy(gap.current_ma, gap_ms, voltage))
 
 
 # ---------------------------------------------------------------------------

@@ -165,14 +165,11 @@ class Scenario:
         return asdict(self)
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False, "on": True, "off": False}
-
-
 def _parse_bool(raw: str) -> bool:
-    if raw.strip().lower() not in _BOOL:
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
         raise ValueError(f"not a boolean: {raw!r}")
-    return _BOOL[raw.strip().lower()]
+    return value
 
 
 def _parse_profile(raw: str) -> tuple[tuple[float, float], ...]:
@@ -207,11 +204,14 @@ _CONVERTERS = {
 
 
 def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
-    """section -> key -> (scenario field, converter); [weights] is separate."""
+    """section -> key -> (field, converter). The field is a Scenario field,
+    or under [weights] a UtilityWeights field."""
     schema: dict[str, dict[str, tuple[str, object]]] = {}
     section = None
     for f in fields(Scenario):
         if f.name == "weights":
+            schema["weights"] = {w.name: (w.name, _CONVERTERS[w.type])
+                                 for w in fields(UtilityWeights)}
             continue
         section = _SECTION_STARTS.get(f.name, section)
         key = _KEY_ALIASES.get(f.name, f.name)
@@ -220,7 +220,6 @@ def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
 
 
 _SCHEMA = _build_schema()
-_WEIGHT_KEYS = tuple(f.name for f in fields(UtilityWeights))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -237,31 +236,22 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
     values: dict[str, object] = {}
-    weight_values: dict[str, float] = {}
+    weights: dict[str, object] = {}
     for section in parser.sections():
-        if section == "weights":
-            for key, raw in parser.items(section):
-                if key not in _WEIGHT_KEYS:
-                    raise ScenarioError(f"{path}: unknown key [weights] {key}")
-                try:
-                    weight_values[key] = float(raw)
-                except ValueError as exc:
-                    raise ScenarioError(f"{path}: [weights] {key}: {exc}") from exc
-            continue
         if section not in _SCHEMA:
             raise ScenarioError(f"{path}: unknown section [{section}]")
+        target = weights if section == "weights" else values
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ScenarioError(f"{path}: unknown key [{section}] {key}")
             field_name, convert = _SCHEMA[section][key]
             try:
-                values[field_name] = convert(raw)
+                target[field_name] = convert(raw)
             except ValueError as exc:
                 raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from exc
 
     try:
-        weights = UtilityWeights(**weight_values)
-        return Scenario(weights=weights, **values)
+        return Scenario(weights=UtilityWeights(**weights), **values)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

@@ -20,18 +20,13 @@ padding check, the markers, or the checksum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 START_MARKER = 0xA5
 END_MARKER = 0x5A
 FRAME_BYTES = 23
 MAX_PAYLOAD = 16
 CHUNKS_PER_FRAME = 6  # ceil(23*8 / 32)
-
-# Pacing defaults for one frame on the air: six bursts of 68 ms separated by
-# 100 ms decode gaps, totalling 908 ms.
-CHUNK_AIRTIME_MS = 68.0
-INTER_CHUNK_DELAY_MS = 100.0
 
 
 class FrameCodecError(ValueError):
@@ -70,15 +65,6 @@ class VlcFrame:
 @dataclass(frozen=True)
 class ChunkStream:
     chunks: tuple[int, ...]
-    inter_chunk_delay_ms: float = INTER_CHUNK_DELAY_MS
-    per_chunk_airtime_ms: float = CHUNK_AIRTIME_MS
-
-    @property
-    def total_airtime_ms(self) -> float:
-        n = len(self.chunks)
-        if n == 0:
-            return 0.0
-        return n * self.per_chunk_airtime_ms + (n - 1) * self.inter_chunk_delay_ms
 
 
 def _checksum(body: bytes) -> int:

@@ -108,9 +108,9 @@ def test_criterion_2_gfsk_curve():
     report = validate_ber()
     elapsed = time.perf_counter() - t0
     _report("criterion 2 (GFSK curve, <=0.5 dB horizontal)",
-            report.passed and elapsed < 1.0 and len(report.rows) > 0,
+            report.passed and elapsed < 1.0 and len(report.deviations_db) > 0,
             f"max deviation {report.max_deviation_db:.4f} dB over "
-            f"{len(report.rows)} points, {elapsed:.2f}s")
+            f"{len(report.deviations_db)} points, {elapsed:.2f}s")
 
 
 def test_criterion_3_scenario_reproduction(fig_runs):

@@ -13,6 +13,7 @@ import pytest
 import hybridsim
 from hybridsim.cli import EXIT_OK, EXIT_VALIDATION, main
 from hybridsim.scenario import preset_path
+from hybridsim.validation import default_calibration_path
 
 FIG11 = str(preset_path("paper_fig11"))
 
@@ -195,17 +196,40 @@ class TestSelfChecks:
         assert "ble_uplink_normal" in out and "FAIL" not in out
 
     def test_corrupt_table_fails_with_code_2(self, tmp_path, capsys):
-        import csv
-        from hybridsim.energy import default_calibration_path
-        rows = list(csv.reader(default_calibration_path().open()))
-        for row in rows[1:]:
-            if row[0] == "ble" and row[1] == "uplink_tx" and row[2] == "normal":
-                row[3] = "18.2"
         bad = tmp_path / "bad.csv"
-        with bad.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        bad.write_text(default_calibration_path().read_text().replace(
+            "ble,uplink_tx,normal,9.1,", "ble,uplink_tx,normal,18.2,"))
         assert main(["check-calibration", "--table", str(bad)]) == EXIT_VALIDATION
         assert "FAIL ble_uplink_normal" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, make, names", [
+        ("--table", lambda path: path.mkdir(), None),
+        ("--table", lambda path: path.write_bytes(
+            default_calibration_path().read_bytes() + "caf\xe9,x,normal,1,\n".encode("latin-1")),
+         None),
+        ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
+            "ble,uplink_tx,normal,9.1,3.13", "ble,uplink_tx,normal,9.1,")),
+         "ble/uplink_tx/normal"),
+        # Read as 68 ms for the energy and as 0 ms for the airtime before.
+        ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
+            "node,vlc_tx_chunk,normal,9.15,68", "node,vlc_tx_chunk,normal,9.15,")),
+         "node/vlc_tx_chunk/normal"),
+        ("--fixture", lambda path: path.mkdir(), None),
+        ("--fixture", lambda path: path.write_text("snr_db,ber\n0.0,0.12\n0.5,high\n"),
+         ":3:"),
+        ("--fixture", lambda path: path.write_text("snr,error_rate\n0.0,0.12\n"), "snr_db,ber"),
+    ], ids=["table-directory", "table-latin-1", "table-blank-uplink-duration",
+            "table-blank-chunk-duration", "fixture-directory", "fixture-non-numeric-ber",
+            "fixture-wrong-header"])
+    def test_malformed_input_is_validation_failure(self, tmp_path, capsys, flag, make, names):
+        path = tmp_path / "input"
+        make(path)
+        command = "check-calibration" if flag == "--table" else "validate-ber"
+        assert main([command, flag, str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert names is None or names in captured.err
+        assert "FAIL" not in captured.out
 
 
 class TestPrintConfig:

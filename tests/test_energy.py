@@ -1,22 +1,23 @@
-"""Energy buffer semantics, calibration table loading, and phase energies.
+"""Energy buffer semantics, phase energies, action-energy prediction, and the
+measured-current table that `check-calibration` replays.
 
 The headline per-operation energies are asserted against the measured values
-the table encodes (uplink burst 94/61 uJ, optical frame 21.5/15 mJ, display
-refresh 2.13/12.39 mJ).
+the table encodes (uplink burst 94/61 uJ, display refresh 2.13 mJ).
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality
-from hybridsim.energy import (CalibrationError, EnergyBuffer, HarvestProfile,
-                              StateCurrentTable, UnknownStateError,
-                              default_calibration_path, load_calibration,
-                              phase_energy, predict_action_energy,
-                              vlc_uplink_energy)
+from hybridsim.energy import (EnergyBuffer, HarvestProfile, phase_energy,
+                              predict_action_energy)
 from hybridsim.kernel import EventKind
 from hybridsim.runner import build_link_plans
 from hybridsim.scenario import Scenario
+from hybridsim.validation import (CalibrationError, default_calibration_path,
+                                  load_calibration)
+
+HEADER = "device,state,profile,current_mA,duration_ms\n"
 
 
 @pytest.fixture(scope="module")
@@ -124,24 +125,24 @@ class TestPhaseEnergy:
 
 class TestCalibrationTable:
     def test_shipped_fixture_spot_values(self, table):
-        assert table.lookup("ble", "adv_event_0dbm", "normal").current_ma == 9.65
-        assert table.lookup("node", "deep_sleep_no_vlc_rx",
-                            "very-low-power").current_ma == 0.0047
-        assert table.lookup("ble", "conn_event_0dbm", "normal").current_ma == 7.31
-        assert table.lookup("ble", "conn_event_8dbm", "normal").current_ma == 8.58
+        assert table["ble", "adv_event_0dbm", "normal"][0] == 9.65
+        assert table["node", "deep_sleep_no_vlc_rx", "very_low_power"][0] == 0.0047
+        assert table["ble", "conn_event_0dbm", "normal"][0] == 7.31
+        assert table["ble", "conn_event_8dbm", "normal"][0] == 8.58
 
     def test_profile_token_normalization(self, table):
-        low = table.lookup("ble", "uplink_tx", "low_power")
-        assert low.current_ma == 5.91
-        assert table.lookup("ble", "uplink_tx", "low-power") == low
+        # The file spells the profile `low-power`; keys are normalised once,
+        # at load, and looked up as they are.
+        assert table["ble", "uplink_tx", "low_power"] == (5.91, 3.13)
+        assert ("ble", "uplink_tx", "low-power") not in table
 
     def test_unknown_state_raises(self, table):
-        with pytest.raises(UnknownStateError):
-            table.lookup("ble", "no_such_state")
+        with pytest.raises(KeyError):
+            table["ble", "no_such_state", "normal"]
 
     def test_missing_required_states_listed(self, tmp_path):
         path = tmp_path / "cal.csv"
-        path.write_text("device,state,profile,current_mA,duration_ms\n")
+        path.write_text(HEADER)
         with pytest.raises(CalibrationError) as err:
             load_calibration(path)
         assert "uplink_tx" in str(err.value)
@@ -149,8 +150,7 @@ class TestCalibrationTable:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "cal.csv"
-        path.write_text("device,state,profile,current_mA,duration_ms\n"
-                        "ble,uplink_tx,normal,not_a_number,3.13\n")
+        path.write_text(HEADER + "ble,uplink_tx,normal,not_a_number,3.13\n")
         with pytest.raises(CalibrationError) as err:
             load_calibration(path)
         assert ":2:" in str(err.value)
@@ -161,30 +161,22 @@ class TestCalibrationTable:
         with pytest.raises(CalibrationError):
             load_calibration(path)
 
-    def test_negative_current_rejected(self):
-        with pytest.raises(CalibrationError):
-            StateCurrentTable().add("x", "y", "normal", -1.0, None)
+    def test_negative_current_rejected(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text(HEADER + "x,y,normal,-1.0,\n")
+        with pytest.raises(CalibrationError) as err:
+            load_calibration(path)
+        assert ":2:" in str(err.value)
 
 
 class TestDeviceCurrent:
     def test_table_lookup(self, table):
-        assert table.lookup("ble", "conn_event_0dbm").current_ma == 7.31
-        assert table.lookup("ble", "conn_event_8dbm", "normal").current_ma == 8.58
+        assert table["ble", "conn_event_0dbm", "normal"] == (7.31, 2.14)
+        assert table["node", "cycle_idle_sens_11.25ms_8dbm", "normal"] == (5.95, None)
 
     def test_unknown_state_errors(self, table):
-        with pytest.raises(UnknownStateError):
-            table.lookup("ble", "bogus")
-
-
-class TestVlcUplinkEnergy:
-    def test_normal_profile_matches_measurement(self, table):
-        assert vlc_uplink_energy(table, "normal") == pytest.approx(21.5e-3, rel=0.05)
-
-    def test_low_power_profile(self, table):
-        assert vlc_uplink_energy(table, "low-power") == pytest.approx(15e-3, rel=0.05)
-
-    def test_zero_chunks(self, table):
-        assert vlc_uplink_energy(table, "normal", chunks=0) == 0.0
+        with pytest.raises(KeyError):
+            table["ble", "bogus", "normal"]
 
 
 class TestActionEnergyPrediction:

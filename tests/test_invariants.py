@@ -3,7 +3,8 @@
 Every run must finish without a ProtocolViolation, balance its energy ledger,
 keep the buffer inside [0, capacity] on every trace row, achieve no more than
 the target rate, count no more transmit-eligible time than the poll slots the
-node owned, and keep both interfaces powered down while it sleeps. Its burst
+node owned, and keep both interfaces powered down while it sleeps; a second
+spent asleep away from any tick draws exactly the sleep current. Its burst
 log must account for every packet sent, place each burst inside one of the
 node's own slots, and no two bursts of the run may overlap.
 """
@@ -18,6 +19,7 @@ from hybridsim.scenario import Scenario
 from conftest import tx_bursts
 
 TOL = 1e-9
+ASLEEP = ("SLEEP|OFF", "OFF|OFF")
 
 
 @st.composite
@@ -72,6 +74,15 @@ def slots_ns(scenario: Scenario, index: int) -> list[tuple[int, int]]:
     return owned
 
 
+def ticked_seconds(scenario: Scenario) -> set[int]:
+    """Each whole second `k` with an optimizer or poll tick strictly inside
+    `(k, k + 1)` s: between the node's 1 Hz samples at `k` and `k + 1`."""
+    init, total = seconds(scenario.init_delay_s), seconds(scenario.total_duration_s)
+    ticks = [*range(init, total + 1, seconds(scenario.weights.period_s)),
+             *range(init, total + 1, seconds(scenario.poll_slot_s))]
+    return {t // NS_PER_SEC for t in ticks if t % NS_PER_SEC}
+
+
 def owned_slot_s(scenario: Scenario, index: int) -> float:
     """Seconds of poll slots that node `index` (0-based) held in the run."""
     return sum(end - start for start, end in slots_ns(scenario, index)) / NS_PER_SEC
@@ -91,10 +102,16 @@ def owned_slot_s(scenario: Scenario, index: int) -> float:
 @example(Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0,
                   battery_capacity_j=0.1, initial_fraction=0.5, harvest_mw=25.0,
                   target_rate_kbps=36.0, conservation_rate_kbps=36.0))
+# Nodes asleep at the first poll tick without inter-transmission sleep: they
+# must keep drawing sleep current, not idle current, at OFF|OFF.
+@example(Scenario(duration_s=30.0, node_count=3, initial_fraction=0.2, harvest_mw=1.0,
+                  inter_transmission_sleep=False))
 @given(scenarios())
 def test_invariants_hold(scenario):
     record = run(scenario)
     capacity = scenario.battery_capacity_j
+    sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage  # per second
+    ticked = ticked_seconds(scenario)
     everyone = []
     for index in range(scenario.node_count):
         nm = record.node(index + 1)
@@ -104,8 +121,17 @@ def test_invariants_hold(scenario):
         assert nm.achieved_rate_kbps <= scenario.target_rate_kbps * (1 + TOL)
         assert nm.eligible_s <= owned_slot_s(scenario, index) * (1 + TOL) + TOL
         # A burst caught in flight ends before its interface sleeps.
-        assert all(row.fsm_state in ("SLEEP|OFF", "OFF|OFF") for row in nm.rows
+        assert all(row.fsm_state in ASLEEP for row in nm.rows
                    if row.mode == "sleep" and "TX" not in row.fsm_state), nm.name
+        # A node asleep at two consecutive samples, with one second of sleep
+        # draw stored and no optimizer or poll tick between them, drew exactly
+        # sleep current for that second.
+        for a, b in zip(nm.rows, nm.rows[1:]):
+            if (a.mode == b.mode == "sleep" and a.fsm_state in ASLEEP
+                    and b.fsm_state in ASLEEP and a.remaining_j >= sleep_j
+                    and int(a.t_s) not in ticked):
+                assert b.consumed_j - a.consumed_j == pytest.approx(sleep_j, rel=TOL), \
+                    (nm.name, a.t_s)
         # Every burst sent is logged once: delivered, lost on the link, or
         # lost to a battery-low edge.
         bursts = tx_bursts(nm)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hybridsim.cli import EXIT_VALIDATION, main
 from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.scenario import (_SCHEMA, _WEIGHT_KEYS, Scenario, ScenarioError,
+from hybridsim.scenario import (_SCHEMA, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
 
 MINIMAL = """
@@ -107,21 +107,24 @@ class TestParsing:
 
 class TestDerivedSchema:
     def test_every_field_maps_to_exactly_one_key(self):
-        mapped = [name for keys in _SCHEMA.values() for name, _ in keys.values()]
+        mapped = [name for section, keys in _SCHEMA.items() if section != "weights"
+                  for name, _ in keys.values()]
         assert sorted(mapped) == sorted(f.name for f in fields(Scenario)
                                         if f.name != "weights")
         assert len(mapped) == 52
 
     def test_weights_accept_exactly_the_utility_weights(self):
-        assert _WEIGHT_KEYS == tuple(f.name for f in fields(UtilityWeights))
-        assert len(_WEIGHT_KEYS) == 17
+        weights = _SCHEMA["weights"]
+        assert tuple(weights) == tuple(f.name for f in fields(UtilityWeights))
+        assert all(key == name for key, (name, _) in weights.items())
+        assert len(weights) == 17
 
     def test_default_valued_key_loads_the_default_scenario(self, tmp_path):
         default = Scenario()
-        entries = [(section, key, getattr(default, name))
+        entries = [(section, key,
+                    getattr(default.weights if section == "weights" else default, name))
                    for section, keys in _SCHEMA.items()
                    for key, (name, _) in keys.items()]
-        entries += [("weights", f.name, f.default) for f in fields(UtilityWeights)]
         for section, key, value in entries:
             text = "" if value == () else str(value)
             path = _write(tmp_path, f"[{section}]\n{key} = {text}\n")
@@ -208,7 +211,6 @@ def invalid_configs(draw) -> tuple[str, str]:
     and that key."""
     keys = [(section, key, name) for section, entries in _SCHEMA.items()
             for key, (name, _) in entries.items()]
-    keys += [("weights", key, key) for key in sorted(_WEIGHT_KEYS)]
     section, key, name = draw(st.sampled_from(keys))
     ranges = _WEIGHTS_OUT_OF_RANGE if section == "weights" else _OUT_OF_RANGE
     values = st.sampled_from(["nan", "inf", "-inf"])

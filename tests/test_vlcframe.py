@@ -83,12 +83,3 @@ def test_single_bit_corruptions_sampled(bit):
     corrupted[bit // 32] ^= 1 << (31 - bit % 32)
     with pytest.raises(FrameCodecError):
         decode_vlc_chunks(ChunkStream(chunks=tuple(corrupted)))
-
-
-def test_frame_airtime_totals_908_ms():
-    stream = encode_vlc_frame(FRAME)
-    assert stream.total_airtime_ms == pytest.approx(6 * 68 + 5 * 100, abs=1e-9)
-
-
-def test_empty_stream_airtime_zero():
-    assert ChunkStream(chunks=()).total_airtime_ms == 0.0
