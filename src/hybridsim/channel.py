@@ -1,14 +1,15 @@
 """Physical-layer link models: radio path loss with GFSK error rates and a
 line-of-sight Lambertian optical channel.
 
-Everything here is a pure function over value types; nothing mutates shared
-state, so these are safe to call from any thread.
+Both link budgets read the star geometry straight from the scenario: every
+node sits `distance_m` from the gateway, `incidence_angle_deg` off the
+vertical. Everything here is a pure function over value types; nothing
+mutates shared state, so these are safe to call from any thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -39,45 +40,16 @@ RECEIVER_TEMPERATURE_K = 298.0
 OPTICAL_BANDWIDTH_HZ = 1e6
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position plus the unit normal the device faces."""
-
-    position: tuple[float, float, float]
-    facing: tuple[float, float, float] = (0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        n = math.sqrt(sum(c * c for c in self.facing))
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"facing vector must be unit norm, got |v|={n}")
-
-
-def distance(a: Pose, b: Pose) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a.position, b.position)))
-
-
-def _angle_from_normal(origin: Pose, other: Pose) -> float:
-    """Angle (radians) between origin's facing vector and the line to other."""
-    d = distance(origin, other)
-    if d == 0.0:
-        raise ValueError("zero distance between poses")
-    los = tuple((o - s) / d for s, o in zip(origin.position, other.position))
-    dot = sum(f * l for f, l in zip(origin.facing, los))
-    return math.acos(max(-1.0, min(1.0, dot)))
-
-
 def lambertian_order(semi_angle_deg: float) -> float:
     """Lambertian emission order m of an LED with the given half-power semi-angle."""
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
-def friis_rx_power(scenario: Scenario, tx: Pose, rx: Pose) -> float:
-    """Received power in dBm under free-space (Friis) propagation between
-    isotropic (0 dBi) antennas."""
-    d = distance(tx, rx)
-    if d <= 0.0:
-        raise ValueError("Friis model is singular at zero distance")
-    fspl_db = 20.0 * math.log10(4.0 * math.pi * d * CARRIER_HZ / SPEED_OF_LIGHT)
+def friis_rx_power(scenario: Scenario) -> float:
+    """Received power in dBm at the scenario's distance under free-space
+    (Friis) propagation between isotropic (0 dBi) antennas."""
+    fspl_db = 20.0 * math.log10(4.0 * math.pi * scenario.distance_m * CARRIER_HZ
+                                / SPEED_OF_LIGHT)
     return scenario.ble_tx_power_dbm - fspl_db
 
 
@@ -107,43 +79,39 @@ def gfsk_ber(snr_value_db: float, phy_rate: str = "1M") -> float:
     return _q_function(math.sqrt(2.0 * gamma_b * GFSK_EFFECTIVE_DISTANCE))
 
 
-def owc_channel_gain(scenario: Scenario, tx: Pose, rx: Pose) -> float:
+def owc_channel_gain(scenario: Scenario) -> float:
     """Line-of-sight Lambertian channel gain (dimensionless).
 
-    H = (m+1) A / (2 pi d^2) * cos^m(phi) * T_f * g * cos(psi) for incidence
-    angles within the photodetector field of view, zero outside it.
+    The gateway's LED faces down and the node's photodetector faces up, so
+    the emission and incidence angles are both theta = incidence_angle_deg:
+    H = (m+1) A / (2 pi d^2) * cos^m(theta) * T_f * g * cos(theta) within the
+    photodetector field of view, zero outside it.
     """
-    d = distance(tx, rx)
-    if d <= 0.0:
-        raise ValueError("optical channel is singular at zero distance")
-    phi = _angle_from_normal(tx, rx)  # emission angle at the LED
-    psi = _angle_from_normal(rx, tx)  # incidence angle at the photodetector
-    if psi > math.radians(scenario.pd_fov_deg):
+    if scenario.incidence_angle_deg > scenario.pd_fov_deg:
         return 0.0
-    if phi >= math.pi / 2.0:
-        return 0.0
+    d = scenario.distance_m
+    cos_theta = math.cos(math.radians(scenario.incidence_angle_deg))
     m = lambertian_order(scenario.led_semi_angle_deg)
     return ((m + 1.0) * scenario.pd_area_m2 / (2.0 * math.pi * d * d)
-            * math.cos(phi) ** m
+            * cos_theta ** m
             * OPTICAL_FILTER_GAIN * scenario.concentrator_gain
-            * math.cos(psi))
+            * cos_theta)
 
 
 def owc_snr_db(scenario: Scenario, gain: float) -> float:
-    """Electrical SNR of the optical link, -inf sentinel for zero gain.
+    """Electrical SNR of the optical link, -inf sentinel for zero gain or a
+    signal power that underflows to zero.
 
     Signal power is the squared photocurrent; noise is shot (signal plus
     background light) plus thermal noise of the receiver load.
     """
     if gain < 0:
         raise ValueError("channel gain cannot be negative")
-    if gain == 0.0:
-        return SNR_FLOOR_DB
     photocurrent = scenario.responsivity_a_w * scenario.tx_optical_power_w * gain
     shot = 2.0 * ELECTRON_CHARGE * (photocurrent + BACKGROUND_CURRENT_A) * OPTICAL_BANDWIDTH_HZ
     thermal = 4.0 * BOLTZMANN * RECEIVER_TEMPERATURE_K * OPTICAL_BANDWIDTH_HZ / LOAD_RESISTANCE_OHM
     snr = photocurrent ** 2 / (shot + thermal)
-    return 10.0 * math.log10(snr)
+    return 10.0 * math.log10(snr) if snr > 0.0 else SNR_FLOOR_DB
 
 
 def ook_ber(snr_value_db: float) -> float:

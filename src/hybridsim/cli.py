@@ -85,7 +85,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load(args)
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    try:
+        rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    except ValueError as exc:
+        raise ScenarioError(f"--rates: {exc}") from None
     if not rates:
         raise ScenarioError("--rates must list at least one rate")
     optimizers = (args.optimizer,) if args.optimizer else OPTIMIZERS

@@ -4,7 +4,8 @@ A node owns its interface state machines, its energy buffer, and its traffic
 pacing. Consumption is integrated piecewise-constant: the node is always in
 exactly one draw phase (sleep, idle, wake-up, a peripheral operation, or a
 transmission burst) whose current comes from the scenario's calibration
-values, and every phase change settles the elapsed energy first.
+values. Every entry point settles the elapsed energy up to `now` before
+it changes the phase, so a phase change is a plain assignment.
 """
 
 from __future__ import annotations
@@ -61,11 +62,15 @@ class SimNode:
         self.slot_end_ns: SimTime = 0
         self._restream_after_tx = False
         self._tx_started_ns: SimTime = 0
-        self._phase_ma = scenario.idle_current_ma
+        # Before the first poll a node advertises if the scenario says so.
+        advertising = scenario.init_advertising and scenario.init_delay_s > 0
+        self._phase_ma = (scenario.advertising_current_ma if advertising
+                          else scenario.idle_current_ma)
         self._phase_since: SimTime = 0
         self._eligible_since: SimTime | None = None
-        # Every reconfiguration bumps the epoch; a packet or chain step that
-        # was scheduled under an older epoch is stale and does nothing.
+        # Each slot change, reconfiguration, battery-low edge, and chain or
+        # stream start bumps the epoch; a packet or chain step that was
+        # scheduled under an older epoch is stale and does nothing.
         self._epoch = 0
         self._chain: list[PhaseStep] = []  # phase steps still to run in this chain
         self._pending_packet = None
@@ -128,10 +133,6 @@ class SimNode:
             self.mode._value_, self.modality._value_,
             f"{self.owc_state._value_}|{self.ble_state._value_}"))
 
-    def set_phase(self, current_ma: float, now: SimTime) -> None:
-        self.sync(now)
-        self._phase_ma = current_ma
-
     # -- battery edges ------------------------------------------------------
 
     def _on_battery_low(self, now: SimTime) -> None:
@@ -164,25 +165,25 @@ class SimNode:
 
     # -- MAC-level sleep/wake -------------------------------------------------
 
-    def mac_sleep(self, now: SimTime) -> None:
+    def mac_sleep(self) -> None:
         if self.awake:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.SLEEP_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.SLEEP_SIGNAL)
-        self.set_phase(self.scenario.sleep_current_ma, now)
+        self._phase_ma = self.scenario.sleep_current_ma
 
-    def mac_wake(self, now: SimTime) -> None:
+    def mac_wake(self) -> None:
         if not self.awake:
             self.owc_state = fsm_dispatch(self.owc_state, EventKind.WAKE_SIGNAL)
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.WAKE_SIGNAL)
 
-    def park(self, now: SimTime) -> None:
-        """Settle outside a slot or a burst: sleep if the mode or the
-        scenario asks for it, else wake and idle."""
+    def park(self) -> None:
+        """Rest outside a slot or a burst: sleep if the mode or the scenario
+        asks for it, else wake and idle."""
         if self.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
-            self.mac_sleep(now)
+            self.mac_sleep()
         else:
-            self.mac_wake(now)
-            self.set_phase(self.scenario.idle_current_ma, now)
+            self.mac_wake()
+            self._phase_ma = self.scenario.idle_current_ma
 
     # -- polling slots ---------------------------------------------------------
 
@@ -205,7 +206,7 @@ class SimNode:
         if self.awake:
             self._start_streaming(now)
         else:
-            self.mac_wake(now)
+            self.mac_wake()
             self._start_slot_chain(now)
 
     def exit_slot(self, now: SimTime) -> None:
@@ -217,7 +218,7 @@ class SimNode:
             self.engine.cancel(self._pending_packet)
             self._pending_packet = None
         if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self.park(now)
+            self.park()
 
     def _start_slot_chain(self, now: SimTime) -> None:
         """Wake-up burst, then the peripheral cycle (performance mode only),
@@ -237,13 +238,13 @@ class SimNode:
         holds the slot and is not asleep, else idle."""
         if self._chain:
             step = self._chain.pop(0)
-            self.set_phase(step.current_ma, now)  # the caller settled `now`
+            self._phase_ma = step.current_ma
             self.engine.schedule_at(now + step.duration_ns, self.name,
                                     EventKind.PERIPHERAL_TICK, payload=self._epoch)
         elif self.in_slot and self.mode is not Mode.SLEEP:
             self._start_streaming(now)
         else:
-            self.set_phase(self.scenario.idle_current_ma, now)
+            self._phase_ma = self.scenario.idle_current_ma
 
     def on_chain_step(self, now: SimTime, epoch: int) -> None:
         self.sync(now)
@@ -270,9 +271,7 @@ class SimNode:
         if self.tx_in_flight:
             self._restream_after_tx = True
             return
-        self.set_phase(self.scenario.idle_current_ma, now)
-        if self.mode is Mode.SLEEP:
-            return
+        self._phase_ma = self.scenario.idle_current_ma
         # The first packet is ready once a full generation period has
         # accumulated; sending at the stream start would overshoot the rate.
         ready_at = now + self.links[self.modality].interval_ns[self.mode]
@@ -291,9 +290,7 @@ class SimNode:
         """
         self.sync(now)
         if epoch != self._epoch:
-            return
-        if not (self.in_slot and self.awake and self.mode is not Mode.SLEEP):
-            return
+            return  # stale: see `_epoch`
         link = self.links[self.modality]
         airtime, interval = link.airtime_ns, link.interval_ns[self.mode]
         now = self._run_stretch(now, link, interval)
@@ -365,7 +362,7 @@ class SimNode:
                     f"{self.name}: radio TX from {self.ble_state.value}")
             self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_START)
         self._tx_started_ns = now
-        self._phase_ma = self.links[self.modality].tx_current_ma  # `now` is settled
+        self._phase_ma = self.links[self.modality].tx_current_ma
 
     def on_transmit_end(self, now: SimTime, modality: Modality) -> None:
         self.sync(now)
@@ -384,11 +381,11 @@ class SimNode:
         # Settle into whatever the node should be doing now.
         restream, self._restream_after_tx = self._restream_after_tx, False
         if not self.in_slot or self.mode is Mode.SLEEP:
-            self.park(now)
+            self.park()
         elif restream:
             self._start_streaming(now)
         else:
-            self._phase_ma = self.scenario.idle_current_ma  # `now` is settled
+            self._phase_ma = self.scenario.idle_current_ma
 
     # -- reconfiguration -----------------------------------------------------
 
@@ -414,7 +411,7 @@ class SimNode:
             return
         self._close_eligible(now)
         if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self.park(now)
+            self.park()
 
     # -- event dispatch ---------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Scenario wiring and the run/sweep entry points.
 
-A run builds the star topology, derives per-modality link plans from the
-channel models, and drives the polling MAC, the per-node reconfiguration
-policy, harvesting, and 1 Hz trace sampling through the event kernel.
+A run derives per-modality link plans from the channel models at the
+scenario's one distance and incidence angle, and drives the polling MAC, the
+per-node reconfiguration policy, harvesting, and 1 Hz trace sampling through
+the event kernel.
 """
 
 from __future__ import annotations
@@ -24,30 +25,17 @@ GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
 HARVEST_TICK_S = 1.0  # harvest settlement and trace sampling period
 
 
-def _poses(scenario: Scenario) -> tuple[channel.Pose, channel.Pose]:
-    """Star geometry: gateway on the ceiling facing down, node facing up at
-    the configured distance and incidence angle. Every node sits at that
-    distance and angle, only its azimuth differs, so one pose serves all."""
-    h = scenario.gateway_height_m
-    gateway = channel.Pose(position=(0.0, 0.0, h), facing=(0.0, 0.0, -1.0))
-    theta = math.radians(scenario.incidence_angle_deg)
-    d = scenario.distance_m
-    node = channel.Pose(position=(d * math.sin(theta), 0.0, h - d * math.cos(theta)),
-                        facing=(0.0, 0.0, 1.0))
-    return gateway, node
-
-
 def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
-    """Static per-modality link budget and transmission shape for the
-    scenario geometry."""
-    gateway, node = _poses(scenario)
+    """Static per-modality link budget and transmission shape. Every node
+    sits at the scenario's distance and incidence angle, so one plan per
+    modality serves them all."""
     bits = scenario.packet_bytes * 8
-    rx_dbm = channel.friis_rx_power(scenario, gateway, node)
+    rx_dbm = channel.friis_rx_power(scenario)
     ble_snr = channel.snr_db(rx_dbm, scenario.noise_figure_db, scenario.bandwidth_hz)
     # Per-bit SNR at the PHY rate drives the modem error rate.
     bit_rate = phy_bits_per_ms(scenario.ble_phy_rate) * 1e3
     ble_eb = ble_snr + 10.0 * math.log10(scenario.bandwidth_hz / bit_rate)
-    owc_snr = channel.owc_snr_db(scenario, channel.owc_channel_gain(scenario, gateway, node))
+    owc_snr = channel.owc_snr_db(scenario, channel.owc_channel_gain(scenario))
     ble_airtime_ms = ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
                                  scenario.mtu_bytes)
     owc_airtime_ms = bits / scenario.owc_phy_rate_kbps
@@ -115,8 +103,6 @@ class _Controller:
             node = SimNode(name, scenario, self.links, buffer, engine, NodeMetrics(name=name),
                            RngStream(scenario.seed, i + 1), best)
             node.evaluate_cb = self.evaluate
-            if scenario.init_advertising and scenario.init_delay_s > 0:
-                node.set_phase(scenario.advertising_current_ma, 0)
             engine.register(name, node.handle)
             self.nodes.append(node)
         # Round-robin polling: slot k belongs to node k % node_count.
@@ -165,7 +151,7 @@ class _Controller:
         if self.slot < 0:
             for node in self.nodes:
                 node.sync(now)
-                node.park(now)
+                node.park()
         else:
             self.nodes[self.slot % len(self.nodes)].exit_slot(now)
         self.slot += 1

@@ -48,7 +48,6 @@ class Scenario:
     # [topology]
     distance_m: float = 1.0
     incidence_angle_deg: float = 30.0
-    gateway_height_m: float = 2.0
 
     # [traffic]
     packet_bytes: int = 512
@@ -126,6 +125,8 @@ class Scenario:
             raise ScenarioError("initial_fraction must be in (0, 1]")
         if not 0 <= self.interaction_probability <= 1:
             raise ScenarioError("interaction_probability must be in [0, 1]")
+        if not 0 <= self.incidence_angle_deg <= 90:
+            raise ScenarioError("incidence_angle_deg must be in [0, 90]")
         if not 0 < self.led_semi_angle_deg < 90 or not 0 < self.pd_fov_deg <= 90:
             raise ScenarioError("led_semi_angle_deg must be in (0, 90) and "
                                 "pd_fov_deg in (0, 90]")

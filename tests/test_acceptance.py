@@ -54,12 +54,12 @@ PRESET_COUNTERS = {
 # in name order, as `write_traces` writes them. CI checks them under its
 # oldest and newest Python; only a deliberate model change may move them.
 PRESET_TRACE_SHA256 = {
-    "paper_fig11": "9aebf6942d491be2369686fde5e0c3bd534e73ebf7ac3b82a8fd4149b704ef14",
-    "paper_fig11b": "8e92f8de023298abc292357e487a14341eddcfe76c37284c44351e1c45dc3005",
-    "paper_fig12": "230b1788663d266ed024fe4a0ea72d4fda5ed27403ebd1c36180b03e7d69a9e8",
-    "paper_fig12b": "95f3efc73fac9e8cb62d7c51e58fb4703a17d468c3909f006449e459e486d875",
-    "paper_fig13": "215ad56f91f02ef158c598fb170a9071ce33161dae4597c164ecc604740720a4",
-    "paper_fig13b": "796fcba442771948466b296391e0647c4c207e61e6376cb5458416b964b6b040",
+    "paper_fig11": "7c76c3e28d18ae9c5d26177ddf526539e39d994019aad747cd6a1b1e3b24a4d4",
+    "paper_fig11b": "95e02735d04ca0f281445f0deb5b3d1bfc31f1334d7b49395ed1d51c338ed8c5",
+    "paper_fig12": "29e1f575912ad0295fa7a7d269eebc69f821d86e3d160d5e66f187adde5b2253",
+    "paper_fig12b": "439f5cb84a67bed0714d5d46f7ce9ec8bc1e6df4fa3a333955054166639df4bf",
+    "paper_fig13": "a218f6aa806949ce2b2f94a92f476ad3533ec95961c4ea29f11acb574faac087",
+    "paper_fig13b": "2a992098a2d8d5e4ab1ae5168dd8285880ad677fcb396afc2d8219efd835b962",
 }
 
 

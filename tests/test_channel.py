@@ -8,47 +8,38 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim import channel
-from hybridsim.channel import (Pose, friis_rx_power, gfsk_ber, lambertian_order,
-                               ook_ber, owc_channel_gain, owc_snr_db,
-                               packet_success, snr_db)
-from hybridsim.scenario import Scenario
+from hybridsim.channel import (friis_rx_power, gfsk_ber, lambertian_order, ook_ber,
+                               owc_channel_gain, owc_snr_db, packet_success, snr_db)
+from hybridsim.scenario import Scenario, ScenarioError
 from hybridsim.validation import default_ber_fixture_path
-
-ORIGIN = Pose(position=(0.0, 0.0, 0.0), facing=(0.0, 0.0, 1.0))
-
-
-def _rx_at(d):
-    return Pose(position=(0.0, 0.0, d), facing=(0.0, 0.0, -1.0))
 
 
 class TestFriis:
     def test_one_meter_reference(self):
         # 20*log10(4*pi*1*2.4e9/c) = 40.05 dB free-space loss
         # at the 2.4 GHz carrier
-        cfg = Scenario(ble_tx_power_dbm=0.0)
-        assert friis_rx_power(cfg, ORIGIN, _rx_at(1.0)) == pytest.approx(-40.05, abs=0.01)
+        cfg = Scenario(ble_tx_power_dbm=0.0, distance_m=1.0)
+        assert friis_rx_power(cfg) == pytest.approx(-40.05, abs=0.01)
 
     def test_doubling_distance_costs_six_db(self):
-        cfg = Scenario()
-        near = friis_rx_power(cfg, ORIGIN, _rx_at(1.0))
-        far = friis_rx_power(cfg, ORIGIN, _rx_at(2.0))
+        near = friis_rx_power(Scenario(distance_m=1.0))
+        far = friis_rx_power(Scenario(distance_m=2.0))
         assert near - far == pytest.approx(20 * math.log10(2), abs=1e-9)
 
     def test_linear_in_tx_power(self):
-        lo = friis_rx_power(Scenario(ble_tx_power_dbm=0.0), ORIGIN, _rx_at(1.0))
-        hi = friis_rx_power(Scenario(ble_tx_power_dbm=8.0), ORIGIN, _rx_at(1.0))
+        lo = friis_rx_power(Scenario(ble_tx_power_dbm=0.0))
+        hi = friis_rx_power(Scenario(ble_tx_power_dbm=8.0))
         assert hi - lo == pytest.approx(8.0, abs=1e-12)
 
     def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            friis_rx_power(Scenario(), ORIGIN, ORIGIN)
+        with pytest.raises(ScenarioError, match="distance_m"):
+            Scenario(distance_m=0.0)
 
     @given(st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=0.01, max_value=10.0))
     def test_strictly_decreasing_with_distance(self, d, step):
-        cfg = Scenario()
-        assert (friis_rx_power(cfg, ORIGIN, _rx_at(d))
-                > friis_rx_power(cfg, ORIGIN, _rx_at(d + step)))
+        assert (friis_rx_power(Scenario(distance_m=d))
+                > friis_rx_power(Scenario(distance_m=d + step)))
 
 
 class TestSnr:
@@ -103,33 +94,48 @@ class TestGfsk:
 class TestOpticalChannel:
     def _cfg(self, **kw):
         defaults = dict(led_semi_angle_deg=60.0, pd_area_m2=1e-4, pd_fov_deg=60.0,
-                        concentrator_gain=1.0)
+                        concentrator_gain=1.0, distance_m=1.0, incidence_angle_deg=0.0)
         defaults.update(kw)
         return Scenario(**defaults)
 
     def test_boresight_reference_value(self):
         # m=1 at 60 deg semi-angle: H = 2*A/(2*pi*d^2)
-        gain = owc_channel_gain(self._cfg(), ORIGIN, _rx_at(1.0))
+        gain = owc_channel_gain(self._cfg())
         assert gain == pytest.approx(2e-4 / (2 * math.pi), rel=1e-9)
 
     def test_lambertian_order_at_sixty_degrees_is_one(self):
         assert lambertian_order(60.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_outside_fov_is_exactly_zero(self):
-        cfg = self._cfg(pd_fov_deg=20.0)
-        rx = Pose(position=(0.0, 0.0, 1.0), facing=(math.sin(math.radians(30)),
-                                                    0.0, -math.cos(math.radians(30))))
-        assert owc_channel_gain(cfg, ORIGIN, rx) == 0.0
+        cfg = self._cfg(pd_fov_deg=20.0, incidence_angle_deg=30.0)
+        assert owc_channel_gain(cfg) == 0.0
+
+    @pytest.mark.parametrize("fov", [1.0, 45.0, 60.0, 89.5])
+    def test_fov_edge_is_inside_and_the_next_float_outside(self, fov):
+        edge = self._cfg(pd_fov_deg=fov, incidence_angle_deg=fov)
+        assert owc_channel_gain(edge) > 0.0
+        past = self._cfg(pd_fov_deg=fov, incidence_angle_deg=math.nextafter(fov, math.inf))
+        assert owc_channel_gain(past) == 0.0
+
+    @pytest.mark.parametrize("semi_angle", [20.0, 45.0, 60.0, 75.0])
+    @pytest.mark.parametrize("theta", [10.0, 30.0, 59.0, 89.0])
+    def test_gain_falls_as_cos_to_the_m_plus_one(self, semi_angle, theta):
+        # emission and incidence angle are both theta: cos^m * cos
+        cfg = self._cfg(led_semi_angle_deg=semi_angle, pd_fov_deg=90.0)
+        m = lambertian_order(semi_angle)
+        expected = owc_channel_gain(cfg) * math.cos(math.radians(theta)) ** (m + 1.0)
+        tilted = owc_channel_gain(self._cfg(led_semi_angle_deg=semi_angle, pd_fov_deg=90.0,
+                                            incidence_angle_deg=theta))
+        assert tilted == pytest.approx(expected, rel=1e-12)
 
     def test_inverse_square(self):
-        cfg = self._cfg()
-        near = owc_channel_gain(cfg, ORIGIN, _rx_at(1.0))
-        far = owc_channel_gain(cfg, ORIGIN, _rx_at(2.0))
+        near = owc_channel_gain(self._cfg(distance_m=1.0))
+        far = owc_channel_gain(self._cfg(distance_m=2.0))
         assert near / far == pytest.approx(4.0, rel=1e-9)
 
     def test_zero_distance_rejected(self):
-        with pytest.raises(ValueError):
-            owc_channel_gain(self._cfg(), ORIGIN, ORIGIN)
+        with pytest.raises(ScenarioError, match="distance_m"):
+            self._cfg(distance_m=0.0)
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
@@ -142,6 +148,13 @@ class TestOpticalSnr:
     def test_zero_gain_sentinel(self):
         assert owc_snr_db(Scenario(), 0.0) == -math.inf
 
+    def test_underflowing_signal_power_is_the_sentinel(self):
+        # A narrow beam seen 85 deg off axis: the gain is positive, but the
+        # squared photocurrent underflows to zero.
+        cfg = Scenario(incidence_angle_deg=85.0, led_semi_angle_deg=5.0, pd_fov_deg=90.0)
+        assert 0.0 < owc_channel_gain(cfg) < 1e-160
+        assert owc_snr_db(cfg, owc_channel_gain(cfg)) == -math.inf
+
     def test_doubling_power_adds_six_db(self):
         # tiny gain keeps the shot term background-dominated, so the noise is
         # effectively constant and the squared signal term doubles cleanly
@@ -151,12 +164,8 @@ class TestOpticalSnr:
 
     def test_reference_geometry_finite_positive(self):
         # 1 m range, 30 deg emission and incidence, documented constants
-        cfg = Scenario()
-        tx = Pose(position=(0.0, 0.0, 2.0), facing=(0.0, 0.0, -1.0))
-        theta = math.radians(30.0)
-        rx = Pose(position=(math.sin(theta), 0.0, 2.0 - math.cos(theta)),
-                  facing=(0.0, 0.0, 1.0))
-        value = owc_snr_db(cfg, owc_channel_gain(cfg, tx, rx))
+        cfg = Scenario(distance_m=1.0, incidence_angle_deg=30.0)
+        value = owc_snr_db(cfg, owc_channel_gain(cfg))
         assert value == pytest.approx(69.72, abs=0.05)
 
     def test_ook_saturates_and_decreases(self):
@@ -182,24 +191,16 @@ class TestPacketSuccess:
             packet_success(0.1, -1)
 
 
-def test_pose_requires_unit_facing():
-    with pytest.raises(ValueError):
-        Pose(position=(0, 0, 0), facing=(0, 0, 2))
-
-
 def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
     from hybridsim.optimizer import ewma_update, mobility_probability
 
-    cfg = Scenario()
-    rx = _rx_at(1.0)
     baseline = None
     p_still = p_moving = 0.0
     for step in range(30):
-        # node stands still for 15 samples, then walks away at 1 m/s
-        if step >= 15:
-            x, y, z = rx.position
-            rx = Pose(position=(x, y + 1.0, z), facing=rx.facing)
-        sample = snr_db(friis_rx_power(cfg, ORIGIN, rx), 7.0, 1e6)
+        # node stands still 1 m from the gateway for 15 samples, then walks
+        # sideways at 1 m/s
+        distance = math.hypot(1.0, max(0, step - 14))
+        sample = snr_db(friis_rx_power(Scenario(distance_m=distance)), 7.0, 1e6)
         baseline = sample if baseline is None else ewma_update(baseline, sample, 0.2)
         p = mobility_probability(baseline, sample, 1.5, 3.0)
         if step == 14:

@@ -141,6 +141,8 @@ class TestRun:
     @pytest.mark.parametrize("section,line", [
         ("traffic", "warp_speed = 9"),
         ("topology", "distance_m = 0"),
+        ("topology", "incidence_angle_deg = 400"),
+        ("topology", "gateway_height_m = 2.0"),
         ("energy", "harvest_mw = -5"),
         ("scenario", "duration_s = nan"),
         ("energy", "harvest_profile = 10:5, 0:3"),
@@ -183,6 +185,12 @@ class TestSweep:
 
     def test_empty_rates_rejected(self, short_cfg):
         assert main(["sweep", "--config", short_cfg, "--rates", ","]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("rates", ["100,abc", "abc"])
+    def test_non_numeric_rate_is_validation_failure(self, short_cfg, capsys, rates):
+        assert main(["sweep", "--config", short_cfg, "--rates", rates]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--rates" in err and "abc" in err
 
 
 class TestSelfChecks:

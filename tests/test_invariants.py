@@ -26,8 +26,8 @@ ASLEEP = ("SLEEP|OFF", "OFF|OFF")
 def scenarios(draw) -> Scenario:
     """Short (<= 60 s), small (<= 5 nodes) scenarios over both policies, both
     sleep modes and small batteries, with f_c on either side of the ETNO
-    thresholds, optional SNR jitter and harvest profiles, and lossless or
-    lossy links."""
+    thresholds, optional SNR jitter and harvest profiles, and lossless,
+    lossy or (outside the field of view) dead optical links."""
     target = draw(st.floats(20.0, 400.0))
     sleep_threshold = draw(st.sampled_from([0.1, 0.2, 0.3]))
     profile = draw(st.one_of(
@@ -39,6 +39,8 @@ def scenarios(draw) -> Scenario:
         init_delay_s=draw(st.sampled_from([0.0, 1.0, 5.0])),
         node_count=draw(st.integers(1, 5)),
         distance_m=draw(st.sampled_from([1.0, 30.0])),
+        # 75 deg is outside the default 60 deg field of view: no optical link.
+        incidence_angle_deg=draw(st.sampled_from([0.0, 30.0, 75.0])),
         seed=draw(st.integers(1, 1000)),
         optimizer=draw(st.sampled_from(["euno", "etno", "etno-owc"])),
         inter_transmission_sleep=draw(st.booleans()),

@@ -239,7 +239,7 @@ class TestBehaviour:
         engine = Engine()
         controller = _Controller(SHORT, engine)
         node = controller.nodes[0]
-        node.mac_sleep(0)
+        node.mac_sleep()
         with pytest.raises(ProtocolViolation):
             node.transmit_packet(0)
 

@@ -111,7 +111,7 @@ class TestDerivedSchema:
                   for name, _ in keys.values()]
         assert sorted(mapped) == sorted(f.name for f in fields(Scenario)
                                         if f.name != "weights")
-        assert len(mapped) == 52
+        assert len(mapped) == 51
 
     def test_weights_accept_exactly_the_utility_weights(self):
         weights = _SCHEMA["weights"]
@@ -194,6 +194,7 @@ _OUT_OF_RANGE = {
     "etno_conservation_threshold": _below(0.0) | _above(1.0),
     "led_semi_angle_deg": st.floats(max_value=0.0) | st.floats(min_value=90.0),
     "pd_fov_deg": st.floats(max_value=0.0) | _above(90.0),
+    "incidence_angle_deg": _below(0.0) | _above(90.0),
     "conn_interval_ms": st.floats(max_value=CONN_EVENT_LEN_MS),
 }
 _WEIGHTS_OUT_OF_RANGE = {
