@@ -9,7 +9,9 @@ by `validation.check_calibration`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .actions import Action, Mode, Modality
@@ -88,6 +90,9 @@ class EnergyBuffer:
         return added, None
 
 
+_START = itemgetter(0)  # a harvest segment's start time
+
+
 @dataclass(frozen=True)
 class HarvestProfile:
     """Piecewise-constant input power: segments of (start time s, watts)."""
@@ -103,21 +108,22 @@ class HarvestProfile:
         if any(p < 0 for _, p in self.segments):
             raise ValueError("harvest power cannot be negative")
 
-    def power_at(self, t_s: float) -> float:
-        power = 0.0
-        for start, p in self.segments:
-            if t_s >= start:
-                power = p
-            else:
-                break
-        return power
-
     def energy_between(self, t0_s: float, t1_s: float) -> float:
-        """Integral of the profile over [t0, t1] in joules."""
+        """Integral of the profile over [t0, t1] in joules, added piece by
+        piece from the left; a segment applies from its start onwards, and
+        before the first start the power is 0."""
         if t1_s <= t0_s:
             return 0.0
-        edges = [t0_s] + [s for s, _ in self.segments if t0_s < s < t1_s] + [t1_s]
-        return sum(self.power_at(a) * (b - a) for a, b in zip(edges, edges[1:]))
+        segments = self.segments
+        i = bisect_right(segments, t0_s, key=_START)
+        power = segments[i - 1][1] if i else 0.0
+        total, since = 0.0, t0_s
+        for start, p in segments[i:]:
+            if start >= t1_s:
+                break
+            total += power * (start - since)
+            power, since = p, start
+        return total + power * (t1_s - since)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +150,10 @@ def peripheral_steps(scenario: Scenario) -> tuple[PhaseStep, ...]:
 def peripheral_cycle_j(scenario: Scenario) -> float:
     """Energy one peripheral cycle draws above idle, floored at zero."""
     v = scenario.supply_voltage
-    per_cycle = sum(
-        phase_energy(step.current_ma, step.duration_ns / NS_PER_MS, v)
-        - phase_energy(scenario.idle_current_ma, step.duration_ns / NS_PER_MS, v)
-        for step in peripheral_steps(scenario))
+    per_cycle = 0.0
+    for step in peripheral_steps(scenario):
+        per_cycle += (phase_energy(step.current_ma, step.duration_ns / NS_PER_MS, v)
+                      - phase_energy(scenario.idle_current_ma, step.duration_ns / NS_PER_MS, v))
     return max(0.0, per_cycle)
 
 

@@ -1,21 +1,33 @@
 """Run metrics, trace rows, and the on-disk trace format.
 
 Each node produces a 1 Hz time series suitable for plotting energy
-trajectories, plus counters. Files are written with fixed formatting so two
-runs of the same scenario and seed are byte-identical.
+trajectories, plus counters. The series is kept column-wise: four doubles per
+sample in one array, and one shared label string per sample. Files are written
+with fixed formatting so two runs of the same scenario and seed are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from .actions import Mode, Modality
+from .linklayer import BleState, OwcState
+
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
-# `%.9g` renders a float or an int exactly as `format(value, ".9g")` does.
-_ROW_FORMAT = "%.9g,%.9g,%.9g,%.9g,%s,%s,%s"
+# A row's label columns, ",mode,modality,OWC|BLE", per node state, built once:
+# every sample in one state shares the string.
+TRACE_TAILS = {
+    (mode, modality, owc, ble): f",{mode.value},{modality.value},{owc.value}|{ble.value}"
+    for mode in Mode for modality in Modality for owc in OwcState for ble in BleState}
+# `%.9g` renders a float exactly as `format(value, ".9g")` does; the label
+# tail carries its own leading comma.
+_ROW_FORMAT = "%.9g,%.9g,%.9g,%.9g%s"
 
 
 class TraceRow(NamedTuple):
@@ -28,12 +40,21 @@ class TraceRow(NamedTuple):
     fsm_state: str
 
 
+def _columns(values: array) -> tuple[list[float], ...]:
+    """The four numeric trace columns of a flat `values` array."""
+    v = values.tolist()
+    return v[0::4], v[1::4], v[2::4], v[3::4]
+
+
 @dataclass
 class NodeMetrics:
     name: str
-    # One exact tuple per 1 Hz sample, in TraceRow's field order. The cyclic
-    # GC stops tracking a tuple of floats and strs; a TraceRow it keeps walking.
-    samples: list[tuple] = field(default_factory=list)
+    # The 1 Hz samples, column-wise: `values` holds each sample's t_s,
+    # remaining_J, consumed_J and harvested_J in turn; `tails` holds its
+    # ",mode,modality,fsm_state" label, one string shared by every sample
+    # with that label.
+    values: array = field(default_factory=lambda: array("d"))
+    tails: list[str] = field(default_factory=list)
     bytes_delivered: int = 0
     packets_lost: int = 0
     modality_switches: int = 0
@@ -49,7 +70,8 @@ class NodeMetrics:
     @property
     def rows(self) -> list[TraceRow]:
         """The samples as TraceRows, built afresh on each read."""
-        return list(map(TraceRow._make, self.samples))
+        return [TraceRow(t, r, c, h, *tail[1:].split(","))
+                for t, r, c, h, tail in zip(*_columns(self.values), self.tails)]
 
     @property
     def achieved_rate_kbps(self) -> float:
@@ -107,8 +129,8 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
         paths = []
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
-            lines = [TRACE_HEADER] + [_ROW_FORMAT % sample for sample in nm.samples]
-            path.write_text("\n".join(lines) + "\n")
+            lines = map(_ROW_FORMAT.__mod__, zip(*_columns(nm.values), nm.tails))
+            path.write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
             paths.append(path)
         summary_path = out / "summary.json"
         summary_path.write_text(

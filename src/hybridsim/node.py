@@ -16,7 +16,7 @@ from .actions import Action, Mode, Modality
 from .energy import EnergyBuffer, PhaseStep, peripheral_steps, phase_energy
 from .kernel import Engine, EventKind, SimTime, NS_PER_SEC, millis
 from .linklayer import BleState, OwcState, fsm_dispatch
-from .metrics import NodeMetrics
+from .metrics import TRACE_TAILS, NodeMetrics
 from .scenario import Scenario
 
 
@@ -126,12 +126,9 @@ class SimNode:
 
     def sample(self, t_s: float) -> None:
         """Append the trace sample at `t_s`; the caller settled the node."""
-        buffer = self.buffer
-        self.metrics.samples.append((
-            t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j,
-            # `_value_` is the plain attribute behind `.value`'s descriptor.
-            self.mode._value_, self.modality._value_,
-            f"{self.owc_state._value_}|{self.ble_state._value_}"))
+        buffer, metrics = self.buffer, self.metrics
+        metrics.values.extend((t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
+        metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.owc_state, self.ble_state])
 
     # -- battery edges ------------------------------------------------------
 

@@ -263,6 +263,8 @@ def sweep(base: Scenario, rates: list[float],
                 base, target_rate_kbps=rate, optimizer=optimizer,
                 conservation_rate_kbps=min(base.conservation_rate_kbps, rate))
             metrics = run(scenario)
-            achieved = [nm.achieved_rate_kbps for nm in metrics.nodes.values()]
-            rows.append(SweepRow(rate, optimizer, sum(achieved) / len(achieved)))
+            total = 0.0
+            for nm in metrics.nodes.values():
+                total += nm.achieved_rate_kbps
+            rows.append(SweepRow(rate, optimizer, total / len(metrics.nodes)))
     return SweepResult(rows=tuple(rows))

@@ -95,8 +95,38 @@ class TestHarvest:
     def test_piecewise_segments(self):
         profile = HarvestProfile(segments=((0.0, 0.010), (50.0, 0.002)))
         assert profile.energy_between(0.0, 100.0) == pytest.approx(0.5 + 0.1)
-        assert profile.power_at(49.9) == 0.010
-        assert profile.power_at(50.0) == 0.002
+        # A segment applies from its start on.
+        assert profile.energy_between(49.0, 50.0) == 0.010
+        assert profile.energy_between(50.0, 51.0) == 0.002
+
+    def test_pieces_add_left_to_right(self):
+        # 0.0001 + 0.0006 + 0.0009 in that order, the same double on every
+        # Python version; a compensated `sum()` (3.12 on) gives 0.0016.
+        profile = HarvestProfile(((0.0, 0.001), (0.1, 0.001), (0.7, 0.003)))
+        assert profile.energy_between(0.0, 1.0) == 0.0016000000000000003
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.25]) | st.floats(-5.0, 5.0),
+                              st.sampled_from([0.0, 0.001, 0.003]) | st.floats(0.0, 0.05)),
+                    min_size=1, max_size=6),
+           st.floats(-6.0, 6.0), st.booleans(), st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 4.0))
+    def test_matches_the_edge_list_reference(self, segments, t0, on_a_start, width):
+        # The reference splits [t0, t1] at every segment start inside it and
+        # reads each piece's power by a scan. Both add the pieces left to
+        # right, so they must give the same double.
+        segments = sorted(segments, key=lambda segment: segment[0])
+        if on_a_start:
+            t0 = segments[len(segments) // 2][0]
+        t1 = t0 + width
+
+        def power_at(t):
+            return ([p for s, p in segments if s <= t] or [0.0])[-1]
+
+        expected = 0.0
+        if t1 > t0:
+            edges = [t0] + [s for s, _ in segments if t0 < s < t1] + [t1]
+            for a, b in zip(edges, edges[1:]):
+                expected += power_at(a) * (b - a)
+        assert HarvestProfile(tuple(segments)).energy_between(t0, t1) == expected
 
     def test_unsorted_segments_rejected(self):
         with pytest.raises(ValueError):

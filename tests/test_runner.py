@@ -1,10 +1,14 @@
 """End-to-end runs on a shortened scenario: trace integrity, the energy
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
-import gc
+import hashlib
+import inspect
 import itertools
 import json
+import tracemalloc
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +17,10 @@ from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
 from hybridsim.linklayer import BleState, OwcState
-from hybridsim.metrics import _ROW_FORMAT, TRACE_HEADER, TraceRow, write_traces
+from hybridsim import node as node_module
+from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMetrics,
+                               TraceRow, write_traces)
+from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -23,6 +30,8 @@ from test_invariants import scenarios
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
                  battery_capacity_j=2.0)
+# 16 EUNO nodes under a harvest profile that changes inside 1 s ticks.
+SUBSECOND = Path(__file__).parent / "data" / "euno16_subsecond.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -124,20 +133,69 @@ class TestTraces:
 
     @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-12, 123456789.5, 1e20,
                                        7, 10**12 + 1])
-    def test_row_format_matches_per_field_format(self, value):
-        row = TraceRow(value, value, value, value, "sleep", "ble", "OFF|OFF")
+    def test_row_format_matches_per_field_format(self, value, tmp_path):
+        nm = NodeMetrics("node1")
+        nm.values.extend((value,) * 4)
+        nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, OwcState.OFF, BleState.OFF])
+        write_traces(MetricsRecord(config={}, seed=1, nodes={"node1": nm}), tmp_path)
         expected = ",".join([format(value, ".9g")] * 4 + ["sleep", "ble", "OFF|OFF"])
-        assert _ROW_FORMAT % row == expected
+        assert (tmp_path / "trace_node1.csv").read_text().splitlines()[1] == expected
 
-    def test_samples_are_untracked_tuples_read_as_rows(self, metrics):
-        nm = metrics.node(1)
-        gc.collect()
-        # The cyclic GC walks a TraceRow on every full collection; it stops
-        # tracking an exact tuple of floats and strs.
-        assert all(type(s) is tuple and not gc.is_tracked(s) for s in nm.samples)
-        rows = nm.rows
-        assert rows == [TraceRow(*s) for s in nm.samples]
-        assert all(type(row) is TraceRow for row in rows)
+    def test_node_without_samples_writes_the_header_only(self, tmp_path):
+        nodes = {"node1": NodeMetrics("node1")}
+        write_traces(MetricsRecord(config={}, seed=1, nodes=nodes), tmp_path)
+        assert (tmp_path / "trace_node1.csv").read_text() == TRACE_HEADER + "\n"
+
+    def test_samples_are_stored_column_wise_and_read_as_rows(self, monkeypatch):
+        # Beside each sample, record the TraceRow a tuple-per-sample store
+        # built from the node's state, and the state's label key.
+        expected, keys = {}, {}
+        sample = SimNode.sample
+
+        def recording(node, t_s):
+            b = node.buffer
+            expected.setdefault(node.name, []).append(TraceRow(
+                t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.mode.value,
+                node.modality.value, f"{node.owc_state.value}|{node.ble_state.value}"))
+            keys.setdefault(node.name, []).append(
+                (node.mode, node.modality, node.owc_state, node.ble_state))
+            sample(node, t_s)
+
+        monkeypatch.setattr(SimNode, "sample", recording)
+        record = run(SHORT)
+        for name, nm in record.nodes.items():
+            assert type(nm.values) is array and nm.values.typecode == "d"
+            assert len(nm.values) == 4 * len(nm.tails) > 0
+            assert all(tail is TRACE_TAILS[key] for tail, key in zip(nm.tails, keys[name]))
+            rows = nm.rows
+            assert rows == expected[name]
+            assert all(type(row) is TraceRow for row in rows)
+
+    def test_sampling_allocates_little_per_sample(self):
+        # At most 64 B of live allocations per sample at `SimNode.sample`:
+        # four doubles in one array and one pointer to a shared label. A
+        # tuple, a label string and boxed floats per sample held ~160 B on this run.
+        lines, first = inspect.getsourcelines(SimNode.sample)
+        where = [tracemalloc.Filter(True, node_module.__file__, lineno=n)
+                 for n in range(first, first + len(lines))]
+        tracemalloc.start()
+        try:
+            record = run(replace(SHORT, node_count=8))
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in snapshot.filter_traces(where).statistics("filename"))
+        samples = sum(len(nm.tails) for nm in record.nodes.values())
+        assert samples > 1000
+        assert held <= 64 * samples
+
+    def test_subsecond_harvest_fleet_bytes_pinned(self, tmp_path):
+        # The digests sit beside the scenario in `sha256sum` format, so CI
+        # checks the same bytes through the installed console script.
+        pinned = SUBSECOND.with_suffix(".sha256").read_text().splitlines()
+        write_traces(run(load_scenario(SUBSECOND)), tmp_path)
+        assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                      for path in tmp_path.iterdir()) == sorted(pinned)
 
     @pytest.mark.parametrize("owc,ble", itertools.product(OwcState, BleState))
     def test_sampled_fsm_label(self, owc, ble):
@@ -356,7 +414,7 @@ class TestHarvestTick:
         node.buffer.remaining_j = node.buffer.threshold_j - 0.001
         node.tick(seconds(1), 0.02, 1.0)
         assert node.buffer.remaining_j > node.buffer.threshold_j
-        assert node.metrics.samples[-1][1] == node.buffer.remaining_j
+        assert node.metrics.rows[-1].remaining_j == node.buffer.remaining_j
 
 
 def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
