@@ -6,7 +6,7 @@ events, 68 ms optical chunks, 25 s poll slots) are exactly representable
 and long runs accumulate no floating-point drift.
 
 `events_executed` counts model events: those the queue dispatches and those
-a handler runs inline before the queue's horizon (see `Engine.horizon`),
+a handler runs inline before the queue's horizon (see `Engine.head`),
 so the count does not depend on which of the two ran an event.
 """
 
@@ -119,19 +119,27 @@ class Engine:
     #
     # A handler may run its own next events itself while they fall before the
     # horizon, and count them with `run_inline`: one call may count many, as a
-    # streaming node's stretch of bursts counts two per burst. Where it stops,
-    # it queues its next events with `schedule_at`; since nothing else was
-    # scheduled meanwhile, the queue ranks them as if they had been scheduled
-    # when the handler first knew of them.
+    # streaming node's stretch of bursts counts two per burst. It may also
+    # dispatch the head in its place (`dispatch_head`) and run on, as a stretch
+    # does through the 1 Hz world tick. Where it stops (a stretch: at a slot
+    # end, a battery edge or any other head), it queues its next events with
+    # `schedule_at`; since nothing else was scheduled meanwhile, the queue
+    # ranks them as if they had been scheduled when the handler first knew.
 
-    def horizon(self) -> SimTime:
-        """Earliest time at which anything but the running handler's own
-        events can happen: the head of the queue, or `end + 1` of the
-        current `run_until`. Outside a run it is 0, so nothing runs inline."""
-        stop = self._end + 1
-        if self._heap and self._heap[0][0] < stop:
-            return self._heap[0][0]
-        return stop
+    def head(self) -> tuple[SimEvent | None, SimTime]:
+        """The head of the queue if it fires in the current `run_until`, else
+        None, and the time of the entry after it (a cancelled one too; the
+        head's children hold it) or else `end + 1`. The horizon, the earliest
+        time anything but the running handler's own events can happen, is the
+        head's time, or else the second value: 0 outside a run."""
+        stop, heap = self._end + 1, self._heap
+        if not heap or heap[0][0] >= stop:
+            return None, stop
+        after = stop
+        for entry in heap[1:3]:
+            if entry[0] < after:
+                after = entry[0]
+        return heap[0][2], after
 
     def run_inline(self, at: SimTime, events: int = 1) -> None:
         """Advance the clock to `at`, the time of the last of the `events`
@@ -149,14 +157,19 @@ class Engine:
     def run_until(self, end: SimTime) -> None:
         self._end = end
         while self._heap and self._heap[0][0] <= end:
-            fire_at, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self.now = fire_at
-            self.events_executed += 1
-            handler = self._handlers.get(event.target)
-            if handler is not None:
-                handler(self, event)
+            self.dispatch_head()
         self._end = -1
         self.now = max(self.now, end)
+
+    def dispatch_head(self) -> None:
+        """Pop the head of the queue and, unless it was cancelled, advance the
+        clock to it, count it and run its handler: `run_until`'s dispatch."""
+        fire_at, _, event = heapq.heappop(self._heap)
+        if event.cancelled:
+            return
+        event.fired = True
+        self.now = fire_at
+        self.events_executed += 1
+        handler = self._handlers.get(event.target)
+        if handler is not None:
+            handler(self, event)

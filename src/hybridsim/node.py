@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
 from .energy import EnergyBuffer, PhaseStep, peripheral_steps, phase_energy
-from .kernel import Engine, EventKind, SimTime, NS_PER_SEC, millis
+from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC, millis
 from .linklayer import BleState, OwcState, fsm_dispatch
 from .metrics import TRACE_TAILS, NodeMetrics
 from .scenario import Scenario
@@ -281,9 +281,9 @@ class SimNode:
         Before the engine's horizon nothing but this node's own bursts can
         happen, so the bursts whose end and next packet-ready fall before it
         and that raise no battery edge run here as one stretch
-        (`_run_stretch`). The burst that stops the stretch is sent, and its
-        end and the next packet-ready are queued; a battery edge is then
-        settled by the queued handlers.
+        (`_run_stretch`), on through the 1 Hz world tick where it can. The
+        burst that stops it is sent, and its end and next packet-ready are
+        queued; a battery edge is then settled by the queued handlers.
         """
         self.sync(now)
         if epoch != self._epoch:
@@ -302,47 +302,103 @@ class SimNode:
     def _run_stretch(self, now: SimTime, link: LinkPlan, interval: SimTime) -> SimTime:
         """Run the bursts from `now` on that fit in the slot, whose end and
         next packet-ready fall before the horizon, and whose burst and idle
-        gap draw no battery edge. Return the start of the first burst left.
+        gap draw no battery edge, and through each world tick that
+        `_crosses` accepts. Return the start of the first burst left.
 
         Each burst settles what the queued handlers would: `consume`'s float
         operations in the same order (a gap of 0 ns subtracts 0.0 J, which
-        changes nothing) and one success draw, and the stretch logs one
-        `tx_intervals` record. The node idles around each burst, and its
-        interface starts and ends it at IDLE, so the phase and FSMs stay.
+        changes nothing) and one success draw. Each run of bursts logs one
+        `tx_intervals` record, a burst through a tick one of its own. The
+        node idles around each burst, and its interface starts and ends it
+        at IDLE, so the phase and FSMs stay.
         """
         if self.modality is Modality.OWC:
             idle = self.owc_state is OwcState.IDLE
         else:
             idle = self.ble_state is BleState.IDLE
-        airtime = link.airtime_ns
-        last = min(self.slot_end_ns - airtime, self.engine.horizon() - 1 - interval)
-        if not idle or last < now:  # a powered-down interface raises in `transmit_packet`
+        if not idle:  # a powered-down interface raises in `transmit_packet`
             return now
+        airtime = link.airtime_ns
+        fits = self.slot_end_ns - airtime
         burst_j = self._joules(link.tx_current_ma, airtime)
         gap_j = self._joules(self.scenario.idle_current_ma, interval - airtime)
-        buffer = self.buffer
+        engine, buffer, log = self.engine, self.buffer, self.metrics.tx_intervals
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
         success = link.success_prob
         draw = self.rng.uniform
-        bursts = delivered = 0
-        for _ in range(now, last + 1, interval):
-            after = remaining - burst_j - gap_j
-            if after < floor:
+        sent = delivered = 0
+        while True:
+            tick, after = engine.head()
+            horizon = after if tick is None else tick.fire_at
+            if sent and horizon <= now:  # the tick just crossed queued an event in the window
+                raise RuntimeError(f"{self.name}: the tick queued an event before {now} ns")
+            starts = range(now, min(fits, horizon - 1 - interval) + 1, interval)
+            bursts = len(starts)
+            for start in starts:
+                level = remaining - burst_j - gap_j
+                if level < floor:
+                    bursts = (start - now) // interval
+                    break
+                remaining = level
+                consumed = consumed + burst_j + gap_j
+                delivered += draw() < success
+            if bursts:
+                log.append((now, interval, airtime, bursts))
+                now += bursts * interval
+                sent += bursts
+            if now > fits or not self._crosses(tick, after, now, airtime, interval,
+                                               remaining, burst_j + gap_j):
                 break
-            remaining = after
-            consumed = consumed + burst_j + gap_j
-            bursts += 1
-            delivered += draw() < success
-        if bursts:
+            # The burst's start, end and next ready, and the tick, in time order.
+            at, end = tick.fire_at, now + airtime
+            log.append((now, 0, airtime, 1))
+            if at < end:  # the tick samples the burst in flight
+                states = self.owc_state, self.ble_state
+                self.transmit_packet(now)
+                self._phase_since = now
+            else:  # the burst, then the tick draws the idle up to it
+                remaining, consumed = remaining - burst_j, consumed + burst_j
+                self._phase_since = end
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
-            self.metrics.tx_intervals.append((now, interval, airtime, bursts))
+            engine.dispatch_head()
+            remaining, consumed = buffer.remaining_j, buffer.consumed_j
+            if at < end:  # the rest of the burst
+                rest_j = self._joules(link.tx_current_ma, end - at)
+                remaining, consumed = remaining - rest_j, consumed + rest_j
+                self.owc_state, self.ble_state = states
+                self._phase_ma, self._phase_since = self.scenario.idle_current_ma, end
+            now += interval  # the idle up to the next ready
+            rest_j = self._joules(self._phase_ma, now - self._phase_since)
+            remaining, consumed = remaining - rest_j, consumed + rest_j
+            sent += 1
+            delivered += draw() < success
+        if sent:
+            buffer.remaining_j, buffer.consumed_j = remaining, consumed
             self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
-            self.metrics.packets_lost += bursts - delivered
-            now += bursts * interval
+            self.metrics.packets_lost += sent - delivered
             self._phase_since = now
-            self.engine.run_inline(now, 2 * bursts)  # each burst's end and next ready
+            engine.run_inline(now, 2 * sent)  # each burst's end and next ready
         return now
+
+    def _crosses(self, tick: SimEvent | None, after: SimTime, now: SimTime,
+                 airtime: SimTime, interval: SimTime, remaining: float,
+                 window_j: float) -> bool:
+        """Whether the burst at `now` can run through `tick`, the queue's
+        head, with nothing queued before `after`: a world tick strictly
+        inside the burst's window, off its end and next packet-ready, with
+        nothing else in the window (the tick requeues 1 s on, past a window
+        under 1 s), and no battery edge or clamp in reach of `remaining` J,
+        twice the window's `window_j` (far above what the rounding of its
+        pieces can add) and the tick's harvest."""
+        if tick is None or tick.kind is not EventKind.HARVEST_TICK:
+            return False
+        at, ready, harvest_j = tick.fire_at, now + interval, tick.payload
+        low, high = self.buffer.edge_free_range(remaining)
+        return (interval < NS_PER_SEC and now < at < ready and at != now + airtime
+                and after > ready and low <= remaining - 2 * window_j
+                and remaining + harvest_j < high
+                and harvest_j <= self.buffer.capacity_j - remaining)
 
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM and start its draw;

@@ -170,20 +170,24 @@ class _Controller:
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
-            dt = seconds(HARVEST_TICK_S)
             t_s = now / NS_PER_SEC
-            # One profile feeds every node.
-            joules = self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s)
             for node in self.nodes:
-                node.tick(now, joules, t_s)
-            if now + dt <= self.total_ns:
-                engine.schedule_at(now + dt, "world", EventKind.HARVEST_TICK)
+                node.tick(now, event.payload, t_s)
+            self._schedule_harvest_tick(now + seconds(HARVEST_TICK_S))
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
             for node in self.nodes:
                 node.on_peripheral_cycle(now)
             nxt = now + seconds(self.scenario.peripheral_period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
+
+    def _schedule_harvest_tick(self, at: int) -> None:
+        """Queue the 1 Hz world tick at `at` if the run reaches it, carrying
+        the joules the one profile gives every node in the second before."""
+        if at <= self.total_ns:
+            t_s = at / NS_PER_SEC
+            self.engine.schedule_at(at, "world", EventKind.HARVEST_TICK,
+                                    self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s))
 
     # -- run -----------------------------------------------------------------
 
@@ -193,8 +197,7 @@ class _Controller:
             node.sample(0.0)
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
-        tick = seconds(HARVEST_TICK_S)
-        self.engine.schedule_at(tick, "world", EventKind.HARVEST_TICK)
+        self._schedule_harvest_tick(seconds(HARVEST_TICK_S))
         if not self.scenario.inter_transmission_sleep:
             self.engine.schedule_at(init + seconds(self.scenario.peripheral_period_s),
                                     "world", EventKind.PERIPHERAL_TICK)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .channel import PHY_RATE_SNR_SHIFT_DB
 from .energy import HarvestProfile
-from .kernel import millis
+from .kernel import millis, seconds
 from .linklayer import CONN_EVENT_LEN_MS
 from .optimizer import UtilityWeights
 
@@ -144,6 +144,12 @@ class Scenario:
         if millis(max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps)) == 0:
             raise ScenarioError("target_rate_kbps and owc_phy_rate_kbps are too high: "
                                 "the optical packet spacing rounds to 0 ns")
+        # A tick with a period of 0 ns would requeue itself at once for ever.
+        for key, period in (("poll_slot_s", self.poll_slot_s),
+                            ("[weights] period_s", self.weights.period_s),
+                            ("[peripherals] period_s", self.peripheral_period_s)):
+            if seconds(period) == 0:
+                raise ScenarioError(f"{key} rounds to 0 ns, got {period}")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
         for key in ("etno_sleep_threshold", "etno_conservation_threshold"):

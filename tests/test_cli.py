@@ -170,6 +170,10 @@ class TestRun:
         ("optimizer", "etno_sleep_threshold = -0.5"),
         ("optimizer", "etno_conservation_threshold = 2.0"),
         ("weights", "period_s = 0"),
+        # Tick periods that round to 0 ns: each tick would requeue at once.
+        pytest.param("traffic", "poll_slot_s = 1e-10", id="traffic-poll_slot_s-0ns"),
+        pytest.param("weights", "period_s = 1e-10", id="weights-period_s-0ns"),
+        pytest.param("peripherals", "period_s = 4.9e-10", id="peripherals-period_s-0ns"),
         # The optical packet spacing rounds to 0 ns.
         ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
                     "[optical]\nphy_rate_kbps = 1e12"),

@@ -125,13 +125,18 @@ def test_rng_stream_reproducible():
 def test_horizon_is_the_queue_head_or_one_past_the_end():
     engine = Engine()
     seen = []
-    engine.register("probe", lambda eng, ev: seen.append(eng.horizon()))
-    assert engine.horizon() == 0  # outside a run nothing runs inline
+
+    def horizon(eng):
+        head, after = eng.head()
+        return after if head is None else head.fire_at
+
+    engine.register("probe", lambda eng, ev: seen.append(horizon(eng)))
+    assert horizon(engine) == 0  # outside a run nothing runs inline
     engine.schedule_at(3, "probe", EventKind.POLL_TICK)
     engine.schedule_at(8, "probe", EventKind.POLL_TICK)
     engine.run_until(10)
     assert seen == [8, 11]  # the head of the queue, then end + 1 once it is empty
-    assert engine.horizon() == 0
+    assert horizon(engine) == 0
 
 
 def test_inline_events_are_counted():
@@ -155,3 +160,71 @@ def test_run_inline_counts_every_event_it_runs():
     engine.run_inline(3)
     engine.run_inline(7, 4)
     assert engine.now == 7 and engine.events_executed == 5
+
+
+def test_head_of_an_empty_queue():
+    engine = Engine()
+    assert engine.head() == (None, 0)  # outside a run: nothing fires
+    seen = []
+    engine.register("probe", lambda eng, ev: seen.append(eng.head()))
+    engine.schedule_at(2, "probe", EventKind.POLL_TICK)
+    engine.run_until(9)
+    assert seen == [(None, 10)]  # the queue is empty: end + 1
+    later = engine.schedule_at(20, "probe", EventKind.POLL_TICK)
+    seen.clear()
+    engine.schedule_at(12, "probe", EventKind.POLL_TICK)
+    engine.run_until(15)
+    assert seen == [(None, 16)]  # past the end of the run is not a head
+    assert engine.head() == (None, 0) and not later.fired
+
+
+def _head_seen_at_1(times, end, cancel=()):
+    """The `head()` a handler sees at t = 1 with events queued at `times`
+    (the ones at indices in `cancel` cancelled), and those events."""
+    engine = Engine()
+    heads = []
+    engine.register("probe", lambda eng, ev: heads.append(eng.head()))
+    engine.register("sink", lambda eng, ev: None)
+    engine.schedule_at(1, "probe", EventKind.POLL_TICK)
+    events = [engine.schedule_at(t, "sink", EventKind.HARVEST_TICK) for t in times]
+    for i in cancel:
+        engine.cancel(events[i])
+    engine.run_until(end)
+    return heads, events
+
+
+@pytest.mark.parametrize("times, cancel, end, expected", [
+    ((4, 6, 9), (1,), 10, 6),  # a cancelled entry still bounds the time after the head
+    ((4, 4, 8), (), 20, 4),  # equal times: the one queued first is the head, the next at once
+    ((4, 30), (), 20, 21),  # nothing else fires in the run: end + 1
+])
+def test_head_and_the_time_after_it(times, cancel, end, expected):
+    heads, events = _head_seen_at_1(times, end, cancel)
+    assert heads == [(events[0], expected)]
+
+
+def test_dispatch_head_from_inside_a_handler():
+    engine = Engine()
+    log = []
+
+    def node(eng, ev):
+        log.append(("node", eng.now))
+        if ev.payload == "stretch":
+            eng.run_inline(3, 2)
+            head, _ = eng.head()
+            assert head.payload == "a"
+            eng.dispatch_head()  # runs "a" now, in its place in the queue
+            log.append(("back", eng.now, eng.events_executed))
+            assert eng.head() == (later, 12)
+
+    engine.register("node", node)
+    engine.register("world", lambda eng, ev: log.append((ev.payload, eng.now)))
+    engine.schedule_at(1, "node", EventKind.APP_PACKET_READY, payload="stretch")
+    engine.schedule_at(5, "world", EventKind.HARVEST_TICK, payload="a")
+    later = engine.schedule_at(5, "world", EventKind.HARVEST_TICK, payload="b")
+    engine.schedule_at(12, "world", EventKind.HARVEST_TICK, payload="c")
+    engine.run_until(20)
+    # The dispatch counts one event and sets the clock to the head's time;
+    # "b", queued after "a" at the same time, still runs after it.
+    assert log == [("node", 1), ("a", 5), ("back", 5, 4), ("b", 5), ("c", 12)]
+    assert engine.events_executed == 1 + 2 + 1 + 1 + 1 and engine.now == 20
