@@ -64,6 +64,9 @@ class ScheduleInPastError(RuntimeError):
     """An event was scheduled before the current clock; always a logic bug."""
 
 
+_SKIP_CHUNK = 65_536  # draws skipped per `getrandbits` call: a 512 KiB integer
+
+
 class RngStream:
     """Seeded per-node random stream, reproducible across runs and platforms.
 
@@ -73,9 +76,32 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int):
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-        # A draw in [0, 1). The packet path makes one per burst, so this is
-        # the generator's own bound method rather than a wrapper around it.
+        # A draw in [0, 1). A queued burst makes one, so this is the
+        # generator's own bound method rather than a wrapper around it.
         self.uniform = self._rng.random
+
+    def count_below(self, n: int, p: float) -> int:
+        """How many of `n` `uniform()` draws fall below `p`, leaving the
+        generator where those `n` calls would: a stretch of bursts draws all
+        of its packet outcomes in one call.
+
+        A draw lies in [0, 1), so at `p >= 1` every one falls below and at
+        `p <= 0` none does; the generator then skips the draws in C.
+        `random()` takes two 32-bit Mersenne Twister words, and
+        `getrandbits(k)` takes `ceil(k / 32)`, so `getrandbits(64 * n)`
+        skips `n` draws. Chunks of at most `_SKIP_CHUNK` draws bound the
+        integer it builds.
+        """
+        if p >= 1.0 or p <= 0.0:
+            skip = self._rng.getrandbits
+            for left in range(n, 0, -_SKIP_CHUNK):
+                skip(64 * min(left, _SKIP_CHUNK))
+            return n if p >= 1.0 else 0
+        draw = self.uniform
+        below = 0
+        for _ in range(n):
+            below += draw() < p
+        return below
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         return self._rng.gauss(mu, sigma)

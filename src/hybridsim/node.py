@@ -10,6 +10,7 @@ it changes the phase, so a phase change is a plain assignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
@@ -91,7 +92,8 @@ class SimNode:
 
     def _joules(self, current_ma: float, elapsed: SimTime) -> float:
         """Energy of `elapsed` ns at `current_ma`: the one expression that
-        every settled phase, queued or inline, draws through."""
+        every settled phase, queued or inline, draws through (`tick_nodes`
+        writes it out in place)."""
         return current_ma * 1e-3 * self.scenario.supply_voltage * elapsed / NS_PER_SEC
 
     def sync(self, now: SimTime) -> None:
@@ -103,29 +105,9 @@ class SimNode:
         if self.buffer.consume(self._joules(self._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
 
-    def tick(self, now: SimTime, harvest_j: float, t_s: float) -> None:
-        """The 1 Hz world tick: settle to `now`, store the tick's harvest,
-        evaluate on a battery-charged edge, and sample. A draw and harvest
-        that keep the buffer in its edge-free range and do not clamp run here
-        in `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw
-        is 0.0 J, a no-op); any other goes through `sync` and `harvest`."""
-        buffer = self.buffer
-        drawn = self._joules(self._phase_ma, now - self._phase_since)
-        low, high = buffer.edge_free_range(buffer.remaining_j)
-        after = buffer.remaining_j - drawn
-        if low <= after and after + harvest_j < high and harvest_j <= buffer.capacity_j - after:
-            self._phase_since = now
-            buffer.consumed_j += drawn
-            buffer.remaining_j = after + harvest_j
-            buffer.harvested_j += harvest_j
-        else:
-            self.sync(now)
-            if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and self.evaluate_cb:
-                self.evaluate_cb(self, now)
-        self.sample(t_s)
-
     def sample(self, t_s: float) -> None:
-        """Append the trace sample at `t_s`; the caller settled the node."""
+        """Append the trace sample at `t_s`; the caller settled the node.
+        `tick_nodes` appends the same two entries inline."""
         buffer, metrics = self.buffer, self.metrics
         metrics.values.extend((t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
         metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.owc_state, self.ble_state])
@@ -281,9 +263,11 @@ class SimNode:
         Before the engine's horizon nothing but this node's own bursts can
         happen, so the bursts whose end and next packet-ready fall before it
         and that raise no battery edge run here as one stretch
-        (`_run_stretch`), on through the 1 Hz world tick where it can. The
-        burst that stops it is sent, and its end and next packet-ready are
-        queued; a battery edge is then settled by the queued handlers.
+        (`_run_stretch`), on through the 1 Hz world tick where it can; the
+        stretch draws the packet outcomes of each run of bursts in one call.
+        The burst that stops it is sent, and its end and next packet-ready
+        are queued, and its outcome is drawn when the end is dispatched; a
+        battery edge is then settled by the queued handlers.
         """
         self.sync(now)
         if epoch != self._epoch:
@@ -305,10 +289,12 @@ class SimNode:
         gap draw no battery edge, and through each world tick that
         `_crosses` accepts. Return the start of the first burst left.
 
-        Each burst settles what the queued handlers would: `consume`'s float
-        operations in the same order (a gap of 0 ns subtracts 0.0 J, which
-        changes nothing) and one success draw. Each run of bursts logs one
-        `tx_intervals` record, a burst through a tick one of its own. The
+        Each burst settles `consume`'s float operations in the queued
+        handlers' order (a gap of 0 ns subtracts 0.0 J, which changes
+        nothing). Each run of bursts draws its packet outcomes in one
+        `count_below` call and logs one `tx_intervals` record; a burst
+        through a tick logs one of its own and draws its outcome after the
+        tick, so the node's stream moves as the queued handlers move it. The
         node idles around each burst, and its interface starts and ends it
         at IDLE, so the phase and FSMs stay.
         """
@@ -326,7 +312,6 @@ class SimNode:
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
         success = link.success_prob
-        draw = self.rng.uniform
         sent = delivered = 0
         while True:
             tick, after = engine.head()
@@ -342,8 +327,8 @@ class SimNode:
                     break
                 remaining = level
                 consumed = consumed + burst_j + gap_j
-                delivered += draw() < success
             if bursts:
+                delivered += self.rng.count_below(bursts, success)
                 log.append((now, interval, airtime, bursts))
                 now += bursts * interval
                 sent += bursts
@@ -372,7 +357,7 @@ class SimNode:
             rest_j = self._joules(self._phase_ma, now - self._phase_since)
             remaining, consumed = remaining - rest_j, consumed + rest_j
             sent += 1
-            delivered += draw() < success
+            delivered += self.rng.uniform() < success
         if sent:
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
             self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
@@ -385,8 +370,10 @@ class SimNode:
                  airtime: SimTime, interval: SimTime, remaining: float,
                  window_j: float) -> bool:
         """Whether the burst at `now` can run through `tick`, the queue's
-        head, with nothing queued before `after`: a world tick strictly
-        inside the burst's window, off its end and next packet-ready, with
+        head, with nothing queued before `after`: a world tick after the
+        burst's start, at or before its next packet-ready (a tick there
+        draws the whole idle gap, as it does when queued, and fires before
+        the packet-ready queued after it) and off its end, with
         nothing else in the window (the tick requeues 1 s on, past a window
         under 1 s), and no battery edge or clamp in reach of `remaining` J,
         twice the window's `window_j` (far above what the rounding of its
@@ -395,7 +382,7 @@ class SimNode:
             return False
         at, ready, harvest_j = tick.fire_at, now + interval, tick.payload
         low, high = self.buffer.edge_free_range(remaining)
-        return (interval < NS_PER_SEC and now < at < ready and at != now + airtime
+        return (interval < NS_PER_SEC and now < at <= ready and at != now + airtime
                 and after > ready and low <= remaining - 2 * window_j
                 and remaining + harvest_j < high
                 and harvest_j <= self.buffer.capacity_j - remaining)
@@ -483,3 +470,39 @@ class SimNode:
             self.on_chain_step(engine.now, event.payload)
         else:  # pragma: no cover - no other kinds are addressed to nodes
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
+
+
+def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float, t_s: float) -> None:
+    """The 1 Hz world tick: settle each node to `now`, store the tick's
+    `harvest_j`, evaluate on a battery-charged edge, and sample at `t_s`.
+
+    A draw and harvest that keep the buffer in its edge-free range (see
+    `EnergyBuffer.edge_free_range`) and do not clamp run inline, in
+    `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw is
+    0.0 J, a no-op), with no call per node; any other goes through `sync`,
+    `EnergyBuffer.harvest` and `sample`.
+    """
+    for node in nodes:
+        buffer = node.buffer
+        remaining, threshold = buffer.remaining_j, buffer.threshold_j
+        drawn = (node._phase_ma * 1e-3 * node.scenario.supply_voltage
+                 * (now - node._phase_since) / NS_PER_SEC)
+        after = remaining - drawn
+        if remaining >= threshold:
+            low, high = threshold, math.inf
+        else:
+            low, high = 0.0, threshold
+        if low <= after and after + harvest_j < high and harvest_j <= buffer.capacity_j - after:
+            node._phase_since = now
+            buffer.consumed_j += drawn
+            buffer.remaining_j = remaining = after + harvest_j
+            buffer.harvested_j += harvest_j
+            metrics = node.metrics
+            metrics.values.extend((t_s, remaining, buffer.consumed_j, buffer.harvested_j))
+            metrics.tails.append(
+                TRACE_TAILS[node.mode, node.modality, node.owc_state, node.ble_state])
+        else:
+            node.sync(now)
+            if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+                node.evaluate_cb(node, now)
+            node.sample(t_s)

@@ -17,7 +17,7 @@ from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
 from .linklayer import ble_airtime, phy_bits_per_ms
 from .metrics import MetricsRecord, NodeMetrics
-from .node import LinkPlan, SimNode
+from .node import LinkPlan, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import OPTIMIZERS, Scenario
 
@@ -170,9 +170,7 @@ class _Controller:
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
-            t_s = now / NS_PER_SEC
-            for node in self.nodes:
-                node.tick(now, event.payload, t_s)
+            tick_nodes(self.nodes, now, event.payload, now / NS_PER_SEC)
             self._schedule_harvest_tick(now + seconds(HARVEST_TICK_S))
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
             for node in self.nodes:

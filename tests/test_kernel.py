@@ -122,6 +122,42 @@ def test_rng_stream_reproducible():
     assert a.uniform() != c.uniform()
 
 
+def _spied_stream() -> tuple[RngStream, list[int]]:
+    """A stream whose generator records the bits of each `getrandbits`."""
+    stream, skips = RngStream(seed=7, stream_id=2), []
+    getrandbits = stream._rng.getrandbits
+    stream._rng.getrandbits = lambda k: skips.append(k) or getrandbits(k)
+    return stream, skips
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 33, 1000])
+def test_count_below_moves_the_stream_as_the_draws_do(n, p):
+    counted, skips = _spied_stream()
+    drawn = RngStream(seed=7, stream_id=2)
+    below = 0
+    for _ in range(n):
+        below += drawn.uniform() < p
+    assert counted.count_below(n, p) == below
+    assert counted._rng.getstate() == drawn._rng.getstate()
+    # Only a probability of 0 or 1 skips the draws; the largest draw,
+    # 1 - 2**-53, is not below 1 - 2**-53, so that one draws each.
+    assert bool(skips) == (p in (0.0, 1.0))
+
+
+def test_count_below_skips_in_bounded_chunks():
+    n = 2 * 65_536 + 5
+    counted, skips = _spied_stream()
+    drawn = RngStream(seed=7, stream_id=2)
+    for _ in range(n):
+        drawn.uniform()
+    assert counted.count_below(n, 1.0) == n
+    assert counted._rng.getstate() == drawn._rng.getstate()
+    assert skips == [64 * 65_536, 64 * 65_536, 64 * 5]
+    assert counted.count_below(0, 1.0) == 0 and len(skips) == 3
+    assert counted._rng.getstate() == drawn._rng.getstate()
+
+
 def test_horizon_is_the_queue_head_or_one_past_the_end():
     engine = Engine()
     seen = []

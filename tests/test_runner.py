@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import EnergyBuffer
@@ -20,7 +20,7 @@ from hybridsim.linklayer import BleState, OwcState
 from hybridsim import node as node_module
 from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMetrics,
                                TraceRow, write_traces)
-from hybridsim.node import SimNode
+from hybridsim.node import SimNode, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -32,6 +32,9 @@ SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  battery_capacity_j=2.0)
 # 16 EUNO nodes under a harvest profile that changes inside 1 s ticks.
 SUBSECOND = Path(__file__).parent / "data" / "euno16_subsecond.cfg"
+# 3 ETNO nodes on an optical link that loses about a third of its packets
+# and a radio link that loses every one.
+LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -147,21 +150,33 @@ class TestTraces:
         assert (tmp_path / "trace_node1.csv").read_text() == TRACE_HEADER + "\n"
 
     def test_samples_are_stored_column_wise_and_read_as_rows(self, monkeypatch):
-        # Beside each sample, record the TraceRow a tuple-per-sample store
-        # built from the node's state, and the state's label key.
+        # Beside each sample (the start's and each world tick's), record the
+        # TraceRow a tuple-per-sample store built from the node's state, and
+        # the state's label key. Each node's sample is the last thing its
+        # part of the start or of the tick does.
         expected, keys = {}, {}
-        sample = SimNode.sample
 
-        def recording(node, t_s):
-            b = node.buffer
-            expected.setdefault(node.name, []).append(TraceRow(
-                t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.mode.value,
-                node.modality.value, f"{node.owc_state.value}|{node.ble_state.value}"))
-            keys.setdefault(node.name, []).append(
-                (node.mode, node.modality, node.owc_state, node.ble_state))
-            sample(node, t_s)
+        def record_samples(nodes, t_s):
+            for node in nodes:
+                b = node.buffer
+                expected.setdefault(node.name, []).append(TraceRow(
+                    t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.mode.value,
+                    node.modality.value, f"{node.owc_state.value}|{node.ble_state.value}"))
+                keys.setdefault(node.name, []).append(
+                    (node.mode, node.modality, node.owc_state, node.ble_state))
 
-        monkeypatch.setattr(SimNode, "sample", recording)
+        start = _Controller.start
+
+        def recording_start(controller):
+            start(controller)
+            record_samples(controller.nodes, 0.0)
+
+        def recording_tick(nodes, now, harvest_j, t_s):
+            tick_nodes(nodes, now, harvest_j, t_s)
+            record_samples(nodes, t_s)
+
+        monkeypatch.setattr(_Controller, "start", recording_start)
+        monkeypatch.setattr("hybridsim.runner.tick_nodes", recording_tick)
         record = run(SHORT)
         for name, nm in record.nodes.items():
             assert type(nm.values) is array and nm.values.typecode == "d"
@@ -172,12 +187,15 @@ class TestTraces:
             assert all(type(row) is TraceRow for row in rows)
 
     def test_sampling_allocates_little_per_sample(self):
-        # At most 64 B of live allocations per sample at `SimNode.sample`:
-        # four doubles in one array and one pointer to a shared label. A
-        # tuple, a label string and boxed floats per sample held ~160 B on this run.
-        lines, first = inspect.getsourcelines(SimNode.sample)
-        where = [tracemalloc.Filter(True, node_module.__file__, lineno=n)
-                 for n in range(first, first + len(lines))]
+        # At most 64 B of live allocations per sample at `SimNode.sample`
+        # and at the world tick's inline sample in `tick_nodes`: four
+        # doubles in one array and one pointer to a shared label. A tuple, a
+        # label string and boxed floats per sample held ~160 B on this run.
+        where = []
+        for appender in (SimNode.sample, tick_nodes):
+            lines, first = inspect.getsourcelines(appender)
+            where += [tracemalloc.Filter(True, node_module.__file__, lineno=n)
+                      for n in range(first, first + len(lines))]
         tracemalloc.start()
         try:
             record = run(replace(SHORT, node_count=8))
@@ -190,12 +208,15 @@ class TestTraces:
         assert held <= 64 * samples
 
     def test_subsecond_harvest_fleet_bytes_pinned(self, tmp_path):
-        # The digests sit beside the scenario in `sha256sum` format, so CI
-        # checks the same bytes through the installed console script.
-        pinned = SUBSECOND.with_suffix(".sha256").read_text().splitlines()
-        write_traces(run(load_scenario(SUBSECOND)), tmp_path)
-        assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
-                      for path in tmp_path.iterdir()) == sorted(pinned)
+        _assert_pinned(SUBSECOND, tmp_path)
+
+    def test_lossy_links_bytes_pinned(self, tmp_path):
+        # Every packet outcome depends on its draw, so the bytes pin where
+        # each node's stream stands at every burst.
+        links = build_link_plans(load_scenario(LOSSY))
+        assert 0.0 < links[Modality.OWC].success_prob < 1.0
+        assert links[Modality.BLE].success_prob == 0.0
+        _assert_pinned(LOSSY, tmp_path)
 
     @pytest.mark.parametrize("owc,ble", itertools.product(OwcState, BleState))
     def test_sampled_fsm_label(self, owc, ble):
@@ -206,6 +227,16 @@ class TestTraces:
     def test_sampled_mode_and_modality_labels(self, mode, modality):
         row = _sampled_row(mode=mode, modality=modality)
         assert (row.mode, row.modality) == (mode.value, modality.value)
+
+
+def _assert_pinned(config: Path, out: Path) -> None:
+    """The run of `config` writes the bytes pinned beside it. The digests
+    are in `sha256sum` format, so CI checks the same bytes through the
+    installed console script."""
+    pinned = config.with_suffix(".sha256").read_text().splitlines()
+    write_traces(run(load_scenario(config)), out)
+    assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                  for path in out.iterdir()) == sorted(pinned)
 
 
 def _sampled_row(**node_state):
@@ -355,18 +386,48 @@ class TestNodeLifecycle:
         assert not node.awake
 
 
-def _ticking_node(f_c: float, level_j: float):
-    """The one node of a fresh single-node EUNO run with SNR jitter, its
-    2 J buffer set to `level_j`: an evaluation draws from its stream."""
-    scenario = replace(SHORT, node_count=1, init_delay_s=0.0, optimizer="euno",
+def _ticking_nodes(f_c: float, levels_j: list[float]) -> list[SimNode]:
+    """The nodes of a fresh EUNO run with SNR jitter, one per level, each
+    2 J buffer set to its level: an evaluation draws from the node's stream."""
+    scenario = replace(SHORT, node_count=len(levels_j), init_delay_s=0.0, optimizer="euno",
                        snr_jitter_db=2.0, weights=UtilityWeights(f_c=f_c))
-    node = _Controller(scenario, Engine()).nodes[0]
-    node.buffer.remaining_j = level_j
-    return node
+    nodes = _Controller(scenario, Engine()).nodes
+    for node, level_j in zip(nodes, levels_j):
+        node.buffer.remaining_j = level_j
+    return nodes
+
+
+def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harvest_j: float,
+                           now: int) -> tuple[list[SimNode], list[str]]:
+    """Tick fresh nodes at `levels_j` in one `tick_nodes` pass, take a
+    second set through the separate steps, and check that each pair ends
+    alike. Return the ticked nodes, and the names of those that took
+    `EnergyBuffer.harvest` (an edge or a clamp)."""
+    ticked, stepped = _ticking_nodes(f_c, levels_j), _ticking_nodes(f_c, levels_j)
+    settled = []
+    harvest = EnergyBuffer.harvest
+    monkeypatch.setattr(EnergyBuffer, "harvest",
+                        lambda buffer, joules: settled.append(buffer)
+                        or harvest(buffer, joules))
+    t_s = now / NS_PER_SEC
+    tick_nodes(ticked, now, harvest_j, t_s)
+    slow = [node.name for node in ticked if node.buffer in settled]
+    for node in stepped:
+        node.sync(now)
+        if harvest(node.buffer, harvest_j)[1] is EventKind.BATTERY_CHARGED:
+            node.evaluate_cb(node, now)
+        node.sample(t_s)
+    for a, b in zip(ticked, stepped):
+        assert vars(a.buffer) == vars(b.buffer)
+        assert a.metrics == b.metrics  # samples, sleep entries, ...
+        assert a.rng._rng.getstate() == b.rng._rng.getstate()
+        assert ((a.mode, a.modality, a._phase_ma, a._phase_since)
+                == (b.mode, b.modality, b._phase_ma, b._phase_since))
+    return ticked, slow
 
 
 class TestHarvestTick:
-    """`SimNode.tick` must leave a node exactly as the separate steps do:
+    """`tick_nodes` must leave each node exactly as the separate steps do:
     settle, harvest, evaluate on a battery-charged edge, sample. Idling at
     3.3 mA from 3.3 V draws 0.01089 J a second; f_c = 0.2 puts the threshold
     at 0.4 J."""
@@ -390,29 +451,42 @@ class TestHarvestTick:
     ])
     def test_tick_equals_the_separate_steps(self, monkeypatch, f_c, level_j,
                                             harvest_j, now, slow):
-        ticked, stepped = _ticking_node(f_c, level_j), _ticking_node(f_c, level_j)
-        harvests = []
-        harvest = EnergyBuffer.harvest
-        monkeypatch.setattr(EnergyBuffer, "harvest",
-                            lambda buffer, joules: harvests.append(joules)
-                            or harvest(buffer, joules))
-        t_s = now / NS_PER_SEC
-        ticked.tick(now, harvest_j, t_s)
-        assert len(harvests) == slow  # an edge or a clamp takes `harvest`
-        stepped.sync(now)
-        if stepped.buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED:
-            stepped.evaluate_cb(stepped, now)
-        stepped.sample(t_s)
+        _, settled = _tick_equals_the_steps(monkeypatch, f_c, [level_j], harvest_j, now)
+        assert len(settled) == slow
+
+    def test_one_pass_mixes_the_inline_and_the_settled_path(self, monkeypatch):
+        # Above the threshold, across it (a charged edge: the policy
+        # evaluates and draws its SNR jitter), and below it.
+        levels_j = [1.0, 0.399, 0.39]
+        ticked, settled = _tick_equals_the_steps(monkeypatch, 0.2, levels_j, 0.02,
+                                                 seconds(1))
+        assert settled == ["node2"]
+        drew = [a.rng._rng.getstate() != b.rng._rng.getstate()
+                for a, b in zip(ticked, _ticking_nodes(0.2, levels_j))]
+        assert drew == [False, True, False]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(current_ma=st.floats(0.1, 50.0), voltage=st.floats(1.0, 5.0),
+           elapsed=st.integers(1, 2 * NS_PER_SEC))
+    def test_inline_tick_draws_in_the_float_order_of_sync(self, current_ma, voltage, elapsed):
+        # A full 100 J buffer keeps the draw inline; `sync` draws through
+        # `_joules`, whose product, taken in another order, rounds
+        # differently for about a third of these inputs.
+        ticked, stepped = (_lone_node(supply_voltage=voltage, battery_capacity_j=100.0)
+                           for _ in range(2))
+        for node in (ticked, stepped):
+            node._phase_ma = current_ma
+        tick_nodes([ticked], elapsed, 0.0, elapsed / NS_PER_SEC)
+        stepped.sync(elapsed)
+        stepped.buffer.harvest(0.0)
+        stepped.sample(elapsed / NS_PER_SEC)
         assert vars(ticked.buffer) == vars(stepped.buffer)
-        assert ticked.metrics == stepped.metrics  # samples, sleep entries, ...
-        assert ticked.rng._rng.getstate() == stepped.rng._rng.getstate()
-        assert ((ticked.mode, ticked.modality, ticked._phase_ma, ticked._phase_since)
-                == (stepped.mode, stepped.modality, stepped._phase_ma, stepped._phase_since))
+        assert ticked.metrics == stepped.metrics
 
     def test_node_without_policy_ticks_across_a_charged_edge(self):
         node = _lone_node()
         node.buffer.remaining_j = node.buffer.threshold_j - 0.001
-        node.tick(seconds(1), 0.02, 1.0)
+        tick_nodes([node], seconds(1), 0.02, 1.0)
         assert node.buffer.remaining_j > node.buffer.threshold_j
         assert node.metrics.rows[-1].remaining_j == node.buffer.remaining_j
 
