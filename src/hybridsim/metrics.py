@@ -1,10 +1,10 @@
 """Run metrics, trace rows, and the on-disk trace format.
 
 Each node produces a 1 Hz time series suitable for plotting energy
-trajectories, plus counters. The series is kept column-wise: four doubles per
-sample in one array, and one shared label string per sample. Files are written
-with fixed formatting so two runs of the same scenario and seed are
-byte-identical.
+trajectories, plus counters. The series is kept column-wise: three doubles
+per sample in one array, and one shared label string per sample; sample `i` is
+at `t_s = i`. Files are written with fixed formatting so two runs of the same
+scenario and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ SCHEMA_VERSION = 1
 TRACE_TAILS = {
     (mode, modality, owc, ble): f",{mode.value},{modality.value},{owc.value}|{ble.value}"
     for mode in Mode for modality in Modality for owc in OwcState for ble in BleState}
-# `%.9g` renders a float exactly as `format(value, ".9g")` does; the label
-# tail carries its own leading comma.
-_ROW_FORMAT = "%.9g,%.9g,%.9g,%.9g%s"
+# `%.9g` renders a float exactly as `format(value, ".9g")` does; the time and
+# harvested_J columns come formatted, the label tail with its leading comma.
+_ROW_FORMAT = "%s,%.9g,%.9g,%s%s"
 
 
 class TraceRow(NamedTuple):
@@ -40,19 +40,19 @@ class TraceRow(NamedTuple):
     fsm_state: str
 
 
-def _columns(values: array) -> tuple[list[float], ...]:
-    """The four numeric trace columns of a flat `values` array."""
-    v = values.tolist()
-    return v[0::4], v[1::4], v[2::4], v[3::4]
+def _columns(values: array) -> tuple[array, ...]:
+    """The remaining_J, consumed_J and harvested_J columns of `values`."""
+    return values[0::3], values[1::3], values[2::3]
 
 
 @dataclass
 class NodeMetrics:
     name: str
-    # The 1 Hz samples, column-wise: `values` holds each sample's t_s,
+    # The 1 Hz samples, column-wise: `values` holds each sample's
     # remaining_J, consumed_J and harvested_J in turn; `tails` holds its
     # ",mode,modality,fsm_state" label, one string shared by every sample
-    # with that label.
+    # with that label. Sample `i` is at `t_s = float(i)`: the start's sample
+    # at 0 s, then one per world tick, each on a whole second.
     values: array = field(default_factory=lambda: array("d"))
     tails: list[str] = field(default_factory=list)
     bytes_delivered: int = 0
@@ -70,8 +70,8 @@ class NodeMetrics:
     @property
     def rows(self) -> list[TraceRow]:
         """The samples as TraceRows, built afresh on each read."""
-        return [TraceRow(t, r, c, h, *tail[1:].split(","))
-                for t, r, c, h, tail in zip(*_columns(self.values), self.tails)]
+        return [TraceRow(float(i), r, c, h, *tail[1:].split(","))
+                for i, (r, c, h, tail) in enumerate(zip(*_columns(self.values), self.tails))]
 
     @property
     def achieved_rate_kbps(self) -> float:
@@ -126,10 +126,18 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
+        # Columns all nodes share are formatted once: the clock, and harvested_J
+        # until its bytes change (bytes, since -0.0 == 0.0 prints apart).
+        paths, times, harvest_bytes, harvest_text = [], [], None, []
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
-            lines = map(_ROW_FORMAT.__mod__, zip(*_columns(nm.values), nm.tails))
+            times += ["%.9g" % float(i) for i in range(len(times), len(nm.tails))]
+            remaining, consumed, harvested = _columns(nm.values)
+            key = harvested.tobytes()
+            if key != harvest_bytes:
+                harvest_bytes, harvest_text = key, list(map("%.9g".__mod__, harvested))
+            lines = map(_ROW_FORMAT.__mod__,
+                        zip(times, remaining, consumed, harvest_text, nm.tails))
             path.write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
             paths.append(path)
         summary_path = out / "summary.json"

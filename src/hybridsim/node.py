@@ -105,11 +105,11 @@ class SimNode:
         if self.buffer.consume(self._joules(self._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
 
-    def sample(self, t_s: float) -> None:
-        """Append the trace sample at `t_s`; the caller settled the node.
-        `tick_nodes` appends the same two entries inline."""
+    def sample(self) -> None:
+        """Append the trace sample of the next whole second; the caller settled
+        the node. `tick_nodes` appends the same two entries inline."""
         buffer, metrics = self.buffer, self.metrics
-        metrics.values.extend((t_s, buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
+        metrics.values.extend((buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
         metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.owc_state, self.ble_state])
 
     # -- battery edges ------------------------------------------------------
@@ -472,9 +472,9 @@ class SimNode:
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
 
 
-def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float, t_s: float) -> None:
+def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
     """The 1 Hz world tick: settle each node to `now`, store the tick's
-    `harvest_j`, evaluate on a battery-charged edge, and sample at `t_s`.
+    `harvest_j`, evaluate on a battery-charged edge, and sample.
 
     A draw and harvest that keep the buffer in its edge-free range (see
     `EnergyBuffer.edge_free_range`) and do not clamp run inline, in
@@ -498,11 +498,11 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float, t_s: float)
             buffer.remaining_j = remaining = after + harvest_j
             buffer.harvested_j += harvest_j
             metrics = node.metrics
-            metrics.values.extend((t_s, remaining, buffer.consumed_j, buffer.harvested_j))
+            metrics.values.extend((remaining, buffer.consumed_j, buffer.harvested_j))
             metrics.tails.append(
                 TRACE_TAILS[node.mode, node.modality, node.owc_state, node.ble_state])
         else:
             node.sync(now)
             if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:
                 node.evaluate_cb(node, now)
-            node.sample(t_s)
+            node.sample()

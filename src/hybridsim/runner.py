@@ -170,7 +170,7 @@ class _Controller:
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
-            tick_nodes(self.nodes, now, event.payload, now / NS_PER_SEC)
+            tick_nodes(self.nodes, now, event.payload)
             self._schedule_harvest_tick(now + seconds(HARVEST_TICK_S))
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
             for node in self.nodes:
@@ -192,7 +192,7 @@ class _Controller:
     def start(self) -> None:
         init = seconds(self.scenario.init_delay_s)
         for node in self.nodes:
-            node.sample(0.0)
+            node.sample()
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
         self._schedule_harvest_tick(seconds(HARVEST_TICK_S))

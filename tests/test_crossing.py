@@ -44,10 +44,12 @@ def fleet(seed: int) -> Scenario:
 @st.composite
 def tie_prone(draw) -> Scenario:
     """Scenarios drawn like `scenarios()`. Half of them send a packet every
-    100 or 50 ms with a 50 or 25 ms optical burst and slots of 2, 2.05 or
-    5 s, so burst ends and packet-readies fall on the 1 Hz tick. A quarter
-    start full under a harvest that outruns the draw, so a tick's harvest
-    would clamp at capacity."""
+    100 or 50 ms with a 50 or 25 ms optical burst, slots of 2, 2.05 or 5 s,
+    a start at 0, 0.95 or 1 s and no inter-transmission sleep, so each slot's
+    stream starts at the slot and burst ends and packet-readies fall on the
+    1 Hz tick: 50 ms bursts every 100 ms from 0.05 s before a whole second
+    end there. A quarter start full under a harvest that outruns the draw,
+    so a tick's harvest would clamp at capacity."""
     scenario = draw(scenarios())
     if draw(st.integers(0, 3)) == 0:
         scenario = replace(scenario, initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
@@ -57,7 +59,9 @@ def tie_prone(draw) -> Scenario:
             scenario, target_rate_kbps=rate,
             conservation_rate_kbps=min(scenario.conservation_rate_kbps, rate),
             owc_phy_rate_kbps=draw(st.sampled_from([81.92, 163.84])),
-            poll_slot_s=draw(st.sampled_from([2.0, 2.05, 5.0])))
+            poll_slot_s=draw(st.sampled_from([2.0, 2.05, 5.0])),
+            init_delay_s=draw(st.sampled_from([0.0, 0.95, 1.0])),
+            inter_transmission_sleep=False)
     return scenario
 
 
@@ -140,7 +144,6 @@ def test_random_scenarios_cross_like_the_queue():
 
     compare()
     # Every path ran: the burst ends before the tick, the tick falls inside
-    # the burst or on the next packet-ready, and a tick that would reach a
-    # battery edge or a clamp is left to the queue. (No draw puts a tick on
-    # a burst's end; the `ties` scenario does.)
-    assert all(paths[path] for path in ("before", "inside", "ready", "margin")), paths
+    # the burst or on the next packet-ready, and a tick on the burst's end or
+    # one that would reach a battery edge or a clamp is left to the queue.
+    assert all(paths[path] for path in ("before", "inside", "ready", "tie", "margin")), paths

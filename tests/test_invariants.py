@@ -144,3 +144,19 @@ def test_invariants_hold(scenario):
         everyone += bursts
     everyone.sort()
     assert all(e1 <= s2 for (_, e1), (s2, _) in zip(everyone, everyone[1:]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# A run that ends between two whole seconds, with no initial delay.
+@example(Scenario(duration_s=7.5, init_delay_s=0.0, node_count=2, poll_slot_s=2.0))
+@given(scenarios())
+def test_one_sample_per_whole_second(scenario):
+    """The trace stores no time column: sample `i` is at `t_s = i`. So every
+    node samples once at the start and once at each world tick, whether its
+    stretch crossed the tick or the queue ran it."""
+    record = run(scenario)
+    samples = seconds(scenario.total_duration_s) // NS_PER_SEC + 1
+    for nm in record.nodes.values():
+        assert len(nm.tails) == samples and len(nm.values) == 3 * samples, nm.name
+        assert [row.t_s for row in nm.rows] == list(range(samples))

@@ -35,6 +35,9 @@ SUBSECOND = Path(__file__).parent / "data" / "euno16_subsecond.cfg"
 # 3 ETNO nodes on an optical link that loses about a third of its packets
 # and a radio link that loses every one.
 LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
+# The 64-node EUNO fleet perfbench/run.py generates at seed 1 (`fleet_config`),
+# as a file: each write shares one time column across all 64 nodes.
+FLEET64 = Path(__file__).parent / "data" / "fleet64.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -137,12 +140,26 @@ class TestTraces:
     @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-12, 123456789.5, 1e20,
                                        7, 10**12 + 1])
     def test_row_format_matches_per_field_format(self, value, tmp_path):
+        # The first sample is at 0 s; the energy columns print as `.9g`.
         nm = NodeMetrics("node1")
-        nm.values.extend((value,) * 4)
+        nm.values.extend((value,) * 3)
         nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, OwcState.OFF, BleState.OFF])
         write_traces(MetricsRecord(config={}, seed=1, nodes={"node1": nm}), tmp_path)
-        expected = ",".join([format(value, ".9g")] * 4 + ["sleep", "ble", "OFF|OFF"])
+        expected = ",".join(["0"] + [format(value, ".9g")] * 3 + ["sleep", "ble", "OFF|OFF"])
         assert (tmp_path / "trace_node1.csv").read_text().splitlines()[1] == expected
+
+    def test_shared_harvest_column_keeps_the_sign_of_zero(self, tmp_path):
+        # Nodes may share one formatted harvested_J column, but 0.0 == -0.0
+        # while they print as `0` and `-0`: each node's column is its own.
+        nodes = {}
+        for name, harvested in (("node1", 0.0), ("node2", -0.0)):
+            nm = nodes[name] = NodeMetrics(name)
+            nm.values.extend((1.0, 2.0, harvested))
+            nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, OwcState.OFF, BleState.OFF])
+        write_traces(MetricsRecord(config={}, seed=1, nodes=nodes), tmp_path)
+        for name, text in (("node1", "0"), ("node2", "-0")):
+            row = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1]
+            assert row == f"0,1,2,{text},sleep,ble,OFF|OFF"
 
     def test_node_without_samples_writes_the_header_only(self, tmp_path):
         nodes = {"node1": NodeMetrics("node1")}
@@ -171,24 +188,24 @@ class TestTraces:
             start(controller)
             record_samples(controller.nodes, 0.0)
 
-        def recording_tick(nodes, now, harvest_j, t_s):
-            tick_nodes(nodes, now, harvest_j, t_s)
-            record_samples(nodes, t_s)
+        def recording_tick(nodes, now, harvest_j):
+            tick_nodes(nodes, now, harvest_j)
+            record_samples(nodes, now / NS_PER_SEC)
 
         monkeypatch.setattr(_Controller, "start", recording_start)
         monkeypatch.setattr("hybridsim.runner.tick_nodes", recording_tick)
         record = run(SHORT)
         for name, nm in record.nodes.items():
             assert type(nm.values) is array and nm.values.typecode == "d"
-            assert len(nm.values) == 4 * len(nm.tails) > 0
+            assert len(nm.values) == 3 * len(nm.tails) > 0
             assert all(tail is TRACE_TAILS[key] for tail, key in zip(nm.tails, keys[name]))
             rows = nm.rows
             assert rows == expected[name]
             assert all(type(row) is TraceRow for row in rows)
 
     def test_sampling_allocates_little_per_sample(self):
-        # At most 64 B of live allocations per sample at `SimNode.sample`
-        # and at the world tick's inline sample in `tick_nodes`: four
+        # At most 40 B of live allocations per sample at `SimNode.sample`
+        # and at the world tick's inline sample in `tick_nodes`: three
         # doubles in one array and one pointer to a shared label. A tuple, a
         # label string and boxed floats per sample held ~160 B on this run.
         where = []
@@ -205,10 +222,13 @@ class TestTraces:
         held = sum(stat.size for stat in snapshot.filter_traces(where).statistics("filename"))
         samples = sum(len(nm.tails) for nm in record.nodes.values())
         assert samples > 1000
-        assert held <= 64 * samples
+        assert held <= 40 * samples
 
     def test_subsecond_harvest_fleet_bytes_pinned(self, tmp_path):
         _assert_pinned(SUBSECOND, tmp_path)
+
+    def test_fleet64_bytes_pinned(self, tmp_path):
+        _assert_pinned(FLEET64, tmp_path)
 
     def test_lossy_links_bytes_pinned(self, tmp_path):
         # Every packet outcome depends on its draw, so the bytes pin where
@@ -245,7 +265,7 @@ def _sampled_row(**node_state):
     node = controller.nodes[0]
     for name, value in node_state.items():
         setattr(node, name, value)
-    node.sample(0.0)
+    node.sample()
     return node.metrics.rows[-1]
 
 
@@ -409,14 +429,13 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
     monkeypatch.setattr(EnergyBuffer, "harvest",
                         lambda buffer, joules: settled.append(buffer)
                         or harvest(buffer, joules))
-    t_s = now / NS_PER_SEC
-    tick_nodes(ticked, now, harvest_j, t_s)
+    tick_nodes(ticked, now, harvest_j)
     slow = [node.name for node in ticked if node.buffer in settled]
     for node in stepped:
         node.sync(now)
         if harvest(node.buffer, harvest_j)[1] is EventKind.BATTERY_CHARGED:
             node.evaluate_cb(node, now)
-        node.sample(t_s)
+        node.sample()
     for a, b in zip(ticked, stepped):
         assert vars(a.buffer) == vars(b.buffer)
         assert a.metrics == b.metrics  # samples, sleep entries, ...
@@ -476,17 +495,17 @@ class TestHarvestTick:
                            for _ in range(2))
         for node in (ticked, stepped):
             node._phase_ma = current_ma
-        tick_nodes([ticked], elapsed, 0.0, elapsed / NS_PER_SEC)
+        tick_nodes([ticked], elapsed, 0.0)
         stepped.sync(elapsed)
         stepped.buffer.harvest(0.0)
-        stepped.sample(elapsed / NS_PER_SEC)
+        stepped.sample()
         assert vars(ticked.buffer) == vars(stepped.buffer)
         assert ticked.metrics == stepped.metrics
 
     def test_node_without_policy_ticks_across_a_charged_edge(self):
         node = _lone_node()
         node.buffer.remaining_j = node.buffer.threshold_j - 0.001
-        tick_nodes([node], seconds(1), 0.02, 1.0)
+        tick_nodes([node], seconds(1), 0.02)
         assert node.buffer.remaining_j > node.buffer.threshold_j
         assert node.metrics.rows[-1].remaining_j == node.buffer.remaining_j
 
