@@ -25,7 +25,9 @@ THERMAL_NOISE_DBM_HZ = -174.0
 # This constant is the wire contract pinned by data/gfsk_ber_reference.csv.
 GFSK_EFFECTIVE_DISTANCE = 0.68
 
-# The 2 Mbit/s PHY halves energy per bit at fixed power: +3 dB required SNR.
+# The radio's PHY rates in bits per ms. The 2 Mbit/s PHY halves energy per
+# bit at fixed power: +3 dB required SNR.
+PHY_BITS_PER_MS = {"1M": 1e3, "2M": 2e3}
 PHY_RATE_SNR_SHIFT_DB = {"1M": 0.0, "2M": 3.0}
 
 SNR_FLOOR_DB = -math.inf
@@ -55,8 +57,6 @@ def friis_rx_power(scenario: Scenario) -> float:
 
 def snr_db(rx_dbm: float, noise_figure_db: float, bandwidth_hz: float) -> float:
     """Channel SNR against the thermal floor (-174 dBm/Hz) plus noise figure."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
     noise_dbm = THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
     return rx_dbm - noise_dbm
 
@@ -77,6 +77,15 @@ def gfsk_ber(snr_value_db: float, phy_rate: str = "1M") -> float:
     shifted = snr_value_db - PHY_RATE_SNR_SHIFT_DB[phy_rate]
     gamma_b = 10.0 ** (shifted / 10.0)
     return _q_function(math.sqrt(2.0 * gamma_b * GFSK_EFFECTIVE_DISTANCE))
+
+
+def ble_link(scenario: Scenario) -> tuple[float, float]:
+    """SNR in dB and bit error rate of the radio link; the error rate follows
+    the per-bit SNR at the PHY rate."""
+    snr = snr_db(friis_rx_power(scenario), scenario.noise_figure_db, scenario.bandwidth_hz)
+    bit_rate = PHY_BITS_PER_MS[scenario.ble_phy_rate] * 1e3
+    eb = snr + 10.0 * math.log10(scenario.bandwidth_hz / bit_rate)
+    return snr, gfsk_ber(eb, scenario.ble_phy_rate)
 
 
 def owc_channel_gain(scenario: Scenario) -> float:
@@ -105,8 +114,6 @@ def owc_snr_db(scenario: Scenario, gain: float) -> float:
     Signal power is the squared photocurrent; noise is shot (signal plus
     background light) plus thermal noise of the receiver load.
     """
-    if gain < 0:
-        raise ValueError("channel gain cannot be negative")
     photocurrent = scenario.responsivity_a_w * scenario.tx_optical_power_w * gain
     shot = 2.0 * ELECTRON_CHARGE * (photocurrent + BACKGROUND_CURRENT_A) * OPTICAL_BANDWIDTH_HZ
     thermal = 4.0 * BOLTZMANN * RECEIVER_TEMPERATURE_K * OPTICAL_BANDWIDTH_HZ / LOAD_RESISTANCE_OHM
@@ -121,10 +128,12 @@ def ook_ber(snr_value_db: float) -> float:
     return _q_function(math.sqrt(10.0 ** (snr_value_db / 10.0)))
 
 
+def owc_link(scenario: Scenario) -> tuple[float, float]:
+    """SNR in dB and bit error rate of the optical link."""
+    snr = owc_snr_db(scenario, owc_channel_gain(scenario))
+    return snr, ook_ber(snr)
+
+
 def packet_success(ber: float, bits: int) -> float:
     """Probability a packet of `bits` independent bits arrives intact."""
-    if not 0.0 <= ber <= 0.5:
-        raise ValueError(f"ber must be in [0, 0.5], got {ber}")
-    if bits < 0:
-        raise ValueError("bit count cannot be negative")
     return (1.0 - ber) ** bits

@@ -24,8 +24,6 @@ if TYPE_CHECKING:
 
 def phase_energy(current_ma: float, duration_ms: float, voltage: float) -> float:
     """Energy in joules of one constant-current phase: E = I * V * t."""
-    if current_ma < 0 or duration_ms < 0 or voltage < 0:
-        raise ValueError("phase parameters must be nonnegative")
     return current_ma * 1e-3 * voltage * duration_ms * 1e-3
 
 
@@ -44,10 +42,6 @@ class EnergyBuffer:
 
     def __init__(self, capacity_j: float, initial_j: float | None = None,
                  critical_fraction: float = 0.2):
-        if capacity_j <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0.0 <= critical_fraction < 1.0:
-            raise ValueError("critical fraction must be in [0, 1)")
         self.capacity_j = capacity_j
         self.remaining_j = capacity_j if initial_j is None else min(initial_j, capacity_j)
         self.initial_j = self.remaining_j
@@ -66,8 +60,6 @@ class EnergyBuffer:
         return (threshold, math.inf) if level >= threshold else (0.0, threshold)
 
     def consume(self, joules: float) -> EventKind | None:
-        if joules < 0:
-            raise ValueError("cannot consume negative energy")
         before = self.remaining_j
         drawn = min(joules, before)
         self.remaining_j = before - drawn
@@ -79,8 +71,6 @@ class EnergyBuffer:
         return None
 
     def harvest(self, joules: float) -> tuple[float, EventKind | None]:
-        if joules < 0:
-            raise ValueError("cannot harvest negative energy")
         before = self.remaining_j
         added = min(joules, self.capacity_j - before)
         self.remaining_j = before + added
@@ -167,8 +157,6 @@ def predict_action_energy(scenario: Scenario, links: dict[Modality, LinkPlan],
     performance mode keeps enabled. Used for ranking actions against each
     other, so a common basis matters more than schedule-exact accounting.
     """
-    if horizon_s <= 0:
-        raise ValueError("horizon must be positive")
     v = scenario.supply_voltage
     if action.mode is Mode.SLEEP:
         return phase_energy(scenario.sleep_current_ma, horizon_s * 1e3, v)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .channel import PHY_BITS_PER_MS
 from .kernel import EventKind
 
 
@@ -67,14 +68,6 @@ REFERENCE_PAYLOAD_BYTES = 116
 REFERENCE_PHY_RATE = "2M"
 
 
-def phy_bits_per_ms(phy_rate: str) -> float:
-    if phy_rate == "1M":
-        return 1e3
-    if phy_rate == "2M":
-        return 2e3
-    raise ValueError(f"unknown phy rate {phy_rate}")
-
-
 def ble_airtime(payload_bytes: int, phy_rate: str, mtu_bytes: int) -> float:
     """Radio-active time in ms to move `payload_bytes` up the link.
 
@@ -82,10 +75,8 @@ def ble_airtime(payload_bytes: int, phy_rate: str, mtu_bytes: int) -> float:
     per-connection-event overhead; payloads beyond the MTU segment into
     multiple connection events and the total is returned.
     """
-    if payload_bytes < 0:
-        raise ValueError("payload size cannot be negative")
     # Overhead is a radio-time constant, independent of the payload PHY.
     overhead = (REFERENCE_UPLINK_MS
-                - REFERENCE_PAYLOAD_BYTES * 8 / phy_bits_per_ms(REFERENCE_PHY_RATE))
+                - REFERENCE_PAYLOAD_BYTES * 8 / PHY_BITS_PER_MS[REFERENCE_PHY_RATE])
     events = max(1, math.ceil(payload_bytes / mtu_bytes))
-    return events * overhead + payload_bytes * 8 / phy_bits_per_ms(phy_rate)
+    return events * overhead + payload_bytes * 8 / PHY_BITS_PER_MS[phy_rate]

@@ -60,8 +60,6 @@ class UtilityWeights:
 def energy_weight(f_r: float, f_c: float) -> float:
     """Dynamic weight of the energy utility: 1 at the critical level, 0 when
     full, clamped to [0, 1] outside that span."""
-    if f_c >= 1.0:
-        raise ValueError("critical fraction must be below 1")
     value = 1.0 - (f_r - f_c) / (1.0 - f_c)
     return min(1.0, max(0.0, value))
 
@@ -83,23 +81,20 @@ def screen_utility(action: Action, p_int: float, theta_s: float,
 
 
 def ewma_update(baseline_prev: float, sample: float, lam: float) -> float:
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("smoothing constant must be in (0, 1]")
     return lam * sample + (1.0 - lam) * baseline_prev
 
 
 def mobility_probability(baseline: float, sample: float, k: float,
                          c: float) -> float:
-    """Sigmoid of the deviation between the smoothed and instantaneous SNR."""
-    if k <= 0:
-        raise ValueError("sigmoid slope must be positive")
-    delta = abs(baseline - sample)
-    return 1.0 / (1.0 + math.exp(-k * (delta - c)))
+    """Sigmoid of the deviation between the smoothed and instantaneous SNR;
+    0, its limit, where the exponential overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-k * (abs(baseline - sample) - c)))
+    except OverflowError:
+        return 0.0
 
 
 def energy_utility(predicted_j: float, e_max_j: float) -> float:
-    if e_max_j <= 0:
-        raise ValueError("maximum energy must be positive")
     return 1.0 - min(predicted_j, e_max_j) / e_max_j
 
 
@@ -123,8 +118,6 @@ class EunoTable:
               predicted_j: dict[Action, float],
               rates_kbps: dict[Action, float]) -> EunoTable:
         """`predicted_j` and `rates_kbps` must hold all six distinct actions."""
-        if not 0.0 <= p_int <= 1.0:
-            raise ValueError(f"interaction probability out of range: {p_int}")
         w = weights
         rows = {}
         for current in Modality:
@@ -162,8 +155,6 @@ def euno_select(table: EunoTable, f_r: float, current: Modality,
     Ties break deterministically: prefer keeping the current modality, then
     the higher mode, then the optical link.
     """
-    if not 0.0 <= f_r <= 1.0:
-        raise ValueError(f"energy fraction out of range: {f_r}")
     w = table.weights
     if f_r < w.f_c or f_r == 0.0:
         return Action(Mode.SLEEP, current)
@@ -185,8 +176,6 @@ def etno_select(f_r: float, sleep_threshold: float, conservation_threshold: floa
     buffer, conservation on the radio link between the thresholds, full
     performance on the best-SNR modality above. The OWC-only variant never
     leaves the optical link."""
-    if sleep_threshold >= conservation_threshold:
-        raise ValueError("sleep threshold must be below the conservation threshold")
     if f_r < sleep_threshold or f_r == 0.0:
         return Action(Mode.SLEEP, current_modality)
     if f_r < conservation_threshold:

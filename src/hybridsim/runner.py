@@ -8,14 +8,13 @@ the event kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from . import channel
 from .actions import Mode, Modality, enumerate_actions
 from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
-from .linklayer import ble_airtime, phy_bits_per_ms
+from .linklayer import ble_airtime
 from .metrics import MetricsRecord, NodeMetrics
 from .node import LinkPlan, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
@@ -30,12 +29,8 @@ def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
     sits at the scenario's distance and incidence angle, so one plan per
     modality serves them all."""
     bits = scenario.packet_bytes * 8
-    rx_dbm = channel.friis_rx_power(scenario)
-    ble_snr = channel.snr_db(rx_dbm, scenario.noise_figure_db, scenario.bandwidth_hz)
-    # Per-bit SNR at the PHY rate drives the modem error rate.
-    bit_rate = phy_bits_per_ms(scenario.ble_phy_rate) * 1e3
-    ble_eb = ble_snr + 10.0 * math.log10(scenario.bandwidth_hz / bit_rate)
-    owc_snr = channel.owc_snr_db(scenario, channel.owc_channel_gain(scenario))
+    ble_snr, ble_ber = channel.ble_link(scenario)
+    owc_snr, owc_ber = channel.owc_link(scenario)
     ble_airtime_ms = ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
                                  scenario.mtu_bytes)
     owc_airtime_ms = bits / scenario.owc_phy_rate_kbps
@@ -51,19 +46,18 @@ def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
             airtime_ns=millis(airtime_ms),
             interval_ns=interval_ns,
             tx_current_ma=tx_current_ma,
-            success_prob=channel.packet_success(min(0.5, ber), bits),
+            success_prob=channel.packet_success(ber, bits),
             snr_db=snr,
             rate_kbps={mode: bits / (ns / 1e6) for mode, ns in interval_ns.items()},
         )
 
     return {
         Modality.OWC: plan(owc_airtime_ms, owc_airtime_ms, scenario.owc_tx_current_ma,
-                           owc_snr, channel.ook_ber(owc_snr)),
+                           owc_snr, owc_ber),
         # The radio moves one application packet per connection event, so
         # packet spacing can never drop below the connection interval.
         Modality.BLE: plan(ble_airtime_ms, max(scenario.conn_interval_ms, ble_airtime_ms),
-                           scenario.ble_tx_current_ma, ble_snr,
-                           channel.gfsk_ber(ble_eb, scenario.ble_phy_rate)),
+                           scenario.ble_tx_current_ma, ble_snr, ble_ber),
     }
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .channel import PHY_RATE_SNR_SHIFT_DB
+from .channel import PHY_RATE_SNR_SHIFT_DB, ble_link, owc_link
 from .energy import HarvestProfile
 from .kernel import millis, seconds
 from .linklayer import CONN_EVENT_LEN_MS
@@ -29,6 +29,14 @@ _POSITIVE = (
     "concentrator_gain",
 )
 _NON_NEGATIVE = ("init_delay_s", "harvest_mw", "snr_jitter_db")
+# Each link budget and the keys it reads.
+_LINK_BUDGETS = (
+    ("radio", ble_link,
+     ("distance_m", "ble_tx_power_dbm", "noise_figure_db", "bandwidth_hz")),
+    ("optical", owc_link,
+     ("distance_m", "incidence_angle_deg", "led_semi_angle_deg", "pd_fov_deg",
+      "pd_area_m2", "concentrator_gain", "responsivity_a_w", "tx_optical_power_w")),
+)
 
 
 class ScenarioError(ValueError):
@@ -135,21 +143,40 @@ class Scenario:
                                 f"{CONN_EVENT_LEN_MS} ms connection event")
         if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
             raise ScenarioError(f"ble_phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
+        for name, budget, keys in _LINK_BUDGETS:
+            try:
+                budget(self)
+            except (ArithmeticError, ValueError):
+                raise ScenarioError(f"the {name} link budget overflows or leaves its domain: "
+                                    f"one of {', '.join(keys)} is out of range") from None
         if self.conservation_rate_kbps > self.target_rate_kbps:
             raise ScenarioError("conservation_rate_kbps must not exceed target_rate_kbps")
+        # Every span the run converts to integer nanoseconds must convert, and a
+        # tick or packet spacing of 0 ns would requeue itself at once for ever.
         # The optical link at the target rate has the shortest packet spacing
-        # of any link plan (`runner.build_link_plans`); the radio's is at
-        # least one connection interval.
+        # of any link plan (`runner.build_link_plans`), the conservation rate
+        # the longest; the radio's is at least one connection interval.
         bits = self.packet_bytes * 8
-        if millis(max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps)) == 0:
-            raise ScenarioError("target_rate_kbps and owc_phy_rate_kbps are too high: "
-                                "the optical packet spacing rounds to 0 ns")
-        # A tick with a period of 0 ns would requeue itself at once for ever.
-        for key, period in (("poll_slot_s", self.poll_slot_s),
-                            ("[weights] period_s", self.weights.period_s),
-                            ("[peripherals] period_s", self.peripheral_period_s)):
-            if seconds(period) == 0:
-                raise ScenarioError(f"{key} rounds to 0 ns, got {period}")
+        spans = (
+            ("duration_s and init_delay_s", seconds, self.total_duration_s, False),
+            ("poll_slot_s", seconds, self.poll_slot_s, True),
+            ("[weights] period_s", seconds, self.weights.period_s, True),
+            ("[peripherals] period_s", seconds, self.peripheral_period_s, True),
+            ("target_rate_kbps and owc_phy_rate_kbps give an optical packet spacing that",
+             millis, max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps), True),
+            ("conservation_rate_kbps gives a packet spacing that", millis,
+             bits / self.conservation_rate_kbps, False),
+            *((key, millis, getattr(self, key), False) for key in (
+                "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
+                "localize_duration_ms", "conn_interval_ms")),
+        )
+        for key, to_ns, span, tick in spans:
+            try:
+                ns = to_ns(span)
+            except OverflowError:
+                raise ScenarioError(f"{key} overflows the ns clock, got {span}") from None
+            if tick and ns == 0:
+                raise ScenarioError(f"{key} rounds to 0 ns, got {span}")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
         for key in ("etno_sleep_threshold", "etno_conservation_threshold"):

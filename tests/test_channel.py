@@ -184,12 +184,6 @@ class TestPacketSuccess:
         # (1 - 1e-3)^4096 for a 512-byte packet
         assert packet_success(1e-3, 4096) == pytest.approx(0.016605, abs=1e-5)
 
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            packet_success(0.6, 10)
-        with pytest.raises(ValueError):
-            packet_success(0.1, -1)
-
 
 def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
     from hybridsim.optimizer import ewma_update, mobility_probability

@@ -177,6 +177,16 @@ class TestRun:
         # The optical packet spacing rounds to 0 ns.
         ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
                     "[optical]\nphy_rate_kbps = 1e12"),
+        # Facts that code below load relies on without checking them again.
+        pytest.param("traffic", "packet_bytes = -1", id="traffic-packet_bytes-negative"),
+        pytest.param("energy", "initial_fraction = 1.5", id="energy-initial_fraction-above-1"),
+        pytest.param("weights", "ewma_lambda = 0", id="weights-ewma_lambda-0"),
+        pytest.param("optimizer", "etno_sleep_threshold = 0.5",
+                     id="optimizer-etno_sleep_threshold-above-conservation"),
+        # A span that overflows the ns clock, and a link budget that divides
+        # by zero.
+        pytest.param("traffic", "poll_slot_s = 1e300", id="traffic-poll_slot_s-overflow"),
+        pytest.param("topology", "distance_m = 1e-170", id="topology-distance_m-underflow"),
     ], ids=lambda value: value.split()[0])
     def test_bad_key_is_validation_failure(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.cfg"

@@ -92,10 +92,6 @@ class TestBleTiming:
         duty = CONN_EVENT_LEN_MS / Scenario().conn_interval_ms
         assert duty == pytest.approx(0.0476, abs=5e-4)
 
-    def test_negative_payload_rejected(self):
-        with pytest.raises(ValueError):
-            ble_airtime(-1, "2M", 247)
-
 
 def _poll_slots(node_count, sleep, count):
     """(in_slot, awake) of every node, sampled 1 s into each 2 s poll slot."""

@@ -56,6 +56,17 @@ class TestLedgerAndBounds:
             for row in nm.rows:
                 assert 0.0 <= row.remaining_j <= SHORT.battery_capacity_j + 1e-12
 
+    @pytest.mark.parametrize("capacity_j, initial_fraction", [(5.2, 0.013), (7.3, 0.041)])
+    def test_a_buffer_filled_one_ulp_past_capacity_runs(self, capacity_j,
+                                                        initial_fraction):
+        # Here the harvest that fills the buffer leaves it one ulp above
+        # capacity, and EUNO then evaluates at a fraction above 1.
+        scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1,
+                            optimizer="euno", battery_capacity_j=capacity_j,
+                            initial_fraction=initial_fraction, harvest_mw=50000.0)
+        remaining_j = run(scenario).nodes["node1"].remaining_j
+        assert remaining_j == pytest.approx(capacity_j, rel=0.0, abs=1e-12)
+
     def test_rows_strictly_increasing_and_counters_monotone(self, metrics):
         for nm in metrics.nodes.values():
             times = [row.t_s for row in nm.rows]

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hybridsim.cli import EXIT_VALIDATION, main
 from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
+from hybridsim.runner import run
 from hybridsim.scenario import (_SCHEMA, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
 
@@ -233,3 +234,38 @@ class TestInvalidConfigs:
         capsys.readouterr()
         assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+
+
+# Every float key is set, one at a time on a 3 s run, to each of these values.
+_GRID_VALUES = ("0", "5e-324", "1e-300", "1e-170", "1e-12", "1e-9", "0.5", "1",
+                "1e6", "1e12", "1e100", "1e300", "1.7e308")
+_TICK_PERIODS = {"poll_slot_s", "peripheral_period_s", "period_s"}
+
+
+@pytest.mark.parametrize("sleep", ["true", "false"])
+def test_every_scenario_that_loads_runs(tmp_path, sleep):
+    """Load is the only gate: a one-key change either fails at load naming
+    its key, or runs. The run's length and start stay at the base; a tick
+    period below 1 ms that loads is not run, since it runs correctly but
+    for long."""
+    base = f"[scenario]\nduration_s = 3\ninit_delay_s = 0\ninter_transmission_sleep = {sleep}\n"
+    failures = []
+    for section, entries in _SCHEMA.items():
+        for key, (name, convert) in entries.items():
+            if convert is not float or section == "scenario":
+                continue
+            for value in _GRID_VALUES:
+                path = _write(tmp_path, f"{base}[{section}]\n{key} = {value}\n")
+                try:
+                    scenario = load_scenario(path)
+                except ScenarioError as err:
+                    if key not in str(err):
+                        failures.append((section, key, value, str(err)))
+                    continue
+                if name in _TICK_PERIODS and float(value) < 1e-3:
+                    continue
+                try:
+                    run(scenario)
+                except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                    failures.append((section, key, value, repr(exc)))
+    assert failures == []
