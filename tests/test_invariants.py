@@ -20,6 +20,7 @@ from conftest import tx_bursts
 
 TOL = 1e-9
 ASLEEP = ("SLEEP|OFF", "OFF|OFF")
+INTERFACE_LABELS = {*ASLEEP, "IDLE|IDLE", "TX|IDLE", "IDLE|TX_BUSY"}
 
 
 @st.composite
@@ -144,6 +145,16 @@ def test_invariants_hold(scenario):
         everyone += bursts
     everyone.sort()
     assert all(e1 <= s2 for (_, e1), (s2, _) in zip(everyone, everyone[1:]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_sampled_interface_states_are_the_five_reachable(scenario):
+    """Every sleep, wake and battery-low signal moves both interfaces, and at
+    most one of them transmits: each sample's fsm_state is one of five."""
+    for nm in run(scenario).nodes.values():
+        assert {row.fsm_state for row in nm.rows} <= INTERFACE_LABELS, nm.name
 
 
 @settings(max_examples=100, deadline=None,
