@@ -109,12 +109,15 @@ def owc_channel_gain(scenario: Scenario) -> float:
 
 def owc_snr_db(scenario: Scenario, gain: float) -> float:
     """Electrical SNR of the optical link, -inf sentinel for zero gain or a
-    signal power that underflows to zero.
+    signal power that underflows to zero. A photocurrent or signal power
+    that overflows raises OverflowError.
 
     Signal power is the squared photocurrent; noise is shot (signal plus
     background light) plus thermal noise of the receiver load.
     """
     photocurrent = scenario.responsivity_a_w * scenario.tx_optical_power_w * gain
+    if photocurrent == math.inf:  # its SNR would be inf / inf
+        raise OverflowError("the optical photocurrent overflows")
     shot = 2.0 * ELECTRON_CHARGE * (photocurrent + BACKGROUND_CURRENT_A) * OPTICAL_BANDWIDTH_HZ
     thermal = 4.0 * BOLTZMANN * RECEIVER_TEMPERATURE_K * OPTICAL_BANDWIDTH_HZ / LOAD_RESISTANCE_OHM
     snr = photocurrent ** 2 / (shot + thermal)

@@ -1,8 +1,10 @@
-"""Interface state machines and BLE event timing.
+"""The node's interface state machine and BLE event timing.
 
-Both interfaces are modeled in one explicit transition table. Pairs that are
-not listed are deliberate no-ops rather than faults: the table in this module
-is the normative behaviour of the artifact.
+The optical and radio interfaces are modeled as one machine in one explicit
+transition table: every sleep, wake and battery-low signal moves both, and at
+most one of them transmits. Keys that are not listed are deliberate no-ops
+rather than faults: the table in this module is the normative behaviour of
+the artifact.
 """
 
 from __future__ import annotations
@@ -10,53 +12,46 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .actions import Modality
 from .channel import PHY_BITS_PER_MS
 from .kernel import EventKind
 
 
-class OwcState(Enum):
-    OFF = "OFF"
-    SLEEP = "SLEEP"
-    IDLE = "IDLE"
-    TX = "TX"
+class InterfaceState(Enum):
+    """Both interfaces' states; each value is the trace's `<optical>|<radio>`
+    label. The optical interface has a sleep state of its own, while a sleep
+    signal powers the radio off."""
+
+    OFF = "OFF|OFF"
+    SLEEP = "SLEEP|OFF"
+    IDLE = "IDLE|IDLE"
+    OWC_TX = "TX|IDLE"
+    BLE_TX = "IDLE|TX_BUSY"
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
-class BleState(Enum):
-    OFF = "OFF"
-    IDLE = "IDLE"
-    TX_BUSY = "TX_BUSY"
-    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+_E, _I = EventKind, InterfaceState
 
-
-_E = EventKind
-
-# One table serves both interfaces: their states are distinct enum members, so
-# a (state, event) key names its interface. Battery-low dominates every state,
-# and only a wake signal brings an interface back from OFF.
-TRANSITIONS: dict[tuple[Enum, EventKind], Enum] = {
-    # Optical interface: uplink transmitter with a dedicated sleep state.
-    # Sleep is entered only from quiescent states (the MAC never sleeps an
-    # interface mid-transfer).
-    (OwcState.IDLE, _E.TRANSMIT_START): OwcState.TX,
-    (OwcState.TX, _E.TRANSMIT_END): OwcState.IDLE,
-    (OwcState.IDLE, _E.SLEEP_SIGNAL): OwcState.SLEEP,
-    (OwcState.SLEEP, _E.WAKE_SIGNAL): OwcState.IDLE,
-    (OwcState.OFF, _E.WAKE_SIGNAL): OwcState.IDLE,
-    # Radio interface: no sleep state of its own; a sleep signal powers it
-    # off and a wake signal restores the idle (connected) state.
-    (BleState.IDLE, _E.TRANSMIT_START): BleState.TX_BUSY,
-    (BleState.TX_BUSY, _E.TRANSMIT_END): BleState.IDLE,
-    (BleState.IDLE, _E.SLEEP_SIGNAL): BleState.OFF,
-    (BleState.OFF, _E.WAKE_SIGNAL): BleState.IDLE,
+# Keyed by (state, event, modality): a transmit start names its modality, no
+# other event does. Battery-low sends every state to OFF, only a wake signal
+# powers the interfaces on, and a sleep signal acts only on IDLE (the MAC never
+# sleeps an interface mid-transfer).
+TRANSITIONS: dict[tuple[InterfaceState, EventKind, Modality | None], InterfaceState] = {
+    (_I.IDLE, _E.TRANSMIT_START, Modality.OWC): _I.OWC_TX,
+    (_I.IDLE, _E.TRANSMIT_START, Modality.BLE): _I.BLE_TX,
+    (_I.OWC_TX, _E.TRANSMIT_END, None): _I.IDLE,
+    (_I.BLE_TX, _E.TRANSMIT_END, None): _I.IDLE,
+    (_I.IDLE, _E.SLEEP_SIGNAL, None): _I.SLEEP,
+    (_I.SLEEP, _E.WAKE_SIGNAL, None): _I.IDLE,
+    (_I.OFF, _E.WAKE_SIGNAL, None): _I.IDLE,
+    **{(state, _E.BATTERY_LOW, None): _I.OFF for state in _I},
 }
-for _s in (*OwcState, *BleState):
-    TRANSITIONS[(_s, _E.BATTERY_LOW)] = type(_s).OFF
 
 
-def fsm_dispatch(current, event_kind: EventKind):
-    """Return the successor state for (state, event); undefined pairs no-op."""
-    return TRANSITIONS.get((current, event_kind), current)
+def fsm_dispatch(current: InterfaceState, event_kind: EventKind,
+                 modality: Modality | None = None) -> InterfaceState:
+    """Return the successor state for the key; undefined keys no-op."""
+    return TRANSITIONS.get((current, event_kind, modality), current)
 
 
 # Radio timing that no scenario sets: the connection event length bounds the

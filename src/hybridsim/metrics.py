@@ -16,15 +16,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .actions import Mode, Modality
-from .linklayer import BleState, OwcState
+from .linklayer import InterfaceState
 
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
 # A row's label columns, ",mode,modality,OWC|BLE", per node state, built once:
 # every sample in one state shares the string.
 TRACE_TAILS = {
-    (mode, modality, owc, ble): f",{mode.value},{modality.value},{owc.value}|{ble.value}"
-    for mode in Mode for modality in Modality for owc in OwcState for ble in BleState}
+    (mode, modality, state): f",{mode.value},{modality.value},{state.value}"
+    for mode in Mode for modality in Modality for state in InterfaceState}
 # `%.9g` renders a float exactly as `format(value, ".9g")` does; the time and
 # harvested_J columns come formatted, the label tail with its leading comma.
 _ROW_FORMAT = "%s,%.9g,%.9g,%s%s"

@@ -1,6 +1,6 @@
 """Runtime behaviour of one simulated end node.
 
-A node owns its interface state machines, its energy buffer, and its traffic
+A node owns its interface state machine, its energy buffer, and its traffic
 pacing. Consumption is integrated piecewise-constant: the node is always in
 exactly one draw phase (sleep, idle, wake-up, a peripheral operation, or a
 transmission burst) whose current comes from the scenario's calibration
@@ -16,13 +16,17 @@ from dataclasses import dataclass
 from .actions import Action, Mode, Modality
 from .energy import EnergyBuffer, PhaseStep, peripheral_steps, phase_energy
 from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC, millis
-from .linklayer import BleState, OwcState, fsm_dispatch
+from .linklayer import InterfaceState, fsm_dispatch
 from .metrics import TRACE_TAILS, NodeMetrics
 from .scenario import Scenario
 
 
+_ASLEEP = (InterfaceState.OFF, InterfaceState.SLEEP)
+_TRANSMITTING = (InterfaceState.OWC_TX, InterfaceState.BLE_TX)
+
+
 class ProtocolViolation(RuntimeError):
-    """A transmission was attempted from a powered-down interface."""
+    """A transmission was attempted from an interface state other than IDLE."""
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,7 @@ class SimNode:
                                             scenario.supply_voltage)
         self.mode = Mode.PERFORMANCE
         self.modality = initial_modality
-        self.owc_state = OwcState.IDLE
-        self.ble_state = BleState.IDLE
+        self.interfaces = InterfaceState.IDLE
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
         self._restream_after_tx = False
@@ -80,13 +83,13 @@ class SimNode:
 
     @property
     def awake(self) -> bool:
-        # Only a sleep signal or a battery-low edge powers the radio off, and
-        # only a wake signal powers it on again.
-        return self.ble_state is not BleState.OFF
+        # Only a sleep signal or a battery-low edge powers the interfaces
+        # down, and only a wake signal powers them on again.
+        return self.interfaces not in _ASLEEP
 
     @property
     def tx_in_flight(self) -> bool:
-        return self.owc_state is OwcState.TX or self.ble_state is BleState.TX_BUSY
+        return self.interfaces in _TRANSMITTING
 
     # -- energy phase integration ------------------------------------------
 
@@ -110,7 +113,7 @@ class SimNode:
         the node. `tick_nodes` appends the same two entries inline."""
         buffer, metrics = self.buffer, self.metrics
         metrics.values.extend((buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
-        metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.owc_state, self.ble_state])
+        metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.interfaces])
 
     # -- battery edges ------------------------------------------------------
 
@@ -120,8 +123,7 @@ class SimNode:
             self.metrics.packets_lost += 1
             started = self._tx_started_ns
             self.metrics.tx_intervals.append((started, 0, now - started, 1))
-        self.owc_state = fsm_dispatch(self.owc_state, EventKind.BATTERY_LOW)
-        self.ble_state = fsm_dispatch(self.ble_state, EventKind.BATTERY_LOW)
+        self.interfaces = fsm_dispatch(self.interfaces, EventKind.BATTERY_LOW)
         if self.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
         self.mode = Mode.SLEEP
@@ -144,24 +146,14 @@ class SimNode:
 
     # -- MAC-level sleep/wake -------------------------------------------------
 
-    def mac_sleep(self) -> None:
-        if self.awake:
-            self.owc_state = fsm_dispatch(self.owc_state, EventKind.SLEEP_SIGNAL)
-            self.ble_state = fsm_dispatch(self.ble_state, EventKind.SLEEP_SIGNAL)
-        self._phase_ma = self.scenario.sleep_current_ma
-
-    def mac_wake(self) -> None:
-        if not self.awake:
-            self.owc_state = fsm_dispatch(self.owc_state, EventKind.WAKE_SIGNAL)
-            self.ble_state = fsm_dispatch(self.ble_state, EventKind.WAKE_SIGNAL)
-
     def park(self) -> None:
         """Rest outside a slot or a burst: sleep if the mode or the scenario
         asks for it, else wake and idle."""
         if self.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
-            self.mac_sleep()
+            self.interfaces = fsm_dispatch(self.interfaces, EventKind.SLEEP_SIGNAL)
+            self._phase_ma = self.scenario.sleep_current_ma
         else:
-            self.mac_wake()
+            self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
             self._phase_ma = self.scenario.idle_current_ma
 
     # -- polling slots ---------------------------------------------------------
@@ -185,7 +177,7 @@ class SimNode:
         if self.awake:
             self._start_streaming(now)
         else:
-            self.mac_wake()
+            self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
             self._start_slot_chain(now)
 
     def exit_slot(self, now: SimTime) -> None:
@@ -296,13 +288,9 @@ class SimNode:
         through a tick logs one of its own and draws its outcome after the
         tick, so the node's stream moves as the queued handlers move it. The
         node idles around each burst, and its interface starts and ends it
-        at IDLE, so the phase and FSMs stay.
+        at IDLE, so the phase and interface state stay.
         """
-        if self.modality is Modality.OWC:
-            idle = self.owc_state is OwcState.IDLE
-        else:
-            idle = self.ble_state is BleState.IDLE
-        if not idle:  # a powered-down interface raises in `transmit_packet`
+        if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
         airtime = link.airtime_ns
         fits = self.slot_end_ns - airtime
@@ -339,7 +327,6 @@ class SimNode:
             at, end = tick.fire_at, now + airtime
             log.append((now, 0, airtime, 1))
             if at < end:  # the tick samples the burst in flight
-                states = self.owc_state, self.ble_state
                 self.transmit_packet(now)
                 self._phase_since = now
             else:  # the burst, then the tick draws the idle up to it
@@ -351,7 +338,7 @@ class SimNode:
             if at < end:  # the rest of the burst
                 rest_j = self._joules(link.tx_current_ma, end - at)
                 remaining, consumed = remaining - rest_j, consumed + rest_j
-                self.owc_state, self.ble_state = states
+                self.interfaces = InterfaceState.IDLE
                 self._phase_ma, self._phase_since = self.scenario.idle_current_ma, end
             now += interval  # the idle up to the next ready
             rest_j = self._joules(self._phase_ma, now - self._phase_since)
@@ -390,17 +377,11 @@ class SimNode:
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM and start its draw;
         success is drawn against the link's packet success probability when
-        the burst ends."""
-        if self.modality is Modality.OWC:
-            if self.owc_state in (OwcState.OFF, OwcState.SLEEP):
-                raise ProtocolViolation(
-                    f"{self.name}: optical TX from {self.owc_state.value}")
-            self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_START)
-        else:
-            if self.ble_state is BleState.OFF:
-                raise ProtocolViolation(
-                    f"{self.name}: radio TX from {self.ble_state.value}")
-            self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_START)
+        the burst ends. Only IDLE interfaces may start one."""
+        if self.interfaces is not InterfaceState.IDLE:
+            raise ProtocolViolation(
+                f"{self.name}: {self.modality.value} TX from {self.interfaces.value}")
+        self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_START, self.modality)
         self._tx_started_ns = now
         self._phase_ma = self.links[self.modality].tx_current_ma
 
@@ -410,10 +391,7 @@ class SimNode:
             return  # a battery-low edge already lost the burst
         started = self._tx_started_ns
         self.metrics.tx_intervals.append((started, 0, now - started, 1))
-        if modality is Modality.OWC:
-            self.owc_state = fsm_dispatch(self.owc_state, EventKind.TRANSMIT_END)
-        else:
-            self.ble_state = fsm_dispatch(self.ble_state, EventKind.TRANSMIT_END)
+        self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
         if self.rng.uniform() < self.links[modality].success_prob:
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
@@ -499,8 +477,7 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
             buffer.harvested_j += harvest_j
             metrics = node.metrics
             metrics.values.extend((remaining, buffer.consumed_j, buffer.harvested_j))
-            metrics.tails.append(
-                TRACE_TAILS[node.mode, node.modality, node.owc_state, node.ble_state])
+            metrics.tails.append(TRACE_TAILS[node.mode, node.modality, node.interfaces])
         else:
             node.sync(now)
             if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:

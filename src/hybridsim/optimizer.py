@@ -44,17 +44,18 @@ class UtilityWeights:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+                raise ValueError(f"[weights] {f.name} must be finite")
         if abs(self.p_m + self.p_s + self.p_l - 1.0) > 1e-9:
             raise ValueError(
-                f"static weights p_m, p_s and p_l must sum to 1: p_M+p_S+p_L = "
+                f"[weights] static weights p_m, p_s and p_l must sum to 1: p_M+p_S+p_L = "
                 f"{self.p_m + self.p_s + self.p_l}")
         if not 0.0 < self.ewma_lambda <= 1.0:
-            raise ValueError("ewma_lambda must be in (0, 1]")
+            raise ValueError("[weights] ewma_lambda must be in (0, 1]")
         if not 0.0 <= self.f_c < 1.0:
-            raise ValueError("f_c must be in [0, 1)")
-        if self.sigmoid_k <= 0 or self.period_s <= 0:
-            raise ValueError("sigmoid_k and period_s must be positive")
+            raise ValueError("[weights] f_c must be in [0, 1)")
+        for key in ("sigmoid_k", "period_s"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"[weights] {key} must be positive")
 
 
 def energy_weight(f_r: float, f_c: float) -> float:

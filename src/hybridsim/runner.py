@@ -21,7 +21,6 @@ from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import OPTIMIZERS, Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
-HARVEST_TICK_S = 1.0  # harvest settlement and trace sampling period
 
 
 def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
@@ -165,7 +164,7 @@ class _Controller:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.HARVEST_TICK:
             tick_nodes(self.nodes, now, event.payload)
-            self._schedule_harvest_tick(now + seconds(HARVEST_TICK_S))
+            self._schedule_harvest_tick(now + NS_PER_SEC)
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
             for node in self.nodes:
                 node.on_peripheral_cycle(now)
@@ -175,11 +174,13 @@ class _Controller:
 
     def _schedule_harvest_tick(self, at: int) -> None:
         """Queue the 1 Hz world tick at `at` if the run reaches it, carrying
-        the joules the one profile gives every node in the second before."""
+        the joules the one profile gives every node in the second before.
+        The period is one fact: sample `i` is at `t_s = i`, and
+        `SimNode._crosses` relies on the tick requeuing 1 s on."""
         if at <= self.total_ns:
             t_s = at / NS_PER_SEC
             self.engine.schedule_at(at, "world", EventKind.HARVEST_TICK,
-                                    self.harvest.energy_between(t_s - HARVEST_TICK_S, t_s))
+                                    self.harvest.energy_between(t_s - 1.0, t_s))
 
     # -- run -----------------------------------------------------------------
 
@@ -189,7 +190,7 @@ class _Controller:
             node.sample()
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
-        self._schedule_harvest_tick(seconds(HARVEST_TICK_S))
+        self._schedule_harvest_tick(NS_PER_SEC)
         if not self.scenario.inter_transmission_sleep:
             self.engine.schedule_at(init + seconds(self.scenario.peripheral_period_s),
                                     "world", EventKind.PERIPHERAL_TICK)

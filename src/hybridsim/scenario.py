@@ -7,7 +7,7 @@ keys are rejected so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -117,14 +117,15 @@ class Scenario:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in ("float", "int") and not math.isfinite(value):
-                raise ScenarioError(f"{f.name} must be finite, got {value}")
+            value, key = getattr(self, f.name), _FILE_KEYS.get(f.name)
+            # An int beyond a double's range is as unusable as an infinite float.
+            if f.type in ("float", "int") and not abs(value) <= sys.float_info.max:
+                raise ScenarioError(f"{key} must be finite and fit a double")
             if f.name in _POSITIVE and value <= 0:
-                raise ScenarioError(f"{f.name} must be positive, got {value}")
+                raise ScenarioError(f"{key} must be positive, got {value}")
             if (f.name in _NON_NEGATIVE
                     or f.name.endswith(("_current_ma", "_duration_ms"))) and value < 0:
-                raise ScenarioError(f"{f.name} must not be negative, got {value}")
+                raise ScenarioError(f"{key} must not be negative, got {value}")
         try:
             HarvestProfile(segments=self.harvest_profile)
         except ValueError as exc:
@@ -142,13 +143,14 @@ class Scenario:
             raise ScenarioError("conn_interval_ms must exceed the "
                                 f"{CONN_EVENT_LEN_MS} ms connection event")
         if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
-            raise ScenarioError(f"ble_phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
+            raise ScenarioError(f"[radio] phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
         for name, budget, keys in _LINK_BUDGETS:
             try:
                 budget(self)
             except (ArithmeticError, ValueError):
                 raise ScenarioError(f"the {name} link budget overflows or leaves its domain: "
-                                    f"one of {', '.join(keys)} is out of range") from None
+                                    f"one of {', '.join(map(_FILE_KEYS.get, keys))} "
+                                    "is out of range") from None
         if self.conservation_rate_kbps > self.target_rate_kbps:
             raise ScenarioError("conservation_rate_kbps must not exceed target_rate_kbps")
         # Every span the run converts to integer nanoseconds must convert, and a
@@ -156,15 +158,16 @@ class Scenario:
         # The optical link at the target rate has the shortest packet spacing
         # of any link plan (`runner.build_link_plans`), the conservation rate
         # the longest; the radio's is at least one connection interval.
-        bits = self.packet_bytes * 8
+        bits = self.packet_bytes * 8.0  # as a float, too many overflow to inf
         spans = (
             ("duration_s and init_delay_s", seconds, self.total_duration_s, False),
             ("poll_slot_s", seconds, self.poll_slot_s, True),
             ("[weights] period_s", seconds, self.weights.period_s, True),
             ("[peripherals] period_s", seconds, self.peripheral_period_s, True),
-            ("target_rate_kbps and owc_phy_rate_kbps give an optical packet spacing that",
-             millis, max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps), True),
-            ("conservation_rate_kbps gives a packet spacing that", millis,
+            ("packet_bytes, target_rate_kbps and [optical] phy_rate_kbps give an optical "
+             "packet spacing that", millis,
+             max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps), True),
+            ("packet_bytes and conservation_rate_kbps give a packet spacing that", millis,
              bits / self.conservation_rate_kbps, False),
             *((key, millis, getattr(self, key), False) for key in (
                 "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
@@ -254,6 +257,9 @@ def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
 
 
 _SCHEMA = _build_schema()
+# Each Scenario field's key as a file spells it, which its load errors name.
+_FILE_KEYS = {name: f"[{section}] {key}" for section, keys in _SCHEMA.items()
+              if section != "weights" for key, (name, _) in keys.items()}
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -187,6 +187,14 @@ class TestRun:
         # by zero.
         pytest.param("traffic", "poll_slot_s = 1e300", id="traffic-poll_slot_s-overflow"),
         pytest.param("topology", "distance_m = 1e-170", id="topology-distance_m-underflow"),
+        # Ints beyond a double's range, and packets whose spacing does not fit one.
+        *(pytest.param(section, f"{key} = 1{'0' * 400}", id=f"{section}-{key}-401-digits")
+          for section, key in (("traffic", "packet_bytes"), ("scenario", "node_count"),
+                               ("scenario", "seed"), ("radio", "mtu_bytes"))),
+        pytest.param("traffic", f"packet_bytes = 1{'0' * 308}", id="traffic-packet_bytes-1e308"),
+        # An optical channel gain that overflows to inf.
+        pytest.param("optical", "pd_area_m2 = 1e308", id="optical-pd_area_m2-1e308"),
+        pytest.param("optical", "pd_area_m2 = 1.7e308", id="optical-pd_area_m2-1.7e308"),
     ], ids=lambda value: value.split()[0])
     def test_bad_key_is_validation_failure(self, tmp_path, capsys, section, line):
         bad = tmp_path / "bad.cfg"

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hybridsim.actions import Mode, Modality
 from hybridsim.kernel import (Engine, EventKind, RngStream, ScheduleInPastError,
                               seconds)
-from hybridsim.linklayer import BleState, OwcState
+from hybridsim.linklayer import InterfaceState
 
 
 def _collect(engine):
@@ -24,7 +24,7 @@ def test_schedule_at_current_time_fires_first():
     assert log == [(0, "a"), (5, "b")]
 
 
-@pytest.mark.parametrize("enum", [Mode, Modality, EventKind, OwcState, BleState],
+@pytest.mark.parametrize("enum", [Mode, Modality, EventKind, InterfaceState],
                          ids=lambda enum: enum.__name__)
 def test_model_enums_hash_by_identity(enum):
     # The packet path keys dicts by these members; an identity hash is

@@ -1,64 +1,40 @@
-"""Interface state machines, radio event timing, and the polling schedule."""
+"""The interface state machine, radio event timing, and the polling schedule."""
 
 import pytest
 
+from hybridsim.actions import Modality
 from hybridsim.kernel import Engine, EventKind, seconds
-from hybridsim.linklayer import (CONN_EVENT_LEN_MS, BleState, OwcState,
-                                 ble_airtime, fsm_dispatch)
+from hybridsim.linklayer import CONN_EVENT_LEN_MS, InterfaceState, ble_airtime, fsm_dispatch
 from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, ScenarioError
 
 E = EventKind
 
 
-class TestOwcFsm:
-    @pytest.mark.parametrize("state,event,expected", [
-        (OwcState.IDLE, E.TRANSMIT_START, OwcState.TX),
-        (OwcState.TX, E.TRANSMIT_END, OwcState.IDLE),
-        (OwcState.IDLE, E.SLEEP_SIGNAL, OwcState.SLEEP),
-        (OwcState.SLEEP, E.WAKE_SIGNAL, OwcState.IDLE),
-        (OwcState.OFF, E.WAKE_SIGNAL, OwcState.IDLE),
-    ])
-    def test_transitions(self, state, event, expected):
-        assert fsm_dispatch(state, event) is expected
-
-    @pytest.mark.parametrize("state", list(OwcState))
-    def test_battery_low_dominates_every_state(self, state):
-        assert fsm_dispatch(state, E.BATTERY_LOW) is OwcState.OFF
-
-    def test_duplex_only_reachable_from_tx_or_rx(self):
-        # No receive half: transmit events outside IDLE/TX are no-ops.
-        assert fsm_dispatch(OwcState.IDLE, E.TRANSMIT_END) is OwcState.IDLE
-        assert fsm_dispatch(OwcState.SLEEP, E.TRANSMIT_START) is OwcState.SLEEP
-        assert fsm_dispatch(OwcState.TX, E.TRANSMIT_START) is OwcState.TX
-
-    def test_undefined_pair_is_noop(self):
-        assert fsm_dispatch(OwcState.OFF, E.TRANSMIT_START) is OwcState.OFF
+I = InterfaceState
+# Every key of the interface table that changes the state, and its successor;
+# a battery-low edge sends every state to OFF, and every other key is a no-op.
+MOVES = {
+    (I.IDLE, E.TRANSMIT_START, Modality.OWC): I.OWC_TX,
+    (I.IDLE, E.TRANSMIT_START, Modality.BLE): I.BLE_TX,
+    (I.OWC_TX, E.TRANSMIT_END, None): I.IDLE,
+    (I.BLE_TX, E.TRANSMIT_END, None): I.IDLE,
+    (I.IDLE, E.SLEEP_SIGNAL, None): I.SLEEP,
+    (I.SLEEP, E.WAKE_SIGNAL, None): I.IDLE,
+    (I.OFF, E.WAKE_SIGNAL, None): I.IDLE,
+}
 
 
-class TestBleFsm:
-    @pytest.mark.parametrize("state,event,expected", [
-        (BleState.IDLE, E.TRANSMIT_START, BleState.TX_BUSY),
-        (BleState.TX_BUSY, E.TRANSMIT_END, BleState.IDLE),
-        (BleState.IDLE, E.SLEEP_SIGNAL, BleState.OFF),
-        (BleState.OFF, E.WAKE_SIGNAL, BleState.IDLE),
-    ])
-    def test_transitions(self, state, event, expected):
-        assert fsm_dispatch(state, event) is expected
-
-    @pytest.mark.parametrize("state", list(BleState))
-    def test_battery_low_dominates_every_state(self, state):
-        assert fsm_dispatch(state, E.BATTERY_LOW) is BleState.OFF
-
-    def test_busy_states_entered_only_from_idle(self):
-        assert fsm_dispatch(BleState.OFF, E.TRANSMIT_START) is BleState.OFF
-        assert fsm_dispatch(BleState.TX_BUSY, E.TRANSMIT_START) is BleState.TX_BUSY
-
-
-@pytest.mark.parametrize("state", [OwcState.OFF, BleState.OFF])
-def test_battery_charged_does_not_power_on(state):
-    # Only a wake signal brings an interface back from OFF.
-    assert fsm_dispatch(state, E.BATTERY_CHARGED) is state
+@pytest.mark.parametrize("state", list(I))
+def test_interface_transition_table(state):
+    # Only a transmit start names its modality. So a second start while a
+    # burst is in flight, on either interface, stays where it is, and only a
+    # wake signal (never a battery-charged edge) powers the interfaces on.
+    for event in E:
+        for modality in (Modality if event is E.TRANSMIT_START else (None,)):
+            expected = I.OFF if event is E.BATTERY_LOW else MOVES.get(
+                (state, event, modality), state)
+            assert fsm_dispatch(state, event, modality) is expected, (event, modality)
 
 
 class TestBleTiming:

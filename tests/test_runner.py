@@ -16,16 +16,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
-from hybridsim.linklayer import BleState, OwcState
+from hybridsim.linklayer import InterfaceState
 from hybridsim import node as node_module
 from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMetrics,
                                TraceRow, write_traces)
-from hybridsim.node import SimNode, tick_nodes
+from hybridsim.node import ProtocolViolation, SimNode, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import tx_bursts
-from test_invariants import scenarios
+from test_invariants import INTERFACE_LABELS, scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
@@ -154,7 +154,7 @@ class TestTraces:
         # The first sample is at 0 s; the energy columns print as `.9g`.
         nm = NodeMetrics("node1")
         nm.values.extend((value,) * 3)
-        nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, OwcState.OFF, BleState.OFF])
+        nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, InterfaceState.OFF])
         write_traces(MetricsRecord(config={}, seed=1, nodes={"node1": nm}), tmp_path)
         expected = ",".join(["0"] + [format(value, ".9g")] * 3 + ["sleep", "ble", "OFF|OFF"])
         assert (tmp_path / "trace_node1.csv").read_text().splitlines()[1] == expected
@@ -166,7 +166,7 @@ class TestTraces:
         for name, harvested in (("node1", 0.0), ("node2", -0.0)):
             nm = nodes[name] = NodeMetrics(name)
             nm.values.extend((1.0, 2.0, harvested))
-            nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, OwcState.OFF, BleState.OFF])
+            nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, InterfaceState.OFF])
         write_traces(MetricsRecord(config={}, seed=1, nodes=nodes), tmp_path)
         for name, text in (("node1", "0"), ("node2", "-0")):
             row = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1]
@@ -189,9 +189,8 @@ class TestTraces:
                 b = node.buffer
                 expected.setdefault(node.name, []).append(TraceRow(
                     t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.mode.value,
-                    node.modality.value, f"{node.owc_state.value}|{node.ble_state.value}"))
-                keys.setdefault(node.name, []).append(
-                    (node.mode, node.modality, node.owc_state, node.ble_state))
+                    node.modality.value, node.interfaces.value))
+                keys.setdefault(node.name, []).append((node.mode, node.modality, node.interfaces))
 
         start = _Controller.start
 
@@ -249,10 +248,10 @@ class TestTraces:
         assert links[Modality.BLE].success_prob == 0.0
         _assert_pinned(LOSSY, tmp_path)
 
-    @pytest.mark.parametrize("owc,ble", itertools.product(OwcState, BleState))
-    def test_sampled_fsm_label(self, owc, ble):
-        row = _sampled_row(owc_state=owc, ble_state=ble)
-        assert row.fsm_state == f"{owc.value}|{ble.value}"
+    @pytest.mark.parametrize("state", list(InterfaceState))
+    def test_sampled_fsm_label(self, state):
+        row = _sampled_row(interfaces=state)
+        assert row.fsm_state == state.value and row.fsm_state in INTERFACE_LABELS
 
     @pytest.mark.parametrize("mode,modality", itertools.product(Mode, Modality))
     def test_sampled_mode_and_modality_labels(self, mode, modality):
@@ -352,14 +351,10 @@ class TestBehaviour:
             sweep(SHORT, [])
 
     def test_transmit_from_sleeping_interface_is_a_violation(self):
-        from hybridsim.kernel import Engine
-        from hybridsim.node import ProtocolViolation
-        from hybridsim.runner import _Controller
-
         engine = Engine()
-        controller = _Controller(SHORT, engine)
+        controller = _Controller(replace(SHORT, inter_transmission_sleep=True), engine)
         node = controller.nodes[0]
-        node.mac_sleep()
+        node.park()
         with pytest.raises(ProtocolViolation):
             node.transmit_packet(0)
 
@@ -378,9 +373,21 @@ class TestNodeLifecycle:
         assert not node.tx_in_flight
         node.enter_slot(0, seconds(10))
         node.transmit_packet(0)
-        assert node.tx_in_flight and node.owc_state is OwcState.TX
+        assert node.tx_in_flight and node.interfaces is InterfaceState.OWC_TX
         node.on_transmit_end(node.links[Modality.OWC].airtime_ns, Modality.OWC)
-        assert not node.tx_in_flight and node.owc_state is OwcState.IDLE
+        assert not node.tx_in_flight and node.interfaces is InterfaceState.IDLE
+
+    @pytest.mark.parametrize("first", list(Modality))
+    def test_transmit_start_mid_burst_is_a_violation(self, first):
+        # A burst on either interface blocks a start on both.
+        node = _lone_node()
+        node.enter_slot(0, seconds(10))
+        node.modality = first
+        node.transmit_packet(0)
+        for modality in Modality:
+            node.modality = modality
+            with pytest.raises(ProtocolViolation, match="TX from"):
+                node.transmit_packet(0)
 
     def test_reconfiguration_makes_a_scheduled_packet_stale(self):
         node = _lone_node()
@@ -398,7 +405,7 @@ class TestNodeLifecycle:
         buffer.remaining_j = buffer.threshold_j
         airtime = node.links[Modality.OWC].airtime_ns
         node.sync(airtime // 2)
-        assert (node.owc_state, node.ble_state) == (OwcState.OFF, BleState.OFF)
+        assert node.interfaces is InterfaceState.OFF
         assert node.mode is Mode.SLEEP
         node.on_transmit_end(airtime, Modality.OWC)  # the burst already ended
         assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
@@ -411,9 +418,9 @@ class TestNodeLifecycle:
         node.exit_slot(airtime)
         node.apply_action(Action(Mode.CONSERVATION, Modality.OWC), airtime)
         # no interface sleeps mid-burst
-        assert (node.owc_state, node.ble_state) == (OwcState.TX, BleState.IDLE)
+        assert node.interfaces is InterfaceState.OWC_TX
         node.on_transmit_end(airtime, Modality.OWC)
-        assert (node.owc_state, node.ble_state) == (OwcState.SLEEP, BleState.OFF)
+        assert node.interfaces is InterfaceState.SLEEP
         assert not node.awake
 
 

@@ -236,6 +236,21 @@ class TestInvalidConfigs:
         assert key in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("section,line", [
+        ("peripherals", "period_s = 0"),
+        ("optical", "phy_rate_kbps = 0"),
+        ("radio", "phy_rate = 3M"),
+        ("radio", "tx_power_dbm = 1e308"),  # the radio link budget overflows
+        ("weights", "period_s = 0"),
+    ])
+    def test_error_names_the_key_as_the_file_spells_it(self, tmp_path, section, line):
+        # Each of these keys drops a prefix of its field's name, or shares
+        # its name with a key of another section.
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(_write(tmp_path, f"[{section}]\n{line}\n"))
+        assert f"[{section}] {line.split()[0]}" in str(err.value)
+
+
 # Every float key is set, one at a time on a 3 s run, to each of these values.
 _GRID_VALUES = ("0", "5e-324", "1e-300", "1e-170", "1e-12", "1e-9", "0.5", "1",
                 "1e6", "1e12", "1e100", "1e300", "1.7e308")
