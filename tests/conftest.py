@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+from enum import Enum
+
 import pytest
 
 from hybridsim.actions import Action, Mode, Modality, enumerate_actions
@@ -39,3 +41,26 @@ def tx_bursts(nm):
     return [(start + i * period, start + i * period + length)
             for start, period, length, count in nm.tx_intervals
             for i in range(count)]
+
+
+class OwcState(Enum):
+    """The optical half of an `InterfaceState` label, as the trace spells it."""
+
+    OFF = "OFF"
+    SLEEP = "SLEEP"
+    IDLE = "IDLE"
+    TX = "TX"
+
+
+class BleState(Enum):
+    """The radio half of an `InterfaceState` label."""
+
+    OFF = "OFF"
+    IDLE = "IDLE"
+    TX_BUSY = "TX_BUSY"
+
+
+def interface_halves(state):
+    """The `(OwcState, BleState)` halves of an `InterfaceState`."""
+    owc, ble = state.value.split("|")
+    return OwcState(owc), BleState(ble)
