@@ -37,7 +37,8 @@ class EnergyBuffer:
     both are edge-triggered with no extra hysteresis band. The remaining
     charge is clamped to [0, capacity] and the consumed/harvested totals count
     only energy actually drawn or stored, so the ledger
-    remaining == initial + harvested - consumed holds exactly.
+    remaining == initial + harvested - consumed holds up to the rounding of
+    the float sums, not exactly.
     """
 
     def __init__(self, capacity_j: float, initial_j: float | None = None,
@@ -73,7 +74,8 @@ class EnergyBuffer:
     def harvest(self, joules: float) -> tuple[float, EventKind | None]:
         before = self.remaining_j
         added = min(joules, self.capacity_j - before)
-        self.remaining_j = before + added
+        # `before + added` can round one ulp past the capacity.
+        self.remaining_j = min(before + added, self.capacity_j)
         self.harvested_j += added
         if before < self.threshold_j <= self.remaining_j:
             return added, EventKind.BATTERY_CHARGED

@@ -29,6 +29,24 @@ class ProtocolViolation(RuntimeError):
     """A transmission was attempted from an interface state other than IDLE."""
 
 
+def fitting_bursts(remaining: float, floor: float, step: float, bursts: int) -> int:
+    """How many of `bursts` draws of `step` J each a stretch can settle at
+    once, as `remaining - n * step`, without going below `floor` (which is
+    at most `remaining`): all of them, else the most that stay above it.
+
+    Only when the whole run does not fit is the count divided out, so the
+    quotient stays below about `bursts` (a tiny `step` gives no huge or
+    infinite quotient) and the two corrections only mend its rounding."""
+    if not bursts or remaining - bursts * step >= floor:
+        return bursts
+    n = min(bursts - 1, int((remaining - floor) // step))
+    while n and remaining - n * step < floor:
+        n -= 1
+    while n + 1 < bursts and remaining - (n + 1) * step >= floor:
+        n += 1
+    return n
+
+
 @dataclass(frozen=True)
 class LinkPlan:
     """Precomputed per-modality transmission shape for this scenario."""
@@ -281,21 +299,24 @@ class SimNode:
         gap draw no battery edge, and through each world tick that
         `_crosses` accepts. Return the start of the first burst left.
 
-        Each burst settles `consume`'s float operations in the queued
-        handlers' order (a gap of 0 ns subtracts 0.0 J, which changes
-        nothing). Each run of bursts draws its packet outcomes in one
-        `count_below` call and logs one `tx_intervals` record; a burst
-        through a tick logs one of its own and draws its outcome after the
-        tick, so the node's stream moves as the queued handlers move it. The
-        node idles around each burst, and its interface starts and ends it
-        at IDLE, so the phase and interface state stay.
+        Each run of bursts is settled in closed form: `fitting_bursts`
+        counts the bursts whose draws keep the buffer off its edges, and
+        the run draws that many bursts and idle gaps in one product, which
+        differs from the queued handlers' burst-by-burst sum by rounding
+        only. It draws its packet outcomes in one `count_below` call and
+        logs one `tx_intervals` record. A burst through a tick settles
+        around the dispatched tick in the queued handlers' float order,
+        logs one record of its own and draws its outcome after the tick, so
+        the node's stream moves as the queued handlers move it. The node
+        idles around each burst, and its interface starts and ends it at
+        IDLE, so the phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
         airtime = link.airtime_ns
         fits = self.slot_end_ns - airtime
         burst_j = self._joules(link.tx_current_ma, airtime)
-        gap_j = self._joules(self.scenario.idle_current_ma, interval - airtime)
+        step = burst_j + self._joules(self.scenario.idle_current_ma, interval - airtime)
         engine, buffer, log = self.engine, self.buffer, self.metrics.tx_intervals
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
@@ -306,22 +327,18 @@ class SimNode:
             horizon = after if tick is None else tick.fire_at
             if sent and horizon <= now:  # the tick just crossed queued an event in the window
                 raise RuntimeError(f"{self.name}: the tick queued an event before {now} ns")
-            starts = range(now, min(fits, horizon - 1 - interval) + 1, interval)
-            bursts = len(starts)
-            for start in starts:
-                level = remaining - burst_j - gap_j
-                if level < floor:
-                    bursts = (start - now) // interval
-                    break
-                remaining = level
-                consumed = consumed + burst_j + gap_j
+            last = min(fits, horizon - 1 - interval)
+            bursts = fitting_bursts(remaining, floor, step,
+                                    (last - now) // interval + 1 if last >= now else 0)
             if bursts:
+                drawn = bursts * step
+                remaining, consumed = remaining - drawn, consumed + drawn
                 delivered += self.rng.count_below(bursts, success)
                 log.append((now, interval, airtime, bursts))
                 now += bursts * interval
                 sent += bursts
             if now > fits or not self._crosses(tick, after, now, airtime, interval,
-                                               remaining, burst_j + gap_j):
+                                               remaining, step):
                 break
             # The burst's start, end and next ready, and the tick, in time order.
             at, end = tick.fire_at, now + airtime
@@ -470,7 +487,7 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
             low, high = threshold, math.inf
         else:
             low, high = 0.0, threshold
-        if low <= after and after + harvest_j < high and harvest_j <= buffer.capacity_j - after:
+        if low <= after and after + harvest_j < high and after + harvest_j <= buffer.capacity_j:
             node._phase_since = now
             buffer.consumed_j += drawn
             buffer.remaining_j = remaining = after + harvest_j

@@ -37,6 +37,13 @@ _LINK_BUDGETS = (
      ("distance_m", "incidence_angle_deg", "led_semi_angle_deg", "pd_fov_deg",
       "pd_area_m2", "concentrator_gain", "responsivity_a_w", "tx_optical_power_w")),
 )
+# A run holds every node and its whole 1 Hz trace and burst log in memory.
+# Measured on Python 3.11: about 5.3 kB per node (its state, buffer, metrics
+# and RNG), and per node-second of the run 40 B on the 64-node `fleet`, 116 B
+# on fig12b and 290 B for a lone node sending a packet every 10 ms. These
+# bounds keep a run near 1 GB at the largest of those rates.
+MAX_NODES = 10_000
+MAX_NODE_SECONDS = 3_600_000
 
 
 class ScenarioError(ValueError):
@@ -126,6 +133,14 @@ class Scenario:
             if (f.name in _NON_NEGATIVE
                     or f.name.endswith(("_current_ma", "_duration_ms"))) and value < 0:
                 raise ScenarioError(f"{key} must not be negative, got {value}")
+        if self.node_count > MAX_NODES:
+            raise ScenarioError(f"[scenario] node_count must be at most {MAX_NODES:,}, "
+                                f"got {self.node_count}")
+        node_seconds = self.node_count * self.total_duration_s
+        if node_seconds > MAX_NODE_SECONDS:
+            raise ScenarioError(f"[scenario] node_count times [scenario] duration_s plus "
+                                f"init_delay_s must be at most {MAX_NODE_SECONDS:,} "
+                                f"node-seconds, got {node_seconds:g}")
         try:
             HarvestProfile(segments=self.harvest_profile)
         except ValueError as exc:

@@ -9,6 +9,7 @@ ratio gates on matched-seed comparisons.
 import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,17 +51,11 @@ PRESET_COUNTERS = {
     "paper_fig13b": (96311, ((8039424, 0, 0, 24), (8189440, 0, 0, 21), (8076288, 0, 0, 20))),
 }
 
-# sha256 of each preset's summary.json followed by its trace_node*.csv files
-# in name order, as `write_traces` writes them. CI checks them under its
-# oldest and newest Python; only a deliberate model change may move them.
-PRESET_TRACE_SHA256 = {
-    "paper_fig11": "7c76c3e28d18ae9c5d26177ddf526539e39d994019aad747cd6a1b1e3b24a4d4",
-    "paper_fig11b": "95e02735d04ca0f281445f0deb5b3d1bfc31f1334d7b49395ed1d51c338ed8c5",
-    "paper_fig12": "29e1f575912ad0295fa7a7d269eebc69f821d86e3d160d5e66f187adde5b2253",
-    "paper_fig12b": "439f5cb84a67bed0714d5d46f7ce9ec8bc1e6df4fa3a333955054166639df4bf",
-    "paper_fig13": "a218f6aa806949ce2b2f94a92f476ad3533ec95961c4ea29f11acb574faac087",
-    "paper_fig13b": "2a992098a2d8d5e4ab1ae5168dd8285880ad677fcb396afc2d8219efd835b962",
-}
+# sha256 of each file a preset's run writes, in `sha256sum` format, each
+# named `<preset>/<file>`. CI checks them under its oldest and newest Python
+# through tests/data/verify_pins.py; only a deliberate model change may move
+# them.
+PRESETS_SHA256 = Path(__file__).parent / "data" / "presets.sha256"
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -296,14 +291,14 @@ def test_preset_counters_pinned(fig_runs, oscillation_runs):
 def test_preset_trace_bytes_pinned(fig_runs, oscillation_runs, tmp_path):
     runs = {name: metrics for name, (metrics, _) in fig_runs.items()}
     runs["paper_fig13"], runs["paper_fig13b"] = oscillation_runs
-    changed = []
-    for name, metrics in sorted(runs.items()):
+    wrote = set()
+    for name, metrics in runs.items():
         out = tmp_path / name
         write_traces(metrics, out)
-        files = [out / "summary.json", *sorted(out.glob("trace_node*.csv"))]
-        digest = hashlib.sha256(b"".join(path.read_bytes() for path in files))
-        if digest.hexdigest() != PRESET_TRACE_SHA256[name]:
-            changed.append(name)
+        wrote |= {f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}"
+                  for path in out.iterdir()}
+    differ = wrote ^ set(PRESETS_SHA256.read_text().splitlines())
+    changed = sorted({line.split("  ")[1].split("/")[0] for line in differ})
     _report("criterion 9 (preset trace bytes unchanged)", not changed,
             f"{len(runs) - len(changed)}/{len(runs)} presets match"
             + (f"; changed: {changed}" if changed else ""))

@@ -192,6 +192,14 @@ class TestRun:
           for section, key in (("traffic", "packet_bytes"), ("scenario", "node_count"),
                                ("scenario", "seed"), ("radio", "mtu_bytes"))),
         pytest.param("traffic", f"packet_bytes = 1{'0' * 308}", id="traffic-packet_bytes-1e308"),
+        # More nodes, or node-seconds, than a run may hold in memory: 10,000
+        # nodes for 361 s with the default 5 s start-up delay, or 3 nodes
+        # for 2e6 s.
+        pytest.param("scenario", f"node_count = 1{'0' * 20}", id="scenario-node_count-1e20"),
+        pytest.param("scenario", "node_count = 10001", id="scenario-node_count-10001"),
+        pytest.param("scenario", "node_count = 10000\nduration_s = 356",
+                     id="scenario-node_count-node-seconds"),
+        pytest.param("scenario", "duration_s = 2e6", id="scenario-duration_s-node-seconds"),
         # An optical channel gain that overflows to inf.
         pytest.param("optical", "pd_area_m2 = 1e308", id="optical-pd_area_m2-1e308"),
         pytest.param("optical", "pd_area_m2 = 1.7e308", id="optical-pd_area_m2-1.7e308"),
@@ -278,6 +286,13 @@ class TestSelfChecks:
 
 
 class TestPrintConfig:
+    def test_the_largest_bounded_run_loads(self, tmp_path, capsys):
+        # 10,000 nodes for 355 s plus the 5 s start-up: 3,600,000 node-seconds.
+        path = tmp_path / "largest.cfg"
+        path.write_text("[scenario]\nnode_count = 10000\nduration_s = 355\n")
+        assert main(["print-config", "--config", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["node_count"] == 10000
+
     def test_echo_parses_as_json(self, capsys):
         assert main(["print-config", "--config", FIG11]) == EXIT_OK
         echo = json.loads(capsys.readouterr().out)

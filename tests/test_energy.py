@@ -58,6 +58,16 @@ class TestEnergyBuffer:
         assert added == 0.0
         assert buf.harvested_j == 0.0
 
+    def test_harvest_that_fills_the_buffer_stops_at_capacity(self):
+        # Adding `capacity - before` back to this `before` rounds one ulp
+        # above the 5.2 J capacity.
+        before = 1.1606180572826879
+        assert before + (5.2 - before) > 5.2
+        buf = EnergyBuffer(capacity_j=5.2, initial_j=before)
+        added, _ = buf.harvest(10.0)
+        assert added == 5.2 - before
+        assert buf.remaining_j == 5.2
+
     @given(st.lists(st.tuples(st.booleans(),
                               st.floats(min_value=0, max_value=3)), max_size=40))
     def test_ledger_and_bounds_invariant(self, steps):

@@ -5,13 +5,14 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import tracemalloc
 from array import array
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import EnergyBuffer
@@ -20,7 +21,7 @@ from hybridsim.linklayer import InterfaceState
 from hybridsim import node as node_module
 from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMetrics,
                                TraceRow, write_traces)
-from hybridsim.node import ProtocolViolation, SimNode, tick_nodes
+from hybridsim.node import ProtocolViolation, SimNode, fitting_bursts, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -59,13 +60,15 @@ class TestLedgerAndBounds:
     @pytest.mark.parametrize("capacity_j, initial_fraction", [(5.2, 0.013), (7.3, 0.041)])
     def test_a_buffer_filled_one_ulp_past_capacity_runs(self, capacity_j,
                                                         initial_fraction):
-        # Here the harvest that fills the buffer leaves it one ulp above
-        # capacity, and EUNO then evaluates at a fraction above 1.
+        # Here `before + added` in the harvest that fills the buffer rounds
+        # one ulp above capacity; the buffer clamps it, so no sample reads
+        # above capacity and EUNO never evaluates at a fraction above 1.
         scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1,
                             optimizer="euno", battery_capacity_j=capacity_j,
                             initial_fraction=initial_fraction, harvest_mw=50000.0)
-        remaining_j = run(scenario).nodes["node1"].remaining_j
-        assert remaining_j == pytest.approx(capacity_j, rel=0.0, abs=1e-12)
+        nm = run(scenario).nodes["node1"]
+        assert nm.remaining_j == capacity_j
+        assert all(row.remaining_j <= capacity_j for row in nm.rows)
 
     def test_rows_strictly_increasing_and_counters_monotone(self, metrics):
         for nm in metrics.nodes.values():
@@ -263,8 +266,8 @@ class TestTraces:
 
 def _assert_pinned(config: Path, out: Path) -> None:
     """The run of `config` writes the bytes pinned beside it. The digests
-    are in `sha256sum` format, so CI checks the same bytes through the
-    installed console script."""
+    are in `sha256sum` format, and tests/data/verify_pins.py checks the
+    same bytes without pytest."""
     pinned = config.with_suffix(".sha256").read_text().splitlines()
     write_traces(run(load_scenario(config)), out)
     assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
@@ -522,6 +525,16 @@ class TestHarvestTick:
         assert vars(ticked.buffer) == vars(stepped.buffer)
         assert ticked.metrics == stepped.metrics
 
+    def test_harvest_that_fills_the_buffer_stops_at_capacity(self):
+        # With nothing drawn, adding `capacity - level` back to this level
+        # rounds one ulp above the 5.2 J capacity, so the tick settles it
+        # through `EnergyBuffer.harvest`, which clamps it.
+        node = _lone_node(battery_capacity_j=5.2)
+        node._phase_ma = 0.0
+        level = node.buffer.remaining_j = 1.1606180572826879
+        tick_nodes([node], seconds(1), 5.2 - level)
+        assert node.buffer.remaining_j == node.metrics.rows[-1].remaining_j == 5.2
+
     def test_node_without_policy_ticks_across_a_charged_edge(self):
         node = _lone_node()
         node.buffer.remaining_j = node.buffer.threshold_j - 0.001
@@ -575,10 +588,40 @@ def _expanded(record):
             for name, nm in record.nodes.items()}
 
 
+# The gate perfbench/compare.py applies to energies.
+REL_TOL, ABS_TOL = 1e-9, 1e-12
+
+
+def _energies(nm) -> list[float]:
+    return [*nm.values, nm.consumed_j, nm.harvested_j, nm.remaining_j, nm.initial_j]
+
+
+def _assert_agree(plain, queued) -> None:
+    """Every `NodeMetrics` field of the two records is equal, but for the
+    energies, which agree within the gate: a stretch settles a run of
+    bursts as one product, the queued handlers burst by burst."""
+    ours, theirs = _expanded(plain), _expanded(queued)
+    assert ours.keys() == theirs.keys()
+    blank = dict(values=None, consumed_j=None, harvested_j=None, remaining_j=None,
+                 initial_j=None)
+    for name, nm in ours.items():
+        other = theirs[name]
+        assert replace(nm, **blank) == replace(other, **blank)
+        a, b = _energies(nm), _energies(other)
+        assert len(a) == len(b)
+        assert all(math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL) for x, y in zip(a, b))
+
+
+# Joules at the ends of a double's range, or anywhere in it.
+JOULES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.7e308]),
+                   st.floats(0.0, 1.7e308))
+
+
 class TestInlinePackets:
     """A node runs the bursts that raise no battery edge inline, up to the
-    next queued event, as one stretch. The all-queued run must agree with it
-    exactly."""
+    next queued event, as one stretch. The all-queued run must agree with
+    it: every counter, label, burst and transmit-eligible time exactly, and
+    the energies to rounding."""
 
     @pytest.mark.parametrize("scenario, sleeps, losses", [
         # Harvest ticks inside the 25 s slots stop stretches at the horizon.
@@ -630,11 +673,31 @@ class TestInlinePackets:
         plain, _, inline = _run_counting_inline(scenario)
         queued, barriers, none_inline = _queued_run(scenario)
         assert inline > 0 and none_inline == 0
-        assert _expanded(plain) == _expanded(queued)  # every NodeMetrics field
+        _assert_agree(plain, queued)
         assert plain.events_executed == queued.events_executed - barriers
         nodes = plain.nodes.values()
         assert any(nm.sleep_entries for nm in nodes) == sleeps
         assert any(nm.packets_lost for nm in nodes) == losses
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(levels=st.lists(JOULES, min_size=2, max_size=2).map(sorted), burst_j=JOULES,
+           gap_j=JOULES, n=st.one_of(st.integers(0, 100), st.integers(0, 10**9)))
+    # A step of half an ulp of the level: one burst rounds back to the level.
+    @example(levels=[2.0**53 + 4] * 2, burst_j=0.0, gap_j=1.0, n=2)
+    # A 1e-300 J step whose quotient were taken first would be about 1e300
+    # bursts, which no count-down moves; a 5e-324 J one gives an inf quotient
+    # from a level of 1.7e308 J, and a step of inf J a quotient of 0.
+    @example(levels=[0.0, 1.7e308], burst_j=5e-324, gap_j=0.0, n=1)
+    @example(levels=[0.0, 1.0], burst_j=1e-300, gap_j=0.0, n=10**9)
+    @example(levels=[1e-300, 4.5e-300], burst_j=1e-300, gap_j=0.0, n=10**9)
+    @example(levels=[0.0, 1.7e308], burst_j=1.7e308, gap_j=1.7e308, n=3)
+    def test_closed_form_takes_the_most_bursts_that_fit(self, levels, burst_j, gap_j, n):
+        floor, remaining = levels
+        step = burst_j + gap_j
+        count = fitting_bursts(remaining, floor, step, n)
+        assert 0 <= count <= n
+        assert count == 0 or remaining - count * step >= floor
+        assert count == n or remaining - (count + 1) * step < floor
 
     def test_stretch_stops_at_the_slot_end(self):
         # In a run the gateway's tick at a slot's end is queued, so it is also
@@ -662,4 +725,4 @@ class TestInlinePackets:
     def test_random_scenarios_match_the_queued_path(self, scenario):
         plain, _, _ = _run_counting_inline(scenario)
         queued, _, _ = _queued_run(scenario)
-        assert _expanded(plain) == _expanded(queued)
+        _assert_agree(plain, queued)
