@@ -5,9 +5,11 @@ durations used throughout (45 ms connection intervals, 2.14 ms connection
 events, 68 ms optical chunks, 25 s poll slots) are exactly representable
 and long runs accumulate no floating-point drift.
 
-`events_executed` counts model events: those the queue dispatches and those
-a handler runs inline before the queue's horizon (see `Engine.head`),
-so the count does not depend on which of the two ran an event.
+`events_executed` counts model events: those the queue dispatches, each
+member of a batch the queue dispatches as one event (see
+`Engine.schedule_batched`), and those a handler runs inline before the
+queue's horizon (see `Engine.head`), so the count does not depend on which
+of these ran an event.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class SimEvent:
     payload: object = None
     cancelled: bool = False
     fired: bool = False
+    batched: bool = False  # the payload lists the members of a batch
 
 
 class ScheduleInPastError(RuntimeError):
@@ -76,9 +79,12 @@ class RngStream:
 
     def __init__(self, seed: int, stream_id: int):
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-        # A draw in [0, 1). A queued burst makes one, so this is the
-        # generator's own bound method rather than a wrapper around it.
+        # A draw in [0, 1), and a normal draw `normal(mu, sigma)`. A queued
+        # burst makes one, and each policy evaluation under SNR jitter two,
+        # so these are the generator's own bound methods rather than
+        # wrappers around them.
         self.uniform = self._rng.random
+        self.normal = self._rng.gauss
 
     def count_below(self, n: int, p: float) -> int:
         """How many of `n` `uniform()` draws fall below `p`, leaving the
@@ -103,9 +109,6 @@ class RngStream:
             below += draw() < p
         return below
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return self._rng.gauss(mu, sigma)
-
 
 class Engine:
     """Single-threaded event queue with FIFO tie-breaking at equal times.
@@ -122,6 +125,8 @@ class Engine:
         self._end: SimTime = -1  # end of the current run_until; -1 outside one
         self._handlers: dict[str, object] = {}
         self.events_executed = 0
+        self._batch: SimEvent | None = None  # the last batch `schedule_batched` queued
+        self._batch_seq = -1  # `_seq` just after it was queued
 
     def register(self, target: str, handler) -> None:
         """handler is a callable (engine, event) -> None."""
@@ -140,6 +145,35 @@ class Engine:
     def schedule_at(self, fire_at: SimTime, target: str, kind: EventKind,
                     payload: object = None) -> SimEvent:
         return self.schedule(SimEvent(fire_at, target, kind, payload))
+
+    # -- batched events ------------------------------------------------------
+    #
+    # Many events of one kind for one target at one instant (each parked
+    # node's step of the peripheral cycle, which the world starts for every
+    # node at once) cost one queue entry. The queue dispatches the batch as
+    # one event whose payload lists the members, counts each member in
+    # `events_executed`, and the target's handler runs them in order. A batch
+    # grows only while it is the last entry queued and has not fired, so its
+    # members would have had consecutive FIFO sequence numbers at one time
+    # and been dispatched back to back, with nothing in between; the batch
+    # takes the first member's place. So an event a member queues runs after
+    # every member, and `head` gives the same horizon and the same time for
+    # the entry after it. A batch is never cancelled, and no member may read
+    # `head` or dispatch the head (nor start a stretch, which does both): the
+    # members after it would have been the head.
+
+    def schedule_batched(self, fire_at: SimTime, target: str, kind: EventKind,
+                         item: object) -> None:
+        """Queue `item` for `target` at `fire_at`: in the last entry queued if
+        that is a batch for the same time, target and kind that has not
+        fired, else as the first member of a new batch."""
+        batch = self._batch
+        if (self._seq == self._batch_seq and batch.fire_at == fire_at
+                and batch.target == target and batch.kind is kind and not batch.fired):
+            batch.payload.append(item)
+        else:
+            self._batch = self.schedule(SimEvent(fire_at, target, kind, [item], batched=True))
+            self._batch_seq = self._seq
 
     # -- inline events -------------------------------------------------------
     #
@@ -189,13 +223,14 @@ class Engine:
 
     def dispatch_head(self) -> None:
         """Pop the head of the queue and, unless it was cancelled, advance the
-        clock to it, count it and run its handler: `run_until`'s dispatch."""
+        clock to it, count it (a batch: each member) and run its handler:
+        `run_until`'s dispatch."""
         fire_at, _, event = heapq.heappop(self._heap)
         if event.cancelled:
             return
         event.fired = True
         self.now = fire_at
-        self.events_executed += 1
+        self.events_executed += len(event.payload) if event.batched else 1
         handler = self._handlers.get(event.target)
         if handler is not None:
             handler(self, event)

@@ -10,7 +10,6 @@ it changes the phase, so a phase change is a plain assignment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
@@ -20,6 +19,12 @@ from .linklayer import InterfaceState, fsm_dispatch
 from .metrics import TRACE_TAILS, NodeMetrics
 from .scenario import Scenario
 
+
+# The target of every chain step's end: a batch of `(node, epoch)` members
+# (`Engine.schedule_batched`), since the world's peripheral cycle starts every
+# parked node's chain at one instant. The runner registers its handler, which
+# calls `SimNode.on_chain_step` for each member in order.
+CHAIN_STEPS = "chain"
 
 _ASLEEP = (InterfaceState.OFF, InterfaceState.SLEEP)
 _TRANSMITTING = (InterfaceState.OWC_TX, InterfaceState.BLE_TX)
@@ -223,13 +228,15 @@ class SimNode:
         self._advance_chain(now)
 
     def _advance_chain(self, now: SimTime) -> None:
-        """Start the next step of the chain; at its end, stream if the node
-        holds the slot and is not asleep, else idle."""
+        """Start the next step of the chain, whose end is queued in a batch
+        with the other nodes' steps that end then (see `CHAIN_STEPS`); at the
+        chain's end, stream if the node holds the slot and is not asleep,
+        else idle."""
         if self._chain:
             step = self._chain.pop(0)
             self._phase_ma = step.current_ma
-            self.engine.schedule_at(now + step.duration_ns, self.name,
-                                    EventKind.PERIPHERAL_TICK, payload=self._epoch)
+            self.engine.schedule_batched(now + step.duration_ns, CHAIN_STEPS,
+                                         EventKind.PERIPHERAL_TICK, (self, self._epoch))
         elif self.in_slot and self.mode is not Mode.SLEEP:
             self._start_streaming(now)
         else:
@@ -461,8 +468,6 @@ class SimNode:
             self.on_packet_ready(engine.now, event.payload)
         elif kind is EventKind.TRANSMIT_END:
             self.on_transmit_end(engine.now, event.payload)
-        elif kind is EventKind.PERIPHERAL_TICK:
-            self.on_chain_step(engine.now, event.payload)
         else:  # pragma: no cover - no other kinds are addressed to nodes
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
 
@@ -471,29 +476,33 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
     """The 1 Hz world tick: settle each node to `now`, store the tick's
     `harvest_j`, evaluate on a battery-charged edge, and sample.
 
-    A draw and harvest that keep the buffer in its edge-free range (see
+    Every node of a run shares one `Scenario`, so the supply voltage, the
+    buffer's threshold and its capacity are read once per tick. A draw and
+    harvest that keep the buffer in its edge-free range (see
     `EnergyBuffer.edge_free_range`) and do not clamp run inline, in
     `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw is
     0.0 J, a no-op), with no call per node; any other goes through `sync`,
-    `EnergyBuffer.harvest` and `sample`.
+    `EnergyBuffer.harvest` and `sample`. Below the threshold, which is at
+    most the capacity, a harvest that stays below it cannot clamp; above it,
+    one that does not clamp stays finite.
     """
+    first = nodes[0]
+    voltage = first.scenario.supply_voltage
+    threshold, capacity = first.buffer.threshold_j, first.buffer.capacity_j
     for node in nodes:
         buffer = node.buffer
-        remaining, threshold = buffer.remaining_j, buffer.threshold_j
-        drawn = (node._phase_ma * 1e-3 * node.scenario.supply_voltage
-                 * (now - node._phase_since) / NS_PER_SEC)
+        remaining = buffer.remaining_j
+        drawn = node._phase_ma * 1e-3 * voltage * (now - node._phase_since) / NS_PER_SEC
         after = remaining - drawn
-        if remaining >= threshold:
-            low, high = threshold, math.inf
-        else:
-            low, high = 0.0, threshold
-        if low <= after and after + harvest_j < high and after + harvest_j <= buffer.capacity_j:
+        filled = after + harvest_j
+        if (threshold <= after and filled <= capacity if remaining >= threshold
+                else 0.0 <= after and filled < threshold):
             node._phase_since = now
             buffer.consumed_j += drawn
-            buffer.remaining_j = remaining = after + harvest_j
+            buffer.remaining_j = filled
             buffer.harvested_j += harvest_j
             metrics = node.metrics
-            metrics.values.extend((remaining, buffer.consumed_j, buffer.harvested_j))
+            metrics.values.extend((filled, buffer.consumed_j, buffer.harvested_j))
             metrics.tails.append(TRACE_TAILS[node.mode, node.modality, node.interfaces])
         else:
             node.sync(now)

@@ -16,7 +16,7 @@ from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
 from .linklayer import ble_airtime
 from .metrics import MetricsRecord, NodeMetrics
-from .node import LinkPlan, SimNode, tick_nodes
+from .node import CHAIN_STEPS, LinkPlan, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import OPTIMIZERS, Scenario
 
@@ -102,6 +102,7 @@ class _Controller:
         self.slot = -1
         engine.register("gateway", self._on_gateway_event)
         engine.register("world", self._on_world_event)
+        engine.register(CHAIN_STEPS, self._on_chain_steps)
 
     # -- policy ---------------------------------------------------------------
 
@@ -171,6 +172,13 @@ class _Controller:
             nxt = now + seconds(self.scenario.peripheral_period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
+
+    def _on_chain_steps(self, engine: Engine, event) -> None:
+        """End one chain step of each member of the batch, in the order they
+        were queued."""
+        now = engine.now
+        for node, epoch in event.payload:
+            node.on_chain_step(now, epoch)
 
     def _schedule_harvest_tick(self, at: int) -> None:
         """Queue the 1 Hz world tick at `at` if the run reaches it, carrying

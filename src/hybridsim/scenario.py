@@ -133,29 +133,31 @@ class Scenario:
             if (f.name in _NON_NEGATIVE
                     or f.name.endswith(("_current_ma", "_duration_ms"))) and value < 0:
                 raise ScenarioError(f"{key} must not be negative, got {value}")
+        file_key = _FILE_KEYS
         if self.node_count > MAX_NODES:
-            raise ScenarioError(f"[scenario] node_count must be at most {MAX_NODES:,}, "
+            raise ScenarioError(f"{file_key['node_count']} must be at most {MAX_NODES:,}, "
                                 f"got {self.node_count}")
+        # This bound also keeps the run's length far inside the ns clock.
         node_seconds = self.node_count * self.total_duration_s
         if node_seconds > MAX_NODE_SECONDS:
-            raise ScenarioError(f"[scenario] node_count times [scenario] duration_s plus "
-                                f"init_delay_s must be at most {MAX_NODE_SECONDS:,} "
-                                f"node-seconds, got {node_seconds:g}")
+            raise ScenarioError(f"{file_key['node_count']} times {file_key['duration_s']} plus "
+                                f"{file_key['init_delay_s']} must be at most "
+                                f"{MAX_NODE_SECONDS:,} node-seconds, got {node_seconds:g}")
         try:
             HarvestProfile(segments=self.harvest_profile)
         except ValueError as exc:
-            raise ScenarioError(f"harvest_profile: {exc}") from exc
+            raise ScenarioError(f"{file_key['harvest_profile']}: {exc}") from exc
         if not 0 < self.initial_fraction <= 1:
-            raise ScenarioError("initial_fraction must be in (0, 1]")
+            raise ScenarioError(f"{file_key['initial_fraction']} must be in (0, 1]")
         if not 0 <= self.interaction_probability <= 1:
-            raise ScenarioError("interaction_probability must be in [0, 1]")
+            raise ScenarioError(f"{file_key['interaction_probability']} must be in [0, 1]")
         if not 0 <= self.incidence_angle_deg <= 90:
-            raise ScenarioError("incidence_angle_deg must be in [0, 90]")
+            raise ScenarioError(f"{file_key['incidence_angle_deg']} must be in [0, 90]")
         if not 0 < self.led_semi_angle_deg < 90 or not 0 < self.pd_fov_deg <= 90:
-            raise ScenarioError("led_semi_angle_deg must be in (0, 90) and "
-                                "pd_fov_deg in (0, 90]")
+            raise ScenarioError(f"{file_key['led_semi_angle_deg']} must be in (0, 90) and "
+                                f"{file_key['pd_fov_deg']} in (0, 90]")
         if self.conn_interval_ms <= CONN_EVENT_LEN_MS:
-            raise ScenarioError("conn_interval_ms must exceed the "
+            raise ScenarioError(f"{file_key['conn_interval_ms']} must exceed the "
                                 f"{CONN_EVENT_LEN_MS} ms connection event")
         if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
             raise ScenarioError(f"[radio] phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
@@ -164,10 +166,11 @@ class Scenario:
                 budget(self)
             except (ArithmeticError, ValueError):
                 raise ScenarioError(f"the {name} link budget overflows or leaves its domain: "
-                                    f"one of {', '.join(map(_FILE_KEYS.get, keys))} "
+                                    f"one of {', '.join(map(file_key.get, keys))} "
                                     "is out of range") from None
         if self.conservation_rate_kbps > self.target_rate_kbps:
-            raise ScenarioError("conservation_rate_kbps must not exceed target_rate_kbps")
+            raise ScenarioError(f"{file_key['conservation_rate_kbps']} must not exceed "
+                                f"{file_key['target_rate_kbps']}")
         # Every span the run converts to integer nanoseconds must convert, and a
         # tick or packet spacing of 0 ns would requeue itself at once for ever.
         # The optical link at the target rate has the shortest packet spacing
@@ -175,34 +178,33 @@ class Scenario:
         # the longest; the radio's is at least one connection interval.
         bits = self.packet_bytes * 8.0  # as a float, too many overflow to inf
         spans = (
-            ("duration_s and init_delay_s", seconds, self.total_duration_s, False),
-            ("poll_slot_s", seconds, self.poll_slot_s, True),
+            (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),
             ("[weights] period_s", seconds, self.weights.period_s, True),
-            ("[peripherals] period_s", seconds, self.peripheral_period_s, True),
-            ("packet_bytes, target_rate_kbps and [optical] phy_rate_kbps give an optical "
-             "packet spacing that", millis,
+            (file_key["peripheral_period_s"], seconds, self.peripheral_period_s, True),
+            (f"{file_key['packet_bytes']}, {file_key['target_rate_kbps']} and "
+             f"{file_key['owc_phy_rate_kbps']} give an optical packet spacing that", millis,
              max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps), True),
-            ("packet_bytes and conservation_rate_kbps give a packet spacing that", millis,
-             bits / self.conservation_rate_kbps, False),
-            *((key, millis, getattr(self, key), False) for key in (
+            (f"{file_key['packet_bytes']} and {file_key['conservation_rate_kbps']} give a packet "
+             "spacing that", millis, bits / self.conservation_rate_kbps, False),
+            *((file_key[name], millis, getattr(self, name), False) for name in (
                 "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
                 "localize_duration_ms", "conn_interval_ms")),
         )
-        for key, to_ns, span, tick in spans:
+        for name, to_ns, span, tick in spans:
             try:
                 ns = to_ns(span)
             except OverflowError:
-                raise ScenarioError(f"{key} overflows the ns clock, got {span}") from None
+                raise ScenarioError(f"{name} overflows the ns clock, got {span}") from None
             if tick and ns == 0:
-                raise ScenarioError(f"{key} rounds to 0 ns, got {span}")
+                raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
         if self.optimizer not in OPTIMIZERS:
-            raise ScenarioError(f"optimizer must be one of {OPTIMIZERS}")
-        for key in ("etno_sleep_threshold", "etno_conservation_threshold"):
-            if not 0 <= getattr(self, key) <= 1:
-                raise ScenarioError(f"{key} must be in [0, 1]")
+            raise ScenarioError(f"{file_key['optimizer']} must be one of {OPTIMIZERS}")
+        for name in ("etno_sleep_threshold", "etno_conservation_threshold"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ScenarioError(f"{file_key[name]} must be in [0, 1]")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:
-            raise ScenarioError("etno_sleep_threshold must be below "
-                                "etno_conservation_threshold")
+            raise ScenarioError(f"{file_key['etno_sleep_threshold']} must be below "
+                                f"{file_key['etno_conservation_threshold']}")
 
     @property
     def total_duration_s(self) -> float:

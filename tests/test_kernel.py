@@ -264,3 +264,86 @@ def test_dispatch_head_from_inside_a_handler():
     # "b", queued after "a" at the same time, still runs after it.
     assert log == [("node", 1), ("a", 5), ("back", 5, 4), ("b", 5), ("c", 12)]
     assert engine.events_executed == 1 + 2 + 1 + 1 + 1 and engine.now == 20
+
+
+def _batches(engine):
+    """Register a `batch` target that logs each dispatched batch as
+    `(now, members)`, and return the log."""
+    log = []
+    engine.register("batch", lambda eng, ev: log.append((eng.now, list(ev.payload))))
+    return log
+
+
+def test_items_queued_back_to_back_at_one_time_share_one_event():
+    engine = Engine()
+    log = _batches(engine)
+    for item in "abc":
+        engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, item)
+    engine.run_until(10)
+    assert log == [(5, ["a", "b", "c"])]
+
+
+@pytest.mark.parametrize("entry, at, target, kind", [
+    pytest.param(True, 5, "batch", EventKind.PERIPHERAL_TICK, id="entry-between"),
+    pytest.param(False, 6, "batch", EventKind.PERIPHERAL_TICK, id="another-time"),
+    pytest.param(False, 5, "batch2", EventKind.PERIPHERAL_TICK, id="another-target"),
+    pytest.param(False, 5, "batch", EventKind.HARVEST_TICK, id="another-kind"),
+])
+def test_an_entry_queued_between_or_another_time_splits_a_batch(entry, at, target, kind):
+    engine = Engine()
+    log = []
+    for name in ("batch", "batch2"):
+        engine.register(name, lambda eng, ev: log.append((eng.now, list(ev.payload))))
+    engine.register("other", lambda eng, ev: None)
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "a")
+    if entry:
+        engine.schedule_at(9, "other", EventKind.POLL_TICK)
+    engine.schedule_batched(at, target, kind, "b")
+    engine.schedule_batched(at, target, kind, "c")  # joins b's batch
+    engine.run_until(10)
+    assert log == [(5, ["a"]), (at, ["b", "c"])]
+
+
+def test_batch_members_keep_fifo_order_around_other_entries():
+    engine = Engine()
+    order = []
+    engine.register("batch", lambda eng, ev: order.extend(ev.payload))
+    engine.register("other", lambda eng, ev: order.append(ev.payload))
+    engine.schedule_at(5, "other", EventKind.POLL_TICK, payload="first")
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "a")
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "b")
+    engine.schedule_at(5, "other", EventKind.POLL_TICK, payload="between")
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "c")
+    engine.schedule_at(4, "other", EventKind.POLL_TICK, payload="earlier")
+    engine.run_until(10)
+    assert order == ["earlier", "first", "a", "b", "between", "c"]
+
+
+def test_an_item_queued_by_a_running_batch_starts_a_new_one():
+    # A member that queues another member for the batch's own instant does
+    # not grow the batch that is running: the new one runs after it.
+    engine = Engine()
+    log = []
+
+    def handler(eng, ev):
+        log.append((eng.now, list(ev.payload), eng.events_executed))
+        if ev.payload == ["a", "b"]:
+            eng.schedule_batched(eng.now, "batch", EventKind.PERIPHERAL_TICK, "c")
+
+    engine.register("batch", handler)
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "a")
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "b")
+    engine.run_until(10)
+    assert log == [(5, ["a", "b"], 2), (5, ["c"], 3)]
+
+
+def test_dispatch_counts_one_event_per_member():
+    engine = Engine()
+    _batches(engine)
+    engine.register("sink", lambda eng, ev: None)
+    for item in range(4):
+        engine.schedule_batched(3, "batch", EventKind.PERIPHERAL_TICK, item)
+    engine.schedule_at(4, "sink", EventKind.POLL_TICK)
+    engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "last")
+    engine.run_until(10)
+    assert engine.events_executed == 4 + 1 + 1

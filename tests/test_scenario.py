@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ from hybridsim.cli import EXIT_VALIDATION, main
 from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
-from hybridsim.scenario import (_SCHEMA, Scenario, ScenarioError,
+from hybridsim.scenario import (_SCHEMA, MAX_NODES, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
 
 MINIMAL = """
@@ -242,10 +243,40 @@ class TestInvalidConfigs:
         ("radio", "phy_rate = 3M"),
         ("radio", "tx_power_dbm = 1e308"),  # the radio link budget overflows
         ("weights", "period_s = 0"),
+        # One case per check after the per-field loop: ranges, spans and
+        # checks that read more than one key.
+        *(pytest.param(section, line, id=f"{section}-{line.split()[0]}-{tag}")
+          for section, line, tag in (
+              ("energy", "initial_fraction = 2", "range"),
+              ("traffic", "poll_slot_s = 1e-10", "0ns"),
+              ("traffic", "conservation_rate_kbps = 1000", "above-target"),
+              ("scenario", "optimizer = foo", "unknown"),
+              ("energy", "harvest_profile = 10:1,5:1", "unsorted"),
+              ("radio", "conn_interval_ms = 1", "below-event"),
+              ("optimizer", "interaction_probability = 2", "range"),
+              ("topology", "incidence_angle_deg = 91", "range"),
+              ("optical", "led_semi_angle_deg = 90", "range"),
+              ("optical", "pd_fov_deg = 91", "range"),
+              ("optimizer", "etno_conservation_threshold = 2", "range"),
+              ("optimizer", "etno_sleep_threshold = 0.5", "above-conservation"),
+              ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
+                          "[optical]\nphy_rate_kbps = 1e12", "optical-spacing-0ns"),
+              ("optical", "phy_rate_kbps = 1e12\n[traffic]\ntarget_rate_kbps = 1e12\n"
+                          "conservation_rate_kbps = 1", "optical-spacing-0ns"),
+              ("traffic", "conservation_rate_kbps = 1e-300", "spacing-overflow"),
+              ("scenario", "duration_s = 2e6", "node-seconds"),
+              ("scenario", "init_delay_s = 2e6", "node-seconds"),
+              ("energy", "wake_duration_ms = 1e303", "overflow"),
+              ("peripherals", "sense_duration_ms = 1e303", "overflow"),
+              ("peripherals", "eink_duration_ms = 1e303", "overflow"),
+              ("peripherals", "localize_duration_ms = 1e303", "overflow"),
+              ("radio", "conn_interval_ms = 1e303", "overflow"),
+          )),
     ])
     def test_error_names_the_key_as_the_file_spells_it(self, tmp_path, section, line):
-        # Each of these keys drops a prefix of its field's name, or shares
-        # its name with a key of another section.
+        # Each of these keys drops a prefix of its field's name, shares its
+        # name with a key of another section, or is named by a check that
+        # reads more than one key.
         with pytest.raises(ScenarioError) as err:
             load_scenario(_write(tmp_path, f"[{section}]\n{line}\n"))
         assert f"[{section}] {line.split()[0]}" in str(err.value)
@@ -284,3 +315,29 @@ def test_every_scenario_that_loads_runs(tmp_path, sleep):
                 except Exception as exc:  # noqa: BLE001 - any escape is the failure
                     failures.append((section, key, value, repr(exc)))
     assert failures == []
+
+
+# Each int key's bound: the most nodes a run may hold, else the largest int
+# that a double holds, which `Scenario` checks every int against.
+_INT_BOUNDS = {("scenario", "node_count"): MAX_NODES,
+               ("scenario", "seed"): int(sys.float_info.max),
+               ("traffic", "packet_bytes"): int(sys.float_info.max),
+               ("radio", "mtu_bytes"): int(sys.float_info.max)}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param(section, key, value, id=f"{key}-{label}")
+    for (section, key), bound in _INT_BOUNDS.items()
+    for label, value in (("-1", -1), ("0", 0), ("1", 1), ("bound", bound),
+                         ("1e400", 10 ** 400))])
+def test_every_int_key_value_that_loads_runs(tmp_path, capsys, section, key, value):
+    """An int key at -1, 0, 1, its bound or 10^400 either exits 2 naming the
+    key, or runs a 3 s scenario to exit 0; a runtime error (exit 1) never
+    passes."""
+    header = "" if section == "scenario" else f"[{section}]\n"
+    path = _write(tmp_path, f"[scenario]\nduration_s = 3\ninit_delay_s = 0\n"
+                            f"{header}{key} = {value}\n")
+    code = main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_VALIDATION), err
+    assert code == 0 or f"[{section}] {key}" in err
