@@ -121,31 +121,23 @@ class HarvestProfile:
 # ---------------------------------------------------------------------------
 # Peripherals and per-action energy prediction
 
-@dataclass(frozen=True)
-class PhaseStep:
-    """One constant-current phase of a node's operation sequence."""
-
-    name: str
-    current_ma: float
-    duration_ns: int
-
-
-def peripheral_steps(scenario: Scenario) -> tuple[PhaseStep, ...]:
-    """Sensing, display refresh, and localization: one peripheral cycle."""
-    return (
-        PhaseStep("sense", scenario.sense_current_ma, millis(scenario.sense_duration_ms)),
-        PhaseStep("eink", scenario.eink_current_ma, millis(scenario.eink_duration_ms)),
-        PhaseStep("localize", scenario.localize_current_ma, millis(scenario.localize_duration_ms)),
-    )
+def duty_cycle(scenario: Scenario) -> tuple[tuple[float, int], ...]:
+    """The operation sequence of one duty cycle as `(mA, ns)` phases: wake-up,
+    then the peripheral cycle (sensing, display refresh, localization)."""
+    return tuple((ma, millis(ms)) for ma, ms in (
+        (scenario.wake_current_ma, scenario.wake_duration_ms),
+        (scenario.sense_current_ma, scenario.sense_duration_ms),
+        (scenario.eink_current_ma, scenario.eink_duration_ms),
+        (scenario.localize_current_ma, scenario.localize_duration_ms)))
 
 
 def peripheral_cycle_j(scenario: Scenario) -> float:
     """Energy one peripheral cycle draws above idle, floored at zero."""
     v = scenario.supply_voltage
     per_cycle = 0.0
-    for step in peripheral_steps(scenario):
-        per_cycle += (phase_energy(step.current_ma, step.duration_ns / NS_PER_MS, v)
-                      - phase_energy(scenario.idle_current_ma, step.duration_ns / NS_PER_MS, v))
+    for ma, ns in duty_cycle(scenario)[1:]:
+        per_cycle += (phase_energy(ma, ns / NS_PER_MS, v)
+                      - phase_energy(scenario.idle_current_ma, ns / NS_PER_MS, v))
     return max(0.0, per_cycle)
 
 

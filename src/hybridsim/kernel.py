@@ -47,6 +47,7 @@ class EventKind(Enum):
     HARVEST_TICK = "HarvestTick"
     APP_PACKET_READY = "AppPacketReady"
     PERIPHERAL_TICK = "PeripheralTick"
+    CHAIN_STEP = "ChainStep"
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality
-from .energy import EnergyBuffer, PhaseStep, peripheral_steps, phase_energy
-from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC, millis
+from .energy import EnergyBuffer, duty_cycle, phase_energy
+from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC
 from .linklayer import InterfaceState, fsm_dispatch
 from .metrics import TRACE_TAILS, NodeMetrics
 from .scenario import Scenario
@@ -27,7 +27,7 @@ from .scenario import Scenario
 CHAIN_STEPS = "chain"
 
 _ASLEEP = (InterfaceState.OFF, InterfaceState.SLEEP)
-_TRANSMITTING = (InterfaceState.OWC_TX, InterfaceState.BLE_TX)
+_TX_MODALITY = {InterfaceState.OWC_TX: Modality.OWC, InterfaceState.BLE_TX: Modality.BLE}
 
 
 class ProtocolViolation(RuntimeError):
@@ -61,7 +61,6 @@ class LinkPlan:
     tx_current_ma: float
     success_prob: float
     snr_db: float
-    rate_kbps: dict[Mode, float]
 
 
 class SimNode:
@@ -75,9 +74,7 @@ class SimNode:
         self.engine = engine
         self.metrics = metrics
         self.rng = rng_stream
-        self._wake_step = PhaseStep("wake", scenario.wake_current_ma,
-                                    millis(scenario.wake_duration_ms))
-        self._peripheral_steps = peripheral_steps(scenario)
+        self._duty_cycle = duty_cycle(scenario)
         # Receiving the poll command costs one downlink reception burst.
         self._poll_command_j = phase_energy(scenario.poll_command_current_ma,
                                             scenario.poll_command_duration_ms,
@@ -87,7 +84,6 @@ class SimNode:
         self.interfaces = InterfaceState.IDLE
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
-        self._restream_after_tx = False
         self._tx_started_ns: SimTime = 0
         # Before the first poll a node advertises if the scenario says so.
         advertising = scenario.init_advertising and scenario.init_delay_s > 0
@@ -99,8 +95,8 @@ class SimNode:
         # stream start bumps the epoch; a packet or chain step that was
         # scheduled under an older epoch is stale and does nothing.
         self._epoch = 0
-        self._chain: list[PhaseStep] = []  # phase steps still to run in this chain
-        self._pending_packet = None
+        self._chain: tuple[tuple[float, int], ...] = ()  # phases still to run in this chain
+        self._pending_packet: SimEvent | None = None
         self.evaluate_cb = None  # set by the runner; called on battery edges
         self.ewma_baseline_db: float | None = None
 
@@ -112,7 +108,7 @@ class SimNode:
 
     @property
     def tx_in_flight(self) -> bool:
-        return self.interfaces in _TRANSMITTING
+        return self.interfaces in _TX_MODALITY
 
     # -- energy phase integration ------------------------------------------
 
@@ -142,7 +138,6 @@ class SimNode:
 
     def _on_battery_low(self, now: SimTime) -> None:
         if self.tx_in_flight:
-            self._restream_after_tx = False
             self.metrics.packets_lost += 1
             started = self._tx_started_ns
             self.metrics.tx_intervals.append((started, 0, now - started, 1))
@@ -195,13 +190,15 @@ class SimNode:
         self._resume_slot(now)
 
     def _resume_slot(self, now: SimTime) -> None:
-        """Stream in the slot, waking through the duty cycle if asleep."""
+        """Stream in the slot, after waking through a chain of the duty cycle if
+        asleep: the wake-up burst, then in performance mode the peripheral cycle."""
         self._open_eligible(now)
         if self.awake:
             self._start_streaming(now)
         else:
             self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
-            self._start_slot_chain(now)
+            cycle = self._duty_cycle
+            self._run_chain(now, cycle if self.mode is Mode.PERFORMANCE else cycle[:1])
 
     def exit_slot(self, now: SimTime) -> None:
         self.sync(now)
@@ -209,35 +206,28 @@ class SimNode:
         self._close_eligible(now)
         self._epoch += 1
         if self._pending_packet is not None:
-            self.engine.cancel(self._pending_packet)
-            self._pending_packet = None
+            self.engine.cancel(self._pending_packet)  # kept: a burst's end reads it
         if not self.tx_in_flight:  # else the burst's end handler parks the node
             self.park()
 
-    def _start_slot_chain(self, now: SimTime) -> None:
-        """Wake-up burst, then the peripheral cycle (performance mode only),
-        then streaming: the operation sequence of one duty cycle."""
-        steps = [self._wake_step]
-        if self.mode is Mode.PERFORMANCE:
-            steps.extend(self._peripheral_steps)
-        self._run_chain(now, steps)
-
-    def _run_chain(self, now: SimTime, steps: list[PhaseStep]) -> None:
+    def _run_chain(self, now: SimTime, chain: tuple[tuple[float, int], ...]) -> None:
         self._epoch += 1
-        self._chain = steps
+        self._chain = chain
         self._advance_chain(now)
 
     def _advance_chain(self, now: SimTime) -> None:
         """Start the next step of the chain, whose end is queued in a batch
         with the other nodes' steps that end then (see `CHAIN_STEPS`); at the
-        chain's end, stream if the node holds the slot and is not asleep,
-        else idle."""
-        if self._chain:
-            step = self._chain.pop(0)
-            self._phase_ma = step.current_ma
-            self.engine.schedule_batched(now + step.duration_ns, CHAIN_STEPS,
-                                         EventKind.PERIPHERAL_TICK, (self, self._epoch))
-        elif self.in_slot and self.mode is not Mode.SLEEP:
+        chain's end, stream if the node holds the slot, else idle: a live step
+        sees the slot and the mode its chain started in, never asleep, since a
+        change of either bumps the epoch."""
+        chain = self._chain
+        if chain:
+            self._phase_ma, ns = chain[0]
+            self._chain = chain[1:]
+            self.engine.schedule_batched(now + ns, CHAIN_STEPS, EventKind.CHAIN_STEP,
+                                         (self, self._epoch))
+        elif self.in_slot:
             self._start_streaming(now)
         else:
             self._phase_ma = self.scenario.idle_current_ma
@@ -246,9 +236,6 @@ class SimNode:
         self.sync(now)
         if epoch != self._epoch:
             return  # superseded by a reconfiguration
-        # A mode change mid-chain skips the remaining peripheral operations.
-        if self.mode is not Mode.PERFORMANCE:
-            self._chain.clear()
         self._advance_chain(now)
 
     def on_peripheral_cycle(self, now: SimTime) -> None:
@@ -258,15 +245,14 @@ class SimNode:
         if (not self.awake or self.in_slot or self.tx_in_flight
                 or self.mode is not Mode.PERFORMANCE):
             return
-        self._run_chain(now, list(self._peripheral_steps))
+        self._run_chain(now, self._duty_cycle[1:])
 
     # -- traffic ----------------------------------------------------------------
 
     def _start_streaming(self, now: SimTime) -> None:
         self._epoch += 1
         if self.tx_in_flight:
-            self._restream_after_tx = True
-            return
+            return  # the burst's end restreams, as its packet-ready is now stale
         self._phase_ma = self.scenario.idle_current_ma
         # The first packet is ready once a full generation period has
         # accumulated; sending at the stream start would overshoot the rate.
@@ -295,8 +281,7 @@ class SimNode:
         if now + airtime > self.slot_end_ns:
             return  # too little slot is left
         self.transmit_packet(now)
-        self.engine.schedule_at(now + airtime, self.name, EventKind.TRANSMIT_END,
-                                payload=self.modality)
+        self.engine.schedule_at(now + airtime, self.name, EventKind.TRANSMIT_END)
         self._pending_packet = self.engine.schedule_at(
             now + interval, self.name, EventKind.APP_PACKET_READY, payload=epoch)
 
@@ -409,22 +394,23 @@ class SimNode:
         self._tx_started_ns = now
         self._phase_ma = self.links[self.modality].tx_current_ma
 
-    def on_transmit_end(self, now: SimTime, modality: Modality) -> None:
+    def on_transmit_end(self, now: SimTime) -> None:
         self.sync(now)
         if not self.tx_in_flight:
             return  # a battery-low edge already lost the burst
         started = self._tx_started_ns
         self.metrics.tx_intervals.append((started, 0, now - started, 1))
+        link = self.links[_TX_MODALITY[self.interfaces]]
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
-        if self.rng.uniform() < self.links[modality].success_prob:
+        if self.rng.uniform() < link.success_prob:
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1
-        # Settle into whatever the node should be doing now.
-        restream, self._restream_after_tx = self._restream_after_tx, False
+        # Settle into whatever the node should be doing now. In the slot and
+        # awake, a stale packet-ready means a stream started mid-burst.
         if not self.in_slot or self.mode is Mode.SLEEP:
             self.park()
-        elif restream:
+        elif self._pending_packet.payload != self._epoch:
             self._start_streaming(now)
         else:
             self._phase_ma = self.scenario.idle_current_ma
@@ -467,7 +453,7 @@ class SimNode:
         if kind is EventKind.APP_PACKET_READY:
             self.on_packet_ready(engine.now, event.payload)
         elif kind is EventKind.TRANSMIT_END:
-            self.on_transmit_end(engine.now, event.payload)
+            self.on_transmit_end(engine.now)
         else:  # pragma: no cover - no other kinds are addressed to nodes
             raise RuntimeError(f"unexpected event {kind} for {self.name}")
 

@@ -103,16 +103,15 @@ def energy_utility(predicted_j: float, e_max_j: float) -> float:
 class EunoTable:
     """EUNO's per-run terms, built once from inputs that a run never changes.
 
-    `rows[current._value_]` holds one tuple per action of
+    `rows[current]` holds one tuple per action of
     `enumerate_actions(current)`, in that order: `p_p·x_p + p_t·x_t`,
     `p_c·x_c + p_e·x_e`, `p_ch·x_ch`, `p_s·screen`, `p_l·localization` when
     mobility is not and is forecast, the energy utility, the tie key and the
-    action. Only `f_r` and the mobility forecast vary between calls. The key
-    is a str so that a lookup does not hash the enum member in Python.
+    action. Only `f_r` and the mobility forecast vary between calls.
     """
 
     weights: UtilityWeights
-    rows: dict[str, tuple[tuple, ...]]
+    rows: dict[Modality, tuple[tuple, ...]]
 
     @classmethod
     def build(cls, weights: UtilityWeights, e_max_j: float, p_int: float,
@@ -142,7 +141,7 @@ class EunoTable:
                     energy_utility(energy, e_max_j),
                     (int(keeps), _MODE_RANK[a.mode], int(a.modality is Modality.OWC)),
                     a))
-            rows[current._value_] = tuple(scored)
+            rows[current] = tuple(scored)
         return cls(weights, rows)
 
 
@@ -163,7 +162,7 @@ def euno_select(table: EunoTable, f_r: float, current: Modality,
                                   w.sigmoid_c_db) > w.theta_l
     p_m, p_e, rest = w.p_m, energy_weight(f_r, w.f_c), 1.0 - f_r
     best_key = best = None
-    for a, b, c, screen, loc, energy, tie, action in table.rows[current._value_]:
+    for a, b, c, screen, loc, energy, tie, action in table.rows[current]:
         key = (p_m * (f_r * a + rest * b - c) + screen + loc[moving] + p_e * energy, tie)
         if best_key is None or key > best_key:
             best_key, best = key, action

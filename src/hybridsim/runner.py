@@ -47,7 +47,6 @@ def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
             tx_current_ma=tx_current_ma,
             success_prob=channel.packet_success(ber, bits),
             snr_db=snr,
-            rate_kbps={mode: bits / (ns / 1e6) for mode, ns in interval_ns.items()},
         )
 
     return {
@@ -75,8 +74,9 @@ class _Controller:
         predicted_j = {a: predict_action_energy(scenario, self.links, a,
                                                 scenario.weights.period_s)
                        for a in distinct}
+        bits = scenario.packet_bytes * 8
         rates_kbps = {a: 0.0 if a.mode is Mode.SLEEP
-                      else self.links[a.modality].rate_kbps[a.mode]
+                      else bits / (self.links[a.modality].interval_ns[a.mode] / 1e6)
                       for a in distinct}
         self.euno = EunoTable.build(scenario.weights, scenario.battery_capacity_j,
                                     scenario.interaction_probability,

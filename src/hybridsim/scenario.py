@@ -306,7 +306,9 @@ def load_scenario(path: str | Path) -> Scenario:
                 target[field_name] = convert(raw)
             except ValueError as exc:
                 raise ScenarioError(f"{path}: [{section}] {key}: {exc}") from exc
-
+    if "harvest_mw" in values and "harvest_profile" in values:  # a Scenario holds both
+        raise ScenarioError(f"{path}: set one of {_FILE_KEYS['harvest_mw']} and "
+                            f"{_FILE_KEYS['harvest_profile']}, not both")
     try:
         return Scenario(weights=UtilityWeights(**weights), **values)
     except (ValueError, TypeError) as exc:

@@ -12,7 +12,9 @@ node's own slots, and no two bursts of the run may overlap.
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from hybridsim.actions import Mode
 from hybridsim.kernel import NS_PER_SEC, seconds
+from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
 from hybridsim.scenario import Scenario
@@ -171,3 +173,35 @@ def test_one_sample_per_whole_second(scenario):
     for nm in record.nodes.values():
         assert len(nm.tails) == samples and len(nm.values) == 3 * samples, nm.name
         assert [row.t_s for row in nm.rows] == list(range(samples))
+
+
+def test_a_live_chain_step_sees_the_slot_and_mode_its_chain_started_in(monkeypatch):
+    """A change of the mode or the slot bumps the epoch, which makes the
+    chain's queued step stale, so a step that is still live never needs to
+    check the mode again, and the chain's end streams iff the node holds the
+    slot. No chain starts asleep."""
+    started, calls = {}, {"chains": 0, "steps": 0}
+    run_chain, advance = SimNode._run_chain, SimNode._advance_chain
+
+    def spy_run_chain(node, now, chain):
+        assert node.mode is not Mode.SLEEP
+        started[node] = (node.mode, node.in_slot)
+        calls["chains"] += 1
+        run_chain(node, now, chain)
+
+    def spy_advance(node, now):  # a chain's start, or the end of a live step
+        assert (node.mode, node.in_slot) == started[node], node.name
+        calls["steps"] += 1
+        advance(node, now)
+
+    monkeypatch.setattr(SimNode, "_run_chain", spy_run_chain)
+    monkeypatch.setattr(SimNode, "_advance_chain", spy_advance)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def check(scenario):
+        run(scenario)
+
+    check()
+    assert calls["steps"] > calls["chains"] > 0, calls

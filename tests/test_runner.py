@@ -379,7 +379,7 @@ class TestNodeLifecycle:
         node.enter_slot(0, seconds(10))
         node.transmit_packet(0)
         assert node.tx_in_flight and node.interfaces is InterfaceState.OWC_TX
-        node.on_transmit_end(node.links[Modality.OWC].airtime_ns, Modality.OWC)
+        node.on_transmit_end(node.links[Modality.OWC].airtime_ns)
         assert not node.tx_in_flight and node.interfaces is InterfaceState.IDLE
 
     @pytest.mark.parametrize("first", list(Modality))
@@ -412,7 +412,7 @@ class TestNodeLifecycle:
         node.sync(airtime // 2)
         assert node.interfaces is InterfaceState.OFF
         assert node.mode is Mode.SLEEP
-        node.on_transmit_end(airtime, Modality.OWC)  # the burst already ended
+        node.on_transmit_end(airtime)  # the burst already ended
         assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
 
     def test_burst_ending_at_slot_end_parks_after_it_ends(self):
@@ -424,9 +424,24 @@ class TestNodeLifecycle:
         node.apply_action(Action(Mode.CONSERVATION, Modality.OWC), airtime)
         # no interface sleeps mid-burst
         assert node.interfaces is InterfaceState.OWC_TX
-        node.on_transmit_end(airtime, Modality.OWC)
+        node.on_transmit_end(airtime)
         assert node.interfaces is InterfaceState.SLEEP
         assert not node.awake
+
+    def test_slot_ending_inside_a_queued_burst_restreams_at_its_end(self):
+        # 10 ms bursts every 10 ms: the last burst of each 1 s slot is queued
+        # and ends at the slot's end, where the gateway's tick fires first.
+        # The lone node re-enters its own slot mid-burst, which makes the
+        # burst's packet-ready stale, so the burst's end restreams.
+        scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1,
+                            optimizer="etno", inter_transmission_sleep=False,
+                            target_rate_kbps=409.6, owc_phy_rate_kbps=409.6,
+                            poll_slot_s=1.0)
+        bursts = tx_bursts(run(scenario).node(1))
+        spacing = seconds(0.01)
+        for slot_end in (seconds(1), seconds(2)):
+            assert (slot_end - spacing, slot_end) in bursts
+            assert min(start for start, _ in bursts if start >= slot_end) == slot_end + spacing
 
 
 def _ticking_nodes(f_c: float, levels_j: list[float]) -> list[SimNode]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 from dataclasses import fields
 
@@ -105,6 +106,16 @@ class TestParsing:
         path = _write(tmp_path, MINIMAL + "\n[energy]\nharvest_profile = 0:10, 500:2\n")
         s = load_scenario(path)
         assert s.harvest_segments() == ((0.0, 0.010), (500.0, 0.002))
+
+    def test_both_harvest_keys_exit_2_naming_both(self, tmp_path, capsys):
+        # A run would use the profile alone, so the constant would be ignored.
+        path = _write(tmp_path, MINIMAL + "\n[energy]\nharvest_mw = 50\n"
+                                          "harvest_profile = 0:10\n")
+        assert main(["print-config", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[energy] harvest_mw" in captured.err
+        assert "[energy] harvest_profile" in captured.err
 
 
 class TestDerivedSchema:
@@ -341,3 +352,51 @@ def test_every_int_key_value_that_loads_runs(tmp_path, capsys, section, key, val
     err = capsys.readouterr().err
     assert code in (0, EXIT_VALIDATION), err
     assert code == 0 or f"[{section}] {key}" in err
+
+
+def _key_pairs(count: int) -> list[tuple[tuple, tuple, str]]:
+    """A fixed sample of `count` points: two distinct float or int keys (the
+    float keys of `test_every_scenario_that_loads_runs`, and the int keys),
+    each set to a value of `_GRID_VALUES` or -1, and the sleep flag."""
+    keys = [(section, key, name) for section, entries in _SCHEMA.items()
+            for key, (name, convert) in entries.items()
+            if convert is int or convert is float and section != "scenario"]
+    values = (*_GRID_VALUES, "-1")
+    rng = random.Random(2026)
+    return [(*((*pair, rng.choice(values)) for pair in rng.sample(keys, 2)),
+             rng.choice(("true", "false"))) for _ in range(count)]
+
+
+def _names_key(message: str, section: str, key: str) -> bool:
+    """Whether a load error names `[section] key`, or lists the key among the
+    keys that follow its section (`[weights] static weights p_m, p_s and p_l`)."""
+    named = message.partition(f"[{section}] ")[2].partition(":")[0]
+    return key in named.replace(",", " ").split()
+
+
+def test_every_key_pair_that_loads_runs(tmp_path):
+    """A budget or a spacing can overflow only in combination (rate times
+    size, distance times power), so 400 fixed key pairs each either fail at
+    load naming one of their keys, or run the 3 s base. A tick period below
+    1 ms that loads is not run, as in the one-key grid."""
+    failures = []
+    for *pair, sleep in _key_pairs(400):
+        sections = {"scenario": ["duration_s = 3", "init_delay_s = 0",
+                                 f"inter_transmission_sleep = {sleep}"]}
+        for section, key, _, value in pair:
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        path = _write(tmp_path, "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                        for section, lines in sections.items()))
+        try:
+            scenario = load_scenario(path)
+        except ScenarioError as err:
+            if not any(_names_key(str(err), section, key) for section, key, _, _ in pair):
+                failures.append((pair, str(err)))
+            continue
+        if any(name in _TICK_PERIODS and float(value) < 1e-3 for _, _, name, value in pair):
+            continue
+        try:
+            run(scenario)
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            failures.append((pair, repr(exc)))
+    assert failures == []
