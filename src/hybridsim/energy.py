@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -44,7 +43,7 @@ class EnergyBuffer:
     def __init__(self, capacity_j: float, initial_j: float | None = None,
                  critical_fraction: float = 0.2):
         self.capacity_j = capacity_j
-        self.remaining_j = capacity_j if initial_j is None else min(initial_j, capacity_j)
+        self.remaining_j = capacity_j if initial_j is None else initial_j
         self.initial_j = self.remaining_j
         self.threshold_j = critical_fraction * capacity_j
         self.consumed_j = 0.0
@@ -85,37 +84,22 @@ class EnergyBuffer:
 _START = itemgetter(0)  # a harvest segment's start time
 
 
-@dataclass(frozen=True)
-class HarvestProfile:
-    """Piecewise-constant input power: segments of (start time s, watts)."""
-
-    segments: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-
-    def __post_init__(self):
-        if not all(math.isfinite(s) and math.isfinite(p) for s, p in self.segments):
-            raise ValueError("profile segments must be finite")
-        starts = [s for s, _ in self.segments]
-        if starts != sorted(starts):
-            raise ValueError("profile segments must be sorted by start time")
-        if any(p < 0 for _, p in self.segments):
-            raise ValueError("harvest power cannot be negative")
-
-    def energy_between(self, t0_s: float, t1_s: float) -> float:
-        """Integral of the profile over [t0, t1] in joules, added piece by
-        piece from the left; a segment applies from its start onwards, and
-        before the first start the power is 0."""
-        if t1_s <= t0_s:
-            return 0.0
-        segments = self.segments
-        i = bisect_right(segments, t0_s, key=_START)
-        power = segments[i - 1][1] if i else 0.0
-        total, since = 0.0, t0_s
-        for start, p in segments[i:]:
-            if start >= t1_s:
-                break
-            total += power * (start - since)
-            power, since = p, start
-        return total + power * (t1_s - since)
+def energy_between(segments: tuple[tuple[float, float], ...], t0_s: float, t1_s: float) -> float:
+    """Integral over [t0, t1] in joules of the piecewise-constant input power
+    `segments`, sorted `(start time s, watts)` pairs, added piece by piece
+    from the left; a segment applies from its start onwards, and before the
+    first start the power is 0."""
+    if t1_s <= t0_s:
+        return 0.0
+    i = bisect_right(segments, t0_s, key=_START)
+    power = segments[i - 1][1] if i else 0.0
+    total, since = 0.0, t0_s
+    for start, p in segments[i:]:
+        if start >= t1_s:
+            break
+        total += power * (start - since)
+        power, since = p, start
+    return total + power * (t1_s - since)
 
 
 # ---------------------------------------------------------------------------

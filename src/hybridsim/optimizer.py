@@ -12,7 +12,7 @@ the best SNR (or pinned to the optical link in the OWC-only variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .actions import Action, Mode, Modality, enumerate_actions
 
@@ -21,7 +21,8 @@ _MODE_RANK = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
 
 @dataclass(frozen=True)
 class UtilityWeights:
-    """Static weights, sub-weights, rewards, and thresholds of the policy."""
+    """Static weights, sub-weights, rewards, and thresholds of the policy,
+    which `Scenario` checks at load."""
 
     p_m: float = 0.91
     p_s: float = 0.045
@@ -40,22 +41,6 @@ class UtilityWeights:
     sigmoid_k: float = 1.5
     sigmoid_c_db: float = 3.0
     period_s: float = 10.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"[weights] {f.name} must be finite")
-        if abs(self.p_m + self.p_s + self.p_l - 1.0) > 1e-9:
-            raise ValueError(
-                f"[weights] static weights p_m, p_s and p_l must sum to 1: p_M+p_S+p_L = "
-                f"{self.p_m + self.p_s + self.p_l}")
-        if not 0.0 < self.ewma_lambda <= 1.0:
-            raise ValueError("[weights] ewma_lambda must be in (0, 1]")
-        if not 0.0 <= self.f_c < 1.0:
-            raise ValueError("[weights] f_c must be in [0, 1)")
-        for key in ("sigmoid_k", "period_s"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"[weights] {key} must be positive")
 
 
 def energy_weight(f_r: float, f_c: float) -> float:

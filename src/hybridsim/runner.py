@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import channel
 from .actions import Mode, Modality, enumerate_actions
-from .energy import EnergyBuffer, HarvestProfile, predict_action_energy
+from .energy import EnergyBuffer, energy_between, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
 from .linklayer import ble_airtime
 from .metrics import MetricsRecord, NodeMetrics
@@ -83,7 +83,7 @@ class _Controller:
                                     predicted_j, rates_kbps)
         best = max(self.links, key=lambda m: (self.links[m].snr_db,
                                               m is Modality.OWC))
-        self.harvest = HarvestProfile(segments=scenario.harvest_segments())
+        self.harvest_segments = scenario.harvest_segments()
         self.total_ns = seconds(scenario.total_duration_s)
         self.nodes: list[SimNode] = []
         for i in range(scenario.node_count):
@@ -188,7 +188,7 @@ class _Controller:
         if at <= self.total_ns:
             t_s = at / NS_PER_SEC
             self.engine.schedule_at(at, "world", EventKind.HARVEST_TICK,
-                                    self.harvest.energy_between(t_s - 1.0, t_s))
+                                    energy_between(self.harvest_segments, t_s - 1.0, t_s))
 
     # -- run -----------------------------------------------------------------
 

@@ -7,28 +7,18 @@ keys are rejected so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .channel import PHY_RATE_SNR_SHIFT_DB, ble_link, owc_link
-from .energy import HarvestProfile
 from .kernel import millis, seconds
 from .linklayer import CONN_EVENT_LEN_MS
 from .optimizer import UtilityWeights
 
 OPTIMIZERS = ("euno", "etno", "etno-owc")
 
-# Fields that must be above zero; the ones named *_current_ma or
-# *_duration_ms, and those in _NON_NEGATIVE, must not be below it.
-_POSITIVE = (
-    "duration_s", "node_count", "distance_m", "packet_bytes", "target_rate_kbps",
-    "conservation_rate_kbps", "poll_slot_s", "battery_capacity_j", "supply_voltage",
-    "peripheral_period_s", "mtu_bytes", "bandwidth_hz",
-    "owc_phy_rate_kbps", "tx_optical_power_w", "pd_area_m2", "responsivity_a_w",
-    "concentrator_gain",
-)
-_NON_NEGATIVE = ("init_delay_s", "harvest_mw", "snr_jitter_db")
 # Each link budget and the keys it reads.
 _LINK_BUDGETS = (
     ("radio", ble_link,
@@ -123,17 +113,29 @@ class Scenario:
     weights: UtilityWeights = field(default_factory=UtilityWeights)
 
     def __post_init__(self):
-        for f in fields(self):
-            value, key = getattr(self, f.name), _FILE_KEYS.get(f.name)
-            # An int beyond a double's range is as unusable as an infinite float.
-            if f.type in ("float", "int") and not abs(value) <= sys.float_info.max:
-                raise ScenarioError(f"{key} must be finite and fit a double")
-            if f.name in _POSITIVE and value <= 0:
-                raise ScenarioError(f"{key} must be positive, got {value}")
-            if (f.name in _NON_NEGATIVE
-                    or f.name.endswith(("_current_ma", "_duration_ms"))) and value < 0:
-                raise ScenarioError(f"{key} must not be negative, got {value}")
         file_key = _FILE_KEYS
+        for owner in (self, self.weights):
+            for f in fields(owner):
+                name, value = f.name, getattr(owner, f.name)
+                # An int beyond a double's range is as unusable as an infinite float.
+                if f.type in ("float", "int") and not abs(value) <= sys.float_info.max:
+                    raise ScenarioError(f"{file_key[name]} must be finite and fit a double")
+                if name not in _RANGES:
+                    continue
+                low, high, low_ok, high_ok = _RANGES[name]
+                if ((value >= low if low_ok else value > low)
+                        and (value <= high if high_ok else value < high)):
+                    continue
+                if high == math.inf:
+                    rule = "not be negative" if low_ok else "be positive"
+                else:
+                    rule = f"be in {'(['[low_ok]}{low:g}, {high:g}{')]'[high_ok]}"
+                raise ScenarioError(f"{file_key[name]} must {rule}, got {value}")
+        weights = self.weights
+        static = weights.p_m + weights.p_s + weights.p_l
+        if abs(static - 1.0) > 1e-9:
+            raise ScenarioError(f"{file_key['p_m']}, {file_key['p_s']} and {file_key['p_l']} "
+                                f"must sum to 1: p_M+p_S+p_L = {static}")
         if self.node_count > MAX_NODES:
             raise ScenarioError(f"{file_key['node_count']} must be at most {MAX_NODES:,}, "
                                 f"got {self.node_count}")
@@ -143,24 +145,17 @@ class Scenario:
             raise ScenarioError(f"{file_key['node_count']} times {file_key['duration_s']} plus "
                                 f"{file_key['init_delay_s']} must be at most "
                                 f"{MAX_NODE_SECONDS:,} node-seconds, got {node_seconds:g}")
-        try:
-            HarvestProfile(segments=self.harvest_profile)
-        except ValueError as exc:
-            raise ScenarioError(f"{file_key['harvest_profile']}: {exc}") from exc
-        if not 0 < self.initial_fraction <= 1:
-            raise ScenarioError(f"{file_key['initial_fraction']} must be in (0, 1]")
-        if not 0 <= self.interaction_probability <= 1:
-            raise ScenarioError(f"{file_key['interaction_probability']} must be in [0, 1]")
-        if not 0 <= self.incidence_angle_deg <= 90:
-            raise ScenarioError(f"{file_key['incidence_angle_deg']} must be in [0, 90]")
-        if not 0 < self.led_semi_angle_deg < 90 or not 0 < self.pd_fov_deg <= 90:
-            raise ScenarioError(f"{file_key['led_semi_angle_deg']} must be in (0, 90) and "
-                                f"{file_key['pd_fov_deg']} in (0, 90]")
+        starts = [start for start, _ in self.harvest_profile]
+        if not all(math.isfinite(start) and 0 <= power < math.inf
+                   for start, power in self.harvest_profile) or starts != sorted(starts):
+            raise ScenarioError(f"{file_key['harvest_profile']} must list finite start times in "
+                                "order, each with a finite power that is not negative")
         if self.conn_interval_ms <= CONN_EVENT_LEN_MS:
             raise ScenarioError(f"{file_key['conn_interval_ms']} must exceed the "
                                 f"{CONN_EVENT_LEN_MS} ms connection event")
         if self.ble_phy_rate not in PHY_RATE_SNR_SHIFT_DB:
-            raise ScenarioError(f"[radio] phy_rate must be one of {tuple(PHY_RATE_SNR_SHIFT_DB)}")
+            raise ScenarioError(f"{file_key['ble_phy_rate']} must be one of "
+                                f"{tuple(PHY_RATE_SNR_SHIFT_DB)}")
         for name, budget, keys in _LINK_BUDGETS:
             try:
                 budget(self)
@@ -179,7 +174,7 @@ class Scenario:
         bits = self.packet_bytes * 8.0  # as a float, too many overflow to inf
         spans = (
             (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),
-            ("[weights] period_s", seconds, self.weights.period_s, True),
+            (file_key["period_s"], seconds, weights.period_s, True),
             (file_key["peripheral_period_s"], seconds, self.peripheral_period_s, True),
             (f"{file_key['packet_bytes']}, {file_key['target_rate_kbps']} and "
              f"{file_key['owc_phy_rate_kbps']} give an optical packet spacing that", millis,
@@ -199,9 +194,6 @@ class Scenario:
                 raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"{file_key['optimizer']} must be one of {OPTIMIZERS}")
-        for name in ("etno_sleep_threshold", "etno_conservation_threshold"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ScenarioError(f"{file_key[name]} must be in [0, 1]")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:
             raise ScenarioError(f"{file_key['etno_sleep_threshold']} must be below "
                                 f"{file_key['etno_conservation_threshold']}")
@@ -218,6 +210,29 @@ class Scenario:
     def to_dict(self) -> dict:
         return asdict(self)
 
+
+# Each numeric field's range, Scenario and UtilityWeights fields alike:
+# field -> (low, high, low allowed, high allowed). A field not listed may take
+# any finite value.
+_RANGES = {
+    **dict.fromkeys((
+        "duration_s", "node_count", "distance_m", "packet_bytes", "target_rate_kbps",
+        "conservation_rate_kbps", "poll_slot_s", "battery_capacity_j", "supply_voltage",
+        "peripheral_period_s", "mtu_bytes", "bandwidth_hz", "owc_phy_rate_kbps",
+        "tx_optical_power_w", "pd_area_m2", "responsivity_a_w", "concentrator_gain",
+        "sigmoid_k", "period_s"), (0, math.inf, False, False)),
+    **dict.fromkeys(("init_delay_s", "harvest_mw", "snr_jitter_db", *(
+        f.name for f in fields(Scenario) if f.name.endswith(("_current_ma", "_duration_ms")))),
+        (0, math.inf, True, False)),
+    **dict.fromkeys(("interaction_probability", "etno_sleep_threshold",
+                     "etno_conservation_threshold"), (0, 1, True, True)),
+    "initial_fraction": (0, 1, False, True),
+    "ewma_lambda": (0, 1, False, True),
+    "f_c": (0, 1, True, False),
+    "incidence_angle_deg": (0, 90, True, True),
+    "led_semi_angle_deg": (0, 90, False, False),
+    "pd_fov_deg": (0, 90, False, True),
+}
 
 def _parse_bool(raw: str) -> bool:
     value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
@@ -274,9 +289,10 @@ def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
 
 
 _SCHEMA = _build_schema()
-# Each Scenario field's key as a file spells it, which its load errors name.
+# Each Scenario and UtilityWeights field's key as a file spells it, which its
+# load errors name; no field name is in both.
 _FILE_KEYS = {name: f"[{section}] {key}" for section, keys in _SCHEMA.items()
-              if section != "weights" for key, (name, _) in keys.items()}
+              for key, (name, _) in keys.items()}
 
 
 def load_scenario(path: str | Path) -> Scenario:

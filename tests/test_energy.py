@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Action, Mode, Modality
-from hybridsim.energy import (EnergyBuffer, HarvestProfile, phase_energy,
+from hybridsim.energy import (EnergyBuffer, energy_between, phase_energy,
                               predict_action_energy)
 from hybridsim.kernel import EventKind
 from hybridsim.runner import build_link_plans
-from hybridsim.scenario import Scenario
+from hybridsim.scenario import Scenario, ScenarioError
 from hybridsim.validation import (CalibrationError, default_calibration_path,
                                   load_calibration)
 
@@ -85,28 +85,26 @@ class TestEnergyBuffer:
 class TestHarvest:
     def test_constant_profile_integral(self):
         buf = EnergyBuffer(capacity_j=8.0, initial_j=0.0)
-        profile = HarvestProfile(segments=((0.0, 0.010),))
-        added, _ = buf.harvest(profile.energy_between(0.0, 100.0))
+        added, _ = buf.harvest(energy_between(((0.0, 0.010),), 0.0, 100.0))
         assert added == pytest.approx(1.0)
 
     def test_full_buffer_adds_nothing(self):
         buf = EnergyBuffer(capacity_j=8.0)
-        profile = HarvestProfile(segments=((0.0, 0.010),))
-        added, _ = buf.harvest(profile.energy_between(0.0, 10.0))
+        added, _ = buf.harvest(energy_between(((0.0, 0.010),), 0.0, 10.0))
         assert added == 0.0
 
     def test_piecewise_segments(self):
-        profile = HarvestProfile(segments=((0.0, 0.010), (50.0, 0.002)))
-        assert profile.energy_between(0.0, 100.0) == pytest.approx(0.5 + 0.1)
+        profile = ((0.0, 0.010), (50.0, 0.002))
+        assert energy_between(profile, 0.0, 100.0) == pytest.approx(0.5 + 0.1)
         # A segment applies from its start on.
-        assert profile.energy_between(49.0, 50.0) == 0.010
-        assert profile.energy_between(50.0, 51.0) == 0.002
+        assert energy_between(profile, 49.0, 50.0) == 0.010
+        assert energy_between(profile, 50.0, 51.0) == 0.002
 
     def test_pieces_add_left_to_right(self):
         # 0.0001 + 0.0006 + 0.0009 in that order, the same double on every
         # Python version; a compensated `sum()` (3.12 on) gives 0.0016.
-        profile = HarvestProfile(((0.0, 0.001), (0.1, 0.001), (0.7, 0.003)))
-        assert profile.energy_between(0.0, 1.0) == 0.0016000000000000003
+        profile = ((0.0, 0.001), (0.1, 0.001), (0.7, 0.003))
+        assert energy_between(profile, 0.0, 1.0) == 0.0016000000000000003
 
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.25]) | st.floats(-5.0, 5.0),
                               st.sampled_from([0.0, 0.001, 0.003]) | st.floats(0.0, 0.05)),
@@ -129,15 +127,15 @@ class TestHarvest:
             edges = [t0] + [s for s, _ in segments if t0 < s < t1] + [t1]
             for a, b in zip(edges, edges[1:]):
                 expected += power_at(a) * (b - a)
-        assert HarvestProfile(tuple(segments)).energy_between(t0, t1) == expected
+        assert energy_between(tuple(segments), t0, t1) == expected
 
     def test_unsorted_segments_rejected(self):
-        with pytest.raises(ValueError):
-            HarvestProfile(segments=((10.0, 0.01), (0.0, 0.02)))
+        with pytest.raises(ScenarioError, match=r"\[energy\] harvest_profile"):
+            Scenario(harvest_profile=((10.0, 0.01), (0.0, 0.02)))
 
     def test_non_finite_segments_rejected(self):
-        with pytest.raises(ValueError):
-            HarvestProfile(segments=((0.0, float("nan")),))
+        with pytest.raises(ScenarioError, match=r"\[energy\] harvest_profile"):
+            Scenario(harvest_profile=((0.0, float("nan")),))
 
 
 class TestPhaseEnergy:

@@ -13,6 +13,7 @@ from hybridsim.optimizer import (EunoTable, UtilityWeights, _matched_reward,
                                  energy_utility, energy_weight, etno_select,
                                  euno_select, ewma_update, mobility_probability,
                                  screen_utility)
+from hybridsim.scenario import Scenario, ScenarioError
 
 W = UtilityWeights()
 P_OWC = Action(Mode.PERFORMANCE, Modality.OWC)
@@ -320,17 +321,14 @@ class TestEtnoSelect:
 
 class TestWeightValidation:
     def test_static_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError) as err:
-            UtilityWeights(p_m=0.5, p_s=0.3, p_l=0.3)
-        assert "sum to 1" in str(err.value)
+        with pytest.raises(ScenarioError) as err:
+            Scenario(weights=UtilityWeights(p_m=0.5, p_s=0.3, p_l=0.3))
+        assert "[weights] p_m" in str(err.value) and "sum to 1" in str(err.value)
 
     def test_lambda_and_slope_domains(self):
-        with pytest.raises(ValueError):
-            UtilityWeights(ewma_lambda=0.0)
-        with pytest.raises(ValueError):
-            UtilityWeights(sigmoid_k=0.0)
-        with pytest.raises(ValueError):
-            UtilityWeights(f_c=1.0)
+        for key, value in (("ewma_lambda", 0.0), ("sigmoid_k", 0.0), ("f_c", 1.0)):
+            with pytest.raises(ScenarioError, match=rf"\[weights\] {key} "):
+                Scenario(weights=UtilityWeights(**{key: value}))
 
 
 def test_action_set_enumeration_is_fixed_size():

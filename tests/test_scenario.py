@@ -15,6 +15,7 @@ from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
 from hybridsim.scenario import (_SCHEMA, MAX_NODES, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
+from hybridsim.validation import default_calibration_path, load_calibration
 
 MINIMAL = """
 [scenario]
@@ -59,6 +60,33 @@ class TestPresets:
     def test_unknown_preset_name(self):
         with pytest.raises(ScenarioError):
             preset_path("paper_fig99")
+
+
+# The measured rows that Scenario's current and duration defaults copy: the
+# very-low-power duty cycle's deep sleep and wake-up, and otherwise the normal
+# profile at 0 dBm and a 45 ms connection interval. `idle_current_ma`,
+# `owc_tx_current_ma` and `localize_*` have no row.
+_CALIBRATED_DEFAULTS = {
+    "sleep": ("node", "deep_sleep", "very_low_power"),
+    "wake": ("node", "wakeup", "very_low_power"),
+    "ble_tx": ("ble", "uplink_tx", "normal"),
+    "poll_command": ("ble", "downlink_rx", "normal"),
+    "advertising": ("ble", "adv_interval_0dbm", "normal"),
+    "sense": ("node", "cycle_sens_45ms_0dbm", "normal"),
+    "eink": ("node", "cycle_eink_45ms_0dbm", "normal"),
+}
+
+
+def test_calibrated_defaults_match_their_table_rows():
+    table, default = load_calibration(default_calibration_path()), Scenario()
+    durations = 0
+    for prefix, row in _CALIBRATED_DEFAULTS.items():
+        current_ma, duration_ms = table[row]
+        assert getattr(default, f"{prefix}_current_ma") == current_ma, row
+        if hasattr(default, f"{prefix}_duration_ms"):
+            assert getattr(default, f"{prefix}_duration_ms") == duration_ms, row
+            durations += 1
+    assert durations == 4
 
 
 class TestParsing:
@@ -131,6 +159,8 @@ class TestDerivedSchema:
         assert tuple(weights) == tuple(f.name for f in fields(UtilityWeights))
         assert all(key == name for key, (name, _) in weights.items())
         assert len(weights) == 17
+        # Load errors find a key by field name, in one map for both types.
+        assert not set(weights) & {f.name for f in fields(Scenario)}
 
     def test_default_valued_key_loads_the_default_scenario(self, tmp_path):
         default = Scenario()
@@ -222,7 +252,7 @@ _WEIGHTS_OUT_OF_RANGE = {
 @st.composite
 def invalid_configs(draw) -> tuple[str, str]:
     """A one-key .cfg that sets one schema key out of range or non-finite,
-    and that key."""
+    and that key as the file spells it, `[section] key`."""
     keys = [(section, key, name) for section, entries in _SCHEMA.items()
             for key, (name, _) in entries.items()]
     section, key, name = draw(st.sampled_from(keys))
@@ -230,7 +260,7 @@ def invalid_configs(draw) -> tuple[str, str]:
     values = st.sampled_from(["nan", "inf", "-inf"])
     if name in ranges:
         values |= ranges[name].map(repr)
-    return f"[{section}]\n{key} = {draw(values)}\n", key
+    return f"[{section}]\n{key} = {draw(values)}\n", f"[{section}] {key}"
 
 
 class TestInvalidConfigs:
@@ -282,6 +312,14 @@ class TestInvalidConfigs:
               ("peripherals", "eink_duration_ms = 1e303", "overflow"),
               ("peripherals", "localize_duration_ms = 1e303", "overflow"),
               ("radio", "conn_interval_ms = 1e303", "overflow"),
+              ("weights", "p_m = 0.5", "sum"),
+              ("weights", "p_s = 0.5", "sum"),
+              ("weights", "p_l = 0.5", "sum"),
+              ("weights", "f_c = 1", "range"),
+              ("weights", "ewma_lambda = 0", "range"),
+              ("weights", "sigmoid_k = 0", "range"),
+              ("energy", "harvest_profile = 0:nan", "nan"),
+              ("energy", "harvest_profile = 0:-1", "negative"),
           )),
     ])
     def test_error_names_the_key_as_the_file_spells_it(self, tmp_path, section, line):
@@ -316,7 +354,7 @@ def test_every_scenario_that_loads_runs(tmp_path, sleep):
                 try:
                     scenario = load_scenario(path)
                 except ScenarioError as err:
-                    if key not in str(err):
+                    if f"[{section}] {key}" not in str(err):
                         failures.append((section, key, value, str(err)))
                     continue
                 if name in _TICK_PERIODS and float(value) < 1e-3:
@@ -367,13 +405,6 @@ def _key_pairs(count: int) -> list[tuple[tuple, tuple, str]]:
              rng.choice(("true", "false"))) for _ in range(count)]
 
 
-def _names_key(message: str, section: str, key: str) -> bool:
-    """Whether a load error names `[section] key`, or lists the key among the
-    keys that follow its section (`[weights] static weights p_m, p_s and p_l`)."""
-    named = message.partition(f"[{section}] ")[2].partition(":")[0]
-    return key in named.replace(",", " ").split()
-
-
 def test_every_key_pair_that_loads_runs(tmp_path):
     """A budget or a spacing can overflow only in combination (rate times
     size, distance times power), so 400 fixed key pairs each either fail at
@@ -390,7 +421,7 @@ def test_every_key_pair_that_loads_runs(tmp_path):
         try:
             scenario = load_scenario(path)
         except ScenarioError as err:
-            if not any(_names_key(str(err), section, key) for section, key, _, _ in pair):
+            if not any(f"[{section}] {key}" in str(err) for section, key, _, _ in pair):
                 failures.append((pair, str(err)))
             continue
         if any(name in _TICK_PERIODS and float(value) < 1e-3 for _, _, name, value in pair):
