@@ -13,11 +13,10 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .actions import Action, Mode, Modality
+from .actions import ActionPlan, Mode
 from .kernel import NS_PER_MS, EventKind, millis
 
 if TYPE_CHECKING:
-    from .node import LinkPlan
     from .scenario import Scenario
 
 
@@ -125,9 +124,8 @@ def peripheral_cycle_j(scenario: Scenario) -> float:
     return max(0.0, per_cycle)
 
 
-def predict_action_energy(scenario: Scenario, links: dict[Modality, LinkPlan],
-                          action: Action, horizon_s: float) -> float:
-    """Predicted energy in joules of executing `action` for `horizon_s`.
+def predict_action_energy(scenario: Scenario, plan: ActionPlan, horizon_s: float) -> float:
+    """Predicted energy in joules of executing `plan`'s action for `horizon_s`.
 
     The estimate assumes the node streams for the whole horizon at the
     action's deliverable rate: interface residency plus transmission bursts,
@@ -136,12 +134,11 @@ def predict_action_energy(scenario: Scenario, links: dict[Modality, LinkPlan],
     other, so a common basis matters more than schedule-exact accounting.
     """
     v = scenario.supply_voltage
-    if action.mode is Mode.SLEEP:
+    if plan.mode is Mode.SLEEP:
         return phase_energy(scenario.sleep_current_ma, horizon_s * 1e3, v)
-    plan = links[action.modality]
-    duty = min(1.0, plan.airtime_ns / plan.interval_ns[action.mode])
+    duty = min(1.0, plan.airtime_ns / plan.interval_ns)
     stream_ma = duty * plan.tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
     energy = phase_energy(stream_ma, horizon_s * 1e3, v)
-    if action.mode is Mode.PERFORMANCE:
+    if plan.mode is Mode.PERFORMANCE:
         energy += peripheral_cycle_j(scenario) * (horizon_s / scenario.peripheral_period_s)
     return energy

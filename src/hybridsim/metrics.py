@@ -20,11 +20,12 @@ from .linklayer import InterfaceState
 
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
-# A row's label columns, ",mode,modality,OWC|BLE", per node state, built once:
-# every sample in one state shares the string.
+# A row's label columns, ",mode,modality,OWC|BLE", per action and interface
+# state, built once: every sample in one state shares the string.
 TRACE_TAILS = {
-    (mode, modality, state): f",{mode.value},{modality.value},{state.value}"
-    for mode in Mode for modality in Modality for state in InterfaceState}
+    (mode, modality): {state: f",{mode.value},{modality.value},{state.value}"
+                       for state in InterfaceState}
+    for mode in Mode for modality in Modality}
 # `%.9g` renders a float exactly as `format(value, ".9g")` does; the time and
 # harvested_J columns come formatted, the label tail with its leading comma.
 _ROW_FORMAT = "%s,%.9g,%.9g,%s%s"

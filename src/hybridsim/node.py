@@ -10,13 +10,11 @@ it changes the phase, so a phase change is a plain assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .actions import Action, Mode, Modality
+from .actions import Action, ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, duty_cycle, phase_energy
 from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC
 from .linklayer import InterfaceState, fsm_dispatch
-from .metrics import TRACE_TAILS, NodeMetrics
+from .metrics import NodeMetrics
 from .scenario import Scenario
 
 
@@ -52,24 +50,14 @@ def fitting_bursts(remaining: float, floor: float, step: float, bursts: int) -> 
     return n
 
 
-@dataclass(frozen=True)
-class LinkPlan:
-    """Precomputed per-modality transmission shape for this scenario."""
-
-    airtime_ns: int
-    interval_ns: dict[Mode, int]
-    tx_current_ma: float
-    success_prob: float
-    snr_db: float
-
-
 class SimNode:
-    def __init__(self, name: str, scenario: Scenario, links: dict[Modality, LinkPlan],
+    def __init__(self, name: str, scenario: Scenario,
+                 plans: dict[tuple[Mode, Modality], ActionPlan],
                  buffer: EnergyBuffer, engine: Engine, metrics: NodeMetrics,
                  rng_stream, initial_modality: Modality):
         self.name = name
         self.scenario = scenario
-        self.links = links
+        self.plans = plans
         self.buffer = buffer
         self.engine = engine
         self.metrics = metrics
@@ -79,8 +67,8 @@ class SimNode:
         self._poll_command_j = phase_energy(scenario.poll_command_current_ma,
                                             scenario.poll_command_duration_ms,
                                             scenario.supply_voltage)
-        self.mode = Mode.PERFORMANCE
-        self.modality = initial_modality
+        # The row of the node's action: its mode, modality and stream shape.
+        self.plan = plans[Mode.PERFORMANCE, initial_modality]
         self.interfaces = InterfaceState.IDLE
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
@@ -132,7 +120,7 @@ class SimNode:
         the node. `tick_nodes` appends the same two entries inline."""
         buffer, metrics = self.buffer, self.metrics
         metrics.values.extend((buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
-        metrics.tails.append(TRACE_TAILS[self.mode, self.modality, self.interfaces])
+        metrics.tails.append(self.plan.tails[self.interfaces])
 
     # -- battery edges ------------------------------------------------------
 
@@ -142,9 +130,9 @@ class SimNode:
             started = self._tx_started_ns
             self.metrics.tx_intervals.append((started, 0, now - started, 1))
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.BATTERY_LOW)
-        if self.mode is not Mode.SLEEP:
+        if self.plan.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
-        self.mode = Mode.SLEEP
+        self.plan = self.plans[Mode.SLEEP, self.plan.modality]
         self._epoch += 1
         self._close_eligible(now)
         self._phase_ma = self.scenario.sleep_current_ma
@@ -154,7 +142,7 @@ class SimNode:
     # -- transmit-eligible accounting ----------------------------------------
 
     def _open_eligible(self, now: SimTime) -> None:
-        if self._eligible_since is None and self.in_slot and self.mode is not Mode.SLEEP:
+        if self._eligible_since is None and self.in_slot and self.plan.mode is not Mode.SLEEP:
             self._eligible_since = now
 
     def _close_eligible(self, now: SimTime) -> None:
@@ -167,7 +155,7 @@ class SimNode:
     def park(self) -> None:
         """Rest outside a slot or a burst: sleep if the mode or the scenario
         asks for it, else wake and idle."""
-        if self.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
+        if self.plan.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
             self.interfaces = fsm_dispatch(self.interfaces, EventKind.SLEEP_SIGNAL)
             self._phase_ma = self.scenario.sleep_current_ma
         else:
@@ -181,7 +169,7 @@ class SimNode:
         self.in_slot = True
         self.slot_end_ns = slot_end
         self._epoch += 1
-        if self.mode is Mode.SLEEP:
+        if self.plan.mode is Mode.SLEEP:
             return  # stays parked; battery-charged may still revive it mid-slot
         edge = self.buffer.consume(self._poll_command_j)
         if edge is EventKind.BATTERY_LOW:
@@ -198,7 +186,7 @@ class SimNode:
         else:
             self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
             cycle = self._duty_cycle
-            self._run_chain(now, cycle if self.mode is Mode.PERFORMANCE else cycle[:1])
+            self._run_chain(now, cycle if self.plan.mode is Mode.PERFORMANCE else cycle[:1])
 
     def exit_slot(self, now: SimTime) -> None:
         self.sync(now)
@@ -243,7 +231,7 @@ class SimNode:
         (only meaningful without inter-transmission sleep)."""
         self.sync(now)
         if (not self.awake or self.in_slot or self.tx_in_flight
-                or self.mode is not Mode.PERFORMANCE):
+                or self.plan.mode is not Mode.PERFORMANCE):
             return
         self._run_chain(now, self._duty_cycle[1:])
 
@@ -256,7 +244,7 @@ class SimNode:
         self._phase_ma = self.scenario.idle_current_ma
         # The first packet is ready once a full generation period has
         # accumulated; sending at the stream start would overshoot the rate.
-        ready_at = now + self.links[self.modality].interval_ns[self.mode]
+        ready_at = now + self.plan.interval_ns
         self._pending_packet = self.engine.schedule_at(
             ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._epoch)
 
@@ -275,17 +263,16 @@ class SimNode:
         self.sync(now)
         if epoch != self._epoch:
             return  # stale: see `_epoch`
-        link = self.links[self.modality]
-        airtime, interval = link.airtime_ns, link.interval_ns[self.mode]
-        now = self._run_stretch(now, link, interval)
-        if now + airtime > self.slot_end_ns:
+        plan = self.plan
+        now = self._run_stretch(now, plan)
+        if now + plan.airtime_ns > self.slot_end_ns:
             return  # too little slot is left
         self.transmit_packet(now)
-        self.engine.schedule_at(now + airtime, self.name, EventKind.TRANSMIT_END)
+        self.engine.schedule_at(now + plan.airtime_ns, self.name, EventKind.TRANSMIT_END)
         self._pending_packet = self.engine.schedule_at(
-            now + interval, self.name, EventKind.APP_PACKET_READY, payload=epoch)
+            now + plan.interval_ns, self.name, EventKind.APP_PACKET_READY, payload=epoch)
 
-    def _run_stretch(self, now: SimTime, link: LinkPlan, interval: SimTime) -> SimTime:
+    def _run_stretch(self, now: SimTime, plan: ActionPlan) -> SimTime:
         """Run the bursts from `now` on that fit in the slot, whose end and
         next packet-ready fall before the horizon, and whose burst and idle
         gap draw no battery edge, and through each world tick that
@@ -305,14 +292,14 @@ class SimNode:
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
-        airtime = link.airtime_ns
+        airtime, interval = plan.airtime_ns, plan.interval_ns
         fits = self.slot_end_ns - airtime
-        burst_j = self._joules(link.tx_current_ma, airtime)
+        burst_j = self._joules(plan.tx_current_ma, airtime)
         step = burst_j + self._joules(self.scenario.idle_current_ma, interval - airtime)
         engine, buffer, log = self.engine, self.buffer, self.metrics.tx_intervals
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
-        success = link.success_prob
+        success = plan.success_prob
         sent = delivered = 0
         while True:
             tick, after = engine.head()
@@ -345,7 +332,7 @@ class SimNode:
             engine.dispatch_head()
             remaining, consumed = buffer.remaining_j, buffer.consumed_j
             if at < end:  # the rest of the burst
-                rest_j = self._joules(link.tx_current_ma, end - at)
+                rest_j = self._joules(plan.tx_current_ma, end - at)
                 remaining, consumed = remaining - rest_j, consumed + rest_j
                 self.interfaces = InterfaceState.IDLE
                 self._phase_ma, self._phase_since = self.scenario.idle_current_ma, end
@@ -387,12 +374,13 @@ class SimNode:
         """Drive one burst through the interface FSM and start its draw;
         success is drawn against the link's packet success probability when
         the burst ends. Only IDLE interfaces may start one."""
+        plan = self.plan
         if self.interfaces is not InterfaceState.IDLE:
             raise ProtocolViolation(
-                f"{self.name}: {self.modality.value} TX from {self.interfaces.value}")
-        self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_START, self.modality)
+                f"{self.name}: {plan.modality.value} TX from {self.interfaces.value}")
+        self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_START, plan.modality)
         self._tx_started_ns = now
-        self._phase_ma = self.links[self.modality].tx_current_ma
+        self._phase_ma = plan.tx_current_ma
 
     def on_transmit_end(self, now: SimTime) -> None:
         self.sync(now)
@@ -400,15 +388,15 @@ class SimNode:
             return  # a battery-low edge already lost the burst
         started = self._tx_started_ns
         self.metrics.tx_intervals.append((started, 0, now - started, 1))
-        link = self.links[_TX_MODALITY[self.interfaces]]
+        sent_on = self.plans[self.plan.mode, _TX_MODALITY[self.interfaces]]
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
-        if self.rng.uniform() < link.success_prob:
+        if self.rng.uniform() < sent_on.success_prob:
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1
         # Settle into whatever the node should be doing now. In the slot and
         # awake, a stale packet-ready means a stream started mid-burst.
-        if not self.in_slot or self.mode is Mode.SLEEP:
+        if not self.in_slot or self.plan.mode is Mode.SLEEP:
             self.park()
         elif self._pending_packet.payload != self._epoch:
             self._start_streaming(now)
@@ -418,23 +406,24 @@ class SimNode:
     # -- reconfiguration -----------------------------------------------------
 
     def apply_action(self, action: Action, now: SimTime) -> None:
+        """Take `action`'s row; a sleep action keeps the node's modality."""
         self.sync(now)
-        mode_changed = action.mode is not self.mode
-        modality_changed = (action.modality is not self.modality
-                            and action.mode is not Mode.SLEEP)
-        if not mode_changed and not modality_changed:
+        plan = self.plan
+        if action.mode is plan.mode and (action.modality is plan.modality
+                                         or plan.mode is Mode.SLEEP):
             return
-        if action.mode is Mode.SLEEP and self.mode is not Mode.SLEEP:
+        if action.mode is Mode.SLEEP:
             self.metrics.sleep_entries += 1
-        if modality_changed:
-            self.metrics.modality_switches += 1
-            self.modality = action.modality
-        self.mode = action.mode
+            self.plan = self.plans[Mode.SLEEP, plan.modality]
+        else:
+            if action.modality is not plan.modality:
+                self.metrics.modality_switches += 1
+            self.plan = self.plans[action.mode, action.modality]
         self._reconcile(now)
 
     def _reconcile(self, now: SimTime) -> None:
         self._epoch += 1
-        if self.in_slot and self.mode is not Mode.SLEEP:
+        if self.in_slot and self.plan.mode is not Mode.SLEEP:
             self._resume_slot(now)
             return
         self._close_eligible(now)
@@ -489,7 +478,7 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
             buffer.harvested_j += harvest_j
             metrics = node.metrics
             metrics.values.extend((filled, buffer.consumed_j, buffer.harvested_j))
-            metrics.tails.append(TRACE_TAILS[node.mode, node.modality, node.interfaces])
+            metrics.tails.append(node.plan.tails[node.interfaces])
         else:
             node.sync(now)
             if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import Action, Mode, Modality, enumerate_actions
+from .actions import Action, ActionPlan, Mode, Modality, enumerate_actions
 
 _MODE_RANK = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
 
@@ -100,20 +100,21 @@ class EunoTable:
 
     @classmethod
     def build(cls, weights: UtilityWeights, e_max_j: float, p_int: float,
-              predicted_j: dict[Action, float],
-              rates_kbps: dict[Action, float]) -> EunoTable:
-        """`predicted_j` and `rates_kbps` must hold all six distinct actions."""
+              plans: dict[tuple[Mode, Modality], ActionPlan]) -> EunoTable:
+        """Score the predicted joules and deliverable rate of `plans`' rows,
+        which must hold all six distinct actions."""
         w = weights
         rows = {}
         for current in Modality:
             actions = enumerate_actions(current)
+            rows_of = [plans[a.mode, a.modality] for a in actions]
             # Throughput and energy efficiency are normalized over the action set.
-            max_rate = max(rates_kbps[a] for a in actions)
-            max_energy = max(predicted_j[a] for a in actions)
+            max_rate = max(plan.rate_kbps for plan in rows_of)
+            max_energy = max(plan.predicted_j for plan in rows_of)
             scored = []
-            for a in actions:
-                energy = predicted_j[a]
-                x_t = rates_kbps[a] / max_rate if max_rate > 0 else 0.0
+            for a, plan in zip(actions, rows_of):
+                energy = plan.predicted_j
+                x_t = plan.rate_kbps / max_rate if max_rate > 0 else 0.0
                 x_e = 1.0 - energy / max_energy if max_energy > 0 else 0.0
                 keeps = a.modality is current
                 scored.append((

@@ -1,6 +1,6 @@
 """Scenario wiring and the run/sweep entry points.
 
-A run derives per-modality link plans from the channel models at the
+A run derives one table of action rows from the channel models at the
 scenario's one distance and incidence angle, and drives the polling MAC, the
 per-node reconfiguration policy, harvesting, and 1 Hz trace sampling through
 the event kernel.
@@ -11,52 +11,52 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import channel
-from .actions import Mode, Modality, enumerate_actions
+from .actions import ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, energy_between, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
 from .linklayer import ble_airtime
-from .metrics import MetricsRecord, NodeMetrics
-from .node import CHAIN_STEPS, LinkPlan, SimNode, tick_nodes
+from .metrics import TRACE_TAILS, MetricsRecord, NodeMetrics
+from .node import CHAIN_STEPS, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .scenario import OPTIMIZERS, Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
 
 
-def build_link_plans(scenario: Scenario) -> dict[Modality, LinkPlan]:
-    """Static per-modality link budget and transmission shape. Every node
-    sits at the scenario's distance and incidence angle, so one plan per
-    modality serves them all."""
+def build_link_plans(scenario: Scenario) -> dict[tuple[Mode, Modality], ActionPlan]:
+    """The run's table: one row per `(mode, modality)` action. Every node
+    sits at the scenario's distance and incidence angle, so one table
+    serves them all. A row's predicted joules cover one policy period."""
     bits = scenario.packet_bytes * 8
-    ble_snr, ble_ber = channel.ble_link(scenario)
-    owc_snr, owc_ber = channel.owc_link(scenario)
     ble_airtime_ms = ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
                                  scenario.mtu_bytes)
     owc_airtime_ms = bits / scenario.owc_phy_rate_kbps
-
-    def plan(airtime_ms: float, min_spacing_ms: float, tx_current_ma: float,
-             snr: float, ber: float) -> LinkPlan:
-        interval_ns = {}
-        for mode, rate in ((Mode.PERFORMANCE, scenario.target_rate_kbps),
-                           (Mode.CONSERVATION, scenario.conservation_rate_kbps)):
-            gen_ms = bits / rate
-            interval_ns[mode] = millis(max(gen_ms, min_spacing_ms))
-        return LinkPlan(
-            airtime_ns=millis(airtime_ms),
-            interval_ns=interval_ns,
-            tx_current_ma=tx_current_ma,
-            success_prob=channel.packet_success(ber, bits),
-            snr_db=snr,
-        )
-
-    return {
-        Modality.OWC: plan(owc_airtime_ms, owc_airtime_ms, scenario.owc_tx_current_ma,
-                           owc_snr, owc_ber),
+    links = (
+        (Modality.OWC, owc_airtime_ms, owc_airtime_ms, scenario.owc_tx_current_ma,
+         channel.owc_link(scenario)),
         # The radio moves one application packet per connection event, so
         # packet spacing can never drop below the connection interval.
-        Modality.BLE: plan(ble_airtime_ms, max(scenario.conn_interval_ms, ble_airtime_ms),
-                           scenario.ble_tx_current_ma, ble_snr, ble_ber),
-    }
+        (Modality.BLE, ble_airtime_ms, max(scenario.conn_interval_ms, ble_airtime_ms),
+         scenario.ble_tx_current_ma, channel.ble_link(scenario)),
+    )
+    plans = {}
+    for modality, airtime_ms, min_spacing_ms, tx_current_ma, (snr, ber) in links:
+        success_prob = channel.packet_success(ber, bits)
+        for mode, rate in ((Mode.PERFORMANCE, scenario.target_rate_kbps),
+                           (Mode.CONSERVATION, scenario.conservation_rate_kbps),
+                           (Mode.SLEEP, None)):
+            interval_ns = 0 if rate is None else millis(max(bits / rate, min_spacing_ms))
+            columns = (mode, modality, millis(airtime_ms), interval_ns, tx_current_ma,
+                       success_prob, snr, bits / (interval_ns / 1e6) if interval_ns else 0.0,
+                       TRACE_TAILS[mode, modality])
+            plans[mode, modality] = ActionPlan(*columns, predict_action_energy(
+                scenario, ActionPlan(*columns), scenario.weights.period_s))
+    return plans
+
+
+def _best_snr(snr: dict[Modality, float]) -> Modality:
+    """The modality with the highest SNR; a tie goes to the optical link."""
+    return max(snr, key=lambda m: (snr[m], m is Modality.OWC))
 
 
 class _Controller:
@@ -66,23 +66,14 @@ class _Controller:
     def __init__(self, scenario: Scenario, engine: Engine):
         self.scenario = scenario
         self.engine = engine
-        self.links = build_link_plans(scenario)
-        # EUNO's inputs depend only on the scenario: one energy prediction and
-        # deliverable rate for each of the six distinct actions, scored once
-        # into the per-run table.
-        distinct = dict.fromkeys(a for m in Modality for a in enumerate_actions(m))
-        predicted_j = {a: predict_action_energy(scenario, self.links, a,
-                                                scenario.weights.period_s)
-                       for a in distinct}
-        bits = scenario.packet_bytes * 8
-        rates_kbps = {a: 0.0 if a.mode is Mode.SLEEP
-                      else bits / (self.links[a.modality].interval_ns[a.mode] / 1e6)
-                      for a in distinct}
+        self.plans = build_link_plans(scenario)
+        # EUNO's terms depend only on the rows, so they are scored once.
         self.euno = EunoTable.build(scenario.weights, scenario.battery_capacity_j,
-                                    scenario.interaction_probability,
-                                    predicted_j, rates_kbps)
-        best = max(self.links, key=lambda m: (self.links[m].snr_db,
-                                              m is Modality.OWC))
+                                    scenario.interaction_probability, self.plans)
+        # The two links' rows, in the order their SNR jitter is drawn.
+        self.link_rows = (self.plans[Mode.PERFORMANCE, Modality.OWC],
+                          self.plans[Mode.PERFORMANCE, Modality.BLE])
+        best = _best_snr({link.modality: link.snr_db for link in self.link_rows})
         self.harvest_segments = scenario.harvest_segments()
         self.total_ns = seconds(scenario.total_duration_s)
         self.nodes: list[SimNode] = []
@@ -93,7 +84,7 @@ class _Controller:
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
                 critical_fraction=scenario.weights.f_c,
             )
-            node = SimNode(name, scenario, self.links, buffer, engine, NodeMetrics(name=name),
+            node = SimNode(name, scenario, self.plans, buffer, engine, NodeMetrics(name=name),
                            RngStream(scenario.seed, i + 1), best)
             node.evaluate_cb = self.evaluate
             engine.register(name, node.handle)
@@ -110,30 +101,29 @@ class _Controller:
         scenario = self.scenario
         weights = scenario.weights
         node.sync(now)
-        jitter = scenario.snr_jitter_db
+        jitter, current = scenario.snr_jitter_db, node.plan.modality
         snr = {}
-        for modality in (Modality.OWC, Modality.BLE):
-            value = self.links[modality].snr_db
+        for link in self.link_rows:
+            value = link.snr_db
             if jitter > 0:
                 value += node.rng.normal(0.0, jitter)
-            snr[modality] = value
-        sample = snr[node.modality]
+            snr[link.modality] = value
+        sample = snr[current]
         if node.ewma_baseline_db is None:
             node.ewma_baseline_db = sample
         else:
             node.ewma_baseline_db = ewma_update(node.ewma_baseline_db, sample,
                                                 weights.ewma_lambda)
         if scenario.optimizer == "euno":
-            action = euno_select(self.euno, node.buffer.fraction, node.modality,
+            action = euno_select(self.euno, node.buffer.fraction, current,
                                  node.ewma_baseline_db, sample)
         else:
-            best_snr = max(snr, key=lambda m: (snr[m], m is Modality.OWC))
             action = etno_select(
                 node.buffer.fraction,
                 scenario.etno_sleep_threshold,
                 scenario.etno_conservation_threshold,
-                node.modality,
-                best_snr,
+                current,
+                _best_snr(snr),
                 owc_only=(scenario.optimizer == "etno-owc"),
             )
         node.apply_action(action, now)

@@ -168,9 +168,10 @@ class Scenario:
                                 f"{file_key['target_rate_kbps']}")
         # Every span the run converts to integer nanoseconds must convert, and a
         # tick or packet spacing of 0 ns would requeue itself at once for ever.
-        # The optical link at the target rate has the shortest packet spacing
-        # of any link plan (`runner.build_link_plans`), the conservation rate
-        # the longest; the radio's is at least one connection interval.
+        # Of the action rows (`runner.build_link_plans`), performance on the
+        # optical link has the shortest packet spacing and the conservation
+        # rate the longest; the radio's is at least one connection interval,
+        # and a sleep row has none.
         bits = self.packet_bytes * 8.0  # as a float, too many overflow to inf
         spans = (
             (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),

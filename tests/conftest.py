@@ -4,8 +4,17 @@ from enum import Enum
 
 import pytest
 
-from hybridsim.actions import Action, Mode, Modality, enumerate_actions
+from hybridsim.actions import Action, ActionPlan, Mode, Modality, enumerate_actions
 from hybridsim.optimizer import EunoTable, UtilityWeights
+
+
+def action_rows(energies, rates):
+    """A table of `ActionPlan` rows keyed like `runner.build_link_plans`'
+    with the predicted joules and deliverable rate of each action in
+    `energies` and `rates`; `EunoTable.build` reads no other column."""
+    return {(a.mode, a.modality): ActionPlan(
+        a.mode, a.modality, airtime_ns=0, interval_ns=0, tx_current_ma=0.0, success_prob=0.0,
+        snr_db=0.0, rate_kbps=rates[a], tails={}, predicted_j=energies[a]) for a in energies}
 
 
 def _euno_call(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
@@ -24,7 +33,7 @@ def _euno_call(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
              **(rates or {})}
     snr = snr or {Modality.OWC: 70.0, Modality.BLE: 67.0}
     sample = snr[current] if sample is None else sample
-    table = EunoTable.build(weights, e_max_j, p_int, energies, rates)
+    table = EunoTable.build(weights, e_max_j, p_int, action_rows(energies, rates))
     return table, f_r, current, sample if baseline is None else baseline, sample
 
 

@@ -8,7 +8,7 @@ the table encodes (uplink burst 94/61 uJ, display refresh 2.13 mJ).
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridsim.actions import Action, Mode, Modality
+from hybridsim.actions import Mode, Modality
 from hybridsim.energy import (EnergyBuffer, energy_between, phase_energy,
                               predict_action_energy)
 from hybridsim.kernel import EventKind
@@ -213,15 +213,18 @@ class TestActionEnergyPrediction:
         return scenario, build_link_plans(scenario)
 
     def test_sleep_is_single_phase(self, cfg):
-        energy = predict_action_energy(*cfg, Action(Mode.SLEEP, Modality.OWC), 10.0)
+        scenario, plans = cfg
+        energy = predict_action_energy(scenario, plans[Mode.SLEEP, Modality.OWC], 10.0)
         assert energy == pytest.approx(0.344e-3 * 3.3 * 10.0, rel=1e-12)
 
     def test_performance_costs_more_than_conservation(self, cfg):
-        perf = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
-        cons = predict_action_energy(*cfg, Action(Mode.CONSERVATION, Modality.BLE), 10.0)
+        scenario, plans = cfg
+        perf = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
+        cons = predict_action_energy(scenario, plans[Mode.CONSERVATION, Modality.BLE], 10.0)
         assert perf > cons
 
     def test_optical_uplink_costs_more_than_radio(self, cfg):
-        owc = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.OWC), 10.0)
-        ble = predict_action_energy(*cfg, Action(Mode.PERFORMANCE, Modality.BLE), 10.0)
+        scenario, plans = cfg
+        owc = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.OWC], 10.0)
+        ble = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
         assert owc > ble

@@ -184,13 +184,13 @@ def test_a_live_chain_step_sees_the_slot_and_mode_its_chain_started_in(monkeypat
     run_chain, advance = SimNode._run_chain, SimNode._advance_chain
 
     def spy_run_chain(node, now, chain):
-        assert node.mode is not Mode.SLEEP
-        started[node] = (node.mode, node.in_slot)
+        assert node.plan.mode is not Mode.SLEEP
+        started[node] = (node.plan.mode, node.in_slot)
         calls["chains"] += 1
         run_chain(node, now, chain)
 
     def spy_advance(node, now):  # a chain's start, or the end of a live step
-        assert (node.mode, node.in_slot) == started[node], node.name
+        assert (node.plan.mode, node.in_slot) == started[node], node.name
         calls["steps"] += 1
         advance(node, now)
 

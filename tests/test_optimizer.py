@@ -14,6 +14,7 @@ from hybridsim.optimizer import (EunoTable, UtilityWeights, _matched_reward,
                                  euno_select, ewma_update, mobility_probability,
                                  screen_utility)
 from hybridsim.scenario import Scenario, ScenarioError
+from conftest import action_rows
 
 W = UtilityWeights()
 P_OWC = Action(Mode.PERFORMANCE, Modality.OWC)
@@ -260,7 +261,7 @@ class TestEunoSelect:
         # over it would change the scores.
         predicted_j = {**dict(zip(actions, energies)), outside: 9.0}
         rates_kbps = {**dict(zip(actions, rates)), outside: 500.0}
-        table = EunoTable.build(W, 8.0, p_int, predicted_j, rates_kbps)
+        table = EunoTable.build(W, 8.0, p_int, action_rows(predicted_j, rates_kbps))
         p_m = mobility_probability(baseline, sample, W.sigmoid_k, W.sigmoid_c_db)
         max_rate, max_energy = max(rates), max(energies)
 
@@ -292,7 +293,7 @@ class TestEunoSelect:
         predicted_j = {a: 0.1 for a in enumerate_actions(Modality.OWC)}
         rates_kbps = dict.fromkeys(predicted_j, 60.0)
         with pytest.raises(KeyError):  # lacks (sleep, ble)
-            EunoTable.build(W, 8.0, 0.5, predicted_j, rates_kbps)
+            EunoTable.build(W, 8.0, 0.5, action_rows(predicted_j, rates_kbps))
 
 
 class TestEtnoSelect:

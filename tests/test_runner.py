@@ -6,6 +6,10 @@ import inspect
 import itertools
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import hybridsim
 from hybridsim.actions import Action, Mode, Modality
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
@@ -21,7 +26,7 @@ from hybridsim.linklayer import InterfaceState
 from hybridsim import node as node_module
 from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMetrics,
                                TraceRow, write_traces)
-from hybridsim.node import ProtocolViolation, SimNode, fitting_bursts, tick_nodes
+from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_bursts, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -157,7 +162,7 @@ class TestTraces:
         # The first sample is at 0 s; the energy columns print as `.9g`.
         nm = NodeMetrics("node1")
         nm.values.extend((value,) * 3)
-        nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, InterfaceState.OFF])
+        nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE][InterfaceState.OFF])
         write_traces(MetricsRecord(config={}, seed=1, nodes={"node1": nm}), tmp_path)
         expected = ",".join(["0"] + [format(value, ".9g")] * 3 + ["sleep", "ble", "OFF|OFF"])
         assert (tmp_path / "trace_node1.csv").read_text().splitlines()[1] == expected
@@ -169,7 +174,7 @@ class TestTraces:
         for name, harvested in (("node1", 0.0), ("node2", -0.0)):
             nm = nodes[name] = NodeMetrics(name)
             nm.values.extend((1.0, 2.0, harvested))
-            nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE, InterfaceState.OFF])
+            nm.tails.append(TRACE_TAILS[Mode.SLEEP, Modality.BLE][InterfaceState.OFF])
         write_traces(MetricsRecord(config={}, seed=1, nodes=nodes), tmp_path)
         for name, text in (("node1", "0"), ("node2", "-0")):
             row = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1]
@@ -191,9 +196,10 @@ class TestTraces:
             for node in nodes:
                 b = node.buffer
                 expected.setdefault(node.name, []).append(TraceRow(
-                    t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.mode.value,
-                    node.modality.value, node.interfaces.value))
-                keys.setdefault(node.name, []).append((node.mode, node.modality, node.interfaces))
+                    t_s, b.remaining_j, b.consumed_j, b.harvested_j, node.plan.mode.value,
+                    node.plan.modality.value, node.interfaces.value))
+                keys.setdefault(node.name, []).append(
+                    (node.plan.mode, node.plan.modality, node.interfaces))
 
         start = _Controller.start
 
@@ -211,7 +217,8 @@ class TestTraces:
         for name, nm in record.nodes.items():
             assert type(nm.values) is array and nm.values.typecode == "d"
             assert len(nm.values) == 3 * len(nm.tails) > 0
-            assert all(tail is TRACE_TAILS[key] for tail, key in zip(nm.tails, keys[name]))
+            assert all(tail is TRACE_TAILS[mode, modality][state]
+                       for tail, (mode, modality, state) in zip(nm.tails, keys[name]))
             rows = nm.rows
             assert rows == expected[name]
             assert all(type(row) is TraceRow for row in rows)
@@ -246,9 +253,10 @@ class TestTraces:
     def test_lossy_links_bytes_pinned(self, tmp_path):
         # Every packet outcome depends on its draw, so the bytes pin where
         # each node's stream stands at every burst.
-        links = build_link_plans(load_scenario(LOSSY))
-        assert 0.0 < links[Modality.OWC].success_prob < 1.0
-        assert links[Modality.BLE].success_prob == 0.0
+        plans = build_link_plans(load_scenario(LOSSY))
+        for mode in Mode:
+            assert 0.0 < plans[mode, Modality.OWC].success_prob < 1.0
+            assert plans[mode, Modality.BLE].success_prob == 0.0
         _assert_pinned(LOSSY, tmp_path)
 
     @pytest.mark.parametrize("owc,ble", [interface_halves(s) for s in InterfaceState])
@@ -274,20 +282,20 @@ def _assert_pinned(config: Path, out: Path) -> None:
                   for path in out.iterdir()) == sorted(pinned)
 
 
-def _sampled_row(**node_state):
-    """The trace row `SimNode.sample` writes for a lone node set to `node_state`."""
+def _sampled_row(mode=Mode.PERFORMANCE, modality=Modality.OWC,
+                 interfaces=InterfaceState.IDLE):
+    """The trace row `SimNode.sample` writes for a lone node in that state."""
     controller = _Controller(replace(SHORT, node_count=1), Engine())
     node = controller.nodes[0]
-    for name, value in node_state.items():
-        setattr(node, name, value)
+    node.plan, node.interfaces = node.plans[mode, modality], interfaces
     node.sample()
     return node.metrics.rows[-1]
 
 
 class TestBehaviour:
     def test_node_starts_on_best_snr_modality(self, metrics):
-        links = build_link_plans(SHORT)
-        best = max(links, key=lambda m: links[m].snr_db)
+        plans = build_link_plans(SHORT)
+        best = max(Modality, key=lambda m: plans[Mode.PERFORMANCE, m].snr_db)
         assert best is Modality.OWC
         assert metrics.node(1).rows[0].modality == "owc"
 
@@ -364,9 +372,9 @@ class TestBehaviour:
             node.transmit_packet(0)
 
 
-def _lone_node(**overrides):
-    """The one node of a fresh single-node run, before its first event."""
-    scenario = replace(SHORT, node_count=1, init_delay_s=0.0, **overrides)
+def _lone_node(base: Scenario = SHORT, **overrides):
+    """The one node of a fresh single-node run of `base`, before its first event."""
+    scenario = replace(base, node_count=1, init_delay_s=0.0, **overrides)
     node = _Controller(scenario, Engine()).nodes[0]
     node.evaluate_cb = None  # drive the node by hand, without the policy
     return node
@@ -379,7 +387,7 @@ class TestNodeLifecycle:
         node.enter_slot(0, seconds(10))
         node.transmit_packet(0)
         assert node.tx_in_flight and node.interfaces is InterfaceState.OWC_TX
-        node.on_transmit_end(node.links[Modality.OWC].airtime_ns)
+        node.on_transmit_end(node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns)
         assert not node.tx_in_flight and node.interfaces is InterfaceState.IDLE
 
     @pytest.mark.parametrize("first", list(Modality))
@@ -387,12 +395,51 @@ class TestNodeLifecycle:
         # A burst on either interface blocks a start on both.
         node = _lone_node()
         node.enter_slot(0, seconds(10))
-        node.modality = first
+        node.plan = node.plans[Mode.PERFORMANCE, first]
         node.transmit_packet(0)
         for modality in Modality:
-            node.modality = modality
+            node.plan = node.plans[Mode.PERFORMANCE, modality]
             with pytest.raises(ProtocolViolation, match="TX from"):
                 node.transmit_packet(0)
+
+    @pytest.mark.parametrize("state", [s for s in InterfaceState if s is not InterfaceState.IDLE])
+    def test_live_packet_ready_off_idle_is_a_violation(self, state):
+        # A stretch runs only from IDLE, so from any other state a live
+        # packet-ready sends its burst through `transmit_packet`, which
+        # refuses it. Nothing else is queued and the slot ends before the
+        # horizon: a stretch run from there would end at the slot's end and
+        # send nothing.
+        node = _lone_node()
+        node.enter_slot(0, seconds(1))
+        node.interfaces = state
+        with pytest.raises(ProtocolViolation, match="TX from"):
+            node.engine.run_until(seconds(2))
+
+    @pytest.mark.parametrize("sent, switched", [(Modality.OWC, Modality.BLE),
+                                                (Modality.BLE, Modality.OWC)])
+    def test_burst_outcome_draws_at_the_modality_it_was_sent_on(self, sent, switched):
+        # On the lossy links the optical one delivers about 64 % of packets and
+        # the radio none, so the outcomes tell the two links apart. Each burst
+        # goes out on `sent`, and the node switches to `switched` mid-burst.
+        node = _lone_node(load_scenario(LOSSY))
+        owc, ble = (node.plans[Mode.PERFORMANCE, m].success_prob for m in Modality)
+        assert 0.0 < owc < 1.0 and ble == 0.0
+        sent_on = node.plans[Mode.PERFORMANCE, sent]
+        draws = random.Random()
+        draws.setstate(node.rng._rng.getstate())
+        node.enter_slot(0, seconds(10))
+        now, bursts = 0, 32
+        for _ in range(bursts):
+            node.apply_action(Action(Mode.PERFORMANCE, sent), now)
+            node.transmit_packet(now)
+            node.apply_action(Action(Mode.PERFORMANCE, switched), now)
+            assert node.plan.modality is switched and node.tx_in_flight
+            now += sent_on.airtime_ns
+            node.on_transmit_end(now)
+        delivered = sum(draws.random() < sent_on.success_prob for _ in range(bursts))
+        assert (node.metrics.bytes_delivered, node.metrics.packets_lost) == (
+            delivered * node.scenario.packet_bytes, bursts - delivered)
+        assert 0 < delivered if sent is Modality.OWC else delivered == 0
 
     def test_reconfiguration_makes_a_scheduled_packet_stale(self):
         node = _lone_node()
@@ -408,16 +455,16 @@ class TestNodeLifecycle:
         node.transmit_packet(0)
         buffer = node.buffer
         buffer.remaining_j = buffer.threshold_j
-        airtime = node.links[Modality.OWC].airtime_ns
+        airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
         node.sync(airtime // 2)
         assert node.interfaces is InterfaceState.OFF
-        assert node.mode is Mode.SLEEP
+        assert node.plan is node.plans[Mode.SLEEP, Modality.OWC]
         node.on_transmit_end(airtime)  # the burst already ended
         assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
 
     def test_burst_ending_at_slot_end_parks_after_it_ends(self):
         node = _lone_node(inter_transmission_sleep=True)
-        airtime = node.links[Modality.OWC].airtime_ns
+        airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
         node.enter_slot(0, airtime)
         node.transmit_packet(0)
         node.exit_slot(airtime)
@@ -478,8 +525,8 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
         assert vars(a.buffer) == vars(b.buffer)
         assert a.metrics == b.metrics  # samples, sleep entries, ...
         assert a.rng._rng.getstate() == b.rng._rng.getstate()
-        assert ((a.mode, a.modality, a._phase_ma, a._phase_since)
-                == (b.mode, b.modality, b._phase_ma, b._phase_since))
+        assert ((a.plan, a._phase_ma, a._phase_since)
+                == (b.plan, b._phase_ma, b._phase_since))
     return ticked, slow
 
 
@@ -591,7 +638,7 @@ def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
 def _queued_run(scenario: Scenario):
     """The run with a barrier that fires more often than the shortest
     airtime, so every burst end and packet-ready goes through the queue."""
-    shortest = min(link.airtime_ns for link in build_link_plans(scenario).values())
+    shortest = min(plan.airtime_ns for plan in build_link_plans(scenario).values())
     return _run_counting_inline(scenario, shortest - 1)
 
 
@@ -723,16 +770,30 @@ class TestInlinePackets:
         engine.register("gateway", lambda eng, event: node.enter_slot(eng.now, slot_end))
         engine.schedule_at(0, "gateway", EventKind.POLL_TICK)
         engine.run_until(seconds(2))
-        link = node.links[Modality.OWC]
-        interval = link.interval_ns[Mode.PERFORMANCE]
-        starts = range(interval, slot_end - link.airtime_ns + 1, interval)
+        plan = node.plans[Mode.PERFORMANCE, Modality.OWC]
+        interval = plan.interval_ns
+        starts = range(interval, slot_end - plan.airtime_ns + 1, interval)
         # One record for the whole stretch, which expands to every burst.
         assert node.metrics.tx_intervals == [
-            (interval, interval, link.airtime_ns, len(starts))]
-        assert tx_bursts(node.metrics) == [(t, t + link.airtime_ns) for t in starts]
+            (interval, interval, plan.airtime_ns, len(starts))]
+        assert tx_bursts(node.metrics) == [(t, t + plan.airtime_ns) for t in starts]
         # The poll tick, the first packet-ready, then each burst's end and
         # next packet-ready.
         assert engine.events_executed == 2 + 2 * len(starts)
+
+    def test_stretch_refuses_a_tick_that_queues_into_its_window(self, monkeypatch):
+        # A stretch runs through a world tick that queues nothing before its
+        # next burst: the tick requeues 1 s on, past a window under 1 s, and
+        # a node it evaluates is out of the slot, where it only parks. A tick
+        # that queued an event at its own time would put that event behind
+        # the stretch's clock, so the stretch raises.
+        def tick_queuing_now(nodes, now, harvest_j):
+            tick_nodes(nodes, now, harvest_j)
+            nodes[0].engine.schedule_at(now, CHAIN_STEPS, EventKind.CHAIN_STEP, ())  # no members
+
+        monkeypatch.setattr("hybridsim.runner.tick_nodes", tick_queuing_now)
+        with pytest.raises(RuntimeError, match="the tick queued an event"):
+            run(SHORT)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -741,3 +802,37 @@ class TestInlinePackets:
         plain, _, _ = _run_counting_inline(scenario)
         queued, _, _ = _queued_run(scenario)
         _assert_agree(plain, queued)
+
+
+# Runs one short preset under perfbench/tracer.py and prints each span's name
+# and its parent span's name.
+_TRACED_RUN = """
+import json
+from dataclasses import replace
+import tracer
+from hybridsim import runner, scenario
+spans = tracer.Tracer()
+tracer.install(spans)
+short = replace(scenario.load_scenario(scenario.preset_path("paper_fig11")), duration_s=20.0)
+runner.run(short)
+names = [spans.names[n] for n in spans.name]
+print(json.dumps([[name, names[p] if p >= 0 else None] for name, p in zip(names, spans.parent)]))
+"""
+
+
+def test_tracer_times_each_action_prediction_inside_the_link_plan_build():
+    # The tracer rebinds `runner.build_link_plans` and
+    # `runner.predict_action_energy` by name, so the table's build must call
+    # the prediction through `runner`'s global, or the traced
+    # `energy.predict_calls` reads 0. It installs for the rest of a process.
+    src = Path(hybridsim.__file__).resolve().parents[1]
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN],
+                          env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{perfbench}"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(done.stdout.splitlines()[-1])
+    assert [name for name, _ in spans].count("runner.link_plan") == 1
+    # One prediction per (mode, modality) row, each inside the build.
+    assert [parent for name, parent in spans if name == "energy.predict"] == [
+        "runner.link_plan"] * 6
