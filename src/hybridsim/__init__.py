@@ -7,7 +7,7 @@ reconfiguration policies: a utility optimizer (EUNO) and a threshold baseline
 (ETNO, plus its optical-only variant).
 """
 
-from .actions import Action, Modality, Mode
+from .actions import Modality, Mode
 from .kernel import Engine, EventKind, RngStream, SimEvent
 from .metrics import MetricsRecord, write_traces
 from .runner import run, sweep
@@ -16,7 +16,7 @@ from .scenario import Scenario, load_scenario, preset_path
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "Modality", "Mode", "Engine", "EventKind", "RngStream",
+    "Modality", "Mode", "Engine", "EventKind", "RngStream",
     "SimEvent", "MetricsRecord", "write_traces", "run", "sweep",
     "Scenario", "load_scenario", "preset_path", "__version__",
 ]

@@ -225,13 +225,11 @@ class Engine:
     def dispatch_head(self) -> None:
         """Pop the head of the queue and, unless it was cancelled, advance the
         clock to it, count it (a batch: each member) and run its handler:
-        `run_until`'s dispatch."""
+        `run_until`'s dispatch. An unregistered target raises `KeyError`."""
         fire_at, _, event = heapq.heappop(self._heap)
         if event.cancelled:
             return
         event.fired = True
         self.now = fire_at
         self.events_executed += len(event.payload) if event.batched else 1
-        handler = self._handlers.get(event.target)
-        if handler is not None:
-            handler(self, event)
+        self._handlers[event.target](self, event)

@@ -10,7 +10,7 @@ it changes the phase, so a phase change is a plain assignment.
 
 from __future__ import annotations
 
-from .actions import Action, ActionPlan, Mode, Modality
+from .actions import ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, duty_cycle, phase_energy
 from .kernel import Engine, EventKind, SimEvent, SimTime, NS_PER_SEC
 from .linklayer import InterfaceState, fsm_dispatch
@@ -405,20 +405,17 @@ class SimNode:
 
     # -- reconfiguration -----------------------------------------------------
 
-    def apply_action(self, action: Action, now: SimTime) -> None:
-        """Take `action`'s row; a sleep action keeps the node's modality."""
+    def apply_action(self, plan: ActionPlan, now: SimTime) -> None:
+        """Take `plan`, a row of `self.plans`; a policy's sleep row is the
+        node's own modality's."""
         self.sync(now)
-        plan = self.plan
-        if action.mode is plan.mode and (action.modality is plan.modality
-                                         or plan.mode is Mode.SLEEP):
+        if plan is self.plan:
             return
-        if action.mode is Mode.SLEEP:
+        if plan.mode is Mode.SLEEP:
             self.metrics.sleep_entries += 1
-            self.plan = self.plans[Mode.SLEEP, plan.modality]
-        else:
-            if action.modality is not plan.modality:
-                self.metrics.modality_switches += 1
-            self.plan = self.plans[action.mode, action.modality]
+        elif plan.modality is not self.plan.modality:
+            self.metrics.modality_switches += 1
+        self.plan = plan
         self._reconcile(now)
 
     def _reconcile(self, now: SimTime) -> None:

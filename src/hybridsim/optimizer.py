@@ -1,6 +1,7 @@
 """Node reconfiguration policies.
 
-EUNO (energy-aware utility-based node optimization) scores every candidate
+A policy returns one row of the run's action table (`ActionPlan`). EUNO
+(energy-aware utility-based node optimization) scores every candidate
 (mode, modality) action with a weighted sum of modality, screen, localization,
 and predicted-energy utilities, guarded by a hard sleep rule below the
 critical energy fraction or at an empty buffer. The terms that do not change
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import Action, ActionPlan, Mode, Modality, enumerate_actions
+from .actions import ActionPlan, Mode, Modality
 
 _MODE_RANK = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
 
@@ -50,20 +51,20 @@ def energy_weight(f_r: float, f_c: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _matched_reward(action: Action, demanded: bool, reward: float) -> float:
+def _matched_reward(row: ActionPlan, demanded: bool, reward: float) -> float:
     """Reward performance when the forecast demands the feature and
     conservation when it does not; sleep earns nothing."""
-    if action.mode is Mode.PERFORMANCE and demanded:
+    if row.mode is Mode.PERFORMANCE and demanded:
         return reward
-    if action.mode is Mode.CONSERVATION and not demanded:
+    if row.mode is Mode.CONSERVATION and not demanded:
         return reward
     return 0.0
 
 
-def screen_utility(action: Action, p_int: float, theta_s: float,
+def screen_utility(row: ActionPlan, p_int: float, theta_s: float,
                    alpha: float) -> float:
     """Reward actions whose display policy matches the interaction forecast."""
-    return _matched_reward(action, p_int > theta_s, alpha)
+    return _matched_reward(row, p_int > theta_s, alpha)
 
 
 def ewma_update(baseline_prev: float, sample: float, lam: float) -> float:
@@ -88,11 +89,13 @@ def energy_utility(predicted_j: float, e_max_j: float) -> float:
 class EunoTable:
     """EUNO's per-run terms, built once from inputs that a run never changes.
 
-    `rows[current]` holds one tuple per action of
-    `enumerate_actions(current)`, in that order: `p_p·x_p + p_t·x_t`,
-    `p_c·x_c + p_e·x_e`, `p_ch·x_ch`, `p_s·screen`, `p_l·localization` when
-    mobility is not and is forecast, the energy utility, the tie key and the
-    action. Only `f_r` and the mobility forecast vary between calls.
+    `rows[current]` holds one tuple per action of the fixed set: the four
+    active rows, performance then conservation, each optical then radio, and
+    last the sleep row of `current`, so |A| stays 5. A tuple holds
+    `p_p·x_p + p_t·x_t`, `p_c·x_c + p_e·x_e`, `p_ch·x_ch`, `p_s·screen`,
+    `p_l·localization` when mobility is not and is forecast, the energy
+    utility, the tie key and the row. Only `f_r` and the mobility forecast
+    vary between calls.
     """
 
     weights: UtilityWeights
@@ -106,15 +109,17 @@ class EunoTable:
         w = weights
         rows = {}
         for current in Modality:
-            actions = enumerate_actions(current)
-            rows_of = [plans[a.mode, a.modality] for a in actions]
+            actions = [plans[mode, modality]
+                       for mode in (Mode.PERFORMANCE, Mode.CONSERVATION)
+                       for modality in (Modality.OWC, Modality.BLE)]
+            actions.append(plans[Mode.SLEEP, current])
             # Throughput and energy efficiency are normalized over the action set.
-            max_rate = max(plan.rate_kbps for plan in rows_of)
-            max_energy = max(plan.predicted_j for plan in rows_of)
+            max_rate = max(a.rate_kbps for a in actions)
+            max_energy = max(a.predicted_j for a in actions)
             scored = []
-            for a, plan in zip(actions, rows_of):
-                energy = plan.predicted_j
-                x_t = plan.rate_kbps / max_rate if max_rate > 0 else 0.0
+            for a in actions:
+                energy = a.predicted_j
+                x_t = a.rate_kbps / max_rate if max_rate > 0 else 0.0
                 x_e = 1.0 - energy / max_energy if max_energy > 0 else 0.0
                 keeps = a.modality is current
                 scored.append((
@@ -132,8 +137,8 @@ class EunoTable:
 
 
 def euno_select(table: EunoTable, f_r: float, current: Modality,
-                baseline_db: float, sample_db: float) -> Action:
-    """Pick the highest-utility action, with the hard sleep guard first: below
+                baseline_db: float, sample_db: float) -> ActionPlan:
+    """Pick the highest-utility row, with the hard sleep guard first: below
     the critical fraction, or with an empty buffer, the node sleeps.
 
     Each action scores `p_M·(f_r·A + (1−f_r)·B − C) + S + L + p_E·E` from its
@@ -143,29 +148,28 @@ def euno_select(table: EunoTable, f_r: float, current: Modality,
     """
     w = table.weights
     if f_r < w.f_c or f_r == 0.0:
-        return Action(Mode.SLEEP, current)
+        return table.rows[current][-1][-1]  # the sleep row of `current`
     moving = mobility_probability(baseline_db, sample_db, w.sigmoid_k,
                                   w.sigmoid_c_db) > w.theta_l
     p_m, p_e, rest = w.p_m, energy_weight(f_r, w.f_c), 1.0 - f_r
     best_key = best = None
-    for a, b, c, screen, loc, energy, tie, action in table.rows[current]:
+    for a, b, c, screen, loc, energy, tie, row in table.rows[current]:
         key = (p_m * (f_r * a + rest * b - c) + screen + loc[moving] + p_e * energy, tie)
         if best_key is None or key > best_key:
-            best_key, best = key, action
+            best_key, best = key, row
     return best
 
 
-def etno_select(f_r: float, sleep_threshold: float, conservation_threshold: float,
+def etno_select(plans: dict[tuple[Mode, Modality], ActionPlan], f_r: float,
+                sleep_threshold: float, conservation_threshold: float,
                 current_modality: Modality, best_snr_modality: Modality,
-                owc_only: bool = False) -> Action:
+                owc_only: bool = False) -> ActionPlan:
     """Threshold baseline: sleep below the sleep threshold or with an empty
     buffer, conservation on the radio link between the thresholds, full
-    performance on the best-SNR modality above. The OWC-only variant never
-    leaves the optical link."""
+    performance on the best-SNR modality above; the row of `plans`. The
+    OWC-only variant never leaves the optical link."""
     if f_r < sleep_threshold or f_r == 0.0:
-        return Action(Mode.SLEEP, current_modality)
+        return plans[Mode.SLEEP, current_modality]
     if f_r < conservation_threshold:
-        modality = Modality.OWC if owc_only else Modality.BLE
-        return Action(Mode.CONSERVATION, modality)
-    modality = Modality.OWC if owc_only else best_snr_modality
-    return Action(Mode.PERFORMANCE, modality)
+        return plans[Mode.CONSERVATION, Modality.OWC if owc_only else Modality.BLE]
+    return plans[Mode.PERFORMANCE, Modality.OWC if owc_only else best_snr_modality]

@@ -115,10 +115,11 @@ class _Controller:
             node.ewma_baseline_db = ewma_update(node.ewma_baseline_db, sample,
                                                 weights.ewma_lambda)
         if scenario.optimizer == "euno":
-            action = euno_select(self.euno, node.buffer.fraction, current,
-                                 node.ewma_baseline_db, sample)
+            plan = euno_select(self.euno, node.buffer.fraction, current,
+                               node.ewma_baseline_db, sample)
         else:
-            action = etno_select(
+            plan = etno_select(
+                self.plans,
                 node.buffer.fraction,
                 scenario.etno_sleep_threshold,
                 scenario.etno_conservation_threshold,
@@ -126,7 +127,7 @@ class _Controller:
                 _best_snr(snr),
                 owc_only=(scenario.optimizer == "etno-owc"),
             )
-        node.apply_action(action, now)
+        node.apply_action(plan, now)
 
     # -- event handlers ---------------------------------------------------------
 

@@ -88,12 +88,18 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     """Parse a calibration CSV (device,state,profile,current_mA,duration_ms).
 
     Durations are blank for residency states. Raises CalibrationError naming
-    the file: with a line number on a malformed row, and listing every
-    required row that is missing or has no duration."""
+    the file: with a line number on a malformed row or a repeated key, and
+    listing every required row that is missing or has no duration."""
     path = Path(path)
-    table = dict(_read_csv(
-        path, ("device", "state", "profile", "current_mA", "duration_ms"),
-        _calibration_row))
+    table: CalibrationTable = {}
+
+    def add_row(*fields):
+        key, entry = _calibration_row(*fields)
+        if key in table:
+            raise ValueError(f"repeats the key {'/'.join(key)}")
+        table[key] = entry
+
+    _read_csv(path, ("device", "state", "profile", "current_mA", "duration_ms"), add_row)
     missing = [key for key in REQUIRED_ROWS if table.get(key, (0.0, None))[1] is None]
     if missing:
         raise CalibrationError(

@@ -4,17 +4,27 @@ from enum import Enum
 
 import pytest
 
-from hybridsim.actions import Action, ActionPlan, Mode, Modality, enumerate_actions
+from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.optimizer import EunoTable, UtilityWeights
+
+
+def action_set(current):
+    """The `(mode, modality)` keys of EUNO's fixed action set at `current`:
+    both modalities of the two active modes, then the one sleep action, which
+    carries `current`, so |A| stays 5. Keys, not rows: a row holds a dict and
+    does not hash."""
+    return [*((mode, modality) for mode in (Mode.PERFORMANCE, Mode.CONSERVATION)
+              for modality in Modality), (Mode.SLEEP, current)]
 
 
 def action_rows(energies, rates):
     """A table of `ActionPlan` rows keyed like `runner.build_link_plans`'
-    with the predicted joules and deliverable rate of each action in
-    `energies` and `rates`; `EunoTable.build` reads no other column."""
-    return {(a.mode, a.modality): ActionPlan(
-        a.mode, a.modality, airtime_ns=0, interval_ns=0, tx_current_ma=0.0, success_prob=0.0,
-        snr_db=0.0, rate_kbps=rates[a], tails={}, predicted_j=energies[a]) for a in energies}
+    with the predicted joules and deliverable rate of each `(mode, modality)`
+    key in `energies` and `rates`; the policies read no other column."""
+    return {(mode, modality): ActionPlan(
+        mode, modality, airtime_ns=0, interval_ns=0, tx_current_ma=0.0, success_prob=0.0,
+        snr_db=0.0, rate_kbps=rates[mode, modality], tails={},
+        predicted_j=energies[mode, modality]) for mode, modality in energies}
 
 
 def _euno_call(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
@@ -24,12 +34,12 @@ def _euno_call(f_r=1.0, current=Modality.OWC, energies=None, rates=None,
     first. `energies` and `rates` may cover only `current`'s action set; the
     other modality's sleep action then takes the per-mode default."""
     other = Modality.BLE if current is Modality.OWC else Modality.OWC
-    actions = [*enumerate_actions(current), Action(Mode.SLEEP, other)]
-    energies = {**{a: {Mode.PERFORMANCE: 0.45, Mode.CONSERVATION: 0.15,
-                       Mode.SLEEP: 0.01}[a.mode] for a in actions},
+    actions = [*action_set(current), (Mode.SLEEP, other)]
+    energies = {**{(mode, modality): {Mode.PERFORMANCE: 0.45, Mode.CONSERVATION: 0.15,
+                                      Mode.SLEEP: 0.01}[mode] for mode, modality in actions},
                 **(energies or {})}
-    rates = {**{a: {Mode.PERFORMANCE: 300.0, Mode.CONSERVATION: 60.0,
-                    Mode.SLEEP: 0.0}[a.mode] for a in actions},
+    rates = {**{(mode, modality): {Mode.PERFORMANCE: 300.0, Mode.CONSERVATION: 60.0,
+                                   Mode.SLEEP: 0.0}[mode] for mode, modality in actions},
              **(rates or {})}
     snr = snr or {Modality.OWC: 70.0, Modality.BLE: 67.0}
     sample = snr[current] if sample is None else sample

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridsim.actions import Action, Mode, Modality, enumerate_actions
+from hybridsim.actions import Mode, Modality
 from hybridsim.metrics import write_traces
 from hybridsim.optimizer import (UtilityWeights, energy_utility, energy_weight,
                                  euno_select, ewma_update, mobility_probability,
@@ -23,6 +23,7 @@ from hybridsim.scenario import load_scenario, preset_path
 from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
+from conftest import action_rows, action_set
 from test_optimizer import (ModalityScores, UtilityBreakdown, localization_utility,
                             modality_utility, total_utility)
 
@@ -176,7 +177,7 @@ def test_criterion_6_optimizer_properties(euno_call):
     guard_ok = True
     for _ in range(10_000):
         current = rng.choice([Modality.OWC, Modality.BLE])
-        actions = enumerate_actions(current)
+        actions = action_set(current)
         call = euno_call(
             f_r=rng.uniform(0.0, W.f_c - 1e-9), current=current,
             energies={a: rng.uniform(0.0, 8.0) for a in actions},
@@ -190,7 +191,7 @@ def test_criterion_6_optimizer_properties(euno_call):
     for _ in range(500):
         comps = {a: UtilityBreakdown(rng.uniform(-0.1, 4.0), rng.random(),
                                      rng.random(), rng.random())
-                 for a in enumerate_actions(Modality.OWC)}
+                 for a in action_set(Modality.OWC)}
         f_r = rng.uniform(W.f_c, 1.0)
         factor = rng.uniform(1e-3, 1e3)
 
@@ -198,8 +199,7 @@ def test_criterion_6_optimizer_properties(euno_call):
             scored = {a: total_utility(UtilityBreakdown(
                 c.modality * scale, c.screen * scale, c.localization * scale,
                 c.energy * scale), W, f_r) for a, c in comps.items()}
-            return max(scored, key=lambda a: (scored[a], a.mode.value,
-                                              a.modality.value))
+            return max(scored, key=lambda a: (scored[a], a[0].value, a[1].value))
         scale_ok = scale_ok and best(1.0) == best(factor)
 
     # Energy weight monotone non-increasing in the remaining fraction.
@@ -208,14 +208,16 @@ def test_criterion_6_optimizer_properties(euno_call):
     mono_ok = all(a >= b for a, b in zip(weights_seq, weights_seq[1:]))
 
     # Unit examples of the closed-form pieces, exact.
+    keys = [(mode, Modality.OWC) for mode in Mode]
+    rows = action_rows(dict.fromkeys(keys, 0.0), dict.fromkeys(keys, 0.0))
     exact_ok = (
         energy_weight(0.6, 0.2) == pytest.approx(0.5)
         and modality_utility(1.0, ModalityScores(1, 0, 1, 0, 0), W) == pytest.approx(4.0)
         and modality_utility(0.0, ModalityScores(0, 1, 0, 1, 1), W) == pytest.approx(1.7)
-        and screen_utility(Action(Mode.PERFORMANCE, Modality.OWC), 0.9, 0.5, 1.0) == 1.0
-        and screen_utility(Action(Mode.CONSERVATION, Modality.OWC), 0.1, 0.5, 1.0) == 1.0
-        and screen_utility(Action(Mode.SLEEP, Modality.OWC), 0.9, 0.5, 1.0) == 0.0
-        and localization_utility(Action(Mode.PERFORMANCE, Modality.OWC), 0.5, 0.5, 1.0) == 0.0
+        and screen_utility(rows[Mode.PERFORMANCE, Modality.OWC], 0.9, 0.5, 1.0) == 1.0
+        and screen_utility(rows[Mode.CONSERVATION, Modality.OWC], 0.1, 0.5, 1.0) == 1.0
+        and screen_utility(rows[Mode.SLEEP, Modality.OWC], 0.9, 0.5, 1.0) == 0.0
+        and localization_utility(rows[Mode.PERFORMANCE, Modality.OWC], 0.5, 0.5, 1.0) == 0.0
         and ewma_update(10.0, 20.0, 0.5) == 15.0
         and mobility_probability(10.0, 15.0, 1.0, 3.0) == pytest.approx(0.88079707797788)
         and energy_utility(2.0, 8.0) == pytest.approx(0.75)

@@ -267,12 +267,15 @@ class TestSelfChecks:
         ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
             "node,vlc_tx_chunk,normal,9.15,68", "node,vlc_tx_chunk,normal,9.15,")),
          "node/vlc_tx_chunk/normal"),
+        ("--table", lambda path: path.write_bytes(
+            default_calibration_path().read_bytes() + b"ble,uplink_tx,normal,99.0,3.13\r\n"),
+         "ble/uplink_tx/normal"),
         ("--fixture", lambda path: path.mkdir(), None),
         ("--fixture", lambda path: path.write_text("snr_db,ber\n0.0,0.12\n0.5,high\n"),
          ":3:"),
         ("--fixture", lambda path: path.write_text("snr,error_rate\n0.0,0.12\n"), "snr_db,ber"),
     ], ids=["table-directory", "table-latin-1", "table-blank-uplink-duration",
-            "table-blank-chunk-duration", "fixture-directory", "fixture-non-numeric-ber",
+            "table-blank-chunk-duration", "table-repeated-key", "fixture-directory", "fixture-non-numeric-ber",
             "fixture-wrong-header"])
     def test_malformed_input_is_validation_failure(self, tmp_path, capsys, flag, make, names):
         path = tmp_path / "input"

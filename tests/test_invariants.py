@@ -12,12 +12,13 @@ node's own slots, and no two bursts of the run may overlap.
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from hybridsim import runner
 from hybridsim.actions import Mode
 from hybridsim.kernel import NS_PER_SEC, seconds
 from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import run
-from hybridsim.scenario import Scenario
+from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import tx_bursts
 
 TOL = 1e-9
@@ -205,3 +206,41 @@ def test_a_live_chain_step_sees_the_slot_and_mode_its_chain_started_in(monkeypat
 
     check()
     assert calls["steps"] > calls["chains"] > 0, calls
+
+
+def test_every_policy_choice_is_a_row_of_the_run_s_table(monkeypatch):
+    """EUNO and ETNO choose a row of the run's one table, never a copy, and
+    a node handed the row it holds changes nothing: no stale packet, no sleep
+    entry, no modality switch."""
+    tables, modes, calls = [], set(), {"rows": 0, "kept": 0}
+    build, apply = runner.build_link_plans, SimNode.apply_action
+
+    def spy_build(scenario):
+        tables.append(build(scenario))
+        return tables[-1]
+
+    def spy_apply(node, plan, now):
+        assert any(plan is row for row in tables[-1].values()), (node.name, plan)
+        kept = plan is node.plan
+        counts = (node._epoch, node.metrics.sleep_entries, node.metrics.modality_switches)
+        apply(node, plan, now)
+        modes.add(plan.mode)
+        calls["rows"] += 1
+        if kept:
+            calls["kept"] += 1
+            assert (node._epoch, node.metrics.sleep_entries,
+                    node.metrics.modality_switches) == counts, node.name
+
+    monkeypatch.setattr(runner, "build_link_plans", spy_build)
+    monkeypatch.setattr(SimNode, "apply_action", spy_apply)
+    for preset in ("paper_fig11", "paper_fig12"):  # ETNO, then EUNO
+        run(load_scenario(preset_path(preset)))
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def check(scenario):
+        run(scenario)
+
+    check()
+    assert modes == set(Mode) and calls["rows"] > calls["kept"] > 0, (modes, calls)

@@ -67,6 +67,16 @@ def test_single_event_executes():
     assert log[0][0] == seconds(5)
 
 
+def test_an_event_for_an_unregistered_target_raises():
+    # A misspelt target must not lose its event without a word.
+    engine = Engine()
+    log = _collect(engine)
+    engine.schedule_at(5, "nobody", EventKind.HARVEST_TICK)
+    with pytest.raises(KeyError, match="nobody"):
+        engine.run_until(10)
+    assert log == []
+
+
 def test_events_beyond_end_do_not_fire():
     engine = Engine()
     log = _collect(engine)

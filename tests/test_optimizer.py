@@ -8,20 +8,28 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
-from hybridsim.actions import Action, Mode, Modality, enumerate_actions
+from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.optimizer import (EunoTable, UtilityWeights, _matched_reward,
                                  energy_utility, energy_weight, etno_select,
                                  euno_select, ewma_update, mobility_probability,
                                  screen_utility)
 from hybridsim.scenario import Scenario, ScenarioError
-from conftest import action_rows
+from conftest import action_rows, action_set
 
 W = UtilityWeights()
-P_OWC = Action(Mode.PERFORMANCE, Modality.OWC)
-P_BLE = Action(Mode.PERFORMANCE, Modality.BLE)
-C_OWC = Action(Mode.CONSERVATION, Modality.OWC)
-C_BLE = Action(Mode.CONSERVATION, Modality.BLE)
-SLEEP = Action(Mode.SLEEP, Modality.OWC)
+P_OWC = (Mode.PERFORMANCE, Modality.OWC)
+P_BLE = (Mode.PERFORMANCE, Modality.BLE)
+C_OWC = (Mode.CONSERVATION, Modality.OWC)
+C_BLE = (Mode.CONSERVATION, Modality.BLE)
+SLEEP = (Mode.SLEEP, Modality.OWC)
+# A table with a row for each of the six actions.
+KEYS = [(mode, modality) for mode in Mode for modality in Modality]
+PLANS = action_rows(dict.fromkeys(KEYS, 0.0), dict.fromkeys(KEYS, 0.0))
+
+
+def key(row: ActionPlan) -> tuple[Mode, Modality]:
+    """The `(mode, modality)` key of a row of the run's table."""
+    return row.mode, row.modality
 
 
 # The paper's utility terms composed one by one: the reference oracle that
@@ -43,10 +51,10 @@ def modality_utility(f_r: float, scores: ModalityScores,
             - weights.p_ch * scores.x_ch)
 
 
-def localization_utility(action: Action, p_m: float, theta_l: float,
+def localization_utility(row: ActionPlan, p_m: float, theta_l: float,
                          beta: float) -> float:
     """Reward actions whose localization policy matches the mobility forecast."""
-    return _matched_reward(action, p_m > theta_l, beta)
+    return _matched_reward(row, p_m > theta_l, beta)
 
 
 @dataclass(frozen=True)
@@ -103,20 +111,20 @@ class TestModalityUtility:
 
 class TestScreenAndLocalization:
     def test_screen_branches(self):
-        assert screen_utility(P_OWC, 0.9, 0.5, 1.0) == 1.0
-        assert screen_utility(C_OWC, 0.1, 0.5, 1.0) == 1.0
-        assert screen_utility(SLEEP, 0.9, 0.5, 1.0) == 0.0
-        assert screen_utility(C_OWC, 0.9, 0.5, 1.0) == 0.0
+        assert screen_utility(PLANS[P_OWC], 0.9, 0.5, 1.0) == 1.0
+        assert screen_utility(PLANS[C_OWC], 0.1, 0.5, 1.0) == 1.0
+        assert screen_utility(PLANS[SLEEP], 0.9, 0.5, 1.0) == 0.0
+        assert screen_utility(PLANS[C_OWC], 0.9, 0.5, 1.0) == 0.0
 
     def test_localization_branches(self):
-        assert localization_utility(P_OWC, 0.8, 0.5, 1.0) == 1.0
-        assert localization_utility(C_OWC, 0.8, 0.5, 1.0) == 0.0
-        assert localization_utility(C_OWC, 0.2, 0.5, 1.0) == 1.0
+        assert localization_utility(PLANS[P_OWC], 0.8, 0.5, 1.0) == 1.0
+        assert localization_utility(PLANS[C_OWC], 0.8, 0.5, 1.0) == 0.0
+        assert localization_utility(PLANS[C_OWC], 0.2, 0.5, 1.0) == 1.0
 
     def test_threshold_is_strict(self):
         # probability exactly at the threshold does not demand the feature
-        assert localization_utility(P_OWC, 0.5, 0.5, 1.0) == 0.0
-        assert localization_utility(C_OWC, 0.5, 0.5, 1.0) == 1.0
+        assert localization_utility(PLANS[P_OWC], 0.5, 0.5, 1.0) == 0.0
+        assert localization_utility(PLANS[C_OWC], 0.5, 0.5, 1.0) == 1.0
 
 
 class TestPredictor:
@@ -195,7 +203,7 @@ class TestEunoSelect:
         for _ in range(10_000):
             f_r = rng.uniform(0.0, 0.199999)
             current = rng.choice([Modality.OWC, Modality.BLE])
-            actions = enumerate_actions(current)
+            actions = action_set(current)
             call = euno_call(
                 f_r=f_r, current=current,
                 energies={a: rng.uniform(0.0, 8.0) for a in actions},
@@ -214,18 +222,19 @@ class TestEunoSelect:
         call = euno_call(f_r=1.0, p_int=0.9,
                          snr={Modality.OWC: 80.0, Modality.BLE: 30.0},
                          sample=80.0, baseline=50.0)
-        assert euno_select(*call) == P_OWC
+        assert key(euno_select(*call)) == P_OWC
 
     def test_exact_tie_prefers_current_modality(self, euno_call):
-        actions = enumerate_actions(Modality.BLE)
+        actions = action_set(Modality.BLE)
         energies = {a: 0.2 for a in actions}
-        rates = {a: 300.0 if a.mode is Mode.PERFORMANCE else 60.0 for a in actions}
-        rates[Action(Mode.SLEEP, Modality.BLE)] = 0.0
+        rates = {(mode, modality): 300.0 if mode is Mode.PERFORMANCE else 60.0
+                 for mode, modality in actions}
+        rates[Mode.SLEEP, Modality.BLE] = 0.0
         weights = UtilityWeights(p_ch=0.0)  # remove the switch penalty
         call = euno_call(f_r=0.9, current=Modality.BLE, energies=energies,
                          rates=rates, weights=weights)
         # (P, OWC) and (P, BLE) now score identically; the tie keeps BLE.
-        assert euno_select(*call) == P_BLE
+        assert key(euno_select(*call)) == P_BLE
 
     def test_scaling_subutilities_preserves_argmax(self):
         rng = random.Random(7)
@@ -242,8 +251,7 @@ class TestEunoSelect:
                         c.modality * factor, c.screen * factor,
                         c.localization * factor, c.energy * factor), W, f_r)
                     for a, c in comps.items()}
-                return max(scored, key=lambda a: (scored[a], a.mode.value,
-                                                  a.modality.value))
+                return max(scored, key=lambda a: (scored[a], a[0].value, a[1].value))
             assert pick(1.0) == pick(scale)
 
     @given(f_r=st.floats(W.f_c, 1.0), current=st.sampled_from(list(Modality)),
@@ -253,44 +261,45 @@ class TestEunoSelect:
            baseline=st.floats(0.0, 80.0))
     def test_picks_the_argmax_of_total_utility(self, f_r, current, energies, rates,
                                                p_int, sample, baseline):
-        actions = enumerate_actions(current)
+        actions = action_set(current)
         other = Modality.BLE if current is Modality.OWC else Modality.OWC
-        outside = Action(Mode.SLEEP, other)
+        outside = (Mode.SLEEP, other)
         # The dicts also hold the other modality's sleep action, as the
         # runner's do; its values exceed every in-set value, so normalizing
         # over it would change the scores.
         predicted_j = {**dict(zip(actions, energies)), outside: 9.0}
         rates_kbps = {**dict(zip(actions, rates)), outside: 500.0}
-        table = EunoTable.build(W, 8.0, p_int, action_rows(predicted_j, rates_kbps))
+        rows = action_rows(predicted_j, rates_kbps)
+        table = EunoTable.build(W, 8.0, p_int, rows)
         p_m = mobility_probability(baseline, sample, W.sigmoid_k, W.sigmoid_c_db)
         max_rate, max_energy = max(rates), max(energies)
 
         def utility(a):
+            mode, modality = a
             energy, rate = predicted_j[a], rates_kbps[a]
             scores = ModalityScores(
-                x_p=float(a.mode is Mode.PERFORMANCE),
-                x_c=float(a.mode is Mode.CONSERVATION),
+                x_p=float(mode is Mode.PERFORMANCE),
+                x_c=float(mode is Mode.CONSERVATION),
                 x_t=rate / max_rate if max_rate > 0 else 0.0,
                 x_e=1.0 - energy / max_energy if max_energy > 0 else 0.0,
-                x_ch=float(a.modality is not current))
+                x_ch=float(modality is not current))
             return total_utility(UtilityBreakdown(
                 modality_utility(f_r, scores, W),
-                screen_utility(a, p_int, W.theta_s, W.alpha),
-                localization_utility(a, p_m, W.theta_l, W.beta),
+                screen_utility(rows[a], p_int, W.theta_s, W.alpha),
+                localization_utility(rows[a], p_m, W.theta_l, W.beta),
                 energy_utility(energy, 8.0)), W, f_r)
 
         rank = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
         chosen = euno_select(table, f_r, current, baseline, sample)
-        assert chosen in actions
-        assert utility(chosen) == max(utility(a) for a in actions)
-        # The same action as the reference composition, ties broken by
-        # keeping the modality, then the higher mode, then the optical link.
-        assert chosen == max(actions, key=lambda a: (
-            utility(a), a.modality is current, rank[a.mode],
-            a.modality is Modality.OWC))
+        assert key(chosen) in actions
+        assert utility(key(chosen)) == max(utility(a) for a in actions)
+        # The same row as the reference composition, ties broken by keeping
+        # the modality, then the higher mode, then the optical link.
+        assert chosen is rows[max(actions, key=lambda a: (
+            utility(a), a[1] is current, rank[a[0]], a[1] is Modality.OWC))]
 
     def test_table_rejects_a_missing_action(self):
-        predicted_j = {a: 0.1 for a in enumerate_actions(Modality.OWC)}
+        predicted_j = {a: 0.1 for a in action_set(Modality.OWC)}
         rates_kbps = dict.fromkeys(predicted_j, 60.0)
         with pytest.raises(KeyError):  # lacks (sleep, ble)
             EunoTable.build(W, 8.0, 0.5, action_rows(predicted_j, rates_kbps))
@@ -298,26 +307,27 @@ class TestEunoSelect:
 
 class TestEtnoSelect:
     def test_above_both_thresholds(self):
-        action = etno_select(0.5, 0.2, 0.4, Modality.BLE, Modality.OWC)
-        assert action == P_OWC  # performance on the best-SNR link
+        row = etno_select(PLANS, 0.5, 0.2, 0.4, Modality.BLE, Modality.OWC)
+        assert row is PLANS[P_OWC]  # performance on the best-SNR link
 
     def test_between_thresholds_conserves_on_radio(self):
-        action = etno_select(0.3, 0.2, 0.4, Modality.OWC, Modality.OWC)
-        assert action == C_BLE
+        row = etno_select(PLANS, 0.3, 0.2, 0.4, Modality.OWC, Modality.OWC)
+        assert row is PLANS[C_BLE]
 
     def test_below_sleep_threshold(self):
-        action = etno_select(0.15, 0.2, 0.4, Modality.OWC, Modality.OWC)
-        assert action.mode is Mode.SLEEP
+        row = etno_select(PLANS, 0.15, 0.2, 0.4, Modality.BLE, Modality.OWC)
+        assert row is PLANS[Mode.SLEEP, Modality.BLE]  # keeps the current modality
 
     def test_empty_buffer_sleeps_at_zero_threshold(self):
-        assert etno_select(0.0, 0.0, 0.4, Modality.OWC, Modality.OWC).mode is Mode.SLEEP
-        assert etno_select(1e-9, 0.0, 0.4, Modality.OWC, Modality.OWC) == C_BLE
+        assert etno_select(PLANS, 0.0, 0.0, 0.4, Modality.OWC,
+                           Modality.OWC) is PLANS[Mode.SLEEP, Modality.OWC]
+        assert etno_select(PLANS, 1e-9, 0.0, 0.4, Modality.OWC, Modality.OWC) is PLANS[C_BLE]
 
     def test_owc_only_variant_pins_modality(self):
-        assert etno_select(0.5, 0.2, 0.4, Modality.BLE, Modality.BLE,
-                           owc_only=True).modality is Modality.OWC
-        assert etno_select(0.3, 0.2, 0.4, Modality.OWC, Modality.OWC,
-                           owc_only=True) == C_OWC
+        assert etno_select(PLANS, 0.5, 0.2, 0.4, Modality.BLE, Modality.BLE,
+                           owc_only=True) is PLANS[P_OWC]
+        assert etno_select(PLANS, 0.3, 0.2, 0.4, Modality.OWC, Modality.OWC,
+                           owc_only=True) is PLANS[C_OWC]
 
 
 class TestWeightValidation:
@@ -333,7 +343,14 @@ class TestWeightValidation:
 
 
 def test_action_set_enumeration_is_fixed_size():
-    actions = enumerate_actions(Modality.BLE)
-    assert len(actions) == 5
-    sleeps = [a for a in actions if a.mode is Mode.SLEEP]
-    assert sleeps == [Action(Mode.SLEEP, Modality.BLE)]
+    # EUNO scores the four active rows and exactly one sleep row, which
+    # carries the current modality, each the table's own row.
+    table = EunoTable.build(W, 8.0, 0.5, PLANS)
+    for current in Modality:
+        rows = [scored[-1] for scored in table.rows[current]]
+        assert len(rows) == 5
+        assert all(row is PLANS[key(row)] for row in rows)
+        assert [key(row) for row in rows if row.mode is not Mode.SLEEP] == [
+            P_OWC, P_BLE, C_OWC, C_BLE]
+        assert [key(row) for row in rows if row.mode is Mode.SLEEP] == [
+            (Mode.SLEEP, current)]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import hybridsim
-from hybridsim.actions import Action, Mode, Modality
+from hybridsim.actions import Mode, Modality
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
 from hybridsim.linklayer import InterfaceState
@@ -430,9 +430,9 @@ class TestNodeLifecycle:
         node.enter_slot(0, seconds(10))
         now, bursts = 0, 32
         for _ in range(bursts):
-            node.apply_action(Action(Mode.PERFORMANCE, sent), now)
+            node.apply_action(sent_on, now)
             node.transmit_packet(now)
-            node.apply_action(Action(Mode.PERFORMANCE, switched), now)
+            node.apply_action(node.plans[Mode.PERFORMANCE, switched], now)
             assert node.plan.modality is switched and node.tx_in_flight
             now += sent_on.airtime_ns
             node.on_transmit_end(now)
@@ -445,9 +445,20 @@ class TestNodeLifecycle:
         node = _lone_node()
         node.enter_slot(0, seconds(10))
         stale = node._pending_packet
-        node.apply_action(Action(Mode.PERFORMANCE, Modality.BLE), 0)
+        node.apply_action(node.plans[Mode.PERFORMANCE, Modality.BLE], 0)
         node.on_packet_ready(stale.fire_at, stale.payload)
         assert not node.tx_in_flight
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    def test_applying_the_node_s_own_row_changes_nothing(self, mode):
+        node = _lone_node()
+        node.enter_slot(0, seconds(10))
+        node.apply_action(node.plans[mode, Modality.BLE], 0)
+        before = (node.plan, node._epoch, node.metrics.sleep_entries,
+                  node.metrics.modality_switches, node._pending_packet)
+        node.apply_action(node.plan, seconds(1))
+        assert (node.plan, node._epoch, node.metrics.sleep_entries,
+                node.metrics.modality_switches, node._pending_packet) == before
 
     def test_battery_low_mid_burst_loses_the_packet(self):
         node = _lone_node()
@@ -468,7 +479,7 @@ class TestNodeLifecycle:
         node.enter_slot(0, airtime)
         node.transmit_packet(0)
         node.exit_slot(airtime)
-        node.apply_action(Action(Mode.CONSERVATION, Modality.OWC), airtime)
+        node.apply_action(node.plans[Mode.CONSERVATION, Modality.OWC], airtime)
         # no interface sleeps mid-burst
         assert node.interfaces is InterfaceState.OWC_TX
         node.on_transmit_end(airtime)

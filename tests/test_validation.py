@@ -81,6 +81,20 @@ class TestCheckCalibration:
         assert failed == ["ble_uplink_normal"]
         assert not report.passed
 
+    @pytest.mark.parametrize("row, key", [
+        ("ble,uplink_tx,normal,99.0,3.13", "ble/uplink_tx/normal"),
+        # `low_power` and the shipped `low-power` name one key.
+        (" BLE,uplink_tx,low_power,5.91,3.13", "ble/uplink_tx/low_power"),
+    ])
+    def test_a_repeated_key_is_refused_naming_its_line(self, tmp_path, row, key):
+        shipped = default_calibration_path().read_bytes()
+        path = tmp_path / "repeated.csv"
+        path.write_bytes(shipped + row.encode() + b"\r\n")
+        line = shipped.count(b"\n") + 1
+        with pytest.raises(CalibrationError) as err:
+            load_calibration(path)
+        assert f"{path}:{line}:" in str(err.value) and key in str(err.value)
+
     def test_frame_airtime_comes_from_the_table(self):
         # Six 68 ms chunks with a 100 ms decode gap between each pair.
         assert check_calibration().frame_airtime_s == pytest.approx(0.908, abs=1e-12)
