@@ -3,8 +3,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .record import Record
 
 
 class Mode(Enum):
@@ -20,8 +21,7 @@ class Modality(Enum):
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
-@dataclass(frozen=True, slots=True)
-class ActionPlan:
+class ActionPlan(Record):
     """One action's facts for a run, a row of `runner.build_link_plans` and
     what a policy returns: its modality's packet and link, its packet spacing
     (0 asleep), deliverable rate, trace labels, and joules predicted over one

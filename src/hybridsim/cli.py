@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .metrics import write_traces
@@ -62,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if getattr(args, "seed", None) is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = scenario.replace(seed=args.seed)
     if getattr(args, "optimizer", None) is not None:
-        scenario = replace(scenario, optimizer=args.optimizer)
+        scenario = scenario.replace(optimizer=args.optimizer)
     return scenario
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 NS_PER_MS = 1_000_000
@@ -51,17 +50,21 @@ class EventKind(Enum):
     __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
 
-@dataclass(eq=False)
 class SimEvent:
-    """A scheduled event, and the handle `schedule` returns to cancel it."""
+    """A scheduled event, and the handle `schedule` returns to cancel it.
+    `batched`: the payload lists the members of a batch."""
 
-    fire_at: SimTime
-    target: str
-    kind: EventKind
-    payload: object = None
-    cancelled: bool = False
-    fired: bool = False
-    batched: bool = False  # the payload lists the members of a batch
+    __slots__ = ("fire_at", "target", "kind", "payload", "cancelled", "fired", "batched")
+
+    def __init__(self, fire_at: SimTime, target: str, kind: EventKind,
+                 payload: object = None, batched: bool = False):
+        self.fire_at = fire_at
+        self.target = target
+        self.kind = kind
+        self.payload = payload
+        self.cancelled = False
+        self.fired = False
+        self.batched = batched
 
 
 class ScheduleInPastError(RuntimeError):

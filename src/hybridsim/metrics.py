@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,27 +45,33 @@ def _columns(values: array) -> tuple[array, ...]:
     return values[0::3], values[1::3], values[2::3]
 
 
-@dataclass
 class NodeMetrics:
-    name: str
-    # The 1 Hz samples, column-wise: `values` holds each sample's
-    # remaining_J, consumed_J and harvested_J in turn; `tails` holds its
-    # ",mode,modality,fsm_state" label, one string shared by every sample
-    # with that label. Sample `i` is at `t_s = float(i)`: the start's sample
-    # at 0 s, then one per world tick, each on a whole second.
-    values: array = field(default_factory=lambda: array("d"))
-    tails: list[str] = field(default_factory=list)
-    bytes_delivered: int = 0
-    packets_lost: int = 0
-    modality_switches: int = 0
-    sleep_entries: int = 0
-    eligible_s: float = 0.0
-    # Run-length burst log: (start_ns, period_ns, length_ns, count) records.
-    tx_intervals: list[tuple[int, int, int, int]] = field(default_factory=list)
-    consumed_j: float = 0.0
-    harvested_j: float = 0.0
-    remaining_j: float = 0.0
-    initial_j: float = 0.0
+    """One node's samples and counters, which the node updates in place."""
+
+    __slots__ = ("name", "values", "tails", "bytes_delivered", "packets_lost",
+                 "modality_switches", "sleep_entries", "eligible_s", "tx_intervals",
+                 "consumed_j", "harvested_j", "remaining_j", "initial_j")
+
+    def __init__(self, name: str):
+        self.name = name
+        # The 1 Hz samples, column-wise: `values` holds each sample's
+        # remaining_J, consumed_J and harvested_J in turn; `tails` holds its
+        # ",mode,modality,fsm_state" label, one string shared by every sample
+        # with that label. Sample `i` is at `t_s = float(i)`: the start's
+        # sample at 0 s, then one per world tick, each on a whole second.
+        self.values = array("d")
+        self.tails: list[str] = []
+        self.bytes_delivered = 0
+        self.packets_lost = 0
+        self.modality_switches = 0
+        self.sleep_entries = 0
+        self.eligible_s = 0.0
+        # Run-length burst log: (start_ns, period_ns, length_ns, count) records.
+        self.tx_intervals: list[tuple[int, int, int, int]] = []
+        self.consumed_j = 0.0
+        self.harvested_j = 0.0
+        self.remaining_j = 0.0
+        self.initial_j = 0.0
 
     @property
     def rows(self) -> list[TraceRow]:
@@ -100,13 +105,17 @@ class NodeMetrics:
         }
 
 
-@dataclass
 class MetricsRecord:
-    config: dict
-    seed: int
-    nodes: dict[str, NodeMetrics]
-    gateway_consumed_j: float = 0.0
-    events_executed: int = 0
+    """A run's outcome: its scenario as a dict, seed, each node's metrics by
+    name, the gateway's joules and the count of model events."""
+
+    def __init__(self, config: dict, seed: int, nodes: dict[str, NodeMetrics],
+                 gateway_consumed_j: float = 0.0, events_executed: int = 0):
+        self.config = config
+        self.seed = seed
+        self.nodes = nodes
+        self.gateway_consumed_j = gateway_consumed_j
+        self.events_executed = events_executed
 
     def node(self, index: int) -> NodeMetrics:
         return self.nodes[f"node{index}"]

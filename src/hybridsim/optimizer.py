@@ -13,15 +13,14 @@ the best SNR (or pinned to the optical link in the OWC-only variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .actions import ActionPlan, Mode, Modality
+from .record import Record
 
 _MODE_RANK = {Mode.PERFORMANCE: 2, Mode.CONSERVATION: 1, Mode.SLEEP: 0}
 
 
-@dataclass(frozen=True)
-class UtilityWeights:
+class UtilityWeights(Record):
     """Static weights, sub-weights, rewards, and thresholds of the policy,
     which `Scenario` checks at load."""
 
@@ -85,8 +84,7 @@ def energy_utility(predicted_j: float, e_max_j: float) -> float:
     return 1.0 - min(predicted_j, e_max_j) / e_max_j
 
 
-@dataclass(frozen=True)
-class EunoTable:
+class EunoTable(Record):
     """EUNO's per-run terms, built once from inputs that a run never changes.
 
     `rows[current]` holds one tuple per action of the fixed set: the four

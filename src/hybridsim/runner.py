@@ -8,8 +8,6 @@ the event kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import channel
 from .actions import ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, energy_between, predict_action_energy
@@ -18,6 +16,7 @@ from .linklayer import ble_airtime
 from .metrics import TRACE_TAILS, MetricsRecord, NodeMetrics
 from .node import CHAIN_STEPS, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
+from .record import Record
 from .scenario import OPTIMIZERS, Scenario
 
 GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
@@ -84,7 +83,7 @@ class _Controller:
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
                 critical_fraction=scenario.weights.f_c,
             )
-            node = SimNode(name, scenario, self.plans, buffer, engine, NodeMetrics(name=name),
+            node = SimNode(name, scenario, self.plans, buffer, engine, NodeMetrics(name),
                            RngStream(scenario.seed, i + 1), best)
             node.evaluate_cb = self.evaluate
             engine.register(name, node.handle)
@@ -221,15 +220,13 @@ def run(scenario: Scenario) -> MetricsRecord:
     return controller.finalize()
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     target_rate_kbps: float
     optimizer: str
     achieved_rate_kbps: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     rows: tuple[SweepRow, ...]
 
     def achieved(self, rate: float, optimizer: str) -> float:
@@ -254,8 +251,8 @@ def sweep(base: Scenario, rates: list[float],
     rows = []
     for rate in rates:
         for optimizer in optimizers:
-            scenario = replace(
-                base, target_rate_kbps=rate, optimizer=optimizer,
+            scenario = base.replace(
+                target_rate_kbps=rate, optimizer=optimizer,
                 conservation_rate_kbps=min(base.conservation_rate_kbps, rate))
             metrics = run(scenario)
             total = 0.0

@@ -9,13 +9,13 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .channel import PHY_RATE_SNR_SHIFT_DB, ble_link, owc_link
 from .kernel import millis, seconds
 from .linklayer import CONN_EVENT_LEN_MS
 from .optimizer import UtilityWeights
+from .record import Record
 
 OPTIMIZERS = ("euno", "etno", "etno-owc")
 
@@ -28,10 +28,11 @@ _LINK_BUDGETS = (
       "pd_area_m2", "concentrator_gain", "responsivity_a_w", "tx_optical_power_w")),
 )
 # A run holds every node and its whole 1 Hz trace and burst log in memory.
-# Measured on Python 3.11: about 5.3 kB per node (its state, buffer, metrics
-# and RNG), and per node-second of the run 40 B on the 64-node `fleet`, 116 B
-# on fig12b and 290 B for a lone node sending a packet every 10 ms. These
-# bounds keep a run near 1 GB at the largest of those rates.
+# Measured on Python 3.11: about 4.8 kB per node (its state, buffer, metrics
+# and RNG; tracemalloc over a 1 s run of 2,100 nodes less one of 100), and
+# per node-second of the run 40 B on the 64-node `fleet`, 116 B on fig12b and
+# 290 B for a lone node sending a packet every 10 ms. These bounds keep a run
+# near 1 GB at the largest of those rates.
 MAX_NODES = 10_000
 MAX_NODE_SECONDS = 3_600_000
 
@@ -40,8 +41,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     # [scenario]
     duration_s: float = 1025.0
     init_delay_s: float = 5.0
@@ -110,15 +110,15 @@ class Scenario:
     snr_jitter_db: float = 0.0
 
     # [weights]
-    weights: UtilityWeights = field(default_factory=UtilityWeights)
+    weights: UtilityWeights = UtilityWeights()
 
-    def __post_init__(self):
+    def _validate(self):
         file_key = _FILE_KEYS
         for owner in (self, self.weights):
-            for f in fields(owner):
-                name, value = f.name, getattr(owner, f.name)
+            for name, kind in owner.fields.items():
+                value = getattr(owner, name)
                 # An int beyond a double's range is as unusable as an infinite float.
-                if f.type in ("float", "int") and not abs(value) <= sys.float_info.max:
+                if kind in ("float", "int") and not abs(value) <= sys.float_info.max:
                     raise ScenarioError(f"{file_key[name]} must be finite and fit a double")
                 if name not in _RANGES:
                     continue
@@ -208,9 +208,6 @@ class Scenario:
             return self.harvest_profile
         return ((0.0, self.harvest_mw * 1e-3),)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # Each numeric field's range, Scenario and UtilityWeights fields alike:
 # field -> (low, high, low allowed, high allowed). A field not listed may take
@@ -223,7 +220,7 @@ _RANGES = {
         "tx_optical_power_w", "pd_area_m2", "responsivity_a_w", "concentrator_gain",
         "sigmoid_k", "period_s"), (0, math.inf, False, False)),
     **dict.fromkeys(("init_delay_s", "harvest_mw", "snr_jitter_db", *(
-        f.name for f in fields(Scenario) if f.name.endswith(("_current_ma", "_duration_ms")))),
+        name for name in Scenario.fields if name.endswith(("_current_ma", "_duration_ms")))),
         (0, math.inf, True, False)),
     **dict.fromkeys(("interaction_probability", "etno_sleep_threshold",
                      "etno_conservation_threshold"), (0, 1, True, True)),
@@ -278,14 +275,14 @@ def _build_schema() -> dict[str, dict[str, tuple[str, object]]]:
     or under [weights] a UtilityWeights field."""
     schema: dict[str, dict[str, tuple[str, object]]] = {}
     section = None
-    for f in fields(Scenario):
-        if f.name == "weights":
-            schema["weights"] = {w.name: (w.name, _CONVERTERS[w.type])
-                                 for w in fields(UtilityWeights)}
+    for name, kind in Scenario.fields.items():
+        if name == "weights":
+            schema["weights"] = {weight: (weight, _CONVERTERS[weight_kind])
+                                 for weight, weight_kind in UtilityWeights.fields.items()}
             continue
-        section = _SECTION_STARTS.get(f.name, section)
-        key = _KEY_ALIASES.get(f.name, f.name)
-        schema.setdefault(section, {})[key] = (f.name, _CONVERTERS[f.type])
+        section = _SECTION_STARTS.get(name, section)
+        key = _KEY_ALIASES.get(name, name)
+        schema.setdefault(section, {})[key] = (name, _CONVERTERS[kind])
     return schema
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import gfsk_ber
 from .energy import phase_energy
+from .record import Record
 from .vlcframe import CHUNKS_PER_FRAME
 
 CALIBRATION_TOLERANCE = 0.05
@@ -108,14 +108,13 @@ def load_calibration(path: str | Path) -> CalibrationTable:
     return table
 
 
-@dataclass(frozen=True)
-class BerReport:
+class BerReport(Record):
     # |model SNR - reference SNR| in dB at each compared reference point.
     deviations_db: tuple[float, ...]
 
     @property
     def max_deviation_db(self) -> float:
-        return max(self.deviations_db, default=0.0)
+        return max(self.deviations_db)
 
     @property
     def passed(self) -> bool:
@@ -137,17 +136,22 @@ def _invert_ber(ber_target: float) -> float:
 
 def validate_ber(fixture_path: str | Path | None = None) -> BerReport:
     """Horizontal (dB) deviation of the model curve from the reference table
-    over BER_SNR_WINDOW_DB, restricted to error rates in [1e-6, 0.5]."""
+    over BER_SNR_WINDOW_DB, restricted to error rates in [1e-6, 0.5]. A table
+    with no point in that window compares nothing, and raises
+    CalibrationError naming the file."""
     path = Path(fixture_path) if fixture_path else default_ber_fixture_path()
     points = _read_csv(path, ("snr_db", "ber"),
                        lambda snr, ber: (float(snr), float(ber)))
     lo, hi = BER_SNR_WINDOW_DB
-    return BerReport(tuple(abs(_invert_ber(ber) - snr) for snr, ber in points
-                           if lo <= snr <= hi and 1e-6 <= ber <= 0.5))
+    deviations = tuple(abs(_invert_ber(ber) - snr) for snr, ber in points
+                       if lo <= snr <= hi and 1e-6 <= ber <= 0.5)
+    if not deviations:
+        raise CalibrationError(f"{path}: no reference point fell in the window of "
+                               f"{lo:g} to {hi:g} dB SNR and 1e-06 to 0.5 BER")
+    return BerReport(deviations)
 
 
-@dataclass(frozen=True)
-class CalibrationCheck:
+class CalibrationCheck(Record):
     name: str
     computed_j: float
     expected_j: float
@@ -161,8 +165,7 @@ class CalibrationCheck:
         return self.relative_error <= CALIBRATION_TOLERANCE
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(Record):
     checks: tuple[CalibrationCheck, ...]
     frame_airtime_s: float
 

@@ -20,7 +20,7 @@ padding check, the markers, or the checksum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 START_MARKER = 0xA5
 END_MARKER = 0x5A
@@ -45,14 +45,13 @@ class TruncationError(FrameCodecError):
     pass
 
 
-@dataclass(frozen=True)
-class VlcFrame:
+class VlcFrame(Record):
     src: int
     dst: int
     payload_type: int
     payload: bytes = b""
 
-    def __post_init__(self):
+    def _validate(self):
         for name in ("src", "dst", "payload_type"):
             v = getattr(self, name)
             if not 0 <= v <= 0xFF:
@@ -62,8 +61,7 @@ class VlcFrame:
                 f"payload is {len(self.payload)} bytes, limit is {MAX_PAYLOAD}")
 
 
-@dataclass(frozen=True)
-class ChunkStream:
+class ChunkStream(Record):
     chunks: tuple[int, ...]
 
 

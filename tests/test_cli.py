@@ -153,6 +153,23 @@ class TestRun:
                   and used[node.name] == list(names(node)).count(node.name)]
         assert unused == []
 
+    def test_import_loads_no_dataclasses(self):
+        # `dataclasses` pulls in `inspect`, `ast` and `dis`, and every record
+        # it makes execs generated code at import; each CLI call paid both
+        # before the simulation started. A fresh interpreter without `site`,
+        # whose `.pth` files may import anything, shows what the package
+        # itself loads.
+        src = str(Path(hybridsim.__file__).resolve().parents[1])
+        code = ("import sys\n"
+                "for module in ('hybridsim', 'hybridsim.cli'):\n"
+                "    __import__(module)\n"
+                "    print(module, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "hybridsim []\nhybridsim.cli []\n"
+
     @pytest.mark.parametrize("section,line", [
         ("traffic", "warp_speed = 9"),
         ("topology", "distance_m = 0"),
@@ -274,9 +291,11 @@ class TestSelfChecks:
         ("--fixture", lambda path: path.write_text("snr_db,ber\n0.0,0.12\n0.5,high\n"),
          ":3:"),
         ("--fixture", lambda path: path.write_text("snr,error_rate\n0.0,0.12\n"), "snr_db,ber"),
+        ("--fixture", lambda path: path.write_text("snr_db,ber\n"),
+         "no reference point fell in the window"),
     ], ids=["table-directory", "table-latin-1", "table-blank-uplink-duration",
             "table-blank-chunk-duration", "table-repeated-key", "fixture-directory", "fixture-non-numeric-ber",
-            "fixture-wrong-header"])
+            "fixture-wrong-header", "fixture-header-only"])
     def test_malformed_input_is_validation_failure(self, tmp_path, capsys, flag, make, names):
         path = tmp_path / "input"
         make(path)

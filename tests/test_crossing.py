@@ -9,7 +9,6 @@ count and each node's random stream.
 import random
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,11 +51,11 @@ def tie_prone(draw) -> Scenario:
     so a tick's harvest would clamp at capacity."""
     scenario = draw(scenarios())
     if draw(st.integers(0, 3)) == 0:
-        scenario = replace(scenario, initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
+        scenario = scenario.replace(initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
     if draw(st.booleans()):
         rate = draw(st.sampled_from([40.96, 81.92]))  # 4,096-bit packets
-        scenario = replace(
-            scenario, target_rate_kbps=rate,
+        scenario = scenario.replace(
+            target_rate_kbps=rate,
             conservation_rate_kbps=min(scenario.conservation_rate_kbps, rate),
             owc_phy_rate_kbps=draw(st.sampled_from([81.92, 163.84])),
             poll_slot_s=draw(st.sampled_from([2.0, 2.05, 5.0])),

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -151,8 +150,8 @@ class TestTraces:
 
     def test_different_seed_changes_nothing_on_clean_links(self):
         # no loss and no jitter: the seed only feeds unused draws
-        m1 = run(replace(SHORT, seed=1))
-        m2 = run(replace(SHORT, seed=2))
+        m1 = run(SHORT.replace(seed=1))
+        m2 = run(SHORT.replace(seed=2))
         assert (m1.node(1).bytes_delivered == m2.node(1).bytes_delivered)
 
 
@@ -235,7 +234,7 @@ class TestTraces:
                       for n in range(first, first + len(lines))]
         tracemalloc.start()
         try:
-            record = run(replace(SHORT, node_count=8))
+            record = run(SHORT.replace(node_count=8))
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
@@ -285,7 +284,7 @@ def _assert_pinned(config: Path, out: Path) -> None:
 def _sampled_row(mode=Mode.PERFORMANCE, modality=Modality.OWC,
                  interfaces=InterfaceState.IDLE):
     """The trace row `SimNode.sample` writes for a lone node in that state."""
-    controller = _Controller(replace(SHORT, node_count=1), Engine())
+    controller = _Controller(SHORT.replace(node_count=1), Engine())
     node = controller.nodes[0]
     node.plan, node.interfaces = node.plans[mode, modality], interfaces
     node.sample()
@@ -300,19 +299,19 @@ class TestBehaviour:
         assert metrics.node(1).rows[0].modality == "owc"
 
     def test_inter_transmission_sleep_saves_energy(self):
-        awake = run(replace(SHORT, optimizer="etno"))
-        asleep = run(replace(SHORT, optimizer="etno",
-                             inter_transmission_sleep=True))
+        awake = run(SHORT.replace(optimizer="etno"))
+        asleep = run(SHORT.replace(optimizer="etno",
+                                   inter_transmission_sleep=True))
         assert (asleep.node(1).consumed_j < awake.node(1).consumed_j)
 
     def test_sleeping_node_shows_sleep_states_in_trace(self):
-        m = run(replace(SHORT, inter_transmission_sleep=True))
+        m = run(SHORT.replace(inter_transmission_sleep=True))
         labels = {row.fsm_state for row in m.node(1).rows}
         assert "SLEEP|OFF" in labels  # parked between slots
 
     def test_depleted_node_goes_dark_and_recovers(self):
         # tiny battery with no harvest: node must hit the guard and stay off
-        m = run(replace(SHORT, battery_capacity_j=0.2, harvest_mw=0.0))
+        m = run(SHORT.replace(battery_capacity_j=0.2, harvest_mw=0.0))
         n1 = m.node(1)
         assert n1.rows[-1].remaining_j == pytest.approx(0.0, abs=1e-12)
         assert n1.sleep_entries >= 1
@@ -323,8 +322,8 @@ class TestBehaviour:
         # delay. Without inter-transmission sleep the first poll tick parks
         # a sleeping node in sleep too: it must not draw idle current until
         # its first slot ends (node 3's would end at 80 s).
-        scenario = replace(SHORT, optimizer="euno", battery_capacity_j=8.0,
-                           initial_fraction=0.2, harvest_mw=1.0)
+        scenario = SHORT.replace(optimizer="euno", battery_capacity_j=8.0,
+                                 initial_fraction=0.2, harvest_mw=1.0)
         sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage
         for nm in run(scenario).nodes.values():
             assert nm.sleep_entries == 1 and nm.bytes_delivered == 0
@@ -352,7 +351,7 @@ class TestBehaviour:
             1.28 * SHORT.total_duration_s)
 
     def test_sweep_single_point(self):
-        result = sweep(replace(SHORT, duration_s=100.0), [100.0],
+        result = sweep(SHORT.replace(duration_s=100.0), [100.0],
                        optimizers=("etno",))
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -365,7 +364,7 @@ class TestBehaviour:
 
     def test_transmit_from_sleeping_interface_is_a_violation(self):
         engine = Engine()
-        controller = _Controller(replace(SHORT, inter_transmission_sleep=True), engine)
+        controller = _Controller(SHORT.replace(inter_transmission_sleep=True), engine)
         node = controller.nodes[0]
         node.park()
         with pytest.raises(ProtocolViolation):
@@ -374,7 +373,7 @@ class TestBehaviour:
 
 def _lone_node(base: Scenario = SHORT, **overrides):
     """The one node of a fresh single-node run of `base`, before its first event."""
-    scenario = replace(base, node_count=1, init_delay_s=0.0, **overrides)
+    scenario = base.replace(node_count=1, init_delay_s=0.0, **overrides)
     node = _Controller(scenario, Engine()).nodes[0]
     node.evaluate_cb = None  # drive the node by hand, without the policy
     return node
@@ -502,11 +501,17 @@ class TestNodeLifecycle:
             assert min(start for start, _ in bursts if start >= slot_end) == slot_end + spacing
 
 
+def _fields(nm: NodeMetrics, **changes) -> dict:
+    """Every `NodeMetrics` field of `nm` by name, with `changes` in place
+    of some."""
+    return {**{name: getattr(nm, name) for name in NodeMetrics.__slots__}, **changes}
+
+
 def _ticking_nodes(f_c: float, levels_j: list[float]) -> list[SimNode]:
     """The nodes of a fresh EUNO run with SNR jitter, one per level, each
     2 J buffer set to its level: an evaluation draws from the node's stream."""
-    scenario = replace(SHORT, node_count=len(levels_j), init_delay_s=0.0, optimizer="euno",
-                       snr_jitter_db=2.0, weights=UtilityWeights(f_c=f_c))
+    scenario = SHORT.replace(node_count=len(levels_j), init_delay_s=0.0, optimizer="euno",
+                             snr_jitter_db=2.0, weights=UtilityWeights(f_c=f_c))
     nodes = _Controller(scenario, Engine()).nodes
     for node, level_j in zip(nodes, levels_j):
         node.buffer.remaining_j = level_j
@@ -534,7 +539,7 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
         node.sample()
     for a, b in zip(ticked, stepped):
         assert vars(a.buffer) == vars(b.buffer)
-        assert a.metrics == b.metrics  # samples, sleep entries, ...
+        assert _fields(a.metrics) == _fields(b.metrics)  # samples, sleep entries, ...
         assert a.rng._rng.getstate() == b.rng._rng.getstate()
         assert ((a.plan, a._phase_ma, a._phase_since)
                 == (b.plan, b._phase_ma, b._phase_since))
@@ -596,7 +601,7 @@ class TestHarvestTick:
         stepped.buffer.harvest(0.0)
         stepped.sample()
         assert vars(ticked.buffer) == vars(stepped.buffer)
-        assert ticked.metrics == stepped.metrics
+        assert _fields(ticked.metrics) == _fields(stepped.metrics)
 
     def test_harvest_that_fills_the_buffer_stops_at_capacity(self):
         # With nothing drawn, adding `capacity - level` back to this level
@@ -654,10 +659,10 @@ def _queued_run(scenario: Scenario):
 
 
 def _expanded(record):
-    """The record's node metrics with each burst log expanded to
-    `(start, end)` pairs: a stretch logs one record where the queued path
+    """The fields of the record's node metrics with each burst log expanded
+    to `(start, end)` pairs: a stretch logs one record where the queued path
     logs one per burst, so only the expanded logs compare."""
-    return {name: replace(nm, tx_intervals=tx_bursts(nm))
+    return {name: _fields(nm, tx_intervals=tx_bursts(nm))
             for name, nm in record.nodes.items()}
 
 
@@ -665,8 +670,11 @@ def _expanded(record):
 REL_TOL, ABS_TOL = 1e-9, 1e-12
 
 
-def _energies(nm) -> list[float]:
-    return [*nm.values, nm.consumed_j, nm.harvested_j, nm.remaining_j, nm.initial_j]
+_ENERGIES = ("consumed_j", "harvested_j", "remaining_j", "initial_j")
+
+
+def _energies(fields: dict) -> list[float]:
+    return [*fields["values"], *(fields[name] for name in _ENERGIES)]
 
 
 def _assert_agree(plain, queued) -> None:
@@ -675,11 +683,10 @@ def _assert_agree(plain, queued) -> None:
     bursts as one product, the queued handlers burst by burst."""
     ours, theirs = _expanded(plain), _expanded(queued)
     assert ours.keys() == theirs.keys()
-    blank = dict(values=None, consumed_j=None, harvested_j=None, remaining_j=None,
-                 initial_j=None)
+    blank = dict.fromkeys(("values", *_ENERGIES))
     for name, nm in ours.items():
         other = theirs[name]
-        assert replace(nm, **blank) == replace(other, **blank)
+        assert {**nm, **blank} == {**other, **blank}
         a, b = _energies(nm), _energies(other)
         assert len(a) == len(b)
         assert all(math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL) for x, y in zip(a, b))
@@ -698,9 +705,9 @@ class TestInlinePackets:
 
     @pytest.mark.parametrize("scenario, sleeps, losses", [
         # Harvest ticks inside the 25 s slots stop stretches at the horizon.
-        pytest.param(replace(load_scenario(preset_path("paper_fig11")), duration_s=60.0),
+        pytest.param(load_scenario(preset_path("paper_fig11")).replace(duration_s=60.0),
                      False, False, id="fig11-awake"),
-        pytest.param(replace(load_scenario(preset_path("paper_fig12b")), duration_s=60.0),
+        pytest.param(load_scenario(preset_path("paper_fig12b")).replace(duration_s=60.0),
                      False, False, id="fig12b-inter-transmission-sleep"),
         # A stretch stops before a draw that would cross the threshold: the
         # battery-low edge falls at a burst's end (losing the burst), or in
@@ -819,12 +826,11 @@ class TestInlinePackets:
 # and its parent span's name.
 _TRACED_RUN = """
 import json
-from dataclasses import replace
 import tracer
 from hybridsim import runner, scenario
 spans = tracer.Tracer()
 tracer.install(spans)
-short = replace(scenario.load_scenario(scenario.preset_path("paper_fig11")), duration_s=20.0)
+short = scenario.load_scenario(scenario.preset_path("paper_fig11")).replace(duration_s=20.0)
 runner.run(short)
 names = [spans.names[n] for n in spans.name]
 print(json.dumps([[name, names[p] if p >= 0 else None] for name, p in zip(names, spans.parent)]))

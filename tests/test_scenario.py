@@ -4,18 +4,20 @@ import json
 import math
 import random
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hybridsim import runner
+from hybridsim.actions import Mode, Modality
 from hybridsim.cli import EXIT_VALIDATION, main
 from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.runner import run
+from hybridsim.runner import build_link_plans, run
 from hybridsim.scenario import (_SCHEMA, MAX_NODES, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
 from hybridsim.validation import default_calibration_path, load_calibration
+from hybridsim.vlcframe import FrameCodecError, VlcFrame
 
 MINIMAL = """
 [scenario]
@@ -150,17 +152,17 @@ class TestDerivedSchema:
     def test_every_field_maps_to_exactly_one_key(self):
         mapped = [name for section, keys in _SCHEMA.items() if section != "weights"
                   for name, _ in keys.values()]
-        assert sorted(mapped) == sorted(f.name for f in fields(Scenario)
-                                        if f.name != "weights")
+        assert sorted(mapped) == sorted(name for name in Scenario.fields
+                                        if name != "weights")
         assert len(mapped) == 51
 
     def test_weights_accept_exactly_the_utility_weights(self):
         weights = _SCHEMA["weights"]
-        assert tuple(weights) == tuple(f.name for f in fields(UtilityWeights))
+        assert tuple(weights) == tuple(UtilityWeights.fields)
         assert all(key == name for key, (name, _) in weights.items())
         assert len(weights) == 17
         # Load errors find a key by field name, in one map for both types.
-        assert not set(weights) & {f.name for f in fields(Scenario)}
+        assert not set(weights) & set(Scenario.fields)
 
     def test_default_valued_key_loads_the_default_scenario(self, tmp_path):
         default = Scenario()
@@ -197,6 +199,62 @@ class TestValidation:
         assert "battery_capacity_j" in echo
         assert "p_ch" in echo
 
+    def test_replace_checks_the_changed_scenario(self):
+        with pytest.raises(ScenarioError, match=r"\[energy\] initial_fraction"):
+            Scenario().replace(initial_fraction=2.0)
+
+    def test_sweep_checks_each_rate_before_it_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(runner, "run", runs.append)
+        with pytest.raises(ScenarioError, match=r"\[traffic\] target_rate_kbps"):
+            runner.sweep(Scenario(), [-100.0])
+        assert runs == []
+
+
+class TestRecords:
+    """The frozen records' shared behaviour (`hybridsim.record.Record`)."""
+
+    @pytest.mark.parametrize("record", [
+        Scenario(), UtilityWeights(),
+        build_link_plans(Scenario())[Mode.PERFORMANCE, Modality.OWC],
+        VlcFrame(1, 2, 3, b"hi"),
+    ], ids=lambda record: type(record).__name__)
+    def test_fields_refuse_assignment_and_deletion(self, record):
+        for name in record.fields:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+
+    def test_fields_by_position_or_keyword_compare_by_value(self):
+        frame = VlcFrame(1, 2, payload_type=3)
+        assert frame == VlcFrame(src=1, dst=2, payload_type=3, payload=b"")
+        assert hash(frame) == hash(VlcFrame(1, 2, 3))
+        assert frame != VlcFrame(1, 2, 4)
+        assert repr(frame) == "VlcFrame(src=1, dst=2, payload_type=3, payload=b'')"
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((1, 2), {}), ((1, 2, 3), {"bogus": 0}), ((1, 2, 3), {"src": 1}),
+        ((1, 2, 3, b"", 5), {}),
+    ], ids=["missing", "unknown", "repeated", "too-many"])
+    def test_a_bad_field_list_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError, match="VlcFrame"):
+            VlcFrame(*args, **kwargs)
+
+    def test_replace_checks_the_changed_record(self):
+        frame = VlcFrame(1, 2, 3)
+        assert frame.replace(dst=9) == VlcFrame(1, 9, 3)
+        with pytest.raises(FrameCodecError, match="src"):
+            frame.replace(src=256)
+
+    def test_to_dict_nests_each_record_in_field_order(self):
+        config = Scenario().to_dict()
+        assert list(config) == list(Scenario.fields)
+        assert config["weights"] == UtilityWeights().to_dict()
+        assert config["harvest_profile"] == ()
+
 
 def _below(x: float):
     return st.floats(max_value=math.nextafter(x, -math.inf))
@@ -207,7 +265,7 @@ def _above(x: float):
 
 
 def _not_positive(name: str):
-    kind = next(f.type for f in fields(Scenario) if f.name == name)
+    kind = Scenario.fields[name]
     return st.integers(max_value=0) if kind == "int" else st.floats(max_value=0.0)
 
 
@@ -226,9 +284,9 @@ _OUT_OF_RANGE = {
         "battery_capacity_j", "supply_voltage", "peripheral_period_s", "mtu_bytes",
         "bandwidth_hz", "owc_phy_rate_kbps", "tx_optical_power_w", "pd_area_m2",
         "responsivity_a_w", "concentrator_gain")},
-    **{f.name: _below(0.0) for f in fields(Scenario)
-       if f.name in ("init_delay_s", "harvest_mw", "snr_jitter_db")
-       or f.name.endswith(("_current_ma", "_duration_ms"))},
+    **{name: _below(0.0) for name in Scenario.fields
+       if name in ("init_delay_s", "harvest_mw", "snr_jitter_db")
+       or name.endswith(("_current_ma", "_duration_ms"))},
     "target_rate_kbps": _below(_DEFAULT.conservation_rate_kbps),
     "conservation_rate_kbps": st.floats(max_value=0.0) | _above(_DEFAULT.target_rate_kbps),
     "initial_fraction": st.floats(max_value=0.0) | _above(1.0),

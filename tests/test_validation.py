@@ -38,11 +38,12 @@ class TestValidateBer:
     def test_large_shift_fails_the_tolerance(self, tmp_path):
         assert not validate_ber(_shifted_fixture(tmp_path, 2 * BER_TOLERANCE_DB)).passed
 
-    def test_empty_snr_range_reports_success(self, tmp_path):
-        # Every point moves out of the compared SNR window.
-        report = validate_ber(_shifted_fixture(tmp_path, 40.0))
-        assert report.deviations_db == ()
-        assert report.passed
+    def test_empty_snr_range_fails(self, tmp_path):
+        # Every point moves out of the compared SNR window: a comparison of
+        # nothing must not pass.
+        path = _shifted_fixture(tmp_path, 40.0)
+        with pytest.raises(CalibrationError, match="no reference point fell in the window"):
+            validate_ber(path)
 
     def test_missing_fixture_errors(self, tmp_path):
         with pytest.raises(CalibrationError, match="nope.csv"):
