@@ -36,4 +36,4 @@ class ActionPlan(Record):
     snr_db: float
     rate_kbps: float
     tails: dict  # `metrics.TRACE_TAILS[mode, modality]`, by InterfaceState
-    predicted_j: float = 0.0  # set from the other columns by `build_link_plans`
+    predicted_j: float

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .actions import ActionPlan, Mode
+from .actions import Mode
 from .kernel import NS_PER_MS, EventKind, millis
 
 if TYPE_CHECKING:
@@ -124,8 +124,10 @@ def peripheral_cycle_j(scenario: Scenario) -> float:
     return max(0.0, per_cycle)
 
 
-def predict_action_energy(scenario: Scenario, plan: ActionPlan, horizon_s: float) -> float:
-    """Predicted energy in joules of executing `plan`'s action for `horizon_s`.
+def predict_action_energy(scenario: Scenario, mode: Mode, airtime_ns: int, interval_ns: int,
+                          tx_current_ma: float, horizon_s: float) -> float:
+    """Predicted energy in joules of executing for `horizon_s` the action
+    whose `ActionPlan` row holds these columns (spacing 0 in sleep mode).
 
     The estimate assumes the node streams for the whole horizon at the
     action's deliverable rate: interface residency plus transmission bursts,
@@ -134,11 +136,11 @@ def predict_action_energy(scenario: Scenario, plan: ActionPlan, horizon_s: float
     other, so a common basis matters more than schedule-exact accounting.
     """
     v = scenario.supply_voltage
-    if plan.mode is Mode.SLEEP:
+    if mode is Mode.SLEEP:
         return phase_energy(scenario.sleep_current_ma, horizon_s * 1e3, v)
-    duty = min(1.0, plan.airtime_ns / plan.interval_ns)
-    stream_ma = duty * plan.tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
+    duty = min(1.0, airtime_ns / interval_ns)
+    stream_ma = duty * tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
     energy = phase_energy(stream_ma, horizon_s * 1e3, v)
-    if plan.mode is Mode.PERFORMANCE:
+    if mode is Mode.PERFORMANCE:
         energy += peripheral_cycle_j(scenario) * (horizon_s / scenario.peripheral_period_s)
     return energy

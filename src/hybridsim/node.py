@@ -133,17 +133,11 @@ class SimNode:
         if self.plan.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
         self.plan = self.plans[Mode.SLEEP, self.plan.modality]
-        self._epoch += 1
-        self._close_eligible(now)
-        self._phase_ma = self.scenario.sleep_current_ma
+        self._reconcile(now)
         if self.evaluate_cb is not None:
             self.evaluate_cb(self, now)
 
     # -- transmit-eligible accounting ----------------------------------------
-
-    def _open_eligible(self, now: SimTime) -> None:
-        if self._eligible_since is None and self.in_slot and self.plan.mode is not Mode.SLEEP:
-            self._eligible_since = now
 
     def _close_eligible(self, now: SimTime) -> None:
         if self._eligible_since is not None:
@@ -168,35 +162,20 @@ class SimNode:
         self.sync(now)
         self.in_slot = True
         self.slot_end_ns = slot_end
-        self._epoch += 1
-        if self.plan.mode is Mode.SLEEP:
-            return  # stays parked; battery-charged may still revive it mid-slot
-        edge = self.buffer.consume(self._poll_command_j)
-        if edge is EventKind.BATTERY_LOW:
+        # A node in sleep mode takes no poll command; a battery-charged edge
+        # may still revive it mid-slot.
+        if (self.plan.mode is not Mode.SLEEP
+                and self.buffer.consume(self._poll_command_j) is EventKind.BATTERY_LOW):
             self._on_battery_low(now)
-            return
-        self._resume_slot(now)
-
-    def _resume_slot(self, now: SimTime) -> None:
-        """Stream in the slot, after waking through a chain of the duty cycle if
-        asleep: the wake-up burst, then in performance mode the peripheral cycle."""
-        self._open_eligible(now)
-        if self.awake:
-            self._start_streaming(now)
         else:
-            self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
-            cycle = self._duty_cycle
-            self._run_chain(now, cycle if self.plan.mode is Mode.PERFORMANCE else cycle[:1])
+            self._reconcile(now)
 
     def exit_slot(self, now: SimTime) -> None:
         self.sync(now)
         self.in_slot = False
-        self._close_eligible(now)
-        self._epoch += 1
         if self._pending_packet is not None:
             self.engine.cancel(self._pending_packet)  # kept: a burst's end reads it
-        if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self.park()
+        self._reconcile(now)
 
     def _run_chain(self, now: SimTime, chain: tuple[tuple[float, int], ...]) -> None:
         self._epoch += 1
@@ -394,14 +373,13 @@ class SimNode:
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1
-        # Settle into whatever the node should be doing now. In the slot and
-        # awake, a stale packet-ready means a stream started mid-burst.
-        if not self.in_slot or self.plan.mode is Mode.SLEEP:
-            self.park()
-        elif self._pending_packet.payload != self._epoch:
-            self._start_streaming(now)
-        else:
+        # A live packet-ready means the node kept its slot and mode since the
+        # burst started and streams on; else a change waited for this end.
+        if (self.in_slot and self.plan.mode is not Mode.SLEEP
+                and self._pending_packet.payload == self._epoch):
             self._phase_ma = self.scenario.idle_current_ma
+        else:
+            self._reconcile(now)
 
     # -- reconfiguration -----------------------------------------------------
 
@@ -419,13 +397,25 @@ class SimNode:
         self._reconcile(now)
 
     def _reconcile(self, now: SimTime) -> None:
+        """Settle the node after a change of its slot, mode or battery state.
+        In its slot and not in sleep mode, it is transmit-eligible and
+        streams, after waking through a chain of the duty cycle if asleep:
+        the wake-up burst, then in performance mode the peripheral cycle.
+        Otherwise it parks, unless a burst is in flight, whose end settles it."""
         self._epoch += 1
         if self.in_slot and self.plan.mode is not Mode.SLEEP:
-            self._resume_slot(now)
-            return
-        self._close_eligible(now)
-        if not self.tx_in_flight:  # else the burst's end handler parks the node
-            self.park()
+            if self._eligible_since is None:
+                self._eligible_since = now
+            if self.awake:
+                self._start_streaming(now)
+            else:
+                self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
+                cycle = self._duty_cycle
+                self._run_chain(now, cycle if self.plan.mode is Mode.PERFORMANCE else cycle[:1])
+        else:
+            self._close_eligible(now)
+            if not self.tx_in_flight:
+                self.park()
 
     # -- event dispatch ---------------------------------------------------------
 

@@ -41,15 +41,16 @@ def build_link_plans(scenario: Scenario) -> dict[tuple[Mode, Modality], ActionPl
     plans = {}
     for modality, airtime_ms, min_spacing_ms, tx_current_ma, (snr, ber) in links:
         success_prob = channel.packet_success(ber, bits)
+        airtime_ns = millis(airtime_ms)
         for mode, rate in ((Mode.PERFORMANCE, scenario.target_rate_kbps),
                            (Mode.CONSERVATION, scenario.conservation_rate_kbps),
                            (Mode.SLEEP, None)):
             interval_ns = 0 if rate is None else millis(max(bits / rate, min_spacing_ms))
-            columns = (mode, modality, millis(airtime_ms), interval_ns, tx_current_ma,
-                       success_prob, snr, bits / (interval_ns / 1e6) if interval_ns else 0.0,
-                       TRACE_TAILS[mode, modality])
-            plans[mode, modality] = ActionPlan(*columns, predict_action_energy(
-                scenario, ActionPlan(*columns), scenario.weights.period_s))
+            plans[mode, modality] = ActionPlan(
+                mode, modality, airtime_ns, interval_ns, tx_current_ma, success_prob, snr,
+                bits / (interval_ns / 1e6) if interval_ns else 0.0, TRACE_TAILS[mode, modality],
+                predict_action_energy(scenario, mode, airtime_ns, interval_ns, tx_current_ma,
+                                      scenario.weights.period_s))
     return plans
 
 
@@ -132,10 +133,9 @@ class _Controller:
 
     def _on_gateway_event(self, engine: Engine, event) -> None:
         now = engine.now
-        if self.slot < 0:
+        if self.slot < 0:  # the first poll settles every node outside its slot
             for node in self.nodes:
-                node.sync(now)
-                node.park()
+                node.exit_slot(now)
         else:
             self.nodes[self.slot % len(self.nodes)].exit_slot(now)
         self.slot += 1

@@ -206,6 +206,12 @@ class TestDeviceCurrent:
             table["ble", "bogus", "normal"]
 
 
+def _predicted(scenario, row, horizon_s):
+    """`predict_action_energy` over the columns of the action row `row`."""
+    return predict_action_energy(scenario, row.mode, row.airtime_ns, row.interval_ns,
+                                 row.tx_current_ma, horizon_s)
+
+
 class TestActionEnergyPrediction:
     @pytest.fixture()
     def cfg(self):
@@ -214,17 +220,22 @@ class TestActionEnergyPrediction:
 
     def test_sleep_is_single_phase(self, cfg):
         scenario, plans = cfg
-        energy = predict_action_energy(scenario, plans[Mode.SLEEP, Modality.OWC], 10.0)
+        energy = _predicted(scenario, plans[Mode.SLEEP, Modality.OWC], 10.0)
         assert energy == pytest.approx(0.344e-3 * 3.3 * 10.0, rel=1e-12)
 
     def test_performance_costs_more_than_conservation(self, cfg):
         scenario, plans = cfg
-        perf = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
-        cons = predict_action_energy(scenario, plans[Mode.CONSERVATION, Modality.BLE], 10.0)
+        perf = _predicted(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
+        cons = _predicted(scenario, plans[Mode.CONSERVATION, Modality.BLE], 10.0)
         assert perf > cons
 
     def test_optical_uplink_costs_more_than_radio(self, cfg):
         scenario, plans = cfg
-        owc = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.OWC], 10.0)
-        ble = predict_action_energy(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
+        owc = _predicted(scenario, plans[Mode.PERFORMANCE, Modality.OWC], 10.0)
+        ble = _predicted(scenario, plans[Mode.PERFORMANCE, Modality.BLE], 10.0)
         assert owc > ble
+
+    def test_each_row_holds_its_prediction_over_one_policy_period(self, cfg):
+        scenario, plans = cfg
+        for row in plans.values():
+            assert row.predicted_j == _predicted(scenario, row, scenario.weights.period_s)

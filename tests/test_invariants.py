@@ -14,10 +14,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hybridsim import runner
 from hybridsim.actions import Mode
-from hybridsim.kernel import NS_PER_SEC, seconds
+from hybridsim.kernel import NS_PER_SEC, Engine, seconds
 from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.runner import run
+from hybridsim.runner import _Controller, run
 from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import tx_bursts
 
@@ -174,6 +174,40 @@ def test_one_sample_per_whole_second(scenario):
     for nm in record.nodes.values():
         assert len(nm.tails) == samples and len(nm.values) == 3 * samples, nm.name
         assert [row.t_s for row in nm.rows] == list(range(samples))
+
+
+def test_eligible_segment_is_open_exactly_in_the_slot_outside_sleep_mode():
+    """After every dispatched event, each node's transmit-eligible segment is
+    open iff it holds its slot in a mode other than sleep: every change of
+    either settles through `SimNode._reconcile`, which keeps the two in step."""
+    from test_crossing import tie_prone  # which imports this module
+    checks = []
+
+    def run_checked(scenario):
+        engine = Engine()
+        controller = _Controller(scenario, engine)
+        dispatch = engine.dispatch_head
+
+        def dispatch_head():
+            dispatch()
+            for node in controller.nodes:
+                assert (node._eligible_since is not None) == (
+                    node.in_slot and node.plan.mode is not Mode.SLEEP), (node.name, engine.now)
+            checks.append(len(controller.nodes))
+
+        engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
+        controller.start()
+        engine.run_until(controller.total_ns)
+
+    for strategy, examples in ((scenarios(), 150), (tie_prone(), 150)):
+        @settings(max_examples=examples, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(strategy)
+        def check(scenario):
+            run_checked(scenario)
+
+        check()
+    assert sum(checks) > 10_000, sum(checks)
 
 
 def test_a_live_chain_step_sees_the_slot_and_mode_its_chain_started_in(monkeypatch):

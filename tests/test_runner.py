@@ -2,6 +2,7 @@
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
 import hashlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -43,6 +44,10 @@ LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
 # The 64-node EUNO fleet perfbench/run.py generates at seed 1 (`fleet_config`),
 # as a file: each write shares one time column across all 64 nodes.
 FLEET64 = Path(__file__).parent / "data" / "fleet64.cfg"
+# 1 ETNO node whose bursts run back to back, so its slot entries and exits,
+# a burst's end that parks it and a battery-low edge in sleep mode all fall
+# mid-stream.
+REENTRY = Path(__file__).parent / "data" / "etno1_reentry.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +254,9 @@ class TestTraces:
     def test_fleet64_bytes_pinned(self, tmp_path):
         _assert_pinned(FLEET64, tmp_path)
 
+    def test_mid_burst_reentry_bytes_pinned(self, tmp_path):
+        _assert_pinned(REENTRY, tmp_path)
+
     def test_lossy_links_bytes_pinned(self, tmp_path):
         # Every packet outcome depends on its draw, so the bytes pin where
         # each node's stream stands at every burst.
@@ -279,6 +287,20 @@ def _assert_pinned(config: Path, out: Path) -> None:
     write_traces(run(load_scenario(config)), out)
     assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
                   for path in out.iterdir()) == sorted(pinned)
+
+
+def test_digest_runs_prints_equal_lines_for_a_rerun():
+    # tests/data/digest_runs.py digests every output of a run, so that two
+    # source trees can be compared run by run: a rerun must print the same
+    # line, and the three draws differ.
+    spec = importlib.util.spec_from_file_location(
+        "digest_runs", Path(__file__).parent / "data" / "digest_runs.py")
+    digest_runs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest_runs)
+    first, again = ([f"{digest_runs.digest(scenario)}  {name}"
+                     for name, scenario in digest_runs.draws(3)] for _ in range(2))
+    assert first == again
+    assert len({line.split()[0] for line in first}) == 3
 
 
 def _sampled_row(mode=Mode.PERFORMANCE, modality=Modality.OWC,
@@ -471,6 +493,29 @@ class TestNodeLifecycle:
         assert node.plan is node.plans[Mode.SLEEP, Modality.OWC]
         node.on_transmit_end(airtime)  # the burst already ended
         assert node.metrics.packets_lost == 1 and node.metrics.bytes_delivered == 0
+
+    def test_battery_low_mid_burst_in_sleep_mode_powers_off_at_once(self):
+        # Sleep mode taken mid-burst leaves the burst in flight; the edge
+        # loses it, powers both interfaces off and draws the sleep current
+        # from then on, and the burst's end finds nothing left to do.
+        node = _lone_node()
+        node.enter_slot(0, seconds(10))
+        node.transmit_packet(0)
+        node.apply_action(node.plans[Mode.SLEEP, Modality.OWC], 0)
+        assert node.tx_in_flight
+        buffer = node.buffer
+        buffer.remaining_j = buffer.threshold_j
+        airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
+        node.sync(airtime // 2)
+        assert node.interfaces is InterfaceState.OFF
+        assert (node.metrics.packets_lost, node.metrics.sleep_entries) == (1, 1)
+        at_edge = buffer.remaining_j
+        before = (node.interfaces, node.plan, node._epoch, _fields(node.metrics))
+        node.on_transmit_end(airtime)
+        assert (node.interfaces, node.plan, node._epoch, _fields(node.metrics)) == before
+        node.sync(airtime // 2 + NS_PER_SEC)
+        sleep_j = node.scenario.sleep_current_ma * 1e-3 * node.scenario.supply_voltage
+        assert at_edge - buffer.remaining_j == pytest.approx(sleep_j, rel=1e-9)
 
     def test_burst_ending_at_slot_end_parks_after_it_ends(self):
         node = _lone_node(inter_transmission_sleep=True)
