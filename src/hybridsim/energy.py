@@ -138,7 +138,7 @@ def predict_action_energy(scenario: Scenario, mode: Mode, airtime_ns: int, inter
     v = scenario.supply_voltage
     if mode is Mode.SLEEP:
         return phase_energy(scenario.sleep_current_ma, horizon_s * 1e3, v)
-    duty = min(1.0, airtime_ns / interval_ns)
+    duty = airtime_ns / interval_ns  # a row's spacing is never below its airtime
     stream_ma = duty * tx_current_ma + (1.0 - duty) * scenario.idle_current_ma
     energy = phase_energy(stream_ma, horizon_s * 1e3, v)
     if mode is Mode.PERFORMANCE:

@@ -1,4 +1,4 @@
-"""The node's interface state machine and BLE event timing.
+"""The node's interface state machine, BLE event timing and packet timing.
 
 The optical and radio interfaces are modeled as one machine in one explicit
 transition table: every sleep, wake and battery-low signal moves both, and at
@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .actions import Modality
+from .actions import Mode, Modality
 from .channel import PHY_BITS_PER_MS
-from .kernel import EventKind
+from .kernel import EventKind, millis
 
 
 class InterfaceState(Enum):
@@ -75,3 +75,17 @@ def ble_airtime(payload_bytes: int, phy_rate: str, mtu_bytes: int) -> float:
                 - REFERENCE_PAYLOAD_BYTES * 8 / PHY_BITS_PER_MS[REFERENCE_PHY_RATE])
     events = max(1, math.ceil(payload_bytes / mtu_bytes))
     return events * overhead + payload_bytes * 8 / PHY_BITS_PER_MS[phy_rate]
+
+
+def packet_spans(scenario) -> dict[tuple[Mode, Modality], tuple[int, int]]:
+    """Each action row's airtime and packet spacing in ns for a `Scenario`, by `(mode,
+    modality)`: spacing 0 asleep, else never below the airtime nor, on the radio (one packet
+    per connection event), the connection interval. Too many bits overflow to inf."""
+    bits = scenario.packet_bytes * 8.0
+    links = ((Modality.OWC, bits / scenario.owc_phy_rate_kbps, 0.0),
+             (Modality.BLE, ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
+                                        scenario.mtu_bytes), scenario.conn_interval_ms))
+    rates = ((Mode.PERFORMANCE, scenario.target_rate_kbps),
+             (Mode.CONSERVATION, scenario.conservation_rate_kbps), (Mode.SLEEP, 0))
+    return {(mode, modality): (millis(airtime), rate and millis(max(bits / rate, airtime, floor)))
+            for modality, airtime, floor in links for mode, rate in rates}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from . import channel
 from .actions import ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, energy_between, predict_action_energy
-from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, millis, seconds
-from .linklayer import ble_airtime
+from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, seconds
+from .linklayer import packet_spans
 from .metrics import TRACE_TAILS, MetricsRecord, NodeMetrics
 from .node import CHAIN_STEPS, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
@@ -23,34 +23,20 @@ GATEWAY_IDLE_W = 1.28  # mains-powered access point draw, reported only
 
 
 def build_link_plans(scenario: Scenario) -> dict[tuple[Mode, Modality], ActionPlan]:
-    """The run's table: one row per `(mode, modality)` action. Every node
-    sits at the scenario's distance and incidence angle, so one table
-    serves them all. A row's predicted joules cover one policy period."""
+    """The run's table: one row per `(mode, modality)` action, timed by
+    `packet_spans`. Every node sits at the scenario's distance and incidence
+    angle, so one table serves them all. A row's predicted joules cover one policy period."""
     bits = scenario.packet_bytes * 8
-    ble_airtime_ms = ble_airtime(scenario.packet_bytes, scenario.ble_phy_rate,
-                                 scenario.mtu_bytes)
-    owc_airtime_ms = bits / scenario.owc_phy_rate_kbps
-    links = (
-        (Modality.OWC, owc_airtime_ms, owc_airtime_ms, scenario.owc_tx_current_ma,
-         channel.owc_link(scenario)),
-        # The radio moves one application packet per connection event, so
-        # packet spacing can never drop below the connection interval.
-        (Modality.BLE, ble_airtime_ms, max(scenario.conn_interval_ms, ble_airtime_ms),
-         scenario.ble_tx_current_ma, channel.ble_link(scenario)),
-    )
+    links = {Modality.OWC: (scenario.owc_tx_current_ma, channel.owc_link(scenario)),
+             Modality.BLE: (scenario.ble_tx_current_ma, channel.ble_link(scenario))}
     plans = {}
-    for modality, airtime_ms, min_spacing_ms, tx_current_ma, (snr, ber) in links:
-        success_prob = channel.packet_success(ber, bits)
-        airtime_ns = millis(airtime_ms)
-        for mode, rate in ((Mode.PERFORMANCE, scenario.target_rate_kbps),
-                           (Mode.CONSERVATION, scenario.conservation_rate_kbps),
-                           (Mode.SLEEP, None)):
-            interval_ns = 0 if rate is None else millis(max(bits / rate, min_spacing_ms))
-            plans[mode, modality] = ActionPlan(
-                mode, modality, airtime_ns, interval_ns, tx_current_ma, success_prob, snr,
-                bits / (interval_ns / 1e6) if interval_ns else 0.0, TRACE_TAILS[mode, modality],
-                predict_action_energy(scenario, mode, airtime_ns, interval_ns, tx_current_ma,
-                                      scenario.weights.period_s))
+    for (mode, modality), (airtime_ns, interval_ns) in packet_spans(scenario).items():
+        tx_ma, (snr, ber) = links[modality]
+        plans[mode, modality] = ActionPlan(
+            mode, modality, airtime_ns, interval_ns, tx_ma, channel.packet_success(ber, bits), snr,
+            bits / (interval_ns / 1e6) if interval_ns else 0.0, TRACE_TAILS[mode, modality],
+            predict_action_energy(scenario, mode, airtime_ns, interval_ns, tx_ma,
+                                  scenario.weights.period_s))
     return plans
 
 

@@ -11,9 +11,10 @@ import math
 import sys
 from pathlib import Path
 
+from .actions import Mode
 from .channel import PHY_RATE_SNR_SHIFT_DB, ble_link, owc_link
 from .kernel import millis, seconds
-from .linklayer import CONN_EVENT_LEN_MS
+from .linklayer import CONN_EVENT_LEN_MS, packet_spans
 from .optimizer import UtilityWeights
 from .record import Record
 
@@ -168,23 +169,13 @@ class Scenario(Record):
                                 f"{file_key['target_rate_kbps']}")
         # Every span the run converts to integer nanoseconds must convert, and a
         # tick or packet spacing of 0 ns would requeue itself at once for ever.
-        # Of the action rows (`runner.build_link_plans`), performance on the
-        # optical link has the shortest packet spacing and the conservation
-        # rate the longest; the radio's is at least one connection interval,
-        # and a sleep row has none.
-        bits = self.packet_bytes * 8.0  # as a float, too many overflow to inf
         spans = (
             (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),
             (file_key["period_s"], seconds, weights.period_s, True),
             (file_key["peripheral_period_s"], seconds, self.peripheral_period_s, True),
-            (f"{file_key['packet_bytes']}, {file_key['target_rate_kbps']} and "
-             f"{file_key['owc_phy_rate_kbps']} give an optical packet spacing that", millis,
-             max(bits / self.target_rate_kbps, bits / self.owc_phy_rate_kbps), True),
-            (f"{file_key['packet_bytes']} and {file_key['conservation_rate_kbps']} give a packet "
-             "spacing that", millis, bits / self.conservation_rate_kbps, False),
             *((file_key[name], millis, getattr(self, name), False) for name in (
                 "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
-                "localize_duration_ms", "conn_interval_ms")),
+                "localize_duration_ms")),
         )
         for name, to_ns, span, tick in spans:
             try:
@@ -193,6 +184,16 @@ class Scenario(Record):
                 raise ScenarioError(f"{name} overflows the ns clock, got {span}") from None
             if tick and ns == 0:
                 raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
+        keys = ", ".join(file_key[name] for name in (
+            "packet_bytes", "target_rate_kbps", "conservation_rate_kbps", "ble_phy_rate",
+            "conn_interval_ms", "mtu_bytes", "owc_phy_rate_kbps"))
+        try:
+            rows = packet_spans(self).items()
+        except OverflowError:
+            raise ScenarioError("an action row's airtime or packet spacing overflows the ns "
+                                f"clock: one of {keys} is out of range") from None
+        if any(not interval for (mode, _), (_, interval) in rows if mode is not Mode.SLEEP):
+            raise ScenarioError(f"a packet spacing rounds to 0 ns: one of {keys} is out of range")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"{file_key['optimizer']} must be one of {OPTIMIZERS}")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:

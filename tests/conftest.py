@@ -1,11 +1,21 @@
 """Shared test helpers."""
 
+import importlib.util
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
 from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.optimizer import EunoTable, UtilityWeights
+
+# tests/data/digest_runs.py runs without pytest, so it is loaded from its path.
+# Its `outputs(scenario)` gathers every output of a run, which the
+# differential tests compare.
+_spec = importlib.util.spec_from_file_location(
+    "digest_runs", Path(__file__).parent / "data" / "digest_runs.py")
+digest_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digest_runs)
 
 
 def action_set(current):

@@ -7,10 +7,10 @@
 Runs the six paper figure presets, each `*.cfg` beside this script, and
 `DRAWS` short scenarios drawn with `random.Random(2026)` over the ranges of
 `scenarios()` in tests/test_invariants.py, and prints one `<sha256>  <run>`
-line per run. The digest covers the trace and summary bytes, each node's
-burst log (`tx_intervals`) and transmit-eligible time, the event count and
-every node's random-stream state, so a change that keeps every output
-prints the same lines. Needs no pytest, like verify_pins.py.
+line per run: the digest of `outputs`, every output of the run. A change
+that keeps every output prints the same lines. The differential tests
+(test_crossing.py, test_batching.py) compare `outputs` too, so an output
+added to a run is added here once. Needs no pytest, like verify_pins.py.
 """
 
 from __future__ import annotations
@@ -67,22 +67,35 @@ def draws(count: int) -> list[tuple[str, Scenario]]:
     return runs
 
 
-def digest(scenario: Scenario) -> str:
-    """The sha256 of every output of one run of `scenario`."""
+def outputs(scenario: Scenario) -> dict:
+    """Every output of one run of `scenario`: the trace and summary bytes by
+    file name, each node's burst log (`tx_intervals`) and transmit-eligible
+    time, the event count and every node's random-stream state."""
     engine = Engine()
     controller = _Controller(scenario, engine)
     controller.start()
     engine.run_until(controller.total_ns)
     record = controller.finalize()
-    sha = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out:
-        for path in sorted(write_traces(record, Path(out))):
-            sha.update(f"{path.name}\n".encode())
-            sha.update(path.read_bytes())
-    sha.update(repr([(name, nm.tx_intervals, nm.eligible_s)
-                     for name, nm in record.nodes.items()]).encode())
-    sha.update(repr(record.events_executed).encode())
-    sha.update(repr([node.rng._rng.getstate() for node in controller.nodes]).encode())
+        files = {path.name: path.read_bytes() for path in write_traces(record, Path(out))}
+    return {
+        "files": files,
+        "tx_intervals": {name: nm.tx_intervals for name, nm in record.nodes.items()},
+        "eligible_s": {name: nm.eligible_s for name, nm in record.nodes.items()},
+        "events_executed": record.events_executed,
+        "rng": [node.rng._rng.getstate() for node in controller.nodes],
+    }
+
+
+def digest(scenario: Scenario) -> str:
+    """The sha256 of `outputs(scenario)`: each file's name and bytes in name
+    order, then the `repr` of the rest."""
+    run = outputs(scenario)
+    sha = hashlib.sha256()
+    for name, data in sorted(run.pop("files").items()):
+        sha.update(f"{name}\n".encode())
+        sha.update(data)
+    sha.update(repr(run).encode())
     return sha.hexdigest()
 
 

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 
 from hybridsim.kernel import Engine, SimEvent
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from test_crossing import PRESETS, _outputs, fleet
+from conftest import digest_runs
+from test_crossing import PRESETS, fleet
 from test_invariants import scenarios
 
 DATA = Path(__file__).parent / "data"
@@ -39,7 +40,7 @@ def _run(scenario: Scenario, batched: bool) -> tuple[dict, int]:
         patch.setattr(Engine, "schedule", counted)
         if not batched:
             patch.setattr(Engine, "schedule_batched", _unbatched)
-        return _outputs(scenario), queued
+        return digest_runs.outputs(scenario), queued
 
 
 def _compare(scenario: Scenario) -> tuple[int, int]:

@@ -209,6 +209,10 @@ class TestRun:
           for section, key in (("traffic", "packet_bytes"), ("scenario", "node_count"),
                                ("scenario", "seed"), ("radio", "mtu_bytes"))),
         pytest.param("traffic", f"packet_bytes = 1{'0' * 308}", id="traffic-packet_bytes-1e308"),
+        # A packet of 10^302 bytes that the optical link spaces within the
+        # clock, but whose 10^302 one-byte connection events do not fit it.
+        pytest.param("traffic", f"packet_bytes = 1{'0' * 302}\n[radio]\nmtu_bytes = 1",
+                     id="traffic-packet_bytes-radio-airtime-overflow"),
         # More nodes, or node-seconds, than a run may hold in memory: 10,000
         # nodes for 361 s with the default 5 s start-up delay, or 3 nodes
         # for 2e6 s.

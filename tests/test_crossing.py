@@ -7,18 +7,15 @@ count and each node's random stream.
 """
 
 import random
-import tempfile
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hybridsim.kernel import NS_PER_SEC, Engine, EventKind
-from hybridsim.metrics import write_traces
+from hybridsim.kernel import NS_PER_SEC, EventKind
 from hybridsim.node import SimNode
-from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, load_scenario, preset_path
+from conftest import digest_runs
 from test_invariants import scenarios
 
 PRESETS = ("paper_fig11", "paper_fig11b", "paper_fig12", "paper_fig12b",
@@ -64,23 +61,6 @@ def tie_prone(draw) -> Scenario:
     return scenario
 
 
-def _outputs(scenario: Scenario) -> dict:
-    engine = Engine()
-    controller = _Controller(scenario, engine)
-    controller.start()
-    engine.run_until(controller.total_ns)
-    record = controller.finalize()
-    with tempfile.TemporaryDirectory() as out:
-        files = {path.name: path.read_bytes() for path in write_traces(record, Path(out))}
-    return {
-        "files": files,
-        "tx_intervals": {name: nm.tx_intervals for name, nm in record.nodes.items()},
-        "eligible_s": {name: nm.eligible_s for name, nm in record.nodes.items()},
-        "events_executed": record.events_executed,
-        "rng": [node.rng._rng.getstate() for node in controller.nodes],
-    }
-
-
 def _counting(paths: Counter):
     """`SimNode._crosses`, counting each stretch stopped at a world tick
     inside its burst's window by what became of it: crossed inside the
@@ -107,10 +87,10 @@ def _counting(paths: Counter):
 def _compare(scenario: Scenario, paths: Counter) -> None:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimNode, "_crosses", lambda *args: False)
-        queued = _outputs(scenario)
+        queued = digest_runs.outputs(scenario)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SimNode, "_crosses", _counting(paths))
-        crossed = _outputs(scenario)
+        crossed = digest_runs.outputs(scenario)
     assert crossed == queued
 
 

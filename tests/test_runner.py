@@ -2,7 +2,6 @@
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
 import hashlib
-import importlib.util
 import inspect
 import itertools
 import json
@@ -30,7 +29,7 @@ from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_burs
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import interface_halves, tx_bursts
+from conftest import digest_runs, interface_halves, tx_bursts
 from test_invariants import INTERFACE_LABELS, scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
@@ -293,10 +292,6 @@ def test_digest_runs_prints_equal_lines_for_a_rerun():
     # tests/data/digest_runs.py digests every output of a run, so that two
     # source trees can be compared run by run: a rerun must print the same
     # line, and the three draws differ.
-    spec = importlib.util.spec_from_file_location(
-        "digest_runs", Path(__file__).parent / "data" / "digest_runs.py")
-    digest_runs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest_runs)
     first, again = ([f"{digest_runs.digest(scenario)}  {name}"
                      for name, scenario in digest_runs.draws(3)] for _ in range(2))
     assert first == again

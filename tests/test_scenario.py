@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hybridsim import runner
 from hybridsim.actions import Mode, Modality
@@ -387,6 +387,40 @@ class TestInvalidConfigs:
         with pytest.raises(ScenarioError) as err:
             load_scenario(_write(tmp_path, f"[{section}]\n{line}\n"))
         assert f"[{section}] {line.split()[0]}" in str(err.value)
+
+
+_SPAN_RATES = st.floats(1e-300, 1e300)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(packet_bytes=10 ** 302, mtu_bytes=1, rates=[300.0, 60.0], owc_phy_rate_kbps=1000.0,
+         conn_interval_ms=45.0, ble_phy_rate="2M")  # 10^302 connection events
+@given(packet_bytes=st.integers(1, int(sys.float_info.max)),
+       mtu_bytes=st.integers(1, int(sys.float_info.max)),
+       rates=st.lists(_SPAN_RATES, min_size=2, max_size=2), owc_phy_rate_kbps=_SPAN_RATES,
+       conn_interval_ms=st.floats(CONN_EVENT_LEN_MS, 1e300, exclude_min=True),
+       ble_phy_rate=st.sampled_from(["1M", "2M"]))
+def test_every_packet_timing_that_loads_builds_its_rows(packet_bytes, mtu_bytes, rates,
+                                                        owc_phy_rate_kbps, conn_interval_ms,
+                                                        ble_phy_rate):
+    """The load check and the run read one derivation of each row's airtime
+    and packet spacing (`linklayer.packet_spans`), so a packet size, MTU,
+    rate or connection interval that loads builds every row: an active row's
+    spacing is at least 1 ns and never below its airtime, and a sleep row's
+    is 0. The higher of the two rates is the target, so that most draws get
+    past the rate order check."""
+    try:
+        scenario = Scenario(packet_bytes=packet_bytes, mtu_bytes=mtu_bytes,
+                            target_rate_kbps=max(rates), conservation_rate_kbps=min(rates),
+                            owc_phy_rate_kbps=owc_phy_rate_kbps,
+                            conn_interval_ms=conn_interval_ms, ble_phy_rate=ble_phy_rate)
+    except ScenarioError:
+        return
+    for (mode, _), row in build_link_plans(scenario).items():
+        if mode is Mode.SLEEP:
+            assert row.interval_ns == 0
+        else:
+            assert row.interval_ns >= row.airtime_ns >= 0 and row.interval_ns >= 1
 
 
 # Every float key is set, one at a time on a 3 s run, to each of these values.
