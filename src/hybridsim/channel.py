@@ -10,10 +10,6 @@ mutates shared state, so these are safe to call from any thread.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 SPEED_OF_LIGHT = 299792458.0
 BOLTZMANN = 1.380649e-23
@@ -47,7 +43,7 @@ def lambertian_order(semi_angle_deg: float) -> float:
     return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
 
 
-def friis_rx_power(scenario: Scenario) -> float:
+def friis_rx_power(scenario) -> float:
     """Received power in dBm at the scenario's distance under free-space
     (Friis) propagation between isotropic (0 dBi) antennas."""
     fspl_db = 20.0 * math.log10(4.0 * math.pi * scenario.distance_m * CARRIER_HZ
@@ -79,7 +75,7 @@ def gfsk_ber(snr_value_db: float, phy_rate: str = "1M") -> float:
     return _q_function(math.sqrt(2.0 * gamma_b * GFSK_EFFECTIVE_DISTANCE))
 
 
-def ble_link(scenario: Scenario) -> tuple[float, float]:
+def ble_link(scenario) -> tuple[float, float]:
     """SNR in dB and bit error rate of the radio link; the error rate follows
     the per-bit SNR at the PHY rate."""
     snr = snr_db(friis_rx_power(scenario), scenario.noise_figure_db, scenario.bandwidth_hz)
@@ -88,7 +84,7 @@ def ble_link(scenario: Scenario) -> tuple[float, float]:
     return snr, gfsk_ber(eb, scenario.ble_phy_rate)
 
 
-def owc_channel_gain(scenario: Scenario) -> float:
+def owc_channel_gain(scenario) -> float:
     """Line-of-sight Lambertian channel gain (dimensionless).
 
     The gateway's LED faces down and the node's photodetector faces up, so
@@ -107,7 +103,7 @@ def owc_channel_gain(scenario: Scenario) -> float:
             * cos_theta)
 
 
-def owc_snr_db(scenario: Scenario, gain: float) -> float:
+def owc_snr_db(scenario, gain: float) -> float:
     """Electrical SNR of the optical link, -inf sentinel for zero gain or a
     signal power that underflows to zero. A photocurrent or signal power
     that overflows raises OverflowError.
@@ -131,7 +127,7 @@ def ook_ber(snr_value_db: float) -> float:
     return _q_function(math.sqrt(10.0 ** (snr_value_db / 10.0)))
 
 
-def owc_link(scenario: Scenario) -> tuple[float, float]:
+def owc_link(scenario) -> tuple[float, float]:
     """SNR in dB and bit error rate of the optical link."""
     snr = owc_snr_db(scenario, owc_channel_gain(scenario))
     return snr, ook_ber(snr)

@@ -11,13 +11,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .actions import Mode
 from .kernel import NS_PER_MS, EventKind, millis
-
-if TYPE_CHECKING:
-    from .scenario import Scenario
 
 
 def phase_energy(current_ma: float, duration_ms: float, voltage: float) -> float:
@@ -104,7 +100,7 @@ def energy_between(segments: tuple[tuple[float, float], ...], t0_s: float, t1_s:
 # ---------------------------------------------------------------------------
 # Peripherals and per-action energy prediction
 
-def duty_cycle(scenario: Scenario) -> tuple[tuple[float, int], ...]:
+def duty_cycle(scenario) -> tuple[tuple[float, int], ...]:
     """The operation sequence of one duty cycle as `(mA, ns)` phases: wake-up,
     then the peripheral cycle (sensing, display refresh, localization)."""
     return tuple((ma, millis(ms)) for ma, ms in (
@@ -114,7 +110,7 @@ def duty_cycle(scenario: Scenario) -> tuple[tuple[float, int], ...]:
         (scenario.localize_current_ma, scenario.localize_duration_ms)))
 
 
-def peripheral_cycle_j(scenario: Scenario) -> float:
+def peripheral_cycle_j(scenario) -> float:
     """Energy one peripheral cycle draws above idle, floored at zero."""
     v = scenario.supply_voltage
     per_cycle = 0.0
@@ -124,7 +120,7 @@ def peripheral_cycle_j(scenario: Scenario) -> float:
     return max(0.0, per_cycle)
 
 
-def predict_action_energy(scenario: Scenario, mode: Mode, airtime_ns: int, interval_ns: int,
+def predict_action_energy(scenario, mode: Mode, airtime_ns: int, interval_ns: int,
                           tx_current_ma: float, horizon_s: float) -> float:
     """Predicted energy in joules of executing for `horizon_s` the action
     whose `ActionPlan` row holds these columns (spacing 0 in sleep mode).

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .actions import Mode, Modality
 from .linklayer import InterfaceState
@@ -30,14 +30,8 @@ TRACE_TAILS = {
 _ROW_FORMAT = "%s,%.9g,%.9g,%s%s"
 
 
-class TraceRow(NamedTuple):
-    t_s: float
-    remaining_j: float
-    consumed_j: float
-    harvested_j: float
-    mode: str
-    modality: str
-    fsm_state: str
+TraceRow = namedtuple(
+    "TraceRow", "t_s remaining_j consumed_j harvested_j mode modality fsm_state")
 
 
 def _columns(values: array) -> tuple[array, ...]:

@@ -79,9 +79,9 @@ class SimNode:
                           else scenario.idle_current_ma)
         self._phase_since: SimTime = 0
         self._eligible_since: SimTime | None = None
-        # Each slot change, reconfiguration, battery-low edge, and chain or
-        # stream start bumps the epoch; a packet or chain step that was
-        # scheduled under an older epoch is stale and does nothing.
+        # Only `_reconcile` (every change of slot, mode or battery state) and a
+        # new peripheral cycle, which supersedes a chain still running, bump the
+        # epoch; a packet or chain step queued under an older epoch is stale.
         self._epoch = 0
         self._chain: tuple[tuple[float, int], ...] = ()  # phases still to run in this chain
         self._pending_packet: SimEvent | None = None
@@ -150,10 +150,12 @@ class SimNode:
         """Rest outside a slot or a burst: sleep if the mode or the scenario
         asks for it, else wake and idle."""
         if self.plan.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
-            self.interfaces = fsm_dispatch(self.interfaces, EventKind.SLEEP_SIGNAL)
+            if self.awake:
+                self.interfaces = fsm_dispatch(self.interfaces, EventKind.SLEEP_SIGNAL)
             self._phase_ma = self.scenario.sleep_current_ma
         else:
-            self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
+            if not self.awake:
+                self.interfaces = fsm_dispatch(self.interfaces, EventKind.WAKE_SIGNAL)
             self._phase_ma = self.scenario.idle_current_ma
 
     # -- polling slots ---------------------------------------------------------
@@ -178,7 +180,6 @@ class SimNode:
         self._reconcile(now)
 
     def _run_chain(self, now: SimTime, chain: tuple[tuple[float, int], ...]) -> None:
-        self._epoch += 1
         self._chain = chain
         self._advance_chain(now)
 
@@ -212,12 +213,12 @@ class SimNode:
         if (not self.awake or self.in_slot or self.tx_in_flight
                 or self.plan.mode is not Mode.PERFORMANCE):
             return
+        self._epoch += 1  # a chain still running stops here
         self._run_chain(now, self._duty_cycle[1:])
 
     # -- traffic ----------------------------------------------------------------
 
     def _start_streaming(self, now: SimTime) -> None:
-        self._epoch += 1
         if self.tx_in_flight:
             return  # the burst's end restreams, as its packet-ready is now stale
         self._phase_ma = self.scenario.idle_current_ma
@@ -375,8 +376,7 @@ class SimNode:
             self.metrics.packets_lost += 1
         # A live packet-ready means the node kept its slot and mode since the
         # burst started and streams on; else a change waited for this end.
-        if (self.in_slot and self.plan.mode is not Mode.SLEEP
-                and self._pending_packet.payload == self._epoch):
+        if self._pending_packet.payload == self._epoch:
             self._phase_ma = self.scenario.idle_current_ma
         else:
             self._reconcile(now)

@@ -169,6 +169,9 @@ class Scenario(Record):
                                 f"{file_key['target_rate_kbps']}")
         # Every span the run converts to integer nanoseconds must convert, and a
         # tick or packet spacing of 0 ns would requeue itself at once for ever.
+        # A tick fires at most once per node-second of the node-seconds bound:
+        # at that bound, no more often than the 1 Hz harvest tick.
+        run_ns = seconds(self.total_duration_s)
         spans = (
             (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),
             (file_key["period_s"], seconds, weights.period_s, True),
@@ -184,6 +187,10 @@ class Scenario(Record):
                 raise ScenarioError(f"{name} overflows the ns clock, got {span}") from None
             if tick and ns == 0:
                 raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
+            if tick and self.node_count * run_ns / ns > MAX_NODE_SECONDS:
+                raise ScenarioError(f"{file_key['node_count']} times the run over {name} must be "
+                                    f"at most {MAX_NODE_SECONDS:,} ticks, got "
+                                    f"{self.node_count * run_ns / ns:g}")
         keys = ", ".join(file_key[name] for name in (
             "packet_bytes", "target_rate_kbps", "conservation_rate_kbps", "ble_phy_rate",
             "conn_interval_ms", "mtu_bytes", "owc_phy_rate_kbps"))

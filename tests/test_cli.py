@@ -156,14 +156,16 @@ class TestRun:
     def test_import_loads_no_dataclasses(self):
         # `dataclasses` pulls in `inspect`, `ast` and `dis`, and every record
         # it makes execs generated code at import; each CLI call paid both
-        # before the simulation started. A fresh interpreter without `site`,
+        # before the simulation started. `typing` is a large module that the
+        # package needs for no annotation. A fresh interpreter without `site`,
         # whose `.pth` files may import anything, shows what the package
         # itself loads.
         src = str(Path(hybridsim.__file__).resolve().parents[1])
         code = ("import sys\n"
                 "for module in ('hybridsim', 'hybridsim.cli'):\n"
                 "    __import__(module)\n"
-                "    print(module, [m for m in ('dataclasses', 'inspect') if m in sys.modules])\n")
+                "    print(module, [m for m in ('dataclasses', 'inspect', 'typing')\n"
+                "                   if m in sys.modules])\n")
         done = subprocess.run([sys.executable, "-S", "-c", code],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=60)
@@ -191,6 +193,10 @@ class TestRun:
         pytest.param("traffic", "poll_slot_s = 1e-10", id="traffic-poll_slot_s-0ns"),
         pytest.param("weights", "period_s = 1e-10", id="weights-period_s-0ns"),
         pytest.param("peripherals", "period_s = 4.9e-10", id="peripherals-period_s-0ns"),
+        # Tick periods of 1 ns: more ticks than the node-seconds bound allows.
+        pytest.param("traffic", "poll_slot_s = 1e-9", id="traffic-poll_slot_s-ticks"),
+        pytest.param("weights", "period_s = 1e-9", id="weights-period_s-ticks"),
+        pytest.param("peripherals", "period_s = 1e-9", id="peripherals-period_s-ticks"),
         # The optical packet spacing rounds to 0 ns.
         ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
                     "[optical]\nphy_rate_kbps = 1e12"),

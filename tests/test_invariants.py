@@ -9,17 +9,19 @@ log must account for every packet sent, place each burst inside one of the
 node's own slots, and no two bursts of the run may overlap.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hybridsim import runner
+from hybridsim import node as node_module, runner
 from hybridsim.actions import Mode
-from hybridsim.kernel import NS_PER_SEC, Engine, seconds
-from hybridsim.node import SimNode
+from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
+from hybridsim.node import CHAIN_STEPS, SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, run
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import tx_bursts
+from conftest import digest_runs, tx_bursts
 
 TOL = 1e-9
 ASLEEP = ("SLEEP|OFF", "OFF|OFF")
@@ -278,3 +280,72 @@ def test_every_policy_choice_is_a_row_of_the_run_s_table(monkeypatch):
 
     check()
     assert modes == set(Mode) and calls["rows"] > calls["kept"] > 0, (modes, calls)
+
+
+@st.composite
+def peripheral_prone(draw) -> Scenario:
+    """Scenarios drawn like `scenarios()`; half of them idle between slots,
+    with no inter-transmission sleep, under a peripheral period of 0.1 to
+    2 s, often shorter than the 1.05 s peripheral chain it starts."""
+    scenario = draw(scenarios())
+    if draw(st.booleans()):
+        scenario = scenario.replace(inter_transmission_sleep=False,
+                                    peripheral_period_s=draw(st.floats(0.1, 2.0)))
+    return scenario
+
+
+def test_each_node_has_at_most_one_live_chain_step_queued():
+    """After every dispatched event, each node has at most one chain step
+    queued under its current epoch: a chain starts only from `_reconcile`,
+    which bumps the epoch, or from a new peripheral cycle, which bumps it
+    to stop a chain still running. So a chain's end, which streams or
+    idles, acts once, and a live step is the node's latest chain's."""
+    seen = Counter()
+
+    def run_checked(scenario):
+        engine = Engine()
+        controller = _Controller(scenario, engine)
+        dispatch = engine.dispatch_head
+
+        def dispatch_head():
+            dispatch()
+            steps = [member for _, _, event in engine._heap if event.target == CHAIN_STEPS
+                     for member in event.payload]
+            live = Counter(node for node, epoch in steps if epoch == node._epoch)
+            assert max(live.values(), default=0) <= 1, (live, engine.now)
+            seen["live"] += len(live)
+            seen["stale"] += len(steps) - sum(live.values())
+
+        engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
+        controller.start()
+        engine.run_until(controller.total_ns)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(peripheral_prone())
+    def check(scenario):
+        run_checked(scenario)
+
+    check()
+    assert seen["live"] > 1_000 and seen["stale"] > 0, seen
+
+
+def test_every_sleep_or_wake_signal_moves_the_interfaces(monkeypatch):
+    """`park` signals only interfaces that the signal moves: a sleep signal
+    only awake ones, a wake signal only asleep ones, over the six paper
+    presets and the seeded draws of `digest_runs.py`."""
+    signals, dispatch = Counter(), node_module.fsm_dispatch
+
+    def spy(current, kind, *modality):
+        after = dispatch(current, kind, *modality)
+        if kind in (EventKind.SLEEP_SIGNAL, EventKind.WAKE_SIGNAL):
+            assert after is not current, (kind, current)
+            signals[kind] += 1
+        return after
+
+    monkeypatch.setattr(node_module, "fsm_dispatch", spy)
+    for preset in digest_runs.PRESETS:
+        run(load_scenario(preset_path(preset)))
+    for _, scenario in digest_runs.draws(digest_runs.DRAWS):
+        run(scenario)
+    assert min(signals[EventKind.SLEEP_SIGNAL], signals[EventKind.WAKE_SIGNAL]) > 100, signals
