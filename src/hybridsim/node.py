@@ -63,6 +63,7 @@ class SimNode:
         self.metrics = metrics
         self.rng = rng_stream
         self._duty_cycle = duty_cycle(scenario)
+        self._sleeps_between_slots = scenario.inter_transmission_sleep and scenario.node_count > 1
         # Receiving the poll command costs one downlink reception burst.
         self._poll_command_j = phase_energy(scenario.poll_command_current_ma,
                                             scenario.poll_command_duration_ms,
@@ -147,9 +148,9 @@ class SimNode:
     # -- MAC-level sleep/wake -------------------------------------------------
 
     def park(self) -> None:
-        """Rest outside a slot or a burst: sleep if the mode or the scenario
-        asks for it, else wake and idle."""
-        if self.plan.mode is Mode.SLEEP or self.scenario.inter_transmission_sleep:
+        """Rest outside a slot or a burst: sleep if the mode asks for it, or the
+        scenario does and another node's slot comes next, else wake and idle."""
+        if self.plan.mode is Mode.SLEEP or self._sleeps_between_slots:
             if self.awake:
                 self.interfaces = fsm_dispatch(self.interfaces, EventKind.SLEEP_SIGNAL)
             self._phase_ma = self.scenario.sleep_current_ma
@@ -222,8 +223,7 @@ class SimNode:
         if self.tx_in_flight:
             return  # the burst's end restreams, as its packet-ready is now stale
         self._phase_ma = self.scenario.idle_current_ma
-        # The first packet is ready once a full generation period has
-        # accumulated; sending at the stream start would overshoot the rate.
+        # The first packet is ready one spacing on: one at once would overshoot the rate.
         ready_at = now + self.plan.interval_ns
         self._pending_packet = self.engine.schedule_at(
             ready_at, self.name, EventKind.APP_PACKET_READY, payload=self._epoch)

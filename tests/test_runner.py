@@ -321,6 +321,23 @@ class TestBehaviour:
                                    inter_transmission_sleep=True))
         assert (asleep.node(1).consumed_j < awake.node(1).consumed_j)
 
+    def test_lone_node_with_sleep_stays_up_between_its_slots(self):
+        # A lone node's next slot starts as its slot ends, so it keeps its
+        # interfaces up across the boundary, rather than sleeping and waking
+        # through the duty cycle, and delivers what its run without
+        # inter-transmission sleep delivers.
+        lone = SHORT.replace(node_count=1, poll_slot_s=10.0)
+        node = _lone_node(lone, inter_transmission_sleep=True)
+        node.enter_slot(0, seconds(10))
+        node.exit_slot(seconds(10))
+        assert node.interfaces is InterfaceState.IDLE
+        node.enter_slot(seconds(10), seconds(20))
+        assert node._phase_ma == lone.idle_current_ma  # streams, with no wake-up chain
+        asleep = run(lone.replace(inter_transmission_sleep=True)).node(1)
+        awake = run(lone).node(1)
+        assert asleep.bytes_delivered == awake.bytes_delivered > 0
+        assert asleep.sleep_entries == awake.sleep_entries
+
     def test_sleeping_node_shows_sleep_states_in_trace(self):
         m = run(SHORT.replace(inter_transmission_sleep=True))
         labels = {row.fsm_state for row in m.node(1).rows}
@@ -513,7 +530,11 @@ class TestNodeLifecycle:
         assert at_edge - buffer.remaining_j == pytest.approx(sleep_j, rel=1e-9)
 
     def test_burst_ending_at_slot_end_parks_after_it_ends(self):
-        node = _lone_node(inter_transmission_sleep=True)
+        # Two nodes: a lone node's next slot follows at once, so it never
+        # sleeps between slots.
+        scenario = SHORT.replace(node_count=2, init_delay_s=0.0, inter_transmission_sleep=True)
+        node = _Controller(scenario, Engine()).nodes[0]
+        node.evaluate_cb = None
         airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
         node.enter_slot(0, airtime)
         node.transmit_packet(0)
