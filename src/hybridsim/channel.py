@@ -68,8 +68,6 @@ def gfsk_ber(snr_value_db: float, phy_rate: str = "1M") -> float:
     effective distance for BT=0.5; gamma_b saturates the BER at 0.5 as the
     SNR falls. The 2M PHY applies its +3 dB required-SNR shift.
     """
-    if snr_value_db == -math.inf:
-        return 0.5
     shifted = snr_value_db - PHY_RATE_SNR_SHIFT_DB[phy_rate]
     gamma_b = 10.0 ** (shifted / 10.0)
     return _q_function(math.sqrt(2.0 * gamma_b * GFSK_EFFECTIVE_DISTANCE))
@@ -121,9 +119,7 @@ def owc_snr_db(scenario, gain: float) -> float:
 
 
 def ook_ber(snr_value_db: float) -> float:
-    """On-off-keying BER = Q(sqrt(SNR)) for the optical link."""
-    if snr_value_db == -math.inf:
-        return 0.5
+    """On-off-keying BER = Q(sqrt(SNR)) for the optical link: 0.5 at -inf dB."""
     return _q_function(math.sqrt(10.0 ** (snr_value_db / 10.0)))
 
 

@@ -264,11 +264,12 @@ class SimNode:
         differs from the queued handlers' burst-by-burst sum by rounding
         only. It draws its packet outcomes in one `count_below` call and
         logs one `tx_intervals` record. A burst through a tick settles
-        around the dispatched tick in the queued handlers' float order,
-        logs one record of its own and draws its outcome after the tick, so
-        the node's stream moves as the queued handlers move it. The node
-        idles around each burst, and its interface starts and ends it at
-        IDLE, so the phase and interface state stay.
+        around the dispatched tick in the queued handlers' float order (a
+        tick up to the burst's end samples it in flight, a later one draws
+        the idle gap), logs one record of its own and draws its outcome
+        after the tick, so the node's stream moves as the queued handlers
+        move it. The node idles around each burst, and its interface starts
+        and ends it at IDLE, so the phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
@@ -296,13 +297,12 @@ class SimNode:
                 log.append((now, interval, airtime, bursts))
                 now += bursts * interval
                 sent += bursts
-            if now > fits or not self._crosses(tick, after, now, airtime, interval,
-                                               remaining, step):
+            if now > fits or not self._crosses(tick, after, now, interval, remaining, step):
                 break
             # The burst's start, end and next ready, and the tick, in time order.
             at, end = tick.fire_at, now + airtime
             log.append((now, 0, airtime, 1))
-            if at < end:  # the tick samples the burst in flight
+            if at <= end:  # the tick samples the burst in flight
                 self.transmit_packet(now)
                 self._phase_since = now
             else:  # the burst, then the tick draws the idle up to it
@@ -311,10 +311,10 @@ class SimNode:
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
             engine.dispatch_head()
             remaining, consumed = buffer.remaining_j, buffer.consumed_j
-            if at < end:  # the rest of the burst
+            if at <= end:  # the rest of the burst, 0 J on its end
                 rest_j = self._joules(plan.tx_current_ma, end - at)
                 remaining, consumed = remaining - rest_j, consumed + rest_j
-                self.interfaces = InterfaceState.IDLE
+                self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
                 self._phase_ma, self._phase_since = self.scenario.idle_current_ma, end
             now += interval  # the idle up to the next ready
             rest_j = self._joules(self._phase_ma, now - self._phase_since)
@@ -330,25 +330,25 @@ class SimNode:
         return now
 
     def _crosses(self, tick: SimEvent | None, after: SimTime, now: SimTime,
-                 airtime: SimTime, interval: SimTime, remaining: float,
-                 window_j: float) -> bool:
-        """Whether the burst at `now` can run through `tick`, the queue's
-        head, with nothing queued before `after`: a world tick after the
-        burst's start, at or before its next packet-ready (a tick there
-        draws the whole idle gap, as it does when queued, and fires before
-        the packet-ready queued after it) and off its end, with
-        nothing else in the window (the tick requeues 1 s on, past a window
-        under 1 s), and no battery edge or clamp in reach of `remaining` J,
-        twice the window's `window_j` (far above what the rounding of its
-        pieces can add) and the tick's harvest."""
+                 interval: SimTime, remaining: float, window_j: float) -> bool:
+        """Whether the burst at `now` runs through `tick`, the queue's head,
+        with nothing queued before `after`. A stretch stops only at its
+        slot's end (the caller's test), at a battery edge within reach (of
+        the window's draw, twice `window_j` below `remaining` J and far above
+        what the rounding of its pieces can add, or, below the threshold, of
+        the tick's harvest), at a head that is not the 1 Hz world tick, at a
+        spacing of 1 s or more, or at another event queued by the next
+        packet-ready (the tick requeues 1 s on, past a window under 1 s).
+        The tick falls after the burst's start and at or before its next
+        packet-ready (a tick there draws the whole idle gap and fires before
+        the packet-ready queued after it); `tick_nodes` settles it as it
+        settles a queued tick."""
         if tick is None or tick.kind is not EventKind.HARVEST_TICK:
             return False
-        at, ready, harvest_j = tick.fire_at, now + interval, tick.payload
+        at, ready = tick.fire_at, now + interval
         low, high = self.buffer.edge_free_range(remaining)
-        return (interval < NS_PER_SEC and now < at <= ready and at != now + airtime
-                and after > ready and low <= remaining - 2 * window_j
-                and remaining + harvest_j < high
-                and harvest_j <= self.buffer.capacity_j - remaining)
+        return (interval < NS_PER_SEC and now < at <= ready and after > ready
+                and low <= remaining - 2 * window_j and remaining + tick.payload < high)
 
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM and start its draw;

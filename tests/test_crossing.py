@@ -64,19 +64,21 @@ def tie_prone(draw) -> Scenario:
 def _counting(paths: Counter):
     """`SimNode._crosses`, counting each stretch stopped at a world tick
     inside its burst's window by what became of it: crossed inside the
-    burst, after it, or at the next packet-ready; or declined on the
-    burst's end, or for a battery edge or a clamp in reach."""
+    burst, after it, or at the next packet-ready, and among those crossed
+    on the burst's end (`end`) or with a harvest that would fill the buffer
+    from its level at the burst's start (`clamp`); or declined for a
+    battery edge in reach (`margin`)."""
     decide = SimNode._crosses
 
-    def spy(node, tick, after, now, airtime, interval, remaining, window_j):
-        crosses = decide(node, tick, after, now, airtime, interval, remaining, window_j)
+    def spy(node, tick, after, now, interval, remaining, window_j):
+        crosses = decide(node, tick, after, now, interval, remaining, window_j)
         if tick is None or tick.kind is not EventKind.HARVEST_TICK:
             return crosses
-        at, ready = tick.fire_at, now + interval
+        at, ready, end = tick.fire_at, now + interval, now + node.plan.airtime_ns
         if crosses:
-            paths["inside" if at < now + airtime else "ready" if at == ready else "before"] += 1
-        elif at == now + airtime:
-            paths["tie"] += 1
+            paths["inside" if at < end else "ready" if at == ready else "before"] += 1
+            paths["end"] += at == end
+            paths["clamp"] += tick.payload > node.buffer.capacity_j - remaining
         elif now < at <= ready < after and interval < NS_PER_SEC:
             paths["margin"] += 1
         return crosses
@@ -99,12 +101,12 @@ def _compare(scenario: Scenario, paths: Counter) -> None:
       for name in PRESETS),
     pytest.param(fleet(1), ("before",), id="fleet-seed-1"),
     # 100 ms packets with 50 ms optical bursts in 2.05 s slots: in every
-    # other slot the bursts end on the ticks, which stay queued; in the rest
-    # packet-readies fall there, and the stretch crosses them.
+    # other slot the bursts end on the ticks, and in the rest packet-readies
+    # fall there; the stretch crosses both.
     pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2,
                           optimizer="etno", inter_transmission_sleep=False,
                           target_rate_kbps=40.96, conservation_rate_kbps=20.0,
-                          owc_phy_rate_kbps=81.92, poll_slot_s=2.05), ("tie", "ready"), id="ties"),
+                          owc_phy_rate_kbps=81.92, poll_slot_s=2.05), ("end", "ready"), id="ties"),
 ])
 def test_crossing_the_tick_changes_no_output(scenario, ran):
     paths = Counter()
@@ -123,6 +125,8 @@ def test_random_scenarios_cross_like_the_queue():
 
     compare()
     # Every path ran: the burst ends before the tick, the tick falls inside
-    # the burst or on the next packet-ready, and a tick on the burst's end or
-    # one that would reach a battery edge or a clamp is left to the queue.
-    assert all(paths[path] for path in ("before", "inside", "ready", "tie", "margin")), paths
+    # the burst, on its end or on the next packet-ready, a crossed tick's
+    # harvest would clamp, and a tick that would reach a battery edge is left
+    # to the queue.
+    assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp",
+                                        "margin")), paths

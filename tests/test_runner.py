@@ -47,6 +47,9 @@ FLEET64 = Path(__file__).parent / "data" / "fleet64.cfg"
 # a burst's end that parks it and a battery-low edge in sleep mode all fall
 # mid-stream.
 REENTRY = Path(__file__).parent / "data" / "etno1_reentry.cfg"
+# 3 ETNO nodes whose bursts end on the world ticks in every other slot, full
+# buffers, and a harvest that clamps at capacity from 15 s on.
+TIES = Path(__file__).parent / "data" / "etno3_ties.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +258,9 @@ class TestTraces:
 
     def test_mid_burst_reentry_bytes_pinned(self, tmp_path):
         _assert_pinned(REENTRY, tmp_path)
+
+    def test_ticks_on_burst_ends_and_clamping_ticks_bytes_pinned(self, tmp_path):
+        _assert_pinned(TIES, tmp_path)
 
     def test_lossy_links_bytes_pinned(self, tmp_path):
         # Every packet outcome depends on its draw, so the bytes pin where
