@@ -1,6 +1,8 @@
 """Shared test helpers."""
 
 import importlib.util
+import sys
+import tempfile
 from enum import Enum
 from pathlib import Path
 
@@ -8,14 +10,41 @@ import pytest
 
 from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.optimizer import EunoTable, UtilityWeights
+from hybridsim.scenario import Scenario, load_scenario
 
-# tests/data/digest_runs.py runs without pytest, so it is loaded from its path.
-# Its `outputs(scenario)` gathers every output of a run, which the
-# differential tests compare.
-_spec = importlib.util.spec_from_file_location(
-    "digest_runs", Path(__file__).parent / "data" / "digest_runs.py")
-digest_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digest_runs)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _script(path: Path):
+    """The module of a script that runs without pytest, loaded from its path
+    with its own directory first on `sys.path`, as when it runs, so that it
+    imports the scripts beside it."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
+    return module
+
+
+# `outputs(scenario)` gathers every output of a run, which the differential
+# tests compare; `PRESETS` names the six paper figure presets.
+digest_runs = _script(ROOT / "tests" / "data" / "digest_runs.py")
+# `pinned()` lists every pinned scenario and `written()` digests a run's files.
+verify_pins = _script(ROOT / "tests" / "data" / "verify_pins.py")
+# `fleet_config(seed)` generates the benchmark's `fleet` scenario file.
+perfbench_run = _script(ROOT / "perfbench" / "run.py")
+
+
+def fleet(seed: int) -> Scenario:
+    """The 64-node EUNO fleet that perfbench/run.py runs at `seed`, loaded
+    from the file its `fleet_config` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"fleet{seed}.cfg"
+        path.write_text(perfbench_run.fleet_config(seed))
+        return load_scenario(path)
 
 
 def action_set(current):

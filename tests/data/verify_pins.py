@@ -8,7 +8,9 @@ sha256 of every file a run writes with its pins, kept in `sha256sum` format:
 `presets.sha256` names each file as `<preset>/<file>`, and `<name>.sha256`
 pins `<name>.cfg`. Needs no pytest, so any interpreter that runs the
 simulator can check that it writes the same bytes. Prints one line per
-scenario and exits 1 if any file differs, is missing or is extra.
+scenario and exits 1 if any file differs, is missing or is extra. The test
+suite checks the pins through the same `pinned()` and `written()`, one test
+per pinned scenario (tests/test_acceptance.py).
 """
 
 from __future__ import annotations

@@ -6,10 +6,8 @@ quantitative window on absolute totals is +/-20 % with tight ordering and
 ratio gates on matched-seed comparisons.
 """
 
-import hashlib
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +21,7 @@ from hybridsim.scenario import load_scenario, preset_path
 from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
-from conftest import action_rows, action_set
+from conftest import action_rows, action_set, verify_pins
 from test_optimizer import (ModalityScores, UtilityBreakdown, localization_utility,
                             modality_utility, total_utility)
 
@@ -51,12 +49,6 @@ PRESET_COUNTERS = {
     "paper_fig13": (91296, ((7585792, 0, 0, 0), (7962624, 0, 0, 0), (7475200, 0, 0, 0))),
     "paper_fig13b": (96311, ((8039424, 0, 0, 24), (8189440, 0, 0, 21), (8076288, 0, 0, 20))),
 }
-
-# sha256 of each file a preset's run writes, in `sha256sum` format, each
-# named `<preset>/<file>`. CI checks them under its oldest and newest Python
-# through tests/data/verify_pins.py; only a deliberate model change may move
-# them.
-PRESETS_SHA256 = Path(__file__).parent / "data" / "presets.sha256"
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -290,17 +282,14 @@ def test_preset_counters_pinned(fig_runs, oscillation_runs):
             + (f"; changed: {changed}" if changed else ""))
 
 
-def test_preset_trace_bytes_pinned(fig_runs, oscillation_runs, tmp_path):
-    runs = {name: metrics for name, (metrics, _) in fig_runs.items()}
-    runs["paper_fig13"], runs["paper_fig13b"] = oscillation_runs
-    wrote = set()
-    for name, metrics in runs.items():
-        out = tmp_path / name
-        write_traces(metrics, out)
-        wrote |= {f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}"
-                  for path in out.iterdir()}
-    differ = wrote ^ set(PRESETS_SHA256.read_text().splitlines())
-    changed = sorted({line.split("  ")[1].split("/")[0] for line in differ})
-    _report("criterion 9 (preset trace bytes unchanged)", not changed,
-            f"{len(runs) - len(changed)}/{len(runs)} presets match"
-            + (f"; changed: {changed}" if changed else ""))
+@pytest.mark.parametrize("config, lines", [
+    pytest.param(config, lines, id=name) for name, config, lines in verify_pins.pinned()])
+def test_trace_bytes_pinned(tmp_path, config, lines):
+    # Every pinned scenario, found by tests/data/verify_pins.py: the six
+    # presets and each `<name>.cfg` with its `<name>.sha256` in tests/data.
+    # Only a deliberate model change may move the pins.
+    wrote, pins = set(verify_pins.written(config, tmp_path / "out")), set(lines)
+    differ = [f"pinned {line}" for line in sorted(pins - wrote)]
+    differ += [f"wrote {line}" for line in sorted(wrote - pins)]
+    _report(f"criterion 9 ({config.stem} trace bytes unchanged)", not differ,
+            f"{len(pins & wrote)}/{len(pins)} files match" + "".join(f"; {d}" for d in differ))

@@ -172,71 +172,6 @@ class TestRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "hybridsim []\nhybridsim.cli []\n"
 
-    @pytest.mark.parametrize("section,line", [
-        ("traffic", "warp_speed = 9"),
-        ("topology", "distance_m = 0"),
-        ("topology", "incidence_angle_deg = 400"),
-        ("topology", "gateway_height_m = 2.0"),
-        ("energy", "harvest_mw = -5"),
-        ("scenario", "duration_s = nan"),
-        ("energy", "harvest_profile = 10:5, 0:3"),
-        ("energy", "idle_current_ma = -1"),
-        ("radio", "phy_rate = 3M"),
-        ("energy", "supply_voltage = 0"),
-        ("optical", "led_semi_angle_deg = 95"),
-        ("radio", "conn_interval_ms = 2"),
-        ("optimizer", "interaction_probability = 2"),
-        ("optimizer", "etno_sleep_threshold = -0.5"),
-        ("optimizer", "etno_conservation_threshold = 2.0"),
-        ("weights", "period_s = 0"),
-        # Tick periods that round to 0 ns: each tick would requeue at once.
-        pytest.param("traffic", "poll_slot_s = 1e-10", id="traffic-poll_slot_s-0ns"),
-        pytest.param("weights", "period_s = 1e-10", id="weights-period_s-0ns"),
-        pytest.param("peripherals", "period_s = 4.9e-10", id="peripherals-period_s-0ns"),
-        # Tick periods of 1 ns: more ticks than the node-seconds bound allows.
-        pytest.param("traffic", "poll_slot_s = 1e-9", id="traffic-poll_slot_s-ticks"),
-        pytest.param("weights", "period_s = 1e-9", id="weights-period_s-ticks"),
-        pytest.param("peripherals", "period_s = 1e-9", id="peripherals-period_s-ticks"),
-        # The optical packet spacing rounds to 0 ns.
-        ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
-                    "[optical]\nphy_rate_kbps = 1e12"),
-        # Facts that code below load relies on without checking them again.
-        pytest.param("traffic", "packet_bytes = -1", id="traffic-packet_bytes-negative"),
-        pytest.param("energy", "initial_fraction = 1.5", id="energy-initial_fraction-above-1"),
-        pytest.param("weights", "ewma_lambda = 0", id="weights-ewma_lambda-0"),
-        pytest.param("optimizer", "etno_sleep_threshold = 0.5",
-                     id="optimizer-etno_sleep_threshold-above-conservation"),
-        # A span that overflows the ns clock, and a link budget that divides
-        # by zero.
-        pytest.param("traffic", "poll_slot_s = 1e300", id="traffic-poll_slot_s-overflow"),
-        pytest.param("topology", "distance_m = 1e-170", id="topology-distance_m-underflow"),
-        # Ints beyond a double's range, and packets whose spacing does not fit one.
-        *(pytest.param(section, f"{key} = 1{'0' * 400}", id=f"{section}-{key}-401-digits")
-          for section, key in (("traffic", "packet_bytes"), ("scenario", "node_count"),
-                               ("scenario", "seed"), ("radio", "mtu_bytes"))),
-        pytest.param("traffic", f"packet_bytes = 1{'0' * 308}", id="traffic-packet_bytes-1e308"),
-        # A packet of 10^302 bytes that the optical link spaces within the
-        # clock, but whose 10^302 one-byte connection events do not fit it.
-        pytest.param("traffic", f"packet_bytes = 1{'0' * 302}\n[radio]\nmtu_bytes = 1",
-                     id="traffic-packet_bytes-radio-airtime-overflow"),
-        # More nodes, or node-seconds, than a run may hold in memory: 10,000
-        # nodes for 361 s with the default 5 s start-up delay, or 3 nodes
-        # for 2e6 s.
-        pytest.param("scenario", f"node_count = 1{'0' * 20}", id="scenario-node_count-1e20"),
-        pytest.param("scenario", "node_count = 10001", id="scenario-node_count-10001"),
-        pytest.param("scenario", "node_count = 10000\nduration_s = 356",
-                     id="scenario-node_count-node-seconds"),
-        pytest.param("scenario", "duration_s = 2e6", id="scenario-duration_s-node-seconds"),
-        # An optical channel gain that overflows to inf.
-        pytest.param("optical", "pd_area_m2 = 1e308", id="optical-pd_area_m2-1e308"),
-        pytest.param("optical", "pd_area_m2 = 1.7e308", id="optical-pd_area_m2-1.7e308"),
-    ], ids=lambda value: value.split()[0])
-    def test_bad_key_is_validation_failure(self, tmp_path, capsys, section, line):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(f"[{section}]\n{line}\n")
-        assert main(["run", "--config", str(bad)]) == EXIT_VALIDATION
-        assert line.split()[0] in capsys.readouterr().err
-
 
 class TestSweep:
     def test_single_rate_single_optimizer(self, short_cfg, tmp_path, capsys):

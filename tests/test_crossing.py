@@ -6,7 +6,6 @@ and summary bytes, the burst log, the transmit-eligible time, the event
 count and each node's random stream.
 """
 
-import random
 from collections import Counter
 
 import pytest
@@ -15,27 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hybridsim.kernel import NS_PER_SEC, EventKind
 from hybridsim.node import SimNode
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs
+from conftest import digest_runs, fleet
 from test_invariants import scenarios
-
-PRESETS = ("paper_fig11", "paper_fig11b", "paper_fig12", "paper_fig12b",
-           "paper_fig13", "paper_fig13b")
-
-
-def fleet(seed: int) -> Scenario:
-    """The 64-node EUNO fleet that perfbench generates for `seed`: 5 s slots
-    and a harvest profile drawn in antithetic 60 s segments."""
-    rng = random.Random(seed)
-    segments = []
-    for _ in range(9):
-        mw = rng.uniform(0.5, 20.0)
-        segments += [mw, 20.5 - mw]
-    profile = tuple((60.0 * i, float(f"{mw:.9g}") * 1e-3) for i, mw in enumerate(segments))
-    return Scenario(node_count=64, seed=seed, optimizer="euno",
-                    inter_transmission_sleep=False, target_rate_kbps=32.0,
-                    conservation_rate_kbps=8.0, poll_slot_s=5.0, initial_fraction=0.5,
-                    harvest_profile=profile, snr_jitter_db=2.0)
-
 
 @st.composite
 def tie_prone(draw) -> Scenario:
@@ -98,7 +78,7 @@ def _compare(scenario: Scenario, paths: Counter) -> None:
 
 @pytest.mark.parametrize("scenario, ran", [
     *(pytest.param(load_scenario(preset_path(name)), ("before", "inside"), id=name)
-      for name in PRESETS),
+      for name in digest_runs.PRESETS),
     pytest.param(fleet(1), ("before",), id="fleet-seed-1"),
     # 100 ms packets with 50 ms optical bursts in 2.05 s slots: in every
     # other slot the bursts end on the ticks, and in the rest packet-readies

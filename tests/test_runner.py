@@ -1,7 +1,6 @@
 """End-to-end runs on a shortened scenario: trace integrity, the energy
 ledger, MAC mutual exclusion, and deterministic trace files."""
 
-import hashlib
 import inspect
 import itertools
 import json
@@ -29,27 +28,15 @@ from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_burs
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs, interface_halves, tx_bursts
+from conftest import digest_runs, interface_halves, perfbench_run, tx_bursts
 from test_invariants import INTERFACE_LABELS, scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
                  battery_capacity_j=2.0)
-# 16 EUNO nodes under a harvest profile that changes inside 1 s ticks.
-SUBSECOND = Path(__file__).parent / "data" / "euno16_subsecond.cfg"
 # 3 ETNO nodes on an optical link that loses about a third of its packets
 # and a radio link that loses every one.
 LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
-# The 64-node EUNO fleet perfbench/run.py generates at seed 1 (`fleet_config`),
-# as a file: each write shares one time column across all 64 nodes.
-FLEET64 = Path(__file__).parent / "data" / "fleet64.cfg"
-# 1 ETNO node whose bursts run back to back, so its slot entries and exits,
-# a burst's end that parks it and a battery-low edge in sleep mode all fall
-# mid-stream.
-REENTRY = Path(__file__).parent / "data" / "etno1_reentry.cfg"
-# 3 ETNO nodes whose bursts end on the world ticks in every other slot, full
-# buffers, and a harvest that clamps at capacity from 15 s on.
-TIES = Path(__file__).parent / "data" / "etno3_ties.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -250,26 +237,20 @@ class TestTraces:
         assert samples > 1000
         assert held <= 40 * samples
 
-    def test_subsecond_harvest_fleet_bytes_pinned(self, tmp_path):
-        _assert_pinned(SUBSECOND, tmp_path)
-
-    def test_fleet64_bytes_pinned(self, tmp_path):
-        _assert_pinned(FLEET64, tmp_path)
-
-    def test_mid_burst_reentry_bytes_pinned(self, tmp_path):
-        _assert_pinned(REENTRY, tmp_path)
-
-    def test_ticks_on_burst_ends_and_clamping_ticks_bytes_pinned(self, tmp_path):
-        _assert_pinned(TIES, tmp_path)
-
-    def test_lossy_links_bytes_pinned(self, tmp_path):
-        # Every packet outcome depends on its draw, so the bytes pin where
-        # each node's stream stands at every burst.
+    def test_lossy_links_lose_some_optical_and_every_radio_packet(self):
+        # Every packet outcome depends on its draw, so the bytes that
+        # tests/data pins for this scenario pin where each node's stream
+        # stands at every burst.
         plans = build_link_plans(load_scenario(LOSSY))
         for mode in Mode:
             assert 0.0 < plans[mode, Modality.OWC].success_prob < 1.0
             assert plans[mode, Modality.BLE].success_prob == 0.0
-        _assert_pinned(LOSSY, tmp_path)
+
+    def test_pinned_fleet_is_the_benchmarks(self):
+        # tests/data/fleet64.cfg is the `fleet` scenario perfbench/run.py
+        # generates at seed 1, so its pin holds the benchmark's outputs.
+        fleet64 = Path(__file__).parent / "data" / "fleet64.cfg"
+        assert fleet64.read_bytes() == perfbench_run.fleet_config(1).encode()
 
     @pytest.mark.parametrize("owc,ble", [interface_halves(s) for s in InterfaceState])
     def test_sampled_fsm_label(self, owc, ble):
@@ -282,16 +263,6 @@ class TestTraces:
     def test_sampled_mode_and_modality_labels(self, mode, modality):
         row = _sampled_row(mode=mode, modality=modality)
         assert (row.mode, row.modality) == (mode.value, modality.value)
-
-
-def _assert_pinned(config: Path, out: Path) -> None:
-    """The run of `config` writes the bytes pinned beside it. The digests
-    are in `sha256sum` format, and tests/data/verify_pins.py checks the
-    same bytes without pytest."""
-    pinned = config.with_suffix(".sha256").read_text().splitlines()
-    write_traces(run(load_scenario(config)), out)
-    assert sorted(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
-                  for path in out.iterdir()) == sorted(pinned)
 
 
 def test_digest_runs_prints_equal_lines_for_a_rerun():

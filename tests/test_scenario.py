@@ -335,58 +335,110 @@ class TestInvalidConfigs:
         assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("section,line", [
-        ("peripherals", "period_s = 0"),
-        ("optical", "phy_rate_kbps = 0"),
-        ("radio", "phy_rate = 3M"),
-        ("radio", "tx_power_dbm = 1e308"),  # the radio link budget overflows
-        ("weights", "period_s = 0"),
-        # One case per check after the per-field loop: ranges, spans and
-        # checks that read more than one key.
-        *(pytest.param(section, line, id=f"{section}-{line.split()[0]}-{tag}")
-          for section, line, tag in (
-              ("energy", "initial_fraction = 2", "range"),
-              ("traffic", "poll_slot_s = 1e-10", "0ns"),
-              ("traffic", "conservation_rate_kbps = 1000", "above-target"),
-              ("scenario", "optimizer = foo", "unknown"),
-              ("energy", "harvest_profile = 10:1,5:1", "unsorted"),
-              ("radio", "conn_interval_ms = 1", "below-event"),
-              ("optimizer", "interaction_probability = 2", "range"),
-              ("topology", "incidence_angle_deg = 91", "range"),
-              ("optical", "led_semi_angle_deg = 90", "range"),
-              ("optical", "pd_fov_deg = 91", "range"),
-              ("optimizer", "etno_conservation_threshold = 2", "range"),
-              ("optimizer", "etno_sleep_threshold = 0.5", "above-conservation"),
-              ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
-                          "[optical]\nphy_rate_kbps = 1e12", "optical-spacing-0ns"),
-              ("optical", "phy_rate_kbps = 1e12\n[traffic]\ntarget_rate_kbps = 1e12\n"
-                          "conservation_rate_kbps = 1", "optical-spacing-0ns"),
-              ("traffic", "conservation_rate_kbps = 1e-300", "spacing-overflow"),
-              ("scenario", "duration_s = 2e6", "node-seconds"),
-              ("scenario", "init_delay_s = 2e6", "node-seconds"),
-              ("energy", "wake_duration_ms = 1e303", "overflow"),
-              ("peripherals", "sense_duration_ms = 1e303", "overflow"),
-              ("peripherals", "eink_duration_ms = 1e303", "overflow"),
-              ("peripherals", "localize_duration_ms = 1e303", "overflow"),
-              ("radio", "conn_interval_ms = 1e303", "overflow"),
-              ("weights", "p_m = 0.5", "sum"),
-              ("weights", "p_s = 0.5", "sum"),
-              ("weights", "p_l = 0.5", "sum"),
-              ("weights", "f_c = 1", "range"),
-              ("weights", "ewma_lambda = 0", "range"),
-              ("weights", "sigmoid_k = 0", "range"),
-              ("energy", "harvest_profile = 0:nan", "nan"),
-              ("energy", "harvest_profile = 0:-1", "negative"),
-          )),
-    ])
-    def test_error_names_the_key_as_the_file_spells_it(self, tmp_path, section, line):
-        # Each of these keys drops a prefix of its field's name, shares its
-        # name with a key of another section, or is named by a check that
-        # reads more than one key.
+        pytest.param(section, line, id=f"{section}-{line.split()[0]}-{tag}")
+        for section, line, tag in (
+            # Keys that no section holds, values that do not parse, and
+            # values out of range: one check of the per-field loop each.
+            ("traffic", "warp_speed = 9", "unknown"),
+            ("topology", "gateway_height_m = 2.0", "removed"),
+            ("scenario", "optimizer = foo", "unknown"),
+            ("radio", "phy_rate = 3M", "unknown"),
+            ("scenario", "duration_s = nan", "nan"),
+            ("topology", "distance_m = 0", "0"),
+            ("topology", "incidence_angle_deg = 91", "range"),
+            ("topology", "incidence_angle_deg = 400", "400"),
+            ("energy", "harvest_mw = -5", "negative"),
+            ("energy", "idle_current_ma = -1", "negative"),
+            ("energy", "supply_voltage = 0", "0"),
+            ("energy", "initial_fraction = 2", "range"),
+            ("energy", "harvest_profile = 10:1,5:1", "unsorted"),
+            ("energy", "harvest_profile = 10:5, 0:3", "unsorted-spaced"),
+            ("energy", "harvest_profile = 0:nan", "nan"),
+            ("energy", "harvest_profile = 0:-1", "negative"),
+            ("optical", "phy_rate_kbps = 0", "0"),
+            ("optical", "led_semi_angle_deg = 90", "range"),
+            ("optical", "led_semi_angle_deg = 95", "95"),
+            ("optical", "pd_fov_deg = 91", "range"),
+            ("radio", "conn_interval_ms = 1", "below-event"),
+            ("radio", "conn_interval_ms = 2", "2"),
+            ("optimizer", "interaction_probability = 2", "range"),
+            ("optimizer", "etno_sleep_threshold = -0.5", "negative"),
+            ("optimizer", "etno_conservation_threshold = 2", "range"),
+            ("optimizer", "etno_conservation_threshold = 2.0", "2.0"),
+            ("weights", "f_c = 1", "range"),
+            ("weights", "ewma_lambda = 0", "range"),
+            ("weights", "sigmoid_k = 0", "range"),
+            ("peripherals", "period_s = 0", "0"),
+            ("weights", "period_s = 0", "0"),
+            # Facts that code below load relies on without checking them
+            # again, and checks that read more than one key.
+            ("traffic", "packet_bytes = -1", "negative"),
+            ("energy", "initial_fraction = 1.5", "above-1"),
+            ("traffic", "conservation_rate_kbps = 1000", "above-target"),
+            ("optimizer", "etno_sleep_threshold = 0.5", "above-conservation"),
+            ("weights", "p_m = 0.5", "sum"),
+            ("weights", "p_s = 0.5", "sum"),
+            ("weights", "p_l = 0.5", "sum"),
+            # Tick periods that round to 0 ns: each tick would requeue at once.
+            ("traffic", "poll_slot_s = 1e-10", "0ns"),
+            ("weights", "period_s = 1e-10", "0ns"),
+            ("peripherals", "period_s = 4.9e-10", "0ns"),
+            # Tick periods of 1 ns: more ticks than the node-seconds bound allows.
+            ("traffic", "poll_slot_s = 1e-9", "ticks"),
+            ("weights", "period_s = 1e-9", "ticks"),
+            ("peripherals", "period_s = 1e-9", "ticks"),
+            # Packet spacings that round to 0 ns or overflow the ns clock.
+            ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
+                        "[optical]\nphy_rate_kbps = 1e12", "optical-spacing-0ns"),
+            ("optical", "phy_rate_kbps = 1e12\n[traffic]\ntarget_rate_kbps = 1e12\n"
+                        "conservation_rate_kbps = 1", "optical-spacing-0ns"),
+            ("traffic", "conservation_rate_kbps = 1e-300", "spacing-overflow"),
+            # Spans that overflow the ns clock.
+            ("traffic", "poll_slot_s = 1e300", "overflow"),
+            ("energy", "wake_duration_ms = 1e303", "overflow"),
+            ("peripherals", "sense_duration_ms = 1e303", "overflow"),
+            ("peripherals", "eink_duration_ms = 1e303", "overflow"),
+            ("peripherals", "localize_duration_ms = 1e303", "overflow"),
+            ("radio", "conn_interval_ms = 1e303", "overflow"),
+            # Ints beyond a double's range, and packets whose spacing does
+            # not fit one.
+            *((section, f"{key} = 1{'0' * 400}", "401-digits")
+              for section, key in (("traffic", "packet_bytes"), ("scenario", "node_count"),
+                                   ("scenario", "seed"), ("radio", "mtu_bytes"))),
+            ("traffic", f"packet_bytes = 1{'0' * 308}", "1e308"),
+            # A packet of 10^302 bytes that the optical link spaces within
+            # the clock, but whose 10^302 one-byte connection events do not
+            # fit it.
+            ("traffic", f"packet_bytes = 1{'0' * 302}\n[radio]\nmtu_bytes = 1",
+             "radio-airtime-overflow"),
+            # More nodes, or node-seconds, than a run may hold in memory:
+            # 10,001 nodes even for 1 s plus the default 5 s start-up, 10,000
+            # nodes for 361 s, or 3 nodes for 2e6 s.
+            ("scenario", f"node_count = 1{'0' * 20}", "1e20"),
+            ("scenario", "node_count = 10001", "10001"),
+            ("scenario", "node_count = 10001\nduration_s = 1", "10001-for-1s"),
+            ("scenario", "node_count = 10000\nduration_s = 356", "node-seconds"),
+            ("scenario", "duration_s = 2e6", "node-seconds"),
+            ("scenario", "init_delay_s = 2e6", "node-seconds"),
+            # Link budgets that overflow or divide by zero, and an optical
+            # channel gain that overflows to inf.
+            ("radio", "tx_power_dbm = 1e308", "budget-overflow"),
+            ("topology", "distance_m = 1e-170", "underflow"),
+            ("optical", "pd_area_m2 = 1e308", "1e308"),
+            ("optical", "pd_area_m2 = 1.7e308", "1.7e308"),
+        )])
+    def test_error_names_the_key_as_the_file_spells_it(self, tmp_path, capsys, section, line):
+        # The file's first key is named as `[section] key`, at load and on
+        # the stderr of a run that exits 2: many keys drop a prefix of their
+        # field's name or share it with a key of another section.
+        key = f"[{section}] {line.split()[0]}"
+        path = _write(tmp_path, f"[{section}]\n{line}\n")
         with pytest.raises(ScenarioError) as err:
-            load_scenario(_write(tmp_path, f"[{section}]\n{line}\n"))
-        assert f"[{section}] {line.split()[0]}" in str(err.value)
+            load_scenario(path)
+        assert key in str(err.value)
+        assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
 
 
 _SPAN_RATES = st.floats(1e-300, 1e300)
