@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .actions import Mode
 from .channel import PHY_RATE_SNR_SHIFT_DB, ble_link, owc_link
-from .kernel import millis, seconds
+from .kernel import NS_PER_SEC, millis, seconds
 from .linklayer import CONN_EVENT_LEN_MS, packet_spans
 from .optimizer import UtilityWeights
 from .record import Record
@@ -137,15 +137,6 @@ class Scenario(Record):
         if abs(static - 1.0) > 1e-9:
             raise ScenarioError(f"{file_key['p_m']}, {file_key['p_s']} and {file_key['p_l']} "
                                 f"must sum to 1: p_M+p_S+p_L = {static}")
-        if self.node_count > MAX_NODES:
-            raise ScenarioError(f"{file_key['node_count']} must be at most {MAX_NODES:,}, "
-                                f"got {self.node_count}")
-        # This bound also keeps the run's length far inside the ns clock.
-        node_seconds = self.node_count * self.total_duration_s
-        if node_seconds > MAX_NODE_SECONDS:
-            raise ScenarioError(f"{file_key['node_count']} times {file_key['duration_s']} plus "
-                                f"{file_key['init_delay_s']} must be at most "
-                                f"{MAX_NODE_SECONDS:,} node-seconds, got {node_seconds:g}")
         starts = [start for start, _ in self.harvest_profile]
         if not all(math.isfinite(start) and 0 <= power < math.inf
                    for start, power in self.harvest_profile) or starts != sorted(starts):
@@ -167,30 +158,6 @@ class Scenario(Record):
         if self.conservation_rate_kbps > self.target_rate_kbps:
             raise ScenarioError(f"{file_key['conservation_rate_kbps']} must not exceed "
                                 f"{file_key['target_rate_kbps']}")
-        # Every span the run converts to integer nanoseconds must convert, and a
-        # tick or packet spacing of 0 ns would requeue itself at once for ever.
-        # A tick fires at most once per node-second of the node-seconds bound:
-        # at that bound, no more often than the 1 Hz harvest tick.
-        run_ns = seconds(self.total_duration_s)
-        spans = (
-            (file_key["poll_slot_s"], seconds, self.poll_slot_s, True),
-            (file_key["period_s"], seconds, weights.period_s, True),
-            (file_key["peripheral_period_s"], seconds, self.peripheral_period_s, True),
-            *((file_key[name], millis, getattr(self, name), False) for name in (
-                "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
-                "localize_duration_ms")),
-        )
-        for name, to_ns, span, tick in spans:
-            try:
-                ns = to_ns(span)
-            except OverflowError:
-                raise ScenarioError(f"{name} overflows the ns clock, got {span}") from None
-            if tick and ns == 0:
-                raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
-            if tick and self.node_count * run_ns / ns > MAX_NODE_SECONDS:
-                raise ScenarioError(f"{file_key['node_count']} times the run over {name} must be "
-                                    f"at most {MAX_NODE_SECONDS:,} ticks, got "
-                                    f"{self.node_count * run_ns / ns:g}")
         keys = ", ".join(file_key[name] for name in (
             "packet_bytes", "target_rate_kbps", "conservation_rate_kbps", "ble_phy_rate",
             "conn_interval_ms", "mtu_bytes", "owc_phy_rate_kbps"))
@@ -199,8 +166,37 @@ class Scenario(Record):
         except OverflowError:
             raise ScenarioError("an action row's airtime or packet spacing overflows the ns "
                                 f"clock: one of {keys} is out of range") from None
-        if any(not interval for (mode, _), (_, interval) in rows if mode is not Mode.SLEEP):
-            raise ScenarioError(f"a packet spacing rounds to 0 ns: one of {keys} is out of range")
+        # Every span the run converts to integer ns must convert. One rule bounds each
+        # periodic span, given the nodes each firing settles (a tick every node, a packet
+        # only the slot holder): it must not round to 0 ns, which would requeue it at once
+        # for ever, and its firings over the run times those nodes must stay within
+        # MAX_NODE_SECONDS. The 1 Hz tick's row, the node-seconds bound, also keeps the run
+        # inside the ns clock (a run too long for a double reads inf and fails it).
+        run_ns, every = self.total_duration_s * NS_PER_SEC, self.node_count
+        spans = (
+            ("the 1 Hz tick", seconds, 1.0, every),
+            (file_key["poll_slot_s"], seconds, self.poll_slot_s, every),
+            (file_key["period_s"], seconds, weights.period_s, every),
+            (file_key["peripheral_period_s"], seconds, self.peripheral_period_s, every),
+            *((f"a packet spacing (one of {keys})", int, interval, 1)
+              for (mode, _), (_, interval) in rows if mode is not Mode.SLEEP),
+            *((file_key[name], millis, getattr(self, name), 0) for name in (
+                "wake_duration_ms", "sense_duration_ms", "eink_duration_ms",
+                "localize_duration_ms")),
+        )
+        for name, to_ns, span, nodes in spans:
+            try:
+                ns = to_ns(span)
+            except OverflowError:
+                raise ScenarioError(f"{name} overflows the ns clock, got {span}") from None
+            if nodes and not ns:
+                raise ScenarioError(f"{name} rounds to 0 ns, got {span}")
+            if nodes and nodes * run_ns / ns > MAX_NODE_SECONDS:
+                raise ScenarioError(
+                    f"the firings of {name} over the run ({file_key['duration_s']} plus "
+                    f"{file_key['init_delay_s']}), times the nodes each settles "
+                    f"({file_key['node_count']} for a tick, 1 for a packet), must be at most "
+                    f"{MAX_NODE_SECONDS:,}, got {nodes * run_ns / ns:g}")
         if self.optimizer not in OPTIMIZERS:
             raise ScenarioError(f"{file_key['optimizer']} must be one of {OPTIMIZERS}")
         if self.etno_sleep_threshold >= self.etno_conservation_threshold:
@@ -222,7 +218,7 @@ class Scenario(Record):
 # any finite value.
 _RANGES = {
     **dict.fromkeys((
-        "duration_s", "node_count", "distance_m", "packet_bytes", "target_rate_kbps",
+        "duration_s", "distance_m", "packet_bytes", "target_rate_kbps",
         "conservation_rate_kbps", "poll_slot_s", "battery_capacity_j", "supply_voltage",
         "peripheral_period_s", "mtu_bytes", "bandwidth_hz", "owc_phy_rate_kbps",
         "tx_optical_power_w", "pd_area_m2", "responsivity_a_w", "concentrator_gain",
@@ -232,6 +228,7 @@ _RANGES = {
         (0, math.inf, True, False)),
     **dict.fromkeys(("interaction_probability", "etno_sleep_threshold",
                      "etno_conservation_threshold"), (0, 1, True, True)),
+    "node_count": (0, MAX_NODES, False, True),
     "initial_fraction": (0, 1, False, True),
     "ewma_lambda": (0, 1, False, True),
     "f_c": (0, 1, True, False),
@@ -308,7 +305,9 @@ def load_scenario(path: str | Path) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path} as UTF-8 text: {exc}") from exc
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # `%` is read as written; no file names the empty default section, so `[DEFAULT]` is unknown.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -344,6 +344,8 @@ class TestInvalidConfigs:
             ("topology", "gateway_height_m = 2.0", "removed"),
             ("scenario", "optimizer = foo", "unknown"),
             ("radio", "phy_rate = 3M", "unknown"),
+            # A `%` is read as written, not interpolated.
+            ("scenario", "seed = 5%", "percent"),
             ("scenario", "duration_s = nan", "nan"),
             ("topology", "distance_m = 0", "0"),
             ("topology", "incidence_angle_deg = 91", "range"),
@@ -388,7 +390,10 @@ class TestInvalidConfigs:
             ("traffic", "poll_slot_s = 1e-9", "ticks"),
             ("weights", "period_s = 1e-9", "ticks"),
             ("peripherals", "period_s = 1e-9", "ticks"),
-            # Packet spacings that round to 0 ns or overflow the ns clock.
+            # Packet spacings that round to 0 ns or overflow the ns clock, and
+            # 4 ns, which would send 2.6e11 packets over the default run.
+            ("optical", "phy_rate_kbps = 1e9\n[traffic]\ntarget_rate_kbps = 1e9",
+             "optical-spacing-4ns"),
             ("traffic", "target_rate_kbps = 1e12\nconservation_rate_kbps = 1\n"
                         "[optical]\nphy_rate_kbps = 1e12", "optical-spacing-0ns"),
             ("optical", "phy_rate_kbps = 1e12\n[traffic]\ntarget_rate_kbps = 1e12\n"
@@ -439,6 +444,54 @@ class TestInvalidConfigs:
         assert key in str(err.value)
         assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nduration_s = 10\nwarp_speed = 9\n",
+        "[scenario]\nduration_s = 10\n[DEFAULT]\nseed = 7\n",
+    ], ids=["alone", "beside-scenario"])
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys, text):
+        # Neither dropped nor read as defaults of every other section.
+        path = _write(tmp_path, text)
+        with pytest.raises(ScenarioError, match=r"unknown section \[DEFAULT\]"):
+            load_scenario(path)
+        assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+# Each periodic row of the load rule: a config whose firings over the run, times
+# the nodes each settles, are exactly the 3,600,000 bound, the same config one
+# step past it, and the keys its refusal names.
+_TICK_BASE = "[scenario]\nnode_count = 4\nduration_s = 9\ninit_delay_s = 0\n"
+_PERIODIC_EDGES = {
+    # 1,000 nodes for 3,595 s plus the default 5 s start-up.
+    "1hz-tick": ("[scenario]\nnode_count = 1000\nduration_s = {}\n", "3595", "3595.000001",
+                 ("[scenario] node_count", "[scenario] duration_s", "[scenario] init_delay_s")),
+    # 4 nodes over 9 s ticked every 10,000 ns, then every 9,999 ns.
+    **{f"{section}-{key}": (f"{_TICK_BASE}[{section}]\n{key} = {{}}\n", "1e-5", "9.999e-6",
+                            (f"[{section}] {key}", "[scenario] node_count"))
+       for section, key in (("traffic", "poll_slot_s"), ("weights", "period_s"),
+                            ("peripherals", "period_s"))},
+    # 1-byte packets every 10,000 ns, then every 9,999 ns, for 36 s: only the
+    # slot holder sends, so the node count does not scale them.
+    "packet-spacing": ("[scenario]\nnode_count = 4\nduration_s = 36\ninit_delay_s = 0\n"
+                       "[traffic]\npacket_bytes = 1\ntarget_rate_kbps = {}\n"
+                       "[optical]\nphy_rate_kbps = 1e6\n", "800", "800.1",
+                       ("[traffic] target_rate_kbps", "[traffic] packet_bytes",
+                        "[optical] phy_rate_kbps")),
+}
+
+
+@pytest.mark.parametrize("row", _PERIODIC_EDGES)
+def test_each_periodic_span_loads_at_its_bound_and_fails_past_it(tmp_path, capsys, row):
+    """Each periodic row loads at its bound, and one step past it exits 2
+    naming the row's keys. Loads only: no config here runs."""
+    text, at, past, keys = _PERIODIC_EDGES[row]
+    assert main(["print-config", "--config", str(_write(tmp_path, text.format(at)))]) == 0
+    capsys.readouterr()
+    path = _write(tmp_path, text.format(past))
+    assert main(["print-config", "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "3,600,000" in err and all(key in err for key in keys), err
 
 
 _SPAN_RATES = st.floats(1e-300, 1e300)
