@@ -3,12 +3,12 @@
 import importlib.util
 import sys
 import tempfile
-from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from hybridsim.actions import ActionPlan, Mode, Modality
+from hybridsim.kernel import EventKind
 from hybridsim.optimizer import EunoTable, UtilityWeights
 from hybridsim.scenario import Scenario, load_scenario
 
@@ -101,24 +101,11 @@ def tx_bursts(nm):
             for i in range(count)]
 
 
-class OwcState(Enum):
-    """The optical half of an `InterfaceState` label, as the trace spells it."""
-
-    OFF = "OFF"
-    SLEEP = "SLEEP"
-    IDLE = "IDLE"
-    TX = "TX"
-
-
-class BleState(Enum):
-    """The radio half of an `InterfaceState` label."""
-
-    OFF = "OFF"
-    IDLE = "IDLE"
-    TX_BUSY = "TX_BUSY"
-
-
-def interface_halves(state):
-    """The `(OwcState, BleState)` halves of an `InterfaceState`."""
-    owc, ble = state.value.split("|")
-    return OwcState(owc), BleState(ble)
+def tick_each_node(nodes, now, harvest_j):
+    """`tick_nodes` with every node settled, harvested, evaluated on a
+    battery-charged edge and sampled through the node's own calls."""
+    for node in nodes:
+        node.sync(now)
+        if node.buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+            node.evaluate_cb(node, now)
+        node.sample()

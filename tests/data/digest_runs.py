@@ -8,9 +8,9 @@ Runs the six paper figure presets, each `*.cfg` beside this script, and
 `DRAWS` short scenarios drawn with `random.Random(2026)` over the ranges of
 `scenarios()` in tests/test_invariants.py, and prints one `<sha256>  <run>`
 line per run: the digest of `outputs`, every output of the run. A change
-that keeps every output prints the same lines. The differential tests
-(test_crossing.py, test_batching.py) compare `outputs` too, so an output
-added to a run is added here once. Needs no pytest, like verify_pins.py.
+that keeps every output prints the same lines. The shortcut check
+(tests/test_shortcuts.py) compares `outputs` too, so an output added to a
+run is added here once. Needs no pytest, like verify_pins.py.
 """
 
 from __future__ import annotations

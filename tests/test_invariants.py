@@ -65,6 +65,30 @@ def scenarios(draw) -> Scenario:
     )
 
 
+@st.composite
+def tie_prone(draw) -> Scenario:
+    """Scenarios drawn like `scenarios()`. Half of them send a packet every
+    100 or 50 ms with a 50 or 25 ms optical burst, slots of 2, 2.05 or 5 s,
+    a start at 0, 0.95 or 1 s and no inter-transmission sleep, so each slot's
+    stream starts at the slot and burst ends and packet-readies fall on the
+    1 Hz tick: 50 ms bursts every 100 ms from 0.05 s before a whole second
+    end there. A quarter start full under a harvest that outruns the draw,
+    so a tick's harvest would clamp at capacity."""
+    scenario = draw(scenarios())
+    if draw(st.integers(0, 3)) == 0:
+        scenario = scenario.replace(initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
+    if draw(st.booleans()):
+        rate = draw(st.sampled_from([40.96, 81.92]))  # 4,096-bit packets
+        scenario = scenario.replace(
+            target_rate_kbps=rate,
+            conservation_rate_kbps=min(scenario.conservation_rate_kbps, rate),
+            owc_phy_rate_kbps=draw(st.sampled_from([81.92, 163.84])),
+            poll_slot_s=draw(st.sampled_from([2.0, 2.05, 5.0])),
+            init_delay_s=draw(st.sampled_from([0.0, 0.95, 1.0])),
+            inter_transmission_sleep=False)
+    return scenario
+
+
 def slots_ns(scenario: Scenario, index: int) -> list[tuple[int, int]]:
     """The `(start, end)` ns of every poll slot that node `index` (0-based)
     held in the run.
@@ -207,7 +231,6 @@ def test_eligible_segment_is_open_exactly_in_the_slot_outside_sleep_mode():
     """After every dispatched event, each node's transmit-eligible segment is
     open iff it holds its slot in a mode other than sleep: every change of
     either settles through `SimNode._reconcile`, which keeps the two in step."""
-    from test_crossing import tie_prone  # which imports this module
     checks = []
 
     def run_checked(scenario):

@@ -7,7 +7,6 @@ from hybridsim.kernel import Engine, EventKind, seconds
 from hybridsim.linklayer import CONN_EVENT_LEN_MS, InterfaceState, ble_airtime, fsm_dispatch
 from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, ScenarioError
-from conftest import BleState, OwcState, interface_halves
 
 E = EventKind
 
@@ -36,70 +35,6 @@ def test_interface_transition_table(state):
             expected = I.OFF if event is E.BATTERY_LOW else MOVES.get(
                 (state, event, modality), state)
             assert fsm_dispatch(state, event, modality) is expected, (event, modality)
-
-
-def _view(state, event):
-    """The halves that `event` moves `state` to, where `state` is one
-    interface's half (an OwcState or BleState). The event is dispatched from
-    every interface state showing that half while the other interface does not
-    transmit; a transmit start names the half's own modality."""
-    side, modality, other_tx = ((0, Modality.OWC, I.BLE_TX) if isinstance(state, OwcState)
-                                else (1, Modality.BLE, I.OWC_TX))
-    sources = [s for s in I if interface_halves(s)[side] is state and s is not other_tx]
-    assert sources, state
-    if event is not E.TRANSMIT_START:
-        modality = None
-    return {interface_halves(fsm_dispatch(s, event, modality))[side] for s in sources}
-
-
-class TestOwcFsm:
-    @pytest.mark.parametrize("state,event,expected", [
-        (OwcState.IDLE, E.TRANSMIT_START, OwcState.TX),
-        (OwcState.TX, E.TRANSMIT_END, OwcState.IDLE),
-        (OwcState.IDLE, E.SLEEP_SIGNAL, OwcState.SLEEP),
-        (OwcState.SLEEP, E.WAKE_SIGNAL, OwcState.IDLE),
-        (OwcState.OFF, E.WAKE_SIGNAL, OwcState.IDLE),
-    ])
-    def test_transitions(self, state, event, expected):
-        assert _view(state, event) == {expected}
-
-    @pytest.mark.parametrize("state", list(OwcState))
-    def test_battery_low_dominates_every_state(self, state):
-        assert _view(state, E.BATTERY_LOW) == {OwcState.OFF}
-
-    def test_duplex_only_reachable_from_tx_or_rx(self):
-        # No receive half: transmit events outside IDLE/TX are no-ops.
-        assert _view(OwcState.IDLE, E.TRANSMIT_END) == {OwcState.IDLE}
-        assert _view(OwcState.SLEEP, E.TRANSMIT_START) == {OwcState.SLEEP}
-        assert _view(OwcState.TX, E.TRANSMIT_START) == {OwcState.TX}
-
-    def test_undefined_pair_is_noop(self):
-        assert _view(OwcState.OFF, E.TRANSMIT_START) == {OwcState.OFF}
-
-
-class TestBleFsm:
-    @pytest.mark.parametrize("state,event,expected", [
-        (BleState.IDLE, E.TRANSMIT_START, BleState.TX_BUSY),
-        (BleState.TX_BUSY, E.TRANSMIT_END, BleState.IDLE),
-        (BleState.IDLE, E.SLEEP_SIGNAL, BleState.OFF),
-        (BleState.OFF, E.WAKE_SIGNAL, BleState.IDLE),
-    ])
-    def test_transitions(self, state, event, expected):
-        assert _view(state, event) == {expected}
-
-    @pytest.mark.parametrize("state", list(BleState))
-    def test_battery_low_dominates_every_state(self, state):
-        assert _view(state, E.BATTERY_LOW) == {BleState.OFF}
-
-    def test_busy_states_entered_only_from_idle(self):
-        assert _view(BleState.OFF, E.TRANSMIT_START) == {BleState.OFF}
-        assert _view(BleState.TX_BUSY, E.TRANSMIT_START) == {BleState.TX_BUSY}
-
-
-@pytest.mark.parametrize("state", [OwcState.OFF, BleState.OFF])
-def test_battery_charged_does_not_power_on(state):
-    # Only a wake signal brings an interface back from OFF.
-    assert _view(state, E.BATTERY_CHARGED) == {state}
 
 
 class TestBleTiming:

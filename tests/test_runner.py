@@ -28,7 +28,7 @@ from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_burs
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs, interface_halves, perfbench_run, tx_bursts
+from conftest import digest_runs, perfbench_run, tick_each_node, tx_bursts
 from test_invariants import INTERFACE_LABELS, scenarios
 
 SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
@@ -135,20 +135,6 @@ class TestTraces:
             # 1 Hz sampling can only under-count relative to the counter
             assert seen <= nm.modality_switches
 
-    def test_identical_runs_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        write_traces(run(SHORT), a)
-        write_traces(run(SHORT), b)
-        for path in sorted(a.iterdir()):
-            assert path.read_bytes() == (b / path.name).read_bytes()
-
-    def test_different_seed_changes_nothing_on_clean_links(self):
-        # no loss and no jitter: the seed only feeds unused draws
-        m1 = run(SHORT.replace(seed=1))
-        m2 = run(SHORT.replace(seed=2))
-        assert (m1.node(1).bytes_delivered == m2.node(1).bytes_delivered)
-
-
     @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-12, 123456789.5, 1e20,
                                        7, 10**12 + 1])
     def test_row_format_matches_per_field_format(self, value, tmp_path):
@@ -252,11 +238,11 @@ class TestTraces:
         fleet64 = Path(__file__).parent / "data" / "fleet64.cfg"
         assert fleet64.read_bytes() == perfbench_run.fleet_config(1).encode()
 
-    @pytest.mark.parametrize("owc,ble", [interface_halves(s) for s in InterfaceState])
-    def test_sampled_fsm_label(self, owc, ble):
-        # Only the five reachable pairs of halves are interface states.
-        row = _sampled_row(interfaces=InterfaceState(f"{owc.value}|{ble.value}"))
-        assert row.fsm_state == f"{owc.value}|{ble.value}"
+    @pytest.mark.parametrize("state", list(InterfaceState))
+    def test_sampled_fsm_label(self, state):
+        # Each interface state samples as one of the five reachable labels.
+        row = _sampled_row(interfaces=state)
+        assert row.fsm_state == state.value
         assert row.fsm_state in INTERFACE_LABELS
 
     @pytest.mark.parametrize("mode,modality", itertools.product(Mode, Modality))
@@ -570,11 +556,7 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
                         or harvest(buffer, joules))
     tick_nodes(ticked, now, harvest_j)
     slow = [node.name for node in ticked if node.buffer in settled]
-    for node in stepped:
-        node.sync(now)
-        if harvest(node.buffer, harvest_j)[1] is EventKind.BATTERY_CHARGED:
-            node.evaluate_cb(node, now)
-        node.sample()
+    tick_each_node(stepped, now, harvest_j)
     for a, b in zip(ticked, stepped):
         assert vars(a.buffer) == vars(b.buffer)
         assert _fields(a.metrics) == _fields(b.metrics)  # samples, sleep entries, ...
@@ -659,41 +641,10 @@ class TestHarvestTick:
         assert node.metrics.rows[-1].remaining_j == node.buffer.remaining_j
 
 
-def _run_counting_inline(scenario: Scenario, barrier_ns: int | None = None):
-    """Run the scenario; with `barrier_ns`, a no-op target also fires every
-    `barrier_ns`. Returns the record, the barrier's event count and the
-    number of events the nodes ran inline."""
-    engine = Engine()
-    controller = _Controller(scenario, engine)
-    barriers = inline = 0
-
-    def barrier(eng, event):
-        nonlocal barriers
-        barriers += 1
-        if eng.now + barrier_ns <= controller.total_ns:
-            eng.schedule_at(eng.now + barrier_ns, "barrier", EventKind.POLL_TICK)
-
-    run_inline = engine.run_inline
-
-    def counted_run_inline(at, events=1):
-        nonlocal inline
-        inline += events
-        run_inline(at, events)
-
-    engine.run_inline = counted_run_inline
-    if barrier_ns is not None:
-        engine.register("barrier", barrier)
-        engine.schedule_at(0, "barrier", EventKind.POLL_TICK)
-    controller.start()
-    engine.run_until(controller.total_ns)
-    return controller.finalize(), barriers, inline
-
-
-def _queued_run(scenario: Scenario):
-    """The run with a barrier that fires more often than the shortest
-    airtime, so every burst end and packet-ready goes through the queue."""
-    shortest = min(plan.airtime_ns for plan in build_link_plans(scenario).values())
-    return _run_counting_inline(scenario, shortest - 1)
+def _no_stretch(node, now, plan):
+    """`SimNode._run_stretch` that runs no burst, so that every burst's end
+    and packet-ready go through the queue."""
+    return now
 
 
 def _expanded(record):
@@ -737,9 +688,9 @@ JOULES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.7e308]),
 
 class TestInlinePackets:
     """A node runs the bursts that raise no battery edge inline, up to the
-    next queued event, as one stretch. The all-queued run must agree with
-    it: every counter, label, burst and transmit-eligible time exactly, and
-    the energies to rounding."""
+    next queued event, as one stretch. The run without stretches must agree
+    with it: every counter, label, burst, transmit-eligible time and the
+    event count exactly, and the energies to rounding."""
 
     @pytest.mark.parametrize("scenario, sleeps, losses", [
         # Harvest ticks inside the 25 s slots stop stretches at the horizon.
@@ -787,12 +738,14 @@ class TestInlinePackets:
                               target_rate_kbps=409.6, owc_phy_rate_kbps=409.6), False, False,
                      id="back-to-back-bursts-on-ticks"),
     ])
-    def test_inline_path_equals_queued_path(self, scenario, sleeps, losses):
-        plain, _, inline = _run_counting_inline(scenario)
-        queued, barriers, none_inline = _queued_run(scenario)
-        assert inline > 0 and none_inline == 0
+    def test_inline_path_equals_queued_path(self, monkeypatch, scenario, sleeps, losses):
+        plain = run(scenario)
+        monkeypatch.setattr(SimNode, "_run_stretch", _no_stretch)
+        queued = run(scenario)
+        # Only a stretch logs a run of bursts with their spacing.
+        assert any(period for nm in plain.nodes.values() for _, period, _, _ in nm.tx_intervals)
         _assert_agree(plain, queued)
-        assert plain.events_executed == queued.events_executed - barriers
+        assert plain.events_executed == queued.events_executed
         nodes = plain.nodes.values()
         assert any(nm.sleep_entries for nm in nodes) == sleeps
         assert any(nm.packets_lost for nm in nodes) == losses
@@ -855,8 +808,10 @@ class TestInlinePackets:
               suppress_health_check=[HealthCheck.too_slow])
     @given(scenarios())
     def test_random_scenarios_match_the_queued_path(self, scenario):
-        plain, _, _ = _run_counting_inline(scenario)
-        queued, _, _ = _queued_run(scenario)
+        plain = run(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimNode, "_run_stretch", _no_stretch)
+            queued = run(scenario)
         _assert_agree(plain, queued)
 
 
