@@ -25,16 +25,18 @@ MOVES = {
 }
 
 
-@pytest.mark.parametrize("state", list(I))
-def test_interface_transition_table(state):
-    # Only a transmit start names its modality. So a second start while a
-    # burst is in flight, on either interface, stays where it is, and only a
-    # wake signal (never a battery-charged edge) powers the interfaces on.
-    for event in E:
-        for modality in (Modality if event is E.TRANSMIT_START else (None,)):
-            expected = I.OFF if event is E.BATTERY_LOW else MOVES.get(
-                (state, event, modality), state)
-            assert fsm_dispatch(state, event, modality) is expected, (event, modality)
+@pytest.mark.parametrize("state, event, modality", [
+    pytest.param(state, event, modality,
+                 id="-".join([state.name, event.name] + ([modality.name] if modality else [])))
+    for state in I for event in E
+    for modality in (Modality if event is E.TRANSMIT_START else (None,))])
+def test_interface_transition_table(state, event, modality):
+    # One case per key. Only a transmit start names its modality. So a
+    # second start while a burst is in flight, on either interface, stays
+    # where it is, and only a wake signal (never a battery-charged edge)
+    # powers the interfaces on.
+    expected = I.OFF if event is E.BATTERY_LOW else MOVES.get((state, event, modality), state)
+    assert fsm_dispatch(state, event, modality) is expected
 
 
 class TestBleTiming:
