@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hybridsim
-from hybridsim.cli import EXIT_OK, EXIT_VALIDATION, main
+from hybridsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from hybridsim.scenario import preset_path
 from hybridsim.validation import default_calibration_path
 
@@ -43,6 +43,10 @@ class TestRun:
         assert (out / "trace_node1.csv").exists()
         stdout = capsys.readouterr().out
         assert "node1" in stdout and "MB" in stdout
+        # A regular file cannot take the traces.
+        taken = out / "summary.json"
+        assert main(["run", "--config", short_cfg, "--out", str(taken)]) == EXIT_RUNTIME
+        assert f"runtime error: cannot write traces under {taken}" in capsys.readouterr().err
 
     def test_seed_override_lands_in_summary(self, short_cfg, tmp_path):
         out = tmp_path / "out"
@@ -205,10 +209,16 @@ class TestSelfChecks:
         assert main(["validate-ber"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
-    def test_check_calibration_passes(self, capsys):
+    def test_check_calibration_passes(self, tmp_path, capsys):
         assert main(["check-calibration"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "ble_uplink_normal" in out and "FAIL" not in out
+        # A blank line inside the table is no row.
+        lines = default_calibration_path().read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join([*lines[:3], "\n", *lines[3:]]))
+        assert main(["check-calibration", "--table", str(spaced)]) == EXIT_OK
+        assert capsys.readouterr().out == out
 
     def test_corrupt_table_fails_with_code_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -232,6 +242,9 @@ class TestSelfChecks:
         ("--table", lambda path: path.write_bytes(
             default_calibration_path().read_bytes() + b"ble,uplink_tx,normal,99.0,3.13\r\n"),
          "ble/uplink_tx/normal"),
+        ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
+            "ble,adv_idle_8dbm,normal,5.48,148.32", "ble,adv_idle_8dbm,normal,5.48")),
+         "input:4: bad row"),
         ("--fixture", lambda path: path.mkdir(), None),
         ("--fixture", lambda path: path.write_text("snr_db,ber\n0.0,0.12\n0.5,high\n"),
          ":3:"),
@@ -239,7 +252,8 @@ class TestSelfChecks:
         ("--fixture", lambda path: path.write_text("snr_db,ber\n"),
          "no reference point fell in the window"),
     ], ids=["table-directory", "table-latin-1", "table-blank-uplink-duration",
-            "table-blank-chunk-duration", "table-repeated-key", "fixture-directory", "fixture-non-numeric-ber",
+            "table-blank-chunk-duration", "table-repeated-key", "table-short-row",
+            "fixture-directory", "fixture-non-numeric-ber",
             "fixture-wrong-header", "fixture-header-only"])
     def test_malformed_input_is_validation_failure(self, tmp_path, capsys, flag, make, names):
         path = tmp_path / "input"

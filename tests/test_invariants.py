@@ -1,26 +1,30 @@
-"""Run invariants over random valid short scenarios.
+"""Run invariants over the paper presets and random valid short scenarios.
 
-Every run must finish without a ProtocolViolation, balance its energy ledger,
-keep the buffer inside [0, capacity] on every trace row, achieve no more than
-the target rate, count no more transmit-eligible time than the poll slots the
-node owned, and keep both interfaces powered down while it sleeps; a second
-spent asleep away from any tick draws exactly the sleep current. Its burst
-log must account for every packet sent, place each burst inside one of the
-node's own slots, and no two bursts of the run may overlap.
+`_checked_run` runs one input once and checks every invariant of that run:
+after each dispatched event, under spies on the node's calls, and on the
+run's record. Every run must finish without a ProtocolViolation, balance its
+energy ledger, keep the buffer inside [0, capacity] on every trace row,
+sample once per whole second, achieve no more than the target rate, count no
+more transmit-eligible time than the poll slots the node owned, and keep both
+interfaces powered down while it sleeps; a second spent asleep away from any
+tick draws exactly the sleep current. Its burst log must account for every
+packet sent, place each burst inside one of the node's own slots, and no two
+bursts of the run may overlap. A new run invariant is one more check there.
 """
 
 import json
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hybridsim import node as node_module, runner
 from hybridsim.actions import Mode
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
 from hybridsim.node import CHAIN_STEPS, SimNode
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.runner import _Controller, build_link_plans, run
+from hybridsim.runner import _Controller, build_link_plans
 from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import digest_runs, tx_bursts
 
@@ -89,6 +93,18 @@ def tie_prone(draw) -> Scenario:
     return scenario
 
 
+@st.composite
+def peripheral_prone(draw) -> Scenario:
+    """Scenarios drawn like `scenarios()`; half of them idle between slots,
+    with no inter-transmission sleep, under a peripheral period of 0.1 to
+    2 s, often shorter than the 1.05 s peripheral chain it starts."""
+    scenario = draw(scenarios())
+    if draw(st.booleans()):
+        scenario = scenario.replace(inter_transmission_sleep=False,
+                                    peripheral_period_s=draw(st.floats(0.1, 2.0)))
+    return scenario
+
+
 def slots_ns(scenario: Scenario, index: int) -> list[tuple[int, int]]:
     """The `(start, end)` ns of every poll slot that node `index` (0-based)
     held in the run.
@@ -121,45 +137,145 @@ def owned_slot_s(scenario: Scenario, index: int) -> float:
     return sum(end - start for start, end in slots_ns(scenario, index)) / NS_PER_SEC
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-# ETNO resumes at once after a battery-low edge when f_c is above its sleep
-# threshold; the optical interface must come back from OFF on the wake signal.
-@example(Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
-                  weights=UtilityWeights(f_c=0.35)))
-# A poll slot that is not a whole number of nanoseconds: the last node's cut-off
-# slot starts 2 ns early on the simulator's clock and so lasts 2 ns longer.
-@example(Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346))
-# A battery-charged edge while the node sleeps: it stays powered down until the
-# policy wakes it.
-@example(Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0,
-                  battery_capacity_j=0.1, initial_fraction=0.5, harvest_mw=25.0,
-                  target_rate_kbps=36.0, conservation_rate_kbps=36.0))
-# Nodes asleep at the first poll tick without inter-transmission sleep: they
-# must keep drawing sleep current, not idle current, at OFF|OFF.
-@example(Scenario(duration_s=30.0, node_count=3, initial_fraction=0.2, harvest_mw=1.0,
-                  inter_transmission_sleep=False))
-@given(scenarios())
-def test_invariants_hold(scenario):
-    record = run(scenario)
+EXAMPLES = (
+    # ETNO resumes at once after a battery-low edge when f_c is above its sleep
+    # threshold; the optical interface must come back from OFF on the wake signal.
+    Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
+             weights=UtilityWeights(f_c=0.35)),
+    # A poll slot that is not a whole number of nanoseconds: the last node's cut-off
+    # slot starts 2 ns early on the simulator's clock and so lasts 2 ns longer.
+    Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346),
+    # A battery-charged edge while the node sleeps: it stays powered down until the
+    # policy wakes it.
+    Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0,
+             battery_capacity_j=0.1, initial_fraction=0.5, harvest_mw=25.0,
+             target_rate_kbps=36.0, conservation_rate_kbps=36.0),
+    # Nodes asleep at the first poll tick without inter-transmission sleep: they
+    # must keep drawing sleep current, not idle current, at OFF|OFF.
+    Scenario(duration_s=30.0, node_count=3, initial_fraction=0.2, harvest_mw=1.0,
+             inter_transmission_sleep=False),
+    # A run that ends between two whole seconds, with no initial delay.
+    Scenario(duration_s=7.5, init_delay_s=0.0, node_count=2, poll_slot_s=2.0),
+)
+
+
+@pytest.fixture
+def seen(monkeypatch) -> Counter:
+    """Counts of what the spies checked, with the spies on for the test.
+
+    A live chain step sees the slot and the mode its chain started in, since
+    a change of either bumps the epoch, and no chain starts asleep. EUNO and
+    ETNO choose a row of the run's one table, never a copy, and a node handed
+    the row it holds changes nothing: no stale packet, no sleep entry, no
+    modality switch. `park` signals only interfaces that the signal moves: a
+    sleep signal only awake ones, a wake signal only asleep ones."""
+    counts, tables, started = Counter(), [], {}
+    build, apply = runner.build_link_plans, SimNode.apply_action
+    run_chain, advance, dispatch = (SimNode._run_chain, SimNode._advance_chain,
+                                    node_module.fsm_dispatch)
+
+    def spy_build(scenario):  # once per run, before any of its chains starts
+        started.clear()
+        tables[:] = [build(scenario)]
+        return tables[0]
+
+    def spy_apply(node, plan, now):
+        assert any(plan is row for row in tables[0].values()), (node.name, plan)
+        kept = plan is node.plan
+        before = (node._epoch, node.metrics.sleep_entries, node.metrics.modality_switches)
+        apply(node, plan, now)
+        counts[plan.mode] += 1
+        counts["rows"] += 1
+        if kept:
+            counts["kept"] += 1
+            assert (node._epoch, node.metrics.sleep_entries,
+                    node.metrics.modality_switches) == before, node.name
+
+    def spy_run_chain(node, now, chain):
+        assert node.plan.mode is not Mode.SLEEP
+        started[node] = (node.plan.mode, node.in_slot)
+        counts["chains"] += 1
+        run_chain(node, now, chain)
+
+    def spy_advance(node, now):  # a chain's start, or the end of a live step
+        assert (node.plan.mode, node.in_slot) == started[node], node.name
+        counts["steps"] += 1
+        advance(node, now)
+
+    def spy_dispatch(current, kind, *modality):
+        after = dispatch(current, kind, *modality)
+        if kind in (EventKind.SLEEP_SIGNAL, EventKind.WAKE_SIGNAL):
+            assert after is not current, (kind, current)
+            counts[kind] += 1
+        return after
+
+    monkeypatch.setattr(runner, "build_link_plans", spy_build)
+    monkeypatch.setattr(SimNode, "apply_action", spy_apply)
+    monkeypatch.setattr(SimNode, "_run_chain", spy_run_chain)
+    monkeypatch.setattr(SimNode, "_advance_chain", spy_advance)
+    monkeypatch.setattr(node_module, "fsm_dispatch", spy_dispatch)
+    return counts
+
+
+def _checked_run(scenario: Scenario, seen: Counter) -> None:
+    """Run `scenario` once under the spies of `seen` and check every run
+    invariant: two after each dispatched event, then each per-run and
+    per-sample one on the run's record.
+
+    After every event, each node's transmit-eligible segment is open iff it
+    holds its slot in a mode other than sleep: every change of either
+    settles through `SimNode._reconcile`, which keeps the two in step. And
+    each node has at most one chain step queued under its current epoch: a
+    chain starts only from `_reconcile`, which bumps the epoch, or from a
+    new peripheral cycle, which bumps it to stop a chain still running. So
+    a chain's end, which streams or idles, acts once."""
+    engine = Engine()
+    controller = _Controller(scenario, engine)
+    dispatch = engine.dispatch_head
+
+    def dispatch_head():
+        dispatch()
+        for node in controller.nodes:
+            assert (node._eligible_since is not None) == (
+                node.in_slot and node.plan.mode is not Mode.SLEEP), (node.name, engine.now)
+        steps = [member for _, _, event in engine._heap if event.target == CHAIN_STEPS
+                 for member in event.payload]
+        live = Counter(node for node, epoch in steps if epoch == node._epoch)
+        assert max(live.values(), default=0) <= 1, (live, engine.now)
+        seen["eligible"] += len(controller.nodes)
+        seen["live"] += len(live)
+        seen["stale"] += len(steps) - sum(live.values())
+
+    engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
+    controller.start()
+    engine.run_until(controller.total_ns)
+    record = controller.finalize()
+
     capacity = scenario.battery_capacity_j
     sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage  # per second
     ticked = ticked_seconds(scenario)
+    # The trace stores no time column: sample `i` is at `t_s = i`.
+    samples = seconds(scenario.total_duration_s) // NS_PER_SEC + 1
     everyone = []
     for index in range(scenario.node_count):
         nm = record.node(index + 1)
+        rows = nm.rows  # built afresh on each read
+        assert len(nm.tails) == samples and len(nm.values) == 3 * samples, nm.name
+        assert [row.t_s for row in rows] == list(range(samples)), nm.name
+        # At most one interface transmits, and every signal moves both.
+        assert {row.fsm_state for row in rows} <= INTERFACE_LABELS, nm.name
         ledger = nm.initial_j + nm.harvested_j - nm.consumed_j
         assert nm.remaining_j == pytest.approx(ledger, rel=TOL, abs=TOL * capacity)
-        assert all(0.0 <= row.remaining_j <= capacity + 1e-12 for row in nm.rows)
+        assert all(0.0 <= row.remaining_j <= capacity + 1e-12 for row in rows)
         assert nm.achieved_rate_kbps <= scenario.target_rate_kbps * (1 + TOL)
         assert nm.eligible_s <= owned_slot_s(scenario, index) * (1 + TOL) + TOL
         # A burst caught in flight ends before its interface sleeps.
-        assert all(row.fsm_state in ASLEEP for row in nm.rows
+        assert all(row.fsm_state in ASLEEP for row in rows
                    if row.mode == "sleep" and "TX" not in row.fsm_state), nm.name
         # A node asleep at two consecutive samples, with one second of sleep
         # draw stored and no optimizer or poll tick between them, drew exactly
         # sleep current for that second.
-        for a, b in zip(nm.rows, nm.rows[1:]):
+        for a, b in zip(rows, rows[1:]):
             if (a.mode == b.mode == "sleep" and a.fsm_state in ASLEEP
                     and b.fsm_state in ASLEEP and a.remaining_j >= sleep_j
                     and int(a.t_s) not in ticked):
@@ -169,38 +285,42 @@ def test_invariants_hold(scenario):
         # lost to a battery-low edge.
         bursts = tx_bursts(nm)
         assert len(bursts) == nm.bytes_delivered // scenario.packet_bytes + nm.packets_lost
+        # The slots are sorted and end no earlier the later they start, so a
+        # burst lies in some slot iff it lies in the last to start by its start.
         slots = slots_ns(scenario, index)
-        assert all(any(s <= start <= end <= e for s, e in slots)
-                   for start, end in bursts), nm.name
+        starts = [s for s, _ in slots]
+        for start, end in bursts:
+            k = bisect_right(starts, start) - 1
+            assert k >= 0 and end <= slots[k][1], (nm.name, start)
         everyone += bursts
     everyone.sort()
     assert all(e1 <= s2 for (_, e1), (s2, _) in zip(everyone, everyone[1:]))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios())
-def test_sampled_interface_states_are_the_five_reachable(scenario):
-    """Every sleep, wake and battery-low signal moves both interfaces, and at
-    most one of them transmits: each sample's fsm_state is one of five."""
-    for nm in run(scenario).nodes.values():
-        assert {row.fsm_state for row in nm.rows} <= INTERFACE_LABELS, nm.name
+def test_every_run_keeps_its_invariants(seen):
+    """Every input runs once through `_checked_run`: the examples above, the
+    six paper presets, the seeded draws of `digest_runs.py`, and derandomized
+    draws of `scenarios()`, `tie_prone()` and `peripheral_prone()`. Then
+    every check must have run often enough to mean something."""
+    for scenario in EXAMPLES:
+        _checked_run(scenario, seen)
+    for preset in digest_runs.PRESETS:
+        _checked_run(load_scenario(preset_path(preset)), seen)
+    for _, scenario in digest_runs.draws(digest_runs.DRAWS):
+        _checked_run(scenario, seen)
+    for strategy, examples in ((scenarios(), 300), (tie_prone(), 150), (peripheral_prone(), 150)):
+        @settings(max_examples=examples, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(strategy)
+        def check(scenario):
+            _checked_run(scenario, seen)
 
-
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-# A run that ends between two whole seconds, with no initial delay.
-@example(Scenario(duration_s=7.5, init_delay_s=0.0, node_count=2, poll_slot_s=2.0))
-@given(scenarios())
-def test_one_sample_per_whole_second(scenario):
-    """The trace stores no time column: sample `i` is at `t_s = i`. So every
-    node samples once at the start and once at each world tick, whether its
-    stretch crossed the tick or the queue ran it."""
-    record = run(scenario)
-    samples = seconds(scenario.total_duration_s) // NS_PER_SEC + 1
-    for nm in record.nodes.values():
-        assert len(nm.tails) == samples and len(nm.values) == 3 * samples, nm.name
-        assert [row.t_s for row in nm.rows] == list(range(samples))
+        check()
+    assert seen["eligible"] > 10_000, seen
+    assert seen["live"] > 1_000 and seen["stale"] > 0, seen
+    assert seen["steps"] > seen["chains"] > 0, seen
+    assert all(seen[mode] for mode in Mode) and seen["rows"] > seen["kept"] > 0, seen
+    assert min(seen[EventKind.SLEEP_SIGNAL], seen[EventKind.WAKE_SIGNAL]) > 100, seen
 
 
 def _seedless(run: dict) -> dict:
@@ -225,175 +345,3 @@ def test_a_lossless_jitter_free_run_does_not_depend_on_its_seed(scenario):
     assert {row.success_prob for row in build_link_plans(scenario).values()} <= {0.0, 1.0}
     other = scenario.replace(seed=scenario.seed + 1)
     assert _seedless(digest_runs.outputs(other)) == _seedless(digest_runs.outputs(scenario))
-
-
-def test_eligible_segment_is_open_exactly_in_the_slot_outside_sleep_mode():
-    """After every dispatched event, each node's transmit-eligible segment is
-    open iff it holds its slot in a mode other than sleep: every change of
-    either settles through `SimNode._reconcile`, which keeps the two in step."""
-    checks = []
-
-    def run_checked(scenario):
-        engine = Engine()
-        controller = _Controller(scenario, engine)
-        dispatch = engine.dispatch_head
-
-        def dispatch_head():
-            dispatch()
-            for node in controller.nodes:
-                assert (node._eligible_since is not None) == (
-                    node.in_slot and node.plan.mode is not Mode.SLEEP), (node.name, engine.now)
-            checks.append(len(controller.nodes))
-
-        engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
-        controller.start()
-        engine.run_until(controller.total_ns)
-
-    for strategy, examples in ((scenarios(), 150), (tie_prone(), 150)):
-        @settings(max_examples=examples, derandomize=True, database=None, deadline=None,
-                  suppress_health_check=[HealthCheck.too_slow])
-        @given(strategy)
-        def check(scenario):
-            run_checked(scenario)
-
-        check()
-    assert sum(checks) > 10_000, sum(checks)
-
-
-def test_a_live_chain_step_sees_the_slot_and_mode_its_chain_started_in(monkeypatch):
-    """A change of the mode or the slot bumps the epoch, which makes the
-    chain's queued step stale, so a step that is still live never needs to
-    check the mode again, and the chain's end streams iff the node holds the
-    slot. No chain starts asleep."""
-    started, calls = {}, {"chains": 0, "steps": 0}
-    run_chain, advance = SimNode._run_chain, SimNode._advance_chain
-
-    def spy_run_chain(node, now, chain):
-        assert node.plan.mode is not Mode.SLEEP
-        started[node] = (node.plan.mode, node.in_slot)
-        calls["chains"] += 1
-        run_chain(node, now, chain)
-
-    def spy_advance(node, now):  # a chain's start, or the end of a live step
-        assert (node.plan.mode, node.in_slot) == started[node], node.name
-        calls["steps"] += 1
-        advance(node, now)
-
-    monkeypatch.setattr(SimNode, "_run_chain", spy_run_chain)
-    monkeypatch.setattr(SimNode, "_advance_chain", spy_advance)
-
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(scenarios())
-    def check(scenario):
-        run(scenario)
-
-    check()
-    assert calls["steps"] > calls["chains"] > 0, calls
-
-
-def test_every_policy_choice_is_a_row_of_the_run_s_table(monkeypatch):
-    """EUNO and ETNO choose a row of the run's one table, never a copy, and
-    a node handed the row it holds changes nothing: no stale packet, no sleep
-    entry, no modality switch."""
-    tables, modes, calls = [], set(), {"rows": 0, "kept": 0}
-    build, apply = runner.build_link_plans, SimNode.apply_action
-
-    def spy_build(scenario):
-        tables.append(build(scenario))
-        return tables[-1]
-
-    def spy_apply(node, plan, now):
-        assert any(plan is row for row in tables[-1].values()), (node.name, plan)
-        kept = plan is node.plan
-        counts = (node._epoch, node.metrics.sleep_entries, node.metrics.modality_switches)
-        apply(node, plan, now)
-        modes.add(plan.mode)
-        calls["rows"] += 1
-        if kept:
-            calls["kept"] += 1
-            assert (node._epoch, node.metrics.sleep_entries,
-                    node.metrics.modality_switches) == counts, node.name
-
-    monkeypatch.setattr(runner, "build_link_plans", spy_build)
-    monkeypatch.setattr(SimNode, "apply_action", spy_apply)
-    for preset in ("paper_fig11", "paper_fig12"):  # ETNO, then EUNO
-        run(load_scenario(preset_path(preset)))
-
-    @settings(max_examples=50, derandomize=True, database=None, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(scenarios())
-    def check(scenario):
-        run(scenario)
-
-    check()
-    assert modes == set(Mode) and calls["rows"] > calls["kept"] > 0, (modes, calls)
-
-
-@st.composite
-def peripheral_prone(draw) -> Scenario:
-    """Scenarios drawn like `scenarios()`; half of them idle between slots,
-    with no inter-transmission sleep, under a peripheral period of 0.1 to
-    2 s, often shorter than the 1.05 s peripheral chain it starts."""
-    scenario = draw(scenarios())
-    if draw(st.booleans()):
-        scenario = scenario.replace(inter_transmission_sleep=False,
-                                    peripheral_period_s=draw(st.floats(0.1, 2.0)))
-    return scenario
-
-
-def test_each_node_has_at_most_one_live_chain_step_queued():
-    """After every dispatched event, each node has at most one chain step
-    queued under its current epoch: a chain starts only from `_reconcile`,
-    which bumps the epoch, or from a new peripheral cycle, which bumps it
-    to stop a chain still running. So a chain's end, which streams or
-    idles, acts once, and a live step is the node's latest chain's."""
-    seen = Counter()
-
-    def run_checked(scenario):
-        engine = Engine()
-        controller = _Controller(scenario, engine)
-        dispatch = engine.dispatch_head
-
-        def dispatch_head():
-            dispatch()
-            steps = [member for _, _, event in engine._heap if event.target == CHAIN_STEPS
-                     for member in event.payload]
-            live = Counter(node for node, epoch in steps if epoch == node._epoch)
-            assert max(live.values(), default=0) <= 1, (live, engine.now)
-            seen["live"] += len(live)
-            seen["stale"] += len(steps) - sum(live.values())
-
-        engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
-        controller.start()
-        engine.run_until(controller.total_ns)
-
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(peripheral_prone())
-    def check(scenario):
-        run_checked(scenario)
-
-    check()
-    assert seen["live"] > 1_000 and seen["stale"] > 0, seen
-
-
-def test_every_sleep_or_wake_signal_moves_the_interfaces(monkeypatch):
-    """`park` signals only interfaces that the signal moves: a sleep signal
-    only awake ones, a wake signal only asleep ones, over the six paper
-    presets and the seeded draws of `digest_runs.py`."""
-    signals, dispatch = Counter(), node_module.fsm_dispatch
-
-    def spy(current, kind, *modality):
-        after = dispatch(current, kind, *modality)
-        if kind in (EventKind.SLEEP_SIGNAL, EventKind.WAKE_SIGNAL):
-            assert after is not current, (kind, current)
-            signals[kind] += 1
-        return after
-
-    monkeypatch.setattr(node_module, "fsm_dispatch", spy)
-    for preset in digest_runs.PRESETS:
-        run(load_scenario(preset_path(preset)))
-    for _, scenario in digest_runs.draws(digest_runs.DRAWS):
-        run(scenario)
-    assert min(signals[EventKind.SLEEP_SIGNAL], signals[EventKind.WAKE_SIGNAL]) > 100, signals

@@ -354,6 +354,9 @@ class TestBehaviour:
         row = result.rows[0]
         assert row.optimizer == "etno"
         assert 0 < row.achieved_rate_kbps <= 100.0
+        assert result.achieved(100.0, "etno") == row.achieved_rate_kbps
+        with pytest.raises(KeyError):
+            result.achieved(100.0, "euno")  # not swept
 
     def test_sweep_requires_rates(self):
         with pytest.raises(ValueError):

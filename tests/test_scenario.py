@@ -126,6 +126,16 @@ class TestParsing:
             with pytest.raises(ScenarioError, match="cannot read scenario"):
                 load_scenario(path)
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL + "duration_s = 50\n", "duration_s = 50\n" + MINIMAL,
+    ], ids=["repeated-key", "key-before-section"])
+    def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        path = _write(tmp_path, text)
+        assert main(["print-config", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err
+
     def test_weight_sum_violation_names_the_invariant(self, tmp_path):
         path = _write(tmp_path, MINIMAL + "\n[weights]\np_m = 0.5\n")
         with pytest.raises(ScenarioError) as err:
@@ -233,6 +243,7 @@ class TestRecords:
         assert frame == VlcFrame(src=1, dst=2, payload_type=3, payload=b"")
         assert hash(frame) == hash(VlcFrame(1, 2, 3))
         assert frame != VlcFrame(1, 2, 4)
+        assert frame != UtilityWeights()  # another type of record
         assert repr(frame) == "VlcFrame(src=1, dst=2, payload_type=3, payload=b'')"
 
     @pytest.mark.parametrize("args, kwargs", [

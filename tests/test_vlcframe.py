@@ -76,6 +76,20 @@ def test_nonzero_padding_rejected():
         decode_vlc_chunks(ChunkStream(chunks=tuple(corrupted)))
 
 
+@pytest.mark.parametrize("offset, value, match", [
+    (4, 17, "size field 17"), (5 + len(FRAME.payload), 1, "past declared payload size"),
+], ids=["size-17", "byte-past-size"])
+def test_framing_is_checked_behind_valid_markers_and_checksum(offset, value, match):
+    raw = bytearray(frame_to_bytes(FRAME))
+    raw[offset] = value
+    raw[21] = 0
+    raw[21] = -sum(raw) & 0xFF  # the frame sums to 0 mod 256 again
+    raw.append(0)  # the final chunk's pad byte
+    chunks = tuple(int.from_bytes(raw[i:i + 4], "big") for i in range(0, 24, 4))
+    with pytest.raises(FramingError, match=match):
+        decode_vlc_chunks(ChunkStream(chunks=chunks))
+
+
 @pytest.mark.parametrize("bit", range(0, 192, 7))
 def test_single_bit_corruptions_sampled(bit):
     stream = encode_vlc_frame(FRAME)
