@@ -245,6 +245,9 @@ class TestSelfChecks:
         ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
             "ble,adv_idle_8dbm,normal,5.48,148.32", "ble,adv_idle_8dbm,normal,5.48")),
          "input:4: bad row"),
+        ("--table", lambda path: path.write_text(default_calibration_path().read_text().replace(
+            "ble,adv_idle_8dbm,normal,5.48,148.32", "ble,adv_idle_8dbm,normal,5.48,148.32,1")),
+         "input:4: bad row"),
         ("--fixture", lambda path: path.mkdir(), None),
         ("--fixture", lambda path: path.write_text("snr_db,ber\n0.0,0.12\n0.5,high\n"),
          ":3:"),
@@ -253,7 +256,7 @@ class TestSelfChecks:
          "no reference point fell in the window"),
     ], ids=["table-directory", "table-latin-1", "table-blank-uplink-duration",
             "table-blank-chunk-duration", "table-repeated-key", "table-short-row",
-            "fixture-directory", "fixture-non-numeric-ber",
+            "table-long-row", "fixture-directory", "fixture-non-numeric-ber",
             "fixture-wrong-header", "fixture-header-only"])
     def test_malformed_input_is_validation_failure(self, tmp_path, capsys, flag, make, names):
         path = tmp_path / "input"

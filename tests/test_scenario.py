@@ -128,7 +128,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         MINIMAL + "duration_s = 50\n", "duration_s = 50\n" + MINIMAL,
-    ], ids=["repeated-key", "key-before-section"])
+        MINIMAL + "[scenario]\nseed = 5\n", MINIMAL + "seed\n",
+    ], ids=["repeated-key", "key-before-section", "repeated-section", "key-without-value"])
     def test_unparsable_file_exits_2_naming_it(self, tmp_path, capsys, text):
         path = _write(tmp_path, text)
         assert main(["print-config", "--config", str(path)]) == EXIT_VALIDATION
