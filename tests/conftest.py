@@ -6,13 +6,20 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.kernel import EventKind
+from hybridsim.metrics import NodeMetrics
 from hybridsim.optimizer import EunoTable, UtilityWeights
 from hybridsim.scenario import Scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Every property test draws the same examples on every run, so that a failure
+# reproduces, keeps no example database, and has no deadline on a shared host.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 def _script(path: Path):
@@ -99,6 +106,12 @@ def tx_bursts(nm):
     return [(start + i * period, start + i * period + length)
             for start, period, length, count in nm.tx_intervals
             for i in range(count)]
+
+
+def metrics_fields(nm: NodeMetrics, **changes) -> dict:
+    """Every `NodeMetrics` field of `nm` by name, with `changes` in place
+    of some."""
+    return {**{name: getattr(nm, name) for name in NodeMetrics.__slots__}, **changes}
 
 
 def tick_each_node(nodes, now, harvest_j):

@@ -156,8 +156,7 @@ def test_criterion_5_energy_ledger(fig_runs, oscillation_runs):
             expected = nm.initial_j + nm.harvested_j - nm.consumed_j
             rel = abs(nm.remaining_j - expected) / max(capacity, 1e-12)
             worst_rel = max(worst_rel, rel)
-            bounds_ok = bounds_ok and all(
-                -1e-12 <= row.remaining_j <= capacity + 1e-12 for row in nm.rows)
+            bounds_ok = bounds_ok and all(0.0 <= row.remaining_j <= capacity for row in nm.rows)
     _report("criterion 5 (ledger within 1e-9 relative, bounds respected)",
             worst_rel <= 1e-9 and bounds_ok,
             f"worst relative imbalance {worst_rel:.2e} over {len(records)} runs")

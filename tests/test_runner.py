@@ -1,10 +1,10 @@
-"""End-to-end runs on a shortened scenario: trace integrity, the energy
-ledger, MAC mutual exclusion, and deterministic trace files."""
+"""Unit tests of the runner, node and trace writer on a shortened scenario:
+trace integrity and deterministic trace files. Run invariants are checked in
+test_invariants.py, the shortcuts against the queue in test_shortcuts.py."""
 
 import inspect
 import itertools
 import json
-import math
 import os
 import random
 import subprocess
@@ -14,7 +14,7 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hybridsim
 from hybridsim.actions import Mode, Modality
@@ -27,13 +27,10 @@ from hybridsim.metrics import (TRACE_HEADER, TRACE_TAILS, MetricsRecord, NodeMet
 from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_bursts, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
-from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs, perfbench_run, tick_each_node, tx_bursts
-from test_invariants import INTERFACE_LABELS, scenarios
+from hybridsim.scenario import Scenario, load_scenario
+from conftest import digest_runs, metrics_fields, perfbench_run, tick_each_node, tx_bursts
+from test_invariants import INTERFACE_LABELS, SHORT
 
-SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
-                 optimizer="etno", inter_transmission_sleep=False,
-                 battery_capacity_j=2.0)
 # 3 ETNO nodes on an optical link that loses about a third of its packets
 # and a radio link that loses every one.
 LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
@@ -42,71 +39,6 @@ LOSSY = Path(__file__).parent / "data" / "etno3_lossy.cfg"
 @pytest.fixture(scope="module")
 def metrics():
     return run(SHORT)
-
-
-class TestLedgerAndBounds:
-    def test_energy_ledger_balances(self, metrics):
-        for nm in metrics.nodes.values():
-            expected = nm.initial_j + nm.harvested_j - nm.consumed_j
-            assert nm.remaining_j == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
-    def test_remaining_within_bounds_in_every_row(self, metrics):
-        for nm in metrics.nodes.values():
-            for row in nm.rows:
-                assert 0.0 <= row.remaining_j <= SHORT.battery_capacity_j + 1e-12
-
-    @pytest.mark.parametrize("capacity_j, initial_fraction", [(5.2, 0.013), (7.3, 0.041)])
-    def test_a_buffer_filled_one_ulp_past_capacity_runs(self, capacity_j,
-                                                        initial_fraction):
-        # Here `before + added` in the harvest that fills the buffer rounds
-        # one ulp above capacity; the buffer clamps it, so no sample reads
-        # above capacity and EUNO never evaluates at a fraction above 1.
-        scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1,
-                            optimizer="euno", battery_capacity_j=capacity_j,
-                            initial_fraction=initial_fraction, harvest_mw=50000.0)
-        nm = run(scenario).nodes["node1"]
-        assert nm.remaining_j == capacity_j
-        assert all(row.remaining_j <= capacity_j for row in nm.rows)
-
-    def test_rows_strictly_increasing_and_counters_monotone(self, metrics):
-        for nm in metrics.nodes.values():
-            times = [row.t_s for row in nm.rows]
-            assert times == sorted(times)
-            assert len(set(times)) == len(times)
-            consumed = [row.consumed_j for row in nm.rows]
-            harvested = [row.harvested_j for row in nm.rows]
-            assert all(a <= b + 1e-15 for a, b in zip(consumed, consumed[1:]))
-            assert all(a <= b + 1e-15 for a, b in zip(harvested, harvested[1:]))
-
-
-class TestMacInvariants:
-    def test_transmissions_mutually_exclusive(self, metrics):
-        intervals = []
-        for nm in metrics.nodes.values():
-            intervals.extend(tx_bursts(nm))
-        intervals.sort()
-        for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-            assert e1 <= s2, "overlapping transmissions"
-
-    def test_transmissions_only_inside_own_slots(self, metrics):
-        # slots rotate node1, node2, node3 every 25 s starting at t=5
-        slot_ns = int(25e9)
-        init_ns = int(5e9)
-        for idx, name in enumerate(sorted(metrics.nodes)):
-            for start, end in tx_bursts(metrics.nodes[name]):
-                k = (start - init_ns) // slot_ns
-                assert k % SHORT.node_count == idx
-                assert end <= init_ns + (k + 1) * slot_ns
-
-    def test_achieved_rate_never_exceeds_target(self, metrics):
-        for nm in metrics.nodes.values():
-            assert nm.achieved_rate_kbps <= SHORT.target_rate_kbps + 1e-9
-
-    def test_achieved_rate_recomputable_from_counters(self, metrics):
-        for nm in metrics.nodes.values():
-            if nm.eligible_s > 0:
-                expected = nm.bytes_delivered * 8 / nm.eligible_s / 1e3
-                assert nm.achieved_rate_kbps == pytest.approx(expected, rel=1e-9)
 
 
 class TestTraces:
@@ -122,18 +54,6 @@ class TestTraces:
         assert summary["seed"] == SHORT.seed
         assert summary["config"]["battery_capacity_j"] == 2.0
         assert "modality_switch_count" in summary["nodes"]["node1"]
-
-    def test_switch_counter_matches_trace(self, metrics):
-        # the counter must agree with a rescan of the 1 Hz modality column
-        for nm in metrics.nodes.values():
-            seen = 0
-            last = nm.rows[0].modality
-            for row in nm.rows:
-                if row.modality != last:
-                    seen += 1
-                    last = row.modality
-            # 1 Hz sampling can only under-count relative to the counter
-            assert seen <= nm.modality_switches
 
     @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1e-12, 123456789.5, 1e20,
                                        7, 10**12 + 1])
@@ -488,9 +408,9 @@ class TestNodeLifecycle:
         assert node.interfaces is InterfaceState.OFF
         assert (node.metrics.packets_lost, node.metrics.sleep_entries) == (1, 1)
         at_edge = buffer.remaining_j
-        before = (node.interfaces, node.plan, node._epoch, _fields(node.metrics))
+        before = (node.interfaces, node.plan, node._epoch, metrics_fields(node.metrics))
         node.on_transmit_end(airtime)
-        assert (node.interfaces, node.plan, node._epoch, _fields(node.metrics)) == before
+        assert (node.interfaces, node.plan, node._epoch, metrics_fields(node.metrics)) == before
         node.sync(airtime // 2 + NS_PER_SEC)
         sleep_j = node.scenario.sleep_current_ma * 1e-3 * node.scenario.supply_voltage
         assert at_edge - buffer.remaining_j == pytest.approx(sleep_j, rel=1e-9)
@@ -528,12 +448,6 @@ class TestNodeLifecycle:
             assert min(start for start, _ in bursts if start >= slot_end) == slot_end + spacing
 
 
-def _fields(nm: NodeMetrics, **changes) -> dict:
-    """Every `NodeMetrics` field of `nm` by name, with `changes` in place
-    of some."""
-    return {**{name: getattr(nm, name) for name in NodeMetrics.__slots__}, **changes}
-
-
 def _ticking_nodes(f_c: float, levels_j: list[float]) -> list[SimNode]:
     """The nodes of a fresh EUNO run with SNR jitter, one per level, each
     2 J buffer set to its level: an evaluation draws from the node's stream."""
@@ -562,7 +476,7 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
     tick_each_node(stepped, now, harvest_j)
     for a, b in zip(ticked, stepped):
         assert vars(a.buffer) == vars(b.buffer)
-        assert _fields(a.metrics) == _fields(b.metrics)  # samples, sleep entries, ...
+        assert metrics_fields(a.metrics) == metrics_fields(b.metrics)  # samples, sleep entries, ...
         assert a.rng._rng.getstate() == b.rng._rng.getstate()
         assert ((a.plan, a._phase_ma, a._phase_since)
                 == (b.plan, b._phase_ma, b._phase_since))
@@ -608,7 +522,7 @@ class TestHarvestTick:
                 for a, b in zip(ticked, _ticking_nodes(0.2, levels_j))]
         assert drew == [False, True, False]
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(current_ma=st.floats(0.1, 50.0), voltage=st.floats(1.0, 5.0),
            elapsed=st.integers(1, 2 * NS_PER_SEC))
     def test_inline_tick_draws_in_the_float_order_of_sync(self, current_ma, voltage, elapsed):
@@ -624,7 +538,7 @@ class TestHarvestTick:
         stepped.buffer.harvest(0.0)
         stepped.sample()
         assert vars(ticked.buffer) == vars(stepped.buffer)
-        assert _fields(ticked.metrics) == _fields(stepped.metrics)
+        assert metrics_fields(ticked.metrics) == metrics_fields(stepped.metrics)
 
     def test_harvest_that_fills_the_buffer_stops_at_capacity(self):
         # With nothing drawn, adding `capacity - level` back to this level
@@ -644,46 +558,6 @@ class TestHarvestTick:
         assert node.metrics.rows[-1].remaining_j == node.buffer.remaining_j
 
 
-def _no_stretch(node, now, plan):
-    """`SimNode._run_stretch` that runs no burst, so that every burst's end
-    and packet-ready go through the queue."""
-    return now
-
-
-def _expanded(record):
-    """The fields of the record's node metrics with each burst log expanded
-    to `(start, end)` pairs: a stretch logs one record where the queued path
-    logs one per burst, so only the expanded logs compare."""
-    return {name: _fields(nm, tx_intervals=tx_bursts(nm))
-            for name, nm in record.nodes.items()}
-
-
-# The gate perfbench/compare.py applies to energies.
-REL_TOL, ABS_TOL = 1e-9, 1e-12
-
-
-_ENERGIES = ("consumed_j", "harvested_j", "remaining_j", "initial_j")
-
-
-def _energies(fields: dict) -> list[float]:
-    return [*fields["values"], *(fields[name] for name in _ENERGIES)]
-
-
-def _assert_agree(plain, queued) -> None:
-    """Every `NodeMetrics` field of the two records is equal, but for the
-    energies, which agree within the gate: a stretch settles a run of
-    bursts as one product, the queued handlers burst by burst."""
-    ours, theirs = _expanded(plain), _expanded(queued)
-    assert ours.keys() == theirs.keys()
-    blank = dict.fromkeys(("values", *_ENERGIES))
-    for name, nm in ours.items():
-        other = theirs[name]
-        assert {**nm, **blank} == {**other, **blank}
-        a, b = _energies(nm), _energies(other)
-        assert len(a) == len(b)
-        assert all(math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL) for x, y in zip(a, b))
-
-
 # Joules at the ends of a double's range, or anywhere in it.
 JOULES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.7e308]),
                    st.floats(0.0, 1.7e308))
@@ -691,69 +565,10 @@ JOULES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.7e308]),
 
 class TestInlinePackets:
     """A node runs the bursts that raise no battery edge inline, up to the
-    next queued event, as one stretch. The run without stretches must agree
-    with it: every counter, label, burst, transmit-eligible time and the
-    event count exactly, and the energies to rounding."""
+    next queued event, as one stretch. These are its unit tests;
+    test_shortcuts.py checks whole runs with it against runs without it."""
 
-    @pytest.mark.parametrize("scenario, sleeps, losses", [
-        # Harvest ticks inside the 25 s slots stop stretches at the horizon.
-        pytest.param(load_scenario(preset_path("paper_fig11")).replace(duration_s=60.0),
-                     False, False, id="fig11-awake"),
-        pytest.param(load_scenario(preset_path("paper_fig12b")).replace(duration_s=60.0),
-                     False, False, id="fig12b-inter-transmission-sleep"),
-        # A stretch stops before a draw that would cross the threshold: the
-        # battery-low edge falls at a burst's end (losing the burst), or in
-        # the idle gap between bursts.
-        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              battery_capacity_j=0.2, harvest_mw=20.0), True, True,
-                     id="small-battery-mid-burst"),
-        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              battery_capacity_j=0.1, harvest_mw=20.0), True, False,
-                     id="small-battery-gap"),
-        # ETNO resumes below f_c = 0.35, so the node streams until a draw
-        # would run the buffer dry.
-        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              battery_capacity_j=0.2, harvest_mw=5.0,
-                              weights=UtilityWeights(f_c=0.35)), True, True,
-                     id="runs-dry"),
-        # 1 s slots end inside a burst, which then does not start; the
-        # gateway's tick at the slot's end is also the horizon.
-        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              poll_slot_s=1.0), False, False,
-                     id="slot-end"),
-        # Optical success is about 0.645 at 30 m, and the radio's is 0.
-        pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
-                              optimizer="euno", inter_transmission_sleep=False,
-                              distance_m=30.0, ble_tx_power_dbm=-60.0), False, True,
-                     id="lossy-links"),
-        # A 10 ms packet spacing puts a packet-ready on every 1 s tick; a
-        # 10 ms airtime as well leaves no idle gap and puts burst ends there.
-        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              target_rate_kbps=409.6), False, False,
-                     id="packet-ready-on-ticks"),
-        pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1,
-                              optimizer="etno", inter_transmission_sleep=False,
-                              target_rate_kbps=409.6, owc_phy_rate_kbps=409.6), False, False,
-                     id="back-to-back-bursts-on-ticks"),
-    ])
-    def test_inline_path_equals_queued_path(self, monkeypatch, scenario, sleeps, losses):
-        plain = run(scenario)
-        monkeypatch.setattr(SimNode, "_run_stretch", _no_stretch)
-        queued = run(scenario)
-        # Only a stretch logs a run of bursts with their spacing.
-        assert any(period for nm in plain.nodes.values() for _, period, _, _ in nm.tx_intervals)
-        _assert_agree(plain, queued)
-        assert plain.events_executed == queued.events_executed
-        nodes = plain.nodes.values()
-        assert any(nm.sleep_entries for nm in nodes) == sleeps
-        assert any(nm.packets_lost for nm in nodes) == losses
-
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=300)
     @given(levels=st.lists(JOULES, min_size=2, max_size=2).map(sorted), burst_j=JOULES,
            gap_j=JOULES, n=st.one_of(st.integers(0, 100), st.integers(0, 10**9)))
     # A step of half an ulp of the level: one burst rounds back to the level.
@@ -806,16 +621,6 @@ class TestInlinePackets:
         monkeypatch.setattr("hybridsim.runner.tick_nodes", tick_queuing_now)
         with pytest.raises(RuntimeError, match="the tick queued an event"):
             run(SHORT)
-
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(scenarios())
-    def test_random_scenarios_match_the_queued_path(self, scenario):
-        plain = run(scenario)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SimNode, "_run_stretch", _no_stretch)
-            queued = run(scenario)
-        _assert_agree(plain, queued)
 
 
 # Runs one short preset under perfbench/tracer.py and prints each span's name

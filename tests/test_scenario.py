@@ -334,8 +334,7 @@ def invalid_configs(draw) -> tuple[str, str]:
 
 
 class TestInvalidConfigs:
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(invalid_configs())
     def test_one_bad_key_fails_at_load_naming_it(self, tmp_path, capsys, config):
         text, key = config
@@ -509,7 +508,7 @@ def test_each_periodic_span_loads_at_its_bound_and_fails_past_it(tmp_path, capsy
 _SPAN_RATES = st.floats(1e-300, 1e300)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @example(packet_bytes=10 ** 302, mtu_bytes=1, rates=[300.0, 60.0], owc_phy_rate_kbps=1000.0,
          conn_interval_ms=45.0, ble_phy_rate="2M")  # 10^302 connection events
 @given(packet_bytes=st.integers(1, int(sys.float_info.max)),
