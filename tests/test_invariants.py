@@ -146,27 +146,26 @@ SHORT = Scenario(duration_s=200.0, init_delay_s=5.0, node_count=3, seed=3,
                  optimizer="etno", inter_transmission_sleep=False,
                  battery_capacity_j=2.0)
 
-EXAMPLES = (
-    SHORT,
+EXAMPLES = {
+    "short": SHORT,
     # ETNO resumes at once after a battery-low edge when f_c is above its sleep
     # threshold; the optical interface must come back from OFF on the wake signal.
-    Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
-             weights=UtilityWeights(f_c=0.35)),
+    "etno-owc-resumes": Scenario(duration_s=60.0, optimizer="etno-owc", battery_capacity_j=0.5,
+                                 weights=UtilityWeights(f_c=0.35)),
     # A poll slot that is not a whole number of nanoseconds: the last node's cut-off
     # slot starts 2 ns early on the simulator's clock and so lasts 2 ns longer.
-    Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346),
-    # A battery-charged edge while the node sleeps: it stays powered down until the
-    # policy wakes it.
-    Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0,
-             battery_capacity_j=0.1, initial_fraction=0.5, harvest_mw=25.0,
-             target_rate_kbps=36.0, conservation_rate_kbps=36.0),
+    "fractional-ns-slot": Scenario(duration_s=32.0, node_count=5, poll_slot_s=7.969890099404346),
+    # A battery-charged edge while the node sleeps: it stays down until the policy wakes it.
+    "charged-while-asleep": Scenario(
+        duration_s=5.0, init_delay_s=0.0, node_count=1, poll_slot_s=1.0, battery_capacity_j=0.1,
+        initial_fraction=0.5, harvest_mw=25.0, target_rate_kbps=36.0, conservation_rate_kbps=36.0),
     # Nodes asleep at the first poll tick without inter-transmission sleep: they
     # must keep drawing sleep current, not idle current, at OFF|OFF.
-    Scenario(duration_s=30.0, node_count=3, initial_fraction=0.2, harvest_mw=1.0,
-             inter_transmission_sleep=False),
+    "asleep-at-first-poll": Scenario(duration_s=30.0, node_count=3, initial_fraction=0.2,
+                                     harvest_mw=1.0, inter_transmission_sleep=False),
     # A run that ends between two whole seconds, with no initial delay.
-    Scenario(duration_s=7.5, init_delay_s=0.0, node_count=2, poll_slot_s=2.0),
-)
+    "ends-mid-second": Scenario(duration_s=7.5, init_delay_s=0.0, node_count=2, poll_slot_s=2.0),
+}
 
 
 @pytest.fixture
@@ -314,23 +313,24 @@ def _checked_run(scenario: Scenario, seen: Counter) -> MetricsRecord:
     return record
 
 
-def test_every_run_keeps_its_invariants(seen):
-    """Every input runs once through `_checked_run`: the examples above, two
-    buffers filled one ulp past capacity, the six paper presets, the seeded
-    draws of `digest_runs.py`, and derandomized draws of `scenarios()`,
-    `tie_prone()` and `peripheral_prone()`. Then every check must have run
-    often enough to mean something."""
-    for scenario in EXAMPLES:
-        _checked_run(scenario, seen)
-    for capacity_j, initial_fraction in ((5.2, 0.013), (7.3, 0.041)):
-        # `before + added` in the harvest that fills the buffer rounds one
-        # ulp above capacity; the buffer clamps it, and the run ends full.
-        scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1, optimizer="euno",
-                            battery_capacity_j=capacity_j, initial_fraction=initial_fraction,
-                            harvest_mw=50000.0)
-        assert _checked_run(scenario, seen).node(1).remaining_j == capacity_j
-    for preset in digest_runs.PRESETS:
-        _checked_run(load_scenario(preset_path(preset)), seen)
+@pytest.mark.parametrize("name", [*EXAMPLES, *digest_runs.PRESETS])
+def test_every_run_keeps_its_invariants(name, seen):
+    """Each example above and each paper preset runs once through `_checked_run`."""
+    _checked_run(EXAMPLES[name] if name in EXAMPLES else load_scenario(preset_path(name)), seen)
+
+
+@pytest.mark.parametrize("capacity_j, fraction", [(5.2, 0.013), (7.3, 0.041)])
+def test_a_buffer_filled_one_ulp_past_capacity_ends_full(capacity_j, fraction, seen):
+    """`before + added` in the harvest that fills the buffer rounds one ulp
+    above capacity; the buffer clamps it, and the run ends full."""
+    scenario = Scenario(duration_s=3.0, init_delay_s=0.0, node_count=1, optimizer="euno",
+                        harvest_mw=5e4, battery_capacity_j=capacity_j, initial_fraction=fraction)
+    assert _checked_run(scenario, seen).node(1).remaining_j == capacity_j
+
+
+def test_every_drawn_run_keeps_its_invariants(seen):
+    """Each seeded draw of `digest_runs.py` and each derandomized draw runs once
+    through `_checked_run`, and over the draws alone every check must run often enough."""
     for _, scenario in digest_runs.draws(digest_runs.DRAWS):
         _checked_run(scenario, seen)
     for strategy, examples in ((scenarios(), 300), (tie_prone(), 150), (peripheral_prone(), 150)):
