@@ -24,8 +24,8 @@ class Modality(Enum):
 class ActionPlan(Record):
     """One action's facts for a run, a row of `runner.build_link_plans` and
     what a policy returns: its modality's packet and link, its packet spacing
-    (0 asleep), deliverable rate, trace labels, and joules predicted over one
-    policy period."""
+    (0 asleep), deliverable rate, trace label codes, and joules predicted over
+    one policy period."""
 
     mode: Mode
     modality: Modality
@@ -35,5 +35,5 @@ class ActionPlan(Record):
     success_prob: float
     snr_db: float
     rate_kbps: float
-    tails: dict  # `metrics.TRACE_TAILS[mode, modality]`, by InterfaceState
+    tails: dict  # `metrics.TRACE_CODES[mode, modality]`: label codes by InterfaceState
     predicted_j: float

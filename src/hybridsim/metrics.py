@@ -1,10 +1,11 @@
 """Run metrics, trace rows, and the on-disk trace format.
 
 Each node produces a 1 Hz time series suitable for plotting energy
-trajectories, plus counters. The series is kept column-wise: three doubles
-per sample in one array, and one shared label string per sample; sample `i` is
-at `t_s = i`. Files are written with fixed formatting so two runs of the same
-scenario and seed are byte-identical.
+trajectories, plus counters. The series is kept column-wise in typed arrays:
+two doubles per sample, one byte that codes its label, and the harvested_J
+column once per run, shared by every node that the buffer never clamped;
+sample `i` is at `t_s = i`. Files are written with fixed formatting so two
+runs of the same scenario and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import namedtuple
+from itertools import accumulate
 from pathlib import Path
 
 from .actions import Mode, Modality
@@ -19,12 +21,16 @@ from .linklayer import InterfaceState
 
 TRACE_HEADER = "t_s,remaining_J,consumed_J,harvested_J,mode,modality,fsm_state"
 SCHEMA_VERSION = 1
-# A row's label columns, ",mode,modality,OWC|BLE", per action and interface
-# state, built once: every sample in one state shares the string.
-TRACE_TAILS = {
-    (mode, modality): {state: f",{mode.value},{modality.value},{state.value}"
-                       for state in InterfaceState}
-    for mode in Mode for modality in Modality}
+_ACTIONS = [(mode, modality) for mode in Mode for modality in Modality]
+# A row's label columns, ",mode,modality,OWC|BLE", one per action and
+# interface state; a sample stores the label's index here, its code.
+TRACE_TAILS = tuple(f",{mode.value},{modality.value},{state.value}"
+                    for mode, modality in _ACTIONS for state in InterfaceState)
+# Each action's label codes by interface state: an `ActionPlan`'s `tails`.
+TRACE_CODES = {action: {state: i * len(InterfaceState) + j
+                        for j, state in enumerate(InterfaceState)}
+               for i, action in enumerate(_ACTIONS)}
+_TRACE_LABELS = tuple(tuple(tail[1:].split(",")) for tail in TRACE_TAILS)
 # `%.9g` renders a float exactly as `format(value, ".9g")` does; the time and
 # harvested_J columns come formatted, the label tail with its leading comma.
 _ROW_FORMAT = "%s,%.9g,%.9g,%s%s"
@@ -34,44 +40,71 @@ TraceRow = namedtuple(
     "TraceRow", "t_s remaining_j consumed_j harvested_j mode modality fsm_state")
 
 
-def _columns(values: array) -> tuple[array, ...]:
-    """The remaining_J, consumed_J and harvested_J columns of `values`."""
-    return values[0::3], values[1::3], values[2::3]
+def _formatted(column) -> list[str]:
+    return list(map("%.9g".__mod__, column))
 
 
 class NodeMetrics:
     """One node's samples and counters, which the node updates in place."""
 
-    __slots__ = ("name", "values", "tails", "bytes_delivered", "packets_lost",
-                 "modality_switches", "sleep_entries", "eligible_s", "tx_intervals",
-                 "consumed_j", "harvested_j", "remaining_j", "initial_j")
+    __slots__ = ("name", "values", "codes", "lumps", "clamped_at", "clamped_j", "bursts",
+                 "bytes_delivered", "packets_lost", "modality_switches", "sleep_entries",
+                 "eligible_s", "consumed_j", "harvested_j", "remaining_j", "initial_j")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lumps: array):
         self.name = name
         # The 1 Hz samples, column-wise: `values` holds each sample's
-        # remaining_J, consumed_J and harvested_J in turn; `tails` holds its
-        # ",mode,modality,fsm_state" label, one string shared by every sample
-        # with that label. Sample `i` is at `t_s = float(i)`: the start's
-        # sample at 0 s, then one per world tick, each on a whole second.
+        # remaining_J and consumed_J in turn; `codes` holds the index of its
+        # ",mode,modality,fsm_state" label in `TRACE_TAILS`. Sample `i` is at
+        # `t_s = float(i)`: the start's sample at 0 s, then one per world
+        # tick, each on a whole second.
         self.values = array("d")
-        self.tails: list[str] = []
+        self.codes = array("B")
+        # The run's joules per 1 Hz tick, `lumps[i - 1]` for the tick at `i`
+        # s, one array that every node of the run shares; the ticks whose lump
+        # the buffer clamped, by sample index, and the joules it took at each.
+        # They make the harvested_J column (`harvest_column`).
+        self.lumps = lumps
+        self.clamped_at = array("i")
+        self.clamped_j = array("d")
+        # Run-length burst log: (start_ns, period_ns, length_ns, count) records,
+        # four entries each (`tx_intervals`).
+        self.bursts = array("q")
         self.bytes_delivered = 0
         self.packets_lost = 0
         self.modality_switches = 0
         self.sleep_entries = 0
         self.eligible_s = 0.0
-        # Run-length burst log: (start_ns, period_ns, length_ns, count) records.
-        self.tx_intervals: list[tuple[int, int, int, int]] = []
         self.consumed_j = 0.0
         self.harvested_j = 0.0
         self.remaining_j = 0.0
         self.initial_j = 0.0
 
+    def harvest_column(self) -> list[float]:
+        """The harvested_J column: the run's lumps summed in tick order from
+        0 J, with the joules the buffer took in place of each clamped tick's
+        lump; the same float additions, in the same order, as the buffer's
+        own total."""
+        if not self.codes:
+            return []
+        lumps = self.lumps[:len(self.codes) - 1]
+        for tick, joules in zip(self.clamped_at, self.clamped_j):
+            lumps[tick - 1] = joules
+        return list(accumulate(lumps, initial=0.0))
+
     @property
     def rows(self) -> list[TraceRow]:
         """The samples as TraceRows, built afresh on each read."""
-        return [TraceRow(float(i), r, c, h, *tail[1:].split(","))
-                for i, (r, c, h, tail) in enumerate(zip(*_columns(self.values), self.tails))]
+        values = self.values
+        return [TraceRow(float(i), r, c, h, *_TRACE_LABELS[code])
+                for i, (r, c, h, code) in enumerate(zip(
+                    values[0::2], values[1::2], self.harvest_column(), self.codes))]
+
+    @property
+    def tx_intervals(self) -> list[tuple[int, int, int, int]]:
+        """The burst log's records as tuples, built afresh on each read."""
+        log = iter(self.bursts)
+        return list(zip(log, log, log, log))
 
     @property
     def achieved_rate_kbps(self) -> float:
@@ -131,17 +164,22 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
     try:
         out.mkdir(parents=True, exist_ok=True)
         # Columns all nodes share are formatted once: the clock, and harvested_J
-        # until its bytes change (bytes, since -0.0 == 0.0 prints apart).
-        paths, times, harvest_bytes, harvest_text = [], [], None, []
+        # on every node whose buffer never clamped the run's lumps.
+        paths, times, shared, shared_text = [], [], None, []
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
-            times += ["%.9g" % float(i) for i in range(len(times), len(nm.tails))]
-            remaining, consumed, harvested = _columns(nm.values)
-            key = harvested.tobytes()
-            if key != harvest_bytes:
-                harvest_bytes, harvest_text = key, list(map("%.9g".__mod__, harvested))
+            samples = len(nm.codes)
+            times += ["%.9g" % float(i) for i in range(len(times), samples)]
+            if nm.clamped_at:
+                harvest_text = _formatted(nm.harvest_column())
+            else:
+                if nm.lumps is not shared or len(shared_text) < samples:
+                    shared, shared_text = nm.lumps, _formatted(nm.harvest_column())
+                harvest_text = shared_text
+            values = nm.values
             lines = map(_ROW_FORMAT.__mod__,
-                        zip(times, remaining, consumed, harvest_text, nm.tails))
+                        zip(times, values[0::2], values[1::2], harvest_text,
+                            map(TRACE_TAILS.__getitem__, nm.codes)))
             path.write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
             paths.append(path)
         summary_path = out / "summary.json"

@@ -116,12 +116,24 @@ class SimNode:
         if self.buffer.consume(self._joules(self._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
             self._on_battery_low(now)
 
+    def harvest(self, joules: float) -> EventKind | None:
+        """Store the 1 Hz tick's `joules`, the run's lump, and return the
+        buffer's edge. A tick whose lump the buffer clamps is logged with
+        the joules it took, since the node's harvested_J column then leaves
+        the run's shared one."""
+        added, edge = self.buffer.harvest(joules)
+        if added != joules:
+            metrics = self.metrics
+            metrics.clamped_at.append(len(metrics.codes))  # the sample this tick appends
+            metrics.clamped_j.append(added)
+        return edge
+
     def sample(self) -> None:
         """Append the trace sample of the next whole second; the caller settled
         the node. `tick_nodes` appends the same two entries inline."""
         buffer, metrics = self.buffer, self.metrics
-        metrics.values.extend((buffer.remaining_j, buffer.consumed_j, buffer.harvested_j))
-        metrics.tails.append(self.plan.tails[self.interfaces])
+        metrics.values.fromlist([buffer.remaining_j, buffer.consumed_j])
+        metrics.codes.append(self.plan.tails[self.interfaces])
 
     # -- battery edges ------------------------------------------------------
 
@@ -129,7 +141,7 @@ class SimNode:
         if self.tx_in_flight:
             self.metrics.packets_lost += 1
             started = self._tx_started_ns
-            self.metrics.tx_intervals.append((started, 0, now - started, 1))
+            self.metrics.bursts.fromlist([started, 0, now - started, 1])
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.BATTERY_LOW)
         if self.plan.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
@@ -277,7 +289,7 @@ class SimNode:
         fits = self.slot_end_ns - airtime
         burst_j = self._joules(plan.tx_current_ma, airtime)
         step = burst_j + self._joules(self.scenario.idle_current_ma, interval - airtime)
-        engine, buffer, log = self.engine, self.buffer, self.metrics.tx_intervals
+        engine, buffer, log = self.engine, self.buffer, self.metrics.bursts
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
         success = plan.success_prob
@@ -294,14 +306,14 @@ class SimNode:
                 drawn = bursts * step
                 remaining, consumed = remaining - drawn, consumed + drawn
                 delivered += self.rng.count_below(bursts, success)
-                log.append((now, interval, airtime, bursts))
+                log.fromlist([now, interval, airtime, bursts])
                 now += bursts * interval
                 sent += bursts
             if now > fits or not self._crosses(tick, after, now, interval, remaining, step):
                 break
             # The burst's start, end and next ready, and the tick, in time order.
             at, end = tick.fire_at, now + airtime
-            log.append((now, 0, airtime, 1))
+            log.fromlist([now, 0, airtime, 1])
             if at <= end:  # the tick samples the burst in flight
                 self.transmit_packet(now)
                 self._phase_since = now
@@ -367,7 +379,7 @@ class SimNode:
         if not self.tx_in_flight:
             return  # a battery-low edge already lost the burst
         started = self._tx_started_ns
-        self.metrics.tx_intervals.append((started, 0, now - started, 1))
+        self.metrics.bursts.fromlist([started, 0, now - started, 1])
         sent_on = self.plans[self.plan.mode, _TX_MODALITY[self.interfaces]]
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
         if self.rng.uniform() < sent_on.success_prob:
@@ -444,9 +456,9 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
     `EnergyBuffer.edge_free_range`) and do not clamp run inline, in
     `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw is
     0.0 J, a no-op), with no call per node; any other goes through `sync`,
-    `EnergyBuffer.harvest` and `sample`. Below the threshold, which is at
-    most the capacity, a harvest that stays below it cannot clamp; above it,
-    one that does not clamp stays finite.
+    `harvest` and `sample`, the one path that can clamp. Below the
+    threshold, which is at most the capacity, a harvest that stays below it
+    cannot clamp; above it, one that does not clamp stays finite.
     """
     first = nodes[0]
     voltage = first.scenario.supply_voltage
@@ -464,10 +476,10 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
             buffer.remaining_j = filled
             buffer.harvested_j += harvest_j
             metrics = node.metrics
-            metrics.values.extend((filled, buffer.consumed_j, buffer.harvested_j))
-            metrics.tails.append(node.plan.tails[node.interfaces])
+            metrics.values.fromlist([filled, buffer.consumed_j])
+            metrics.codes.append(node.plan.tails[node.interfaces])
         else:
             node.sync(now)
-            if buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+            if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED and node.evaluate_cb:
                 node.evaluate_cb(node, now)
             node.sample()

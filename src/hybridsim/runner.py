@@ -8,12 +8,14 @@ the event kernel.
 
 from __future__ import annotations
 
+from array import array
+
 from . import channel
 from .actions import ActionPlan, Mode, Modality
 from .energy import EnergyBuffer, energy_between, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, seconds
 from .linklayer import packet_spans
-from .metrics import TRACE_TAILS, MetricsRecord, NodeMetrics
+from .metrics import TRACE_CODES, MetricsRecord, NodeMetrics
 from .node import CHAIN_STEPS, SimNode, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .record import Record
@@ -34,7 +36,7 @@ def build_link_plans(scenario: Scenario) -> dict[tuple[Mode, Modality], ActionPl
         tx_ma, (snr, ber) = links[modality]
         plans[mode, modality] = ActionPlan(
             mode, modality, airtime_ns, interval_ns, tx_ma, channel.packet_success(ber, bits), snr,
-            bits / (interval_ns / 1e6) if interval_ns else 0.0, TRACE_TAILS[mode, modality],
+            bits / (interval_ns / 1e6) if interval_ns else 0.0, TRACE_CODES[mode, modality],
             predict_action_energy(scenario, mode, airtime_ns, interval_ns, tx_ma,
                                   scenario.weights.period_s))
     return plans
@@ -60,8 +62,13 @@ class _Controller:
         self.link_rows = (self.plans[Mode.PERFORMANCE, Modality.OWC],
                           self.plans[Mode.PERFORMANCE, Modality.BLE])
         best = _best_snr({link.modality: link.snr_db for link in self.link_rows})
-        self.harvest_segments = scenario.harvest_segments()
         self.total_ns = seconds(scenario.total_duration_s)
+        # The joules the one harvest profile gives every node in the second
+        # before each 1 Hz tick: `lumps[i - 1]` for the tick at `i` s. Each
+        # tick carries its lump, and each node's harvested_J column sums them.
+        segments = scenario.harvest_segments()
+        self.lumps = array("d", (energy_between(segments, t_s - 1.0, t_s) for t_s in
+                                 map(float, range(1, self.total_ns // NS_PER_SEC + 1))))
         self.nodes: list[SimNode] = []
         for i in range(scenario.node_count):
             name = f"node{i + 1}"
@@ -70,8 +77,8 @@ class _Controller:
                 initial_j=scenario.battery_capacity_j * scenario.initial_fraction,
                 critical_fraction=scenario.weights.f_c,
             )
-            node = SimNode(name, scenario, self.plans, buffer, engine, NodeMetrics(name),
-                           RngStream(scenario.seed, i + 1), best)
+            node = SimNode(name, scenario, self.plans, buffer, engine,
+                           NodeMetrics(name, self.lumps), RngStream(scenario.seed, i + 1), best)
             node.evaluate_cb = self.evaluate
             engine.register(name, node.handle)
             self.nodes.append(node)
@@ -158,13 +165,11 @@ class _Controller:
 
     def _schedule_harvest_tick(self, at: int) -> None:
         """Queue the 1 Hz world tick at `at` if the run reaches it, carrying
-        the joules the one profile gives every node in the second before.
-        The period is one fact: sample `i` is at `t_s = i`, and
+        its lump. The period is one fact: sample `i` is at `t_s = i`, and
         `SimNode._crosses` relies on the tick requeuing 1 s on."""
         if at <= self.total_ns:
-            t_s = at / NS_PER_SEC
             self.engine.schedule_at(at, "world", EventKind.HARVEST_TICK,
-                                    energy_between(self.harvest_segments, t_s - 1.0, t_s))
+                                    self.lumps[at // NS_PER_SEC - 1])
 
     # -- run -----------------------------------------------------------------
 

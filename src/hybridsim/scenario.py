@@ -29,11 +29,13 @@ _LINK_BUDGETS = (
       "pd_area_m2", "concentrator_gain", "responsivity_a_w", "tx_optical_power_w")),
 )
 # A run holds every node and its whole 1 Hz trace and burst log in memory.
-# Measured on Python 3.11: about 4.8 kB per node (its state, buffer, metrics
-# and RNG; tracemalloc over a 1 s run of 2,100 nodes less one of 100), and
-# per node-second of the run 40 B on the 64-node `fleet`, 116 B on fig12b and
-# 290 B for a lone node sending a packet every 10 ms. These bounds keep a run
-# near 1 GB at the largest of those rates.
+# Measured on Python 3.11: about 5.0 kB per node (its state, buffer, metrics
+# and RNG; tracemalloc's peak over a 1 s run of 2,100 nodes less one of 100),
+# and per node-second of the run (the record tracemalloc counts after `run`)
+# 19.5 B on the 64-node `fleet`, 43 B on fig12b and 109 B for a lone node
+# sending a packet every 10 ms. The bounds are unchanged from when those read
+# 40, 116 and 290 B, which kept a run near 1 GB; at the largest rate they now
+# keep one near 0.45 GB.
 MAX_NODES = 10_000
 MAX_NODE_SECONDS = 3_600_000
 

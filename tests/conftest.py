@@ -119,6 +119,6 @@ def tick_each_node(nodes, now, harvest_j):
     battery-charged edge and sampled through the node's own calls."""
     for node in nodes:
         node.sync(now)
-        if node.buffer.harvest(harvest_j)[1] is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+        if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED and node.evaluate_cb:
             node.evaluate_cb(node, now)
         node.sample()

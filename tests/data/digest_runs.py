@@ -8,7 +8,8 @@ Runs the six paper figure presets, each `*.cfg` beside this script, and
 `DRAWS` short scenarios drawn with `random.Random(2026)` over the ranges of
 `scenarios()` in tests/test_invariants.py, and prints one `<sha256>  <run>`
 line per run: the digest of `outputs`, every output of the run. A change
-that keeps every output prints the same lines. The shortcut check
+that keeps every output prints the same lines, which digest_runs.txt beside
+this script pins; CI diffs them against it. The shortcut check
 (tests/test_shortcuts.py) compares `outputs` too, so an output added to a
 run is added here once. Needs no pytest, like verify_pins.py.
 """

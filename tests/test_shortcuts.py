@@ -31,7 +31,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 
 from hybridsim import runner
 from hybridsim.energy import EnergyBuffer
@@ -110,16 +110,18 @@ def _finished(run, scenario: Scenario) -> tuple:
 def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> None:
     """The event count, each node's random stream and every `NodeMetrics`
     field of the two finished runs are equal, each burst log expanded to its
-    bursts, but the energies (the samples' and the totals)."""
+    bursts, but the energies (the samples', the joules each clamped tick
+    took and the totals)."""
     assert queued.engine.events_executed == stretched.engine.events_executed
     energies = ("consumed_j", "harvested_j", "remaining_j", "initial_j")
-    blank = dict.fromkeys(("values", *energies))
+    blank = dict.fromkeys(("values", "clamped_j", "bursts", *energies))
     for node, other in zip(queued.nodes, stretched.nodes):
         assert node.rng._rng.getstate() == other.rng._rng.getstate(), node.name
         a, b = node.metrics, other.metrics
         assert (metrics_fields(a, tx_intervals=tx_bursts(a), **blank)
                 == metrics_fields(b, tx_intervals=tx_bursts(b), **blank)), a.name
-        x, y = ([*nm.values, *(getattr(nm, name) for name in energies)] for nm in (a, b))
+        x, y = ([*nm.values, *nm.clamped_j, *(getattr(nm, name) for name in energies)]
+                for nm in (a, b))
         assert len(x) == len(y), a.name
         assert all(math.isclose(p, q, rel_tol=1e-9, abs_tol=1e-12) for p, q in zip(x, y)), a.name
 
@@ -211,9 +213,10 @@ def test_random_scenarios_run_every_shortcut_path():
     paths = Counter()
 
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    @seed(2026)
     @given(tie_prone())
-    # About one draw in 20 crosses a tick on a burst's end, and which 80
-    # draws run changes with this function's text, so the tie case joins.
+    # About one draw in 20 crosses a tick on a burst's end, so the tie case
+    # joins the 80 draws, which a fixed seed keeps the same through an edit.
     @example(TIES)
     def compare(scenario):
         _compare(scenario, paths)
