@@ -79,35 +79,69 @@ class RngStream:
 
     Same (seed, stream_id) always yields the same draw sequence; the stdlib
     Mersenne Twister is stable across CPython versions and platforms.
+
+    The draws of a certain outcome (`count_below` at `p` of 0 or 1) are owed
+    rather than made: the generator skips them only when it is next read,
+    by a draw or by `getstate`, so a run whose outcomes are all certain and
+    that draws nothing else never skips them. While nothing is owed,
+    `uniform` and `normal` are the generator's own bound methods; while a
+    debt is open they are wrappers that pay it first.
     """
 
     def __init__(self, seed: int, stream_id: int):
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-        # A draw in [0, 1), and a normal draw `normal(mu, sigma)`. A queued
-        # burst makes one, and each policy evaluation under SNR jitter two,
-        # so these are the generator's own bound methods rather than
-        # wrappers around them.
+        self._owed = 0  # `uniform()` draws owed to the generator
+        self._settle()
+
+    def _settle(self) -> None:
+        """Skip the draws owed, and draw from the generator directly again.
+
+        `random()` takes two 32-bit Mersenne Twister words, and
+        `getrandbits(k)` takes `ceil(k / 32)`, so `getrandbits(64 * n)`
+        skips `n` draws in C. Chunks of at most `_SKIP_CHUNK` draws bound
+        the integer it builds."""
+        skip = self._rng.getrandbits
+        for left in range(self._owed, 0, -_SKIP_CHUNK):
+            skip(64 * min(left, _SKIP_CHUNK))
+        self._owed = 0
+        # A draw in [0, 1), and a normal draw `normal(mu, sigma)`. A burst
+        # of uncertain outcome makes one, and each policy evaluation under
+        # SNR jitter two, so these are the generator's own bound methods
+        # rather than wrappers around them.
         self.uniform = self._rng.random
         self.normal = self._rng.gauss
 
+    def _settled_uniform(self) -> float:
+        self._settle()
+        return self.uniform()
+
+    def _settled_normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        self._settle()
+        return self.normal(mu, sigma)
+
+    def getstate(self) -> tuple:
+        """The generator's state with every owed draw made."""
+        if self._owed:
+            self._settle()
+        return self._rng.getstate()
+
     def count_below(self, n: int, p: float) -> int:
         """How many of `n` `uniform()` draws fall below `p`, leaving the
-        generator where those `n` calls would: a stretch of bursts draws all
-        of its packet outcomes in one call.
+        stream where those `n` calls would: a stretch of bursts draws all
+        of its packet outcomes in one call, and a single burst its one.
 
         A draw lies in [0, 1), so at `p >= 1` every one falls below and at
-        `p <= 0` none does; the generator then skips the draws in C.
-        `random()` takes two 32-bit Mersenne Twister words, and
-        `getrandbits(k)` takes `ceil(k / 32)`, so `getrandbits(64 * n)`
-        skips `n` draws. Chunks of at most `_SKIP_CHUNK` draws bound the
-        integer it builds.
+        `p <= 0` none does; the `n` draws are then owed, and the next read
+        of the generator skips them all at once (`_settle`).
         """
         if p >= 1.0 or p <= 0.0:
-            skip = self._rng.getrandbits
-            for left in range(n, 0, -_SKIP_CHUNK):
-                skip(64 * min(left, _SKIP_CHUNK))
+            if n and not self._owed:
+                self.uniform, self.normal = self._settled_uniform, self._settled_normal
+            self._owed += n
             return n if p >= 1.0 else 0
-        draw = self.uniform
+        if self._owed:
+            self._settle()
+        draw = self._rng.random
         below = 0
         for _ in range(n):
             below += draw() < p

@@ -14,6 +14,7 @@ import json
 from array import array
 from collections import namedtuple
 from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from .actions import Mode, Modality
@@ -31,17 +32,34 @@ TRACE_CODES = {action: {state: i * len(InterfaceState) + j
                         for j, state in enumerate(InterfaceState)}
                for i, action in enumerate(_ACTIONS)}
 _TRACE_LABELS = tuple(tuple(tail[1:].split(",")) for tail in TRACE_TAILS)
-# `%.9g` renders a float exactly as `format(value, ".9g")` does; the time and
-# harvested_J columns come formatted, the label tail with its leading comma.
-_ROW_FORMAT = "%s,%.9g,%.9g,%s%s"
+# The trace files are formatted as bytes (`bytes % tuple` formats a float as
+# `str % tuple` does, and faster); their label tails as bytes, by code.
+_TAIL_BYTES = tuple(tail.encode() for tail in TRACE_TAILS)
+# Each row's head: the t_s text of sample i, `"%.9g" % float(i)`, and the
+# remaining_J and consumed_J fields left to fill. Formatted once per process,
+# and extended when a run has more samples than any before it.
+_CLOCK: list[bytes] = []
+# The last shared harvested_J column's template, keyed by the run's lumps (as
+# bytes) and sample count: runs whose lumps are equal bit for bit, as the
+# presets' are, share it.
+_SHARED: list = [(b"", -1), b""]
 
 
 TraceRow = namedtuple(
     "TraceRow", "t_s remaining_j consumed_j harvested_j mode modality fsm_state")
 
 
-def _formatted(column) -> list[str]:
-    return list(map("%.9g".__mod__, column))
+def _template(harvest_column: list[float]) -> bytes:
+    """A trace file with its header, and each row's clock text and
+    `harvested_J` text in place, one row per sample of `harvest_column`;
+    each row's other fields are left to fill: `%.9g` (which renders a float
+    exactly as `format(value, ".9g")` does) for remaining_J and consumed_J,
+    `%s` for the label tail with its leading comma. Float text never holds
+    a `%`."""
+    _CLOCK.extend(b"%.9g,%%.9g,%%.9g," % float(i)
+                  for i in range(len(_CLOCK), len(harvest_column)))
+    return b"".join([TRACE_HEADER.encode(), b"\n",
+                     *map(add, _CLOCK, map(b"%.9g%%s\n".__mod__, harvest_column))])
 
 
 class NodeMetrics:
@@ -159,28 +177,33 @@ class MetricsRecord:
 
 
 def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
-    """Write one trace CSV per node plus a run-summary JSON; returns paths."""
+    """Write one trace CSV per node plus a run-summary JSON; returns paths.
+
+    Each trace file is one `%` format: a template per harvested_J column
+    holds the clock and that column's text (`_template`), and the node's
+    two value columns and label tails fill it. The run's shared column
+    serves every node whose buffer never clamped the run's lumps, so its
+    template is built once per run, or not at all when the run before had
+    the same lumps. Files are written as bytes, so each row ends in `\\n`
+    on every platform."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        # Columns all nodes share are formatted once: the clock, and harvested_J
-        # on every node whose buffer never clamped the run's lumps.
-        paths, times, shared, shared_text = [], [], None, []
+        paths = []
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
             samples = len(nm.codes)
-            times += ["%.9g" % float(i) for i in range(len(times), samples)]
             if nm.clamped_at:
-                harvest_text = _formatted(nm.harvest_column())
+                template = _template(nm.harvest_column())
             else:
-                if nm.lumps is not shared or len(shared_text) < samples:
-                    shared, shared_text = nm.lumps, _formatted(nm.harvest_column())
-                harvest_text = shared_text
-            values = nm.values
-            lines = map(_ROW_FORMAT.__mod__,
-                        zip(times, values[0::2], values[1::2], harvest_text,
-                            map(TRACE_TAILS.__getitem__, nm.codes)))
-            path.write_text("\n".join([TRACE_HEADER, *lines]) + "\n")
+                key = nm.lumps.tobytes(), samples
+                if key != _SHARED[0]:
+                    _SHARED[:] = key, _template(nm.harvest_column())
+                template = _SHARED[1]
+            values, fields = nm.values.tolist(), [None] * (3 * samples)
+            fields[0::3], fields[1::3] = values[0::2], values[1::2]
+            fields[2::3] = [_TAIL_BYTES[code] for code in nm.codes]
+            path.write_bytes(template % tuple(fields))
             paths.append(path)
         summary_path = out / "summary.json"
         summary_path.write_text(

@@ -280,8 +280,10 @@ class SimNode:
         tick up to the burst's end samples it in flight, a later one draws
         the idle gap), logs one record of its own and draws its outcome
         after the tick, so the node's stream moves as the queued handlers
-        move it. The node idles around each burst, and its interface starts
-        and ends it at IDLE, so the phase and interface state stay.
+        move it. Every outcome, a single burst's too, is drawn through
+        `count_below`, which owes the draw of a certain one. The node
+        idles around each burst, and its interface starts and ends it at
+        IDLE, so the phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
@@ -332,7 +334,7 @@ class SimNode:
             rest_j = self._joules(self._phase_ma, now - self._phase_since)
             remaining, consumed = remaining - rest_j, consumed + rest_j
             sent += 1
-            delivered += self.rng.uniform() < success
+            delivered += self.rng.count_below(1, success)
         if sent:
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
             self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
@@ -382,7 +384,7 @@ class SimNode:
         self.metrics.bursts.fromlist([started, 0, now - started, 1])
         sent_on = self.plans[self.plan.mode, _TX_MODALITY[self.interfaces]]
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
-        if self.rng.uniform() < sent_on.success_prob:
+        if self.rng.count_below(1, sent_on.success_prob):
             self.metrics.bytes_delivered += self.scenario.packet_bytes
         else:
             self.metrics.packets_lost += 1

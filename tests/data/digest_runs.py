@@ -84,7 +84,7 @@ def outputs(scenario: Scenario) -> dict:
         "tx_intervals": {name: nm.tx_intervals for name, nm in record.nodes.items()},
         "eligible_s": {name: nm.eligible_s for name, nm in record.nodes.items()},
         "events_executed": record.events_executed,
-        "rng": [node.rng._rng.getstate() for node in controller.nodes],
+        "rng": [node.rng.getstate() for node in controller.nodes],
     }
 
 

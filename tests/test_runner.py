@@ -391,7 +391,7 @@ class TestNodeLifecycle:
         assert 0.0 < owc < 1.0 and ble == 0.0
         sent_on = node.plans[Mode.PERFORMANCE, sent]
         draws = random.Random()
-        draws.setstate(node.rng._rng.getstate())
+        draws.setstate(node.rng.getstate())
         node.enter_slot(0, seconds(10))
         now, bursts = 0, 32
         for _ in range(bursts):
@@ -523,7 +523,7 @@ def _tick_equals_the_steps(monkeypatch, f_c: float, levels_j: list[float], harve
     for a, b in zip(ticked, stepped):
         assert vars(a.buffer) == vars(b.buffer)
         assert metrics_fields(a.metrics) == metrics_fields(b.metrics)  # samples, sleep entries, ...
-        assert a.rng._rng.getstate() == b.rng._rng.getstate()
+        assert a.rng.getstate() == b.rng.getstate()
         assert ((a.plan, a._phase_ma, a._phase_since)
                 == (b.plan, b._phase_ma, b._phase_since))
     return ticked, slow
@@ -564,7 +564,7 @@ class TestHarvestTick:
         ticked, settled = _tick_equals_the_steps(monkeypatch, 0.2, levels_j, 0.02,
                                                  seconds(1))
         assert settled == ["node2"]
-        drew = [a.rng._rng.getstate() != b.rng._rng.getstate()
+        drew = [a.rng.getstate() != b.rng.getstate()
                 for a, b in zip(ticked, _ticking_nodes(0.2, levels_j))]
         assert drew == [False, True, False]
 

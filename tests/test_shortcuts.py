@@ -1,17 +1,20 @@
-"""The run's four shortcuts, checked against runs without them.
+"""The run's five shortcuts, checked against runs without them.
 
-Three are byte-identical. A streaming node's stretch of bursts runs on
+Four are byte-identical. A streaming node's stretch of bursts runs on
 through the 1 Hz world tick (`SimNode._crosses`), the peripheral chain steps
 of many nodes that end at one instant share one queue entry
-(`Engine.schedule_batched`), and the world tick settles a node whose draw
-and harvest reach no battery edge and do not clamp inline (`tick_nodes`).
-With all three off, every stretch stops at the tick and the queue runs the
-burst that stops it, every chain step is an entry of its own, and every node
-ticks through `sync`, `EnergyBuffer.harvest` and `sample`. Every output must
-be the same either way: the trace and summary bytes, the burst log, the
-transmit-eligible time, the event count and each node's random stream.
+(`Engine.schedule_batched`), the world tick settles a node whose draw
+and harvest reach no battery edge and do not clamp inline (`tick_nodes`),
+and the draws of a certain packet outcome are owed until the node's stream
+is next read (`RngStream.count_below`). With all four off, every stretch
+stops at the tick and the queue runs the burst that stops it, every chain
+step is an entry of its own, every node ticks through `sync`,
+`EnergyBuffer.harvest` and `sample`, and every draw is made at once. Every
+output must be the same either way: the trace and summary bytes, the burst
+log, the transmit-eligible time, the event count and each node's random
+stream.
 
-The fourth is the stretch itself (`SimNode._run_stretch`): a node runs the
+The fifth is the stretch itself (`SimNode._run_stretch`): a node runs the
 bursts that raise no battery edge inline, up to the next queued event, and
 settles each run of them as one product. With it off too, every burst's end
 and packet-ready go through the queue, which settles burst by burst, so the
@@ -35,7 +38,7 @@ from hypothesis import HealthCheck, example, given, seed, settings
 
 from hybridsim import runner
 from hybridsim.energy import EnergyBuffer
-from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, SimEvent
+from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, RngStream, SimEvent
 from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.scenario import Scenario, load_scenario, preset_path
@@ -46,7 +49,15 @@ DATA = Path(__file__).parent / "data"
 
 
 def _shortcuts_off(patch) -> None:
+    count_below = RngStream.count_below
+
+    def drawn_at_once(stream, n, p):
+        below = count_below(stream, n, p)
+        stream._settle()  # skips what the call owed
+        return below
+
     patch.setattr(SimNode, "_crosses", lambda *args: False)
+    patch.setattr(RngStream, "count_below", drawn_at_once)
     patch.setattr(Engine, "schedule_batched", lambda engine, fire_at, target, kind, item:
                   engine.schedule(SimEvent(fire_at, target, kind, [item], batched=True)))
     patch.setattr(runner, "tick_nodes", tick_each_node)
@@ -61,9 +72,14 @@ def _count_paths(patch, paths: Counter) -> None:
     a harvest that would fill the buffer from its level at the burst's start
     (`clamp`); or declined for a battery edge in reach (`margin`). A chain
     step that joins a batch queues no entry (`batched`). A ticked node is
-    settled inline or through `EnergyBuffer.harvest` (`settled`)."""
+    settled inline or through `EnergyBuffer.harvest` (`fallback`). A
+    certain packet outcome owes its draws (`owing`), and a node's generator
+    skips owed draws while the queue runs (`skips`, its `getrandbits`
+    calls), which `_compare` sorts into the run's `owed` or `settled`."""
     crosses, schedule_batched = SimNode._crosses, Engine.schedule_batched
     tick_nodes, harvest = runner.tick_nodes, EnergyBuffer.harvest
+    init, count_below, run_until = RngStream.__init__, RngStream.count_below, Engine.run_until
+    running = []
 
     def crossing(node, tick, after, now, interval, remaining, window_j):
         crossed = crosses(node, tick, after, now, interval, remaining, window_j)
@@ -84,18 +100,39 @@ def _count_paths(patch, paths: Counter) -> None:
         paths["batched"] += engine._seq == queued
 
     def ticking(nodes, now, harvest_j):
-        settled = paths["settled"]
+        fallback = paths["fallback"]
         tick_nodes(nodes, now, harvest_j)
-        paths["inline"] += len(nodes) - (paths["settled"] - settled)
+        paths["inline"] += len(nodes) - (paths["fallback"] - fallback)
 
     def settling(buffer, joules):
-        paths["settled"] += 1
+        paths["fallback"] += 1
         return harvest(buffer, joules)
+
+    def spied(stream, seed, stream_id):
+        init(stream, seed, stream_id)
+        skip = stream._rng.getrandbits
+
+        def counted(k):
+            paths["skips"] += bool(running)
+            return skip(k)
+        stream._rng.getrandbits = counted
+
+    def owing(stream, n, p):
+        paths["owing"] += n > 0 and not 0.0 < p < 1.0
+        return count_below(stream, n, p)
+
+    def run(engine, end):
+        running.append(end)
+        run_until(engine, end)
+        running.pop()
 
     patch.setattr(SimNode, "_crosses", crossing)
     patch.setattr(Engine, "schedule_batched", batching)
     patch.setattr(runner, "tick_nodes", ticking)
     patch.setattr(EnergyBuffer, "harvest", settling)
+    patch.setattr(RngStream, "__init__", spied)
+    patch.setattr(RngStream, "count_below", owing)
+    patch.setattr(Engine, "run_until", run)
 
 
 def _finished(run, scenario: Scenario) -> tuple:
@@ -116,7 +153,7 @@ def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> 
     energies = ("consumed_j", "harvested_j", "remaining_j", "initial_j")
     blank = dict.fromkeys(("values", "clamped_j", "bursts", *energies))
     for node, other in zip(queued.nodes, stretched.nodes):
-        assert node.rng._rng.getstate() == other.rng._rng.getstate(), node.name
+        assert node.rng.getstate() == other.rng.getstate(), node.name
         a, b = node.metrics, other.metrics
         assert (metrics_fields(a, tx_intervals=tx_bursts(a), **blank)
                 == metrics_fields(b, tx_intervals=tx_bursts(b), **blank)), a.name
@@ -127,18 +164,25 @@ def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> 
 
 
 def _compare(scenario: Scenario, paths: Counter) -> None:
-    """Run `scenario` with all four shortcuts off, with the stretch alone on,
+    """Run `scenario` with all five shortcuts off, with the stretch alone on,
     and as shipped under the path counters, and compare the three runs.
     Count too what the run did: a stretch logged a run of bursts with their
-    spacing, a node slept or none did, a packet was lost or none was."""
+    spacing, a node slept or none did, a packet was lost or none was, and a
+    run that owed draws paid none of them while it ran, leaving them all to
+    the `getstate` that `digest_runs.outputs` makes (`owed`), or paid some
+    (`settled`)."""
     with pytest.MonkeyPatch.context() as patch:
         _shortcuts_off(patch)
         plain, stretched = _finished(digest_runs.outputs, scenario)
         patch.setattr(SimNode, "_run_stretch", lambda node, now, plan: now)  # runs no burst
         _assert_agree(_finished(runner.run, scenario)[1], stretched)
+    shipped = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        _count_paths(patch, paths)
+        _count_paths(patch, shipped)
         assert digest_runs.outputs(scenario) == plain
+    paths.update(shipped)
+    if shipped["owing"]:
+        paths["settled" if shipped["skips"] else "owed"] += 1
     metrics = [node.metrics for node in stretched.nodes]
     paths["stretch"] += any(period for nm in metrics for _, period, _, _ in nm.tx_intervals)
     paths["slept" if any(nm.sleep_entries for nm in metrics) else "awake"] += 1
@@ -154,9 +198,11 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
 
 
 @pytest.mark.parametrize("scenario, ran", [
-    *(pytest.param(load_scenario(preset_path(name)), ("before", "inside"), id=name)
+    # Both preset links are lossless and the presets draw no SNR jitter, so
+    # their streams owe every draw to the end; fleet64's jitter pays its debts.
+    *(pytest.param(load_scenario(preset_path(name)), ("before", "inside", "owed"), id=name)
       for name in digest_runs.PRESETS),
-    *(pytest.param(load_scenario(path), ("before",) if path.stem == "fleet64" else (),
+    *(pytest.param(load_scenario(path), ("before", "settled") if path.stem == "fleet64" else (),
                    id=path.stem) for path in sorted(DATA.glob("*.cfg"))),
     *(pytest.param(fleet(seed), (), id=f"fleet-seed-{seed}") for seed in (2, 3)),
     pytest.param(TIES, ("end", "ready"), id="ties"),
@@ -173,6 +219,14 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
                             battery_capacity_j=capacity_j, harvest_mw=20.0), ran, id=name)
       for capacity_j, ran, name in ((0.2, ("slept", "lost"), "small-battery-mid-burst"),
                                     (0.1, ("slept", "lossless"), "small-battery-gap"))),
+    # The optical link is lossless and the radio at -51 dBm delivers about
+    # 60 % of packets. With no SNR jitter, only a packet outcome reads a
+    # stream, so the run pays what a node owes on the optical link with its
+    # first outcome on the radio, in ETNO's conservation mode.
+    pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
+                          optimizer="etno", inter_transmission_sleep=False,
+                          battery_capacity_j=0.2, harvest_mw=20.0, ble_tx_power_dbm=-51.0),
+                 ("settled", "lost"), id="outcome-pays-the-debt"),
     # ETNO resumes below f_c = 0.35, so the node streams until a draw would
     # run the buffer dry.
     pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
@@ -227,7 +281,8 @@ def test_random_scenarios_run_every_shortcut_path():
     # harvest would clamp, a tick that would reach a battery edge is left to
     # the queue; chain steps shared a batch; a tick settled nodes inline and
     # through `EnergyBuffer.harvest`; stretches ran, in runs where nodes
-    # slept and lost packets and in runs where none did.
+    # slept and lost packets and in runs where none did; runs owed draws to
+    # their end, and runs paid owed draws as they ran.
     assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp", "margin",
-                                        "batched", "inline", "settled", "stretch", "slept",
-                                        "awake", "lost", "lossless")), paths
+                                        "batched", "inline", "fallback", "stretch", "slept",
+                                        "awake", "lost", "lossless", "owed", "settled")), paths
