@@ -84,13 +84,13 @@ class RngStream:
     rather than made: the generator skips them only when it is next read,
     by a draw or by `getstate`, so a run whose outcomes are all certain and
     that draws nothing else never skips them. While nothing is owed,
-    `uniform` and `normal` are the generator's own bound methods; while a
-    debt is open they are wrappers that pay it first.
+    `normal` is the generator's own bound method; while a debt is open it
+    is a wrapper that pays it first.
     """
 
     def __init__(self, seed: int, stream_id: int):
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-        self._owed = 0  # `uniform()` draws owed to the generator
+        self._owed = 0  # draws in [0, 1) owed to the generator
         self._settle()
 
     def _settle(self) -> None:
@@ -104,16 +104,10 @@ class RngStream:
         for left in range(self._owed, 0, -_SKIP_CHUNK):
             skip(64 * min(left, _SKIP_CHUNK))
         self._owed = 0
-        # A draw in [0, 1), and a normal draw `normal(mu, sigma)`. A burst
-        # of uncertain outcome makes one, and each policy evaluation under
-        # SNR jitter two, so these are the generator's own bound methods
-        # rather than wrappers around them.
-        self.uniform = self._rng.random
+        # A normal draw `normal(mu, sigma)`: each policy evaluation under SNR
+        # jitter makes two, so this is the generator's own bound method
+        # rather than a wrapper around it.
         self.normal = self._rng.gauss
-
-    def _settled_uniform(self) -> float:
-        self._settle()
-        return self.uniform()
 
     def _settled_normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         self._settle()
@@ -126,8 +120,8 @@ class RngStream:
         return self._rng.getstate()
 
     def count_below(self, n: int, p: float) -> int:
-        """How many of `n` `uniform()` draws fall below `p`, leaving the
-        stream where those `n` calls would: a stretch of bursts draws all
+        """How many of `n` draws in [0, 1) fall below `p`, leaving the
+        stream where those `n` draws would: a stretch of bursts draws all
         of its packet outcomes in one call, and a single burst its one.
 
         A draw lies in [0, 1), so at `p >= 1` every one falls below and at
@@ -136,7 +130,7 @@ class RngStream:
         """
         if p >= 1.0 or p <= 0.0:
             if n and not self._owed:
-                self.uniform, self.normal = self._settled_uniform, self._settled_normal
+                self.normal = self._settled_normal
             self._owed += n
             return n if p >= 1.0 else 0
         if self._owed:

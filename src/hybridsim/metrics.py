@@ -35,31 +35,22 @@ _TRACE_LABELS = tuple(tuple(tail[1:].split(",")) for tail in TRACE_TAILS)
 # The trace files are formatted as bytes (`bytes % tuple` formats a float as
 # `str % tuple` does, and faster); their label tails as bytes, by code.
 _TAIL_BYTES = tuple(tail.encode() for tail in TRACE_TAILS)
-# Each row's head: the t_s text of sample i, `"%.9g" % float(i)`, and the
-# remaining_J and consumed_J fields left to fill. Formatted once per process,
-# and extended when a run has more samples than any before it.
-_CLOCK: list[bytes] = []
-# The last shared harvested_J column's template, keyed by the run's lumps (as
-# bytes) and sample count: runs whose lumps are equal bit for bit, as the
-# presets' are, share it.
-_SHARED: list = [(b"", -1), b""]
 
 
 TraceRow = namedtuple(
     "TraceRow", "t_s remaining_j consumed_j harvested_j mode modality fsm_state")
 
 
-def _template(harvest_column: list[float]) -> bytes:
+def _template(clock: list[bytes], harvest_column: list[float]) -> bytes:
     """A trace file with its header, and each row's clock text and
     `harvested_J` text in place, one row per sample of `harvest_column`;
-    each row's other fields are left to fill: `%.9g` (which renders a float
-    exactly as `format(value, ".9g")` does) for remaining_J and consumed_J,
-    `%s` for the label tail with its leading comma. Float text never holds
-    a `%`."""
-    _CLOCK.extend(b"%.9g,%%.9g,%%.9g," % float(i)
-                  for i in range(len(_CLOCK), len(harvest_column)))
+    `clock` holds each row's head, the t_s text of sample `i` followed by
+    its remaining_J and consumed_J fields left to fill with `%.9g` (which
+    renders a float exactly as `format(value, ".9g")` does). Each row ends
+    in `%s` for the label tail with its leading comma. Float text never
+    holds a `%`."""
     return b"".join([TRACE_HEADER.encode(), b"\n",
-                     *map(add, _CLOCK, map(b"%.9g%%s\n".__mod__, harvest_column))])
+                     *map(add, clock, map(b"%.9g%%s\n".__mod__, harvest_column))])
 
 
 class NodeMetrics:
@@ -182,24 +173,24 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
     Each trace file is one `%` format: a template per harvested_J column
     holds the clock and that column's text (`_template`), and the node's
     two value columns and label tails fill it. The run's shared column
-    serves every node whose buffer never clamped the run's lumps, so its
-    template is built once per run, or not at all when the run before had
-    the same lumps. Files are written as bytes, so each row ends in `\\n`
-    on every platform."""
+    serves every node whose buffer never clamped the run's lumps, so the
+    clock text and that column's template are built once per call. Files
+    are written as bytes, so each row ends in `\\n` on every platform."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
+        paths, clock, shared = [], [], (None, -1, b"")
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
             samples = len(nm.codes)
+            clock += [b"%.9g,%%.9g,%%.9g," % float(i) for i in range(len(clock), samples)]
             if nm.clamped_at:
-                template = _template(nm.harvest_column())
+                template = _template(clock, nm.harvest_column())
             else:
-                key = nm.lumps.tobytes(), samples
-                if key != _SHARED[0]:
-                    _SHARED[:] = key, _template(nm.harvest_column())
-                template = _SHARED[1]
+                lumps, rows, template = shared
+                if lumps is not nm.lumps or rows != samples:
+                    template = _template(clock, nm.harvest_column())
+                    shared = nm.lumps, samples, template
             values, fields = nm.values.tolist(), [None] * (3 * samples)
             fields[0::3], fields[1::3] = values[0::2], values[1::2]
             fields[2::3] = [_TAIL_BYTES[code] for code in nm.codes]

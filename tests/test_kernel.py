@@ -127,9 +127,9 @@ def test_causality_timestamps_non_decreasing(times):
 def test_rng_stream_reproducible():
     a = RngStream(seed=42, stream_id=3)
     b = RngStream(seed=42, stream_id=3)
-    assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+    assert [a.normal() for _ in range(10)] == [b.normal() for _ in range(10)]
     c = RngStream(seed=42, stream_id=4)
-    assert a.uniform() != c.uniform()
+    assert a.normal() != c.normal()
 
 
 def _spied_stream() -> tuple[RngStream, list[int]]:
@@ -147,7 +147,7 @@ def test_count_below_moves_the_stream_as_the_draws_do(n, p):
     drawn = RngStream(seed=7, stream_id=2)
     below = 0
     for _ in range(n):
-        below += drawn.uniform() < p
+        below += drawn._rng.random() < p
     assert counted.count_below(n, p) == below
     assert counted.getstate() == drawn.getstate()
     # Only a probability of 0 or 1 skips the draws; the largest draw,
@@ -160,7 +160,7 @@ def test_count_below_skips_in_bounded_chunks():
     counted, skips = _spied_stream()
     drawn = RngStream(seed=7, stream_id=2)
     for _ in range(n):
-        drawn.uniform()
+        drawn._rng.random()
     assert counted.count_below(n, 1.0) == n
     assert counted.getstate() == drawn.getstate()
     assert skips == [64 * 65_536, 64 * 65_536, 64 * 5]
@@ -168,7 +168,7 @@ def test_count_below_skips_in_bounded_chunks():
     assert counted.getstate() == drawn.getstate()
 
 
-_READS = {"uniform": lambda stream: stream.uniform(),
+_READS = {"outcome": lambda stream: stream.count_below(1, 0.6),
           "normal": lambda stream: stream.normal(0.5, 2.0),
           "count_below": lambda stream: stream.count_below(40, 0.5),
           "getstate": lambda stream: stream.getstate()}
@@ -191,7 +191,7 @@ def test_owed_draws_are_skipped_at_the_next_read(n, p, paired, read):
     if paired:
         assert owing.normal() == drawn.normal()
     for _ in range(n):
-        drawn.uniform()
+        drawn._rng.random()
     assert owing.count_below(n - 1, p) + owing.count_below(1, p) == (n if p else 0)
     assert not skips
     assert _READS[read](owing) == _READS[read](drawn)
@@ -200,19 +200,18 @@ def test_owed_draws_are_skipped_at_the_next_read(n, p, paired, read):
 
 
 def test_a_stream_owing_nothing_draws_through_the_generator():
-    # With nothing owed, `uniform` and `normal` are the generator's own bound
-    # methods, with no check per draw; a debt swaps them for wrappers that
-    # pay it, and paying it swaps them back.
+    # With nothing owed, `normal` is the generator's own bound method, with
+    # no check per draw; a debt swaps it for a wrapper that pays it, and
+    # paying it swaps it back.
     stream = RngStream(seed=7, stream_id=2)
-    generator = stream._rng
-    bound = (generator.random, generator.gauss)
-    assert (stream.uniform, stream.normal) == bound
+    gauss = stream._rng.gauss
+    assert stream.normal == gauss
     stream.count_below(0, 1.0)
-    assert (stream.uniform, stream.normal) == bound
+    assert stream.normal == gauss
     stream.count_below(3, 1.0)
-    assert stream.uniform != generator.random and stream.normal != generator.gauss
+    assert stream.normal != gauss
     stream.normal()
-    assert (stream.uniform, stream.normal) == bound
+    assert stream.normal == gauss
 
 
 def test_horizon_is_the_queue_head_or_one_past_the_end():
