@@ -8,7 +8,7 @@ by `validation.check_calibration`.
 
 from __future__ import annotations
 
-import math
+from array import array
 from bisect import bisect_right
 from operator import itemgetter
 
@@ -47,12 +47,6 @@ class EnergyBuffer:
     @property
     def fraction(self) -> float:
         return self.remaining_j / self.capacity_j
-
-    def edge_free_range(self, level: float) -> tuple[float, float]:
-        """The levels `[low, high)` reachable from `level` without an edge: at
-        or above the threshold, down to it; below it, from 0 J up to below it."""
-        threshold = self.threshold_j
-        return (threshold, math.inf) if level >= threshold else (0.0, threshold)
 
     def consume(self, joules: float) -> EventKind | None:
         before = self.remaining_j
@@ -95,6 +89,21 @@ def energy_between(segments: tuple[tuple[float, float], ...], t0_s: float, t1_s:
         total += power * (start - since)
         power, since = p, start
     return total + power * (t1_s - since)
+
+
+def harvest_lumps(segments: tuple[tuple[float, float], ...], run_s: int) -> array:
+    """`energy_between(segments, t - 1.0, float(t))` for each second `t` from 1
+    to `run_s`, bit for bit: a second inside one piece is its `0.0 + power * 1.0`,
+    repeated per piece, and only a second that a start cuts is integrated."""
+    lumps = array("d")
+    powers = (0.0, *(power for _, power in segments))
+    for power, end in zip(powers, (*(start for start, _ in segments), run_s)):
+        whole = min(int(end), run_s)  # the seconds up to `end` left at `power`
+        if whole > len(lumps):
+            lumps.extend(array("d", (0.0 + power * 1.0,)) * (whole - len(lumps)))
+        if len(lumps) < end and len(lumps) < run_s:  # `end` cuts the next second
+            lumps.append(energy_between(segments, float(len(lumps)), len(lumps) + 1.0))
+    return lumps
 
 
 # ---------------------------------------------------------------------------

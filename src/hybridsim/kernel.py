@@ -10,6 +10,9 @@ member of a batch the queue dispatches as one event (see
 `Engine.schedule_batched`), and those a handler runs inline before the
 queue's horizon (see `Engine.head`), so the count does not depend on which
 of these ran an event.
+
+A periodic event may be one `SimEvent` that its handler re-arms
+(`Engine.rearm`), as the run's 1 Hz world tick does 1 s on.
 """
 
 from __future__ import annotations
@@ -178,6 +181,15 @@ class Engine:
                     payload: object = None) -> SimEvent:
         return self.schedule(SimEvent(fire_at, target, kind, payload))
 
+    def rearm(self, event: SimEvent, fire_at: SimTime, payload: object = None) -> None:
+        """Queue `event`, which has fired, again at `fire_at` with `payload`,
+        ranked as an event queued now: a periodic event needs no new one."""
+        if event.cancelled or not event.fired:
+            state = "cancelled" if event.cancelled else "still queued"
+            raise RuntimeError(f"only a fired event re-arms: this {event.kind.value} is {state}")
+        event.fired, event.fire_at, event.payload = False, fire_at, payload
+        self.schedule(event)
+
     # -- batched events ------------------------------------------------------
     #
     # Many events of one kind for one target at one instant (each parked
@@ -227,10 +239,11 @@ class Engine:
         stop, heap = self._end + 1, self._heap
         if not heap or heap[0][0] >= stop:
             return None, stop
-        after = stop
-        for entry in heap[1:3]:
-            if entry[0] < after:
-                after = entry[0]
+        after, size = stop, len(heap)
+        if size > 1 and heap[1][0] < after:
+            after = heap[1][0]
+        if size > 2 and heap[2][0] < after:
+            after = heap[2][0]
         return heap[0][2], after
 
     def run_inline(self, at: SimTime, events: int = 1) -> None:

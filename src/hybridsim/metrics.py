@@ -183,7 +183,8 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
         for name, nm in sorted(metrics.nodes.items()):
             path = out / f"trace_{name}.csv"
             samples = len(nm.codes)
-            clock += [b"%.9g,%%.9g,%%.9g," % float(i) for i in range(len(clock), samples)]
+            # t_s: `%d` is `%.9g` of `float(i)` below 10**9 (see MAX_NODE_SECONDS)
+            clock += [b"%d,%%.9g,%%.9g," % i for i in range(len(clock), samples)]
             if nm.clamped_at:
                 template = _template(clock, nm.harvest_column())
             else:

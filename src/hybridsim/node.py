@@ -247,7 +247,7 @@ class SimNode:
         happen, so the bursts whose end and next packet-ready fall before it
         and that raise no battery edge run here as one stretch
         (`_run_stretch`), on through the 1 Hz world tick where it can; the
-        stretch draws the packet outcomes of each run of bursts in one call.
+        stretch draws all of its packet outcomes in one call.
         The burst that stops it is sent, and its end and next packet-ready
         are queued, and its outcome is drawn when the end is dispatched; a
         battery edge is then settled by the queued handlers.
@@ -270,20 +270,20 @@ class SimNode:
         gap draw no battery edge, and through each world tick that
         `_crosses` accepts. Return the start of the first burst left.
 
-        Each run of bursts is settled in closed form: `fitting_bursts`
-        counts the bursts whose draws keep the buffer off its edges, and
-        the run draws that many bursts and idle gaps in one product, which
-        differs from the queued handlers' burst-by-burst sum by rounding
-        only. It draws its packet outcomes in one `count_below` call and
-        logs one `tx_intervals` record. A burst through a tick settles
-        around the dispatched tick in the queued handlers' float order (a
-        tick up to the burst's end samples it in flight, a later one draws
-        the idle gap), logs one record of its own and draws its outcome
-        after the tick, so the node's stream moves as the queued handlers
-        move it. Every outcome, a single burst's too, is drawn through
-        `count_below`, which owes the draw of a certain one. The node
-        idles around each burst, and its interface starts and ends it at
-        IDLE, so the phase and interface state stay.
+        Each run of bursts is settled in closed form: it draws its bursts
+        and idle gaps in one product, which differs from the queued
+        handlers' burst-by-burst sum by rounding only, and logs one
+        `tx_intervals` record. Only when the whole run would pass the
+        buffer's edge does `fitting_bursts` count the bursts that keep it
+        off. A burst through a tick settles around the dispatched tick in
+        the queued handlers' float order (a tick up to the burst's end
+        samples it in flight, a later one draws the idle gap) and logs one
+        record of its own. It draws every outcome it sent in one
+        `count_below` call as it returns, which owes the draws of certain
+        ones: nothing reads the node's stream before, since `_crosses`
+        leaves it no battery edge at a tick, so no policy evaluates it and
+        its plan stays. The node idles around each burst, and its interface
+        starts and ends it at IDLE, so the phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
@@ -293,21 +293,20 @@ class SimNode:
         step = burst_j + self._joules(self.scenario.idle_current_ma, interval - airtime)
         engine, buffer, log = self.engine, self.buffer, self.metrics.bursts
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
-        floor = buffer.edge_free_range(remaining)[0]  # a stretch stays on its side
-        success = plan.success_prob
-        sent = delivered = 0
+        floor = buffer.threshold_j if remaining >= buffer.threshold_j else 0.0  # stays on its side
+        sent = 0
         while True:
             tick, after = engine.head()
             horizon = after if tick is None else tick.fire_at
             if sent and horizon <= now:  # the tick just crossed queued an event in the window
                 raise RuntimeError(f"{self.name}: the tick queued an event before {now} ns")
             last = min(fits, horizon - 1 - interval)
-            bursts = fitting_bursts(remaining, floor, step,
-                                    (last - now) // interval + 1 if last >= now else 0)
+            bursts = (last - now) // interval + 1 if last >= now else 0
+            if remaining - bursts * step < floor:
+                bursts = fitting_bursts(remaining, floor, step, bursts)
             if bursts:
                 drawn = bursts * step
                 remaining, consumed = remaining - drawn, consumed + drawn
-                delivered += self.rng.count_below(bursts, success)
                 log.fromlist([now, interval, airtime, bursts])
                 now += bursts * interval
                 sent += bursts
@@ -334,9 +333,9 @@ class SimNode:
             rest_j = self._joules(self._phase_ma, now - self._phase_since)
             remaining, consumed = remaining - rest_j, consumed + rest_j
             sent += 1
-            delivered += self.rng.count_below(1, success)
         if sent:
             buffer.remaining_j, buffer.consumed_j = remaining, consumed
+            delivered = self.rng.count_below(sent, plan.success_prob)
             self.metrics.bytes_delivered += delivered * self.scenario.packet_bytes
             self.metrics.packets_lost += sent - delivered
             self._phase_since = now
@@ -348,21 +347,21 @@ class SimNode:
         """Whether the burst at `now` runs through `tick`, the queue's head,
         with nothing queued before `after`. A stretch stops only at its
         slot's end (the caller's test), at a battery edge within reach (of
-        the window's draw, twice `window_j` below `remaining` J and far above
-        what the rounding of its pieces can add, or, below the threshold, of
-        the tick's harvest), at a head that is not the 1 Hz world tick, at a
-        spacing of 1 s or more, or at another event queued by the next
-        packet-ready (the tick requeues 1 s on, past a window under 1 s).
-        The tick falls after the burst's start and at or before its next
-        packet-ready (a tick there draws the whole idle gap and fires before
-        the packet-ready queued after it); `tick_nodes` settles it as it
-        settles a queued tick."""
+        the window's draw, when the threshold, or below it 0 J, lies within
+        twice `window_j` below `remaining` J, far more than the rounding of
+        its pieces adds; or, below it, of the tick's harvest up to it), at a
+        head that is not the 1 Hz world tick, at a spacing of 1 s or more,
+        or at another event queued by the next packet-ready (the tick
+        requeues 1 s on, past a window under 1 s). The tick falls after the
+        burst's start and at or before its next packet-ready (a tick there
+        draws the whole idle gap and fires before the packet-ready queued
+        after it); `tick_nodes` settles it as it settles a queued tick."""
         if tick is None or tick.kind is not EventKind.HARVEST_TICK:
             return False
-        at, ready = tick.fire_at, now + interval
-        low, high = self.buffer.edge_free_range(remaining)
+        at, ready, threshold = tick.fire_at, now + interval, self.buffer.threshold_j
         return (interval < NS_PER_SEC and now < at <= ready and after > ready
-                and low <= remaining - 2 * window_j and remaining + tick.payload < high)
+                and (threshold <= remaining - 2 * window_j if remaining >= threshold else
+                     0.0 <= remaining - 2 * window_j and remaining + tick.payload < threshold))
 
     def transmit_packet(self, now: SimTime) -> None:
         """Drive one burst through the interface FSM and start its draw;
@@ -454,8 +453,8 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
 
     Every node of a run shares one `Scenario`, so the supply voltage, the
     buffer's threshold and its capacity are read once per tick. A draw and
-    harvest that keep the buffer in its edge-free range (see
-    `EnergyBuffer.edge_free_range`) and do not clamp run inline, in
+    harvest that keep the buffer on its side of the threshold (at or above
+    it, or in [0 J, threshold)) and do not clamp run inline, in
     `_joules`'s, `consume`'s and `harvest`'s float order (a 0 ns draw is
     0.0 J, a no-op), with no call per node; any other goes through `sync`,
     `harvest` and `sample`, the one path that can clamp. Below the

@@ -8,11 +8,9 @@ the event kernel.
 
 from __future__ import annotations
 
-from array import array
-
 from . import channel
 from .actions import ActionPlan, Mode, Modality
-from .energy import EnergyBuffer, energy_between, predict_action_energy
+from .energy import EnergyBuffer, harvest_lumps, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, seconds
 from .linklayer import packet_spans
 from .metrics import TRACE_CODES, MetricsRecord, NodeMetrics
@@ -66,9 +64,7 @@ class _Controller:
         # The joules the one harvest profile gives every node in the second
         # before each 1 Hz tick: `lumps[i - 1]` for the tick at `i` s. Each
         # tick carries its lump, and each node's harvested_J column sums them.
-        segments = scenario.harvest_segments()
-        self.lumps = array("d", (energy_between(segments, t_s - 1.0, t_s) for t_s in
-                                 map(float, range(1, self.total_ns // NS_PER_SEC + 1))))
+        self.lumps = harvest_lumps(scenario.harvest_segments(), self.total_ns // NS_PER_SEC)
         self.nodes: list[SimNode] = []
         for i in range(scenario.node_count):
             name = f"node{i + 1}"
@@ -86,6 +82,7 @@ class _Controller:
         self.slot = -1
         engine.register("gateway", self._on_gateway_event)
         engine.register("world", self._on_world_event)
+        engine.register("tick", self._on_tick)
         engine.register(CHAIN_STEPS, self._on_chain_steps)
 
     # -- policy ---------------------------------------------------------------
@@ -146,9 +143,6 @@ class _Controller:
             nxt = now + seconds(self.scenario.weights.period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
-        elif event.kind is EventKind.HARVEST_TICK:
-            tick_nodes(self.nodes, now, event.payload)
-            self._schedule_harvest_tick(now + NS_PER_SEC)
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
             for node in self.nodes:
                 node.on_peripheral_cycle(now)
@@ -163,13 +157,15 @@ class _Controller:
         for node, epoch in event.payload:
             node.on_chain_step(now, epoch)
 
-    def _schedule_harvest_tick(self, at: int) -> None:
-        """Queue the 1 Hz world tick at `at` if the run reaches it, carrying
-        its lump. The period is one fact: sample `i` is at `t_s = i`, and
-        `SimNode._crosses` relies on the tick requeuing 1 s on."""
-        if at <= self.total_ns:
-            self.engine.schedule_at(at, "world", EventKind.HARVEST_TICK,
-                                    self.lumps[at // NS_PER_SEC - 1])
+    def _on_tick(self, engine: Engine, event) -> None:
+        """The 1 Hz world tick: tick the nodes with its lump, and re-arm it 1 s
+        on with the next one if the run gets there. The period is one fact:
+        sample `i` is at `t_s = i`, and `SimNode._crosses` relies on it."""
+        now = engine.now
+        tick_nodes(self.nodes, now, event.payload)
+        second = now // NS_PER_SEC
+        if second < len(self.lumps):
+            engine.rearm(event, now + NS_PER_SEC, self.lumps[second])
 
     # -- run -----------------------------------------------------------------
 
@@ -179,7 +175,8 @@ class _Controller:
             node.sample()
         self.engine.schedule_at(init, "gateway", EventKind.POLL_TICK)
         self.engine.schedule_at(init, "world", EventKind.OPTIMIZER_TICK)
-        self._schedule_harvest_tick(NS_PER_SEC)
+        if self.lumps:
+            self.engine.schedule_at(NS_PER_SEC, "tick", EventKind.HARVEST_TICK, self.lumps[0])
         if not self.scenario.inter_transmission_sleep:
             self.engine.schedule_at(init + seconds(self.scenario.peripheral_period_s),
                                     "world", EventKind.PERIPHERAL_TICK)

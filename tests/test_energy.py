@@ -5,11 +5,14 @@ The headline per-operation energies are asserted against the measured values
 the table encodes (uplink burst 94/61 uJ, display refresh 2.13 mJ).
 """
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Mode, Modality
-from hybridsim.energy import (EnergyBuffer, energy_between, phase_energy,
+from hybridsim.energy import (EnergyBuffer, energy_between, harvest_lumps, phase_energy,
                               predict_action_energy)
 from hybridsim.kernel import EventKind
 from hybridsim.runner import build_link_plans
@@ -128,6 +131,37 @@ class TestHarvest:
             for a, b in zip(edges, edges[1:]):
                 expected += power_at(a) * (b - a)
         assert energy_between(tuple(segments), t0, t1) == expected
+
+    def test_lumps_are_each_second_s_integral_bit_for_bit(self):
+        # A run's lumps repeat each segment's whole-second lump and integrate
+        # only the seconds a start cuts, so each must be the double that
+        # `energy_between` gives for its second. The fixed profiles cover
+        # fractional starts, starts on a whole second, several starts in one
+        # second, a first start before and after 0 s, zero power, a single
+        # segment, a run shorter than its first segment and an empty run.
+        rng = random.Random(43)
+        profiles = [(((0.0, 0.01),), 20), (((30.0, 0.01),), 10), (((0.25, 0.02),), 0),
+                    (((2.5, 0.01), (7.0, 0.003), (7.25, 0.0), (7.75, 0.02)), 15),
+                    (((-1.5, 0.004), (3.0, 0.0), (3.3, 0.007)), 8)]
+        for _ in range(60):
+            starts = sorted(rng.choice((float(rng.randint(-2, 20)), rng.uniform(-2.0, 25.0)))
+                            for _ in range(rng.randint(1, 5)))
+            profiles.append((tuple((start, rng.choice((0.0, rng.uniform(0.0, 0.05))))
+                                   for start in starts), rng.randint(0, 30)))
+        covered = Counter()
+        for segments, run_s in profiles:
+            assert [lump.hex() for lump in harvest_lumps(segments, run_s)] == [
+                energy_between(segments, t - 1.0, float(t)).hex()
+                for t in range(1, run_s + 1)], (segments, run_s)
+            starts = [start for start, _ in segments]
+            covered["fractional"] += any(0 < start < run_s and start % 1 for start in starts)
+            covered["whole"] += any(0 < start < run_s and not start % 1 for start in starts)
+            covered["late first"] += 0 < starts[0] < run_s
+            covered["zero power"] += any(power == 0.0 for _, power in segments)
+            covered["one segment"] += len(segments) == 1
+            covered["short run"] += run_s < starts[0]
+        assert all(covered[case] for case in ("fractional", "whole", "late first", "zero power",
+                                              "one segment", "short run")), covered
 
     def test_unsorted_segments_rejected(self):
         with pytest.raises(ScenarioError, match=r"\[energy\] harvest_profile"):

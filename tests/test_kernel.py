@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hybridsim.actions import Mode, Modality
+from hybridsim.energy import energy_between
 from hybridsim.kernel import (Engine, EventKind, RngStream, ScheduleInPastError,
                               seconds)
 from hybridsim.linklayer import InterfaceState
+from hybridsim.runner import run
+from hybridsim.scenario import Scenario
 
 
 def _collect(engine):
@@ -403,3 +406,65 @@ def test_dispatch_counts_one_event_per_member():
     engine.schedule_batched(5, "batch", EventKind.PERIPHERAL_TICK, "last")
     engine.run_until(10)
     assert engine.events_executed == 4 + 1 + 1
+
+
+def test_a_re_armed_event_ranks_as_one_queued_when_it_re_arms():
+    # A periodic event re-armed by its handler takes a new place in the
+    # queue: an event queued for t before the re-arm at t - 10 runs before
+    # it, and one queued after runs after, as if the handler had queued a
+    # new event in its place.
+    engine = Engine()
+    log = []
+
+    def tick(eng, ev):
+        log.append((ev.payload, eng.now))
+        if eng.now < 20:
+            eng.schedule_at(eng.now + 10, "sink", EventKind.POLL_TICK, payload="before")
+            eng.rearm(ev, eng.now + 10, payload=f"tick{eng.now + 10}")
+            eng.schedule_at(eng.now + 10, "sink", EventKind.POLL_TICK, payload="after")
+
+    engine.register("tick", tick)
+    engine.register("sink", lambda eng, ev: log.append((ev.payload, eng.now)))
+    engine.schedule_at(20, "sink", EventKind.POLL_TICK, payload="queued first")
+    first = engine.schedule_at(10, "tick", EventKind.HARVEST_TICK, payload="tick10")
+    engine.run_until(30)
+    assert log == [("tick10", 10), ("queued first", 20), ("before", 20), ("tick20", 20),
+                   ("after", 20)]
+    assert first.fired and first.fire_at == 20 and engine.events_executed == 5
+
+
+def test_only_a_fired_event_re_arms():
+    engine = Engine()
+    engine.register("sink", lambda eng, ev: None)
+    pending = engine.schedule_at(5, "sink", EventKind.HARVEST_TICK)
+    with pytest.raises(RuntimeError, match="HarvestTick is still queued"):
+        engine.rearm(pending, 6)
+    engine.run_until(5)
+    engine.rearm(pending, 6)
+    with pytest.raises(RuntimeError, match="HarvestTick is still queued"):
+        engine.rearm(pending, 7)  # re-armed, not fired again
+    engine.cancel(pending)
+    engine.run_until(10)
+    with pytest.raises(RuntimeError, match="HarvestTick is cancelled"):
+        engine.rearm(pending, 11)
+    assert engine.events_executed == 1
+
+
+def test_a_run_re_arms_one_event_for_every_1_hz_tick(monkeypatch):
+    # Every tick of a run is its one `SimEvent`, re-armed each whole second
+    # with that second's lump.
+    ticks, schedule = [], Engine.schedule
+
+    def spied(engine, event):
+        if event.kind is EventKind.HARVEST_TICK:
+            ticks.append((event, event.fire_at, event.payload))
+        return schedule(engine, event)
+
+    monkeypatch.setattr(Engine, "schedule", spied)
+    scenario = Scenario(duration_s=12.5, init_delay_s=1.0, node_count=2,
+                        harvest_profile=((0.0, 0.01), (3.5, 0.02)))
+    run(scenario)
+    lumps = [energy_between(scenario.harvest_segments(), t - 1.0, float(t)) for t in range(1, 14)]
+    assert [(at, lump) for _, at, lump in ticks] == [
+        (seconds(t), lumps[t - 1]) for t in range(1, 14)]
+    assert all(event is ticks[0][0] for event, _, _ in ticks)

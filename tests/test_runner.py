@@ -28,7 +28,7 @@ from hybridsim.metrics import (TRACE_CODES, TRACE_HEADER, TRACE_TAILS, MetricsRe
 from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_bursts, tick_nodes
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
-from hybridsim.scenario import Scenario, load_scenario
+from hybridsim.scenario import MAX_NODE_SECONDS, Scenario, load_scenario
 from conftest import digest_runs, metrics_fields, perfbench_run, tick_each_node, tx_bursts
 from test_invariants import EXAMPLES, INTERFACE_LABELS, SHORT
 
@@ -71,6 +71,14 @@ class TestTraces:
         expected = ",".join(["1", *[format(value, ".9g")] * 2, format(0.0 + value, ".9g"),
                              "sleep", "ble", "OFF|OFF"])
         assert (tmp_path / "trace_node1.csv").read_text().splitlines()[2] == expected
+
+    def test_clock_text_is_the_float_text_of_every_sample_index(self):
+        # `write_traces` prints sample `i`'s t_s with `%d`, which equals the
+        # `%.9g` text of `float(i)` only below 10**9; past it `%.9g` turns to
+        # an exponent. The load rule bounds the index by MAX_NODE_SECONDS.
+        indices = [0, *(10**k for k in range(len(str(MAX_NODE_SECONDS)))),
+                   *range(7, MAX_NODE_SECONDS, 9973), MAX_NODE_SECONDS]
+        assert [i for i in indices if b"%d" % i != b"%.9g" % float(i)] == []
 
     def test_a_node_that_clamped_writes_its_own_harvest_column(self, tmp_path):
         # Nodes share the run's harvested_J column, formatted once, but one

@@ -30,6 +30,7 @@ switch beside the stretch's in `_compare` and its tolerance to
 """
 
 import math
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -197,6 +198,13 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
                 conservation_rate_kbps=20.0, owc_phy_rate_kbps=81.92, poll_slot_s=2.05)
 
 
+# The optical link is lossless and the radio at -51 dBm delivers about 60 %
+# of packets.
+OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
+                                 optimizer="etno", inter_transmission_sleep=False,
+                                 battery_capacity_j=0.2, harvest_mw=20.0, ble_tx_power_dbm=-51.0)
+
+
 @pytest.mark.parametrize("scenario, ran", [
     # Both preset links are lossless and the presets draw no SNR jitter, so
     # their streams owe every draw to the end; fleet64's jitter pays its debts.
@@ -219,14 +227,10 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
                             battery_capacity_j=capacity_j, harvest_mw=20.0), ran, id=name)
       for capacity_j, ran, name in ((0.2, ("slept", "lost"), "small-battery-mid-burst"),
                                     (0.1, ("slept", "lossless"), "small-battery-gap"))),
-    # The optical link is lossless and the radio at -51 dBm delivers about
-    # 60 % of packets. With no SNR jitter, only a packet outcome reads a
-    # stream, so the run pays what a node owes on the optical link with its
-    # first outcome on the radio, in ETNO's conservation mode.
-    pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
-                          optimizer="etno", inter_transmission_sleep=False,
-                          battery_capacity_j=0.2, harvest_mw=20.0, ble_tx_power_dbm=-51.0),
-                 ("settled", "lost"), id="outcome-pays-the-debt"),
+    # With no SNR jitter, only a packet outcome reads a stream, so the run
+    # pays what a node owes on the optical link with its first outcome on
+    # the radio, in ETNO's conservation mode.
+    pytest.param(OUTCOME_PAYS_THE_DEBT, ("settled", "lost"), id="outcome-pays-the-debt"),
     # ETNO resumes below f_c = 0.35, so the node streams until a draw would
     # run the buffer dry.
     pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
@@ -286,3 +290,48 @@ def test_random_scenarios_run_every_shortcut_path():
     assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp", "margin",
                                         "batched", "inline", "fallback", "stretch", "slept",
                                         "awake", "lost", "lossless", "owed", "settled")), paths
+
+
+@pytest.mark.parametrize("scenario, lossy", [
+    *(pytest.param(load_scenario(preset_path(name)), False, id=name)
+      for name in digest_runs.PRESETS),
+    pytest.param(load_scenario(DATA / "etno3_lossy.cfg"), True, id="etno3_lossy"),
+    pytest.param(OUTCOME_PAYS_THE_DEBT, True, id="outcome-pays-the-debt"),
+])
+def test_a_stretch_draws_its_outcomes_in_one_call_at_its_end(scenario, lossy, monkeypatch):
+    # A stretch draws every outcome it sent in one `count_below` call as it
+    # returns, which is the draws of the queued bursts, in order, only if
+    # nothing else reads the node's stream while the stretch runs: neither
+    # a normal draw, nor another outcome, nor its state.
+    reads, stretches = [], []
+    count_below, getstate, gauss = RngStream.count_below, RngStream.getstate, random.Random.gauss
+    run_stretch = SimNode._run_stretch
+
+    def counted(stream, n, p):
+        reads.append((stream, n, p))
+        return count_below(stream, n, p)
+
+    def stated(stream):
+        reads.append((stream, "getstate", None))
+        return getstate(stream)
+
+    def drawn(generator, *args, **kwargs):
+        reads.append((generator, "normal", None))
+        return gauss(generator, *args, **kwargs)
+
+    def stretch(node, now, plan):
+        first, logged = len(reads), len(node.metrics.bursts)
+        left = run_stretch(node, now, plan)
+        sent = sum(node.metrics.bursts[logged + 3::4])  # each record's burst count
+        own = [read for read in reads[first:] if read[0] in (node.rng, node.rng._rng)]
+        stretches.append((sent, own))
+        assert own == ([(node.rng, sent, plan.success_prob)] if sent else []), node.name
+        return left
+
+    monkeypatch.setattr(RngStream, "count_below", counted)
+    monkeypatch.setattr(RngStream, "getstate", stated)
+    monkeypatch.setattr(random.Random, "gauss", drawn)
+    monkeypatch.setattr(SimNode, "_run_stretch", stretch)
+    runner.run(scenario)
+    assert any(sent > 1 for sent, _ in stretches)
+    assert any(0.0 < own[0][2] < 1.0 for sent, own in stretches if sent) == lossy
