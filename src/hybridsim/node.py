@@ -54,7 +54,7 @@ class SimNode:
     def __init__(self, name: str, scenario: Scenario,
                  plans: dict[tuple[Mode, Modality], ActionPlan],
                  buffer: EnergyBuffer, engine: Engine, metrics: NodeMetrics,
-                 rng_stream, initial_modality: Modality):
+                 rng_stream, initial_modality: Modality, evaluate_cb):
         self.name = name
         self.scenario = scenario
         self.plans = plans
@@ -86,7 +86,7 @@ class SimNode:
         self._epoch = 0
         self._chain: tuple[tuple[float, int], ...] = ()  # phases still to run in this chain
         self._pending_packet: SimEvent | None = None
-        self.evaluate_cb = None  # set by the runner; called on battery edges
+        self.evaluate_cb = evaluate_cb  # the policy, called on battery edges
         self.ewma_baseline_db: float | None = None
 
     @property
@@ -147,8 +147,7 @@ class SimNode:
             self.metrics.sleep_entries += 1
         self.plan = self.plans[Mode.SLEEP, self.plan.modality]
         self._reconcile(now)
-        if self.evaluate_cb is not None:
-            self.evaluate_cb(self, now)
+        self.evaluate_cb(self, now)
 
     # -- transmit-eligible accounting ----------------------------------------
 
@@ -481,6 +480,6 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
             metrics.codes.append(node.plan.tails[node.interfaces])
         else:
             node.sync(now)
-            if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+            if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED:
                 node.evaluate_cb(node, now)
             node.sample()

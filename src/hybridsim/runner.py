@@ -74,8 +74,8 @@ class _Controller:
                 critical_fraction=scenario.weights.f_c,
             )
             node = SimNode(name, scenario, self.plans, buffer, engine,
-                           NodeMetrics(name, self.lumps), RngStream(scenario.seed, i + 1), best)
-            node.evaluate_cb = self.evaluate
+                           NodeMetrics(name, self.lumps), RngStream(scenario.seed, i + 1), best,
+                           self.evaluate)
             engine.register(name, node.handle)
             self.nodes.append(node)
         # Round-robin polling: slot k belongs to node k % node_count.

@@ -37,10 +37,9 @@ def _script(path: Path):
 
 
 # `outputs(scenario)` gathers every output of a run, which the differential
-# tests compare; `PRESETS` names the six paper figure presets.
+# tests compare; `runs()` lists every pinned run, whose digests
+# tests/data/digest_runs.txt pins; `PRESETS` names the six paper figure presets.
 digest_runs = _script(ROOT / "tests" / "data" / "digest_runs.py")
-# `pinned()` lists every pinned scenario and `written()` digests a run's files.
-verify_pins = _script(ROOT / "tests" / "data" / "verify_pins.py")
 # `fleet_config(seed)` generates the benchmark's `fleet` scenario file.
 perfbench_run = _script(ROOT / "perfbench" / "run.py")
 
@@ -119,6 +118,6 @@ def tick_each_node(nodes, now, harvest_j):
     battery-charged edge and sampled through the node's own calls."""
     for node in nodes:
         node.sync(now)
-        if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED and node.evaluate_cb:
+        if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED:
             node.evaluate_cb(node, now)
         node.sample()

@@ -1,17 +1,20 @@
-"""Print one digest of every output per run, to compare two source trees.
+"""Print one digest of every output per run: the pin of every run's outputs.
 
-    PYTHONPATH=src python tests/data/digest_runs.py > change.txt
-    PYTHONPATH=../parent/src python tests/data/digest_runs.py > parent.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python tests/data/digest_runs.py | diff tests/data/digest_runs.txt -
 
-Runs the six paper figure presets, each `*.cfg` beside this script, and
-`DRAWS` short scenarios drawn with `random.Random(2026)` over the ranges of
-`scenarios()` in tests/test_invariants.py, and prints one `<sha256>  <run>`
-line per run: the digest of `outputs`, every output of the run. A change
-that keeps every output prints the same lines, which digest_runs.txt beside
-this script pins; CI diffs them against it. The shortcut check
+`runs()` lists the six paper figure presets, each `*.cfg` beside this
+script and `DRAWS` short scenarios drawn with `random.Random(2026)` over the
+ranges of `scenarios()` in tests/test_invariants.py. For each run it prints
+one `<sha256>  <run>` line: the digest of `outputs`, every output of the
+run. digest_runs.txt beside this script pins those lines, so a pinned
+scenario is a `.cfg` here plus its line there, and a declared model change
+regenerates the file with this script. tests/test_acceptance.py checks each
+run against its line, one test per run; this script needs no pytest, so CI
+diffs its lines on every Python that runs the simulator. Printed under two
+source trees, its lines also compare them run by run. The shortcut check
 (tests/test_shortcuts.py) compares `outputs` too, so an output added to a
-run is added here once. Needs no pytest, like verify_pins.py.
+run is added here once; tests/test_cli.py checks that the CLI writes the
+same files as `outputs`.
 """
 
 from __future__ import annotations
@@ -100,13 +103,19 @@ def digest(scenario: Scenario) -> str:
     return sha.hexdigest()
 
 
-def main() -> int:
-    runs = [*((name, load_scenario(preset_path(name))) for name in PRESETS),
+def runs() -> list[tuple[str, Scenario]]:
+    """Every pinned run by name: the presets, each `*.cfg` beside this
+    script, then the draws."""
+    return [*((name, load_scenario(preset_path(name))) for name in PRESETS),
             *((path.stem, load_scenario(path)) for path in sorted(HERE.glob("*.cfg"))),
             *draws(DRAWS)]
-    for name, scenario in runs:
+
+
+def main() -> int:
+    pinned = runs()
+    for name, scenario in pinned:
         print(f"{digest(scenario)}  {name}", flush=True)
-    print(f"{len(runs)} runs", file=sys.stderr)
+    print(f"{len(pinned)} runs", file=sys.stderr)
     return 0
 
 

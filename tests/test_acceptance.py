@@ -21,7 +21,7 @@ from hybridsim.scenario import load_scenario, preset_path
 from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
-from conftest import action_rows, action_set, verify_pins
+from conftest import action_rows, action_set, digest_runs
 from test_optimizer import (ModalityScores, UtilityBreakdown, localization_utility,
                             modality_utility, total_utility)
 
@@ -281,14 +281,18 @@ def test_preset_counters_pinned(fig_runs, oscillation_runs):
             + (f"; changed: {changed}" if changed else ""))
 
 
-@pytest.mark.parametrize("config, lines", [
-    pytest.param(config, lines, id=name) for name, config, lines in verify_pins.pinned()])
-def test_trace_bytes_pinned(tmp_path, config, lines):
-    # Every pinned scenario, found by tests/data/verify_pins.py: the six
-    # presets and each `<name>.cfg` with its `<name>.sha256` in tests/data.
-    # Only a deliberate model change may move the pins.
-    wrote, pins = set(verify_pins.written(config, tmp_path / "out")), set(lines)
-    differ = [f"pinned {line}" for line in sorted(pins - wrote)]
-    differ += [f"wrote {line}" for line in sorted(wrote - pins)]
-    _report(f"criterion 9 ({config.stem} trace bytes unchanged)", not differ,
-            f"{len(pins & wrote)}/{len(pins)} files match" + "".join(f"; {d}" for d in differ))
+# `<sha256>` of each run by name, as tests/data/digest_runs.txt pins it.
+PINNED_DIGESTS = dict(line.split("  ")[::-1] for line in
+                      (digest_runs.HERE / "digest_runs.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("name, scenario", [
+    pytest.param(name, scenario, id=name) for name, scenario in digest_runs.runs()])
+def test_run_outputs_pinned(name, scenario):
+    # Every run of tests/data/digest_runs.py: the six presets, each `.cfg`
+    # in tests/data and the seeded draws. Each digests every output of its
+    # run, and only a deliberate model change may move it; digest_runs.py
+    # prints the lines that regenerate digest_runs.txt.
+    got, pinned = digest_runs.digest(scenario), PINNED_DIGESTS.get(name)
+    _report(f"criterion 9 ({name} outputs unchanged)", got == pinned,
+            f"digest {got}, pinned {pinned or 'none'}")

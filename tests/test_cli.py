@@ -12,8 +12,9 @@ import pytest
 
 import hybridsim
 from hybridsim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from hybridsim.scenario import preset_path
+from hybridsim.scenario import load_scenario, preset_path
 from hybridsim.validation import default_calibration_path
+from conftest import digest_runs
 
 FIG11 = str(preset_path("paper_fig11"))
 
@@ -81,7 +82,9 @@ class TestRun:
         # The model's enums hash by object identity, and object addresses
         # differ between processes as string hashes differ between hash
         # seeds; no output may depend on either. The run covers battery
-        # edges, sleep, a modality switch, SNR jitter and a lost packet.
+        # edges, sleep, a modality switch, SNR jitter and a lost packet. The
+        # files are also those of `digest_runs.outputs`, which digests the
+        # pinned runs without the CLI.
         cfg = tmp_path / "cross.cfg"
         cfg.write_text("[scenario]\nduration_s = 90\ninit_delay_s = 1\nnode_count = 3\n"
                        "seed = 5\noptimizer = euno\ninter_transmission_sleep = false\n\n"
@@ -102,6 +105,7 @@ class TestRun:
         assert sorted(outputs[0]) == ["summary.json", "trace_node1.csv",
                                       "trace_node2.csv", "trace_node3.csv"]
         assert outputs[0] == outputs[1]
+        assert outputs[0] == digest_runs.outputs(load_scenario(cfg))["files"]
 
     def test_source_builds_no_sets(self):
         # A set iterates in hash order: by address for the model's enums,

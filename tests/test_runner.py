@@ -29,7 +29,7 @@ from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_burs
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import MAX_NODE_SECONDS, Scenario, load_scenario
-from conftest import digest_runs, metrics_fields, perfbench_run, tick_each_node, tx_bursts
+from conftest import metrics_fields, perfbench_run, tick_each_node, tx_bursts
 from test_invariants import EXAMPLES, INTERFACE_LABELS, SHORT
 
 DATA = Path(__file__).parent / "data"
@@ -225,16 +225,6 @@ class TestTraces:
         assert (row.mode, row.modality) == (mode.value, modality.value)
 
 
-def test_digest_runs_prints_equal_lines_for_a_rerun():
-    # tests/data/digest_runs.py digests every output of a run, so that two
-    # source trees can be compared run by run: a rerun must print the same
-    # line, and the three draws differ.
-    first, again = ([f"{digest_runs.digest(scenario)}  {name}"
-                     for name, scenario in digest_runs.draws(3)] for _ in range(2))
-    assert first == again
-    assert len({line.split()[0] for line in first}) == 3
-
-
 def _sampled_row(mode=Mode.PERFORMANCE, modality=Modality.OWC,
                  interfaces=InterfaceState.IDLE):
     """The trace row `SimNode.sample` writes for a lone node in that state."""
@@ -349,7 +339,7 @@ def _lone_node(base: Scenario = SHORT, **overrides):
     """The one node of a fresh single-node run of `base`, before its first event."""
     scenario = base.replace(node_count=1, init_delay_s=0.0, **overrides)
     node = _Controller(scenario, Engine()).nodes[0]
-    node.evaluate_cb = None  # drive the node by hand, without the policy
+    node.evaluate_cb = lambda node, now: None  # drive the node by hand, without the policy
     return node
 
 
@@ -474,7 +464,7 @@ class TestNodeLifecycle:
         # sleeps between slots.
         scenario = SHORT.replace(node_count=2, init_delay_s=0.0, inter_transmission_sleep=True)
         node = _Controller(scenario, Engine()).nodes[0]
-        node.evaluate_cb = None
+        node.evaluate_cb = lambda node, now: None
         airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
         node.enter_slot(0, airtime)
         node.transmit_packet(0)
