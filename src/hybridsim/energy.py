@@ -44,10 +44,6 @@ class EnergyBuffer:
         self.consumed_j = 0.0
         self.harvested_j = 0.0
 
-    @property
-    def fraction(self) -> float:
-        return self.remaining_j / self.capacity_j
-
     def consume(self, joules: float) -> EventKind | None:
         before = self.remaining_j
         drawn = min(joules, before)

@@ -21,8 +21,11 @@ from .scenario import Scenario
 # The target of every chain step's end: a batch of `(node, epoch)` members
 # (`Engine.schedule_batched`), since the world's peripheral cycle starts every
 # parked node's chain at one instant. The runner registers its handler, which
-# calls `SimNode.on_chain_step` for each member in order.
+# ends the members' steps in one pass, `end_chain_steps`.
 CHAIN_STEPS = "chain"
+# Read once per chain step: under Python 3.11 an enum member lookup costs
+# about 95 ns, four times a global's.
+_CHAIN_STEP = EventKind.CHAIN_STEP
 
 _ASLEEP = (InterfaceState.OFF, InterfaceState.SLEEP)
 _TX_MODALITY = {InterfaceState.OWC_TX: Modality.OWC, InterfaceState.BLE_TX: Modality.BLE}
@@ -86,7 +89,7 @@ class SimNode:
         self._epoch = 0
         self._chain: tuple[tuple[float, int], ...] = ()  # phases still to run in this chain
         self._pending_packet: SimEvent | None = None
-        self.evaluate_cb = evaluate_cb  # the policy, called on battery edges
+        self.evaluate_cb = evaluate_cb  # the policy, called with `[self]` on battery edges
         self.ewma_baseline_db: float | None = None
 
     @property
@@ -104,7 +107,7 @@ class SimNode:
     def _joules(self, current_ma: float, elapsed: SimTime) -> float:
         """Energy of `elapsed` ns at `current_ma`: the one expression that
         every settled phase, queued or inline, draws through (`tick_nodes`
-        writes it out in place)."""
+        and `settled` write it out in place)."""
         return current_ma * 1e-3 * self.scenario.supply_voltage * elapsed / NS_PER_SEC
 
     def sync(self, now: SimTime) -> None:
@@ -147,7 +150,7 @@ class SimNode:
             self.metrics.sleep_entries += 1
         self.plan = self.plans[Mode.SLEEP, self.plan.modality]
         self._reconcile(now)
-        self.evaluate_cb(self, now)
+        self.evaluate_cb([self], now)
 
     # -- transmit-eligible accounting ----------------------------------------
 
@@ -205,28 +208,11 @@ class SimNode:
         if chain:
             self._phase_ma, ns = chain[0]
             self._chain = chain[1:]
-            self.engine.schedule_batched(now + ns, CHAIN_STEPS, EventKind.CHAIN_STEP,
-                                         (self, self._epoch))
+            self.engine.schedule_batched(now + ns, CHAIN_STEPS, _CHAIN_STEP, (self, self._epoch))
         elif self.in_slot:
             self._start_streaming(now)
         else:
             self._phase_ma = self.scenario.idle_current_ma
-
-    def on_chain_step(self, now: SimTime, epoch: int) -> None:
-        self.sync(now)
-        if epoch != self._epoch:
-            return  # superseded by a reconfiguration
-        self._advance_chain(now)
-
-    def on_peripheral_cycle(self, now: SimTime) -> None:
-        """Periodic sensing/display/localization while idling between slots
-        (only meaningful without inter-transmission sleep)."""
-        self.sync(now)
-        if (not self.awake or self.in_slot or self.tx_in_flight
-                or self.plan.mode is not Mode.PERFORMANCE):
-            return
-        self._epoch += 1  # a chain still running stops here
-        self._run_chain(now, self._duty_cycle[1:])
 
     # -- traffic ----------------------------------------------------------------
 
@@ -396,9 +382,8 @@ class SimNode:
     # -- reconfiguration -----------------------------------------------------
 
     def apply_action(self, plan: ActionPlan, now: SimTime) -> None:
-        """Take `plan`, a row of `self.plans`; a policy's sleep row is the
-        node's own modality's."""
-        self.sync(now)
+        """Take `plan`, a row of `self.plans`, at `now`, to which the policy
+        settled the node; a policy's sleep row is the node's own modality's."""
         if plan is self.plan:
             return
         if plan.mode is Mode.SLEEP:
@@ -458,7 +443,8 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
     0.0 J, a no-op), with no call per node; any other goes through `sync`,
     `harvest` and `sample`, the one path that can clamp. Below the
     threshold, which is at most the capacity, a harvest that stays below it
-    cannot clamp; above it, one that does not clamp stays finite.
+    cannot clamp; above it, one that does not clamp stays finite. The other
+    world passes settle through `settled`, the same draw without the harvest.
     """
     first = nodes[0]
     voltage = first.scenario.supply_voltage
@@ -481,5 +467,51 @@ def tick_nodes(nodes: list[SimNode], now: SimTime, harvest_j: float) -> None:
         else:
             node.sync(now)
             if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED:
-                node.evaluate_cb(node, now)
+                node.evaluate_cb([node], now)
             node.sample()
+
+
+def settled(nodes: list[SimNode], now: SimTime):
+    """Yield each of `nodes` in turn, settled to `now`: the settle of every
+    world pass but the 1 Hz tick's. A draw that keeps the buffer on its
+    side of the threshold runs inline, in `tick_nodes`' float order without
+    the harvest; any other goes through `sync`, the one path that raises an
+    edge. The pass works on each node before the next is settled, so every
+    edge, evaluation and queued event comes in the nodes' order."""
+    if not nodes:
+        return
+    first = nodes[0]
+    voltage, threshold = first.scenario.supply_voltage, first.buffer.threshold_j
+    for node in nodes:
+        buffer = node.buffer
+        remaining = buffer.remaining_j
+        drawn = node._phase_ma * 1e-3 * voltage * (now - node._phase_since) / NS_PER_SEC
+        after = remaining - drawn
+        if threshold <= after if remaining >= threshold else 0.0 <= after:
+            node._phase_since = now
+            buffer.consumed_j += drawn
+            buffer.remaining_j = after
+        else:
+            node.sync(now)
+        yield node
+
+
+def start_peripheral_cycles(nodes: list[SimNode], now: SimTime) -> None:
+    """The world's periodic sensing/display/localization (only without
+    inter-transmission sleep): each node idling outside its slot in
+    performance mode starts the cycle's chain, which stops one still running."""
+    chain, idle, performance = nodes[0]._duty_cycle[1:], InterfaceState.IDLE, Mode.PERFORMANCE
+    # Every node settles, chain or not; moving that changes trace rounding (ROADMAP item 7).
+    for node in settled(nodes, now):
+        if node.interfaces is idle and not node.in_slot and node.plan.mode is performance:
+            node._epoch += 1
+            node._run_chain(now, chain)
+
+
+def end_chain_steps(members: list[tuple[SimNode, int]], now: SimTime) -> None:
+    """End the chain step of each `(node, epoch)` member of a `CHAIN_STEPS`
+    batch, in the order they were queued: settle the node, and advance its
+    chain unless a reconfiguration bumped the epoch since."""
+    for node, (_, epoch) in zip(settled([node for node, _ in members], now), members):
+        if epoch == node._epoch:
+            node._advance_chain(now)

@@ -43,13 +43,6 @@ class UtilityWeights(Record):
     period_s: float = 10.0
 
 
-def energy_weight(f_r: float, f_c: float) -> float:
-    """Dynamic weight of the energy utility: 1 at the critical level, 0 when
-    full, clamped to [0, 1] outside that span."""
-    value = 1.0 - (f_r - f_c) / (1.0 - f_c)
-    return min(1.0, max(0.0, value))
-
-
 def _matched_reward(row: ActionPlan, demanded: bool, reward: float) -> float:
     """Reward performance when the forecast demands the feature and
     conservation when it does not; sleep earns nothing."""
@@ -68,16 +61,6 @@ def screen_utility(row: ActionPlan, p_int: float, theta_s: float,
 
 def ewma_update(baseline_prev: float, sample: float, lam: float) -> float:
     return lam * sample + (1.0 - lam) * baseline_prev
-
-
-def mobility_probability(baseline: float, sample: float, k: float,
-                         c: float) -> float:
-    """Sigmoid of the deviation between the smoothed and instantaneous SNR;
-    0, its limit, where the exponential overflows."""
-    try:
-        return 1.0 / (1.0 + math.exp(-k * (abs(baseline - sample) - c)))
-    except OverflowError:
-        return 0.0
 
 
 def energy_utility(predicted_j: float, e_max_j: float) -> float:
@@ -140,21 +123,32 @@ def euno_select(table: EunoTable, f_r: float, current: Modality,
     the critical fraction, or with an empty buffer, the node sleeps.
 
     Each action scores `p_M·(f_r·A + (1−f_r)·B − C) + S + L + p_E·E` from its
-    table row, the same doubles as the tests' reference `total_utility`.
+    table row, the same doubles as the tests' reference `total_utility`. The
+    energy weight `p_E` is 1 at the critical level and 0 when full, clamped
+    to [0, 1]. `L` follows the mobility forecast: the sigmoid of the
+    deviation between the smoothed and instantaneous SNR, 0 (its limit)
+    where the exponential overflows, against `theta_l`.
     Ties break deterministically: prefer keeping the current modality, then
-    the higher mode, then the optical link.
+    the higher mode, then the optical link; a row's tie key is read only
+    when its utility equals the best so far.
     """
     w = table.weights
     if f_r < w.f_c or f_r == 0.0:
         return table.rows[current][-1][-1]  # the sleep row of `current`
-    moving = mobility_probability(baseline_db, sample_db, w.sigmoid_k,
-                                  w.sigmoid_c_db) > w.theta_l
-    p_m, p_e, rest = w.p_m, energy_weight(f_r, w.f_c), 1.0 - f_r
-    best_key = best = None
+    try:
+        mobility = 1.0 / (1.0 + math.exp(-w.sigmoid_k * (abs(baseline_db - sample_db)
+                                                         - w.sigmoid_c_db)))
+    except OverflowError:
+        mobility = 0.0
+    moving = mobility > w.theta_l
+    p_e = 1.0 - (f_r - w.f_c) / (1.0 - w.f_c)
+    p_e = (p_e if p_e < 1.0 else 1.0) if p_e > 0.0 else 0.0  # `min(1.0, max(0.0, p_e))`
+    p_m, rest = w.p_m, 1.0 - f_r
+    best = None
     for a, b, c, screen, loc, energy, tie, row in table.rows[current]:
-        key = (p_m * (f_r * a + rest * b - c) + screen + loc[moving] + p_e * energy, tie)
-        if best_key is None or key > best_key:
-            best_key, best = key, row
+        utility = p_m * (f_r * a + rest * b - c) + screen + loc[moving] + p_e * energy
+        if best is None or utility > best_utility or utility == best_utility and tie > best_tie:
+            best_utility, best_tie, best = utility, tie, row
     return best
 
 

@@ -14,7 +14,8 @@ from .energy import EnergyBuffer, harvest_lumps, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, seconds
 from .linklayer import packet_spans
 from .metrics import TRACE_CODES, MetricsRecord, NodeMetrics
-from .node import CHAIN_STEPS, SimNode, tick_nodes
+from .node import (CHAIN_STEPS, SimNode, end_chain_steps, settled, start_peripheral_cycles,
+                   tick_nodes)
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .record import Record
 from .scenario import OPTIMIZERS, Scenario
@@ -87,37 +88,34 @@ class _Controller:
 
     # -- policy ---------------------------------------------------------------
 
-    def evaluate(self, node: SimNode, now: int) -> None:
+    def evaluate(self, nodes: list[SimNode], now: int) -> None:
+        """Settle each of `nodes` to `now` and take the row its policy
+        chooses: every node at a policy period, one at a battery edge."""
         scenario = self.scenario
-        weights = scenario.weights
-        node.sync(now)
-        jitter, current = scenario.snr_jitter_db, node.plan.modality
-        snr = {}
-        for link in self.link_rows:
-            value = link.snr_db
-            if jitter > 0:
-                value += node.rng.normal(0.0, jitter)
-            snr[link.modality] = value
-        sample = snr[current]
-        if node.ewma_baseline_db is None:
-            node.ewma_baseline_db = sample
-        else:
-            node.ewma_baseline_db = ewma_update(node.ewma_baseline_db, sample,
-                                                weights.ewma_lambda)
-        if scenario.optimizer == "euno":
-            plan = euno_select(self.euno, node.buffer.fraction, current,
-                               node.ewma_baseline_db, sample)
-        else:
-            plan = etno_select(
-                self.plans,
-                node.buffer.fraction,
-                scenario.etno_sleep_threshold,
-                scenario.etno_conservation_threshold,
-                current,
-                _best_snr(snr),
-                owc_only=(scenario.optimizer == "etno-owc"),
-            )
-        node.apply_action(plan, now)
+        jitter, lam = scenario.snr_jitter_db, scenario.weights.ewma_lambda
+        owc, ble = self.link_rows
+        snr = {owc.modality: owc.snr_db, ble.modality: ble.snr_db}
+        capacity = scenario.battery_capacity_j  # every buffer's
+        euno = self.euno if scenario.optimizer == "euno" else None
+        owc_only = scenario.optimizer == "etno-owc"
+        for node in settled(nodes, now):
+            current = node.plan.modality
+            if jitter > 0:  # one draw per link, in `link_rows`' order
+                snr = {owc.modality: owc.snr_db + node.rng.normal(0.0, jitter),
+                       ble.modality: ble.snr_db + node.rng.normal(0.0, jitter)}
+            sample = baseline = snr[current]
+            if node.ewma_baseline_db is not None:
+                baseline = ewma_update(node.ewma_baseline_db, sample, lam)
+            node.ewma_baseline_db = baseline
+            f_r = node.buffer.remaining_j / capacity
+            if euno is not None:
+                plan = euno_select(euno, f_r, current, baseline, sample)
+            else:
+                plan = etno_select(self.plans, f_r,
+                                   scenario.etno_sleep_threshold,
+                                   scenario.etno_conservation_threshold,
+                                   current, _best_snr(snr), owc_only=owc_only)
+            node.apply_action(plan, now)
 
     # -- event handlers ---------------------------------------------------------
 
@@ -138,24 +136,18 @@ class _Controller:
     def _on_world_event(self, engine: Engine, event) -> None:
         now = engine.now
         if event.kind is EventKind.OPTIMIZER_TICK:
-            for node in self.nodes:
-                self.evaluate(node, now)
+            self.evaluate(self.nodes, now)
             nxt = now + seconds(self.scenario.weights.period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.OPTIMIZER_TICK)
         elif event.kind is EventKind.PERIPHERAL_TICK:  # only without inter-transmission sleep
-            for node in self.nodes:
-                node.on_peripheral_cycle(now)
+            start_peripheral_cycles(self.nodes, now)
             nxt = now + seconds(self.scenario.peripheral_period_s)
             if nxt <= self.total_ns:
                 engine.schedule_at(nxt, "world", EventKind.PERIPHERAL_TICK)
 
     def _on_chain_steps(self, engine: Engine, event) -> None:
-        """End one chain step of each member of the batch, in the order they
-        were queued."""
-        now = engine.now
-        for node, epoch in event.payload:
-            node.on_chain_step(now, epoch)
+        end_chain_steps(event.payload, engine.now)
 
     def _on_tick(self, engine: Engine, event) -> None:
         """The 1 Hz world tick: tick the nodes with its lump, and re-arm it 1 s

@@ -119,5 +119,5 @@ def tick_each_node(nodes, now, harvest_j):
     for node in nodes:
         node.sync(now)
         if node.harvest(harvest_j) is EventKind.BATTERY_CHARGED:
-            node.evaluate_cb(node, now)
+            node.evaluate_cb([node], now)
         node.sample()

@@ -13,8 +13,7 @@ import pytest
 
 from hybridsim.actions import Mode, Modality
 from hybridsim.metrics import write_traces
-from hybridsim.optimizer import (UtilityWeights, energy_utility, energy_weight,
-                                 euno_select, ewma_update, mobility_probability,
+from hybridsim.optimizer import (UtilityWeights, energy_utility, euno_select, ewma_update,
                                  screen_utility)
 from hybridsim.runner import run, sweep
 from hybridsim.scenario import load_scenario, preset_path
@@ -22,8 +21,9 @@ from hybridsim.validation import check_calibration, validate_ber
 from hybridsim.vlcframe import (ChunkStream, FrameCodecError, VlcFrame,
                                 decode_vlc_chunks, encode_vlc_frame)
 from conftest import action_rows, action_set, digest_runs
-from test_optimizer import (ModalityScores, UtilityBreakdown, localization_utility,
-                            modality_utility, total_utility)
+from test_optimizer import (ModalityScores, UtilityBreakdown, energy_weight,
+                            localization_utility, mobility_probability, modality_utility,
+                            total_utility)
 
 W = UtilityWeights()
 

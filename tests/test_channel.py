@@ -186,7 +186,8 @@ class TestPacketSuccess:
 
 
 def test_linear_mover_perturbs_snr_and_wakes_the_predictor():
-    from hybridsim.optimizer import ewma_update, mobility_probability
+    from hybridsim.optimizer import ewma_update
+    from test_optimizer import mobility_probability
 
     baseline = None
     p_still = p_moving = 0.0

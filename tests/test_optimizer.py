@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from hybridsim.actions import ActionPlan, Mode, Modality
 from hybridsim.optimizer import (EunoTable, UtilityWeights, _matched_reward,
-                                 energy_utility, energy_weight, etno_select,
-                                 euno_select, ewma_update, mobility_probability,
+                                 energy_utility, etno_select, euno_select, ewma_update,
                                  screen_utility)
 from hybridsim.scenario import Scenario, ScenarioError
 from conftest import action_rows, action_set
@@ -34,6 +33,23 @@ def key(row: ActionPlan) -> tuple[Mode, Modality]:
 
 # The paper's utility terms composed one by one: the reference oracle that
 # `euno_select`'s per-run table is checked against here and in criterion 6.
+
+def energy_weight(f_r: float, f_c: float) -> float:
+    """Dynamic weight of the energy utility: 1 at the critical level, 0 when
+    full, clamped to [0, 1] outside that span."""
+    value = 1.0 - (f_r - f_c) / (1.0 - f_c)
+    return min(1.0, max(0.0, value))
+
+
+def mobility_probability(baseline: float, sample: float, k: float,
+                         c: float) -> float:
+    """Sigmoid of the deviation between the smoothed and instantaneous SNR;
+    0, its limit, where the exponential overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-k * (abs(baseline - sample) - c)))
+    except OverflowError:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ModalityScores:
@@ -235,6 +251,40 @@ class TestEunoSelect:
                          rates=rates, weights=weights)
         # (P, OWC) and (P, BLE) now score identically; the tie keeps BLE.
         assert key(euno_select(*call)) == P_BLE
+
+    def test_ties_pick_the_row_the_tuple_comparison_picks(self):
+        # The five rows share two or three sets of terms, so many score equal
+        # utilities, and tie keys from a small set make some equal too. The
+        # row chosen is the first whose `(utility, tie key)` is the largest.
+        rng = random.Random(46)
+        levels, tied = (0.0, 0.25, 1.0), 0
+        for _ in range(2000):
+            terms = [(*(rng.choice(levels) for _ in range(4)),
+                      (rng.choice(levels), rng.choice(levels)), rng.choice(levels))
+                     for _ in range(rng.randint(2, 3))]
+            rows = tuple((*rng.choice(terms),
+                          (rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 1)), object())
+                         for _ in range(5))
+            f_r = rng.choice((W.f_c, 0.5, 1.0, rng.uniform(W.f_c, 1.0)))
+            baseline, sample = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+            moving = mobility_probability(baseline, sample, W.sigmoid_k,
+                                          W.sigmoid_c_db) > W.theta_l
+            p_e = energy_weight(f_r, W.f_c)
+            keys = [(W.p_m * (f_r * a + (1.0 - f_r) * b - c) + screen + loc[moving]
+                     + p_e * energy, tie) for a, b, c, screen, loc, energy, tie, _ in rows]
+            best = max(keys)
+            table = EunoTable(W, {Modality.OWC: rows})
+            assert euno_select(table, f_r, Modality.OWC, baseline, sample) is rows[
+                keys.index(best)][-1]
+            tied += sum(key[0] == best[0] for key in keys) > 1
+        assert tied > 1000  # about three draws in four tie at the top
+
+    def test_sigmoid_overflow_forecasts_no_mobility(self, euno_call):
+        # exp(1e6 · 3) overflows: the forecast is 0, the sigmoid's limit, and
+        # the row is the one a deviation far below `sigmoid_c_db` gets.
+        steep = UtilityWeights(sigmoid_k=1e6)
+        assert (key(euno_select(*euno_call(weights=steep, sample=50.0, baseline=50.0)))
+                == key(euno_select(*euno_call(sample=50.0, baseline=50.0))))
 
     def test_scaling_subutilities_preserves_argmax(self):
         rng = random.Random(7)

@@ -339,7 +339,7 @@ def _lone_node(base: Scenario = SHORT, **overrides):
     """The one node of a fresh single-node run of `base`, before its first event."""
     scenario = base.replace(node_count=1, init_delay_s=0.0, **overrides)
     node = _Controller(scenario, Engine()).nodes[0]
-    node.evaluate_cb = lambda node, now: None  # drive the node by hand, without the policy
+    node.evaluate_cb = lambda nodes, now: None  # drive the node by hand, without the policy
     return node
 
 
@@ -464,7 +464,7 @@ class TestNodeLifecycle:
         # sleeps between slots.
         scenario = SHORT.replace(node_count=2, init_delay_s=0.0, inter_transmission_sleep=True)
         node = _Controller(scenario, Engine()).nodes[0]
-        node.evaluate_cb = lambda node, now: None
+        node.evaluate_cb = lambda nodes, now: None
         airtime = node.plans[Mode.PERFORMANCE, Modality.OWC].airtime_ns
         node.enter_slot(0, airtime)
         node.transmit_packet(0)

@@ -1,20 +1,22 @@
-"""The run's five shortcuts, checked against runs without them.
+"""The run's six shortcuts, checked against runs without them.
 
-Four are byte-identical. A streaming node's stretch of bursts runs on
+Five are byte-identical. A streaming node's stretch of bursts runs on
 through the 1 Hz world tick (`SimNode._crosses`), the peripheral chain steps
 of many nodes that end at one instant share one queue entry
 (`Engine.schedule_batched`), the world tick settles a node whose draw
 and harvest reach no battery edge and do not clamp inline (`tick_nodes`),
-and the draws of a certain packet outcome are owed until the node's stream
-is next read (`RngStream.count_below`). With all four off, every stretch
-stops at the tick and the queue runs the burst that stops it, every chain
-step is an entry of its own, every node ticks through `sync`,
-`EnergyBuffer.harvest` and `sample`, and every draw is made at once. Every
-output must be the same either way: the trace and summary bytes, the burst
-log, the transmit-eligible time, the event count and each node's random
-stream.
+the other world passes (a policy period, a peripheral cycle, a batch of
+chain steps' ends) settle a node whose draw reaches no battery edge inline
+(`settled`), and the draws of a certain packet outcome are owed until the
+node's stream is next read (`RngStream.count_below`). With all five off,
+every stretch stops at the tick and the queue runs the burst that stops it,
+every chain step is an entry of its own, every node ticks through `sync`,
+`EnergyBuffer.harvest` and `sample`, every pass settles each node through
+`sync`, and every draw is made at once. Every output must be the same
+either way: the trace and summary bytes, the burst log, the
+transmit-eligible time, the event count and each node's random stream.
 
-The fifth is the stretch itself (`SimNode._run_stretch`): a node runs the
+The sixth is the stretch itself (`SimNode._run_stretch`): a node runs the
 bursts that raise no battery edge inline, up to the next queued event, and
 settles each run of them as one product. With it off too, every burst's end
 and packet-ready go through the queue, which settles burst by burst, so the
@@ -37,7 +39,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 
-from hybridsim import runner
+from hybridsim import node as node_module, runner
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, RngStream, SimEvent
 from hybridsim.node import SimNode
@@ -47,6 +49,13 @@ from conftest import digest_runs, fleet, metrics_fields, tick_each_node, tx_burs
 from test_invariants import tie_prone
 
 DATA = Path(__file__).parent / "data"
+
+
+def _settle_each_node(nodes, now):
+    """`settled` with every node settled through `SimNode.sync`."""
+    for node in nodes:
+        node.sync(now)
+        yield node
 
 
 def _shortcuts_off(patch) -> None:
@@ -62,6 +71,8 @@ def _shortcuts_off(patch) -> None:
     patch.setattr(Engine, "schedule_batched", lambda engine, fire_at, target, kind, item:
                   engine.schedule(SimEvent(fire_at, target, kind, [item], batched=True)))
     patch.setattr(runner, "tick_nodes", tick_each_node)
+    for module in (runner, node_module):
+        patch.setattr(module, "settled", _settle_each_node)
 
 
 def _count_paths(patch, paths: Counter) -> None:
@@ -76,11 +87,16 @@ def _count_paths(patch, paths: Counter) -> None:
     settled inline or through `EnergyBuffer.harvest` (`fallback`). A
     certain packet outcome owes its draws (`owing`), and a node's generator
     skips owed draws while the queue runs (`skips`, its `getrandbits`
-    calls), which `_compare` sorts into the run's `owed` or `settled`."""
+    calls), which `_compare` sorts into the run's `owed` or `settled`. A
+    node that a policy period, a peripheral cycle or a chain step's end
+    settles is settled inline (`pass-inline`) or through `SimNode.sync`
+    (`pass-sync`); each pass counts the battery-low edges its fallback
+    raised (`policy-low`, `peripheral-low`, `chain-low`)."""
     crosses, schedule_batched = SimNode._crosses, Engine.schedule_batched
     tick_nodes, harvest = runner.tick_nodes, EnergyBuffer.harvest
     init, count_below, run_until = RngStream.__init__, RngStream.count_below, Engine.run_until
-    running = []
+    settled, sync, on_battery_low = node_module.settled, SimNode.sync, SimNode._on_battery_low
+    running, passes, syncs, lows = [], [], [0], [0]
 
     def crossing(node, tick, after, now, interval, remaining, window_j):
         crossed = crosses(node, tick, after, now, interval, remaining, window_j)
@@ -127,6 +143,34 @@ def _count_paths(patch, paths: Counter) -> None:
         run_until(engine, end)
         running.pop()
 
+    def passing(name, world_pass):
+        def named(*args):
+            passes.append(name)
+            try:
+                world_pass(*args)
+            finally:
+                passes.pop()
+        return named
+
+    def settling_pass(nodes, now):  # only the inline path calls no `sync`
+        name, nodes = passes[-1], settled(nodes, now)
+        while True:
+            synced, low = syncs[0], lows[0]
+            node = next(nodes, None)
+            if node is None:
+                return
+            paths["pass-sync" if syncs[0] > synced else "pass-inline"] += 1
+            paths[f"{name}-low"] += lows[0] > low
+            yield node
+
+    def syncing(node, now):
+        syncs[0] += 1
+        sync(node, now)
+
+    def edge(node, now):
+        lows[0] += 1
+        on_battery_low(node, now)
+
     patch.setattr(SimNode, "_crosses", crossing)
     patch.setattr(Engine, "schedule_batched", batching)
     patch.setattr(runner, "tick_nodes", ticking)
@@ -134,6 +178,14 @@ def _count_paths(patch, paths: Counter) -> None:
     patch.setattr(RngStream, "__init__", spied)
     patch.setattr(RngStream, "count_below", owing)
     patch.setattr(Engine, "run_until", run)
+    patch.setattr(runner._Controller, "evaluate", passing("policy", runner._Controller.evaluate))
+    patch.setattr(runner, "start_peripheral_cycles",
+                  passing("peripheral", runner.start_peripheral_cycles))
+    patch.setattr(runner, "end_chain_steps", passing("chain", runner.end_chain_steps))
+    for module in (runner, node_module):
+        patch.setattr(module, "settled", settling_pass)
+    patch.setattr(SimNode, "sync", syncing)
+    patch.setattr(SimNode, "_on_battery_low", edge)
 
 
 def _finished(run, scenario: Scenario) -> tuple:
@@ -165,7 +217,7 @@ def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> 
 
 
 def _compare(scenario: Scenario, paths: Counter) -> None:
-    """Run `scenario` with all five shortcuts off, with the stretch alone on,
+    """Run `scenario` with all six shortcuts off, with the stretch alone on,
     and as shipped under the path counters, and compare the three runs.
     Count too what the run did: a stretch logged a run of bursts with their
     spacing, a node slept or none did, a packet was lost or none was, and a
@@ -221,12 +273,23 @@ OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2
                  ("awake", "lossless"), id="fig12b-inter-transmission-sleep"),
     # A stretch stops before a draw that would cross the threshold: the
     # battery-low edge falls at a burst's end (losing the burst), or in the
-    # idle gap between bursts.
+    # idle gap between bursts. Other edges fall in the draw that a chain
+    # step's end settles.
     *(pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
                             optimizer="etno", inter_transmission_sleep=False,
-                            battery_capacity_j=capacity_j, harvest_mw=20.0), ran, id=name)
-      for capacity_j, ran, name in ((0.2, ("slept", "lost"), "small-battery-mid-burst"),
-                                    (0.1, ("slept", "lossless"), "small-battery-gap"))),
+                            battery_capacity_j=capacity_j, harvest_mw=20.0),
+                   ("slept", ran, "chain-low"), id=name)
+      for capacity_j, ran, name in ((0.2, "lost", "small-battery-mid-burst"),
+                                    (0.1, "lossless", "small-battery-gap"))),
+    # A battery-low edge falls in the draw that a policy period settles,
+    # with the periods half a second after the 1 Hz ticks, and in the idle
+    # draw up to a peripheral cycle.
+    *(pytest.param(Scenario(duration_s=60.0, init_delay_s=init_s, node_count=2, seed=3,
+                            optimizer="etno", inter_transmission_sleep=asleep,
+                            battery_capacity_j=0.1, harvest_mw=harvest_mw),
+                   (f"{name}-low", "slept"), id=f"battery-low-at-{name}")
+      for name, init_s, asleep, harvest_mw in (("policy", 0.5, True, 20.0),
+                                               ("peripheral", 1.0, False, 5.0))),
     # With no SNR jitter, only a packet outcome reads a stream, so the run
     # pays what a node owes on the optical link with its first outcome on
     # the radio, in ETNO's conservation mode.
@@ -264,7 +327,7 @@ def test_shortcuts_change_no_output(scenario, ran):
         ran = (*ran, "batched")
     paths = Counter()
     _compare(scenario, paths)
-    assert all(paths[path] for path in (*ran, "inline", "stretch")), paths
+    assert all(paths[path] for path in (*ran, "inline", "pass-inline", "stretch")), paths
 
 
 def test_random_scenarios_run_every_shortcut_path():
@@ -284,12 +347,14 @@ def test_random_scenarios_run_every_shortcut_path():
     # the burst, on its end or on the next packet-ready, a crossed tick's
     # harvest would clamp, a tick that would reach a battery edge is left to
     # the queue; chain steps shared a batch; a tick settled nodes inline and
-    # through `EnergyBuffer.harvest`; stretches ran, in runs where nodes
+    # through `EnergyBuffer.harvest`; the other world passes settled nodes
+    # inline and through `SimNode.sync`; stretches ran, in runs where nodes
     # slept and lost packets and in runs where none did; runs owed draws to
     # their end, and runs paid owed draws as they ran.
     assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp", "margin",
-                                        "batched", "inline", "fallback", "stretch", "slept",
-                                        "awake", "lost", "lossless", "owed", "settled")), paths
+                                        "batched", "inline", "fallback", "pass-inline",
+                                        "pass-sync", "stretch", "slept", "awake", "lost",
+                                        "lossless", "owed", "settled")), paths
 
 
 @pytest.mark.parametrize("scenario, lossy", [
