@@ -14,8 +14,7 @@ from .energy import EnergyBuffer, harvest_lumps, predict_action_energy
 from .kernel import Engine, EventKind, NS_PER_SEC, RngStream, seconds
 from .linklayer import packet_spans
 from .metrics import TRACE_CODES, MetricsRecord, NodeMetrics
-from .node import (CHAIN_STEPS, SimNode, end_chain_steps, settled, start_peripheral_cycles,
-                   tick_nodes)
+from .node import CHAIN_STEPS, SimNode, end_chain_steps, start_peripheral_cycles, tick_nodes
 from .optimizer import EunoTable, etno_select, euno_select, ewma_update
 from .record import Record
 from .scenario import OPTIMIZERS, Scenario
@@ -98,7 +97,8 @@ class _Controller:
         capacity = scenario.battery_capacity_j  # every buffer's
         euno = self.euno if scenario.optimizer == "euno" else None
         owc_only = scenario.optimizer == "etno-owc"
-        for node in settled(nodes, now):
+        for node in nodes:
+            node.sync(now)
             current = node.plan.modality
             if jitter > 0:  # one draw per link, in `link_rows`' order
                 snr = {owc.modality: owc.snr_db + node.rng.normal(0.0, jitter),

@@ -5,14 +5,15 @@ through the 1 Hz world tick (`SimNode._crosses`), the peripheral chain steps
 of many nodes that end at one instant share one queue entry
 (`Engine.schedule_batched`), the world tick settles a node whose draw
 and harvest reach no battery edge and do not clamp inline (`tick_nodes`),
-the other world passes (a policy period, a peripheral cycle, a batch of
-chain steps' ends) settle a node whose draw reaches no battery edge inline
-(`settled`), and the draws of a certain packet outcome are owed until the
-node's stream is next read (`RngStream.count_below`). With all five off,
-every stretch stops at the tick and the queue runs the burst that stops it,
-every chain step is an entry of its own, every node ticks through `sync`,
-`EnergyBuffer.harvest` and `sample`, every pass settles each node through
-`sync`, and every draw is made at once. Every output must be the same
+every other settle (a packet's or a burst's end, a slot's entry or exit, a
+policy period, a peripheral cycle, a chain step's end) writes a draw that
+reaches no battery edge in place (`SimNode.sync`), and the draws of a
+certain packet outcome are owed until the node's stream is next read
+(`RngStream.count_below`). With all five off, every stretch stops at the
+tick and the queue runs the burst that stops it, every chain step is an
+entry of its own, every node ticks through `sync`, `EnergyBuffer.harvest`
+and `sample`, every settle draws through `EnergyBuffer.consume`, and every
+draw is made at once. Every output must be the same
 either way: the trace and summary bytes, the burst log, the
 transmit-eligible time, the event count and each node's random stream.
 
@@ -39,7 +40,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 
-from hybridsim import node as node_module, runner
+from hybridsim import runner
 from hybridsim.energy import EnergyBuffer
 from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, RngStream, SimEvent
 from hybridsim.node import SimNode
@@ -51,11 +52,14 @@ from test_invariants import tie_prone
 DATA = Path(__file__).parent / "data"
 
 
-def _settle_each_node(nodes, now):
-    """`settled` with every node settled through `SimNode.sync`."""
-    for node in nodes:
-        node.sync(now)
-        yield node
+def _sync_through_consume(node, now):
+    """`SimNode.sync` with every draw through `EnergyBuffer.consume`."""
+    elapsed = now - node._phase_since
+    if elapsed <= 0:
+        return
+    node._phase_since = now
+    if node.buffer.consume(node._joules(node._phase_ma, elapsed)) is EventKind.BATTERY_LOW:
+        node._on_battery_low(now)
 
 
 def _shortcuts_off(patch) -> None:
@@ -71,8 +75,7 @@ def _shortcuts_off(patch) -> None:
     patch.setattr(Engine, "schedule_batched", lambda engine, fire_at, target, kind, item:
                   engine.schedule(SimEvent(fire_at, target, kind, [item], batched=True)))
     patch.setattr(runner, "tick_nodes", tick_each_node)
-    for module in (runner, node_module):
-        patch.setattr(module, "settled", _settle_each_node)
+    patch.setattr(SimNode, "sync", _sync_through_consume)
 
 
 def _count_paths(patch, paths: Counter) -> None:
@@ -88,15 +91,16 @@ def _count_paths(patch, paths: Counter) -> None:
     certain packet outcome owes its draws (`owing`), and a node's generator
     skips owed draws while the queue runs (`skips`, its `getrandbits`
     calls), which `_compare` sorts into the run's `owed` or `settled`. A
-    node that a policy period, a peripheral cycle or a chain step's end
-    settles is settled inline (`pass-inline`) or through `SimNode.sync`
-    (`pass-sync`); each pass counts the battery-low edges its fallback
-    raised (`policy-low`, `peripheral-low`, `chain-low`)."""
+    `SimNode.sync` that draws writes the draw in place (`sync-inline`) or
+    through `EnergyBuffer.consume` (`sync-consume`); a policy period, a
+    peripheral cycle and a chain step's end each count the battery-low
+    edges that their settles raised (`policy-low`, `peripheral-low`,
+    `chain-low`)."""
     crosses, schedule_batched = SimNode._crosses, Engine.schedule_batched
     tick_nodes, harvest = runner.tick_nodes, EnergyBuffer.harvest
     init, count_below, run_until = RngStream.__init__, RngStream.count_below, Engine.run_until
-    settled, sync, on_battery_low = node_module.settled, SimNode.sync, SimNode._on_battery_low
-    running, passes, syncs, lows = [], [], [0], [0]
+    sync, consume, on_battery_low = SimNode.sync, EnergyBuffer.consume, SimNode._on_battery_low
+    running, passes, settles, lows = [], [], [], [0]
 
     def crossing(node, tick, after, now, interval, remaining, window_j):
         crossed = crosses(node, tick, after, now, interval, remaining, window_j)
@@ -152,20 +156,20 @@ def _count_paths(patch, paths: Counter) -> None:
                 passes.pop()
         return named
 
-    def settling_pass(nodes, now):  # only the inline path calls no `sync`
-        name, nodes = passes[-1], settled(nodes, now)
-        while True:
-            synced, low = syncs[0], lows[0]
-            node = next(nodes, None)
-            if node is None:
-                return
-            paths["pass-sync" if syncs[0] > synced else "pass-inline"] += 1
-            paths[f"{name}-low"] += lows[0] > low
-            yield node
-
     def syncing(node, now):
-        syncs[0] += 1
+        if now <= node._phase_since:  # draws nothing
+            return sync(node, now)
+        low = lows[0]
+        settles.append(False)
         sync(node, now)
+        paths["sync-consume" if settles.pop() else "sync-inline"] += 1
+        if passes:
+            paths[f"{passes[-1]}-low"] += lows[0] > low
+
+    def consuming(buffer, joules):
+        if settles:  # else a poll command's draw, outside any settle
+            settles[-1] = True
+        return consume(buffer, joules)
 
     def edge(node, now):
         lows[0] += 1
@@ -182,9 +186,8 @@ def _count_paths(patch, paths: Counter) -> None:
     patch.setattr(runner, "start_peripheral_cycles",
                   passing("peripheral", runner.start_peripheral_cycles))
     patch.setattr(runner, "end_chain_steps", passing("chain", runner.end_chain_steps))
-    for module in (runner, node_module):
-        patch.setattr(module, "settled", settling_pass)
     patch.setattr(SimNode, "sync", syncing)
+    patch.setattr(EnergyBuffer, "consume", consuming)
     patch.setattr(SimNode, "_on_battery_low", edge)
 
 
@@ -278,7 +281,7 @@ OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2
     *(pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
                             optimizer="etno", inter_transmission_sleep=False,
                             battery_capacity_j=capacity_j, harvest_mw=20.0),
-                   ("slept", ran, "chain-low"), id=name)
+                   ("slept", ran, "chain-low", "sync-consume"), id=name)
       for capacity_j, ran, name in ((0.2, "lost", "small-battery-mid-burst"),
                                     (0.1, "lossless", "small-battery-gap"))),
     # A battery-low edge falls in the draw that a policy period settles,
@@ -287,7 +290,7 @@ OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2
     *(pytest.param(Scenario(duration_s=60.0, init_delay_s=init_s, node_count=2, seed=3,
                             optimizer="etno", inter_transmission_sleep=asleep,
                             battery_capacity_j=0.1, harvest_mw=harvest_mw),
-                   (f"{name}-low", "slept"), id=f"battery-low-at-{name}")
+                   (f"{name}-low", "slept", "sync-consume"), id=f"battery-low-at-{name}")
       for name, init_s, asleep, harvest_mw in (("policy", 0.5, True, 20.0),
                                                ("peripheral", 1.0, False, 5.0))),
     # With no SNR jitter, only a packet outcome reads a stream, so the run
@@ -299,7 +302,8 @@ OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2
     pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
                           optimizer="etno", inter_transmission_sleep=False,
                           battery_capacity_j=0.2, harvest_mw=5.0,
-                          weights=UtilityWeights(f_c=0.35)), ("slept", "lost"), id="runs-dry"),
+                          weights=UtilityWeights(f_c=0.35)), ("slept", "lost", "sync-consume"),
+                 id="runs-dry"),
     # 1 s slots end inside a burst, which then does not start; the gateway's
     # tick at the slot's end is also the horizon.
     pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno",
@@ -327,7 +331,7 @@ def test_shortcuts_change_no_output(scenario, ran):
         ran = (*ran, "batched")
     paths = Counter()
     _compare(scenario, paths)
-    assert all(paths[path] for path in (*ran, "inline", "pass-inline", "stretch")), paths
+    assert all(paths[path] for path in (*ran, "inline", "sync-inline", "stretch")), paths
 
 
 def test_random_scenarios_run_every_shortcut_path():
@@ -347,13 +351,13 @@ def test_random_scenarios_run_every_shortcut_path():
     # the burst, on its end or on the next packet-ready, a crossed tick's
     # harvest would clamp, a tick that would reach a battery edge is left to
     # the queue; chain steps shared a batch; a tick settled nodes inline and
-    # through `EnergyBuffer.harvest`; the other world passes settled nodes
-    # inline and through `SimNode.sync`; stretches ran, in runs where nodes
+    # through `EnergyBuffer.harvest`; `SimNode.sync` drew in place and
+    # through `EnergyBuffer.consume`; stretches ran, in runs where nodes
     # slept and lost packets and in runs where none did; runs owed draws to
     # their end, and runs paid owed draws as they ran.
     assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp", "margin",
-                                        "batched", "inline", "fallback", "pass-inline",
-                                        "pass-sync", "stretch", "slept", "awake", "lost",
+                                        "batched", "inline", "fallback", "sync-inline",
+                                        "sync-consume", "stretch", "slept", "awake", "lost",
                                         "lossless", "owed", "settled")), paths
 
 
