@@ -37,7 +37,7 @@ def _script(path: Path):
 
 
 # `outputs(scenario)` gathers every output of a run, which the differential
-# tests compare; `runs()` lists every pinned run, whose digests
+# tests compare; `runs()` lists every pinned run, whose lines
 # tests/data/digest_runs.txt pins; `PRESETS` names the six paper figure presets.
 digest_runs = _script(ROOT / "tests" / "data" / "digest_runs.py")
 # `fleet_config(seed)` generates the benchmark's `fleet` scenario file.

@@ -1,25 +1,30 @@
-"""Print one digest of every output per run: the pin of every run's outputs.
+"""Print one pin line per run: its outputs' digest and its integer outcome.
 
     PYTHONPATH=src python tests/data/digest_runs.py | diff tests/data/digest_runs.txt -
 
 `runs()` lists the six paper figure presets, each `*.cfg` beside this
 script and `DRAWS` short scenarios drawn with `random.Random(2026)` over the
 ranges of `scenarios()` in tests/test_invariants.py. For each run it prints
-one `<sha256>  <run>` line: the digest of `outputs`, every output of the
-run. digest_runs.txt beside this script pins those lines, so a pinned
-scenario is a `.cfg` here plus its line there, and a declared model change
-regenerates the file with this script. tests/test_acceptance.py checks each
-run against its line, one test per run; this script needs no pytest, so CI
-diffs its lines on every Python that runs the simulator. Printed under two
-source trees, its lines also compare them run by run. The shortcut check
-(tests/test_shortcuts.py) compares `outputs` too, so an output added to a
-run is added here once; tests/test_cli.py checks that the CLI writes the
-same files as `outputs`.
+one line, `<sha256>  <run>  <events>  <node> <node> ...`: the digest of
+`outputs`, every output of the run, then the run's integer outcome as its
+summary.json holds it, the event count and, for each node in order,
+`bytes_delivered/packets_lost/sleep_entries/modality_switch_count`.
+digest_runs.txt beside this script pins those lines, so a pinned scenario
+is a `.cfg` here plus its line there, and a declared model change
+regenerates the file with this script; `git diff --word-diff` of the file
+then names each counter that moved in each run. tests/test_acceptance.py
+checks each run against its line, one test per run; this script needs no
+pytest, so CI diffs its lines on every Python that runs the simulator.
+Printed under two source trees, its lines also compare them run by run.
+The shortcut check (tests/test_shortcuts.py) compares `outputs` too, so an
+output added to a run is added here once; tests/test_cli.py checks that the
+CLI writes the same files as `outputs`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 import tempfile
@@ -35,6 +40,8 @@ HERE = Path(__file__).resolve().parent
 PRESETS = ("paper_fig11", "paper_fig11b", "paper_fig12", "paper_fig12b",
            "paper_fig13", "paper_fig13b")
 DRAWS = 100
+# Each node's integer outcome, as its summary.json entry names it.
+COUNTERS = ("bytes_delivered", "packets_lost", "sleep_entries", "modality_switch_count")
 
 
 def draws(count: int) -> list[tuple[str, Scenario]]:
@@ -91,16 +98,23 @@ def outputs(scenario: Scenario) -> dict:
     }
 
 
-def digest(scenario: Scenario) -> str:
-    """The sha256 of `outputs(scenario)`: each file's name and bytes in name
-    order, then the `repr` of the rest."""
+def line(name: str, scenario: Scenario) -> str:
+    """The pin line of run `name`: the sha256 of `outputs(scenario)`, each
+    file's name and bytes in name order and then the `repr` of the rest;
+    the name; and the run's integer outcome, read from the summary bytes
+    that the sha256 covers."""
     run = outputs(scenario)
+    files = run.pop("files")
     sha = hashlib.sha256()
-    for name, data in sorted(run.pop("files").items()):
-        sha.update(f"{name}\n".encode())
+    for file, data in sorted(files.items()):
+        sha.update(f"{file}\n".encode())
         sha.update(data)
     sha.update(repr(run).encode())
-    return sha.hexdigest()
+    summary = json.loads(files["summary.json"])
+    nodes = summary["nodes"]  # by name, `node1` to `node<N>`
+    outcome = " ".join("/".join(str(nodes[node][key]) for key in COUNTERS)
+                       for node in sorted(nodes, key=lambda node: (len(node), node)))
+    return f"{sha.hexdigest()}  {name}  {summary['events_executed']}  {outcome}"
 
 
 def runs() -> list[tuple[str, Scenario]]:
@@ -114,7 +128,7 @@ def runs() -> list[tuple[str, Scenario]]:
 def main() -> int:
     pinned = runs()
     for name, scenario in pinned:
-        print(f"{digest(scenario)}  {name}", flush=True)
+        print(line(name, scenario), flush=True)
     print(f"{len(pinned)} runs", file=sys.stderr)
     return 0
 

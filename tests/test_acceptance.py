@@ -35,22 +35,6 @@ REFERENCE_MB = {
 }
 SWEEP_RATES = [150.0, 200.0, 250.0, 300.0, 350.0]
 
-# Integer outcome of every preset: events executed, then per node (bytes
-# delivered, packets lost, sleep entries, modality switches). A refactor must
-# leave these unchanged; only a deliberate model change may move them.
-PRESET_COUNTERS = {
-    "paper_fig11": (74837, ((6371328, 0, 0, 1), (6371328, 0, 0, 1), (6033920, 0, 0, 1))),
-    "paper_fig11b": (131468, ((11341824, 0, 0, 5), (11191808, 0, 0, 5),
-                              (10778112, 0, 0, 4))),
-    "paper_fig12": (71593, ((6055936, 1, 270, 0), (5971456, 0, 248, 0),
-                            (5882368, 0, 241, 0))),
-    "paper_fig12b": (139087, ((12092416, 0, 0, 0), (11942400, 0, 0, 0),
-                              (11228672, 0, 0, 0))),
-    "paper_fig13": (91296, ((7585792, 0, 0, 0), (7962624, 0, 0, 0), (7475200, 0, 0, 0))),
-    "paper_fig13b": (96311, ((8039424, 0, 0, 24), (8189440, 0, 0, 21), (8076288, 0, 0, 20))),
-}
-
-
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
@@ -266,33 +250,29 @@ def test_criterion_9_determinism(tmp_path):
             f"{len(names)} files compared: {names}")
 
 
-def test_preset_counters_pinned(fig_runs, oscillation_runs):
-    runs = {name: metrics for name, (metrics, _) in fig_runs.items()}
-    runs["paper_fig13"], runs["paper_fig13b"] = oscillation_runs
-    counters = {
-        name: (m.events_executed,
-               tuple((nm.bytes_delivered, nm.packets_lost, nm.sleep_entries,
-                      nm.modality_switches) for _, nm in sorted(m.nodes.items())))
-        for name, m in runs.items()}
-    changed = sorted(name for name in PRESET_COUNTERS
-                     if counters[name] != PRESET_COUNTERS[name])
-    _report("criterion 9 (preset counters unchanged)", not changed,
-            f"{len(PRESET_COUNTERS) - len(changed)}/{len(PRESET_COUNTERS)} presets match"
-            + (f"; changed: {changed}" if changed else ""))
-
-
-# `<sha256>` of each run by name, as tests/data/digest_runs.txt pins it.
-PINNED_DIGESTS = dict(line.split("  ")[::-1] for line in
-                      (digest_runs.HERE / "digest_runs.txt").read_text().splitlines())
+# Every pinned run by name, and tests/data/digest_runs.txt's line of each.
+RUNS = digest_runs.runs()
+PINNED = (digest_runs.HERE / "digest_runs.txt").read_text().splitlines()
+PINNED_LINES = {line.split("  ")[1]: line for line in PINNED}
 
 
 @pytest.mark.parametrize("name, scenario", [
-    pytest.param(name, scenario, id=name) for name, scenario in digest_runs.runs()])
+    pytest.param(name, scenario, id=name) for name, scenario in RUNS])
 def test_run_outputs_pinned(name, scenario):
     # Every run of tests/data/digest_runs.py: the six presets, each `.cfg`
-    # in tests/data and the seeded draws. Each digests every output of its
-    # run, and only a deliberate model change may move it; digest_runs.py
-    # prints the lines that regenerate digest_runs.txt.
-    got, pinned = digest_runs.digest(scenario), PINNED_DIGESTS.get(name)
+    # in tests/data and the seeded draws. Each line holds the digest of
+    # every output of its run and the run's integer outcome, and only a
+    # deliberate model change may move it; digest_runs.py prints the lines
+    # that regenerate digest_runs.txt.
+    got, pinned = digest_runs.line(name, scenario), PINNED_LINES.get(name)
     _report(f"criterion 9 ({name} outputs unchanged)", got == pinned,
-            f"digest {got}, pinned {pinned or 'none'}")
+            f"line {got}, pinned {pinned or 'none'}")
+
+
+def test_pin_file_names_every_run_once_in_order():
+    # A duplicated line, or one whose run left `runs()`, would pass each
+    # run's own case above.
+    pinned, names = [line.split("  ")[1] for line in PINNED], [name for name, _ in RUNS]
+    _report("criterion 9 (pin file names each run once, in order)", pinned == names,
+            f"{len(pinned)} lines for {len(names)} runs; unpinned "
+            f"{sorted(set(names) - set(pinned))}, orphaned {sorted(set(pinned) - set(names))}")
