@@ -222,6 +222,13 @@ class SweepResult(Record):
         return "\n".join(lines) + "\n"
 
 
+def sweep_scenario(base: Scenario, rate: float, optimizer: str) -> Scenario:
+    """The base scenario at target rate `rate` under `optimizer`, its
+    conservation rate capped at the target: one run of `sweep`."""
+    return base.replace(target_rate_kbps=rate, optimizer=optimizer,
+                        conservation_rate_kbps=min(base.conservation_rate_kbps, rate))
+
+
 def sweep(base: Scenario, rates: list[float],
           optimizers: tuple[str, ...] = OPTIMIZERS) -> SweepResult:
     """One run per (target rate, optimizer) with the base scenario's seed;
@@ -231,10 +238,7 @@ def sweep(base: Scenario, rates: list[float],
     rows = []
     for rate in rates:
         for optimizer in optimizers:
-            scenario = base.replace(
-                target_rate_kbps=rate, optimizer=optimizer,
-                conservation_rate_kbps=min(base.conservation_rate_kbps, rate))
-            metrics = run(scenario)
+            metrics = run(sweep_scenario(base, rate, optimizer))
             total = 0.0
             for nm in metrics.nodes.values():
                 total += nm.achieved_rate_kbps

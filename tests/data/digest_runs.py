@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/data/digest_runs.py | diff tests/data/digest_runs.txt -
 
-`runs()` lists the six paper figure presets, each `*.cfg` beside this
-script and `DRAWS` short scenarios drawn with `random.Random(2026)` over the
-ranges of `scenarios()` in tests/test_invariants.py. For each run it prints
+`runs()` lists the six paper figure presets, the acceptance sweep's 15
+runs (paper_fig14 at each of `SWEEP_RATES` under each policy, named
+`fig14_<optimizer>_<rate>` as perfbench names them), each `*.cfg` beside
+this script and `DRAWS` short scenarios drawn with `random.Random(2026)`
+over the ranges of `scenarios()` in tests/test_invariants.py. For each run it prints
 one line, `<sha256>  <run>  <events>  <node> <node> ...`: the digest of
 `outputs`, every output of the run, then the run's integer outcome as its
 summary.json holds it, the event count and, for each node in order,
@@ -33,12 +35,13 @@ from pathlib import Path
 from hybridsim.kernel import Engine
 from hybridsim.metrics import write_traces
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.runner import _Controller
-from hybridsim.scenario import Scenario, load_scenario, preset_path
+from hybridsim.runner import _Controller, sweep_scenario
+from hybridsim.scenario import OPTIMIZERS, Scenario, load_scenario, preset_path
 
 HERE = Path(__file__).resolve().parent
 PRESETS = ("paper_fig11", "paper_fig11b", "paper_fig12", "paper_fig12b",
            "paper_fig13", "paper_fig13b")
+SWEEP_RATES = (150.0, 200.0, 250.0, 300.0, 350.0)  # kb/s
 DRAWS = 100
 # Each node's integer outcome, as its summary.json entry names it.
 COUNTERS = ("bytes_delivered", "packets_lost", "sleep_entries", "modality_switch_count")
@@ -118,9 +121,12 @@ def line(name: str, scenario: Scenario) -> str:
 
 
 def runs() -> list[tuple[str, Scenario]]:
-    """Every pinned run by name: the presets, each `*.cfg` beside this
-    script, then the draws."""
+    """Every pinned run by name: the presets, the sweep in `runner.sweep`'s
+    order, each `*.cfg` beside this script, then the draws."""
+    fig14 = load_scenario(preset_path("paper_fig14"))
     return [*((name, load_scenario(preset_path(name))) for name in PRESETS),
+            *((f"fig14_{optimizer}_{rate:g}", sweep_scenario(fig14, rate, optimizer))
+              for rate in SWEEP_RATES for optimizer in OPTIMIZERS),
             *((path.stem, load_scenario(path)) for path in sorted(HERE.glob("*.cfg"))),
             *draws(DRAWS)]
 

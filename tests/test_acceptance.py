@@ -33,7 +33,7 @@ REFERENCE_MB = {
     "paper_fig12": 6.68,   # utility policy, no inter-transmission sleep
     "paper_fig12b": 11.32,  # utility policy, with inter-transmission sleep
 }
-SWEEP_RATES = [150.0, 200.0, 250.0, 300.0, 350.0]
+SWEEP_RATES = list(digest_runs.SWEEP_RATES)  # pinned there run by run
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -259,8 +259,8 @@ PINNED_LINES = {line.split("  ")[1]: line for line in PINNED}
 @pytest.mark.parametrize("name, scenario", [
     pytest.param(name, scenario, id=name) for name, scenario in RUNS])
 def test_run_outputs_pinned(name, scenario):
-    # Every run of tests/data/digest_runs.py: the six presets, each `.cfg`
-    # in tests/data and the seeded draws. Each line holds the digest of
+    # Every run of tests/data/digest_runs.py: the six presets, the
+    # acceptance sweep, each `.cfg` in tests/data and the seeded draws. Each line holds the digest of
     # every output of its run and the run's integer outcome, and only a
     # deliberate model change may move it; digest_runs.py prints the lines
     # that regenerate digest_runs.txt.
