@@ -85,8 +85,9 @@ class EunoTable(Record):
     @classmethod
     def build(cls, weights: UtilityWeights, e_max_j: float, p_int: float,
               plans: dict[tuple[Mode, Modality], ActionPlan]) -> EunoTable:
-        """Score the predicted joules and deliverable rate of `plans`' rows,
-        which must hold all six distinct actions."""
+        """Score the predicted joules and delivered rate (rate times packet
+        success probability) of `plans`' rows, which must hold all six
+        distinct actions."""
         w = weights
         rows = {}
         for current in Modality:
@@ -94,13 +95,14 @@ class EunoTable(Record):
                        for mode in (Mode.PERFORMANCE, Mode.CONSERVATION)
                        for modality in (Modality.OWC, Modality.BLE)]
             actions.append(plans[Mode.SLEEP, current])
-            # Throughput and energy efficiency are normalized over the action set.
-            max_rate = max(a.rate_kbps for a in actions)
+            # Throughput and energy efficiency are normalized over the action
+            # set; throughput is the rate a row delivers over its link.
+            max_rate = max(a.rate_kbps * a.success_prob for a in actions)
             max_energy = max(a.predicted_j for a in actions)
             scored = []
             for a in actions:
                 energy = a.predicted_j
-                x_t = a.rate_kbps / max_rate if max_rate > 0 else 0.0
+                x_t = a.rate_kbps * a.success_prob / max_rate if max_rate > 0 else 0.0
                 x_e = 1.0 - energy / max_energy if max_energy > 0 else 0.0
                 keeps = a.modality is current
                 scored.append((

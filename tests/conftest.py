@@ -62,13 +62,16 @@ def action_set(current):
               for modality in Modality), (Mode.SLEEP, current)]
 
 
-def action_rows(energies, rates):
+def action_rows(energies, rates, successes=None):
     """A table of `ActionPlan` rows keyed like `runner.build_link_plans`'
-    with the predicted joules and deliverable rate of each `(mode, modality)`
-    key in `energies` and `rates`; the policies read no other column."""
+    with the predicted joules, rate and packet success probability of each
+    `(mode, modality)` key in `energies`, `rates` and `successes` (1.0 for
+    a key it lacks); the policies read no other column."""
+    successes = successes or {}
     return {(mode, modality): ActionPlan(
-        mode, modality, airtime_ns=0, interval_ns=0, tx_current_ma=0.0, success_prob=0.0,
-        snr_db=0.0, rate_kbps=rates[mode, modality], tails={},
+        mode, modality, airtime_ns=0, interval_ns=0, tx_current_ma=0.0,
+        success_prob=successes.get((mode, modality), 1.0), snr_db=0.0,
+        rate_kbps=rates[mode, modality], tails={},
         predicted_j=energies[mode, modality]) for mode, modality in energies}
 
 

@@ -130,6 +130,22 @@ def test_criterion_4c_rate_ratio(sweep_result):
             1.02 <= ratio <= 1.15, f"ratio = {ratio:.4f}")
 
 
+def test_criterion_4d_euno_reads_a_dead_link():
+    # At 35 m the optical link delivers no packet and the radio every one:
+    # EUNO, which scores the rate a row delivers, must stream on the radio
+    # as ETNO's best-SNR rule does.
+    ok, details = True, []
+    for euno, etno in (("paper_fig12", "paper_fig11"), ("paper_fig12b", "paper_fig11b")):
+        euno_b, etno_b = (
+            [nm.bytes_delivered for _, nm in sorted(
+                run(load_scenario(preset_path(name)).replace(distance_m=35.0)).nodes.items())]
+            for name in (euno, etno))
+        ok = ok and all(e >= t for e, t in zip(euno_b, etno_b))
+        details.append(f"{euno} {euno_b} vs {etno} {etno_b}")
+    _report("criterion 4d (at 35 m EUNO delivers at least ETNO's bytes on every node)",
+            ok, "; ".join(details))
+
+
 def test_criterion_5_energy_ledger(fig_runs, oscillation_runs):
     records = [m for m, _ in fig_runs.values()] + list(oscillation_runs)
     worst_rel = 0.0

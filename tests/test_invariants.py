@@ -184,10 +184,12 @@ def seen(monkeypatch) -> Counter:
     a change of either bumps the epoch, and no chain starts asleep. EUNO and
     ETNO choose a row of the run's one table, never a copy, and a node handed
     the row it holds changes nothing: no stale packet, no sleep entry, no
-    modality switch. `park` signals only interfaces that the signal moves: a
+    modality switch. EUNO takes no active row on a dead link (success
+    probability 0) while another active row's link delivers. `park` signals only interfaces that the signal moves: a
     sleep signal only awake ones, a wake signal only asleep ones."""
     counts, tables, started = Counter(), [], {}
-    build, apply = runner.build_link_plans, SimNode.apply_action
+    build, apply, euno_select = (runner.build_link_plans, SimNode.apply_action,
+                                 runner.euno_select)
     run_chain, advance, dispatch = (SimNode._run_chain, SimNode._advance_chain,
                                     node_module.fsm_dispatch)
 
@@ -207,6 +209,15 @@ def seen(monkeypatch) -> Counter:
             counts["kept"] += 1
             assert (node._epoch, node.metrics.sleep_entries,
                     node.metrics.modality_switches) == before, node.name
+
+    def spy_euno(table, f_r, current, baseline_db, sample_db):
+        row = euno_select(table, f_r, current, baseline_db, sample_db)
+        active = [r for r in tables[0].values() if r.mode is not Mode.SLEEP]
+        if any(r.success_prob == 0.0 for r in active) and any(r.success_prob > 0.0
+                                                             for r in active):
+            assert row.mode is Mode.SLEEP or row.success_prob > 0.0, row
+            counts["dead link"] += 1
+        return row
 
     def spy_run_chain(node, now, chain):
         assert node.plan.mode is not Mode.SLEEP
@@ -228,6 +239,7 @@ def seen(monkeypatch) -> Counter:
 
     monkeypatch.setattr(runner, "build_link_plans", spy_build)
     monkeypatch.setattr(SimNode, "apply_action", spy_apply)
+    monkeypatch.setattr(runner, "euno_select", spy_euno)
     monkeypatch.setattr(SimNode, "_run_chain", spy_run_chain)
     monkeypatch.setattr(SimNode, "_advance_chain", spy_advance)
     monkeypatch.setattr(node_module, "fsm_dispatch", spy_dispatch)
@@ -368,7 +380,7 @@ def test_every_drawn_run_keeps_its_invariants(seen):
     assert seen["steps"] > seen["chains"] > 0, seen
     assert all(seen[mode] for mode in Mode) and seen["rows"] > seen["kept"] > 0, seen
     assert min(seen[EventKind.SLEEP_SIGNAL], seen[EventKind.WAKE_SIGNAL]) > 100, seen
-    assert seen["clamped"] > 1_000, seen
+    assert seen["clamped"] > 1_000 and seen["dead link"] > 100, seen
 
 
 def _seedless(run: dict) -> dict:

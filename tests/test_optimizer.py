@@ -307,10 +307,12 @@ class TestEunoSelect:
     @given(f_r=st.floats(W.f_c, 1.0), current=st.sampled_from(list(Modality)),
            energies=st.lists(st.floats(0.0, 8.0), min_size=5, max_size=5),
            rates=st.lists(st.floats(0.0, 400.0), min_size=5, max_size=5),
+           successes=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                              min_size=5, max_size=5),
            p_int=st.floats(0.0, 1.0), sample=st.floats(0.0, 80.0),
            baseline=st.floats(0.0, 80.0))
     def test_picks_the_argmax_of_total_utility(self, f_r, current, energies, rates,
-                                               p_int, sample, baseline):
+                                               successes, p_int, sample, baseline):
         actions = action_set(current)
         other = Modality.BLE if current is Modality.OWC else Modality.OWC
         outside = (Mode.SLEEP, other)
@@ -319,14 +321,16 @@ class TestEunoSelect:
         # over it would change the scores.
         predicted_j = {**dict(zip(actions, energies)), outside: 9.0}
         rates_kbps = {**dict(zip(actions, rates)), outside: 500.0}
-        rows = action_rows(predicted_j, rates_kbps)
+        rows = action_rows(predicted_j, rates_kbps, dict(zip(actions, successes)))
         table = EunoTable.build(W, 8.0, p_int, rows)
         p_m = mobility_probability(baseline, sample, W.sigmoid_k, W.sigmoid_c_db)
-        max_rate, max_energy = max(rates), max(energies)
+        # Throughput scores the rate a row delivers over its link.
+        delivered = {a: rates_kbps[a] * rows[a].success_prob for a in actions}
+        max_rate, max_energy = max(delivered.values()), max(energies)
 
         def utility(a):
             mode, modality = a
-            energy, rate = predicted_j[a], rates_kbps[a]
+            energy, rate = predicted_j[a], delivered[a]
             scores = ModalityScores(
                 x_p=float(mode is Mode.PERFORMANCE),
                 x_c=float(mode is Mode.CONSERVATION),
