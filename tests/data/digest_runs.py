@@ -6,11 +6,11 @@
 runs (paper_fig14 at each of `SWEEP_RATES` under each policy, named
 `fig14_<optimizer>_<rate>` as perfbench names them), each `*.cfg` beside
 this script and `DRAWS` short scenarios drawn with `random.Random(2026)`
-over the ranges of `scenarios()` in tests/test_invariants.py. For each run it prints
-one line, `<sha256>  <run>  <events>  <node> <node> ...`: the digest of
-`outputs`, every output of the run, then the run's integer outcome as its
-summary.json holds it, the event count and, for each node in order,
-`bytes_delivered/packets_lost/sleep_entries/modality_switch_count`.
+over the ranges of `scenarios()` in tests/test_invariants.py. For each run
+it prints one line, `<sha256>  <run>  <events>  <node> <node> ...`: the
+digest of `outputs`, every output of the run, then the run's integer
+outcome as its summary.json holds it, the event count and, for each node
+in order, `bytes_delivered/packets_lost/sleep_entries/modality_switch_count`.
 digest_runs.txt beside this script pins those lines, so a pinned scenario
 is a `.cfg` here plus its line there, and a declared model change
 regenerates the file with this script; `git diff --word-diff` of the file

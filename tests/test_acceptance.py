@@ -35,6 +35,7 @@ REFERENCE_MB = {
 }
 SWEEP_RATES = list(digest_runs.SWEEP_RATES)  # pinned there run by run
 
+
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
@@ -276,10 +277,10 @@ PINNED_LINES = {line.split("  ")[1]: line for line in PINNED}
     pytest.param(name, scenario, id=name) for name, scenario in RUNS])
 def test_run_outputs_pinned(name, scenario):
     # Every run of tests/data/digest_runs.py: the six presets, the
-    # acceptance sweep, each `.cfg` in tests/data and the seeded draws. Each line holds the digest of
-    # every output of its run and the run's integer outcome, and only a
-    # deliberate model change may move it; digest_runs.py prints the lines
-    # that regenerate digest_runs.txt.
+    # acceptance sweep, each `.cfg` in tests/data and the seeded draws. Each
+    # line holds the digest of every output of its run and the run's
+    # integer outcome, and only a deliberate model change may move it;
+    # digest_runs.py prints the lines that regenerate digest_runs.txt.
     got, pinned = digest_runs.line(name, scenario), PINNED_LINES.get(name)
     _report(f"criterion 9 ({name} outputs unchanged)", got == pinned,
             f"line {got}, pinned {pinned or 'none'}")

@@ -185,8 +185,9 @@ def seen(monkeypatch) -> Counter:
     ETNO choose a row of the run's one table, never a copy, and a node handed
     the row it holds changes nothing: no stale packet, no sleep entry, no
     modality switch. EUNO takes no active row on a dead link (success
-    probability 0) while another active row's link delivers. `park` signals only interfaces that the signal moves: a
-    sleep signal only awake ones, a wake signal only asleep ones."""
+    probability 0) while another active row's link delivers. `park` signals
+    only interfaces that the signal moves: a sleep signal only awake ones, a
+    wake signal only asleep ones."""
     counts, tables, started = Counter(), [], {}
     build, apply, euno_select = (runner.build_link_plans, SimNode.apply_action,
                                  runner.euno_select)
@@ -212,9 +213,9 @@ def seen(monkeypatch) -> Counter:
 
     def spy_euno(table, f_r, current, baseline_db, sample_db):
         row = euno_select(table, f_r, current, baseline_db, sample_db)
-        active = [r for r in tables[0].values() if r.mode is not Mode.SLEEP]
-        if any(r.success_prob == 0.0 for r in active) and any(r.success_prob > 0.0
-                                                             for r in active):
+        live = {r.success_prob > 0.0 for r in tables[0].values()
+                if r.mode is not Mode.SLEEP}
+        if live == {True, False}:  # a dead link beside a live one
             assert row.mode is Mode.SLEEP or row.success_prob > 0.0, row
             counts["dead link"] += 1
         return row
