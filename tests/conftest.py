@@ -16,8 +16,8 @@ from hybridsim.scenario import Scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every property test draws the same examples on every run, so that a failure
-# reproduces, keeps no example database, and has no deadline on a shared host.
+# Every property test draws without a random seed, with no example database or
+# deadline; its examples still move with the loaded modules and `src/`'s literals.
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomized")
 

@@ -2,11 +2,15 @@
 
     PYTHONPATH=src python tests/data/digest_runs.py | diff tests/data/digest_runs.txt -
 
-`runs()` lists the six paper figure presets, the acceptance sweep's 15
-runs (paper_fig14 at each of `SWEEP_RATES` under each policy, named
+`runs()` lists the six paper figure presets, the acceptance sweep's runs
+(paper_fig14 at each of `SWEEP_RATES` under each policy, named
 `fig14_<optimizer>_<rate>` as perfbench names them), each `*.cfg` beside
-this script and `DRAWS` short scenarios drawn with `random.Random(2026)`
-over the ranges of `scenarios()` in tests/test_invariants.py. For each run
+this script and the first `DRAWS` draws, each distinct scenario once (the
+sweep's `fig14_euno_300` and `fig14_etno_300` are `paper_fig12b` and
+`paper_fig11b`). `draw(rng)` states once the ranges of every random
+whole-run test scenario, `tie_prone(rng)` and `peripheral_prone(rng)` bend
+its draws, and `drawn` draws from each one's own seed in `SEEDS`, so the
+tests' draw sets move only with this script. For each run
 it prints one line, `<sha256>  <run>  <events>  <node> <node> ...`: the
 digest of `outputs`, every output of the run, then the run's integer
 outcome as its summary.json holds it, the event count and, for each node
@@ -47,38 +51,89 @@ DRAWS = 100
 COUNTERS = ("bytes_delivered", "packets_lost", "sleep_entries", "modality_switch_count")
 
 
+def draw(rng: random.Random) -> Scenario:
+    """One short (<= 60 s), small (<= 5 nodes) scenario drawn from `rng`,
+    over both policies, both sleep modes and small batteries, with f_c on
+    either side of the ETNO thresholds, optional SNR jitter and harvest
+    profiles, and lossless, lossy or (outside the field of view) dead
+    optical links."""
+    target = rng.uniform(20.0, 400.0)
+    sleep_threshold = rng.choice([0.1, 0.2, 0.3])
+    profile = () if rng.random() < 0.5 else tuple(
+        (10.0 * i, rng.uniform(0.0, 30.0) * 1e-3) for i in range(rng.randint(1, 4)))
+    return Scenario(
+        duration_s=rng.uniform(5.0, 60.0),
+        init_delay_s=rng.choice([0.0, 1.0, 5.0]),
+        node_count=rng.randint(1, 5),
+        distance_m=rng.choice([1.0, 30.0]),
+        # 75 deg is outside the default 60 deg field of view: no optical link.
+        incidence_angle_deg=rng.choice([0.0, 30.0, 75.0]),
+        seed=rng.randint(1, 1000),
+        optimizer=rng.choice(["euno", "etno", "etno-owc"]),
+        inter_transmission_sleep=rng.random() < 0.5,
+        target_rate_kbps=target,
+        conservation_rate_kbps=target * rng.uniform(0.05, 1.0),
+        poll_slot_s=rng.uniform(1.0, 25.0),
+        battery_capacity_j=rng.uniform(0.05, 4.0),
+        initial_fraction=rng.uniform(0.1, 1.0),
+        harvest_mw=rng.uniform(0.0, 30.0),
+        harvest_profile=profile,
+        snr_jitter_db=rng.choice([0.0, 2.0]),
+        etno_sleep_threshold=sleep_threshold,
+        etno_conservation_threshold=sleep_threshold + 0.2,
+        weights=UtilityWeights(f_c=rng.choice([0.05, 0.2, 0.35, 0.6])),
+    )
+
+
+def tie_prone(rng: random.Random) -> Scenario:
+    """Scenarios drawn like `draw`. Half of them send a packet every
+    100 or 50 ms with a 50 or 25 ms optical burst, slots of 2, 2.05 or 5 s,
+    a start at 0, 0.95 or 1 s and no inter-transmission sleep, so each slot's
+    stream starts at the slot and burst ends and packet-readies fall on the
+    1 Hz tick: 50 ms bursts every 100 ms from 0.05 s before a whole second
+    end there. A quarter start full under a harvest that outruns the draw,
+    so a tick's harvest would clamp at capacity."""
+    scenario = draw(rng)
+    if rng.randint(0, 3) == 0:
+        scenario = scenario.replace(initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
+    if rng.random() < 0.5:
+        rate = rng.choice([40.96, 81.92])  # 4,096-bit packets
+        scenario = scenario.replace(
+            target_rate_kbps=rate,
+            conservation_rate_kbps=min(scenario.conservation_rate_kbps, rate),
+            owc_phy_rate_kbps=rng.choice([81.92, 163.84]),
+            poll_slot_s=rng.choice([2.0, 2.05, 5.0]),
+            init_delay_s=rng.choice([0.0, 0.95, 1.0]),
+            inter_transmission_sleep=False)
+    return scenario
+
+
+def peripheral_prone(rng: random.Random) -> Scenario:
+    """Scenarios drawn like `draw`; half of them idle between slots,
+    with no inter-transmission sleep, under a peripheral period of 0.1 to
+    2 s, often shorter than the 1.05 s peripheral chain it starts."""
+    scenario = draw(rng)
+    if rng.random() < 0.5:
+        scenario = scenario.replace(inter_transmission_sleep=False,
+                                    peripheral_period_s=rng.uniform(0.1, 2.0))
+    return scenario
+
+
+# Each generator's one seed.
+SEEDS = {draw: 2026, tie_prone: 2027, peripheral_prone: 2028}
+
+
+def drawn(make, count: int) -> list[Scenario]:
+    """The first `count` scenarios that `make` draws from `random.Random`
+    at its seed in `SEEDS`."""
+    rng = random.Random(SEEDS[make])
+    return [make(rng) for _ in range(count)]
+
+
 def draws(count: int) -> list[tuple[str, Scenario]]:
-    """The first `count` scenarios of the seeded draw, each named by its
-    index: the ranges and choices of `scenarios()`."""
-    rng = random.Random(2026)
-    runs = []
-    for index in range(count):
-        target = rng.uniform(20.0, 400.0)
-        sleep_threshold = rng.choice([0.1, 0.2, 0.3])
-        profile = () if rng.random() < 0.5 else tuple(
-            (10.0 * i, rng.uniform(0.0, 30.0) * 1e-3) for i in range(rng.randint(1, 4)))
-        runs.append((f"draw-{index:03d}", Scenario(
-            duration_s=rng.uniform(5.0, 60.0),
-            init_delay_s=rng.choice([0.0, 1.0, 5.0]),
-            node_count=rng.randint(1, 5),
-            distance_m=rng.choice([1.0, 30.0]),
-            incidence_angle_deg=rng.choice([0.0, 30.0, 75.0]),
-            seed=rng.randint(1, 1000),
-            optimizer=rng.choice(["euno", "etno", "etno-owc"]),
-            inter_transmission_sleep=rng.random() < 0.5,
-            target_rate_kbps=target,
-            conservation_rate_kbps=target * rng.uniform(0.05, 1.0),
-            poll_slot_s=rng.uniform(1.0, 25.0),
-            battery_capacity_j=rng.uniform(0.05, 4.0),
-            initial_fraction=rng.uniform(0.1, 1.0),
-            harvest_mw=rng.uniform(0.0, 30.0),
-            harvest_profile=profile,
-            snr_jitter_db=rng.choice([0.0, 2.0]),
-            etno_sleep_threshold=sleep_threshold,
-            etno_conservation_threshold=sleep_threshold + 0.2,
-            weights=UtilityWeights(f_c=rng.choice([0.05, 0.2, 0.35, 0.6])),
-        )))
-    return runs
+    """The first `count` scenarios of `draw`'s stream, each named by its
+    index."""
+    return [(f"draw-{index:03d}", scenario) for index, scenario in enumerate(drawn(draw, count))]
 
 
 def outputs(scenario: Scenario) -> dict:
@@ -122,13 +177,16 @@ def line(name: str, scenario: Scenario) -> str:
 
 def runs() -> list[tuple[str, Scenario]]:
     """Every pinned run by name: the presets, the sweep in `runner.sweep`'s
-    order, each `*.cfg` beside this script, then the draws."""
+    order, each `*.cfg` beside this script, then the draws; a scenario
+    listed twice runs once, under its first name."""
     fig14 = load_scenario(preset_path("paper_fig14"))
-    return [*((name, load_scenario(preset_path(name))) for name in PRESETS),
-            *((f"fig14_{optimizer}_{rate:g}", sweep_scenario(fig14, rate, optimizer))
-              for rate in SWEEP_RATES for optimizer in OPTIMIZERS),
-            *((path.stem, load_scenario(path)) for path in sorted(HERE.glob("*.cfg"))),
-            *draws(DRAWS)]
+    first = {}  # each scenario's first name
+    return [(name, scenario) for name, scenario in [
+        *((name, load_scenario(preset_path(name))) for name in PRESETS),
+        *((f"fig14_{optimizer}_{rate:g}", sweep_scenario(fig14, rate, optimizer))
+          for rate in SWEEP_RATES for optimizer in OPTIMIZERS),
+        *((path.stem, load_scenario(path)) for path in sorted(HERE.glob("*.cfg"))),
+        *draws(DRAWS)] if first.setdefault(scenario, name) == name]
 
 
 def main() -> int:

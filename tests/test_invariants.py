@@ -16,12 +16,12 @@ of the node's own slots, and no two bursts of the run may overlap. A new run
 invariant is one more check there.
 """
 
+import hashlib
 import json
 from bisect import bisect_right
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from hybridsim import node as node_module, runner
 from hybridsim.actions import Mode
@@ -36,78 +36,6 @@ from conftest import digest_runs, tx_bursts
 TOL = 1e-9
 ASLEEP = ("SLEEP|OFF", "OFF|OFF")
 INTERFACE_LABELS = {*ASLEEP, "IDLE|IDLE", "TX|IDLE", "IDLE|TX_BUSY"}
-
-
-@st.composite
-def scenarios(draw) -> Scenario:
-    """Short (<= 60 s), small (<= 5 nodes) scenarios over both policies, both
-    sleep modes and small batteries, with f_c on either side of the ETNO
-    thresholds, optional SNR jitter and harvest profiles, and lossless,
-    lossy or (outside the field of view) dead optical links."""
-    target = draw(st.floats(20.0, 400.0))
-    sleep_threshold = draw(st.sampled_from([0.1, 0.2, 0.3]))
-    profile = draw(st.one_of(
-        st.just(()),
-        st.lists(st.floats(0.0, 30.0), min_size=1, max_size=4).map(
-            lambda mws: tuple((10.0 * i, mw * 1e-3) for i, mw in enumerate(mws)))))
-    return Scenario(
-        duration_s=draw(st.floats(5.0, 60.0)),
-        init_delay_s=draw(st.sampled_from([0.0, 1.0, 5.0])),
-        node_count=draw(st.integers(1, 5)),
-        distance_m=draw(st.sampled_from([1.0, 30.0])),
-        # 75 deg is outside the default 60 deg field of view: no optical link.
-        incidence_angle_deg=draw(st.sampled_from([0.0, 30.0, 75.0])),
-        seed=draw(st.integers(1, 1000)),
-        optimizer=draw(st.sampled_from(["euno", "etno", "etno-owc"])),
-        inter_transmission_sleep=draw(st.booleans()),
-        target_rate_kbps=target,
-        conservation_rate_kbps=target * draw(st.floats(0.05, 1.0)),
-        poll_slot_s=draw(st.floats(1.0, 25.0)),
-        battery_capacity_j=draw(st.floats(0.05, 4.0)),
-        initial_fraction=draw(st.floats(0.1, 1.0)),
-        harvest_mw=draw(st.floats(0.0, 30.0)),
-        harvest_profile=profile,
-        snr_jitter_db=draw(st.sampled_from([0.0, 2.0])),
-        etno_sleep_threshold=sleep_threshold,
-        etno_conservation_threshold=sleep_threshold + 0.2,
-        weights=UtilityWeights(f_c=draw(st.sampled_from([0.05, 0.2, 0.35, 0.6]))),
-    )
-
-
-@st.composite
-def tie_prone(draw) -> Scenario:
-    """Scenarios drawn like `scenarios()`. Half of them send a packet every
-    100 or 50 ms with a 50 or 25 ms optical burst, slots of 2, 2.05 or 5 s,
-    a start at 0, 0.95 or 1 s and no inter-transmission sleep, so each slot's
-    stream starts at the slot and burst ends and packet-readies fall on the
-    1 Hz tick: 50 ms bursts every 100 ms from 0.05 s before a whole second
-    end there. A quarter start full under a harvest that outruns the draw,
-    so a tick's harvest would clamp at capacity."""
-    scenario = draw(scenarios())
-    if draw(st.integers(0, 3)) == 0:
-        scenario = scenario.replace(initial_fraction=1.0, harvest_mw=30.0, harvest_profile=())
-    if draw(st.booleans()):
-        rate = draw(st.sampled_from([40.96, 81.92]))  # 4,096-bit packets
-        scenario = scenario.replace(
-            target_rate_kbps=rate,
-            conservation_rate_kbps=min(scenario.conservation_rate_kbps, rate),
-            owc_phy_rate_kbps=draw(st.sampled_from([81.92, 163.84])),
-            poll_slot_s=draw(st.sampled_from([2.0, 2.05, 5.0])),
-            init_delay_s=draw(st.sampled_from([0.0, 0.95, 1.0])),
-            inter_transmission_sleep=False)
-    return scenario
-
-
-@st.composite
-def peripheral_prone(draw) -> Scenario:
-    """Scenarios drawn like `scenarios()`; half of them idle between slots,
-    with no inter-transmission sleep, under a peripheral period of 0.1 to
-    2 s, often shorter than the 1.05 s peripheral chain it starts."""
-    scenario = draw(scenarios())
-    if draw(st.booleans()):
-        scenario = scenario.replace(inter_transmission_sleep=False,
-                                    peripheral_period_s=draw(st.floats(0.1, 2.0)))
-    return scenario
 
 
 def slots_ns(scenario: Scenario, index: int) -> list[tuple[int, int]]:
@@ -361,27 +289,34 @@ def test_a_buffer_filled_one_ulp_past_capacity_ends_full(capacity_j, fraction, s
     assert _checked_run(scenario, seen).node(1).remaining_j == capacity_j
 
 
-def test_every_drawn_run_keeps_its_invariants(seen):
-    """Each seeded draw of `digest_runs.py` and each draw of the three
-    strategies runs once through `_checked_run`, and over the draws alone
-    every check must run often enough. The strategies draw from a fixed
-    seed, so an edit to this text draws the same examples."""
-    for _, scenario in digest_runs.draws(digest_runs.DRAWS):
-        _checked_run(scenario, seen)
-    for strategy, examples in ((scenarios(), 300), (tie_prone(), 150), (peripheral_prone(), 150)):
-        @settings(max_examples=examples, suppress_health_check=[HealthCheck.too_slow])
-        @seed(2026)
-        @given(strategy)
-        def check(scenario):
-            _checked_run(scenario, seen)
+# The harness's scenarios by generator, each set from its own seeded stream:
+# the pinned draws and the 300 after them, 150 tie-prone and 150 peripheral-prone.
+DRAWN = {make.__name__: digest_runs.drawn(make, count) for make, count in (
+    (digest_runs.draw, 400), (digest_runs.tie_prone, 150), (digest_runs.peripheral_prone, 150))}
 
-        check()
+
+def test_every_drawn_run_keeps_its_invariants(seen):
+    """Each scenario of `DRAWN` runs once through `_checked_run`, and over
+    the draws alone every check must run often enough."""
+    for scenario in [scenario for drawn in DRAWN.values() for scenario in drawn]:
+        _checked_run(scenario, seen)
     assert seen["eligible"] > 10_000, seen
     assert seen["live"] > 1_000 and seen["stale"] > 0, seen
     assert seen["steps"] > seen["chains"] > 0, seen
     assert all(seen[mode] for mode in Mode) and seen["rows"] > seen["kept"] > 0, seen
     assert min(seen[EventKind.SLEEP_SIGNAL], seen[EventKind.WAKE_SIGNAL]) > 100, seen
     assert seen["clamped"] > 1_000 and seen["dead link"] > 100, seen
+
+
+def test_the_drawn_sets_are_pinned():
+    """An edit that re-draws a set of `DRAWN` fails here, under its own name;
+    digest_runs.txt pins the first `DRAWS` draws by name."""
+    sets = {**DRAWN, "draw": DRAWN["draw"][digest_runs.DRAWS:]}
+    assert {name: hashlib.sha256(repr(drawn).encode()).hexdigest()
+            for name, drawn in sets.items()} == {
+        "draw": "ce8781eb40b46f261f80c4416c041cae52bc9cbd0d4b2ff76680276c980e6db1",
+        "tie_prone": "d6a628bf01366fcf8902156ac79b92f9c021759a0b4fa1a416e1bd0c7365b038",
+        "peripheral_prone": "7e8f0badf46792b143b4dda4ad06a104e3c776101165c7b0a5785ef0ef47fe47"}
 
 
 def _seedless(run: dict) -> dict:
@@ -393,15 +328,16 @@ def _seedless(run: dict) -> dict:
     return {**run, "files": files, "rng": None}
 
 
-@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
-# Without SNR jitter, and at 1 m unless the optical link is dead (75 deg lies
-# outside the field of view, and the radio delivers at 30 m too).
-@given(scenarios().map(lambda s: s.replace(
-    snr_jitter_db=0.0, distance_m=s.distance_m if s.incidence_angle_deg == 75.0 else 1.0)))
+@pytest.mark.parametrize("scenario", [
+    pytest.param(scenario, id=name) for name, scenario in digest_runs.draws(digest_runs.DRAWS)])
 def test_a_lossless_jitter_free_run_does_not_depend_on_its_seed(scenario):
     """With every packet outcome certain and no SNR jitter, no random draw can
     move an output: a second seed writes the same trace bytes, the same
     summary bar its seed fields, and the same burst log, time and events."""
+    # Without SNR jitter, and at 1 m unless the optical link is dead (75 deg lies
+    # outside the field of view, and the radio delivers at 30 m too).
+    scenario = scenario.replace(snr_jitter_db=0.0, distance_m=(
+        scenario.distance_m if scenario.incidence_angle_deg == 75.0 else 1.0))
     assert {row.success_prob for row in build_link_plans(scenario).values()} <= {0.0, 1.0}
     other = scenario.replace(seed=scenario.seed + 1)
     assert _seedless(digest_runs.outputs(other)) == _seedless(digest_runs.outputs(scenario))

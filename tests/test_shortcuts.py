@@ -38,7 +38,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, seed, settings
 
 from hybridsim import runner
 from hybridsim.energy import EnergyBuffer
@@ -47,7 +46,6 @@ from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import digest_runs, fleet, metrics_fields, tick_each_node, tx_bursts
-from test_invariants import tie_prone
 
 DATA = Path(__file__).parent / "data"
 
@@ -269,6 +267,20 @@ OUTCOME_PAYS_THE_DEBT = Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2
                    id=path.stem) for path in sorted(DATA.glob("*.cfg"))),
     *(pytest.param(fleet(seed), (), id=f"fleet-seed-{seed}") for seed in (2, 3)),
     pytest.param(TIES, ("end", "ready"), id="ties"),
+    # A lone node starts full under a harvest that outruns its draw, so a
+    # crossed tick's harvest would fill the buffer from the burst's start.
+    pytest.param(Scenario(duration_s=20.0, init_delay_s=0.0, node_count=1, optimizer="euno",
+                          target_rate_kbps=40.96, conservation_rate_kbps=20.0,
+                          owc_phy_rate_kbps=163.84, initial_fraction=1.0,
+                          battery_capacity_j=0.5, harvest_mw=30.0),
+                 ("clamp", "fallback", "awake"), id="crossed-tick-would-clamp"),
+    # A lone node streams its small buffer down to the threshold, so a
+    # stretch leaves a tick to the queue with a battery-low edge in reach.
+    pytest.param(Scenario(duration_s=30.0, init_delay_s=0.0, node_count=1, optimizer="etno",
+                          target_rate_kbps=40.96, conservation_rate_kbps=20.0,
+                          owc_phy_rate_kbps=81.92, initial_fraction=0.4,
+                          battery_capacity_j=0.2, harvest_mw=5.0),
+                 ("margin", "before", "slept"), id="battery-edge-in-reach"),
     # Harvest ticks inside the 25 s slots stop stretches at the horizon.
     pytest.param(load_scenario(preset_path("paper_fig11")).replace(duration_s=60.0),
                  ("awake", "lossless"), id="fig11-awake"),
@@ -335,18 +347,11 @@ def test_shortcuts_change_no_output(scenario, ran):
 
 
 def test_random_scenarios_run_every_shortcut_path():
+    # The tie case joins the first 80 tie-prone draws of digest_runs.py, 9 of
+    # which cross a tick on a burst's end.
     paths = Counter()
-
-    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
-    @seed(2026)
-    @given(tie_prone())
-    # About one draw in 20 crosses a tick on a burst's end, so the tie case
-    # joins the 80 draws, which a fixed seed keeps the same through an edit.
-    @example(TIES)
-    def compare(scenario):
+    for scenario in [*digest_runs.drawn(digest_runs.tie_prone, 80), TIES]:
         _compare(scenario, paths)
-
-    compare()
     # Every path ran: the burst ends before the tick, the tick falls inside
     # the burst, on its end or on the next packet-ready, a crossed tick's
     # harvest would clamp, a tick that would reach a battery edge is left to
