@@ -97,7 +97,7 @@ def _cmd_sweep(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / "sweep.csv"
-        path.write_text(csv_text)
+        path.write_bytes(csv_text.encode())
         print(path)
     print(csv_text, end="")
     return EXIT_OK

@@ -198,8 +198,8 @@ def write_traces(metrics: MetricsRecord, out_dir: str | Path) -> list[Path]:
             path.write_bytes(template % tuple(fields))
             paths.append(path)
         summary_path = out / "summary.json"
-        summary_path.write_text(
-            json.dumps(metrics.summary(), sort_keys=True, indent=2) + "\n")
+        summary_path.write_bytes(
+            (json.dumps(metrics.summary(), sort_keys=True, indent=2) + "\n").encode())
         paths.append(summary_path)
         return paths
     except OSError as exc:

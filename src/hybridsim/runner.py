@@ -190,14 +190,16 @@ class _Controller:
             events_executed=self.engine.events_executed,
         )
 
+    def run(self) -> MetricsRecord:
+        """Start the run, run it to its end and return its record."""
+        self.start()
+        self.engine.run_until(self.total_ns)
+        return self.finalize()
+
 
 def run(scenario: Scenario) -> MetricsRecord:
     """Execute one deterministic run of the scenario."""
-    engine = Engine()
-    controller = _Controller(scenario, engine)
-    controller.start()
-    engine.run_until(controller.total_ns)
-    return controller.finalize()
+    return _Controller(scenario, Engine()).run()
 
 
 class SweepRow(Record):

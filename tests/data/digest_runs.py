@@ -140,11 +140,12 @@ def outputs(scenario: Scenario) -> dict:
     """Every output of one run of `scenario`: the trace and summary bytes by
     file name, each node's burst log (`tx_intervals`) and transmit-eligible
     time, the event count and every node's random-stream state."""
-    engine = Engine()
-    controller = _Controller(scenario, engine)
-    controller.start()
-    engine.run_until(controller.total_ns)
-    record = controller.finalize()
+    return outputs_of(_Controller(scenario, Engine()))
+
+
+def outputs_of(controller: _Controller) -> dict:
+    """`outputs` of the run that `controller`, not yet started, makes."""
+    record = controller.run()
     with tempfile.TemporaryDirectory() as out:
         files = {path.name: path.read_bytes() for path in write_traces(record, Path(out))}
     return {

@@ -107,6 +107,16 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert outputs[0] == digest_runs.outputs(load_scenario(cfg))["files"]
 
+    def test_run_and_sweep_write_their_files_as_bytes(self, short_cfg, tmp_path, monkeypatch):
+        # `Path.write_text` would end each line in `\r\n` on Windows.
+        monkeypatch.setattr(Path, "write_text", None)  # calling it raises
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", short_cfg, "--out", out]) == EXIT_OK
+        assert main(["sweep", "--config", short_cfg, "--rates", "100", "--optimizer", "etno",
+                     "--out", out]) == EXIT_OK
+        assert sorted(path.name for path in Path(out).iterdir()) == [
+            "summary.json", "sweep.csv", "trace_node1.csv", "trace_node2.csv"]
+
     def test_source_builds_no_sets(self):
         # A set iterates in hash order: by address for the model's enums,
         # which repeats between these processes, so the test above cannot

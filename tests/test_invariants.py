@@ -13,13 +13,14 @@ interfaces powered down while it sleeps; a second spent asleep away from any
 tick draws exactly the sleep current. Its
 burst log must account for every packet sent, place each burst inside one
 of the node's own slots, and no two bursts of the run may overlap. A new run
-invariant is one more check there.
+invariant is one more check there; the seed relation, between two runs, is
+R3 in tests/test_relations.py. Each run goes through `_Controller.run`.
 """
 
 import hashlib
-import json
 from bisect import bisect_right
 from collections import Counter
+from weakref import WeakKeyDictionary
 
 import pytest
 
@@ -29,7 +30,7 @@ from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, seconds
 from hybridsim.metrics import MetricsRecord
 from hybridsim.node import CHAIN_STEPS, SimNode
 from hybridsim.optimizer import UtilityWeights
-from hybridsim.runner import _Controller, build_link_plans
+from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, load_scenario, preset_path
 from conftest import digest_runs, tx_bursts
 
@@ -110,28 +111,23 @@ def seen(monkeypatch) -> Counter:
 
     A live chain step sees the slot and the mode its chain started in, since
     a change of either bumps the epoch, and no chain starts asleep. EUNO and
-    ETNO choose a row of the run's one table, never a copy, and a node handed
-    the row it holds changes nothing: no stale packet, no sleep entry, no
-    modality switch. EUNO takes no active row on a dead link (success
-    probability 0) while another active row's link delivers. `park` signals
-    only interfaces that the signal moves: a sleep signal only awake ones, a
-    wake signal only asleep ones."""
-    counts, tables, started = Counter(), [], {}
-    build, apply, euno_select = (runner.build_link_plans, SimNode.apply_action,
-                                 runner.euno_select)
+    ETNO choose a row of the run's one table (`node.plans`), never a copy,
+    and a node handed the row it holds changes nothing: no stale packet, no
+    sleep entry, no modality switch. EUNO takes no active row on a dead link
+    (success probability 0) while another active row of its table delivers.
+    `park` signals only interfaces that the signal moves: a sleep signal
+    only awake ones, a wake signal only asleep ones. A spy passes on the
+    arguments it does not read."""
+    counts, started = Counter(), WeakKeyDictionary()
+    apply, euno_select = SimNode.apply_action, runner.euno_select
     run_chain, advance, dispatch = (SimNode._run_chain, SimNode._advance_chain,
                                     node_module.fsm_dispatch)
 
-    def spy_build(scenario):  # once per run, before any of its chains starts
-        started.clear()
-        tables[:] = [build(scenario)]
-        return tables[0]
-
-    def spy_apply(node, plan, now):
-        assert any(plan is row for row in tables[0].values()), (node.name, plan)
+    def spy_apply(node, plan, *args):
+        assert any(plan is row for row in node.plans.values()), (node.name, plan)
         kept = plan is node.plan
         before = (node._epoch, node.metrics.sleep_entries, node.metrics.modality_switches)
-        apply(node, plan, now)
+        apply(node, plan, *args)
         counts[plan.mode] += 1
         counts["rows"] += 1
         if kept:
@@ -139,34 +135,33 @@ def seen(monkeypatch) -> Counter:
             assert (node._epoch, node.metrics.sleep_entries,
                     node.metrics.modality_switches) == before, node.name
 
-    def spy_euno(table, f_r, current, baseline_db, sample_db):
-        row = euno_select(table, f_r, current, baseline_db, sample_db)
-        live = {r.success_prob > 0.0 for r in tables[0].values()
+    def spy_euno(table, *args):
+        row = euno_select(table, *args)
+        live = {r.success_prob > 0.0 for scored in table.rows.values() for *_, r in scored
                 if r.mode is not Mode.SLEEP}
         if live == {True, False}:  # a dead link beside a live one
             assert row.mode is Mode.SLEEP or row.success_prob > 0.0, row
             counts["dead link"] += 1
         return row
 
-    def spy_run_chain(node, now, chain):
+    def spy_run_chain(node, *args):
         assert node.plan.mode is not Mode.SLEEP
         started[node] = (node.plan.mode, node.in_slot)
         counts["chains"] += 1
-        run_chain(node, now, chain)
+        run_chain(node, *args)
 
-    def spy_advance(node, now):  # a chain's start, or the end of a live step
+    def spy_advance(node, *args):  # a chain's start, or the end of a live step
         assert (node.plan.mode, node.in_slot) == started[node], node.name
         counts["steps"] += 1
-        advance(node, now)
+        advance(node, *args)
 
-    def spy_dispatch(current, kind, *modality):
-        after = dispatch(current, kind, *modality)
+    def spy_dispatch(current, kind, *args):
+        after = dispatch(current, kind, *args)
         if kind in (EventKind.SLEEP_SIGNAL, EventKind.WAKE_SIGNAL):
             assert after is not current, (kind, current)
             counts[kind] += 1
         return after
 
-    monkeypatch.setattr(runner, "build_link_plans", spy_build)
     monkeypatch.setattr(SimNode, "apply_action", spy_apply)
     monkeypatch.setattr(runner, "euno_select", spy_euno)
     monkeypatch.setattr(SimNode, "_run_chain", spy_run_chain)
@@ -205,9 +200,7 @@ def _checked_run(scenario: Scenario, seen: Counter) -> MetricsRecord:
         seen["stale"] += len(steps) - sum(live.values())
 
     engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
-    controller.start()
-    engine.run_until(controller.total_ns)
-    record = controller.finalize()
+    record = controller.run()
 
     capacity = scenario.battery_capacity_j
     sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage  # per second
@@ -317,27 +310,3 @@ def test_the_drawn_sets_are_pinned():
         "draw": "ce8781eb40b46f261f80c4416c041cae52bc9cbd0d4b2ff76680276c980e6db1",
         "tie_prone": "d6a628bf01366fcf8902156ac79b92f9c021759a0b4fa1a416e1bd0c7365b038",
         "peripheral_prone": "7e8f0badf46792b143b4dda4ad06a104e3c776101165c7b0a5785ef0ef47fe47"}
-
-
-def _seedless(run: dict) -> dict:
-    """`digest_runs.outputs(...)` less what a seed may move: the random
-    streams' state, and the two seed fields of `summary.json`."""
-    summary = json.loads(run["files"]["summary.json"])
-    del summary["seed"], summary["config"]["seed"]
-    files = {**run["files"], "summary.json": json.dumps(summary, sort_keys=True, indent=2)}
-    return {**run, "files": files, "rng": None}
-
-
-@pytest.mark.parametrize("scenario", [
-    pytest.param(scenario, id=name) for name, scenario in digest_runs.draws(digest_runs.DRAWS)])
-def test_a_lossless_jitter_free_run_does_not_depend_on_its_seed(scenario):
-    """With every packet outcome certain and no SNR jitter, no random draw can
-    move an output: a second seed writes the same trace bytes, the same
-    summary bar its seed fields, and the same burst log, time and events."""
-    # Without SNR jitter, and at 1 m unless the optical link is dead (75 deg lies
-    # outside the field of view, and the radio delivers at 30 m too).
-    scenario = scenario.replace(snr_jitter_db=0.0, distance_m=(
-        scenario.distance_m if scenario.incidence_angle_deg == 75.0 else 1.0))
-    assert {row.success_prob for row in build_link_plans(scenario).values()} <= {0.0, 1.0}
-    other = scenario.replace(seed=scenario.seed + 1)
-    assert _seedless(digest_runs.outputs(other)) == _seedless(digest_runs.outputs(scenario))

@@ -14,7 +14,7 @@ from hybridsim.cli import EXIT_VALIDATION, main
 from hybridsim.linklayer import CONN_EVENT_LEN_MS
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import build_link_plans, run
-from hybridsim.scenario import (_SCHEMA, MAX_NODES, Scenario, ScenarioError,
+from hybridsim.scenario import (_SCHEMA, MAX_NODES, OPTIMIZERS, Scenario, ScenarioError,
                                 load_scenario, preset_path, scenario_dir)
 from hybridsim.validation import default_calibration_path, load_calibration
 from hybridsim.vlcframe import FrameCodecError, VlcFrame
@@ -215,8 +215,14 @@ class TestValidation:
             Scenario().replace(initial_fraction=2.0)
 
     def test_sweep_checks_each_rate_before_it_runs(self, monkeypatch):
-        runs = []
-        monkeypatch.setattr(runner, "run", runs.append)
+        # Each run goes through the module global `runner.run`, one call per
+        # optimizer: perfbench's `sweep` workload wraps that global to time them.
+        runs, record = [], run(Scenario(duration_s=5.0, init_delay_s=0.0, node_count=1))
+        monkeypatch.setattr(runner, "run", lambda scenario: runs.append(scenario) or record)
+        runner.sweep(Scenario(), [100.0])
+        assert runs == [runner.sweep_scenario(Scenario(), 100.0, optimizer)
+                        for optimizer in OPTIMIZERS]
+        runs.clear()
         with pytest.raises(ScenarioError, match=r"\[traffic\] target_rate_kbps"):
             runner.sweep(Scenario(), [-100.0])
         assert runs == []
