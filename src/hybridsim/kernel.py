@@ -74,70 +74,34 @@ class ScheduleInPastError(RuntimeError):
     """An event was scheduled before the current clock; always a logic bug."""
 
 
-_SKIP_CHUNK = 65_536  # draws skipped per `getrandbits` call: a 512 KiB integer
-
-
 class RngStream:
     """Seeded per-node random stream, reproducible across runs and platforms.
 
     Same (seed, stream_id) always yields the same draw sequence; the stdlib
-    Mersenne Twister is stable across CPython versions and platforms.
-
-    The draws of a certain outcome (`count_below` at `p` of 0 or 1) are owed
-    rather than made: the generator skips them only when it is next read,
-    by a draw or by `getstate`, so a run whose outcomes are all certain and
-    that draws nothing else never skips them. While nothing is owed,
-    `normal` is the generator's own bound method; while a debt is open it
-    is a wrapper that pays it first.
+    Mersenne Twister is stable across CPython versions and platforms. A
+    certain packet outcome (`count_below` at `p` of 0 or 1) draws nothing,
+    so a run whose outcomes are all certain and that draws no SNR jitter
+    never reads its stream.
     """
 
     def __init__(self, seed: int, stream_id: int):
         self._rng = random.Random((seed << 20) ^ (stream_id * 0x9E3779B1))
-        self._owed = 0  # draws in [0, 1) owed to the generator
-        self._settle()
-
-    def _settle(self) -> None:
-        """Skip the draws owed, and draw from the generator directly again.
-
-        `random()` takes two 32-bit Mersenne Twister words, and
-        `getrandbits(k)` takes `ceil(k / 32)`, so `getrandbits(64 * n)`
-        skips `n` draws in C. Chunks of at most `_SKIP_CHUNK` draws bound
-        the integer it builds."""
-        skip = self._rng.getrandbits
-        for left in range(self._owed, 0, -_SKIP_CHUNK):
-            skip(64 * min(left, _SKIP_CHUNK))
-        self._owed = 0
         # A normal draw `normal(mu, sigma)`: each policy evaluation under SNR
-        # jitter makes two, so this is the generator's own bound method
-        # rather than a wrapper around it.
+        # jitter makes two, so this is the generator's own bound method.
         self.normal = self._rng.gauss
 
-    def _settled_normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        self._settle()
-        return self.normal(mu, sigma)
-
     def getstate(self) -> tuple:
-        """The generator's state with every owed draw made."""
-        if self._owed:
-            self._settle()
         return self._rng.getstate()
 
     def count_below(self, n: int, p: float) -> int:
-        """How many of `n` draws in [0, 1) fall below `p`, leaving the
-        stream where those `n` draws would: a stretch of bursts draws all
-        of its packet outcomes in one call, and a single burst its one.
-
-        A draw lies in [0, 1), so at `p >= 1` every one falls below and at
-        `p <= 0` none does; the `n` draws are then owed, and the next read
-        of the generator skips them all at once (`_settle`).
-        """
-        if p >= 1.0 or p <= 0.0:
-            if n and not self._owed:
-                self.normal = self._settled_normal
-            self._owed += n
-            return n if p >= 1.0 else 0
-        if self._owed:
-            self._settle()
+        """How many of `n` draws in [0, 1) fall below `p`: a stretch of
+        bursts draws all of its packet outcomes in one call, and a single
+        burst its one. At `p >= 1` every draw would fall below and at
+        `p <= 0` none would, so a certain outcome draws nothing."""
+        if p >= 1.0:
+            return n
+        if p <= 0.0:
+            return 0
         draw = self._rng.random
         below = 0
         for _ in range(n):

@@ -274,11 +274,11 @@ class SimNode:
         the queued handlers' float order (a tick up to the burst's end
         samples it in flight, a later one draws the idle gap) and logs one
         record of its own. It draws every outcome it sent in one
-        `count_below` call as it returns, which owes the draws of certain
-        ones: nothing reads the node's stream before, since `_crosses`
-        leaves it no battery edge at a tick, so no policy evaluates it and
-        its plan stays. The node idles around each burst, and its interface
-        starts and ends it at IDLE, so the phase and interface state stay.
+        `count_below` call as it returns, as the queued bursts' calls would:
+        nothing reads the node's stream before, since `_crosses` leaves it
+        no battery edge at a tick, so no policy evaluates it and its plan
+        stays. The node idles around each burst, and its interface starts
+        and ends it at IDLE, so the phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now

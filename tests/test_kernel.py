@@ -135,86 +135,18 @@ def test_rng_stream_reproducible():
     assert a.normal() != c.normal()
 
 
-def _spied_stream() -> tuple[RngStream, list[int]]:
-    """A stream whose generator records the bits of each `getrandbits`."""
-    stream, skips = RngStream(seed=7, stream_id=2), []
-    getrandbits = stream._rng.getrandbits
-    stream._rng.getrandbits = lambda k: skips.append(k) or getrandbits(k)
-    return stream, skips
-
-
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0 - 2.0 ** -53, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 33, 1000])
 def test_count_below_moves_the_stream_as_the_draws_do(n, p):
-    counted, skips = _spied_stream()
-    drawn = RngStream(seed=7, stream_id=2)
-    below = 0
-    for _ in range(n):
-        below += drawn._rng.random() < p
+    # A certain outcome, at a probability of 0 or 1, draws nothing; any
+    # other makes its `n` draws. The largest draw, 1 - 2**-53, is not below
+    # 1 - 2**-53, so that one draws each.
+    counted, drawn = RngStream(seed=7, stream_id=2), RngStream(seed=7, stream_id=2)
+    start, certain = drawn.getstate(), p in (0.0, 1.0)
+    below = (n if p else 0) if certain else sum(drawn._rng.random() < p for _ in range(n))
     assert counted.count_below(n, p) == below
     assert counted.getstate() == drawn.getstate()
-    # Only a probability of 0 or 1 skips the draws; the largest draw,
-    # 1 - 2**-53, is not below 1 - 2**-53, so that one draws each.
-    assert bool(skips) == (p in (0.0, 1.0))
-
-
-def test_count_below_skips_in_bounded_chunks():
-    n = 2 * 65_536 + 5
-    counted, skips = _spied_stream()
-    drawn = RngStream(seed=7, stream_id=2)
-    for _ in range(n):
-        drawn._rng.random()
-    assert counted.count_below(n, 1.0) == n
-    assert counted.getstate() == drawn.getstate()
-    assert skips == [64 * 65_536, 64 * 65_536, 64 * 5]
-    assert counted.count_below(0, 1.0) == 0 and len(skips) == 3
-    assert counted.getstate() == drawn.getstate()
-
-
-_READS = {"outcome": lambda stream: stream.count_below(1, 0.6),
-          "normal": lambda stream: stream.normal(0.5, 2.0),
-          "count_below": lambda stream: stream.count_below(40, 0.5),
-          "getstate": lambda stream: stream.getstate()}
-
-
-@pytest.mark.parametrize("read", _READS)
-@pytest.mark.parametrize("paired", [False, True], ids=["", "mid-gauss-pair"])
-@pytest.mark.parametrize("p", [0.0, 1.0])
-@pytest.mark.parametrize("n", [1_000, 65_536, 2 * 65_536 + 5])
-def test_owed_draws_are_skipped_at_the_next_read(n, p, paired, read):
-    # A certain outcome's draws are owed: the next read of the generator, a
-    # draw or `getstate`, skips them all in one pass, in the chunks one
-    # `count_below(n, p)` would skip, and reads what a stream that made the
-    # draws reads. `gauss` draws a pair and keeps its second half for the
-    # next call, so a debt opened between the halves owes draws that the
-    # next `normal()` does not make.
-    chunks = [64 * 65_536] * (n // 65_536) + [64 * (n % 65_536)] * (n % 65_536 > 0)
-    owing, skips = _spied_stream()
-    drawn = RngStream(seed=7, stream_id=2)
-    if paired:
-        assert owing.normal() == drawn.normal()
-    for _ in range(n):
-        drawn._rng.random()
-    assert owing.count_below(n - 1, p) + owing.count_below(1, p) == (n if p else 0)
-    assert not skips
-    assert _READS[read](owing) == _READS[read](drawn)
-    assert skips == chunks
-    assert owing.getstate() == drawn.getstate() and skips == chunks  # paid once
-
-
-def test_a_stream_owing_nothing_draws_through_the_generator():
-    # With nothing owed, `normal` is the generator's own bound method, with
-    # no check per draw; a debt swaps it for a wrapper that pays it, and
-    # paying it swaps it back.
-    stream = RngStream(seed=7, stream_id=2)
-    gauss = stream._rng.gauss
-    assert stream.normal == gauss
-    stream.count_below(0, 1.0)
-    assert stream.normal == gauss
-    stream.count_below(3, 1.0)
-    assert stream.normal != gauss
-    stream.normal()
-    assert stream.normal == gauss
+    assert (counted.getstate() == start) == certain
 
 
 def test_horizon_is_the_queue_head_or_one_past_the_end():

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from hybridsim import runner
+from hybridsim.kernel import RngStream
 from hybridsim.metrics import NodeMetrics
 from hybridsim.runner import build_link_plans
 from conftest import digest_runs, metrics_fields
@@ -114,11 +115,15 @@ def _certain(scenario):
     pytest.param(_certain(scenario), id=name) for name, scenario in digest_runs.runs()
     if {row.success_prob for row in build_link_plans(_certain(scenario)).values()} <= {0.0, 1.0}])
 def test_a_run_with_certain_links_does_not_depend_on_its_seed(scenario):
-    """R3, seed. With every packet outcome certain and no SNR jitter, no
-    random draw can move an output: a second seed writes the same trace
-    bytes, the same summary bar its seed fields, and the same burst log,
-    eligible time and event count. One case per pinned run whose links are
-    certain once mapped by `_certain`; a link still lossy there (etno3_lossy's
-    -60 dBm radio) leaves its run out."""
+    """R3, seed. With every packet outcome certain and no SNR jitter, a run
+    reads no draw, so no seed can move an output: each node's stream ends
+    where it started, and a second seed writes the same trace bytes, the
+    same summary bar its seed fields, and the same burst log, eligible time
+    and event count. One case per pinned run whose links are certain once
+    mapped by `_certain`; a link still lossy there (etno3_lossy's -60 dBm
+    radio) leaves its run out."""
+    run = digest_runs.outputs(scenario)
+    assert run["rng"] == [RngStream(scenario.seed, i + 1).getstate()
+                          for i in range(scenario.node_count)]
     other = scenario.replace(seed=scenario.seed + 1)
-    assert _seedless(digest_runs.outputs(other)) == _seedless(digest_runs.outputs(scenario))
+    assert _seedless(digest_runs.outputs(other)) == _seedless(run)

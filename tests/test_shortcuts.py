@@ -1,23 +1,21 @@
-"""The run's six shortcuts, checked against runs without them.
+"""The run's five shortcuts, checked against runs without them.
 
-Five are byte-identical. A streaming node's stretch of bursts runs on
+Four are byte-identical. A streaming node's stretch of bursts runs on
 through the 1 Hz world tick (`SimNode._crosses`), the peripheral chain steps
 of many nodes that end at one instant share one queue entry
 (`Engine.schedule_batched`), the world tick settles a node whose draw
 and harvest reach no battery edge and do not clamp inline (`tick_nodes`),
-every other settle (a packet's or a burst's end, a slot's entry or exit, a
-policy period, a peripheral cycle, a chain step's end) writes a draw that
-reaches no battery edge in place (`SimNode.sync`), and the draws of a
-certain packet outcome are owed until the node's stream is next read
-(`RngStream.count_below`). With all five off, every stretch stops at the
-tick and the queue runs the burst that stops it, every chain step is an
-entry of its own, every node ticks through `sync`, `EnergyBuffer.harvest`
-and `sample`, every settle draws through `EnergyBuffer.consume`, and every
-draw is made at once. Every output must be the same
-either way: the trace and summary bytes, the burst log, the
-transmit-eligible time, the event count and each node's random stream.
+and every other settle (a packet's or a burst's end, a slot's entry or
+exit, a policy period, a peripheral cycle, a chain step's end) writes a
+draw that reaches no battery edge in place (`SimNode.sync`). With all four
+off, every stretch stops at the tick and the queue runs the burst that
+stops it, every chain step is an entry of its own, every node ticks through
+`sync`, `EnergyBuffer.harvest` and `sample`, and every settle draws through
+`EnergyBuffer.consume`. Every output must be the same either way: the
+trace and summary bytes, the burst log, the transmit-eligible time, the
+event count and each node's random stream.
 
-The sixth is the stretch itself (`SimNode._run_stretch`): a node runs the
+The fifth is the stretch itself (`SimNode._run_stretch`): a node runs the
 bursts that raise no battery edge inline, up to the next queued event, and
 settles each run of them as one product. With it off too, every burst's end
 and packet-ready go through the queue, which settles burst by burst, so the
@@ -64,15 +62,7 @@ def _sync_through_consume(node, now):
 
 
 def _shortcuts_off(patch) -> None:
-    count_below = RngStream.count_below
-
-    def drawn_at_once(stream, *args):
-        below = count_below(stream, *args)
-        stream._settle()  # skips what the call owed
-        return below
-
     patch.setattr(SimNode, "_crosses", lambda *args: False)
-    patch.setattr(RngStream, "count_below", drawn_at_once)
     patch.setattr(Engine, "schedule_batched", lambda engine, fire_at, target, kind, item:
                   engine.schedule(SimEvent(fire_at, target, kind, [item], batched=True)))
     patch.setattr(runner, "tick_nodes", tick_each_node)
@@ -89,12 +79,10 @@ def _count_paths(patch, paths: Counter) -> None:
     (`clamp`); or declined for a battery edge in reach (`margin`). A chain
     step that joins a batch queues no entry (`batched`). A ticked node is
     settled inline or through `EnergyBuffer.harvest` (`fallback`). A
-    certain packet outcome owes its draws (`owing`), and a node's generator
-    skips owed draws while the queue runs (`skips`, its `getrandbits`
-    calls), which `_compare` sorts into the run's `owed` or `settled`. A
     stretch's one `count_below(sent, p)` is the only read of the node's
     stream while it runs; counted are the stretches of more than one burst
-    (`stretch`) and those at an uncertain outcome (`uncertain`). A
+    (`stretch`) and those at a certain or an uncertain outcome (`certain`,
+    `uncertain`). A
     `SimNode.sync` that draws writes the draw in place (`sync-inline`) or
     through `EnergyBuffer.consume` (`sync-consume`); a policy period, a
     peripheral cycle and a chain step's end each count the battery-low
@@ -102,10 +90,10 @@ def _count_paths(patch, paths: Counter) -> None:
     `chain-low`)."""
     crosses, schedule_batched = SimNode._crosses, Engine.schedule_batched
     tick_nodes, harvest = runner.tick_nodes, EnergyBuffer.harvest
-    init, count_below, run_until = RngStream.__init__, RngStream.count_below, Engine.run_until
-    getstate, gauss, run_stretch = RngStream.getstate, random.Random.gauss, SimNode._run_stretch
+    count_below, getstate = RngStream.count_below, RngStream.getstate
+    gauss, run_stretch = random.Random.gauss, SimNode._run_stretch
     sync, consume, on_battery_low = SimNode.sync, EnergyBuffer.consume, SimNode._on_battery_low
-    running, passes, settles, lows, reads = [], [], [], [0], []
+    passes, settles, lows, reads = [], [], [0], []
 
     def crossing(node, tick, after, now, interval, remaining, *args):
         crossed = crosses(node, tick, after, now, interval, remaining, *args)
@@ -134,17 +122,7 @@ def _count_paths(patch, paths: Counter) -> None:
         paths["fallback"] += 1
         return harvest(*args)
 
-    def spied(stream, *args):
-        init(stream, *args)
-        skip = stream._rng.getrandbits
-
-        def counted(k):
-            paths["skips"] += bool(running)
-            return skip(k)
-        stream._rng.getrandbits = counted
-
-    def owing(stream, n, p):
-        paths["owing"] += n > 0 and not 0.0 < p < 1.0
+    def drawing(stream, n, p):
         reads.append((stream, n, p))
         return count_below(stream, n, p)
 
@@ -164,13 +142,8 @@ def _count_paths(patch, paths: Counter) -> None:
         own = [read for read in reads if read[0] in (node.rng, node.rng._rng)]
         assert own == ([(node.rng, sent, plan.success_prob)] if sent else []), node.name
         paths["stretch"] += sent > 1
-        paths["uncertain"] += sent > 0 and 0.0 < plan.success_prob < 1.0
+        paths["uncertain" if 0.0 < plan.success_prob < 1.0 else "certain"] += sent > 0
         return left
-
-    def run(*args):
-        running.append(True)
-        run_until(*args)
-        running.pop()
 
     def passing(name, world_pass):
         def named(*args):
@@ -204,12 +177,10 @@ def _count_paths(patch, paths: Counter) -> None:
     patch.setattr(Engine, "schedule_batched", batching)
     patch.setattr(runner, "tick_nodes", ticking)
     patch.setattr(EnergyBuffer, "harvest", settling)
-    patch.setattr(RngStream, "__init__", spied)
-    patch.setattr(RngStream, "count_below", owing)
+    patch.setattr(RngStream, "count_below", drawing)
     patch.setattr(RngStream, "getstate", stated)
     patch.setattr(random.Random, "gauss", normal)
     patch.setattr(SimNode, "_run_stretch", stretch)
-    patch.setattr(Engine, "run_until", run)
     patch.setattr(runner._Controller, "evaluate", passing("policy", runner._Controller.evaluate))
     patch.setattr(runner, "start_peripheral_cycles",
                   passing("peripheral", runner.start_peripheral_cycles))
@@ -239,12 +210,10 @@ def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> 
 
 
 def _compare(scenario: Scenario, paths: Counter) -> None:
-    """Run `scenario` with all six shortcuts off, with the stretch alone on,
+    """Run `scenario` with all five shortcuts off, with the stretch alone on,
     and as shipped under the path counters, and compare the three runs.
-    Count too what the run did: a node slept or none did, a packet was lost
-    or none was, and a run that owed draws paid none of them while it ran,
-    leaving them all to the `getstate` that `digest_runs.outputs` makes
-    (`owed`), or paid some (`settled`)."""
+    Count too what the run did: a node slept or none did, and a packet was
+    lost or none was."""
     with pytest.MonkeyPatch.context() as patch:
         _shortcuts_off(patch)
         stretched = runner._Controller(scenario, Engine())
@@ -258,8 +227,6 @@ def _compare(scenario: Scenario, paths: Counter) -> None:
         _count_paths(patch, shipped)
         assert digest_runs.outputs(scenario) == plain
     paths.update(shipped)
-    if shipped["owing"]:
-        paths["settled" if shipped["skips"] else "owed"] += 1
     metrics = [node.metrics for node in stretched.nodes]
     paths["slept" if any(nm.sleep_entries for nm in metrics) else "awake"] += 1
     paths["lost" if any(nm.packets_lost for nm in metrics) else "lossless"] += 1
@@ -274,12 +241,10 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
 
 
 @pytest.mark.parametrize("scenario, ran", [
-    # Both preset links are lossless and the presets draw no SNR jitter, so
-    # their streams owe every draw to the end; fleet64's jitter pays its debts.
-    *(pytest.param(load_scenario(preset_path(name)), ("before", "inside", "owed"), id=name)
+    *(pytest.param(load_scenario(preset_path(name)), ("before", "inside"), id=name)
       for name in digest_runs.PRESETS),
     # etno3_lossy's optical link delivers about 64.5 % of packets at 30 m.
-    *(pytest.param(load_scenario(path), {"fleet64": ("before", "settled"),
+    *(pytest.param(load_scenario(path), {"fleet64": ("before",),
                                          "etno3_lossy": ("uncertain",)}.get(path.stem, ()),
                    id=path.stem) for path in sorted(DATA.glob("*.cfg"))),
     *(pytest.param(fleet(seed), (), id=f"fleet-seed-{seed}") for seed in (2, 3)),
@@ -324,12 +289,12 @@ TIES = Scenario(duration_s=30.0, init_delay_s=0.0, node_count=2, optimizer="etno
                                                ("peripheral", 1.0, False, 5.0))),
     # The optical link is lossless and the radio at -51 dBm delivers about
     # 60 % of packets. With no SNR jitter, only a packet outcome reads a
-    # stream, so the run pays what a node owes on the optical link with its
-    # first outcome on the radio, in ETNO's conservation mode.
+    # stream: a node's bursts on the optical link draw nothing, and those on
+    # the radio, in ETNO's conservation mode, draw.
     pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=2, seed=3,
                           optimizer="etno", inter_transmission_sleep=False,
                           battery_capacity_j=0.2, harvest_mw=20.0, ble_tx_power_dbm=-51.0),
-                 ("settled", "lost", "uncertain"), id="outcome-pays-the-debt"),
+                 ("lost", "certain", "uncertain"), id="certain-and-uncertain-links"),
     # ETNO resumes below f_c = 0.35, so the node streams until a draw would
     # run the buffer dry.
     pytest.param(Scenario(duration_s=60.0, init_delay_s=1.0, node_count=1, seed=3,
@@ -380,9 +345,8 @@ def test_random_scenarios_run_every_shortcut_path():
     # through `EnergyBuffer.harvest`; `SimNode.sync` drew in place and
     # through `EnergyBuffer.consume`; stretches ran, in runs where nodes
     # slept and lost packets and in runs where none did, some with an
-    # uncertain outcome; runs owed draws to their end, and runs paid owed
-    # draws as they ran.
+    # uncertain outcome.
     assert all(paths[path] for path in ("before", "inside", "ready", "end", "clamp", "margin",
                                         "batched", "inline", "fallback", "sync-inline",
                                         "sync-consume", "stretch", "uncertain", "slept", "awake",
-                                        "lost", "lossless", "owed", "settled")), paths
+                                        "lost", "lossless")), paths
