@@ -149,6 +149,48 @@ def test_count_below_moves_the_stream_as_the_draws_do(n, p):
     assert (counted.getstate() == start) == certain
 
 
+def test_count_below_of_no_draws_reads_nothing():
+    stream = RngStream(seed=7, stream_id=2)
+    start = stream.getstate()
+    assert [stream.count_below(0, p) for p in (0.0, 0.5, 1.0)] == [0, 0, 0]
+    assert stream.getstate() == start
+
+
+_READS = {"outcome": lambda stream: stream.count_below(1, 0.6),
+          "normal": lambda stream: stream.normal(0.5, 2.0),
+          "count_below": lambda stream: stream.count_below(40, 0.5),
+          "getstate": lambda stream: stream.getstate()}
+
+
+@pytest.mark.parametrize("read", _READS)
+@pytest.mark.parametrize("paired", [False, True], ids=["", "mid-gauss-pair"])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("n", [1_000, 65_536, 2 * 65_536 + 5])
+def test_certain_outcomes_leave_the_next_read_as_it_was(n, p, paired, read):
+    # However many certain outcomes a stream counts, in one call or split,
+    # the next read, a draw or `getstate`, reads what a stream that counted
+    # none reads. `gauss` draws a pair and keeps its second half for the
+    # next call, so the certain outcomes may also fall between the halves.
+    certain, untouched = RngStream(seed=7, stream_id=2), RngStream(seed=7, stream_id=2)
+    if paired:
+        assert certain.normal() == untouched.normal()
+    assert certain.count_below(n - 1, p) + certain.count_below(1, p) == (n if p else 0)
+    assert _READS[read](certain) == _READS[read](untouched)
+    assert certain.getstate() == untouched.getstate()
+
+
+def test_normal_is_the_generators_gauss_for_the_streams_whole_life():
+    # `normal` is the generator's own bound method, with no check per draw,
+    # whatever the stream counts or draws.
+    stream = RngStream(seed=7, stream_id=2)
+    gauss = stream._rng.gauss
+    for n, p in [(0, 1.0), (3, 1.0), (3, 0.0), (3, 0.5)]:
+        stream.count_below(n, p)
+        assert stream.normal == gauss
+    stream.normal()
+    assert stream.normal == gauss
+
+
 def test_horizon_is_the_queue_head_or_one_past_the_end():
     engine = Engine()
     seen = []
