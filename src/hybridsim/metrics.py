@@ -56,7 +56,7 @@ def _template(clock: list[bytes], harvest_column: list[float]) -> bytes:
 class NodeMetrics:
     """One node's samples and counters, which the node updates in place."""
 
-    __slots__ = ("name", "values", "codes", "lumps", "clamped_at", "clamped_j", "bursts",
+    __slots__ = ("name", "values", "codes", "lumps", "clamped_at", "clamped_j",
                  "bytes_delivered", "packets_lost", "modality_switches", "sleep_entries",
                  "eligible_s", "consumed_j", "harvested_j", "remaining_j", "initial_j")
 
@@ -76,9 +76,6 @@ class NodeMetrics:
         self.lumps = lumps
         self.clamped_at = array("i")
         self.clamped_j = array("d")
-        # Run-length burst log: (start_ns, period_ns, length_ns, count) records,
-        # four entries each (`tx_intervals`).
-        self.bursts = array("q")
         self.bytes_delivered = 0
         self.packets_lost = 0
         self.modality_switches = 0
@@ -108,12 +105,6 @@ class NodeMetrics:
         return [TraceRow(float(i), r, c, h, *_TRACE_LABELS[code])
                 for i, (r, c, h, code) in enumerate(zip(
                     values[0::2], values[1::2], self.harvest_column(), self.codes))]
-
-    @property
-    def tx_intervals(self) -> list[tuple[int, int, int, int]]:
-        """The burst log's records as tuples, built afresh on each read."""
-        log = iter(self.bursts)
-        return list(zip(log, log, log, log))
 
     @property
     def achieved_rate_kbps(self) -> float:

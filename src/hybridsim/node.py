@@ -76,7 +76,6 @@ class SimNode:
         self.interfaces = InterfaceState.IDLE
         self.in_slot = False
         self.slot_end_ns: SimTime = 0
-        self._tx_started_ns: SimTime = 0
         # Before the first poll a node advertises if the scenario says so.
         advertising = scenario.init_advertising and scenario.init_delay_s > 0
         self._phase_ma = (scenario.advertising_current_ma if advertising
@@ -153,8 +152,6 @@ class SimNode:
     def _on_battery_low(self, now: SimTime) -> None:
         if self.tx_in_flight:
             self.metrics.packets_lost += 1
-            started = self._tx_started_ns
-            self.metrics.bursts.fromlist([started, 0, now - started, 1])
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.BATTERY_LOW)
         if self.plan.mode is not Mode.SLEEP:
             self.metrics.sleep_entries += 1
@@ -267,18 +264,17 @@ class SimNode:
 
         Each run of bursts is settled in closed form: it draws its bursts
         and idle gaps in one product, which differs from the queued
-        handlers' burst-by-burst sum by rounding only, and logs one
-        `tx_intervals` record. Only when the whole run would pass the
-        buffer's edge does `fitting_bursts` count the bursts that keep it
-        off. A burst through a tick settles around the dispatched tick in
-        the queued handlers' float order (a tick up to the burst's end
-        samples it in flight, a later one draws the idle gap) and logs one
-        record of its own. It draws every outcome it sent in one
-        `count_below` call as it returns, as the queued bursts' calls would:
-        nothing reads the node's stream before, since `_crosses` leaves it
-        no battery edge at a tick, so no policy evaluates it and its plan
-        stays. The node idles around each burst, and its interface starts
-        and ends it at IDLE, so the phase and interface state stay.
+        handlers' burst-by-burst sum by rounding only. Only when the whole
+        run would pass the buffer's edge does `fitting_bursts` count the
+        bursts that keep it off. A burst through a tick settles around the
+        dispatched tick in the queued handlers' float order (a tick up to
+        the burst's end samples it in flight, a later one draws the idle
+        gap). It draws every outcome it sent in one `count_below` call as it
+        returns, as the queued bursts' calls would: nothing reads the node's
+        stream before, since `_crosses` leaves it no battery edge at a tick,
+        so no policy evaluates it and its plan stays. The node idles around
+        each burst, and its interface starts and ends it at IDLE, so the
+        phase and interface state stay.
         """
         if self.interfaces is not InterfaceState.IDLE:  # raises in `transmit_packet`
             return now
@@ -286,7 +282,7 @@ class SimNode:
         fits = self.slot_end_ns - airtime
         burst_j = self._joules(plan.tx_current_ma, airtime)
         step = burst_j + self._joules(self.scenario.idle_current_ma, interval - airtime)
-        engine, buffer, log = self.engine, self.buffer, self.metrics.bursts
+        engine, buffer = self.engine, self.buffer
         remaining, consumed = buffer.remaining_j, buffer.consumed_j
         floor = buffer.threshold_j if remaining >= buffer.threshold_j else 0.0  # stays on its side
         sent = 0
@@ -302,14 +298,12 @@ class SimNode:
             if bursts:
                 drawn = bursts * step
                 remaining, consumed = remaining - drawn, consumed + drawn
-                log.fromlist([now, interval, airtime, bursts])
                 now += bursts * interval
                 sent += bursts
             if now > fits or not self._crosses(tick, after, now, interval, remaining, step):
                 break
             # The burst's start, end and next ready, and the tick, in time order.
             at, end = tick.fire_at, now + airtime
-            log.fromlist([now, 0, airtime, 1])
             if at <= end:  # the tick samples the burst in flight
                 self.transmit_packet(now)
                 self._phase_since = now
@@ -367,15 +361,12 @@ class SimNode:
             raise ProtocolViolation(
                 f"{self.name}: {plan.modality.value} TX from {self.interfaces.value}")
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_START, plan.modality)
-        self._tx_started_ns = now
         self._phase_ma = plan.tx_current_ma
 
     def on_transmit_end(self, now: SimTime) -> None:
         self.sync(now)
         if not self.tx_in_flight:
             return  # a battery-low edge already lost the burst
-        started = self._tx_started_ns
-        self.metrics.bursts.fromlist([started, 0, now - started, 1])
         sent_on = self.plans[self.plan.mode, _TX_MODALITY[self.interfaces]]
         self.interfaces = fsm_dispatch(self.interfaces, EventKind.TRANSMIT_END)
         if self.rng.count_below(1, sent_on.success_prob):

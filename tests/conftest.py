@@ -40,6 +40,9 @@ def _script(path: Path):
 # tests compare; `runs()` lists every pinned run, whose lines
 # tests/data/digest_runs.txt pins; `PRESETS` names the six paper figure presets.
 digest_runs = _script(ROOT / "tests" / "data" / "digest_runs.py")
+# `with spied_bursts() as bursts:` records each node's bursts by name while
+# the block runs, as `(start, period, length, count)` records.
+spied_bursts = digest_runs.spied_bursts
 # `fleet_config(seed)` generates the benchmark's `fleet` scenario file.
 perfbench_run = _script(ROOT / "perfbench" / "run.py")
 
@@ -102,11 +105,11 @@ def euno_call():
     return _euno_call
 
 
-def tx_bursts(nm):
-    """A node's `(start, end)` ns per burst, expanded from its run-length
-    `tx_intervals` log of `(start, period, length, count)` records."""
+def tx_bursts(records):
+    """A node's `(start, end)` ns per burst, expanded from the
+    `(start, period, length, count)` records that `spied_bursts` wrote."""
     return [(start + i * period, start + i * period + length)
-            for start, period, length, count in nm.tx_intervals
+            for start, period, length, count in records
             for i in range(count)]
 
 

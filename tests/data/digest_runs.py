@@ -12,9 +12,10 @@ whole-run test scenario, `tie_prone(rng)` and `peripheral_prone(rng)` bend
 its draws, and `drawn` draws from each one's own seed in `SEEDS`, so the
 tests' draw sets move only with this script. For each run
 it prints one line, `<sha256>  <run>  <events>  <node> <node> ...`: the
-digest of `outputs`, every output of the run, then the run's integer
-outcome as its summary.json holds it, the event count and, for each node
-in order, `bytes_delivered/packets_lost/sleep_entries/modality_switch_count`.
+digest of `outputs`, every output of the run (with each node's bursts as
+`spied_bursts` records them, since the simulator logs none), then the run's
+integer outcome as its summary.json holds it, the event count and, for each
+node in order, `bytes_delivered/packets_lost/sleep_entries/modality_switch_count`.
 digest_runs.txt beside this script pins those lines, so a pinned scenario
 is a `.cfg` here plus its line there, and a declared model change
 regenerates the file with this script; `git diff --word-diff` of the file
@@ -34,10 +35,13 @@ import json
 import random
 import sys
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from hybridsim.kernel import Engine
-from hybridsim.metrics import write_traces
+from hybridsim.metrics import MetricsRecord, write_traces
+from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, sweep_scenario
 from hybridsim.scenario import OPTIMIZERS, Scenario, load_scenario, preset_path
@@ -136,33 +140,95 @@ def draws(count: int) -> list[tuple[str, Scenario]]:
     return [(f"draw-{index:03d}", scenario) for index, scenario in enumerate(drawn(draw, count))]
 
 
+def _extend(records: list, start: int, period: int, length: int, count: int) -> None:
+    """Append `count` bursts of `length` ns, `period` ns apart from `start`
+    on, to `records`, a node's `(start, period, length, count)` records in
+    greedy form: a burst extends the last record when it has the record's
+    length and starts one period after its last burst, or, after a record's
+    first burst, sets the period. A lone burst's record has period 0."""
+    while count:
+        taken = 1
+        first, every, size, n = records[-1] if records else (0, 0, None, 0)
+        if size == length and start > first and (n == 1 or start == first + n * every):
+            every = every if n > 1 else start - first
+            taken = count if period == every else 1
+            records[-1] = (first, every, length, n + taken)
+        else:
+            records.append((start, 0, length, 1))
+        start, count = start + taken * period, count - taken
+
+
+@contextmanager
+def spied_bursts() -> Iterator[dict[str, list]]:
+    """Record each burst that a node sends while the block runs, by node
+    name, as `_extend` writes them. A stretch (`SimNode._run_stretch`)
+    sends `(returned - now) // plan.interval_ns` bursts at
+    `now + i * plan.interval_ns`, as each burst, crossed or not, moves `now`
+    one spacing on; any other burst starts in `SimNode.transmit_packet`. A
+    burst lasts the plan's airtime, also one that a battery-low edge cut
+    short. The spy wraps the two methods as it finds them, so it nests
+    inside other spies, and restores them on leaving."""
+    bursts, stretching = {}, set()
+    run_stretch, transmit_packet = SimNode._run_stretch, SimNode.transmit_packet
+
+    def stretch(node, now, plan):
+        stretching.add(node)
+        try:
+            left = run_stretch(node, now, plan)
+        finally:
+            stretching.discard(node)
+        if left > now:
+            _extend(bursts.setdefault(node.name, []), now, plan.interval_ns, plan.airtime_ns,
+                    (left - now) // plan.interval_ns)
+        return left
+
+    def transmit(node, now):
+        transmit_packet(node, now)
+        if node not in stretching:
+            _extend(bursts.setdefault(node.name, []), now, 0, node.plan.airtime_ns, 1)
+
+    SimNode._run_stretch, SimNode.transmit_packet = stretch, transmit
+    try:
+        yield bursts
+    finally:
+        SimNode._run_stretch, SimNode.transmit_packet = run_stretch, transmit_packet
+
+
 def outputs(scenario: Scenario) -> dict:
     """Every output of one run of `scenario`: the trace and summary bytes by
-    file name, each node's burst log (`tx_intervals`) and transmit-eligible
-    time, the event count and every node's random-stream state."""
+    file name, each node's bursts as `spied_bursts` records them and its
+    transmit-eligible time, the event count and every node's random-stream
+    state."""
     return outputs_of(_Controller(scenario, Engine()))
 
 
 def outputs_of(controller: _Controller) -> dict:
     """`outputs` of the run that `controller`, not yet started, makes."""
-    record = controller.run()
+    with spied_bursts() as bursts:
+        record = controller.run()
+    return gathered(controller, record, bursts)
+
+
+def gathered(controller: _Controller, record: MetricsRecord, bursts: dict) -> dict:
+    """`outputs` of a finished run: `controller`, its `record` and the
+    `bursts` that `spied_bursts` recorded while it ran."""
     with tempfile.TemporaryDirectory() as out:
         files = {path.name: path.read_bytes() for path in write_traces(record, Path(out))}
     return {
         "files": files,
-        "tx_intervals": {name: nm.tx_intervals for name, nm in record.nodes.items()},
+        "bursts": {node.name: bursts.get(node.name, []) for node in controller.nodes},
         "eligible_s": {name: nm.eligible_s for name, nm in record.nodes.items()},
         "events_executed": record.events_executed,
         "rng": [node.rng.getstate() for node in controller.nodes],
     }
 
 
-def line(name: str, scenario: Scenario) -> str:
-    """The pin line of run `name`: the sha256 of `outputs(scenario)`, each
-    file's name and bytes in name order and then the `repr` of the rest;
-    the name; and the run's integer outcome, read from the summary bytes
-    that the sha256 covers."""
-    run = outputs(scenario)
+def line(name: str, run: dict) -> str:
+    """The pin line of run `name` from its `outputs`, `run`: the sha256 of
+    the outputs, each file's name and bytes in name order and then the
+    `repr` of the rest; the name; and the run's integer outcome, read from
+    the summary bytes that the sha256 covers."""
+    run = dict(run)
     files = run.pop("files")
     sha = hashlib.sha256()
     for file, data in sorted(files.items()):
@@ -193,7 +259,7 @@ def runs() -> list[tuple[str, Scenario]]:
 def main() -> int:
     pinned = runs()
     for name, scenario in pinned:
-        print(line(name, scenario), flush=True)
+        print(line(name, outputs(scenario)), flush=True)
     print(f"{len(pinned)} runs", file=sys.stderr)
     return 0
 

@@ -281,7 +281,7 @@ def test_run_outputs_pinned(name, scenario):
     # line holds the digest of every output of its run and the run's
     # integer outcome, and only a deliberate model change may move it;
     # digest_runs.py prints the lines that regenerate digest_runs.txt.
-    got, pinned = digest_runs.line(name, scenario), PINNED_LINES.get(name)
+    got, pinned = digest_runs.line(name, digest_runs.outputs(scenario)), PINNED_LINES.get(name)
     _report(f"criterion 9 ({name} outputs unchanged)", got == pinned,
             f"line {got}, pinned {pinned or 'none'}")
 

@@ -188,8 +188,10 @@ class TestCalibrationTable:
     def test_shipped_fixture_spot_values(self, table):
         assert table["ble", "adv_event_0dbm", "normal"][0] == 9.65
         assert table["node", "deep_sleep_no_vlc_rx", "very_low_power"][0] == 0.0047
-        assert table["ble", "conn_event_0dbm", "normal"][0] == 7.31
+        assert table["ble", "conn_event_0dbm", "normal"] == (7.31, 2.14)
         assert table["ble", "conn_event_8dbm", "normal"][0] == 8.58
+        # A residency state's row has no duration.
+        assert table["node", "cycle_idle_sens_11.25ms_8dbm", "normal"] == (5.95, None)
 
     def test_profile_token_normalization(self, table):
         # The file spells the profile `low-power`; keys are normalised once,
@@ -228,16 +230,6 @@ class TestCalibrationTable:
         with pytest.raises(CalibrationError) as err:
             load_calibration(path)
         assert ":2:" in str(err.value)
-
-
-class TestDeviceCurrent:
-    def test_table_lookup(self, table):
-        assert table["ble", "conn_event_0dbm", "normal"] == (7.31, 2.14)
-        assert table["node", "cycle_idle_sens_11.25ms_8dbm", "normal"] == (5.95, None)
-
-    def test_unknown_state_errors(self, table):
-        with pytest.raises(KeyError):
-            table["ble", "bogus", "normal"]
 
 
 def _predicted(scenario, row, horizon_s):

@@ -11,8 +11,9 @@ samples, achieve no more than the target rate, count no more
 transmit-eligible time than the poll slots the node owned, and keep both
 interfaces powered down while it sleeps; a second spent asleep away from any
 tick draws exactly the sleep current. Its
-burst log must account for every packet sent, place each burst inside one
-of the node's own slots, and no two bursts of the run may overlap. A new run
+bursts, as `digest_runs.spied_bursts` records them, must account for every
+packet sent, each lie inside one of the node's own slots, and no two bursts
+of the run may overlap. A new run
 invariant is one more check there; the seed relation, between two runs, is
 R3 in tests/test_relations.py. Each run goes through `_Controller.run`.
 """
@@ -32,7 +33,7 @@ from hybridsim.node import CHAIN_STEPS, SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs, tx_bursts
+from conftest import digest_runs, spied_bursts, tx_bursts
 
 TOL = 1e-9
 ASLEEP = ("SLEEP|OFF", "OFF|OFF")
@@ -102,6 +103,18 @@ EXAMPLES = {
     "clamps-every-tick": Scenario(node_count=1, duration_s=60.0, init_delay_s=0.0,
                                   poll_slot_s=5.0, packet_bytes=512, target_rate_kbps=409.6,
                                   inter_transmission_sleep=False, harvest_mw=300.0),
+    # ETNO with f_c 0.6 and 50 ms optical bursts every 50 ms: the 1 Hz tick at
+    # 9.0 s raises node 2's battery-low edge inside its queued burst that
+    # started at 8.96 s, which is lost before its end (`digest_runs.tie_prone`
+    # draw 90).
+    "lost-mid-burst": Scenario(
+        duration_s=23.06603496086888, init_delay_s=1.0, seed=322, optimizer="etno",
+        inter_transmission_sleep=False, target_rate_kbps=81.92, conservation_rate_kbps=81.92,
+        owc_phy_rate_kbps=81.92, poll_slot_s=5.0, battery_capacity_j=0.2297214392972064,
+        initial_fraction=0.6881056434922409, harvest_mw=3.4841303834953696,
+        harvest_profile=((0.0, 0.01295092648564697), (10.0, 0.02562313248089448),
+                         (20.0, 0.016560914662877055)),
+        weights=UtilityWeights(f_c=0.6)),
 }
 
 
@@ -171,9 +184,11 @@ def seen(monkeypatch) -> Counter:
 
 
 def _checked_run(scenario: Scenario, seen: Counter) -> MetricsRecord:
-    """Run `scenario` once under the spies of `seen` and check every run
-    invariant: two after each dispatched event, then each per-run and
-    per-sample one on the run's record, which it returns.
+    """Run `scenario` once under the spies of `seen` and `spied_bursts`
+    and check every run invariant: two after each dispatched event, then
+    each per-run and per-sample one on the run's record, which it returns.
+    It counts each battery-low edge that loses a burst before the burst's
+    nominal end (`lost mid-burst`).
 
     After every event, each node's transmit-eligible segment is open iff it
     holds its slot in a mode other than sleep: every change of either
@@ -200,7 +215,17 @@ def _checked_run(scenario: Scenario, seen: Counter) -> MetricsRecord:
         seen["stale"] += len(steps) - sum(live.values())
 
     engine.dispatch_head = dispatch_head  # `run_until` and a stretch both call it
-    record = controller.run()
+    on_battery_low = SimNode._on_battery_low
+
+    def edge(node, now):
+        if node.tx_in_flight:
+            start, period, length, count = bursts[node.name][-1]
+            seen["lost mid-burst"] += now < start + (count - 1) * period + length
+        on_battery_low(node, now)
+
+    with spied_bursts() as bursts, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimNode, "_on_battery_low", edge)
+        record = controller.run()
 
     capacity = scenario.battery_capacity_j
     sleep_j = scenario.sleep_current_ma * 1e-3 * scenario.supply_voltage  # per second
@@ -246,18 +271,19 @@ def _checked_run(scenario: Scenario, seen: Counter) -> MetricsRecord:
                     and int(a.t_s) not in ticked):
                 assert b.consumed_j - a.consumed_j == pytest.approx(sleep_j, rel=TOL), \
                     (nm.name, a.t_s)
-        # Every burst sent is logged once: delivered, lost on the link, or
-        # lost to a battery-low edge.
-        bursts = tx_bursts(nm)
-        assert len(bursts) == nm.bytes_delivered // scenario.packet_bytes + nm.packets_lost
+        # Every burst sent is delivered, lost on the link, or lost to a
+        # battery-low edge.
+        sent = tx_bursts(bursts.get(nm.name, []))
+        assert len(sent) == nm.bytes_delivered // scenario.packet_bytes + nm.packets_lost
         # The slots are sorted and end no earlier the later they start, so a
-        # burst lies in some slot iff it lies in the last to start by its start.
+        # burst lies in some slot iff it lies in the last to start by its
+        # start. A burst ends at its nominal end here, lost or not.
         slots = slots_ns(scenario, index)
         starts = [s for s, _ in slots]
-        for start, end in bursts:
+        for start, end in sent:
             k = bisect_right(starts, start) - 1
             assert k >= 0 and end <= slots[k][1], (nm.name, start)
-        everyone += bursts
+        everyone += sent
     everyone.sort()
     assert all(e1 <= s2 for (_, e1), (s2, _) in zip(everyone, everyone[1:]))
     return record
@@ -271,6 +297,8 @@ def test_every_run_keeps_its_invariants(name, seen):
     if name == "clamps-every-tick":
         nm = record.node(1)
         assert list(nm.clamped_at) == list(range(1, len(nm.codes)))
+    if name == "lost-mid-burst":
+        assert seen["lost mid-burst"] >= 1, seen
 
 
 @pytest.mark.parametrize("capacity_j, fraction", [(5.2, 0.013), (7.3, 0.041)])

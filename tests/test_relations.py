@@ -4,18 +4,23 @@ A declared model change regenerates tests/data/digest_runs.txt, after which
 the pins check only that the new model is deterministic. A relation between
 two runs of one source tree holds whatever the pins say, so it still sees an
 error that a re-pin would bless: a joule term that is not scaled like the
-others, or a rule that reads a node count it should not.
+others, or a rule that reads a node count it should not. R6 compares a run
+cut and resumed with its straight run, whose line the pin holds.
 """
 
+import hashlib
 import json
+import pickle
+import random
 
 import pytest
 
 from hybridsim import runner
-from hybridsim.kernel import RngStream
+from hybridsim.kernel import Engine, RngStream, seconds
 from hybridsim.metrics import NodeMetrics
-from hybridsim.runner import build_link_plans
-from conftest import digest_runs, metrics_fields
+from hybridsim.runner import _Controller, build_link_plans
+from conftest import digest_runs, metrics_fields, spied_bursts
+from test_acceptance import PINNED_LINES
 
 # The `NodeMetrics` fields that hold joules: the trace's remaining and
 # consumed columns, the run's harvest lumps and the joules each clamped tick
@@ -41,6 +46,12 @@ def _scaled(nm: NodeMetrics, factor: float) -> dict:
                           **{name: factor * getattr(nm, name) for name in JOULE_TOTALS})
 
 
+def _spied_run(scenario):
+    """`runner.run(scenario)` and the bursts that `spied_bursts` recorded."""
+    with spied_bursts() as bursts:
+        return runner.run(scenario), bursts
+
+
 def test_doubling_every_energy_doubles_every_joule_and_keeps_the_rest():
     """R1, energy scale. Every joule of the model is a product of a current
     and the supply voltage over a time, or of a harvest power over a time,
@@ -48,14 +59,15 @@ def test_doubling_every_energy_doubles_every_joule_and_keeps_the_rest():
     and the run adds, subtracts, clamps and compares joules only with each
     other and divides them only by the capacity or by a joule step. So
     doubling the voltage, the capacity and the harvest doubles every joule
-    and changes no decision: every integer, label, burst record and
-    eligible time stays. Doubling a float is exact in binary, and
+    and changes no decision: every integer, label, burst and eligible time
+    stays. Doubling a float is exact in binary, and
     every float operation on joules commutes with it, so this is equality,
     not a tolerance."""
     failed = []
     for name, scenario in digest_runs.runs():
-        plain, doubled = runner.run(scenario), runner.run(_doubled(scenario))
-        if (plain.events_executed != doubled.events_executed
+        (plain, bursts), (doubled, doubled_bursts) = map(_spied_run,
+                                                         (scenario, _doubled(scenario)))
+        if (plain.events_executed != doubled.events_executed or bursts != doubled_bursts
                 or [_scaled(nm, 2.0) for nm in plain.nodes.values()]
                 != [_scaled(nm, 1.0) for nm in doubled.nodes.values()]):
             failed.append(name)
@@ -118,8 +130,8 @@ def test_a_run_with_certain_links_does_not_depend_on_its_seed(scenario):
     """R3, seed. With every packet outcome certain and no SNR jitter, a run
     reads no draw, so no seed can move an output: each node's stream ends
     where it started, and a second seed writes the same trace bytes, the
-    same summary bar its seed fields, and the same burst log, eligible time
-    and event count. One case per pinned run whose links are certain once
+    same summary bar its seed fields, and the same bursts, eligible time and
+    event count. One case per pinned run whose links are certain once
     mapped by `_certain`; a link still lossy there (etno3_lossy's -60 dBm
     radio) leaves its run out."""
     run = digest_runs.outputs(scenario)
@@ -127,3 +139,52 @@ def test_a_run_with_certain_links_does_not_depend_on_its_seed(scenario):
                           for i in range(scenario.node_count)]
     other = scenario.replace(seed=scenario.seed + 1)
     assert _seedless(digest_runs.outputs(other)) == _seedless(run)
+
+
+def _cuts() -> dict:
+    """Three instants in `(0, total_ns)` of each pinned run, by name, sorted,
+    drawn in `runs()`' order from one `random.Random(7)`."""
+    rng = random.Random(7)
+    return {name: sorted(rng.randrange(1, seconds(scenario.total_duration_s)) for _ in range(3))
+            for name, scenario in digest_runs.runs()}
+
+
+CUTS = _cuts()
+
+
+def test_the_cuts_are_pinned():
+    """An edit that re-draws `CUTS` fails here, under its own name."""
+    assert hashlib.sha256(repr(CUTS).encode()).hexdigest() == (
+        "70907e7c7fb7c0bbdd37d5d0f35756e910bd0c98475bf053c33fd1f005380e58")
+
+
+@pytest.mark.parametrize("name, scenario", [
+    pytest.param(name, scenario, id=name) for name, scenario in digest_runs.runs()])
+def test_a_run_cut_and_resumed_anywhere_keeps_its_pin(name, scenario):
+    """R6, cut anywhere. A run stopped at each of its `CUTS` by
+    `Engine.run_until`, and at the second continued from a `pickle` round
+    trip of its `_Controller`, then run to its end, writes its pin line,
+    with no tolerance. A cut is a horizon that no config places: every
+    shortcut that runs ahead of the queue (a stretch, the 1 Hz tick it
+    crosses) stops at the horizon that `Engine.head` gives it, and queues
+    its next events there, which then run as the shortcut would have run
+    them (tests/test_shortcuts.py); `spied_bursts` records the bursts in
+    one run-length form wherever the stretches stop. A stretch cut in two
+    settles its bursts in more products, which can differ from one in the
+    last bit, as the shortcut harness allows: for these cuts, no such
+    difference reaches the trace's nine significant digits or the
+    summary's twelve decimals. The round trip copies the controller with
+    everything the run holds, the objects the nodes share (the table's
+    rows, the lumps, the engine) still shared. A straight run makes the
+    same three steps: start, `run_until` the end, finalize."""
+    controller = _Controller(scenario, Engine())
+    with spied_bursts() as bursts:
+        controller.start()
+        for index, cut in enumerate(CUTS[name]):
+            controller.engine.run_until(cut)
+            if index == 1:
+                controller = pickle.loads(pickle.dumps(controller))
+        controller.engine.run_until(controller.total_ns)
+        record = controller.finalize()
+    assert digest_runs.line(name, digest_runs.gathered(controller, record, bursts)) \
+        == PINNED_LINES[name]

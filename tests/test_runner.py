@@ -29,7 +29,7 @@ from hybridsim.node import CHAIN_STEPS, ProtocolViolation, SimNode, fitting_burs
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.runner import _Controller, build_link_plans, run, sweep
 from hybridsim.scenario import MAX_NODE_SECONDS, Scenario, load_scenario
-from conftest import metrics_fields, perfbench_run, tick_each_node, tx_bursts
+from conftest import metrics_fields, perfbench_run, spied_bursts, tick_each_node, tx_bursts
 from test_invariants import EXAMPLES, INTERFACE_LABELS, SHORT
 
 DATA = Path(__file__).parent / "data"
@@ -167,12 +167,12 @@ class TestTraces:
         assert held <= 20 * samples
 
     def test_a_run_holds_its_records_in_typed_arrays(self):
-        # A node stores two doubles and one label code per sample, 12 B per
-        # tick whose lump its buffer clamped, and 32 B per burst record; every
-        # node of the 64-node fleet refers to the run's one array of lumps. The record, after the run, held 1,288,000 B on Python
-        # 3.11.7, 19.5 B per node-second; with three doubles and a label
-        # pointer per sample, a harvested_J column per node and tuple burst
-        # records it held 2,451,000 B.
+        # A node stores two doubles and one label code per sample and 12 B
+        # per tick whose lump its buffer clamped; every node of the 64-node
+        # fleet refers to the run's one array of lumps. The record, after the
+        # run, held 1,238,000 B on Python 3.11.7, 18.8 B per node-second;
+        # with three doubles and a label pointer per sample, a harvested_J
+        # column per node and tuple burst records it held 2,451,000 B.
         fleet64 = load_scenario(DATA / "fleet64.cfg")
         gc.collect()
         tracemalloc.start()
@@ -194,7 +194,6 @@ class TestTraces:
                 stored = sum(len(column) * column.itemsize
                              for column in (nm.values, nm.codes, nm.clamped_at, nm.clamped_j))
                 assert stored == 17 * samples + 12 * len(nm.clamped_at), nm.name
-                assert len(nm.bursts) * nm.bursts.itemsize == 32 * len(nm.tx_intervals), nm.name
         assert len(nm.clamped_at) == samples - 1
 
     def test_lossy_links_lose_some_optical_and_every_radio_packet(self):
@@ -298,13 +297,14 @@ class TestBehaviour:
     ], ids=["euno-f_c-0", "etno-sleep-threshold-0"])
     def test_empty_buffer_never_streams(self, policy):
         # With no critical level the sleep rule must still fire at 0 J.
-        m = run(Scenario(duration_s=120, node_count=1, inter_transmission_sleep=False,
-                         battery_capacity_j=0.5, harvest_mw=0, **policy))
+        with spied_bursts() as bursts:
+            m = run(Scenario(duration_s=120, node_count=1, inter_transmission_sleep=False,
+                             battery_capacity_j=0.5, harvest_mw=0, **policy))
         n1 = m.node(1)
         empty_s = [row.t_s for row in n1.rows if row.remaining_j == 0.0]
         assert empty_s and empty_s[0] < 60
-        assert n1.tx_intervals
-        assert [t for t, _ in tx_bursts(n1) if t >= seconds(empty_s[0])] == []
+        assert bursts["node1"]
+        assert [t for t, _ in tx_bursts(bursts["node1"]) if t >= seconds(empty_s[0])] == []
         assert n1.rows[-1].mode == "sleep"
 
     def test_gateway_power_reported(self, metrics):
@@ -485,7 +485,9 @@ class TestNodeLifecycle:
                             optimizer="etno", inter_transmission_sleep=False,
                             target_rate_kbps=409.6, owc_phy_rate_kbps=409.6,
                             poll_slot_s=1.0)
-        bursts = tx_bursts(run(scenario).node(1))
+        with spied_bursts() as spied:
+            run(scenario)
+        bursts = tx_bursts(spied["node1"])
         spacing = seconds(0.01)
         for slot_end in (seconds(1), seconds(2)):
             assert (slot_end - spacing, slot_end) in bursts
@@ -642,14 +644,14 @@ class TestInlinePackets:
         slot_end = seconds(1)
         engine.register("gateway", lambda eng, event: node.enter_slot(eng.now, slot_end))
         engine.schedule_at(0, "gateway", EventKind.POLL_TICK)
-        engine.run_until(seconds(2))
+        with spied_bursts() as bursts:
+            engine.run_until(seconds(2))
         plan = node.plans[Mode.PERFORMANCE, Modality.OWC]
         interval = plan.interval_ns
         starts = range(interval, slot_end - plan.airtime_ns + 1, interval)
-        # One record for the whole stretch, which expands to every burst.
-        assert node.metrics.tx_intervals == [
-            (interval, interval, plan.airtime_ns, len(starts))]
-        assert tx_bursts(node.metrics) == [(t, t + plan.airtime_ns) for t in starts]
+        # The stretch sends every burst that fits in the slot.
+        assert bursts == {node.name: [(interval, interval, plan.airtime_ns, len(starts))]}
+        assert tx_bursts(bursts[node.name]) == [(t, t + plan.airtime_ns) for t in starts]
         # The poll tick, the first packet-ready, then each burst's end and
         # next packet-ready.
         assert engine.events_executed == 2 + 2 * len(starts)

@@ -12,20 +12,22 @@ off, every stretch stops at the tick and the queue runs the burst that
 stops it, every chain step is an entry of its own, every node ticks through
 `sync`, `EnergyBuffer.harvest` and `sample`, and every settle draws through
 `EnergyBuffer.consume`. Every output must be the same either way: the
-trace and summary bytes, the burst log, the transmit-eligible time, the
-event count and each node's random stream.
+trace and summary bytes, each node's bursts, the transmit-eligible time,
+the event count and each node's random stream.
 
 The fifth is the stretch itself (`SimNode._run_stretch`): a node runs the
 bursts that raise no battery edge inline, up to the next queued event, and
 settles each run of them as one product. With it off too, every burst's end
 and packet-ready go through the queue, which settles burst by burst, so the
 two runs are compared to rounding: the event count, each node's random
-stream and its metrics are equal but the energies, which agree within 1e-9
-relative and 1e-12 J, and the burst logs compare burst by burst, since a
-stretch logs one record per run of bursts. A stretch draws every outcome it
-sent in one `count_below` call as it returns, which equals the queued
-bursts' draws only while nothing else reads the node's stream; the shipped
-run checks that on every stretch (`_count_paths`).
+stream, its bursts and its metrics are equal but the energies, which agree
+within 1e-9 relative and 1e-12 J. The bursts are those that
+`digest_runs.spied_bursts` records, in one run-length form whatever the
+stretches' stops, so the two runs' records are equal. A stretch draws every
+outcome it sent in one `count_below` call as it returns, which equals the
+queued bursts' draws only while nothing else reads the node's stream; the
+shipped run checks that on every stretch (`_count_paths`), with `sent` taken
+from the stretch's span.
 
 Each of the three runs goes through `_Controller.run`. A new
 byte-identical shortcut adds its switch to `_shortcuts_off` and its path
@@ -46,7 +48,7 @@ from hybridsim.kernel import NS_PER_SEC, Engine, EventKind, RngStream, SimEvent
 from hybridsim.node import SimNode
 from hybridsim.optimizer import UtilityWeights
 from hybridsim.scenario import Scenario, load_scenario, preset_path
-from conftest import digest_runs, fleet, metrics_fields, tick_each_node, tx_bursts
+from conftest import digest_runs, fleet, metrics_fields, tick_each_node
 
 DATA = Path(__file__).parent / "data"
 
@@ -136,9 +138,8 @@ def _count_paths(patch, paths: Counter) -> None:
 
     def stretch(node, now, plan):
         reads.clear()
-        logged = len(node.metrics.bursts)
         left = run_stretch(node, now, plan)
-        sent = sum(node.metrics.bursts[logged + 3::4])  # each record's burst count
+        sent = (left - now) // plan.interval_ns  # each burst moves one spacing on
         own = [read for read in reads if read[0] in (node.rng, node.rng._rng)]
         assert own == ([(node.rng, sent, plan.success_prob)] if sent else []), node.name
         paths["stretch"] += sent > 1
@@ -192,17 +193,15 @@ def _count_paths(patch, paths: Counter) -> None:
 
 def _assert_agree(queued: runner._Controller, stretched: runner._Controller) -> None:
     """The event count, each node's random stream and every `NodeMetrics`
-    field of the two finished runs are equal, each burst log expanded to its
-    bursts, but the energies (the samples', the joules each clamped tick
-    took and the totals)."""
+    field of the two finished runs are equal but the energies (the
+    samples', the joules each clamped tick took and the totals)."""
     assert queued.engine.events_executed == stretched.engine.events_executed
     energies = ("consumed_j", "harvested_j", "remaining_j", "initial_j")
-    blank = dict.fromkeys(("values", "clamped_j", "bursts", *energies))
+    blank = dict.fromkeys(("values", "clamped_j", *energies))
     for node, other in zip(queued.nodes, stretched.nodes):
         assert node.rng.getstate() == other.rng.getstate(), node.name
         a, b = node.metrics, other.metrics
-        assert (metrics_fields(a, tx_intervals=tx_bursts(a), **blank)
-                == metrics_fields(b, tx_intervals=tx_bursts(b), **blank)), a.name
+        assert metrics_fields(a, **blank) == metrics_fields(b, **blank), a.name
         x, y = ([*nm.values, *nm.clamped_j, *(getattr(nm, name) for name in energies)]
                 for nm in (a, b))
         assert len(x) == len(y), a.name
@@ -220,8 +219,9 @@ def _compare(scenario: Scenario, paths: Counter) -> None:
         plain = digest_runs.outputs_of(stretched)
         patch.setattr(SimNode, "_run_stretch", lambda node, now, plan: now)  # runs no burst
         queued = runner._Controller(scenario, Engine())
-        queued.run()
+        bursts = digest_runs.outputs_of(queued)["bursts"]
     _assert_agree(queued, stretched)
+    assert bursts == plain["bursts"]
     shipped = Counter()
     with pytest.MonkeyPatch.context() as patch:
         _count_paths(patch, shipped)
