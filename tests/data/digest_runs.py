@@ -158,16 +158,22 @@ def _extend(records: list, start: int, period: int, length: int, count: int) -> 
         start, count = start + taken * period, count - taken
 
 
+def stretch_sent(now: int, left: int, plan) -> int:
+    """The bursts that a stretch (`SimNode._run_stretch`) from `now` that
+    returned `left` sent under `plan`: each burst, crossed or not, moves
+    `now` one spacing on."""
+    return (left - now) // plan.interval_ns
+
+
 @contextmanager
 def spied_bursts() -> Iterator[dict[str, list]]:
     """Record each burst that a node sends while the block runs, by node
     name, as `_extend` writes them. A stretch (`SimNode._run_stretch`)
-    sends `(returned - now) // plan.interval_ns` bursts at
-    `now + i * plan.interval_ns`, as each burst, crossed or not, moves `now`
-    one spacing on; any other burst starts in `SimNode.transmit_packet`. A
-    burst lasts the plan's airtime, also one that a battery-low edge cut
-    short. The spy wraps the two methods as it finds them, so it nests
-    inside other spies, and restores them on leaving."""
+    sends `stretch_sent` bursts at `now + i * plan.interval_ns`; any other
+    burst starts in `SimNode.transmit_packet`. A burst lasts the plan's
+    airtime, also one that a battery-low edge cut short. The spy wraps the
+    two methods as it finds them, so it nests inside other spies, and
+    restores them on leaving."""
     bursts, stretching = {}, set()
     run_stretch, transmit_packet = SimNode._run_stretch, SimNode.transmit_packet
 
@@ -179,7 +185,7 @@ def spied_bursts() -> Iterator[dict[str, list]]:
             stretching.discard(node)
         if left > now:
             _extend(bursts.setdefault(node.name, []), now, plan.interval_ns, plan.airtime_ns,
-                    (left - now) // plan.interval_ns)
+                    stretch_sent(now, left, plan))
         return left
 
     def transmit(node, now):

@@ -636,7 +636,7 @@ class TestInlinePackets:
         assert count == 0 or remaining - count * step >= floor
         assert count == n or remaining - (count + 1) * step < floor
 
-    def test_stretch_stops_at_the_slot_end(self):
+    def test_stretch_stops_at_the_slot_end(self, monkeypatch):
         # In a run the gateway's tick at a slot's end is queued, so it is also
         # the horizon; here nothing else is queued and only the slot bounds it.
         node = _lone_node()
@@ -644,13 +644,21 @@ class TestInlinePackets:
         slot_end = seconds(1)
         engine.register("gateway", lambda eng, event: node.enter_slot(eng.now, slot_end))
         engine.schedule_at(0, "gateway", EventKind.POLL_TICK)
+        stretches, run_stretch = [], SimNode._run_stretch  # (from, returned)
+
+        def stretch(lone, now, plan):
+            stretches.append((now, run_stretch(lone, now, plan)))
+            return stretches[-1][1]
+
+        monkeypatch.setattr(SimNode, "_run_stretch", stretch)
         with spied_bursts() as bursts:
             engine.run_until(seconds(2))
         plan = node.plans[Mode.PERFORMANCE, Modality.OWC]
         interval = plan.interval_ns
         starts = range(interval, slot_end - plan.airtime_ns + 1, interval)
-        # The stretch sends every burst that fits in the slot.
-        assert bursts == {node.name: [(interval, interval, plan.airtime_ns, len(starts))]}
+        # One stretch sends every burst that fits in the slot, and the queue
+        # none of them.
+        assert stretches == [(interval, starts[-1] + interval)]
         assert tx_bursts(bursts[node.name]) == [(t, t + plan.airtime_ns) for t in starts]
         # The poll tick, the first packet-ready, then each burst's end and
         # next packet-ready.

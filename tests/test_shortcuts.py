@@ -139,7 +139,7 @@ def _count_paths(patch, paths: Counter) -> None:
     def stretch(node, now, plan):
         reads.clear()
         left = run_stretch(node, now, plan)
-        sent = (left - now) // plan.interval_ns  # each burst moves one spacing on
+        sent = digest_runs.stretch_sent(now, left, plan)
         own = [read for read in reads if read[0] in (node.rng, node.rng._rng)]
         assert own == ([(node.rng, sent, plan.success_prob)] if sent else []), node.name
         paths["stretch"] += sent > 1
